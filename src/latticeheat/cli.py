@@ -112,9 +112,13 @@ def _require(doc: dict, key: str, kind, path: str = ""):
     val = doc[key]
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, kind):
+    if isinstance(val, bool) or not isinstance(val, kind):  # bool is an int subclass
         raise ConfigError(f"{where}: expected {kind.__name__}, got {type(val).__name__}")
     return val
+
+
+def _optional_float(doc: dict, key: str, default: float) -> float:
+    return _require(doc, key, float) if key in doc else default
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -155,15 +159,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
         delta=delta,
         steps=steps,
         init=init,
-        amplitude=float(doc.get("amplitude", 1.0)),
-        eps_blow=float(doc.get("eps_blow", 0.0)),
-        comparison_slack=float(doc.get("comparison_slack", 1e-12)),
-        threshold_tol=float(doc.get("threshold_tol", 1e-3)),
+        amplitude=_optional_float(doc, "amplitude", 1.0),
+        eps_blow=_optional_float(doc, "eps_blow", 0.0),
+        comparison_slack=_optional_float(doc, "comparison_slack", 1e-12),
+        threshold_tol=_optional_float(doc, "threshold_tol", 1e-3),
         sweep=doc.get("sweep"),
     )
-    if cfg.amplitude < 0:
+    if not cfg.amplitude >= 0:
         raise ConfigError("amplitude: must be >= 0")
-    if cfg.threshold_tol <= 0:
+    if not cfg.eps_blow >= 0:
+        raise ConfigError("eps_blow: must be >= 0")
+    if not cfg.threshold_tol > 0:
         raise ConfigError("threshold_tol: must be > 0")
     if cfg.sweep is not None:
         if not isinstance(cfg.sweep, dict):
@@ -274,7 +280,6 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     a, p_scaled = normalize_scaling(initial_field(cfg), cfg.params)
     verdict = verify_comparison(a, p_scaled.alpha, cfg.steps, slack=cfg.comparison_slack)
-    trace = compute_trace(a, p_scaled.alpha, cfg.steps)
     doc = {
         "parameters": _echo_params(cfg),
         "holds": verdict.holds,
@@ -282,7 +287,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
         "defined_up_to": verdict.defined_up_to,
         "truncated": verdict.defined_up_to < cfg.steps,
         "margins": [float(m) for m in verdict.margins],
-        "partial_sums": [float(x) for x in trace.partial_sums],
+        "partial_sums": [float(x) for x in verdict.trace.partial_sums],
     }
     if verdict.failure is not None:
         doc["failure"] = {

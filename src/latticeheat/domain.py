@@ -123,21 +123,26 @@ class Field:
         return float(self.values[tuple(n)])
 
 
-def neighbor_mean_interior(values: np.ndarray) -> np.ndarray:
+def neighbor_mean_interior(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Average of the 2d axis neighbors at every interior site.
 
-    `values` is a full-shape array; the result has the interior shape.
+    `values` is a full-shape array; the result has the interior shape and is
+    written to `out` when one is given.
     """
     d = values.ndim
     core = [slice(1, -1)] * d
-    acc = np.zeros(tuple(s - 2 for s in values.shape))
+    if out is None:
+        out = np.zeros(tuple(s - 2 for s in values.shape))
+    else:
+        out.fill(0.0)
     for k in range(d):
         up = list(core)
         up[k] = slice(2, None)
         down = list(core)
         down[k] = slice(0, -2)
-        acc += values[tuple(up)] + values[tuple(down)]
-    return acc / (2 * d)
+        out += values[tuple(up)] + values[tuple(down)]
+    out /= 2 * d
+    return out
 
 
 def neighbor_average(f: Field, n: MultiIndex) -> float:

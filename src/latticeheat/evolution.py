@@ -10,6 +10,7 @@ threshold (alpha*delta)^(-1/alpha); that event is finite-time blow-up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,11 +73,6 @@ class BlowupReport:
         return isinstance(self.outcome, BlewUpAt)
 
 
-def _pow(x: np.ndarray, alpha: float) -> np.ndarray:
-    # x >= 0 here; numpy gives 0**alpha = 0 for alpha > 0.
-    return np.power(x, alpha)
-
-
 def _check_solution_field(f: Field) -> None:
     if not f.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
@@ -92,6 +88,70 @@ def _first_offender(bad: np.ndarray, g: np.ndarray) -> BlowupSignal:
     return BlowupSignal(site=site, g_value=float(g[tuple(idx)]))
 
 
+_TINY = np.finfo(float).tiny
+
+
+class _Stepper:
+    """The nonlinear update on two preallocated full-shape buffers.
+
+    Both buffers have a zero boundary from allocation on and only their
+    interiors are ever written. The update maps zero-boundary, nonnegative,
+    finite data to the same set until blow-up, so the data is checked once,
+    here; afterwards the only way out of that set is an update that overflows
+    to inf, which `simulate` reads from its per-step maximum.
+    """
+
+    __slots__ = ("f", "_g", "_f_core", "_spare", "_spare_core", "_denom",
+                 "_alpha", "_coupling", "_root", "_eps_blow")
+
+    def __init__(self, a: Field, p: Params, eps_blow: float) -> None:
+        if not eps_blow >= 0:
+            raise ValueError(f"eps_blow must be >= 0, got {eps_blow}")
+        _check_solution_field(a)
+        core = a.domain.core
+        self.f = a.values.copy()
+        self._f_core = self.f[core]
+        self._spare = np.zeros(a.domain.shape)
+        self._spare_core = self._spare[core]
+        self._g = np.empty(a.domain.interior_shape)
+        self._denom = np.empty(a.domain.interior_shape)
+        self._alpha = p.alpha
+        self._coupling = p.alpha * p.delta
+        self._root = 1.0 / p.alpha
+        self._eps_blow = eps_blow
+
+    def average(self) -> np.ndarray:
+        """The neighbor average g of the current state."""
+        return neighbor_mean_interior(self.f, out=self._g)
+
+    def blowup(self) -> BlowupSignal | None:
+        """Denominators 1 - alpha*delta*g^alpha; the first at or below eps_blow."""
+        denom = self._denom
+        np.power(self._g, self._alpha, out=denom)
+        np.multiply(self._coupling, denom, out=denom)
+        np.subtract(1.0, denom, out=denom)
+        if denom.min() <= self._eps_blow:
+            return _first_offender(denom <= self._eps_blow, self._g)
+        return None
+
+    def advance(self) -> None:
+        """Replace the state by g / denom^(1/alpha); needs `blowup()` to have passed."""
+        np.power(self._denom, self._root, out=self._denom)
+        np.divide(self._g, self._denom, out=self._spare_core)
+        self.f, self._spare = self._spare, self.f
+        self._f_core, self._spare_core = self._spare_core, self._f_core
+
+    def at_rest(self) -> bool:
+        """Whether the last `advance()` left the state unchanged, bit for bit."""
+        return np.array_equal(self.f.view(np.uint64), self._spare.view(np.uint64))
+
+    def overflow(self) -> BlowupSignal:
+        """The first site the last `advance()` set to inf, with its g."""
+        idx = np.argwhere(np.isinf(self.f))[0]  # the boundary stays zero
+        site = tuple(int(i) for i in idx)
+        return BlowupSignal(site=site, g_value=float(self._g[tuple(i - 1 for i in site)]))
+
+
 def step_nonlinear(
     f: Field, p: Params, eps_blow: float = 0.0
 ) -> Field | BlowupSignal:
@@ -99,17 +159,16 @@ def step_nonlinear(
 
     Blow-up is declared where 1 - alpha*delta*g^alpha <= eps_blow; the default
     eps_blow = 0 is the exact sign test (equality counts as blow-up since the
-    update is undefined there).
+    update is undefined there). eps_blow must be >= 0.
     """
-    _check_solution_field(f)
-    g = neighbor_mean_interior(f.values)
-    denom = 1.0 - p.alpha * p.delta * _pow(g, p.alpha)
-    bad = denom <= eps_blow
-    if np.any(bad):
-        return _first_offender(bad, g)
-    nxt = Field.zeros(f.domain)
-    nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)
-    return nxt
+    stepper = _Stepper(f, p, eps_blow)
+    stepper.average()
+    sig = stepper.blowup()
+    if sig is not None:
+        return sig
+    with np.errstate(divide="ignore", over="ignore"):
+        stepper.advance()
+    return Field(f.domain, stepper.f)
 
 
 def simulate(
@@ -119,29 +178,35 @@ def simulate(
 
     The neighbor average is checked at every step s = 0..max_steps, so the
     trace has s0+1 records on blow-up at s0 and max_steps+1 records on
-    survival.
+    survival. An update that overflows to inf is a blow-up at its step, at
+    the first site it set to inf. A state with all values below the smallest
+    normal double that a step leaves unchanged bit for bit is a fixed point:
+    its record repeats to max_steps without further steps.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    f = a
+    stepper = _Stepper(a, p, eps_blow)
     trace: list[StepRecord] = []
-    for s in range(max_steps + 1):
-        _check_solution_field(f)
-        g = neighbor_mean_interior(f.values)
-        trace.append(StepRecord(max_f=f.max(), max_g=float(g.max())))
-        denom = 1.0 - p.alpha * p.delta * _pow(g, p.alpha)
-        bad = denom <= eps_blow
-        if np.any(bad):
-            sig = _first_offender(bad, g)
-            return BlowupReport(
-                outcome=BlewUpAt(step=s, site=sig.site, g_value=sig.g_value),
-                trace=trace,
-            )
-        if s == max_steps:
-            break
-        nxt = Field.zeros(f.domain)
-        nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)
-        f = nxt
+    with np.errstate(divide="ignore", over="ignore"):
+        for s in range(max_steps + 1):
+            max_f = float(stepper.f.max())
+            if not math.isfinite(max_f):
+                sig = stepper.overflow()
+                outcome = BlewUpAt(step=s - 1, site=sig.site, g_value=sig.g_value)
+                return BlowupReport(outcome=outcome, trace=trace)
+            g = stepper.average()
+            record = StepRecord(max_f=max_f, max_g=float(g.max()))
+            trace.append(record)
+            sig = stepper.blowup()
+            if sig is not None:
+                outcome = BlewUpAt(step=s, site=sig.site, g_value=sig.g_value)
+                return BlowupReport(outcome=outcome, trace=trace)
+            if s == max_steps:
+                break
+            stepper.advance()
+            if max_f < _TINY and stepper.at_rest():
+                trace += [record] * (max_steps - s)
+                break
     return BlowupReport(outcome=Survived(steps=max_steps), trace=trace)
 
 

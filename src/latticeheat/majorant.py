@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Field, MultiIndex
-from .evolution import Params, Survived, simulate, step_nonlinear, BlowupSignal
+from .evolution import Params, _Stepper, simulate
 from .spectral import ModeTable, apply_M
 
 COMPARISON_SLACK = 1e-12
@@ -38,6 +38,13 @@ class MajorantTrace:
         return self.defined_up_to == len(self.m) - 1
 
 
+def _trace_from_maxima(m: np.ndarray, alpha: float) -> MajorantTrace:
+    partial = np.cumsum(np.abs(m) ** alpha)
+    below = np.nonzero(partial < 1.0)[0]
+    defined_up_to = int(below[-1]) if below.size else -1
+    return MajorantTrace(m=m, partial_sums=partial, defined_up_to=defined_up_to)
+
+
 def compute_trace(a: Field, alpha: float, S: int) -> MajorantTrace:
     """Run the linear evolution S steps recording interior maxima."""
     if S < 0:
@@ -47,14 +54,10 @@ def compute_trace(a: Field, alpha: float, S: int) -> MajorantTrace:
     m = np.empty(S + 1)
     h = a
     for s in range(S + 1):
-        interior = h.interior()
-        m[s] = float(interior.max()) if interior.size else 0.0
+        m[s] = float(h.interior().max())
         if s < S:
             h = apply_M(h)
-    partial = np.cumsum(np.abs(m) ** alpha)
-    below = np.nonzero(partial < 1.0)[0]
-    defined_up_to = int(below[-1]) if below.size else -1
-    return MajorantTrace(m=m, partial_sums=partial, defined_up_to=defined_up_to)
+    return _trace_from_maxima(m, alpha)
 
 
 def majorant_field(trace: MajorantTrace, h_s: Field, s: int, alpha: float) -> Field:
@@ -83,6 +86,7 @@ class ComparisonVerdict:
     checked_steps: int  # steps 0..checked_steps-1 were verified
     defined_up_to: int
     failure: ComparisonFailure | None = None
+    trace: MajorantTrace | None = None  # the linear flow's trace to S
 
 
 def verify_comparison(
@@ -91,57 +95,66 @@ def verify_comparison(
     """Check fbar^s >= f^s pointwise and no blow-up while the majorant exists.
 
     Runs the scaled nonlinear dynamics (delta = 1/alpha) alongside the linear
-    flow for s <= min(S, defined_up_to). A failure signals an implementation
-    bug, never expected behavior.
+    flow for s <= min(S, defined_up_to), and the linear flow alone on to S for
+    the trace. P_s is nondecreasing, so s <= defined_up_to is decided as the
+    flow goes. A failure signals an implementation bug, never expected
+    behavior.
     """
     p = Params(alpha=alpha, delta=1.0 / alpha)
-    trace = compute_trace(a, alpha, S)
-    last = min(S, trace.defined_up_to)
-    margins = []
-    f = a
+    if S < 0:
+        raise ValueError("S must be >= 0")
+    m = np.empty(S + 1)
+    margins: list[float] = []
+    failure = None
+    checked_steps = 0
+    checking = True  # no failure yet, and P_s < 1 so far
+    stepper = None  # the nonlinear flow; made, and its data checked, at its first step
+    f = a.values
     h = a
-    for s in range(last + 1):
-        fbar = majorant_field(trace, h, s, alpha)
-        diff = fbar.values - f.values
-        margins.append(float(diff.min()))
-        tol = slack * np.maximum(1.0, fbar.values)
-        if np.any(fbar.values < f.values - tol):
-            bad = np.argwhere(fbar.values < f.values - tol)[0]
-            site = tuple(int(i) for i in bad)
-            return ComparisonVerdict(
-                holds=False,
-                margins=np.array(margins),
-                checked_steps=s + 1,
-                defined_up_to=trace.defined_up_to,
-                failure=ComparisonFailure(
-                    step=s,
-                    site=site,
-                    majorant_value=float(fbar.values[site]),
-                    solution_value=float(f.values[site]),
-                ),
-            )
-        if s < last:
-            nxt = step_nonlinear(f, p)
-            if isinstance(nxt, BlowupSignal):
-                return ComparisonVerdict(
-                    holds=False,
-                    margins=np.array(margins),
-                    checked_steps=s + 1,
-                    defined_up_to=trace.defined_up_to,
-                    failure=ComparisonFailure(
-                        step=s + 1,
-                        site=nxt.site,
-                        majorant_value=math.inf,
-                        solution_value=nxt.g_value,
-                    ),
+    P = 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        for s in range(S + 1):
+            if s:
+                h = apply_M(h)
+            m[s] = float(h.interior().max())
+            # the expression of _trace_from_maxima, so P is partial_sums[s] bit for bit
+            P = P + (np.abs(m[s : s + 1]) ** alpha)[0]
+            checking = checking and P < 1.0
+            if not checking:
+                continue
+            if s:
+                if stepper is None:
+                    stepper = _Stepper(a, p, 0.0)
+                stepper.average()
+                sig = stepper.blowup()
+                if sig is not None:
+                    failure = ComparisonFailure(
+                        step=s, site=sig.site, majorant_value=math.inf,
+                        solution_value=sig.g_value,
+                    )
+                    checking = False
+                    continue
+                stepper.advance()
+                f = stepper.f
+            fbar = h.values / (1.0 - P) ** (1.0 / alpha)
+            margins.append(float((fbar - f).min()))
+            checked_steps = s + 1
+            bad = fbar < f - slack * np.maximum(1.0, fbar)
+            if np.any(bad):
+                site = tuple(int(i) for i in np.argwhere(bad)[0])
+                failure = ComparisonFailure(
+                    step=s, site=site, majorant_value=float(fbar[site]),
+                    solution_value=float(f[site]),
                 )
-            f = nxt
-            h = apply_M(h)
+                checking = False
+    trace = _trace_from_maxima(m, alpha)
     return ComparisonVerdict(
-        holds=True,
+        holds=failure is None,
         margins=np.array(margins),
-        checked_steps=last + 1,
+        checked_steps=checked_steps,
         defined_up_to=trace.defined_up_to,
+        failure=failure,
+        trace=trace,
     )
 
 

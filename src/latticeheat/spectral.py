@@ -41,8 +41,7 @@ def eigenvalue(domain: BoxDomain, mode: MultiIndex) -> float:
     mode = tuple(int(m) for m in mode)
     if not domain.is_interior(mode):
         raise ValueError(f"mode {mode} is not an interior multi-index")
-    d = domain.dims
-    return sum(np.cos(m * np.pi / N) for m, N in zip(mode, domain.extents)) / d
+    return float(mode_table(domain).eigenvalues[tuple(m - 1 for m in mode)])
 
 
 def _sine_matrix(N: int) -> np.ndarray:

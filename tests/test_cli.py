@@ -59,6 +59,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="init.seed"):
             parse_config(base_config(init={"kind": "random", "max_amplitude": 0.1}))
 
+    @pytest.mark.parametrize("value", [-1e-9, -1, float("nan"), "0.1", None, True])
+    def test_rejects_bad_eps_blow(self, value):
+        with pytest.raises(ConfigError, match="eps_blow"):
+            parse_config(base_config(eps_blow=value))
+
+    def test_accepts_eps_blow(self):
+        assert parse_config(base_config(eps_blow=0)).eps_blow == 0.0
+        assert parse_config(base_config(eps_blow=0.5)).eps_blow == 0.5
+
+    def test_rejects_bool_steps(self):
+        with pytest.raises(ConfigError, match="steps"):
+            parse_config(base_config(steps=True))
+
+    def test_rejects_bool_random_seed(self):
+        init = {"kind": "random", "seed": False, "max_amplitude": 0.1}
+        with pytest.raises(ConfigError, match="init.seed"):
+            parse_config(base_config(init=init))
+
+    @pytest.mark.parametrize("key", ["amplitude", "comparison_slack", "threshold_tol"])
+    @pytest.mark.parametrize("value", ["x", "1.0", [1.0], None, True])
+    def test_rejects_wrongly_typed_float_naming_field(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(base_config(**{key: value}))
+
 
 class TestFieldFile:
     def test_round_trip_exact(self, tmp_path, rng):
@@ -111,6 +135,25 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_ERROR
         assert "delta" in capsys.readouterr().err
+
+    def test_underflowing_update_is_blowup(self, tmp_path):
+        # 1 - g^0.01 is a few ulp above 0 at the middle site, and
+        # denom^100 underflows to 0: the update overflows to inf there
+        v = 1.0
+        for _ in range(41):
+            v = np.nextafter(v, 0.0)
+        field = tmp_path / "field.json"
+        write_field_json(field, Field(BoxDomain((4,)), [0, v, v, v, 0]))
+        cfg = write_config(
+            tmp_path,
+            base_config(alpha=0.01, delta=100, amplitude=1.0, init={"kind": "file", "path": str(field)}),
+        )
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_BLOWUP
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["outcome"] == {"kind": "blew_up", "s0": 0, "n0": [2], "g_value": float(v)}
+        rows = list(csv.DictReader((tmp_path / "trajectory.csv").open()))
+        assert [r["blowup_flag"] for r in rows] == ["1"]
 
     def test_steps_override(self, tmp_path):
         cfg = write_config(tmp_path, base_config(amplitude=0.1))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latticeheat import BoxDomain, Field, neighbor_average
+from latticeheat.domain import neighbor_mean_interior
 
 from conftest import random_domain, random_field
 
@@ -97,3 +98,20 @@ class TestNeighborAverage:
             for n in d.interior_sites():
                 assert neighbor_average(f, n) <= neighbor_average(g, n)
                 assert neighbor_average(f, n) <= f.values.max() + 1e-15
+
+    def test_mean_interior_matches_sitewise_average(self, rng):
+        for _ in range(20):
+            d = random_domain(rng)
+            f = Field(d, rng.uniform(-1, 1, size=d.shape))
+            g = neighbor_mean_interior(f.values)
+            for n in d.interior_sites():
+                assert g[tuple(i - 1 for i in n)] == pytest.approx(neighbor_average(f, n), abs=1e-15)
+
+    def test_mean_interior_into_buffer(self, rng):
+        for _ in range(20):
+            d = random_domain(rng)
+            f = random_field(rng, d)
+            buf = np.full(d.interior_shape, np.nan)
+            out = neighbor_mean_interior(f.values, out=buf)
+            assert out is buf
+            np.testing.assert_array_equal(buf, neighbor_mean_interior(f.values))

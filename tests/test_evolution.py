@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeheat import (
     BlewUpAt,
+    BlowupReport,
     BlowupSignal,
     BoxDomain,
     Field,
@@ -12,8 +15,43 @@ from latticeheat import (
     simulate,
     step_nonlinear,
 )
+from latticeheat.domain import neighbor_mean_interior
+from latticeheat.evolution import StepRecord, _check_solution_field, _first_offender
 
 from conftest import random_domain, random_field
+
+TINY = np.finfo(float).tiny
+
+
+def _reference_simulate(a, p, max_steps, eps_blow=0.0):
+    """simulate as first written: every step re-validated, a fresh Field per step."""
+    f = a
+    trace = []
+    for s in range(max_steps + 1):
+        _check_solution_field(f)
+        g = neighbor_mean_interior(f.values)
+        trace.append(StepRecord(max_f=f.max(), max_g=float(g.max())))
+        denom = 1.0 - p.alpha * p.delta * np.power(g, p.alpha)
+        bad = denom <= eps_blow
+        if np.any(bad):
+            sig = _first_offender(bad, g)
+            return BlowupReport(
+                outcome=BlewUpAt(step=s, site=sig.site, g_value=sig.g_value),
+                trace=trace,
+            )
+        if s == max_steps:
+            break
+        nxt = Field.zeros(f.domain)
+        nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)
+        f = nxt
+    return BlowupReport(outcome=Survived(steps=max_steps), trace=trace)
+
+
+def _assert_same_run(fast, ref):
+    assert fast.outcome == ref.outcome
+    assert len(fast.trace) == len(ref.trace)
+    for s, (got, want) in enumerate(zip(fast.trace, ref.trace)):
+        assert got == want, f"step {s}"
 
 
 class TestParams:
@@ -68,6 +106,18 @@ class TestStepNonlinear:
             step_nonlinear(Field(d, [0.1, 0, 0, 0, 0]), Params(1, 1))
         with pytest.raises(ValueError):
             step_nonlinear(Field(d, [0, -0.1, 0, 0, 0]), Params(1, 1))
+
+    def test_rejects_negative_eps_blow(self):
+        d = BoxDomain((4,))
+        with pytest.raises(ValueError, match="eps_blow"):
+            step_nonlinear(Field(d, [0, 0.1, 0.1, 0.1, 0]), Params(1, 1), eps_blow=-0.5)
+
+    def test_does_not_alias_input(self):
+        d = BoxDomain((4,))
+        f = Field(d, [0, 0.4, 0.4, 0.4, 0])
+        out = step_nonlinear(f, Params(1, 1))
+        out.values[2] = 7.0
+        np.testing.assert_array_equal(f.values, [0, 0.4, 0.4, 0.4, 0])
 
     def test_preserves_nonnegativity_and_boundary(self, rng):
         for _ in range(20):
@@ -146,6 +196,74 @@ class TestSimulate:
                     break
                 assert np.all(na.values <= nb.values + 1e-12)
                 fa, fb = na, nb
+
+    def test_rejects_negative_eps_blow(self):
+        d = BoxDomain((4,))
+        with pytest.raises(ValueError, match="eps_blow"):
+            simulate(Field(d, [0, 0.1, 0.1, 0.1, 0]), Params(1, 1), 10, eps_blow=-0.5)
+
+    def test_zero_data_blows_up_when_eps_blow_reaches_one(self):
+        # the fixed-point exit comes after the blow-up test of the step
+        report = simulate(Field.zeros(BoxDomain((3, 3))), Params(1, 1), 100, eps_blow=1.0)
+        assert report.outcome == BlewUpAt(step=0, site=(1, 1), g_value=0.0)
+        assert len(report.trace) == 1
+
+    def test_fixed_point_fills_trace(self):
+        report = simulate(Field.zeros(BoxDomain((4,))), Params(1, 1), 5)
+        assert report.outcome == Survived(steps=5)
+        assert report.trace == [StepRecord(max_f=0.0, max_g=0.0)] * 6
+
+    def test_underflowing_update_is_blowup(self):
+        # 1 - g^0.01 is a few ulp above 0 at the middle site, and
+        # denom^100 underflows to 0: the update writes inf there
+        v = 1.0
+        for _ in range(41):
+            v = np.nextafter(v, 0.0)
+        d = BoxDomain((4,))
+        p = Params(0.01, 100)
+        report = simulate(Field(d, [0, v, v, v, 0]), p, 10)
+        assert report.outcome == BlewUpAt(step=0, site=(2,), g_value=float(v))
+        assert report.trace == [StepRecord(max_f=float(v), max_g=float(v))]
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite"):
+            _reference_simulate(Field(d, [0, v, v, v, 0]), p, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+    delta=st.floats(0.25, 4.0),
+    amplitude=st.floats(0.0, 1.5),
+    zero=st.booleans(),
+    eps_blow=st.sampled_from([0.0, 1e-3, 0.25, 1.0, 2.0]),
+    steps=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_matches_reference(extents, alpha, delta, amplitude, zero, eps_blow, steps, seed):
+    # amplitude is in units of the blow-up threshold, so about half the runs blow up
+    d = BoxDomain(tuple(extents))
+    p = Params(alpha, delta)
+    if zero:
+        a = Field.zeros(d)
+    else:
+        interior = np.random.default_rng(seed).uniform(0.0, amplitude * p.threshold, d.interior_shape)
+        a = Field.from_interior(d, interior)
+    _assert_same_run(simulate(a, p, steps, eps_blow), _reference_simulate(a, p, steps, eps_blow))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("extents", [(3,), (6,), (5, 5), (6, 6, 6)])
+def test_long_runs_to_rest_match_reference(extents, alpha):
+    # small data decays to exact zero on (3,) and to a subnormal fixed point on
+    # the others; the fast path stops stepping there
+    d = BoxDomain(extents)
+    p = Params(alpha, 1.0 / alpha)
+    a = random_field(np.random.default_rng(2026), d, amplitude=0.05)
+    fast = simulate(a, p, 10_000)
+    _assert_same_run(fast, _reference_simulate(a, p, 10_000))
+    rest = fast.trace[-1]
+    assert rest.max_f < TINY
+    assert (rest.max_f == 0.0) == (extents == (3,))
 
 
 class TestNormalizeScaling:

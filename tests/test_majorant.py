@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from latticeheat import (
     BoxDomain,
+    ComparisonVerdict,
     Field,
     Params,
     Survived,
+    apply_M,
     bound_alpha_gt_1,
     bound_alpha_le_1,
     compute_trace,
@@ -19,6 +21,10 @@ from latticeheat import (
     tail_start,
     verify_comparison,
 )
+
+from latticeheat.domain import neighbor_mean_interior
+from latticeheat.evolution import _check_solution_field, _first_offender
+from latticeheat.majorant import COMPARISON_SLACK, ComparisonFailure
 
 from conftest import random_domain, random_field
 
@@ -123,6 +129,105 @@ class TestVerifyComparison:
             v = verify_comparison(a, alpha, 50)
             assert v.holds, v.failure
             assert np.all(v.margins >= -1e-12)
+
+
+    def test_returns_linear_trace(self):
+        a = sine_profile_1d_n4(0.9)
+        v = verify_comparison(a, 1.0, 100)
+        t = compute_trace(a, 1.0, 100)
+        np.testing.assert_array_equal(v.trace.m, t.m)
+        np.testing.assert_array_equal(v.trace.partial_sums, t.partial_sums)
+        assert v.trace.defined_up_to == t.defined_up_to == v.defined_up_to
+
+
+def _reference_step(f, p, eps_blow=0.0):
+    """step_nonlinear as first written, for the reference verify loop."""
+    _check_solution_field(f)
+    g = neighbor_mean_interior(f.values)
+    denom = 1.0 - p.alpha * p.delta * np.power(g, p.alpha)
+    bad = denom <= eps_blow
+    if np.any(bad):
+        return _first_offender(bad, g)
+    nxt = Field.zeros(f.domain)
+    nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)
+    return nxt
+
+
+def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
+    """verify_comparison as first written: the linear flow run once for the
+    trace and again beside the nonlinear flow."""
+    p = Params(alpha=alpha, delta=1.0 / alpha)
+    trace = compute_trace(a, alpha, S)
+    last = min(S, trace.defined_up_to)
+    margins = []
+    f = a
+    h = a
+    for s in range(last + 1):
+        fbar = majorant_field(trace, h, s, alpha)
+        margins.append(float((fbar.values - f.values).min()))
+        tol = slack * np.maximum(1.0, fbar.values)
+        if np.any(fbar.values < f.values - tol):
+            site = tuple(int(i) for i in np.argwhere(fbar.values < f.values - tol)[0])
+            failure = ComparisonFailure(
+                step=s, site=site, majorant_value=float(fbar.values[site]),
+                solution_value=float(f.values[site]),
+            )
+            return ComparisonVerdict(False, np.array(margins), s + 1, trace.defined_up_to, failure)
+        if s < last:
+            nxt = _reference_step(f, p, eps_blow)
+            if not isinstance(nxt, Field):
+                failure = ComparisonFailure(
+                    step=s + 1, site=nxt.site, majorant_value=np.inf,
+                    solution_value=nxt.g_value,
+                )
+                return ComparisonVerdict(False, np.array(margins), s + 1, trace.defined_up_to, failure)
+            f = nxt
+            h = apply_M(h)
+    return ComparisonVerdict(True, np.array(margins), last + 1, trace.defined_up_to)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    amplitude=st.floats(0.0, 1.0),
+    S=st.integers(0, 60),
+    slack=st.sampled_from([1e-12, 0.0, -1e-6, -1e-2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_verify_matches_reference(extents, alpha, amplitude, S, slack, seed):
+    # amplitudes near 1 truncate the majorant early; a negative slack demands
+    # a positive margin and so exercises the failure path
+    d = BoxDomain(tuple(extents))
+    a = random_field(np.random.default_rng(seed), d, amplitude=amplitude)
+    got = verify_comparison(a, alpha, S, slack)
+    want = _reference_verify(a, alpha, S, slack)
+    np.testing.assert_array_equal(got.margins, want.margins)
+    assert (got.holds, got.checked_steps, got.defined_up_to, got.failure) == (
+        want.holds, want.checked_steps, want.defined_up_to, want.failure
+    )
+    trace = compute_trace(a, alpha, S)
+    np.testing.assert_array_equal(got.trace.m, trace.m)
+    np.testing.assert_array_equal(got.trace.partial_sums, trace.partial_sums)
+
+
+def test_verify_blowup_path_matches_reference(monkeypatch, rng):
+    # the majorant rules out blow-up of the true dynamics, so a stepper with a
+    # raised blow-up level stands in for a faulty one
+    from latticeheat import majorant
+
+    stepper = majorant._Stepper
+    monkeypatch.setattr(majorant, "_Stepper", lambda a, p, eps: stepper(a, p, 0.9))
+    for _ in range(10):
+        d = random_domain(rng)
+        a = random_field(rng, d, amplitude=0.3)
+        got = verify_comparison(a, 1.0, 20)
+        want = _reference_verify(a, 1.0, 20, COMPARISON_SLACK, eps_blow=0.9)
+        np.testing.assert_array_equal(got.margins, want.margins)
+        assert (got.holds, got.checked_steps, got.failure) == (
+            want.holds, want.checked_steps, want.failure
+        )
+        np.testing.assert_array_equal(got.trace.m, compute_trace(a, 1.0, 20).m)
 
 
 class TestBounds:
