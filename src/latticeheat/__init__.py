@@ -6,6 +6,8 @@ decomposition, builds the majorant super-solution, and evaluates the
 small-data global-existence bounds.
 """
 
+from types import ModuleType as _Module
+
 from .domain import BoxDomain, Field, neighbor_average
 from .evolution import (
     BlewUpAt,
@@ -27,6 +29,7 @@ from .majorant import (
     compute_trace,
     find_threshold,
     majorant_field,
+    regime_bound,
     tail_start,
     verify_comparison,
 )
@@ -41,37 +44,7 @@ from .spectral import (
     synthesize,
 )
 
-__all__ = [
-    "BoxDomain",
-    "Field",
-    "neighbor_average",
-    "Params",
-    "BlowupReport",
-    "BlowupSignal",
-    "BlewUpAt",
-    "Survived",
-    "step_nonlinear",
-    "simulate",
-    "normalize_scaling",
-    "ModeTable",
-    "SpectralCoeffs",
-    "mode_table",
-    "apply_M",
-    "eigenvalue",
-    "analyze",
-    "synthesize",
-    "step_linear_direct",
-    "MajorantTrace",
-    "BoundReport",
-    "ComparisonVerdict",
-    "ThresholdResult",
-    "compute_trace",
-    "majorant_field",
-    "verify_comparison",
-    "bound_alpha_le_1",
-    "bound_alpha_gt_1",
-    "tail_start",
-    "find_threshold",
-]
+# the names imported above, not the submodules they come from
+__all__ = [k for k, v in globals().items() if not (k.startswith("_") or isinstance(v, _Module))]
 
 __version__ = "0.1.0"

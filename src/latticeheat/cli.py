@@ -10,23 +10,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .domain import BoxDomain, Field
 from .evolution import BlewUpAt, Params, normalize_scaling, simulate
-from .majorant import (
-    bound_alpha_gt_1,
-    bound_alpha_le_1,
-    compute_trace,
-    find_threshold,
-    tail_start,
-    verify_comparison,
-)
-from .spectral import analyze, mode_table
+from .majorant import find_threshold, regime_bound, verify_comparison
+from .spectral import mode_table
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -73,10 +67,24 @@ def write_field_json(path: Path, f: Field) -> None:
 
 
 def read_field_json(path: Path) -> Field:
-    doc = json.loads(path.read_text())
-    domain = BoxDomain(tuple(doc["extents"]))
-    values = np.array([float(v) for v in doc["values"]]).reshape(domain.shape)
-    return Field(domain, values)
+    """The field file named by init.path; a malformed one is a ConfigError naming it."""
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"init.path: invalid JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise ConfigError("init.path: top level must be an object")
+    domain = BoxDomain(_extents(doc, path="init.path: "))
+    values = _require(doc, "values", list, path="init.path: ")
+    if len(values) != domain.n_sites:
+        raise ConfigError(f"init.path: values: {domain.n_sites} sites, got {len(values)}")
+    if any(isinstance(v, bool) for v in values):
+        raise ConfigError("init.path: values: true/false are not numbers")
+    try:  # numbers, or the strings write_field_json writes
+        flat = np.array([float(v) for v in values])
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"init.path: values: {e}") from e
+    return Field(domain, flat.reshape(domain.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -110,23 +118,26 @@ def _require(doc: dict, key: str, kind, path: str = ""):
     if key not in doc:
         raise ConfigError(f"{where}: missing required field")
     val = doc[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+    if kind is float and type(val) is int:  # not bool
+        val = float(val) if abs(val) <= sys.float_info.max else math.inf
     if isinstance(val, bool) or not isinstance(val, kind):  # bool is an int subclass
         raise ConfigError(f"{where}: expected {kind.__name__}, got {type(val).__name__}")
+    if kind is float and not math.isfinite(val):
+        raise ConfigError(f"{where}: must be finite")
     return val
 
 
-def _optional_float(doc: dict, key: str, default: float) -> float:
-    return _require(doc, key, float) if key in doc else default
+def _extents(doc: dict, path: str = "") -> tuple[int, ...]:
+    extents = _require(doc, "extents", list, path)
+    if not extents or not all(type(n) is int for n in extents):  # bools are rejected
+        raise ConfigError(f"{path}extents: must be a nonempty list of integers")
+    if any(n < 2 for n in extents):
+        raise ConfigError(f"{path}extents: every extent must be >= 2")
+    return tuple(extents)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    extents = _require(doc, "extents", list)
-    if not extents or not all(isinstance(n, int) and not isinstance(n, bool) for n in extents):
-        raise ConfigError("extents: must be a nonempty list of integers")
-    if any(n < 2 for n in extents):
-        raise ConfigError("extents: every extent must be >= 2")
+    extents = _extents(doc)
     alpha = _require(doc, "alpha", float)
     if not alpha > 0:
         raise ConfigError("alpha: must be > 0")
@@ -144,6 +155,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         mode = _require(init, "mode", list, path="init.")
         if len(mode) != len(extents):
             raise ConfigError("init.mode: length must match extents")
+        if not all(type(m) is int for m in mode):
+            raise ConfigError("init.mode: must be a list of integers")
     if kind == "file":
         _require(init, "path", str, path="init.")
     if kind == "random":
@@ -154,16 +167,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not amp > 0:
             raise ConfigError("init.max_amplitude: must be > 0")
     cfg = ExperimentConfig(
-        extents=tuple(extents),
+        extents=extents,
         alpha=alpha,
         delta=delta,
         steps=steps,
         init=init,
-        amplitude=_optional_float(doc, "amplitude", 1.0),
-        eps_blow=_optional_float(doc, "eps_blow", 0.0),
-        comparison_slack=_optional_float(doc, "comparison_slack", 1e-12),
-        threshold_tol=_optional_float(doc, "threshold_tol", 1e-3),
         sweep=doc.get("sweep"),
+        **{  # the optional floats; absent ones take the dataclass defaults
+            k: _require(doc, k, float)
+            for k in ("amplitude", "eps_blow", "comparison_slack", "threshold_tol")
+            if k in doc
+        },
     )
     if not cfg.amplitude >= 0:
         raise ConfigError("amplitude: must be >= 0")
@@ -176,7 +190,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("sweep: expected an object")
         for k in ("alphas", "amplitudes"):
             vals = _require(cfg.sweep, k, list, path="sweep.")
-            if not vals or not all(isinstance(v, (int, float)) and v > 0 for v in vals):
+            if not vals or not all(type(v) in (int, float) and 0 < v < math.inf for v in vals):
                 raise ConfigError(f"sweep.{k}: must be a nonempty list of positives")
     return cfg
 
@@ -203,7 +217,7 @@ def build_profile(cfg: ExperimentConfig) -> Field:
     if kind == "constant_interior":
         return Field.from_interior(domain, np.ones(domain.interior_shape))
     if kind == "sine_mode":
-        mode = tuple(int(m) for m in cfg.init["mode"])
+        mode = tuple(cfg.init["mode"])
         if not domain.is_interior(mode):
             raise ConfigError("init.mode: must be an interior multi-index")
         return mode_table(domain).mode_field(mode)
@@ -290,29 +304,14 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
         "partial_sums": [float(x) for x in verdict.trace.partial_sums],
     }
     if verdict.failure is not None:
-        doc["failure"] = {
-            "step": verdict.failure.step,
-            "site": list(verdict.failure.site),
-            "majorant_value": verdict.failure.majorant_value,
-            "solution_value": verdict.failure.solution_value,
-        }
+        doc["failure"] = asdict(verdict.failure)
     _write_json(out / "verify.json", doc)
     return EXIT_OK if verdict.holds else EXIT_BLOWUP
 
 
-def _regime_bound(cfg: ExperimentConfig, a_scaled: Field):
-    table = mode_table(a_scaled.domain)
-    B_max = analyze(a_scaled).max_abs
-    if cfg.alpha <= 1:
-        return bound_alpha_le_1(B_max, table, cfg.alpha)
-    s0 = tail_start(table)
-    trace = compute_trace(a_scaled, cfg.alpha, s0)
-    return bound_alpha_gt_1(B_max, table, cfg.alpha, trace.m[:s0])
-
-
 def cmd_bound(cfg: ExperimentConfig, out: Path) -> int:
     a, _ = normalize_scaling(initial_field(cfg), cfg.params)
-    report = _regime_bound(cfg, a)
+    report = regime_bound(a, cfg.alpha)
     doc = {
         "parameters": _echo_params(cfg),
         "regime": report.regime,
@@ -357,8 +356,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
             a = Field(profile.domain, profile.values * float(amplitude))
             report = simulate(a, p, cfg.steps, eps_blow=cfg.eps_blow)
             a_scaled, _ = normalize_scaling(a, p)
-            sub = ExperimentConfig(**{**cfg.__dict__, "alpha": float(alpha)})
-            bound = _regime_bound(sub, a_scaled)
+            bound = regime_bound(a_scaled, p.alpha)
             if report.blew_up:
                 outcome, s_col = "blew_up", report.outcome.step
             else:
@@ -416,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.steps = args.steps
         args.out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out)
-    except (ConfigError, ValueError, OSError) as e:
+    except (ValueError, ArithmeticError, OSError) as e:  # ConfigError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -30,6 +30,8 @@ class Params:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if not (self.delta > 0):
             raise ValueError(f"delta must be > 0, got {self.delta}")
+        if not math.isfinite(self.alpha * self.delta):  # else 0 * inf makes NaN denominators
+            raise ValueError(f"alpha*delta must be finite, got {self.alpha * self.delta}")
 
     @property
     def threshold(self) -> float:

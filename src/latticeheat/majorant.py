@@ -20,7 +20,7 @@ import numpy as np
 
 from .domain import Field, MultiIndex
 from .evolution import Params, _Stepper, simulate
-from .spectral import ModeTable, apply_M
+from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
 COMPARISON_SLACK = 1e-12
 
@@ -47,16 +47,10 @@ def _trace_from_maxima(m: np.ndarray, alpha: float) -> MajorantTrace:
 
 def compute_trace(a: Field, alpha: float, S: int) -> MajorantTrace:
     """Run the linear evolution S steps recording interior maxima."""
-    if S < 0:
-        raise ValueError("S must be >= 0")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    m = np.empty(S + 1)
-    h = a
-    for s in range(S + 1):
-        m[s] = float(h.interior().max())
-        if s < S:
-            h = apply_M(h)
+    core = a.domain.core
+    m = np.array([h[core].max() for h in _linear_flow(a, S)])
     return _trace_from_maxima(m, alpha)
 
 
@@ -101,24 +95,20 @@ def verify_comparison(
     behavior.
     """
     p = Params(alpha=alpha, delta=1.0 / alpha)
-    if S < 0:
-        raise ValueError("S must be >= 0")
-    m = np.empty(S + 1)
+    core = a.domain.core
+    m: list[float] = []
     margins: list[float] = []
     failure = None
     checked_steps = 0
     checking = True  # no failure yet, and P_s < 1 so far
     stepper = None  # the nonlinear flow; made, and its data checked, at its first step
     f = a.values
-    h = a
     P = 0.0
     with np.errstate(divide="ignore", over="ignore"):
-        for s in range(S + 1):
-            if s:
-                h = apply_M(h)
-            m[s] = float(h.interior().max())
+        for s, h in enumerate(_linear_flow(a, S)):
+            m.append(float(h[core].max()))
             # the expression of _trace_from_maxima, so P is partial_sums[s] bit for bit
-            P = P + (np.abs(m[s : s + 1]) ** alpha)[0]
+            P = P + (np.abs(m[-1:]) ** alpha)[0]
             checking = checking and P < 1.0
             if not checking:
                 continue
@@ -136,7 +126,7 @@ def verify_comparison(
                     continue
                 stepper.advance()
                 f = stepper.f
-            fbar = h.values / (1.0 - P) ** (1.0 / alpha)
+            fbar = h / (1.0 - P) ** (1.0 / alpha)
             margins.append(float((fbar - f).min()))
             checked_steps = s + 1
             bad = fbar < f - slack * np.maximum(1.0, fbar)
@@ -147,7 +137,7 @@ def verify_comparison(
                     solution_value=float(f[site]),
                 )
                 checking = False
-    trace = _trace_from_maxima(m, alpha)
+    trace = _trace_from_maxima(np.array(m), alpha)
     return ComparisonVerdict(
         holds=failure is None,
         margins=np.array(margins),
@@ -178,12 +168,8 @@ def bound_alpha_le_1(B_max: float, modes: ModeTable, alpha: float) -> BoundRepor
 
 
 def tail_start(modes: ModeTable) -> int:
-    """Smallest s with sum over modes of |c|^s < 1."""
-    c = np.abs(modes.eigenvalues).ravel()
-    s = 1  # at s=0 the sum is the mode count, never < 1
-    while float(np.sum(c**s)) >= 1.0:
-        s += 1
-    return s
+    """Smallest s with sum over modes of |c|^s < 1; the table scans for it once."""
+    return modes.tail_start
 
 
 def bound_alpha_gt_1(
@@ -206,6 +192,17 @@ def bound_alpha_gt_1(
     return BoundReport(
         regime="alpha_gt_1", bound_value=head + tail, B_max=B_max, s0_tail=s0
     )
+
+
+def regime_bound(a_scaled: Field, alpha: float) -> BoundReport:
+    """The certificate for data scaled to threshold 1: the bound of alpha's regime."""
+    table = mode_table(a_scaled.domain)
+    B_max = analyze(a_scaled).max_abs
+    if alpha <= 1:
+        return bound_alpha_le_1(B_max, table, alpha)
+    s0 = tail_start(table)
+    trace = compute_trace(a_scaled, alpha, s0)
+    return bound_alpha_gt_1(B_max, table, alpha, trace.m[:s0])
 
 
 @dataclass(frozen=True)

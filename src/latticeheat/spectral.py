@@ -9,8 +9,9 @@ the discrete sine orthogonality sum_{n=1}^{N-1} sin(m pi n/N) sin(m' pi n/N)
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,14 +27,33 @@ def apply_M(h: Field) -> Field:
     return out
 
 
+def _linear_flow(a: Field, S: int) -> Iterator[np.ndarray]:
+    """h^0..h^S of the linear flow as full-shape arrays; checks the data on entry.
+
+    h^0 is `a.values`; later steps alternate between two zero-boundary
+    buffers, so a yielded array is overwritten two steps on. As in `apply_M`,
+    the boundary is checked only when a step is taken.
+    """
+    if S < 0:
+        raise ValueError("S must be >= 0")
+    if S and not a.boundary_is_zero():
+        raise ValueError("field has nonzero boundary values")
+    core = a.domain.core
+    buffers = (np.zeros(a.domain.shape), np.zeros(a.domain.shape))
+    g = np.empty(a.domain.interior_shape)
+    h = a.values
+    yield h
+    for s in range(S):
+        spare = buffers[s % 2]
+        spare[core] = neighbor_mean_interior(h, out=g)
+        h = spare
+        yield h
+
+
 def step_linear_direct(a: Field, steps: int) -> Field:
-    """Iterate apply_M; the reference path the closed form is checked against."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    h = a
-    for _ in range(steps):
-        h = apply_M(h)
-    return h
+    """h^steps by iterating the averaging step; the reference for the closed form."""
+    *_, h = _linear_flow(a, steps)
+    return Field(a.domain, h.copy())
 
 
 def eigenvalue(domain: BoxDomain, mode: MultiIndex) -> float:
@@ -67,6 +87,15 @@ class ModeTable:
         grids = np.meshgrid(*axis_cos, indexing="ij")
         eig = sum(grids) / domain.dims
         return cls(domain=domain, eigenvalues=np.asarray(eig), sine_matrices=mats)
+
+    @cached_property
+    def tail_start(self) -> int:
+        """Smallest s with sum over modes of |c|^s < 1; scanned for once per table."""
+        c = np.abs(self.eigenvalues).ravel()
+        s = 1  # at s=0 the sum is the mode count, never < 1
+        while float(np.sum(c**s)) >= 1.0:
+            s += 1
+        return s
 
     def mode_field(self, mode: MultiIndex) -> Field:
         """The product-of-sines eigenvector as a zero-boundary field."""

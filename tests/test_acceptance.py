@@ -19,16 +19,15 @@ from latticeheat import (
     Survived,
     analyze,
     apply_M,
-    bound_alpha_gt_1,
     bound_alpha_le_1,
     compute_trace,
     eigenvalue,
     find_threshold,
     mode_table,
+    regime_bound,
     simulate,
     step_linear_direct,
     synthesize,
-    tail_start,
     verify_comparison,
 )
 from latticeheat.cli import main
@@ -53,16 +52,6 @@ def suite_instances(count=100, amplitude=0.05, seed=731):
         interior = rng.uniform(0.0, amplitude, size=domain.interior_shape)
         out.append((Field.from_interior(domain, interior), alpha))
     return out
-
-
-def regime_bound(a, alpha):
-    table = mode_table(a.domain)
-    B_max = analyze(a).max_abs
-    if alpha <= 1:
-        return bound_alpha_le_1(B_max, table, alpha)
-    s0 = tail_start(table)
-    trace = compute_trace(a, alpha, s0)
-    return bound_alpha_gt_1(B_max, table, alpha, trace.m)
 
 
 def test_criterion_1_golden_blowup():

@@ -16,6 +16,7 @@ from latticeheat import (
     find_threshold,
     majorant_field,
     mode_table,
+    regime_bound,
     simulate,
     step_linear_direct,
     tail_start,
@@ -303,23 +304,13 @@ class TestBounds:
                 assert t.m[s] <= B_max * np.sum(c**s) + 1e-10
 
     def test_certificate_monotone_under_halving(self, rng):
-        from latticeheat import analyze
-
         for _ in range(20):
             d = random_domain(rng, max_extent=6)
             alpha = float(rng.choice([0.5, 1.0, 2.0]))
             a = random_field(rng, d, amplitude=0.05)
             half = Field(d, a.values / 2)
-            table = mode_table(d)
-            if alpha <= 1:
-                full = bound_alpha_le_1(analyze(a).max_abs, table, alpha)
-                halved = bound_alpha_le_1(analyze(half).max_abs, table, alpha)
-            else:
-                s0 = tail_start(table)
-                tf = compute_trace(a, alpha, s0)
-                th = compute_trace(half, alpha, s0)
-                full = bound_alpha_gt_1(analyze(a).max_abs, table, alpha, tf.m)
-                halved = bound_alpha_gt_1(analyze(half).max_abs, table, alpha, th.m)
+            full = regime_bound(a, alpha)
+            halved = regime_bound(half, alpha)
             assert halved.bound_value <= full.bound_value + 1e-15
 
 
@@ -362,3 +353,91 @@ class TestFindThreshold:
         d = BoxDomain((4,))
         with pytest.raises(ValueError):
             find_threshold(Field.zeros(d), Params(1, 1), 10, 1e-3)
+
+
+def _apply_M_maxima(a, S):
+    """m_0..m_S and h^S from a per-step apply_M loop, the reference flow."""
+    h, m = a, [float(a.interior().max())]
+    for _ in range(S):
+        h = apply_M(h)
+        m.append(float(h.interior().max()))
+    return np.array(m), h
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 7), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    S=st.integers(0, 60),
+    signed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_flow_matches_apply_M_loop(extents, alpha, S, signed, seed):
+    d = BoxDomain(tuple(extents))
+    rng = np.random.default_rng(seed)
+    a = Field.from_interior(d, rng.uniform(-1.0 if signed else 0.0, 1.0, size=d.interior_shape))
+    m, h = _apply_M_maxima(a, S)
+    np.testing.assert_array_equal(compute_trace(a, alpha, S).m, m)
+    np.testing.assert_array_equal(step_linear_direct(a, S).values, h.values)
+
+
+def _cli_regime_bound(a_scaled, alpha):
+    """The CLI's regime dispatch as it stood before `regime_bound`."""
+    from latticeheat import analyze
+
+    table = mode_table(a_scaled.domain)
+    B_max = analyze(a_scaled).max_abs
+    if alpha <= 1:
+        return bound_alpha_le_1(B_max, table, alpha)
+    s0 = tail_start(table)
+    trace = compute_trace(a_scaled, alpha, s0)
+    return bound_alpha_gt_1(B_max, table, alpha, trace.m[:s0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    amplitude=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_regime_bound_matches_cli_dispatch(extents, alpha, amplitude, seed):
+    d = BoxDomain(tuple(extents))
+    a = random_field(np.random.default_rng(seed), d, amplitude=amplitude)
+    assert regime_bound(a, alpha) == _cli_regime_bound(a, alpha)
+
+
+def _count_scans(monkeypatch):
+    """Record each run of the s0 scan behind the cached ModeTable.tail_start."""
+    from latticeheat import ModeTable
+
+    scans = []
+    prop = ModeTable.__dict__["tail_start"]
+    scan = prop.func
+    monkeypatch.setattr(prop, "func", lambda table: scans.append(1) or scan(table))
+    mode_table.cache_clear()
+    return scans
+
+
+def test_alpha_gt_1_bound_scans_for_s0_once(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    a = random_field(np.random.default_rng(5), BoxDomain((5, 4)), amplitude=0.05)
+    rep = regime_bound(a, 2.0)
+    assert rep.s0_tail == tail_start(mode_table(a.domain))
+    assert len(scans) == 1
+
+
+def test_sweep_scans_for_s0_once(monkeypatch, tmp_path):
+    import json
+
+    from latticeheat.cli import main
+
+    scans = _count_scans(monkeypatch)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "extents": [5, 4], "alpha": 2.0, "delta": 0.5, "steps": 10,
+        "init": {"kind": "constant_interior"},
+        "sweep": {"alphas": [1.5, 2.0, 3.0], "amplitudes": [0.01, 0.1]},
+    }))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(scans) == 1
