@@ -2,7 +2,7 @@
 
 Subcommands: simulate | verify | bound | threshold | sweep. Configs are a
 single JSON document; outputs are deterministic (same config and seed give
-byte-identical files).
+byte-identical files). `main` checks every input before it creates `--out`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .domain import BoxDomain, Field
-from .evolution import BlewUpAt, Params, normalize_scaling, simulate
-from .majorant import find_threshold, regime_bound, verify_comparison
+from .evolution import Params, _check_solution_field, normalize_scaling, simulate
+from .majorant import _bracket_top, find_threshold, regime_bound, verify_comparison
 from .spectral import mode_table
 
 EXIT_OK = 0
@@ -32,26 +32,16 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# deterministic RNG for random initial data (splitmix64, reproducible across
-# implementations)
-
-_MASK = (1 << 64) - 1
-
-
-def splitmix64_stream(seed: int):
-    state = seed & _MASK
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        yield z ^ (z >> 31)
+# deterministic RNG for random initial data (splitmix64, reproducible anywhere)
 
 
 def splitmix64_uniform(seed: int, count: int) -> np.ndarray:
-    """count doubles in [0, 1), one per draw, in draw order."""
-    gen = splitmix64_stream(seed)
-    return np.array([next(gen) / 2.0**64 for _ in range(count)])
+    """count doubles in [0, 1), one per splitmix64 draw, in draw order."""
+    steps = np.arange(1, count + 1, dtype=np.uint64)  # uint64 arithmetic wraps mod 2^64
+    z = np.uint64(seed % 2**64) + steps * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> 31)) / 2.0**64
 
 
 # ---------------------------------------------------------------------------
@@ -66,24 +56,29 @@ def write_field_json(path: Path, f: Field) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_field_json(path: Path) -> Field:
-    """The field file named by init.path; a malformed one is a ConfigError naming it."""
+def _read_json(path: Path, key: str) -> dict:
+    """The JSON object in the file at `path`; any fault is a ConfigError naming `key`."""
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"init.path: invalid JSON ({e})") from e
+    except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
+        why = f"invalid JSON ({e})" if isinstance(e, json.JSONDecodeError) else e
+        raise ConfigError(f"{key}: {why}") from e
     if not isinstance(doc, dict):
-        raise ConfigError("init.path: top level must be an object")
+        raise ConfigError(f"{key}: top level must be an object")
+    return doc
+
+
+def read_field_json(path: Path) -> Field:
+    """The field file named by init.path; a malformed one is a ConfigError naming it."""
+    doc = _read_json(path, "init.path")
     domain = BoxDomain(_extents(doc, path="init.path: "))
     values = _require(doc, "values", list, path="init.path: ")
     if len(values) != domain.n_sites:
         raise ConfigError(f"init.path: values: {domain.n_sites} sites, got {len(values)}")
     if any(isinstance(v, bool) for v in values):
         raise ConfigError("init.path: values: true/false are not numbers")
-    try:  # numbers, or the strings write_field_json writes
-        flat = np.array([float(v) for v in values])
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"init.path: values: {e}") from e
+    # numbers, or the strings write_field_json writes
+    flat = _keyed("init.path: values: ", lambda: np.array([float(v) for v in values]))
     return Field(domain, flat.reshape(domain.shape))
 
 
@@ -105,10 +100,6 @@ class ExperimentConfig:
     sweep: dict | None = None
 
     @property
-    def domain(self) -> BoxDomain:
-        return BoxDomain(self.extents)
-
-    @property
     def params(self) -> Params:
         return Params(alpha=self.alpha, delta=self.delta)
 
@@ -127,6 +118,14 @@ def _require(doc: dict, key: str, kind, path: str = ""):
     return val
 
 
+def _keyed(prefix: str, rule, *args):
+    """rule(*args); an error it raises on bad input becomes a ConfigError that starts prefix."""
+    try:
+        return rule(*args)
+    except (TypeError, ValueError, ArithmeticError) as e:
+        raise ConfigError(f"{prefix}{e}") from e
+
+
 def _extents(doc: dict, path: str = "") -> tuple[int, ...]:
     extents = _require(doc, "extents", list, path)
     if not extents or not all(type(n) is int for n in extents):  # bools are rejected
@@ -139,11 +138,8 @@ def _extents(doc: dict, path: str = "") -> tuple[int, ...]:
 def parse_config(doc: dict) -> ExperimentConfig:
     extents = _extents(doc)
     alpha = _require(doc, "alpha", float)
-    if not alpha > 0:
-        raise ConfigError("alpha: must be > 0")
     delta = _require(doc, "delta", float)
-    if not delta > 0:
-        raise ConfigError("delta: must be > 0")
+    _keyed("", Params, alpha, delta)  # its messages start with the key
     steps = _require(doc, "steps", int)
     if steps < 0:
         raise ConfigError("steps: must be >= 0")
@@ -157,6 +153,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("init.mode: length must match extents")
         if not all(type(m) is int for m in mode):
             raise ConfigError("init.mode: must be a list of integers")
+        if not BoxDomain(extents).is_interior(tuple(mode)):
+            raise ConfigError("init.mode: must be an interior multi-index")
     if kind == "file":
         _require(init, "path", str, path="init.")
     if kind == "random":
@@ -179,10 +177,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
             if k in doc
         },
     )
-    if not cfg.amplitude >= 0:
-        raise ConfigError("amplitude: must be >= 0")
-    if not cfg.eps_blow >= 0:
-        raise ConfigError("eps_blow: must be >= 0")
+    for k in ("amplitude", "eps_blow", "comparison_slack"):
+        if not getattr(cfg, k) >= 0:
+            raise ConfigError(f"{k}: must be >= 0")
     if not cfg.threshold_tol > 0:
         raise ConfigError("threshold_tol: must be > 0")
     if cfg.sweep is not None:
@@ -190,24 +187,27 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("sweep: expected an object")
         for k in ("alphas", "amplitudes"):
             vals = _require(cfg.sweep, k, list, path="sweep.")
-            if not vals or not all(type(v) in (int, float) and 0 < v < math.inf for v in vals):
+            positive = (type(v) in (int, float) and 0 < v <= sys.float_info.max for v in vals)
+            if not vals or not all(positive):
                 raise ConfigError(f"sweep.{k}: must be a nonempty list of positives")
     return cfg
 
 
-def load_config(path: Path) -> ExperimentConfig:
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config: invalid JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise ConfigError("config: top level must be an object")
+def load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config `--config` names, with `--steps` and `--seed` written in before parsing."""
+    doc = _read_json(args.config, "config")
+    if args.steps is not None:
+        doc["steps"] = args.steps
+    if args.seed is not None:
+        if not (isinstance(doc.get("init"), dict) and doc["init"].get("kind") == "random"):
+            raise ConfigError("--seed: only valid with init.kind == 'random'")
+        doc["init"]["seed"] = args.seed
     return parse_config(doc)
 
 
 def build_profile(cfg: ExperimentConfig) -> Field:
     """Unit-scale initial profile; callers apply cfg.amplitude."""
-    domain = cfg.domain
+    domain = BoxDomain(cfg.extents)
     kind = cfg.init["kind"]
     if kind == "delta_center":
         f = Field.zeros(domain)
@@ -217,25 +217,38 @@ def build_profile(cfg: ExperimentConfig) -> Field:
     if kind == "constant_interior":
         return Field.from_interior(domain, np.ones(domain.interior_shape))
     if kind == "sine_mode":
-        mode = tuple(cfg.init["mode"])
-        if not domain.is_interior(mode):
-            raise ConfigError("init.mode: must be an interior multi-index")
-        return mode_table(domain).mode_field(mode)
+        return mode_table(domain).mode_field(tuple(cfg.init["mode"]))
     if kind == "file":
         f = read_field_json(Path(cfg.init["path"]))
         if f.domain.extents != domain.extents:
             raise ConfigError("init.path: field extents do not match config extents")
         return f
-    if kind == "random":
-        flat = splitmix64_uniform(cfg.init["seed"], domain.n_interior)
-        interior = cfg.init["max_amplitude"] * flat.reshape(domain.interior_shape)
-        return Field.from_interior(domain, interior)
-    raise ConfigError(f"init.kind: unknown profile kind {kind!r}")
+    flat = splitmix64_uniform(cfg.init["seed"], domain.n_interior)  # kind == "random"
+    interior = cfg.init["max_amplitude"] * flat.reshape(domain.interior_shape)
+    return Field.from_interior(domain, interior)
 
 
-def initial_field(cfg: ExperimentConfig) -> Field:
-    profile = build_profile(cfg)
-    return Field(profile.domain, profile.values * cfg.amplitude)
+def _check_data(command: str, cfg: ExperimentConfig, profile: Field) -> None:
+    """The data `command` reads; a fault is a ConfigError naming the key it came from."""
+    if command == "bound":  # the certificate also reads signed data
+        profile = Field(profile.domain, np.abs(profile.values))
+    key = {"file": "init.path: values: ", "sine_mode": "init.mode: "}.get(cfg.init["kind"], "")
+    _keyed(key, _check_solution_field, profile)
+    if command == "threshold":
+        _keyed(key, _bracket_top, profile, cfg.params)
+        return
+    if command == "sweep" and cfg.sweep is None:
+        raise ConfigError("sweep: required for the sweep command")
+    key, prefix, sweep = "amplitude: ", "", {"alphas": [cfg.alpha], "amplitudes": [cfg.amplitude]}
+    if command == "sweep":
+        key, prefix, sweep = "sweep.amplitudes: ", "sweep.alphas: ", cfg.sweep
+    with np.errstate(over="ignore"):  # data that overflows is the amplitude's fault
+        a = Field(profile.domain, profile.values * float(max(sweep["amplitudes"])))
+        _keyed(key, _check_solution_field, a)
+        for alpha in sweep["alphas"] if command != "simulate" else ():  # scaled to threshold 1
+            p = _keyed(prefix, Params, float(alpha), cfg.delta)
+            scaled, _ = _keyed(prefix, normalize_scaling, a, p)
+            _keyed(key, _check_solution_field, scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +261,13 @@ def _fmt(x: float) -> str:
 
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _echo_params(cfg: ExperimentConfig) -> dict:
@@ -266,19 +286,15 @@ def _echo_params(cfg: ExperimentConfig) -> dict:
 # commands
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
-    a = initial_field(cfg)
+def cmd_simulate(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
+    a = Field(profile.domain, profile.values * cfg.amplitude)
     report = simulate(a, cfg.params, cfg.steps, eps_blow=cfg.eps_blow)
-    with (out / "trajectory.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "max_f", "max_g", "blowup_flag"])
-        last = len(report.trace) - 1
-        for s, rec in enumerate(report.trace):
-            flag = int(report.blew_up and s == last)
-            w.writerow([s, _fmt(rec.max_f), _fmt(rec.max_g), flag])
+    last = len(report.trace) - 1
+    rows = ([s, _fmt(rec.max_f), _fmt(rec.max_g), int(report.blew_up and s == last)]
+            for s, rec in enumerate(report.trace))
+    _write_csv(out / "trajectory.csv", ["step", "max_f", "max_g", "blowup_flag"], rows)
     doc = {"parameters": _echo_params(cfg)}
     if report.blew_up:
-        assert isinstance(report.outcome, BlewUpAt)
         doc["outcome"] = {
             "kind": "blew_up",
             "s0": report.outcome.step,
@@ -291,8 +307,9 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_BLOWUP if report.blew_up else EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
-    a, p_scaled = normalize_scaling(initial_field(cfg), cfg.params)
+def cmd_verify(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
+    a = Field(profile.domain, profile.values * cfg.amplitude)
+    a, p_scaled = normalize_scaling(a, cfg.params)
     verdict = verify_comparison(a, p_scaled.alpha, cfg.steps, slack=cfg.comparison_slack)
     doc = {
         "parameters": _echo_params(cfg),
@@ -309,8 +326,9 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK if verdict.holds else EXIT_BLOWUP
 
 
-def cmd_bound(cfg: ExperimentConfig, out: Path) -> int:
-    a, _ = normalize_scaling(initial_field(cfg), cfg.params)
+def cmd_bound(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
+    a = Field(profile.domain, profile.values * cfg.amplitude)
+    a, _ = normalize_scaling(a, cfg.params)
     report = regime_bound(a, cfg.alpha)
     doc = {
         "parameters": _echo_params(cfg),
@@ -324,31 +342,22 @@ def cmd_bound(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_threshold(cfg: ExperimentConfig, out: Path) -> int:
-    profile = build_profile(cfg)
+def cmd_threshold(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     result = find_threshold(profile, cfg.params, cfg.steps, cfg.threshold_tol)
-    with (out / "bisection.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["probe", "amplitude", "blew_up"])
-        for i, (lam, blew) in enumerate(result.evaluations):
-            w.writerow([i, _fmt(lam), int(blew)])
-    _write_json(
-        out / "threshold.json",
-        {
-            "parameters": _echo_params(cfg),
-            "amplitude": result.amplitude,
-            "hit_ceiling": result.hit_ceiling,
-            "tolerance": cfg.threshold_tol,
-            "probes": len(result.evaluations),
-        },
-    )
+    rows = ([i, _fmt(lam), int(blew)] for i, (lam, blew) in enumerate(result.evaluations))
+    _write_csv(out / "bisection.csv", ["probe", "amplitude", "blew_up"], rows)
+    doc = {
+        "parameters": _echo_params(cfg),
+        "amplitude": result.amplitude,
+        "hit_ceiling": result.hit_ceiling,
+        "tolerance": cfg.threshold_tol,
+        "probes": len(result.evaluations),
+    }
+    _write_json(out / "threshold.json", doc)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.sweep is None:
-        raise ConfigError("sweep: required for the sweep command")
-    profile = build_profile(cfg)
+def cmd_sweep(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     rows = []
     for alpha in cfg.sweep["alphas"]:
         for amplitude in cfg.sweep["amplitudes"]:
@@ -364,10 +373,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
             rows.append(
                 [_fmt(alpha), _fmt(amplitude), outcome, s_col, _fmt(bound.bound_value)]
             )
-    with (out / "sweep.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "amplitude", "outcome", "s0_or_steps", "bound_value"])
-        w.writerows(rows)
+    header = ["alpha", "amplitude", "outcome", "s0_or_steps", "bound_value"]
+    _write_csv(out / "sweep.csv", header, rows)
     return EXIT_OK
 
 
@@ -403,18 +410,12 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            if cfg.init.get("kind") != "random":
-                raise ConfigError("--seed: only valid with init.kind == 'random'")
-            cfg.init["seed"] = args.seed
-        if args.steps is not None:
-            if args.steps < 0:
-                raise ConfigError("--steps: must be >= 0")
-            cfg.steps = args.steps
-        args.out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out)
-    except (ValueError, ArithmeticError, OSError) as e:  # ConfigError is a ValueError
+        cfg = load_config(args)
+        profile = build_profile(cfg)
+        _check_data(args.command, cfg, profile)
+        args.out.mkdir(parents=True, exist_ok=True)  # only once every input has passed
+        return _COMMANDS[args.command](cfg, profile, args.out)
+    except (ConfigError, OSError) as e:  # OSError: writing the artifacts
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -55,11 +55,6 @@ class BoxDomain:
         """Slice tuple selecting the interior of a full-shape array."""
         return tuple(slice(1, -1) for _ in self.extents)
 
-    def contains(self, n: MultiIndex) -> bool:
-        return len(n) == self.dims and all(
-            0 <= ni <= Ni for ni, Ni in zip(n, self.extents)
-        )
-
     def is_interior(self, n: MultiIndex) -> bool:
         return len(n) == self.dims and all(
             0 < ni < Ni for ni, Ni in zip(n, self.extents)
@@ -108,9 +103,6 @@ class Field:
         """View of the interior block."""
         return self.values[self.domain.core]
 
-    def copy(self) -> "Field":
-        return Field(self.domain, self.values.copy())
-
     def max(self) -> float:
         return float(self.values.max())
 
@@ -118,9 +110,6 @@ class Field:
         probe = self.values.copy()
         probe[self.domain.core] = 0.0
         return bool(np.all(probe == 0.0))
-
-    def __getitem__(self, n: MultiIndex) -> float:
-        return float(self.values[tuple(n)])
 
 
 def neighbor_mean_interior(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -27,11 +27,15 @@ class Params:
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0):
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+            raise ValueError("alpha: must be > 0")
         if not (self.delta > 0):
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if not math.isfinite(self.alpha * self.delta):  # else 0 * inf makes NaN denominators
-            raise ValueError(f"alpha*delta must be finite, got {self.alpha * self.delta}")
+            raise ValueError("delta: must be > 0")
+        with np.errstate(all="ignore"):  # overflow, and 0 to a negative power, give inf
+            c = np.float64(self.alpha) * self.delta
+            ok = all(0 < c ** (e / self.alpha) < np.inf for e in (-1.0, 1.0))  # threshold, scale
+        if not ok:  # an infinite alpha*delta would also make 0 * inf NaN denominators
+            raise ValueError("alpha*delta must be finite, and (alpha*delta)^(+-1/alpha) finite "
+                             f"and > 0; got alpha={self.alpha!r}, delta={self.delta!r}")
 
     @property
     def threshold(self) -> float:

@@ -76,7 +76,7 @@ class ComparisonFailure:
 @dataclass(frozen=True)
 class ComparisonVerdict:
     holds: bool
-    margins: np.ndarray  # min over sites of fbar - f, one entry per checked step
+    margins: np.ndarray  # min over interior sites of fbar - f, one entry per checked step
     checked_steps: int  # steps 0..checked_steps-1 were verified
     defined_up_to: int
     failure: ComparisonFailure | None = None
@@ -127,7 +127,7 @@ def verify_comparison(
                 stepper.advance()
                 f = stepper.f
             fbar = h / (1.0 - P) ** (1.0 / alpha)
-            margins.append(float((fbar - f).min()))
+            margins.append(float((fbar - f)[core].min()))  # both are 0 on the boundary
             checked_steps = s + 1
             bad = fbar < f - slack * np.maximum(1.0, fbar)
             if np.any(bad):
@@ -188,7 +188,7 @@ def bound_alpha_gt_1(
         raise ValueError(f"m_prefix needs at least {s0} entries, got {len(m_prefix)}")
     c = np.abs(modes.eigenvalues)
     head = float(np.sum(np.abs(m_prefix[:s0]) ** alpha))
-    tail = B_max**alpha * float(np.sum(c**s0 / (1.0 - c)))
+    tail = float(np.float64(B_max) ** alpha * np.sum(c**s0 / (1.0 - c)))  # may be inf
     return BoundReport(
         regime="alpha_gt_1", bound_value=head + tail, B_max=B_max, s0_tail=s0
     )
@@ -201,8 +201,9 @@ def regime_bound(a_scaled: Field, alpha: float) -> BoundReport:
     if alpha <= 1:
         return bound_alpha_le_1(B_max, table, alpha)
     s0 = tail_start(table)
-    trace = compute_trace(a_scaled, alpha, s0)
-    return bound_alpha_gt_1(B_max, table, alpha, trace.m[:s0])
+    with np.errstate(over="ignore"):  # data too large to certify: inf, still an upper bound
+        trace = compute_trace(a_scaled, alpha, s0)
+        return bound_alpha_gt_1(B_max, table, alpha, trace.m[:s0])
 
 
 @dataclass(frozen=True)
@@ -210,6 +211,14 @@ class ThresholdResult:
     amplitude: float
     hit_ceiling: bool  # no blow-up even at the bracketing upper amplitude
     evaluations: list[tuple[float, bool]]  # (amplitude, blew_up) in probe order
+
+
+def _bracket_top(profile: Field, p: Params) -> float:
+    """The bisection's upper amplitude, which puts the profile maximum at the threshold."""
+    peak = float(profile.values.max())
+    if not (peak > 0 and peak * (p.threshold / peak) < math.inf):  # the top probe is finite
+        raise ValueError(f"profile maximum must be > 0, and threshold/maximum finite: {peak!r}")
+    return p.threshold / peak
 
 
 def find_threshold(
@@ -223,9 +232,7 @@ def find_threshold(
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    peak = float(profile.values.max())
-    if peak <= 0:
-        raise ValueError("profile must be nonnegative and not identically zero")
+    hi = _bracket_top(profile, p)
     evaluations: list[tuple[float, bool]] = []
 
     def blows_up(lam: float) -> bool:
@@ -234,7 +241,6 @@ def find_threshold(
         evaluations.append((lam, blew))
         return blew
 
-    hi = p.threshold / peak
     if not blows_up(hi):
         return ThresholdResult(amplitude=hi, hit_ceiling=True, evaluations=evaluations)
     lo = 0.0

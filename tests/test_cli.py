@@ -174,6 +174,14 @@ class TestVerifyCommand:
         assert report["holds"]
         assert all(m == 0 for m in report["margins"])
 
+    def test_margins_are_over_interior_sites(self, tmp_path):
+        # fbar and f are both 0 on the boundary, so a minimum over all sites
+        # would read 0 for every run that holds
+        cfg = write_config(tmp_path, base_config(amplitude=0.1, steps=10))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["margins"][0] > 0
+
     def test_random_suite_config(self, tmp_path):
         cfg = write_config(
             tmp_path,

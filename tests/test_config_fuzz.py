@@ -1,8 +1,9 @@
 """The CLI's input boundary: malformed configs and field files end in exit 1.
 
 A fuzzer mutates valid configs and field files and asserts that `main` only
-ever returns 0, 1 or 2 and raises nothing. Sizes stay small (extents <= 6,
-steps <= 20) so every command finishes quickly.
+ever returns 0, 1 or 2 and raises nothing, that exit 1 leaves no `--out`
+behind, and that exit 0 or 2 leaves the command's artifacts. Sizes stay small
+(extents <= 6, steps <= 20) so every command finishes quickly.
 """
 
 import contextlib
@@ -20,16 +21,24 @@ from latticeheat import BoxDomain, Field
 from latticeheat.cli import EXIT_ERROR, main, write_field_json
 
 COMMANDS = ("simulate", "verify", "bound", "threshold", "sweep")
+ARTIFACTS = {
+    "simulate": ("trajectory.csv", "report.json"),
+    "verify": ("verify.json",),
+    "bound": ("bound.json",),
+    "threshold": ("threshold.json", "bisection.csv"),
+    "sweep": ("sweep.csv",),
+}
 
 
-def _run(tmp: Path, command: str, config, field=None) -> tuple[int, str]:
+def _run(tmp: Path, command: str, config, field=None, *flags) -> tuple[int, str]:
     """Write the config (and a field file as text or JSON), run `main`, return (exit, stderr)."""
     if field is not None:
         (tmp / "field.json").write_text(field if isinstance(field, str) else json.dumps(field))
     (tmp / "config.json").write_text(json.dumps(config))
     err = io.StringIO()
+    argv = [command, "--config", str(tmp / "config.json"), "--out", str(tmp / "out"), *flags]
     with contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(tmp / "config.json"), "--out", str(tmp / "out")])
+        code = main(argv)
     return code, err.getvalue()
 
 
@@ -123,6 +132,10 @@ def test_main_never_raises(
         code, err = _run(tmp, command, config, field)
         assert code in (0, 1, 2)
         assert (code == EXIT_ERROR) == ("error: " in err)
+        if code == EXIT_ERROR:
+            assert not (tmp / "out").exists()
+        else:
+            assert all((tmp / "out" / name).is_file() for name in ARTIFACTS[command])
 
 
 @pytest.mark.parametrize(
@@ -192,3 +205,81 @@ def test_overflowing_coupling_is_rejected(tmp_path, command):
     code, err = _run(tmp_path, command, config)
     assert code == EXIT_ERROR
     assert "error: alpha*delta must be finite" in err
+
+
+def _file(*values) -> dict:
+    return {"extents": [len(values) - 1], "values": list(values)}
+
+
+# (case, commands, init kind, config changes, field file, flags, the key the message starts with)
+SIGNED = {"init": {"kind": "sine_mode", "mode": [2]}}  # sin(pi n/2) on 0..4: 0, 1, 0, -1, 0
+HUGE = {"amplitude": 1e308, "init": {"kind": "random", "seed": 7, "max_amplitude": 10.0}}
+REJECTED = [
+    ("nan-value", COMMANDS, "file", {}, _file(0, "nan", 0.5, 0.5, 0), (), "init.path: values"),
+    ("inf-value", COMMANDS, "file", {}, _file(0, 0.5, "inf", 0.5, 0), (), "init.path: values"),
+    ("signed-data", ("simulate", "verify", "threshold", "sweep"), "sine_mode", SIGNED, None, (),
+     "init.mode"),
+    ("nonzero-boundary", COMMANDS, "file", {"alpha": 0.5}, _file(0.1, 0.5, 0.5, 0.5, 0), (),
+     "init.path: values"),
+    ("negative-slack", ("verify",), "constant_interior", {"comparison_slack": -0.5}, None, (),
+     "comparison_slack"),
+    ("huge-amplitude", ("simulate", "verify", "bound"), "random", HUGE, None, (), "amplitude"),
+    ("huge-sweep-amplitude", ("sweep",), "random",
+     {"sweep": {"alphas": [1.5], "amplitudes": [1e308]}, "init": HUGE["init"]}, None, (),
+     "sweep.amplitudes"),
+    ("tiny-alpha", COMMANDS, "constant_interior", {"alpha": 1e-300}, None, (), "alpha"),
+    ("underflowing-coupling", COMMANDS, "constant_interior", {"alpha": 1e-200, "delta": 1e-200},
+     None, (), "alpha"),
+    ("tiny-sweep-alpha", ("sweep",), "constant_interior",
+     {"sweep": {"alphas": [1e-300], "amplitudes": [0.5]}}, None, (), "sweep.alphas"),
+    ("huge-integer-sweep-alpha", ("sweep",), "constant_interior",
+     {"sweep": {"alphas": [10**400], "amplitudes": [0.5]}}, None, (), "sweep.alphas"),
+    ("negative-seed-flag", ("simulate",), "random", {}, None, ("--seed", "-5"),
+     "init.seed: must be >= 0"),
+    ("negative-steps-flag", ("simulate",), "constant_interior", {}, None, ("--steps", "-1"),
+     "steps: must be >= 0"),
+    ("seed-flag-without-random", ("simulate",), "constant_interior", {}, None, ("--seed", "3"),
+     "--seed"),
+    ("missing-field-file", COMMANDS, "file", {}, None, (), "init.path"),
+    ("zero-profile", ("threshold",), "file", {}, _file(0, 0, 0, 0, 0), (), "init.path: values"),
+    ("tiny-peak", ("threshold",), "file", {}, _file(0, 5e-324, 0, 0, 0), (), "init.path: values"),
+    ("mode-out-of-range", COMMANDS, "sine_mode", {"init": {"kind": "sine_mode", "mode": [4]}},
+     None, (), "init.mode"),
+    ("missing-sweep", ("sweep",), "constant_interior", {"sweep": None}, None, (), "sweep"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, kind, changes, field, flags, named",
+    [
+        pytest.param(command, *case, id=f"{name}-{command}")
+        for name, commands, *case in REJECTED
+        for command in commands
+    ],
+)
+def test_rejected_before_out_is_made(tmp_path, command, kind, changes, field, flags, named):
+    config = {**_config([4], kind, 10, tmp_path), **changes}
+    if config["sweep"] is None:
+        del config["sweep"]
+    code, err = _run(tmp_path, command, config, field, *flags)
+    assert code == EXIT_ERROR
+    assert err.startswith(f"error: {named}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_rejected_run_writes_nothing_into_an_existing_out(tmp_path, command):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "kept.txt").write_text("kept")
+    config = _config([4], "file", 10, tmp_path)
+    code, err = _run(tmp_path, command, config, _file(0, "nan", 0.5, 0.5, 0))
+    assert code == EXIT_ERROR
+    assert err.startswith("error: init.path: values")
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["kept.txt"]
+
+
+def test_bound_accepts_signed_data(tmp_path):
+    config = {**_config([4], "sine_mode", 10, tmp_path), **SIGNED}
+    code, err = _run(tmp_path, "bound", config)
+    assert (code, err) == (0, "")
+    assert (tmp_path / "out" / "bound.json").is_file()

@@ -165,7 +165,7 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
     h = a
     for s in range(last + 1):
         fbar = majorant_field(trace, h, s, alpha)
-        margins.append(float((fbar.values - f.values).min()))
+        margins.append(float((fbar.interior() - f.interior()).min()))
         tol = slack * np.maximum(1.0, fbar.values)
         if np.any(fbar.values < f.values - tol):
             site = tuple(int(i) for i in np.argwhere(fbar.values < f.values - tol)[0])
