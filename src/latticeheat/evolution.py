@@ -107,7 +107,7 @@ class _Stepper:
     to inf, which `simulate` reads from its per-step maximum.
     """
 
-    __slots__ = ("f", "_g", "_f_core", "_spare", "_spare_core", "_denom",
+    __slots__ = ("f", "g", "_f_core", "_spare", "_spare_core", "_denom",
                  "_alpha", "_coupling", "_root", "_eps_blow")
 
     def __init__(self, a: Field, p: Params, eps_blow: float) -> None:
@@ -119,43 +119,35 @@ class _Stepper:
         self._f_core = self.f[core]
         self._spare = np.zeros(a.domain.shape)
         self._spare_core = self._spare[core]
-        self._g = np.empty(a.domain.interior_shape)
+        self.g = np.empty(a.domain.interior_shape)
         self._denom = np.empty(a.domain.interior_shape)
         self._alpha = p.alpha
         self._coupling = p.alpha * p.delta
         self._root = 1.0 / p.alpha
         self._eps_blow = eps_blow
 
-    def average(self) -> np.ndarray:
-        """The neighbor average g of the current state."""
-        return neighbor_mean_interior(self.f, out=self._g)
+    def step(self) -> BlowupSignal | None:
+        """One update: g is the neighbor average of f, and f becomes g / denom^(1/alpha).
 
-    def blowup(self) -> BlowupSignal | None:
-        """Denominators 1 - alpha*delta*g^alpha; the first at or below eps_blow."""
+        With denom = 1 - alpha*delta*g^alpha, the first site whose denom is at
+        or below eps_blow is returned instead, and f is left unchanged.
+        """
+        g = neighbor_mean_interior(self.f, out=self.g)
         denom = self._denom
-        np.power(self._g, self._alpha, out=denom)
+        np.power(g, self._alpha, out=denom)
         np.multiply(self._coupling, denom, out=denom)
         np.subtract(1.0, denom, out=denom)
         if denom.min() <= self._eps_blow:
-            return _first_offender(denom <= self._eps_blow, self._g)
-        return None
-
-    def advance(self) -> None:
-        """Replace the state by g / denom^(1/alpha); needs `blowup()` to have passed."""
-        np.power(self._denom, self._root, out=self._denom)
-        np.divide(self._g, self._denom, out=self._spare_core)
+            return _first_offender(denom <= self._eps_blow, g)
+        np.power(denom, self._root, out=denom)
+        np.divide(g, denom, out=self._spare_core)
         self.f, self._spare = self._spare, self.f
         self._f_core, self._spare_core = self._spare_core, self._f_core
+        return None
 
     def at_rest(self) -> bool:
-        """Whether the last `advance()` left the state unchanged, bit for bit."""
+        """Whether the last update left the state unchanged, bit for bit."""
         return np.array_equal(self.f.view(np.uint64), self._spare.view(np.uint64))
-
-    def overflow(self) -> BlowupSignal:
-        """The first site the last `advance()` set to inf, with its g."""
-        idx = np.argwhere(np.isinf(self.f))[0]  # the boundary stays zero
-        site = tuple(int(i) for i in idx)
-        return BlowupSignal(site=site, g_value=float(self._g[tuple(i - 1 for i in site)]))
 
 
 def step_nonlinear(
@@ -168,13 +160,9 @@ def step_nonlinear(
     update is undefined there). eps_blow must be >= 0.
     """
     stepper = _Stepper(f, p, eps_blow)
-    stepper.average()
-    sig = stepper.blowup()
-    if sig is not None:
-        return sig
     with np.errstate(divide="ignore", over="ignore"):
-        stepper.advance()
-    return Field(f.domain, stepper.f)
+        sig = stepper.step()
+    return sig if sig is not None else Field(f.domain, stepper.f)
 
 
 def simulate(
@@ -196,20 +184,16 @@ def simulate(
     with np.errstate(divide="ignore", over="ignore"):
         for s in range(max_steps + 1):
             max_f = float(stepper.f.max())
-            if not math.isfinite(max_f):
-                sig = stepper.overflow()
+            if not math.isfinite(max_f):  # the boundary is never inf
+                sig = _first_offender(np.isinf(stepper._f_core), stepper.g)
                 outcome = BlewUpAt(step=s - 1, site=sig.site, g_value=sig.g_value)
                 return BlowupReport(outcome=outcome, trace=trace)
-            g = stepper.average()
-            record = StepRecord(max_f=max_f, max_g=float(g.max()))
+            sig = stepper.step()  # at s == max_steps, its update is discarded
+            record = StepRecord(max_f=max_f, max_g=float(stepper.g.max()))
             trace.append(record)
-            sig = stepper.blowup()
             if sig is not None:
                 outcome = BlewUpAt(step=s, site=sig.site, g_value=sig.g_value)
                 return BlowupReport(outcome=outcome, trace=trace)
-            if s == max_steps:
-                break
-            stepper.advance()
             if max_f < _TINY and stepper.at_rest():
                 trace += [record] * (max_steps - s)
                 break

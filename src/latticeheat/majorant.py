@@ -39,7 +39,8 @@ class MajorantTrace:
 
 
 def _trace_from_maxima(m: np.ndarray, alpha: float) -> MajorantTrace:
-    partial = np.cumsum(np.abs(m) ** alpha)
+    with np.errstate(over="ignore"):  # inf partial sums: the majorant is undefined
+        partial = np.cumsum(np.abs(m) ** alpha)
     below = np.nonzero(partial < 1.0)[0]
     defined_up_to = int(below[-1]) if below.size else -1
     return MajorantTrace(m=m, partial_sums=partial, defined_up_to=defined_up_to)
@@ -99,8 +100,6 @@ def verify_comparison(
     m: list[float] = []
     margins: list[float] = []
     failure = None
-    checked_steps = 0
-    checking = True  # no failure yet, and P_s < 1 so far
     stepper = None  # the nonlinear flow; made, and its data checked, at its first step
     f = a.values
     P = 0.0
@@ -109,26 +108,21 @@ def verify_comparison(
             m.append(float(h[core].max()))
             # the expression of _trace_from_maxima, so P is partial_sums[s] bit for bit
             P = P + (np.abs(m[-1:]) ** alpha)[0]
-            checking = checking and P < 1.0
-            if not checking:
+            if failure is not None or not P < 1.0:  # P_s never decreases
                 continue
             if s:
                 if stepper is None:
                     stepper = _Stepper(a, p, 0.0)
-                stepper.average()
-                sig = stepper.blowup()
+                sig = stepper.step()
                 if sig is not None:
                     failure = ComparisonFailure(
                         step=s, site=sig.site, majorant_value=math.inf,
                         solution_value=sig.g_value,
                     )
-                    checking = False
                     continue
-                stepper.advance()
                 f = stepper.f
             fbar = h / (1.0 - P) ** (1.0 / alpha)
             margins.append(float((fbar - f)[core].min()))  # both are 0 on the boundary
-            checked_steps = s + 1
             bad = fbar < f - slack * np.maximum(1.0, fbar)
             if np.any(bad):
                 site = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -136,12 +130,11 @@ def verify_comparison(
                     step=s, site=site, majorant_value=float(fbar[site]),
                     solution_value=float(f[site]),
                 )
-                checking = False
     trace = _trace_from_maxima(np.array(m), alpha)
     return ComparisonVerdict(
         holds=failure is None,
         margins=np.array(margins),
-        checked_steps=checked_steps,
+        checked_steps=len(margins),
         defined_up_to=trace.defined_up_to,
         failure=failure,
         trace=trace,
@@ -163,7 +156,8 @@ def bound_alpha_le_1(B_max: float, modes: ModeTable, alpha: float) -> BoundRepor
     if not (0 < alpha <= 1):
         raise ValueError(f"regime requires 0 < alpha <= 1, got {alpha}")
     c = np.abs(modes.eigenvalues)
-    bound = B_max**alpha * float(np.sum(1.0 / (1.0 - c**alpha)))
+    series = float(np.sum(1.0 / (1.0 - c**alpha)))  # inf where |c|^alpha rounds to 1
+    bound = B_max**alpha * series if B_max > 0 else 0.0  # zero data: 0, not 0 * inf
     return BoundReport(regime="alpha_le_1", bound_value=bound, B_max=B_max)
 
 
@@ -197,13 +191,12 @@ def bound_alpha_gt_1(
 def regime_bound(a_scaled: Field, alpha: float) -> BoundReport:
     """The certificate for data scaled to threshold 1: the bound of alpha's regime."""
     table = mode_table(a_scaled.domain)
-    B_max = analyze(a_scaled).max_abs
-    if alpha <= 1:
-        return bound_alpha_le_1(B_max, table, alpha)
-    s0 = tail_start(table)
-    with np.errstate(over="ignore"):  # data too large to certify: inf, still an upper bound
-        trace = compute_trace(a_scaled, alpha, s0)
-        return bound_alpha_gt_1(B_max, table, alpha, trace.m[:s0])
+    with np.errstate(all="ignore"):  # data beyond the double range: inf, never NaN
+        B_max = analyze(a_scaled).max_abs
+        if alpha <= 1:
+            return bound_alpha_le_1(B_max, table, alpha)
+        trace = compute_trace(a_scaled, alpha, tail_start(table))
+        return bound_alpha_gt_1(B_max, table, alpha, trace.m)
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,9 @@ class SpectralCoeffs:
 
     @property
     def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max())
+        """Largest |coefficient|; inf if the transform overflowed (an inf or NaN coefficient)."""
+        top = float(np.abs(self.coeffs).max())
+        return np.inf if np.isnan(top) else top
 
 
 def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...]) -> np.ndarray:

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +37,16 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def main_quiet(capsys, argv):
+    """main(argv), asserting it warns of nothing and writes nothing to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    return code
 
 
 class TestConfigParsing:
@@ -198,6 +210,18 @@ class TestVerifyCommand:
         assert report["holds"]
         assert all(m >= -1e-12 for m in report["margins"])
 
+    def test_overflowing_partial_sums_are_quiet(self, tmp_path, capsys):
+        # |m_k|^10 overflows for data of 1e100: the majorant is undefined from step 0
+        doc = base_config(
+            extents=[5, 5], alpha=10.0, delta=0.1, amplitude=1e100,
+            init={"kind": "random", "seed": 3, "max_amplitude": 1.0},
+        )
+        cfg = write_config(tmp_path, doc)
+        assert main_quiet(capsys, ["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert (report["holds"], report["checked_steps"], report["defined_up_to"]) == (True, 0, -1)
+        assert report["partial_sums"] == [math.inf] * 11
+
     def test_truncation_reported(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -238,6 +262,29 @@ class TestBoundCommand:
         report = json.loads((tmp_path / "bound.json").read_text())
         assert report["regime"] == "alpha_gt_1"
         assert report["s0_tail"] == 3
+
+    def test_overflowing_transform_gives_infinite_bound(self, tmp_path, capsys):
+        # the dense sine transform of data near the double range overflows
+        doc = base_config(extents=[4, 3], alpha=1e300, delta=1e-300, amplitude=1.7e308)
+        cfg = write_config(tmp_path, doc)
+        assert main_quiet(capsys, ["bound", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "bound.json").read_text())
+        assert (report["B_max"], report["bound_value"]) == (math.inf, math.inf)
+        doc["sweep"] = {"alphas": [1e300], "amplitudes": [1.7e308]}
+        cfg = write_config(tmp_path, doc)
+        assert main_quiet(capsys, ["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+        assert [r["bound_value"] for r in rows] == ["inf"]
+
+    @pytest.mark.parametrize("amplitude, bound_value", [(0.5, math.inf), (0.0, 0.0)])
+    def test_tiny_alpha_bound_is_never_nan(self, tmp_path, capsys, amplitude, bound_value):
+        # |c|^alpha rounds to 1 for alpha = 1e-100, so the series is inf; zero data still gives 0
+        doc = base_config(alpha=1e-100, delta=1e100, amplitude=amplitude)
+        cfg = write_config(tmp_path, doc)
+        assert main_quiet(capsys, ["bound", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "bound.json").read_text())
+        assert report["bound_value"] == bound_value
+        assert report["certifies_global_existence"] == (bound_value < 1.0)
 
 
 class TestThresholdCommand:

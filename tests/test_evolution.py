@@ -226,6 +226,11 @@ class TestSimulate:
         assert report.trace == [StepRecord(max_f=float(v), max_g=float(v))]
         with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite"):
             _reference_simulate(Field(d, [0, v, v, v, 0]), p, 10)
+        # at the horizon the overflowing update is computed but never read
+        report = simulate(Field(d, [0, v, v, v, 0]), p, 0)
+        assert report == BlowupReport(Survived(0), [StepRecord(max_f=float(v), max_g=float(v))])
+        report = simulate(Field(d, [0, v, v, v, 0]), p, 1)
+        assert report.outcome == BlewUpAt(step=0, site=(2,), g_value=float(v))
 
 
 @settings(max_examples=200, deadline=None)
