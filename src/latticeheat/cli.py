@@ -19,7 +19,7 @@ import numpy as np
 
 from .domain import BoxDomain, Field
 from .evolution import Params, _check_solution_field, normalize_scaling, simulate
-from .majorant import _bracket_top, find_threshold, regime_bound, verify_comparison
+from .majorant import _bracket_top, _Probe, find_threshold, regime_bound, verify_comparison
 from .spectral import mode_table
 
 EXIT_OK = 0
@@ -343,7 +343,7 @@ def cmd_bound(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
 
 
 def cmd_threshold(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
-    result = find_threshold(profile, cfg.params, cfg.steps, cfg.threshold_tol)
+    result = find_threshold(profile, cfg.params, cfg.steps, cfg.threshold_tol, cfg.eps_blow)
     rows = ([i, _fmt(lam), int(blew)] for i, (lam, blew) in enumerate(result.evaluations))
     _write_csv(out / "bisection.csv", ["probe", "amplitude", "blew_up"], rows)
     doc = {
@@ -360,16 +360,17 @@ def cmd_threshold(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
 def cmd_sweep(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     rows = []
     for alpha in cfg.sweep["alphas"]:
+        p = Params(alpha=float(alpha), delta=cfg.delta)
+        probe = _Probe(profile.domain, p, cfg.steps, cfg.eps_blow, blowup_exit=False)
         for amplitude in cfg.sweep["amplitudes"]:
-            p = Params(alpha=float(alpha), delta=cfg.delta)
             a = Field(profile.domain, profile.values * float(amplitude))
-            report = simulate(a, p, cfg.steps, eps_blow=cfg.eps_blow)
+            s0 = probe(a)  # simulate's blow-up step, or None
             a_scaled, _ = normalize_scaling(a, p)
             bound = regime_bound(a_scaled, p.alpha)
-            if report.blew_up:
-                outcome, s_col = "blew_up", report.outcome.step
-            else:
+            if s0 is None:
                 outcome, s_col = "survived", cfg.steps
+            else:
+                outcome, s_col = "blew_up", s0
             rows.append(
                 [_fmt(alpha), _fmt(amplitude), outcome, s_col, _fmt(bound.bound_value)]
             )

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Field, MultiIndex
-from .evolution import Params, _Stepper, simulate
+from .domain import BoxDomain, Field, MultiIndex
+from .evolution import _TINY, Params, _Stepper
 from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
 COMPARISON_SLACK = 1e-12
@@ -121,9 +121,15 @@ def verify_comparison(
                     )
                     continue
                 f = stepper.f
-            fbar = h / (1.0 - P) ** (1.0 / alpha)
+            root = (1.0 - P) ** (1.0 / alpha)
+            if root > 0:
+                fbar = h / root
+                tol = slack * np.maximum(1.0, fbar)
+            else:  # the root underflowed: h / +0 is +inf where h > 0, and 0 where h is 0
+                fbar = np.where(h > 0, np.inf, 0.0)
+                tol = slack  # slack * max(1, fbar) wherever fbar can lie below f
             margins.append(float((fbar - f)[core].min()))  # both are 0 on the boundary
-            bad = fbar < f - slack * np.maximum(1.0, fbar)
+            bad = fbar < f - tol
             if np.any(bad):
                 site = tuple(int(i) for i in np.argwhere(bad)[0])
                 failure = ComparisonFailure(
@@ -199,6 +205,108 @@ def regime_bound(a_scaled: Field, alpha: float) -> BoundReport:
         return bound_alpha_gt_1(B_max, table, alpha, trace.m)
 
 
+# The probe's exits are tested every few steps, and fire only with this
+# relative margin, which absorbs the rounding of the state and the tables.
+_BLOWUP_EVERY = 8
+_SURVIVAL_EVERY = 16
+_EXIT_MARGIN = 1e-3
+
+
+def _softplus(t: float) -> float:
+    """log(1 + e^t), without overflow."""
+    return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+
+
+class _Probe:
+    """simulate's outcome for data on one domain, found with two early exits.
+
+    A call runs the nonlinear update of `simulate(a, p, S, eps_blow)` with its
+    blow-up, overflow and fixed-point tests, and returns simulate's blow-up
+    step, or None for survival. Two exits end a run once its outcome is
+    certain. The map is a semigroup, so each applies to the current state as
+    new data; both hold in exact arithmetic.
+
+    Survival is the paper's certificate, scaled to threshold 1 for the
+    coupling alpha*delta/(1 - eps_blow), whose dynamics dominates. With
+    beta = min(alpha, 1), m_k^alpha <= m_0^(alpha-beta) m_k^beta (the linear
+    flow's maximum never grows), m_k <= B sum |c|^k and B <= prod(2/N) sum f
+    (|sin| <= 1) give P_inf <= m_0^(alpha-beta) B^beta sum 1/(1 - |c|^beta).
+
+    Blow-up, with `blowup_exit`, is Kaplan's eigenfunction argument. With
+    phi the positive sine mode, normalised to sum 1, and lam its eigenvalue,
+    F(y) = y / (1 - alpha*delta*y^alpha)^(1/alpha) is convex and increasing,
+    so J = phi.f obeys J' >= F(lam J) by Jensen. J >= Jcrit(r) then blows up
+    within r more steps, where Jcrit(0) = threshold/lam and
+    Jcrit(r+1) = F^-1(Jcrit(r))/lam. When this exit fires, the step returned
+    is the current one, no later than simulate's; eps_blow > 0 only brings
+    blow-up forward. Sweeps, which report the blow-up step, go without it.
+    """
+
+    def __init__(
+        self, domain: BoxDomain, p: Params, S: int, eps_blow: float, blowup_exit: bool
+    ) -> None:
+        if S < 0:
+            raise ValueError("max_steps must be >= 0")
+        self._p, self._S, self._eps_blow = p, S, eps_blow
+        alpha = p.alpha
+        log_coupling = math.log(alpha) + math.log(p.delta)
+        table = mode_table(domain)
+        self._beta = min(alpha, 1.0)
+        self._log_survival = -math.inf  # the certificate value's log must fall below it
+        if eps_blow < 1:  # else every step blows up
+            with np.errstate(divide="ignore"):  # an inf series: no certificate
+                series = bound_alpha_le_1(1.0, table, self._beta).bound_value
+            self._log_survival = (
+                math.log1p(-_EXIT_MARGIN) - log_coupling + math.log1p(-eps_blow)
+                - self._beta * sum(math.log(2.0 / N) for N in domain.extents)
+                - math.log(series)
+            )
+        self._phi = None
+        if blowup_exit and any(N > 2 for N in domain.extents):  # else lam is 0
+            phi = table.mode_field((1,) * domain.dims).values.ravel()
+            self._phi = phi / phi.sum()
+            log_lam = math.log(float(table.eigenvalues[(0,) * domain.dims]))
+            # log Jcrit(r) in units of the threshold; it decreases in r, so
+            # stopping once it settles leaves later entries above their value
+            L = [-log_lam]
+            while len(L) <= S:
+                L.append(-_softplus(-alpha * L[-1]) / alpha - log_lam)
+                if L[-1] >= L[-2] - 1e-12:
+                    break
+            shift = math.log1p(_EXIT_MARGIN) - log_coupling / alpha  # log threshold
+            self._log_jcrit = [x + shift for x in L]
+
+    def _survives(self, f: np.ndarray, max_f: float) -> bool:
+        """Whether the certificate holds for the nonzero state f with maximum max_f."""
+        log_value = (self._p.alpha - self._beta) * math.log(max_f) + self._beta * math.log(f.sum())
+        return log_value < self._log_survival
+
+    def _blows_up(self, f: np.ndarray, remaining: int) -> bool:
+        """Whether Kaplan's bound shows the state f blowing up within `remaining` more steps."""
+        J = float(self._phi @ f.ravel())
+        log_jcrit = self._log_jcrit[min(remaining, len(self._log_jcrit) - 1)]
+        return J > 0 and math.log(J) >= log_jcrit
+
+    def __call__(self, a: Field) -> int | None:
+        stepper = _Stepper(a, self._p, self._eps_blow)
+        S = self._S
+        with np.errstate(divide="ignore", over="ignore"):
+            for s in range(S + 1):
+                max_f = float(stepper.f.max())
+                if not math.isfinite(max_f):  # an update overflowed: simulate's blow-up at s-1
+                    return s - 1
+                f = stepper.f
+                if s % _SURVIVAL_EVERY == 0 and max_f > 0 and self._survives(f, max_f):
+                    return None
+                if s % _BLOWUP_EVERY == 0 and self._phi is not None and self._blows_up(f, S - s):
+                    return s
+                if stepper.step() is not None:
+                    return s
+                if max_f < _TINY and stepper.at_rest():
+                    return None
+        return None
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     amplitude: float
@@ -215,22 +323,24 @@ def _bracket_top(profile: Field, p: Params) -> float:
 
 
 def find_threshold(
-    profile: Field, p: Params, S: int, tol: float
+    profile: Field, p: Params, S: int, tol: float, eps_blow: float = 0.0
 ) -> ThresholdResult:
     """Bisect the amplitude separating survival from blow-up within S steps.
 
     Valid because the dynamics is monotone in the initial data. The upper
     bracket puts the profile maximum at the blow-up threshold; if even that
-    survives S steps, the bracket ceiling is reported.
+    survives S steps, the bracket ceiling is reported. A probe's outcome is
+    that of `simulate(amplitude * profile, p, S, eps_blow)`; it stops as soon
+    as that outcome is certain.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     hi = _bracket_top(profile, p)
+    probe = _Probe(profile.domain, p, S, eps_blow, blowup_exit=True)
     evaluations: list[tuple[float, bool]] = []
 
     def blows_up(lam: float) -> bool:
-        scaled = Field(profile.domain, profile.values * lam)
-        blew = simulate(scaled, p, S).blew_up
+        blew = probe(Field(profile.domain, profile.values * lam)) is not None
         evaluations.append((lam, blew))
         return blew
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latticeheat import BoxDomain, Field
+from latticeheat import BoxDomain, Field, Params, simulate
 from latticeheat.cli import (
     EXIT_BLOWUP,
     EXIT_ERROR,
@@ -235,6 +235,17 @@ class TestVerifyCommand:
         assert report["truncated"]
         assert report["checked_steps"] == report["defined_up_to"] + 1
 
+    def test_underflowing_majorant_root_is_quiet(self, tmp_path, capsys):
+        # (1 - P_0)^100 underflows to 0: the majorant is +inf inside and 0 on the boundary
+        doc = base_config(alpha=0.01, delta=100, amplitude=0.9598)
+        cfg = write_config(tmp_path, doc)
+        assert main_quiet(capsys, ["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["holds"] and report["margins"][0] == math.inf
+        doc["comparison_slack"] = 0.0  # 0 * inf would be NaN
+        cfg = write_config(tmp_path, doc)
+        assert main_quiet(capsys, ["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+
 
 class TestBoundCommand:
     def test_single_zero_mode(self, tmp_path):
@@ -305,6 +316,22 @@ class TestThresholdCommand:
         assert not report["hit_ceiling"]
         rows = list(csv.DictReader((tmp_path / "bisection.csv").open()))
         assert len(rows) == report["probes"]
+
+    def test_eps_blow_lowers_threshold(self, tmp_path):
+        # over 10 steps the threshold moves from 0.1696 to 0.1634 (over 50 and
+        # more, by less than the tolerance)
+        amplitudes = []
+        for eps_blow in (0.0, 0.5):
+            doc = base_config(extents=[6], eps_blow=eps_blow)
+            cfg = write_config(tmp_path, doc)
+            out = tmp_path / str(eps_blow)
+            assert main(["threshold", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            amplitudes.append(json.loads((out / "threshold.json").read_text())["amplitude"])
+            profile = Field.from_interior(BoxDomain((6,)), np.ones(5))
+            for scale, blows in ((1 + 1e-3, True), (1 - 1e-3, False)):
+                a = Field(profile.domain, profile.values * amplitudes[-1] * scale)
+                assert simulate(a, Params(1.0, 1.0), 10, eps_blow).blew_up == blows
+        assert amplitudes[1] < amplitudes[0]
 
 
 class TestSweepCommand:

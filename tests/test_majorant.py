@@ -25,7 +25,7 @@ from latticeheat import (
 
 from latticeheat.domain import neighbor_mean_interior
 from latticeheat.evolution import _check_solution_field, _first_offender
-from latticeheat.majorant import COMPARISON_SLACK, ComparisonFailure
+from latticeheat.majorant import COMPARISON_SLACK, ComparisonFailure, _Probe
 
 from conftest import random_domain, random_field
 
@@ -353,6 +353,74 @@ class TestFindThreshold:
         d = BoxDomain((4,))
         with pytest.raises(ValueError):
             find_threshold(Field.zeros(d), Params(1, 1), 10, 1e-3)
+
+
+def _profile(kind, d, rng):
+    if kind == "random":
+        return random_field(rng, d)
+    if kind == "sine":
+        return mode_table(d).mode_field((1,) * d.dims)
+    values = np.zeros(d.shape)  # a delta at the centre
+    values[tuple(N // 2 for N in d.extents)] = 1.0
+    return Field(d, values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    alpha=st.floats(0.25, 3.0),
+    delta=st.sampled_from([0.5, 1.0, 2.0]),
+    eps_blow=st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
+    kind=st.sampled_from(["random", "sine", "delta"]),
+    S=st.integers(0, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_probe_outcome_matches_simulate(extents, alpha, delta, eps_blow, kind, S, seed):
+    # every probe of a threshold search, and amplitudes packed around the
+    # threshold it finds, against the full run
+    d = BoxDomain(tuple(extents))
+    profile = _profile(kind, d, np.random.default_rng(seed))
+    p = Params(alpha, delta)
+    res = find_threshold(profile, p, S, 1e-3, eps_blow)
+    lams = [lam for lam, _ in res.evaluations]
+    lams += [res.amplitude * (1 + t) for t in (-1e-3, -1e-6, 1e-6, 1e-3)]
+    with_blowup_exit = _Probe(d, p, S, eps_blow, blowup_exit=True)
+    survival_only = _Probe(d, p, S, eps_blow, blowup_exit=False)
+    for lam in lams:
+        a = Field(d, profile.values * lam)
+        want = simulate(a, p, S, eps_blow).outcome
+        s0 = None if isinstance(want, Survived) else want.step
+        assert survival_only(a) == s0
+        got = with_blowup_exit(a)
+        assert (got is None) == (s0 is None)
+        assert got is None or got <= s0
+
+
+def test_probe_exits_fire(monkeypatch):
+    # a sine mode on (8,) at alpha = delta = 1 survives at 0.05 and blows up
+    # at step 40 at 0.1; the exits end both runs early
+    from latticeheat import majorant
+
+    steps = []
+
+    class CountingStepper(majorant._Stepper):
+        def step(self):
+            steps.append(1)
+            return super().step()
+
+    monkeypatch.setattr(majorant, "_Stepper", CountingStepper)
+    d = BoxDomain((8,))
+    profile = mode_table(d).mode_field((1,))
+    p = Params(1.0, 1.0)
+    survivor = Field(d, 0.05 * profile.values)
+    report = simulate(survivor, p, 2000)
+    assert isinstance(report.outcome, Survived) and report.trace[-1].max_f > 1e-100  # never at rest
+    assert _Probe(d, p, 2000, 0.0, blowup_exit=False)(survivor) is None
+    assert 0 < len(steps) < 100
+    blower = Field(d, 0.1 * profile.values)
+    assert simulate(blower, p, 2000).outcome.step == 40
+    assert _Probe(d, p, 2000, 0.0, blowup_exit=True)(blower) < 40
+    assert _Probe(d, p, 2000, 0.0, blowup_exit=False)(blower) == 40
 
 
 def _apply_M_maxima(a, S):
