@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import BoxDomain, Field
-from .evolution import Params, _check_solution_field, normalize_scaling, simulate
+from .evolution import BlowupReport, Params, _check_solution_field, normalize_scaling, simulate
 from .majorant import _bracket_top, _Probe, find_threshold, regime_bound, verify_comparison
 from .spectral import mode_table
 
@@ -286,13 +286,23 @@ def _echo_params(cfg: ExperimentConfig) -> dict:
 # commands
 
 
+def _trajectory_rows(report: BlowupReport):
+    """The rows of trajectory.csv. A run at rest repeats one record to its
+    horizon, so each run of one record is formatted once."""
+    last_flag = int(report.blew_up)
+    last = len(report.trace) - 1
+    rec = cells = None
+    for s, record in enumerate(report.trace):
+        if record is not rec:
+            rec, cells = record, (_fmt(record.max_f), _fmt(record.max_g))
+        yield [s, *cells, last_flag if s == last else 0]
+
+
 def cmd_simulate(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     a = Field(profile.domain, profile.values * cfg.amplitude)
     report = simulate(a, cfg.params, cfg.steps, eps_blow=cfg.eps_blow)
-    last = len(report.trace) - 1
-    rows = ([s, _fmt(rec.max_f), _fmt(rec.max_g), int(report.blew_up and s == last)]
-            for s, rec in enumerate(report.trace))
-    _write_csv(out / "trajectory.csv", ["step", "max_f", "max_g", "blowup_flag"], rows)
+    _write_csv(out / "trajectory.csv", ["step", "max_f", "max_g", "blowup_flag"],
+               _trajectory_rows(report))
     doc = {"parameters": _echo_params(cfg)}
     if report.blew_up:
         doc["outcome"] = {

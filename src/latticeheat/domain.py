@@ -112,25 +112,57 @@ class Field:
         return bool(np.all(probe == 0.0))
 
 
-def neighbor_mean_interior(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _span(values: np.ndarray) -> slice:
+    """The flat span of a C-contiguous full-shape array.
+
+    It runs from site (1, ..., 1) to site (N_1 - 1, ..., N_d - 1) and holds
+    every interior site; its other sites are boundary sites with some
+    coordinate after the first at 0 or N_k. Sites outside it are boundary.
+    """
+    lo = sum(values.strides) // values.itemsize
+    return slice(lo, values.size - lo)
+
+
+def neighbor_mean_interior(
+    values: np.ndarray, out: np.ndarray | None = None, pairs: np.ndarray | None = None
+) -> np.ndarray:
     """Average of the 2d axis neighbors at every interior site.
 
-    `values` is a full-shape array; the result has the interior shape and is
-    written to `out` when one is given.
+    `values` is a full-shape array. The means are formed on its flat span
+    (`_span`), where neighbor n +/- e_k is the flat position +/- the stride
+    of axis k, and the boundary faces normal to axes 2..d, where the span
+    holds wrapped sums, are then set to +0.0. A C-contiguous full-shape `out`
+    with a zero boundary receives them in place and is returned with a zero
+    boundary; any other `out` receives the interior block, and without one a
+    new interior-shaped array is returned. `pairs`, if given, is a float
+    array of the span's length that takes each axis's neighbor sums.
     """
-    d = values.ndim
-    core = [slice(1, -1)] * d
-    if out is None:
-        out = np.zeros(tuple(s - 2 for s in values.shape))
+    values = np.ascontiguousarray(values)
+    size = values.itemsize
+    lo = sum(values.strides) // size  # the span, as `_span` gives it
+    hi = values.size - lo
+    if out is not None and out.shape == values.shape and out.strides == values.strides:
+        full = out  # C-contiguous, as values now is
     else:
-        out.fill(0.0)
-    for k in range(d):
-        up = list(core)
-        up[k] = slice(2, None)
-        down = list(core)
-        down[k] = slice(0, -2)
-        out += values[tuple(up)] + values[tuple(down)]
-    out /= 2 * d
+        full = np.zeros(values.shape)
+    flat = values.ravel()
+    acc = full.ravel()[lo:hi]
+    if pairs is None:
+        pairs = np.empty(hi - lo)
+    total = 0.0  # the sum starts at +0.0, as 0.0 + (-0.0) is +0.0
+    for stride in values.strides:
+        k = stride // size
+        np.add(flat[lo + k:hi + k], flat[lo - k:hi - k], out=pairs)
+        total = np.add(total, pairs, out=acc)
+    acc /= 2 * values.ndim
+    for k in range(1, values.ndim):  # faces x_k = 0 and x_k = N_k as one strided view
+        full[(slice(1, -1),) + (slice(None),) * (k - 1) + (slice(None, None, values.shape[k] - 1),)] = 0.0
+    if full is out:
+        return out
+    interior = full[(slice(1, -1),) * values.ndim]
+    if out is None:
+        return interior
+    out[...] = interior
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Field, MultiIndex, neighbor_mean_interior
+from .domain import Field, MultiIndex, _span, neighbor_mean_interior
 
 
 @dataclass(frozen=True)
@@ -98,17 +98,19 @@ _TINY = np.finfo(float).tiny
 
 
 class _Stepper:
-    """The nonlinear update on two preallocated full-shape buffers.
+    """The nonlinear update on preallocated full-shape buffers.
 
-    Both buffers have a zero boundary from allocation on and only their
-    interiors are ever written. The update maps zero-boundary, nonnegative,
-    finite data to the same set until blow-up, so the data is checked once,
-    here; afterwards the only way out of that set is an update that overflows
-    to inf, which `simulate` reads from its per-step maximum.
+    The stencil and the update run on the buffers' flat span (`_span`), where
+    a boundary site gets g = 0, so denom = 1 and f = 0; the boundary outside
+    the span is never written. So the buffers keep a zero boundary. The
+    update maps zero-boundary, nonnegative, finite data to the same set until
+    blow-up, so the data is checked once, here; afterwards the only way out
+    of that set is an update that overflows to inf, which `simulate` reads
+    from its per-step maximum.
     """
 
-    __slots__ = ("f", "g", "_f_core", "_spare", "_spare_core", "_denom",
-                 "_alpha", "_coupling", "_root", "_eps_blow")
+    __slots__ = ("f", "g", "_g", "_g_span", "_f_span", "_spare", "_spare_span", "_denom_span",
+                 "_denom_core", "_alpha", "_coupling", "_root", "_eps_blow")
 
     def __init__(self, a: Field, p: Params, eps_blow: float) -> None:
         if not eps_blow >= 0:
@@ -116,11 +118,16 @@ class _Stepper:
         _check_solution_field(a)
         core = a.domain.core
         self.f = a.values.copy()
-        self._f_core = self.f[core]
         self._spare = np.zeros(a.domain.shape)
-        self._spare_core = self._spare[core]
-        self.g = np.empty(a.domain.interior_shape)
-        self._denom = np.empty(a.domain.interior_shape)
+        self._g = g = np.zeros(a.domain.shape)
+        denom = np.zeros(a.domain.shape)
+        span = _span(g)
+        self._f_span = self.f.ravel()[span]
+        self._spare_span = self._spare.ravel()[span]
+        self._g_span = g.ravel()[span]
+        self._denom_span = denom.ravel()[span]
+        self.g = g[core]
+        self._denom_core = denom[core]
         self._alpha = p.alpha
         self._coupling = p.alpha * p.delta
         self._root = 1.0 / p.alpha
@@ -130,19 +137,21 @@ class _Stepper:
         """One update: g is the neighbor average of f, and f becomes g / denom^(1/alpha).
 
         With denom = 1 - alpha*delta*g^alpha, the first site whose denom is at
-        or below eps_blow is returned instead, and f is left unchanged.
+        or below eps_blow is returned instead, and f is left unchanged. The
+        span's boundary denominators are 1.0 and no interior one exceeds it,
+        so the span's minimum decides as the interior's would.
         """
-        g = neighbor_mean_interior(self.f, out=self.g)
-        denom = self._denom
+        g, denom = self._g_span, self._denom_span
+        neighbor_mean_interior(self.f, self._g, denom)  # out, pairs
         np.power(g, self._alpha, out=denom)
         np.multiply(self._coupling, denom, out=denom)
         np.subtract(1.0, denom, out=denom)
         if denom.min() <= self._eps_blow:
-            return _first_offender(denom <= self._eps_blow, g)
+            return _first_offender(self._denom_core <= self._eps_blow, self.g)
         np.power(denom, self._root, out=denom)
-        np.divide(g, denom, out=self._spare_core)
+        np.divide(g, denom, out=self._spare_span)
         self.f, self._spare = self._spare, self.f
-        self._f_core, self._spare_core = self._spare_core, self._f_core
+        self._f_span, self._spare_span = self._spare_span, self._f_span
         return None
 
     def at_rest(self) -> bool:
@@ -185,7 +194,7 @@ def simulate(
         for s in range(max_steps + 1):
             max_f = float(stepper.f.max())
             if not math.isfinite(max_f):  # the boundary is never inf
-                sig = _first_offender(np.isinf(stepper._f_core), stepper.g)
+                sig = _first_offender(np.isinf(stepper.f[a.domain.core]), stepper.g)
                 outcome = BlewUpAt(step=s - 1, site=sig.site, g_value=sig.g_value)
                 return BlowupReport(outcome=outcome, trace=trace)
             sig = stepper.step()  # at s == max_steps, its update is discarded
@@ -205,7 +214,9 @@ def normalize_scaling(a: Field, p: Params) -> tuple[Field, Params]:
 
     Multiplies the data by (alpha*delta)^(1/alpha) and returns parameters with
     alpha*delta = 1. The rescaled trajectory is the pointwise rescaling of the
-    original one, step for step, until either blows up.
+    original one, step for step, until either blows up, to relative rounding
+    while the values stay normal doubles; among subnormals rounding is
+    absolute, so the two agree only to the smallest subnormal spacing.
     """
     factor = (p.alpha * p.delta) ** (1.0 / p.alpha)
     scaled = Field(a.domain, a.values * factor)

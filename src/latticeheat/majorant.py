@@ -103,6 +103,11 @@ def verify_comparison(
     stepper = None  # the nonlinear flow; made, and its data checked, at its first step
     f = a.values
     P = 0.0
+    fbar, diff = np.empty(a.domain.shape), np.empty(a.domain.shape)
+    # With S > 0 the linear flow has checked that both flows have a zero
+    # boundary. There a nonnegative slack makes f - tol <= 0 <= fbar, and a
+    # nonnegative margin gives fbar >= f >= f - tol at every interior site.
+    margin_decides = S > 0 and slack >= 0
     with np.errstate(divide="ignore", over="ignore"):
         for s, h in enumerate(_linear_flow(a, S)):
             m.append(float(h[core].max()))
@@ -123,12 +128,17 @@ def verify_comparison(
                 f = stepper.f
             root = (1.0 - P) ** (1.0 / alpha)
             if root > 0:
-                fbar = h / root
-                tol = slack * np.maximum(1.0, fbar)
+                np.divide(h, root, out=fbar)
             else:  # the root underflowed: h / +0 is +inf where h > 0, and 0 where h is 0
-                fbar = np.where(h > 0, np.inf, 0.0)
-                tol = slack  # slack * max(1, fbar) wherever fbar can lie below f
-            margins.append(float((fbar - f)[core].min()))  # both are 0 on the boundary
+                fbar[...] = np.where(h > 0, np.inf, 0.0)
+            np.subtract(fbar, f, out=diff)
+            margins.append(float(diff[core].min()))  # both are 0 on the boundary
+            if margin_decides and margins[-1] >= 0:  # a NaN margin goes on to the test
+                continue
+            # slack * max(1, fbar) wherever fbar can lie below f; for an
+            # underflowed root or a zero slack that is slack, where the
+            # product would be NaN at an infinite fbar
+            tol = slack * np.maximum(1.0, fbar) if root > 0 and slack else slack
             bad = fbar < f - tol
             if np.any(bad):
                 site = tuple(int(i) for i in np.argwhere(bad)[0])

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, neighbor_mean_interior
+from .domain import BoxDomain, Field, MultiIndex, _span, neighbor_mean_interior
 
 
 def apply_M(h: Field) -> Field:
@@ -23,7 +23,7 @@ def apply_M(h: Field) -> Field:
     if not h.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
     out = Field.zeros(h.domain)
-    out.interior()[...] = neighbor_mean_interior(h.values)
+    neighbor_mean_interior(h.values, out=out.values)
     return out
 
 
@@ -38,15 +38,13 @@ def _linear_flow(a: Field, S: int) -> Iterator[np.ndarray]:
         raise ValueError("S must be >= 0")
     if S and not a.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
-    core = a.domain.core
     buffers = (np.zeros(a.domain.shape), np.zeros(a.domain.shape))
-    g = np.empty(a.domain.interior_shape)
+    span = _span(buffers[0])
+    pairs = np.empty(span.stop - span.start)
     h = a.values
     yield h
     for s in range(S):
-        spare = buffers[s % 2]
-        spare[core] = neighbor_mean_interior(h, out=g)
-        h = spare
+        h = neighbor_mean_interior(h, buffers[s % 2], pairs)  # out, pairs
         yield h
 
 
@@ -90,12 +88,24 @@ class ModeTable:
 
     @cached_property
     def tail_start(self) -> int:
-        """Smallest s with sum over modes of |c|^s < 1; scanned for once per table."""
+        """Smallest s with sum over modes of |c|^s < 1; searched for once per table.
+
+        The rounded sum never increases in s: no rounded power |c|^s does, and
+        rounded addition is monotone. So doubling s brackets the first s with
+        a sum below 1, and bisection finds it.
+        """
         c = np.abs(self.eigenvalues).ravel()
-        s = 1  # at s=0 the sum is the mode count, never < 1
-        while float(np.sum(c**s)) >= 1.0:
-            s += 1
-        return s
+
+        def below(s: int) -> bool:
+            return float(np.sum(c**s)) < 1.0
+
+        lo, hi = 0, 1  # at s=0 the sum is the mode count, never < 1
+        while not below(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:  # the sum is >= 1 at lo and < 1 at hi
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if below(mid) else (mid, hi)
+        return hi
 
     def mode_field(self, mode: MultiIndex) -> Field:
         """The product-of-sines eigenvector as a zero-boundary field."""

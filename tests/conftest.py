@@ -15,6 +15,22 @@ def random_field(rng, domain, amplitude=1.0):
     return Field.from_interior(domain, interior)
 
 
+def reference_neighbor_mean(values):
+    """The interior neighbor mean as the per-axis expression over strided
+    interior views, kept here as the stencil kernel's frozen reference."""
+    d = values.ndim
+    core = [slice(1, -1)] * d
+    out = np.zeros(tuple(s - 2 for s in values.shape))
+    for k in range(d):
+        up = list(core)
+        up[k] = slice(2, None)
+        down = list(core)
+        down[k] = slice(0, -2)
+        out += values[tuple(up)] + values[tuple(down)]
+    out /= 2 * d
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import warnings
@@ -166,6 +167,23 @@ class TestSimulateCommand:
         assert report["outcome"] == {"kind": "blew_up", "s0": 0, "n0": [2], "g_value": float(v)}
         rows = list(csv.DictReader((tmp_path / "trajectory.csv").open()))
         assert [r["blowup_flag"] for r in rows] == ["1"]
+
+    def test_resting_trajectory_matches_rowwise_formatting(self, tmp_path):
+        # decays to a subnormal fixed point, whose record then repeats to step 10^4
+        a = Field.from_interior(BoxDomain((6,)), np.random.default_rng(2026).uniform(0, 0.05, 5))
+        field = tmp_path / "field.json"
+        write_field_json(field, a)
+        cfg = write_config(tmp_path, base_config(
+            extents=[6], steps=10_000, amplitude=1.0, init={"kind": "file", "path": str(field)}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        report = simulate(a, Params(1.0, 1.0), 10_000)
+        assert report.trace[-1] is report.trace[6000] and 0 < report.trace[-1].max_f < 2.0**-1022
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["step", "max_f", "max_g", "blowup_flag"])
+        for s, rec in enumerate(report.trace):
+            w.writerow([s, format(rec.max_f, ".17g"), format(rec.max_g, ".17g"), 0])
+        assert (tmp_path / "trajectory.csv").read_bytes() == want.getvalue().encode()
 
     def test_steps_override(self, tmp_path):
         cfg = write_config(tmp_path, base_config(amplitude=0.1))

@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeheat import BoxDomain, Field, neighbor_average
 from latticeheat.domain import neighbor_mean_interior
 
-from conftest import random_domain, random_field
+from conftest import random_domain, random_field, reference_neighbor_mean
 
 
 class TestBoxDomain:
@@ -115,3 +117,35 @@ class TestNeighborAverage:
             out = neighbor_mean_interior(f.values, out=buf)
             assert out is buf
             np.testing.assert_array_equal(buf, neighbor_mean_interior(f.values))
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf, np.nan, 1.0, -1.0, 1e308, -1e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 7), min_size=1, max_size=4),
+    special=st.floats(0.0, 1.0),
+    scale=st.sampled_from([1e-310, 1e-3, 1.0, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_frozen_reference(extents, special, scale, seed):
+    # signed data with +-0, subnormals, +-inf and NaN on every site, boundary included
+    rng = np.random.default_rng(seed)
+    shape = tuple(n + 1 for n in extents)
+    values = np.where(rng.random(shape) < special, rng.choice(_SPECIAL, shape),
+                      scale * rng.uniform(-1.0, 1.0, shape))
+    core = (slice(1, -1),) * len(shape)
+    full = np.zeros(shape)
+    full[core] = np.nan
+    with np.errstate(all="ignore"):
+        want = reference_neighbor_mean(values)
+        assert neighbor_mean_interior(values, out=full) is full
+        fresh = neighbor_mean_interior(values)
+    nan = np.isnan(want)
+    for got in (full[core], fresh):
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
+    boundary = np.ones(shape, dtype=bool)
+    boundary[core] = False
+    assert np.all(full.view(np.uint64)[boundary] == 0)  # +0.0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticeheat import (
@@ -23,11 +23,10 @@ from latticeheat import (
     verify_comparison,
 )
 
-from latticeheat.domain import neighbor_mean_interior
 from latticeheat.evolution import _check_solution_field, _first_offender
-from latticeheat.majorant import COMPARISON_SLACK, ComparisonFailure, _Probe
+from latticeheat.majorant import COMPARISON_SLACK, ComparisonFailure, _Probe, _trace_from_maxima
 
-from conftest import random_domain, random_field
+from conftest import random_domain, random_field, reference_neighbor_mean
 
 SQ2 = np.sqrt(2) / 2
 
@@ -144,7 +143,7 @@ class TestVerifyComparison:
 def _reference_step(f, p, eps_blow=0.0):
     """step_nonlinear as first written, for the reference verify loop."""
     _check_solution_field(f)
-    g = neighbor_mean_interior(f.values)
+    g = reference_neighbor_mean(f.values)
     denom = 1.0 - p.alpha * p.delta * np.power(g, p.alpha)
     bad = denom <= eps_blow
     if np.any(bad):
@@ -154,23 +153,38 @@ def _reference_step(f, p, eps_blow=0.0):
     return nxt
 
 
+def _reference_linear_step(h):
+    return Field.from_interior(h.domain, reference_neighbor_mean(h.values))
+
+
 def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
     """verify_comparison as first written: the linear flow run once for the
-    trace and again beside the nonlinear flow."""
+    trace and again beside the nonlinear flow. Where the majorant root
+    (1 - P_s)^(1/alpha) underflows to 0, fbar is its limit h/+0 (+inf where
+    h > 0, 0 where h is 0), with the tolerance slack."""
     p = Params(alpha=alpha, delta=1.0 / alpha)
-    trace = compute_trace(a, alpha, S)
+    h, m = a, [float(a.interior().max())]
+    for _ in range(S):
+        h = _reference_linear_step(h)
+        m.append(float(h.interior().max()))
+    trace = _trace_from_maxima(np.array(m), alpha)
     last = min(S, trace.defined_up_to)
     margins = []
     f = a
     h = a
     for s in range(last + 1):
-        fbar = majorant_field(trace, h, s, alpha)
-        margins.append(float((fbar.interior() - f.interior()).min()))
-        tol = slack * np.maximum(1.0, fbar.values)
-        if np.any(fbar.values < f.values - tol):
-            site = tuple(int(i) for i in np.argwhere(fbar.values < f.values - tol)[0])
+        if (1.0 - trace.partial_sums[s]) ** (1.0 / alpha) > 0:
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, and 0 * inf at slack 0
+                fbar = majorant_field(trace, h, s, alpha).values
+                tol = slack * np.maximum(1.0, fbar)
+        else:
+            fbar = np.where(h.values > 0, np.inf, 0.0)
+            tol = slack
+        margins.append(float((fbar[a.domain.core] - f.interior()).min()))
+        if np.any(fbar < f.values - tol):
+            site = tuple(int(i) for i in np.argwhere(fbar < f.values - tol)[0])
             failure = ComparisonFailure(
-                step=s, site=site, majorant_value=float(fbar.values[site]),
+                step=s, site=site, majorant_value=float(fbar[site]),
                 solution_value=float(f.values[site]),
             )
             return ComparisonVerdict(False, np.array(margins), s + 1, trace.defined_up_to, failure)
@@ -183,24 +197,35 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
                 )
                 return ComparisonVerdict(False, np.array(margins), s + 1, trace.defined_up_to, failure)
             f = nxt
-            h = apply_M(h)
+            h = _reference_linear_step(h)
     return ComparisonVerdict(True, np.array(margins), last + 1, trace.defined_up_to)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
-    alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    alpha=st.sampled_from([0.01, 0.5, 1.0, 1.5, 2.0]),
     amplitude=st.floats(0.0, 1.0),
     S=st.integers(0, 60),
     slack=st.sampled_from([1e-12, 0.0, -1e-6, -1e-2]),
+    edge=st.sampled_from([0.0, 0.0, -0.5, 0.5]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_verify_matches_reference(extents, alpha, amplitude, S, slack, seed):
-    # amplitudes near 1 truncate the majorant early; a negative slack demands
-    # a positive margin and so exercises the failure path
+@example(extents=[4, 3], alpha=0.01, amplitude=1.0, S=5, slack=1e-12, edge=0.0, seed=1)
+@example(extents=[5], alpha=1.0, amplitude=0.5, S=40, slack=0.0, edge=0.0, seed=2)
+@example(extents=[3, 4], alpha=2.0, amplitude=0.3, S=0, slack=1e-12, edge=-0.5, seed=3)
+@example(extents=[3], alpha=0.01, amplitude=0.96875, S=0, slack=0.0, edge=0.0, seed=1)
+def test_verify_matches_reference(extents, alpha, amplitude, S, slack, edge, seed):
+    # amplitudes near 1 truncate the majorant early, and at alpha 0.01 its
+    # root underflows, or h / root overflows at some sites; a negative slack
+    # demands a positive margin and so exercises the failure path; with S = 0
+    # the data may have a nonzero boundary, where the margins do not look
     d = BoxDomain(tuple(extents))
     a = random_field(np.random.default_rng(seed), d, amplitude=amplitude)
+    if S == 0:  # a flow that takes no step accepts a nonzero boundary
+        values = np.full(d.shape, edge)
+        values[d.core] = a.interior()
+        a = Field(d, values)
     got = verify_comparison(a, alpha, S, slack)
     want = _reference_verify(a, alpha, S, slack)
     np.testing.assert_array_equal(got.margins, want.margins)
@@ -473,6 +498,34 @@ def test_regime_bound_matches_cli_dispatch(extents, alpha, amplitude, seed):
     d = BoxDomain(tuple(extents))
     a = random_field(np.random.default_rng(seed), d, amplitude=amplitude)
     assert regime_bound(a, alpha) == _cli_regime_bound(a, alpha)
+
+
+def _scan_tail_start(c):
+    """The linear scan that ModeTable.tail_start replaced: the first s >= 1
+    with float(np.sum(c**s)) < 1. Sums are formed for 512 values of s at a
+    time; one within 1e-9 of 1 is formed again by the scan's own expression,
+    so the blocked rounding never decides."""
+    start = 1
+    while True:
+        steps = np.arange(start, start + 512)
+        totals = (c[None, :] ** steps[:, None]).sum(axis=1)
+        near = np.abs(totals - 1.0) < 1e-9
+        totals[near] = [float(np.sum(c ** int(s))) for s in steps[near]]
+        below = np.nonzero(totals < 1.0)[0]
+        if below.size:
+            return int(steps[below[0]])
+        start += 512
+
+
+@pytest.mark.parametrize("domains", [
+    [(n,) for n in range(2, 200)],
+    [(n, n) for n in range(2, 41)] + [(n, n + 3) for n in range(2, 30, 3)] + [(3, 17), (30, 5)],
+    [(n, n, n) for n in range(2, 14)] + [(2, 2, 40), (9, 4, 6)],
+], ids=["1d", "2d", "3d"])
+def test_tail_start_matches_scan(domains):
+    for extents in domains:
+        table = mode_table(BoxDomain(extents))
+        assert table.tail_start == _scan_tail_start(np.abs(table.eigenvalues).ravel()), extents
 
 
 def _count_scans(monkeypatch):
