@@ -62,8 +62,13 @@ def majorant_field(trace: MajorantTrace, h_s: Field, s: int, alpha: float) -> Fi
             f"majorant undefined at step {s}: partial sum reaches 1 "
             f"after step {trace.defined_up_to}"
         )
-    denom = (1.0 - trace.partial_sums[s]) ** (1.0 / alpha)
-    return Field(h_s.domain, h_s.values / denom)
+    root = (1.0 - trace.partial_sums[s]) ** (1.0 / alpha)
+    return Field(h_s.domain, _over_root(h_s.values, root))
+
+
+def _over_root(h: np.ndarray, root: float, out: np.ndarray | None = None) -> np.ndarray:
+    """h / root; for a root that underflowed to 0, its limit h/+0: inf where h > 0, else 0."""
+    return np.divide(h, root, out=out) if root > 0 else np.where(h > 0, np.inf, 0.0)
 
 
 @dataclass(frozen=True)
@@ -126,19 +131,14 @@ def verify_comparison(
                     )
                     continue
                 f = stepper.f
-            root = (1.0 - P) ** (1.0 / alpha)
-            if root > 0:
-                np.divide(h, root, out=fbar)
-            else:  # the root underflowed: h / +0 is +inf where h > 0, and 0 where h is 0
-                fbar[...] = np.where(h > 0, np.inf, 0.0)
+            fbar = _over_root(h, (1.0 - P) ** (1.0 / alpha), fbar)
             np.subtract(fbar, f, out=diff)
             margins.append(float(diff[core].min()))  # both are 0 on the boundary
             if margin_decides and margins[-1] >= 0:  # a NaN margin goes on to the test
                 continue
-            # slack * max(1, fbar) wherever fbar can lie below f; for an
-            # underflowed root or a zero slack that is slack, where the
-            # product would be NaN at an infinite fbar
-            tol = slack * np.maximum(1.0, fbar) if root > 0 and slack else slack
+            # slack * max(1, fbar) wherever fbar can lie below f; for a zero
+            # slack that is 0, where the product would be NaN at an infinite fbar
+            tol = slack * np.maximum(1.0, fbar) if slack else slack
             bad = fbar < f - tol
             if np.any(bad):
                 site = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -178,7 +178,7 @@ def bound_alpha_le_1(B_max: float, modes: ModeTable, alpha: float) -> BoundRepor
 
 
 def tail_start(modes: ModeTable) -> int:
-    """Smallest s with sum over modes of |c|^s < 1; the table scans for it once."""
+    """Smallest s with sum over modes of |c|^s < 1; the table searches for it once."""
     return modes.tail_start
 
 
@@ -234,19 +234,19 @@ class _Probe:
     blow-up, overflow and fixed-point tests, and returns simulate's blow-up
     step, or None for survival. Two exits end a run once its outcome is
     certain. The map is a semigroup, so each applies to the current state as
-    new data; both hold in exact arithmetic.
+    new data; both hold in exact arithmetic. Both read phi, the positive sine
+    mode scaled to maximum 1, and its eigenvalue lam.
 
     Survival is the paper's certificate, scaled to threshold 1 for the
-    coupling alpha*delta/(1 - eps_blow), whose dynamics dominates. With
-    beta = min(alpha, 1), m_k^alpha <= m_0^(alpha-beta) m_k^beta (the linear
-    flow's maximum never grows), m_k <= B sum |c|^k and B <= prod(2/N) sum f
-    (|sin| <= 1) give P_inf <= m_0^(alpha-beta) B^beta sum 1/(1 - |c|^beta).
+    coupling kappa = alpha*delta/(1 - eps_blow), whose dynamics dominates.
+    With C = max f/phi over the interior, f <= C*phi; averaging is a positive
+    operator, so m_k <= C*lam^k and kappa*P_inf <= kappa*C^alpha/(1-lam^alpha),
+    which is exact for a multiple of phi.
 
-    Blow-up, with `blowup_exit`, is Kaplan's eigenfunction argument. With
-    phi the positive sine mode, normalised to sum 1, and lam its eigenvalue,
+    Blow-up, with `blowup_exit`, is Kaplan's eigenfunction argument. As
     F(y) = y / (1 - alpha*delta*y^alpha)^(1/alpha) is convex and increasing,
-    so J = phi.f obeys J' >= F(lam J) by Jensen. J >= Jcrit(r) then blows up
-    within r more steps, where Jcrit(0) = threshold/lam and
+    J = phi.f/sum(phi) obeys J' >= F(lam J) by Jensen. J >= Jcrit(r) then
+    blows up within r more steps, where Jcrit(0) = threshold/lam and
     Jcrit(r+1) = F^-1(Jcrit(r))/lam. When this exit fires, the step returned
     is the current one, no later than simulate's; eps_blow > 0 only brings
     blow-up forward. Sweeps, which report the blow-up step, go without it.
@@ -261,21 +261,20 @@ class _Probe:
         alpha = p.alpha
         log_coupling = math.log(alpha) + math.log(p.delta)
         table = mode_table(domain)
-        self._beta = min(alpha, 1.0)
-        self._log_survival = -math.inf  # the certificate value's log must fall below it
-        if eps_blow < 1:  # else every step blows up
-            with np.errstate(divide="ignore"):  # an inf series: no certificate
-                series = bound_alpha_le_1(1.0, table, self._beta).bound_value
+        phi = table.mode_field((1,) * domain.dims).values
+        phi = phi / phi.max()
+        lam = float(table.eigenvalues[(0,) * domain.dims])
+        self._phi, self._phi_sum = phi.ravel(), float(phi.sum())
+        self._core, self._phi_core = domain.core, phi[domain.core]
+        self._log_survival = -math.inf  # alpha * log C must fall below it
+        if eps_blow < 1 and lam**alpha < 1:  # else every step blows up, or no certificate
             self._log_survival = (
                 math.log1p(-_EXIT_MARGIN) - log_coupling + math.log1p(-eps_blow)
-                - self._beta * sum(math.log(2.0 / N) for N in domain.extents)
-                - math.log(series)
+                + math.log1p(-lam**alpha)
             )
-        self._phi = None
+        self._log_jcrit = None
         if blowup_exit and any(N > 2 for N in domain.extents):  # else lam is 0
-            phi = table.mode_field((1,) * domain.dims).values.ravel()
-            self._phi = phi / phi.sum()
-            log_lam = math.log(float(table.eigenvalues[(0,) * domain.dims]))
+            log_lam = math.log(lam)
             # log Jcrit(r) in units of the threshold; it decreases in r, so
             # stopping once it settles leaves later entries above their value
             L = [-log_lam]
@@ -286,14 +285,14 @@ class _Probe:
             shift = math.log1p(_EXIT_MARGIN) - log_coupling / alpha  # log threshold
             self._log_jcrit = [x + shift for x in L]
 
-    def _survives(self, f: np.ndarray, max_f: float) -> bool:
-        """Whether the certificate holds for the nonzero state f with maximum max_f."""
-        log_value = (self._p.alpha - self._beta) * math.log(max_f) + self._beta * math.log(f.sum())
-        return log_value < self._log_survival
+    def _survives(self, f: np.ndarray) -> bool:
+        """Whether the certificate holds for the nonzero state f."""
+        C = float((f[self._core] / self._phi_core).max())
+        return self._p.alpha * math.log(C) < self._log_survival
 
     def _blows_up(self, f: np.ndarray, remaining: int) -> bool:
         """Whether Kaplan's bound shows the state f blowing up within `remaining` more steps."""
-        J = float(self._phi @ f.ravel())
+        J = float(self._phi @ f.ravel()) / self._phi_sum
         log_jcrit = self._log_jcrit[min(remaining, len(self._log_jcrit) - 1)]
         return J > 0 and math.log(J) >= log_jcrit
 
@@ -306,9 +305,9 @@ class _Probe:
                 if not math.isfinite(max_f):  # an update overflowed: simulate's blow-up at s-1
                     return s - 1
                 f = stepper.f
-                if s % _SURVIVAL_EVERY == 0 and max_f > 0 and self._survives(f, max_f):
+                if s % _SURVIVAL_EVERY == 0 and max_f > 0 and self._survives(f):
                     return None
-                if s % _BLOWUP_EVERY == 0 and self._phi is not None and self._blows_up(f, S - s):
+                if s % _BLOWUP_EVERY == 0 and self._log_jcrit and self._blows_up(f, S - s):
                     return s
                 if stepper.step() is not None:
                     return s

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from latticeheat import BoxDomain, Field
+
+# HYPOTHESIS_PROFILE=ci: no example database, so no stale local entry can
+# decide a run, and every failure prints its @reproduce_failure blob
+settings.register_profile("ci", database=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_domain(rng, max_d=3, max_extent=6):

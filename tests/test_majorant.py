@@ -93,6 +93,14 @@ class TestMajorantField:
         with pytest.raises(ValueError):
             majorant_field(t, sine_profile_1d_n4(0.9), t.defined_up_to + 1, 1.0)
 
+    def test_root_underflow_gives_the_limit(self):
+        # P_0 = 0.9995^0.01 is below 1, but (1 - P_0)^100 underflows to 0:
+        # fbar is the limit h / +0, inf inside and 0 on the boundary
+        a = Field(BoxDomain((3,)), [0, 0.9995, 0.9995, 0])
+        t = compute_trace(a, 0.01, 0)
+        assert t.defined_up_to == 0
+        np.testing.assert_array_equal(majorant_field(t, a, 0, 0.01).values, [0, np.inf, np.inf, 0])
+
     def test_dominates_linear_solution(self):
         a = sine_profile_1d_n4(0.2)
         t = compute_trace(a, 1.0, 30)
@@ -160,8 +168,8 @@ def _reference_linear_step(h):
 def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
     """verify_comparison as first written: the linear flow run once for the
     trace and again beside the nonlinear flow. Where the majorant root
-    (1 - P_s)^(1/alpha) underflows to 0, fbar is its limit h/+0 (+inf where
-    h > 0, 0 where h is 0), with the tolerance slack."""
+    (1 - P_s)^(1/alpha) underflows to 0, majorant_field gives its limit h/+0
+    (+inf where h > 0, 0 where h is 0)."""
     p = Params(alpha=alpha, delta=1.0 / alpha)
     h, m = a, [float(a.interior().max())]
     for _ in range(S):
@@ -173,13 +181,9 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
     f = a
     h = a
     for s in range(last + 1):
-        if (1.0 - trace.partial_sums[s]) ** (1.0 / alpha) > 0:
-            with np.errstate(over="ignore", invalid="ignore"):  # inf, and 0 * inf at slack 0
-                fbar = majorant_field(trace, h, s, alpha).values
-                tol = slack * np.maximum(1.0, fbar)
-        else:
-            fbar = np.where(h.values > 0, np.inf, 0.0)
-            tol = slack
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, and 0 * inf at slack 0
+            fbar = majorant_field(trace, h, s, alpha).values
+            tol = slack * np.maximum(1.0, fbar)
         margins.append(float((fbar[a.domain.core] - f.interior()).min()))
         if np.any(fbar < f.values - tol):
             site = tuple(int(i) for i in np.argwhere(fbar < f.values - tol)[0])
@@ -390,6 +394,15 @@ def _profile(kind, d, rng):
     return Field(d, values)
 
 
+def _certificate_edge(d, p, eps_blow, side):
+    """The multiple c of the sine mode scaled to maximum 1 at which the
+    survival certificate kappa*c^alpha/(1 - lam^alpha) equals 1 - 1e-3, times
+    (1 + side)^(1/alpha)."""
+    lam = float(mode_table(d).eigenvalues[(0,) * d.dims])
+    kappa = p.alpha * p.delta / (1.0 - eps_blow)
+    return ((1.0 - 1e-3) * (1.0 + side) * (1.0 - lam**p.alpha) / kappa) ** (1.0 / p.alpha)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
@@ -400,15 +413,23 @@ def _profile(kind, d, rng):
     S=st.integers(0, 150),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(extents=[6], alpha=1.5, delta=1.0, eps_blow=0.0, kind="sine", S=100, seed=0)
+@example(extents=[6], alpha=1.5, delta=1.0, eps_blow=0.3, kind="sine", S=100, seed=0)
+@example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.0, kind="sine", S=100, seed=0)
+@example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.3, kind="sine", S=100, seed=0)
 def test_probe_outcome_matches_simulate(extents, alpha, delta, eps_blow, kind, S, seed):
-    # every probe of a threshold search, and amplitudes packed around the
-    # threshold it finds, against the full run
+    # every probe of a threshold search, amplitudes packed around the
+    # threshold it finds, and for the sine mode the two sides of the survival
+    # certificate's edge, against the full run
     d = BoxDomain(tuple(extents))
     profile = _profile(kind, d, np.random.default_rng(seed))
     p = Params(alpha, delta)
     res = find_threshold(profile, p, S, 1e-3, eps_blow)
     lams = [lam for lam, _ in res.evaluations]
     lams += [res.amplitude * (1 + t) for t in (-1e-3, -1e-6, 1e-6, 1e-3)]
+    if kind == "sine" and eps_blow < 1:
+        top = profile.values.max()
+        lams += [_certificate_edge(d, p, eps_blow, side) / top for side in (-1e-6, 1e-6)]
     with_blowup_exit = _Probe(d, p, S, eps_blow, blowup_exit=True)
     survival_only = _Probe(d, p, S, eps_blow, blowup_exit=False)
     for lam in lams:
@@ -421,9 +442,8 @@ def test_probe_outcome_matches_simulate(extents, alpha, delta, eps_blow, kind, S
         assert got is None or got <= s0
 
 
-def test_probe_exits_fire(monkeypatch):
-    # a sine mode on (8,) at alpha = delta = 1 survives at 0.05 and blows up
-    # at step 40 at 0.1; the exits end both runs early
+def _counting_steps(monkeypatch):
+    """A list that gains an entry for every kernel step the probes take."""
     from latticeheat import majorant
 
     steps = []
@@ -434,6 +454,14 @@ def test_probe_exits_fire(monkeypatch):
             return super().step()
 
     monkeypatch.setattr(majorant, "_Stepper", CountingStepper)
+    return steps
+
+
+def test_probe_exits_fire(monkeypatch):
+    # at alpha = delta = 1 on (8,), the sine mode survives at 0.05 and is
+    # certified before its first step, a 0.05 delta at site 1 survives and is
+    # certified mid-run, and the sine mode at 0.1 blows up at step 40
+    steps = _counting_steps(monkeypatch)
     d = BoxDomain((8,))
     profile = mode_table(d).mode_field((1,))
     p = Params(1.0, 1.0)
@@ -441,11 +469,35 @@ def test_probe_exits_fire(monkeypatch):
     report = simulate(survivor, p, 2000)
     assert isinstance(report.outcome, Survived) and report.trace[-1].max_f > 1e-100  # never at rest
     assert _Probe(d, p, 2000, 0.0, blowup_exit=False)(survivor) is None
+    assert len(steps) == 0
+    spike = Field(d, [0, 0.05, 0, 0, 0, 0, 0, 0, 0])
+    report = simulate(spike, p, 2000)
+    assert isinstance(report.outcome, Survived) and report.trace[-1].max_f > 1e-100
+    assert _Probe(d, p, 2000, 0.0, blowup_exit=False)(spike) is None
     assert 0 < len(steps) < 100
     blower = Field(d, 0.1 * profile.values)
     assert simulate(blower, p, 2000).outcome.step == 40
     assert _Probe(d, p, 2000, 0.0, blowup_exit=True)(blower) < 40
     assert _Probe(d, p, 2000, 0.0, blowup_exit=False)(blower) == 40
+
+
+@pytest.mark.parametrize("extents", [(6,), (6, 4)])
+@pytest.mark.parametrize("eps_blow", [0.0, 0.3])
+def test_survival_certificate_edge(monkeypatch, extents, eps_blow):
+    # c * phi, with phi the sine mode at maximum 1 (sin(pi/2) on even
+    # extents), is certified before its first step just inside the edge
+    # kappa*c^alpha/(1 - lam^alpha) = 1 - 1e-3, and steps just outside it
+    steps = _counting_steps(monkeypatch)
+    d = BoxDomain(extents)
+    phi = mode_table(d).mode_field((1,) * d.dims).values
+    assert phi.max() == 1.0
+    p = Params(1.5, 1.0)
+    probe = _Probe(d, p, 100, eps_blow, blowup_exit=True)
+    inside = Field(d, _certificate_edge(d, p, eps_blow, -1e-6) * phi)
+    assert probe(inside) is None and len(steps) == 0
+    outside = Field(d, _certificate_edge(d, p, eps_blow, 1e-6) * phi)
+    assert isinstance(simulate(outside, p, 100, eps_blow).outcome, Survived)
+    assert probe(outside) is None and len(steps) > 0
 
 
 def _apply_M_maxima(a, S):
