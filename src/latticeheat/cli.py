@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import BoxDomain, Field
-from .evolution import BlowupReport, Params, _check_solution_field, normalize_scaling, simulate
+from .evolution import Params, _check_solution_field, normalize_scaling, simulate
 from .majorant import _bracket_top, _Probe, find_threshold, regime_bound, verify_comparison
 from .spectral import mode_table
 
@@ -286,33 +287,27 @@ def _echo_params(cfg: ExperimentConfig) -> dict:
 # commands
 
 
-def _trajectory_rows(report: BlowupReport):
-    """The rows of trajectory.csv. A run at rest repeats one record to its
-    horizon, so each run of one record is formatted once."""
-    last_flag = int(report.blew_up)
-    last = len(report.trace) - 1
-    rec = cells = None
-    for s, record in enumerate(report.trace):
-        if record is not rec:
-            rec, cells = record, (_fmt(record.max_f), _fmt(record.max_g))
-        yield [s, *cells, last_flag if s == last else 0]
-
-
 def cmd_simulate(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     a = Field(profile.domain, profile.values * cfg.amplitude)
     report = simulate(a, cfg.params, cfg.steps, eps_blow=cfg.eps_blow)
-    _write_csv(out / "trajectory.csv", ["step", "max_f", "max_g", "blowup_flag"],
-               _trajectory_rows(report))
-    doc = {"parameters": _echo_params(cfg)}
+    # trajectory.csv as csv.writer writes it, one string per run of one record (a run at
+    # rest repeats its record to the horizon); a blow-up flags the last row
+    text, i = ["step,max_f,max_g,blowup_flag\r\n"], 0
+    for _, run in itertools.groupby(report.trace, key=id):
+        rec, j = report.trace[i], i + len(list(run))
+        sep = f",{_fmt(rec.max_f)},{_fmt(rec.max_g)},0\r\n"
+        text += (sep.join(map(str, range(i, j))), sep)
+        i = j
+    doc = {"parameters": _echo_params(cfg), "outcome": {"kind": "survived", "steps": cfg.steps}}
     if report.blew_up:
+        text[-1] = text[-1][:-3] + "1\r\n"
         doc["outcome"] = {
             "kind": "blew_up",
             "s0": report.outcome.step,
             "n0": list(report.outcome.site),
             "g_value": report.outcome.g_value,
         }
-    else:
-        doc["outcome"] = {"kind": "survived", "steps": cfg.steps}
+    (out / "trajectory.csv").write_text("".join(text), newline="")
     _write_json(out / "report.json", doc)
     return EXIT_BLOWUP if report.blew_up else EXIT_OK
 
@@ -422,7 +417,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        profile = build_profile(cfg)
+        try:
+            profile = build_profile(cfg)
+        except ConfigError:
+            raise
+        except (MemoryError, ValueError) as e:  # numpy cannot allocate that many sites or axes
+            raise ConfigError(f"extents: {e}") from e
         _check_data(args.command, cfg, profile)
         args.out.mkdir(parents=True, exist_ok=True)  # only once every input has passed
         return _COMMANDS[args.command](cfg, profile, args.out)

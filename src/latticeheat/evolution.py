@@ -110,7 +110,7 @@ class _Stepper:
     """
 
     __slots__ = ("f", "g", "_g", "_g_span", "_f_span", "_spare", "_spare_span", "_denom_span",
-                 "_denom_core", "_alpha", "_coupling", "_root", "_eps_blow")
+                 "_denom_core", "_alpha", "_coupling", "_root", "_eps_blow", "_copy_below")
 
     def __init__(self, a: Field, p: Params, eps_blow: float) -> None:
         if not eps_blow >= 0:
@@ -132,24 +132,36 @@ class _Stepper:
         self._coupling = p.alpha * p.delta
         self._root = 1.0 / p.alpha
         self._eps_blow = eps_blow
+        # the largest max_f with alpha*delta*max_f^alpha <= 2^-60, to rounding; 0 if it
+        # underflows. -1, no copy steps: with eps_blow >= 1 a denominator of 1.0 is a blow-up,
+        # and past alpha = 2^40 the mean's rounding above max_f could lift g^alpha past 2^-54.
+        self._copy_below = -1.0 if eps_blow >= 1 or p.alpha > 2.0**40 else math.exp(
+            (-60 * math.log(2) - math.log(self._coupling)) / p.alpha)
 
-    def step(self) -> BlowupSignal | None:
+    def step(self, max_f: float = math.inf) -> BlowupSignal | None:
         """One update: g is the neighbor average of f, and f becomes g / denom^(1/alpha).
 
         With denom = 1 - alpha*delta*g^alpha, the first site whose denom is at
         or below eps_blow is returned instead, and f is left unchanged. The
         span's boundary denominators are 1.0 and no interior one exceeds it,
-        so the span's minimum decides as the interior's would.
+        so the span's minimum decides as the interior's would. A caller may
+        pass f's maximum; at or below `_copy_below` the update is a copy of g.
         """
         g, denom = self._g_span, self._denom_span
         neighbor_mean_interior(self.f, self._g, denom)  # out, pairs
-        np.power(g, self._alpha, out=denom)
-        np.multiply(self._coupling, denom, out=denom)
-        np.subtract(1.0, denom, out=denom)
-        if denom.min() <= self._eps_blow:
-            return _first_offender(self._denom_core <= self._eps_blow, self.g)
-        np.power(denom, self._root, out=denom)
-        np.divide(g, denom, out=self._spare_span)
+        if max_f <= self._copy_below:
+            # Exact: g <= max_f up to the mean's rounding (under 2^-46 relative for 64 axes), so
+            # alpha*delta*g^alpha < 2^-54; 1 minus it rounds to 1.0, 1.0^(1/alpha) is 1.0, g/1.0
+            # is g, and 1.0 > eps_blow, so no site blows up.
+            np.copyto(self._spare_span, g)
+        else:
+            np.power(g, self._alpha, out=denom)
+            np.multiply(self._coupling, denom, out=denom)
+            np.subtract(1.0, denom, out=denom)
+            if denom.min() <= self._eps_blow:
+                return _first_offender(self._denom_core <= self._eps_blow, self.g)
+            np.power(denom, self._root, out=denom)
+            np.divide(g, denom, out=self._spare_span)
         self.f, self._spare = self._spare, self.f
         self._f_span, self._spare_span = self._spare_span, self._f_span
         return None
@@ -197,7 +209,7 @@ def simulate(
                 sig = _first_offender(np.isinf(stepper.f[a.domain.core]), stepper.g)
                 outcome = BlewUpAt(step=s - 1, site=sig.site, g_value=sig.g_value)
                 return BlowupReport(outcome=outcome, trace=trace)
-            sig = stepper.step()  # at s == max_steps, its update is discarded
+            sig = stepper.step(max_f)  # at s == max_steps, its update is discarded
             record = StepRecord(max_f=max_f, max_g=float(stepper.g.max()))
             trace.append(record)
             if sig is not None:

@@ -309,7 +309,7 @@ class _Probe:
                     return None
                 if s % _BLOWUP_EVERY == 0 and self._log_jcrit and self._blows_up(f, S - s):
                     return s
-                if stepper.step() is not None:
+                if stepper.step(max_f) is not None:
                     return s
                 if max_f < _TINY and stepper.at_rest():
                     return None

@@ -169,21 +169,41 @@ class TestSimulateCommand:
         assert [r["blowup_flag"] for r in rows] == ["1"]
 
     def test_resting_trajectory_matches_rowwise_formatting(self, tmp_path):
-        # decays to a subnormal fixed point, whose record then repeats to step 10^4
-        a = Field.from_interior(BoxDomain((6,)), np.random.default_rng(2026).uniform(0, 0.05, 5))
-        field = tmp_path / "field.json"
-        write_field_json(field, a)
-        cfg = write_config(tmp_path, base_config(
-            extents=[6], steps=10_000, amplitude=1.0, init={"kind": "file", "path": str(field)}))
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
-        report = simulate(a, Params(1.0, 1.0), 10_000)
-        assert report.trace[-1] is report.trace[6000] and 0 < report.trace[-1].max_f < 2.0**-1022
-        want = io.StringIO(newline="")
-        w = csv.writer(want)
-        w.writerow(["step", "max_f", "max_g", "blowup_flag"])
-        for s, rec in enumerate(report.trace):
-            w.writerow([s, format(rec.max_f, ".17g"), format(rec.max_g, ".17g"), 0])
-        assert (tmp_path / "trajectory.csv").read_bytes() == want.getvalue().encode()
+        # trajectory.csv is built as text, one string per run of one record;
+        # it must be the bytes csv.writer writes row by row
+        v = 1.0
+        for _ in range(41):
+            v = np.nextafter(v, 0.0)
+        rest = np.random.default_rng(2026).uniform(0, 0.05, 5)
+        runs = [  # (interior values, alpha, delta, steps, outcome)
+            (rest, 1.0, 1.0, 10_000, "rest"),  # a subnormal fixed point repeats to step 10^4
+            (rest, 1.0, 1.0, 0, "survived"),
+            ([2.0] * 5, 1.0, 1.0, 100, "blew_up"),  # at step 0
+            ([0.3] * 5, 1.0, 1.0, 100, "blew_up"),  # at step 3
+            ([v] * 3, 0.01, 100.0, 10, "blew_up"),  # the update overflows at step 0
+        ]
+        for i, (interior, alpha, delta, steps, outcome) in enumerate(runs):
+            a = Field.from_interior(BoxDomain((len(interior) + 1,)), interior)
+            field, out = tmp_path / f"field{i}.json", tmp_path / f"out{i}"
+            write_field_json(field, a)
+            cfg = write_config(tmp_path, base_config(
+                extents=list(a.domain.extents), alpha=alpha, delta=delta, steps=steps,
+                amplitude=1.0, init={"kind": "file", "path": str(field)}))
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+            report = simulate(a, Params(alpha, delta), steps)
+            blew_up = outcome == "blew_up"
+            assert code == (EXIT_BLOWUP if blew_up else EXIT_OK) and report.blew_up == blew_up
+            if outcome == "rest":
+                assert report.trace[-1] is report.trace[6000]
+                assert 0 < report.trace[-1].max_f < 2.0**-1022
+            want = io.StringIO(newline="")
+            w = csv.writer(want)
+            w.writerow(["step", "max_f", "max_g", "blowup_flag"])
+            last = len(report.trace) - 1
+            for s, rec in enumerate(report.trace):
+                flag = int(report.blew_up and s == last)
+                w.writerow([s, format(rec.max_f, ".17g"), format(rec.max_g, ".17g"), flag])
+            assert (out / "trajectory.csv").read_bytes() == want.getvalue().encode(), i
 
     def test_steps_override(self, tmp_path):
         cfg = write_config(tmp_path, base_config(amplitude=0.1))

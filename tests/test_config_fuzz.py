@@ -246,6 +246,11 @@ REJECTED = [
     ("mode-out-of-range", COMMANDS, "sine_mode", {"init": {"kind": "sine_mode", "mode": [4]}},
      None, (), "init.mode"),
     ("missing-sweep", ("sweep",), "constant_interior", {"sweep": None}, None, (), "sweep"),
+    # profiles numpy cannot allocate: 10^17 doubles exceed any address space, so
+    # the allocation fails without committing memory even on a host that overcommits
+    ("unallocatable-sites", COMMANDS, "delta_center", {"extents": [10**17]}, None, (), "extents"),
+    ("too-many-sites", COMMANDS, "constant_interior", {"extents": [2] * 42}, None, (), "extents"),
+    ("too-many-axes", COMMANDS, "constant_interior", {"extents": [2] * 65}, None, (), "extents"),
 ]
 
 

@@ -1,6 +1,9 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticeheat import (
@@ -11,6 +14,7 @@ from latticeheat import (
     Field,
     Params,
     Survived,
+    evolution,
     normalize_scaling,
     simulate,
     step_nonlinear,
@@ -23,7 +27,11 @@ TINY = np.finfo(float).tiny
 
 
 def _reference_simulate(a, p, max_steps, eps_blow=0.0):
-    """simulate as first written: every step re-validated, a fresh Field per step."""
+    """simulate as first written: every step re-validated, a fresh Field per step.
+
+    Returns the report and the last state formed, which is the state simulate's
+    kernel ends in: like the kernel, it also forms the update at the horizon.
+    """
     f = a
     trace = []
     for s in range(max_steps + 1):
@@ -34,23 +42,39 @@ def _reference_simulate(a, p, max_steps, eps_blow=0.0):
         bad = denom <= eps_blow
         if np.any(bad):
             sig = _first_offender(bad, g)
-            return BlowupReport(
-                outcome=BlewUpAt(step=s, site=sig.site, g_value=sig.g_value),
-                trace=trace,
-            )
-        if s == max_steps:
-            break
+            outcome = BlewUpAt(step=s, site=sig.site, g_value=sig.g_value)
+            return BlowupReport(outcome=outcome, trace=trace), f.values
         nxt = Field.zeros(f.domain)
-        nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)
+        with np.errstate(divide="ignore", over="ignore"):  # an inf fails the next check
+            nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)
         f = nxt
-    return BlowupReport(outcome=Survived(steps=max_steps), trace=trace)
+    return BlowupReport(outcome=Survived(steps=max_steps), trace=trace), f.values
 
 
-def _assert_same_run(fast, ref):
+def _run_kernel(a, p, max_steps, eps_blow=0.0, stepper=evolution._Stepper):
+    """simulate's report, with `stepper` as its kernel, and the state the kernel ends in."""
+    made = []
+
+    class Recording(stepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with mock.patch.object(evolution, "_Stepper", Recording):
+        report = simulate(a, p, max_steps, eps_blow)
+    return report, made[0].f
+
+
+def _assert_same_run(a, p, max_steps, eps_blow=0.0):
+    """simulate and _reference_simulate agree: outcome, every record, and the final state bit for bit."""
+    fast, state = _run_kernel(a, p, max_steps, eps_blow)
+    ref, ref_state = _reference_simulate(a, p, max_steps, eps_blow)
     assert fast.outcome == ref.outcome
     assert len(fast.trace) == len(ref.trace)
     for s, (got, want) in enumerate(zip(fast.trace, ref.trace)):
         assert got == want, f"step {s}"
+    assert state.tobytes() == ref_state.tobytes()
+    return fast
 
 
 class TestParams:
@@ -238,21 +262,115 @@ class TestSimulate:
     alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
     delta=st.floats(0.25, 4.0),
     amplitude=st.floats(0.0, 1.5),
+    shrink=st.one_of(st.just(0), st.integers(0, 1100)),
     zero=st.booleans(),
     eps_blow=st.sampled_from([0.0, 1e-3, 0.25, 1.0, 2.0]),
     steps=st.integers(0, 300),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_simulate_matches_reference(extents, alpha, delta, amplitude, zero, eps_blow, steps, seed):
-    # amplitude is in units of the blow-up threshold, so about half the runs blow up
+# tiny data with eps_blow = 1 still blows up at step 0: its denominators are 1.0
+@example(extents=[3, 3], alpha=1.0, delta=1.0, amplitude=1.0, shrink=200, zero=False,
+         eps_blow=1.0, steps=10, seed=0)
+# alpha = 0.01: the copy edge underflows to 0, so only zero data is copied
+@example(extents=[4], alpha=0.01, delta=1.0, amplitude=0.0, shrink=0, zero=True, eps_blow=0.0,
+         steps=20, seed=0)
+# alpha = 8, delta = 1e-6: the copy edge is 0.55 % of the threshold, crossed at step 3
+@example(extents=[5, 5], alpha=8.0, delta=1e-6, amplitude=0.01, shrink=0, zero=False,
+         eps_blow=0.0, steps=300, seed=1)
+# 25 full updates, then copy steps to a subnormal fixed point at step 4903
+@example(extents=[6, 6, 6], alpha=1.0, delta=1.0, amplitude=1.0, shrink=55, zero=False,
+         eps_blow=0.0, steps=6000, seed=1)
+def test_simulate_matches_reference(extents, alpha, delta, amplitude, shrink, zero, eps_blow, steps,
+                                    seed):
+    # amplitude is in units of the blow-up threshold, so about half the runs at
+    # shrink 0 blow up; data shrunk by 2^-shrink reaches the copy path, and
+    # beyond 2^-1074 of the threshold underflows
     d = BoxDomain(tuple(extents))
     p = Params(alpha, delta)
     if zero:
         a = Field.zeros(d)
     else:
         interior = np.random.default_rng(seed).uniform(0.0, amplitude * p.threshold, d.interior_shape)
-        a = Field.from_interior(d, interior)
-    _assert_same_run(simulate(a, p, steps, eps_blow), _reference_simulate(a, p, steps, eps_blow))
+        a = Field.from_interior(d, np.ldexp(interior, -shrink))
+    _assert_same_run(a, p, steps, eps_blow)
+
+
+def _copy_edge(p):
+    return evolution._Stepper(Field.zeros(BoxDomain((2,))), p, 0.0)._copy_below
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.01, 0.5, 1.0, 3.0, 8.0]),
+    delta=st.floats(0.25, 4.0),
+    ulps=st.integers(-2, 2),
+    eps_blow=st.sampled_from([0.0, 0.25, 1.0]),
+    steps=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(extents=[4, 4], alpha=1.0, delta=1.0, ulps=0, eps_blow=0.0, steps=10, seed=0)
+@example(extents=[4, 4], alpha=1.0, delta=1.0, ulps=1, eps_blow=0.0, steps=10, seed=0)
+@example(extents=[3, 3, 3], alpha=2.0, delta=0.5, ulps=0, eps_blow=1.0, steps=10, seed=0)
+@example(extents=[5], alpha=0.01, delta=1.0, ulps=0, eps_blow=0.0, steps=10, seed=0)
+@example(extents=[5], alpha=0.01, delta=1.0, ulps=1, eps_blow=0.0, steps=10, seed=0)
+@example(extents=[4, 4], alpha=8.0, delta=1e-6, ulps=0, eps_blow=0.25, steps=30, seed=0)
+def test_copy_edge_matches_reference(extents, alpha, delta, ulps, eps_blow, steps, seed):
+    # data whose maximum is the copy edge, moved by `ulps` doubles: at and below
+    # it the kernel copies g, above it it runs the full update
+    d = BoxDomain(tuple(extents))
+    p = Params(alpha, delta)
+    edge = _copy_edge(p)
+    for _ in range(abs(ulps)):
+        edge = max(float(np.nextafter(edge, math.copysign(math.inf, ulps))), 0.0)
+    interior = np.random.default_rng(seed).uniform(0.0, 1.0, d.interior_shape)
+    interior = np.minimum(interior * (edge / interior.max()), edge)
+    interior.flat[interior.argmax()] = edge
+    a = Field.from_interior(d, interior)
+    assert a.max() == edge
+    _assert_same_run(a, p, steps, eps_blow)
+
+
+def test_copy_edge():
+    # alpha*delta*edge^alpha is 2^-60 to rounding; it underflows to 0 for alpha = 0.01
+    for alpha, delta in [(1.0, 1.0), (0.5, 3.0), (3.0, 0.3), (8.0, 1e-6), (1e12, 1e-12)]:
+        edge = _copy_edge(Params(alpha, delta))
+        assert alpha * delta * edge**alpha == pytest.approx(2.0**-60, rel=1e-9)
+    assert _copy_edge(Params(0.01, 1.0)) == 0.0
+    assert evolution._Stepper(Field.zeros(BoxDomain((2,))), Params(1, 1), 1.0)._copy_below < 0
+
+
+def test_decaying_run_copies_then_rests():
+    # full updates while alpha*delta*max_f^alpha > 2^-60, copies of g after it, then the
+    # fixed point; the (6, 6, 6) example of test_simulate_matches_reference, which
+    # compares this run with the reference
+    copies = []
+
+    class Counting(evolution._Stepper):
+        def step(self, max_f=math.inf):
+            copies.append(max_f <= self._copy_below)
+            return super().step(max_f)
+
+    d = BoxDomain((6, 6, 6))
+    interior = np.random.default_rng(1).uniform(0.0, 1.0, d.interior_shape)
+    report, _ = _run_kernel(Field.from_interior(d, np.ldexp(interior, -55)), Params(1.0, 1.0), 6000,
+                            stepper=Counting)
+    full = copies.index(True)
+    assert full == 25 and all(copies[full:]) and len(copies) == 4904
+    assert report.trace[-1] is report.trace[len(copies)] and 0 < report.trace[-1].max_f < TINY
+
+
+def test_huge_alpha_takes_no_copy_steps():
+    # At alpha 6e16 the mean of 3-D data 6 ulp below 1 rounds one ulp up, and
+    # g^alpha grows e^7-fold: denominators are 1 - 3.4e-15, not 1.0, though
+    # alpha*delta*max_f^alpha <= 2^-60. So such alpha take no copy steps.
+    p = Params(6e16, 1 / 6e16)
+    d = BoxDomain((4, 4, 4))
+    a = Field.from_interior(d, np.full(d.interior_shape, 1 - 6 * 2.0**-53))
+    assert math.exp((-60 * math.log(2) - math.log(p.alpha * p.delta)) / p.alpha) >= a.max()
+    assert _copy_edge(p) < 0
+    report = _assert_same_run(a, p, 5, eps_blow=1 - 2.0**-50)
+    assert report.outcome.step == 0
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
@@ -263,8 +381,7 @@ def test_long_runs_to_rest_match_reference(extents, alpha):
     d = BoxDomain(extents)
     p = Params(alpha, 1.0 / alpha)
     a = random_field(np.random.default_rng(2026), d, amplitude=0.05)
-    fast = simulate(a, p, 10_000)
-    _assert_same_run(fast, _reference_simulate(a, p, 10_000))
+    fast = _assert_same_run(a, p, 10_000)
     rest = fast.trace[-1]
     assert rest.max_f < TINY
     assert (rest.max_f == 0.0) == (extents == (3,))

@@ -449,9 +449,9 @@ def _counting_steps(monkeypatch):
     steps = []
 
     class CountingStepper(majorant._Stepper):
-        def step(self):
+        def step(self, *max_f):
             steps.append(1)
-            return super().step()
+            return super().step(*max_f)
 
     monkeypatch.setattr(majorant, "_Stepper", CountingStepper)
     return steps
