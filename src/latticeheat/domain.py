@@ -123,46 +123,61 @@ def _span(values: np.ndarray) -> slice:
     return slice(lo, values.size - lo)
 
 
+class _Stencil:
+    """`neighbor_mean_interior`'s ufuncs from `values` into `out`, C-contiguous and
+    full-shape, on views built once; each call reads `values` as it then is."""
+
+    __slots__ = ("_axes", "_pairs", "_acc", "_scale", "_faces")
+    _PLUS_ZERO = np.zeros(())
+
+    def __init__(
+        self, values: np.ndarray, out: np.ndarray, pairs: np.ndarray | None = None
+    ) -> None:
+        span, flat, size = _span(values), values.ravel(), values.itemsize
+        lo, hi = span.start, span.stop
+        pairs = np.empty(hi - lo) if pairs is None else pairs
+        if np.may_share_memory(out, values) or np.may_share_memory(pairs, values):
+            raise ValueError("out and pairs must not share memory with values")
+        self._axes = tuple((flat[lo + k:hi + k], flat[lo - k:hi - k])
+                           for k in (stride // size for stride in values.strides))
+        self._pairs, self._acc, self._scale = pairs, out.ravel()[span], np.array(2.0 * values.ndim)
+        self._faces = tuple(  # faces x_k = 0 and x_k = N_k, each pair as one strided view
+            out[(slice(1, -1),) + (slice(None),) * (k - 1) + (slice(None, None, n - 1),)]
+            for k, n in enumerate(values.shape[1:], 1))
+
+    def __call__(self) -> None:
+        pairs, acc = self._pairs, self._acc
+        total = self._PLUS_ZERO  # the sum starts at +0.0, as 0.0 + (-0.0) is +0.0
+        for plus, minus in self._axes:
+            np.add(plus, minus, out=pairs)
+            total = np.add(total, pairs, out=acc)
+        np.divide(acc, self._scale, out=acc)  # scalars as 0-d arrays cost numpy less per call
+        for face in self._faces:
+            face.fill(0.0)
+
+
 def neighbor_mean_interior(
     values: np.ndarray, out: np.ndarray | None = None, pairs: np.ndarray | None = None
 ) -> np.ndarray:
     """Average of the 2d axis neighbors at every interior site.
 
-    `values` is a full-shape array. The means are formed on its flat span
-    (`_span`), where neighbor n +/- e_k is the flat position +/- the stride
-    of axis k, and the boundary faces normal to axes 2..d, where the span
-    holds wrapped sums, are then set to +0.0. A C-contiguous full-shape `out`
-    with a zero boundary receives them in place and is returned with a zero
-    boundary; any other `out` receives the interior block, and without one a
-    new interior-shaped array is returned. `pairs`, if given, is a float
+    `values` is a full-shape array. One `_Stencil` forms the means on its flat
+    span (`_span`), where neighbor n +/- e_k is the flat position +/- the
+    stride of axis k, then sets the boundary faces normal to axes 2..d, where
+    the span holds wrapped sums, to +0.0. A C-contiguous full-shape `out` with
+    a zero boundary, which must not overlap `values`, receives them in place
+    and is returned; any other `out` receives the interior block, and without
+    one a new interior-shaped array is returned. `pairs`, if given, is a float
     array of the span's length that takes each axis's neighbor sums.
     """
     values = np.ascontiguousarray(values)
-    size = values.itemsize
-    lo = sum(values.strides) // size  # the span, as `_span` gives it
-    hi = values.size - lo
-    if out is not None and out.shape == values.shape and out.strides == values.strides:
-        full = out  # C-contiguous, as values now is
-    else:
-        full = np.zeros(values.shape)
-    flat = values.ravel()
-    acc = full.ravel()[lo:hi]
-    if pairs is None:
-        pairs = np.empty(hi - lo)
-    total = 0.0  # the sum starts at +0.0, as 0.0 + (-0.0) is +0.0
-    for stride in values.strides:
-        k = stride // size
-        np.add(flat[lo + k:hi + k], flat[lo - k:hi - k], out=pairs)
-        total = np.add(total, pairs, out=acc)
-    acc /= 2 * values.ndim
-    for k in range(1, values.ndim):  # faces x_k = 0 and x_k = N_k as one strided view
-        full[(slice(1, -1),) + (slice(None),) * (k - 1) + (slice(None, None, values.shape[k] - 1),)] = 0.0
-    if full is out:
-        return out
-    interior = full[(slice(1, -1),) * values.ndim]
+    in_place = out is not None and out.shape == values.shape and out.strides == values.strides
+    full = out if in_place else np.zeros(values.shape)  # out is C-contiguous, as values now is
+    _Stencil(values, full, pairs)()
     if out is None:
-        return interior
-    out[...] = interior
+        return full[(slice(1, -1),) * values.ndim]
+    if full is not out:
+        out[...] = full[(slice(1, -1),) * values.ndim]
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Field, MultiIndex, _span, neighbor_mean_interior
+from .domain import Field, MultiIndex, _span, _Stencil
 
 
 @dataclass(frozen=True)
@@ -102,15 +102,16 @@ class _Stepper:
 
     The stencil and the update run on the buffers' flat span (`_span`), where
     a boundary site gets g = 0, so denom = 1 and f = 0; the boundary outside
-    the span is never written. So the buffers keep a zero boundary. The
-    update maps zero-boundary, nonnegative, finite data to the same set until
-    blow-up, so the data is checked once, here; afterwards the only way out
-    of that set is an update that overflows to inf, which `simulate` reads
-    from its per-step maximum.
+    the span is never written. So the buffers keep a zero boundary. f and the
+    spare swap at each update, with their spans and `_Stencil` plans into g.
+    The update maps zero-boundary, nonnegative, finite data to the same set
+    until blow-up, so the data is checked once, here; afterwards the only way
+    out of that set is an update that overflows to inf, which `simulate`
+    reads from its per-step maximum.
     """
 
-    __slots__ = ("f", "g", "_g", "_g_span", "_f_span", "_spare", "_spare_span", "_denom_span",
-                 "_denom_core", "_alpha", "_coupling", "_root", "_eps_blow", "_copy_below")
+    __slots__ = ("f", "g", "_g_span", "_spare", "_spans", "_means", "_denom_span", "_denom_core",
+                 "_alpha", "_coupling", "_root", "_eps_blow", "_copy_below")
 
     def __init__(self, a: Field, p: Params, eps_blow: float) -> None:
         if not eps_blow >= 0:
@@ -119,13 +120,13 @@ class _Stepper:
         core = a.domain.core
         self.f = a.values.copy()
         self._spare = np.zeros(a.domain.shape)
-        self._g = g = np.zeros(a.domain.shape)
-        denom = np.zeros(a.domain.shape)
+        g, denom = np.zeros(a.domain.shape), np.zeros(a.domain.shape)
         span = _span(g)
-        self._f_span = self.f.ravel()[span]
-        self._spare_span = self._spare.ravel()[span]
         self._g_span = g.ravel()[span]
         self._denom_span = denom.ravel()[span]
+        # f's and the spare's span and plan; the plans' neighbor sums go to denom
+        self._spans = [v.ravel()[span] for v in (self.f, self._spare)]
+        self._means = [_Stencil(v, g, self._denom_span) for v in (self.f, self._spare)]
         self.g = g[core]
         self._denom_core = denom[core]
         self._alpha = p.alpha
@@ -148,12 +149,12 @@ class _Stepper:
         pass f's maximum; at or below `_copy_below` the update is a copy of g.
         """
         g, denom = self._g_span, self._denom_span
-        neighbor_mean_interior(self.f, self._g, denom)  # out, pairs
+        self._means[0]()
         if max_f <= self._copy_below:
             # Exact: g <= max_f up to the mean's rounding (under 2^-46 relative for 64 axes), so
             # alpha*delta*g^alpha < 2^-54; 1 minus it rounds to 1.0, 1.0^(1/alpha) is 1.0, g/1.0
             # is g, and 1.0 > eps_blow, so no site blows up.
-            np.copyto(self._spare_span, g)
+            np.copyto(self._spans[1], g)
         else:
             np.power(g, self._alpha, out=denom)
             np.multiply(self._coupling, denom, out=denom)
@@ -161,9 +162,9 @@ class _Stepper:
             if denom.min() <= self._eps_blow:
                 return _first_offender(self._denom_core <= self._eps_blow, self.g)
             np.power(denom, self._root, out=denom)
-            np.divide(g, denom, out=self._spare_span)
+            np.divide(g, denom, out=self._spans[1])
         self.f, self._spare = self._spare, self.f
-        self._f_span, self._spare_span = self._spare_span, self._f_span
+        self._spans, self._means = self._spans[::-1], self._means[::-1]
         return None
 
     def at_rest(self) -> bool:
@@ -210,7 +211,8 @@ def simulate(
                 outcome = BlewUpAt(step=s - 1, site=sig.site, g_value=sig.g_value)
                 return BlowupReport(outcome=outcome, trace=trace)
             sig = stepper.step(max_f)  # at s == max_steps, its update is discarded
-            record = StepRecord(max_f=max_f, max_g=float(stepper.g.max()))
+            # the span's boundary g is +0.0 and its interior g >= +0.0, so its maximum is g's
+            record = StepRecord(max_f=max_f, max_g=float(stepper._g_span.max()))
             trace.append(record)
             if sig is not None:
                 outcome = BlewUpAt(step=s, site=sig.site, g_value=sig.g_value)

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, _span, neighbor_mean_interior
+from .domain import BoxDomain, Field, MultiIndex, _span, _Stencil, neighbor_mean_interior
 
 
 def apply_M(h: Field) -> Field:
@@ -31,21 +31,24 @@ def _linear_flow(a: Field, S: int) -> Iterator[np.ndarray]:
     """h^0..h^S of the linear flow as full-shape arrays; checks the data on entry.
 
     h^0 is `a.values`; later steps alternate between two zero-boundary
-    buffers, so a yielded array is overwritten two steps on. As in `apply_M`,
-    the boundary is checked only when a step is taken.
+    buffers, so a yielded array is overwritten two steps on. The first step
+    reads `a.values` through `neighbor_mean_interior`, the others run the two
+    buffers' `_Stencil` plans, built once. As in `apply_M`, the boundary is
+    checked only when a step is taken.
     """
     if S < 0:
         raise ValueError("S must be >= 0")
     if S and not a.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
     buffers = (np.zeros(a.domain.shape), np.zeros(a.domain.shape))
-    span = _span(buffers[0])
-    pairs = np.empty(span.stop - span.start)
-    h = a.values
-    yield h
-    for s in range(S):
-        h = neighbor_mean_interior(h, buffers[s % 2], pairs)  # out, pairs
-        yield h
+    pairs = np.empty(a.domain.n_sites)[_span(buffers[0])]  # the span's length
+    plans = (_Stencil(buffers[1], buffers[0], pairs), _Stencil(buffers[0], buffers[1], pairs))
+    yield a.values
+    if S:
+        yield neighbor_mean_interior(a.values, buffers[0], pairs)  # out, pairs
+    for s in range(1, S):  # step s writes buffers[s % 2]
+        plans[s % 2]()
+        yield buffers[s % 2]
 
 
 def step_linear_direct(a: Field, steps: int) -> Field:

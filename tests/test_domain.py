@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeheat import BoxDomain, Field, neighbor_average
-from latticeheat.domain import neighbor_mean_interior
+from latticeheat.domain import _span, _Stencil, neighbor_mean_interior
 
 from conftest import random_domain, random_field, reference_neighbor_mean
 
@@ -130,11 +130,9 @@ _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf, np.nan
     seed=st.integers(0, 2**32 - 1),
 )
 def test_kernel_matches_frozen_reference(extents, special, scale, seed):
-    # signed data with +-0, subnormals, +-inf and NaN on every site, boundary included
     rng = np.random.default_rng(seed)
     shape = tuple(n + 1 for n in extents)
-    values = np.where(rng.random(shape) < special, rng.choice(_SPECIAL, shape),
-                      scale * rng.uniform(-1.0, 1.0, shape))
+    values = _special_values(rng, shape, special, scale)
     core = (slice(1, -1),) * len(shape)
     full = np.zeros(shape)
     full[core] = np.nan
@@ -142,10 +140,66 @@ def test_kernel_matches_frozen_reference(extents, special, scale, seed):
         want = reference_neighbor_mean(values)
         assert neighbor_mean_interior(values, out=full) is full
         fresh = neighbor_mean_interior(values)
-    nan = np.isnan(want)
     for got in (full[core], fresh):
-        np.testing.assert_array_equal(np.isnan(got), nan)
-        np.testing.assert_array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
-    boundary = np.ones(shape, dtype=bool)
-    boundary[core] = False
+        _assert_same_means(got, want)
+    _assert_plus_zero_boundary(full)
+
+
+def _special_values(rng, shape, special, scale):
+    """Signed data with +-0, subnormals, +-inf and NaN on every site, boundary included."""
+    return np.where(rng.random(shape) < special, rng.choice(_SPECIAL, shape),
+                    scale * rng.uniform(-1.0, 1.0, shape))
+
+
+def _assert_same_means(got, want):
+    """NaN at the same sites, the same bits everywhere else."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
+
+
+def _assert_plus_zero_boundary(full):
+    boundary = np.ones(full.shape, dtype=bool)
+    boundary[(slice(1, -1),) * full.ndim] = False
     assert np.all(full.view(np.uint64)[boundary] == 0)  # +0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 7), min_size=1, max_size=4),
+    special=st.floats(0.0, 1.0),
+    scales=st.lists(st.sampled_from([1e-310, 1e-3, 1.0, 1e300]), min_size=2, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plan_reuse_matches_frozen_reference(extents, special, scales, seed):
+    # one plan, its source rewritten in place before each call, as the flows use it
+    rng = np.random.default_rng(seed)
+    shape = tuple(n + 1 for n in extents)
+    values, full = np.zeros(shape), np.zeros(shape)
+    core = (slice(1, -1),) * len(shape)
+    full[core] = np.nan
+    plan = _Stencil(values, full)
+    for scale in scales:
+        values[...] = _special_values(rng, shape, special, scale)
+        with np.errstate(all="ignore"):
+            plan()
+            want = reference_neighbor_mean(values)
+        _assert_same_means(full[core], want)
+        _assert_plus_zero_boundary(full)
+
+
+@pytest.mark.parametrize("extents", [(5,), (5, 5), (4, 3, 5)])
+def test_overlapping_out_or_pairs_is_rejected(rng, extents):
+    # in place, the sums of a later axis would read means already written
+    values = random_field(rng, BoxDomain(extents)).values
+    before = values.copy()
+    with pytest.raises(ValueError, match="share memory"):
+        neighbor_mean_interior(values, out=values)
+    with pytest.raises(ValueError, match="share memory"):
+        neighbor_mean_interior(values, pairs=values.ravel()[_span(values)])
+    assert values.tobytes() == before.tobytes()
+    # an interior-shaped out receives the means after they are formed
+    core = (slice(1, -1),) * len(extents)
+    want = reference_neighbor_mean(values)
+    neighbor_mean_interior(values, out=values[core])
+    _assert_same_means(values[core], want)

@@ -614,3 +614,41 @@ def test_sweep_scans_for_s0_once(monkeypatch, tmp_path):
     }))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert len(scans) == 1
+
+
+def _layouts(values):
+    """values as every-other-element, negative-stride and (past 1-D) Fortran-ordered arrays."""
+    wide = np.zeros(tuple(2 * n for n in values.shape))
+    wide[(slice(None, None, 2),) * values.ndim] = values
+    layouts = {"every_other": wide[(slice(None, None, 2),) * values.ndim],
+               "reversed": np.ascontiguousarray(values[::-1])[::-1]}
+    if values.ndim > 1:  # a 1-D array is C- and Fortran-ordered at once
+        layouts["fortran"] = np.asfortranarray(values)
+    return layouts
+
+
+@pytest.mark.parametrize("extents", [(6,), (5, 4), (4, 3, 5)])
+@pytest.mark.parametrize("amplitude", [0.3, 2.0])  # the verify flows survive; simulate blows up
+def test_flows_ignore_memory_layout(rng, extents, amplitude):
+    # simulate, compute_trace and verify_comparison on values that are not
+    # C-contiguous give the same bits as on C-ordered values
+    alpha = 1.5
+    d = BoxDomain(extents)
+    a = random_field(rng, d, amplitude=amplitude)
+    p = Params(alpha, 1.0 / alpha)
+
+    def bits(report, trace, verdict):
+        records = [(r.max_f, r.max_g) for r in report.trace]
+        return (report.outcome, np.array(records).tobytes(), trace.m.tobytes(),
+                trace.partial_sums.tobytes(), verdict.holds, verdict.failure,
+                verdict.margins.tobytes(), verdict.trace.m.tobytes())
+
+    def run(field):
+        return bits(simulate(field, p, 40), compute_trace(field, alpha, 40),
+                    verify_comparison(field, alpha, 40))
+
+    want = run(a)
+    for name, values in _layouts(a.values).items():
+        assert not values.flags.c_contiguous, name
+        np.testing.assert_array_equal(values, a.values)
+        assert run(Field(d, values)) == want, name
