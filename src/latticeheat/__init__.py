@@ -8,7 +8,7 @@ small-data global-existence bounds.
 
 from types import ModuleType as _Module
 
-from .domain import BoxDomain, Field, neighbor_average
+from .domain import BoxDomain, Field
 from .evolution import (
     BlewUpAt,
     BlowupReport,

@@ -7,7 +7,6 @@ stencil operations use the 2d axis neighbors n +/- e_k.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,14 +58,6 @@ class BoxDomain:
         return len(n) == self.dims and all(
             0 < ni < Ni for ni, Ni in zip(n, self.extents)
         )
-
-    def interior_sites(self):
-        """Interior multi-indices in lexicographic order.
-
-        This ordering is the canonical one: spectral coefficient vectors and
-        file output follow it.
-        """
-        return itertools.product(*(range(1, n) for n in self.extents))
 
 
 class Field:
@@ -140,18 +131,22 @@ class _Stencil:
             raise ValueError("out and pairs must not share memory with values")
         self._axes = tuple((flat[lo + k:hi + k], flat[lo - k:hi - k])
                            for k in (stride // size for stride in values.strides))
-        self._pairs, self._acc, self._scale = pairs, out.ravel()[span], np.array(2.0 * values.ndim)
+        self._pairs, self._acc = pairs, out.ravel()[span]
+        # 1/2d is exact for d = 1, 2, 4, so x * (1/2d) rounds the real x/2d as x / 2d does
+        two_d = 2 * values.ndim
+        self._scale = ((np.multiply, np.array(1.0 / two_d)) if two_d & (two_d - 1) == 0
+                       else (np.divide, np.array(float(two_d))))
         self._faces = tuple(  # faces x_k = 0 and x_k = N_k, each pair as one strided view
             out[(slice(1, -1),) + (slice(None),) * (k - 1) + (slice(None, None, n - 1),)]
             for k, n in enumerate(values.shape[1:], 1))
 
     def __call__(self) -> None:
-        pairs, acc = self._pairs, self._acc
+        pairs, acc, (scale_by, scale) = self._pairs, self._acc, self._scale
         total = self._PLUS_ZERO  # the sum starts at +0.0, as 0.0 + (-0.0) is +0.0
         for plus, minus in self._axes:
             np.add(plus, minus, out=pairs)
             total = np.add(total, pairs, out=acc)
-        np.divide(acc, self._scale, out=acc)  # scalars as 0-d arrays cost numpy less per call
+        scale_by(acc, scale, out=acc)  # scalars as 0-d arrays cost numpy less per call
         for face in self._faces:
             face.fill(0.0)
 
@@ -166,31 +161,19 @@ def neighbor_mean_interior(
     stride of axis k, then sets the boundary faces normal to axes 2..d, where
     the span holds wrapped sums, to +0.0. A C-contiguous full-shape `out` with
     a zero boundary, which must not overlap `values`, receives them in place
-    and is returned; any other `out` receives the interior block, and without
-    one a new interior-shaped array is returned. `pairs`, if given, is a float
-    array of the span's length that takes each axis's neighbor sums.
+    and is returned; any other `out` receives the interior block, a full-shape
+    one in its interior, and without one a new interior-shaped array is
+    returned. `pairs`, if given, is a float array of the span's length that
+    takes each axis's neighbor sums.
     """
     values = np.ascontiguousarray(values)
+    core = (slice(1, -1),) * values.ndim
     in_place = out is not None and out.shape == values.shape and out.strides == values.strides
     full = out if in_place else np.zeros(values.shape)  # out is C-contiguous, as values now is
     _Stencil(values, full, pairs)()
     if out is None:
-        return full[(slice(1, -1),) * values.ndim]
-    if full is not out:
-        out[...] = full[(slice(1, -1),) * values.ndim]
+        return full[core]
+    if full is not out:  # a full-shape out takes the block in its interior
+        (out[core] if out.shape == values.shape else out)[...] = full[core]
     return out
 
-
-def neighbor_average(f: Field, n: MultiIndex) -> float:
-    """Mean of the 2d axis-adjacent values at the interior site n."""
-    n = tuple(int(c) for c in n)
-    if not f.domain.is_interior(n):
-        raise ValueError(f"site {n} is not interior to the domain")
-    total = 0.0
-    for k in range(f.domain.dims):
-        plus = list(n)
-        plus[k] += 1
-        minus = list(n)
-        minus[k] -= 1
-        total += f.values[tuple(plus)] + f.values[tuple(minus)]
-    return total / (2 * f.domain.dims)

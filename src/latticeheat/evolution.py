@@ -95,6 +95,10 @@ def _first_offender(bad: np.ndarray, g: np.ndarray) -> BlowupSignal:
 
 
 _TINY = np.finfo(float).tiny
+# g^alpha and denom^(1/alpha) as (ufunc, operands after the first) where x*x and sqrt, both
+# correctly rounded, give np.power's double; the stencil gives g no -0.0, whose sqrt is -0.0
+_EXACT_POWERS = {2.0: ((np.square, ()), (np.sqrt, ())), 0.5: ((np.sqrt, ()), (np.square, ())),
+                 1.0: (None, None)}  # x^1 is x
 
 
 class _Stepper:
@@ -111,7 +115,7 @@ class _Stepper:
     """
 
     __slots__ = ("f", "g", "_g_span", "_spare", "_spans", "_means", "_denom_span", "_denom_core",
-                 "_alpha", "_coupling", "_root", "_eps_blow", "_copy_below")
+                 "_denom_calls", "_root_calls", "_eps_blow", "_copy_below")
 
     def __init__(self, a: Field, p: Params, eps_blow: float) -> None:
         if not eps_blow >= 0:
@@ -129,15 +133,27 @@ class _Stepper:
         self._means = [_Stencil(v, g, self._denom_span) for v in (self.f, self._spare)]
         self.g = g[core]
         self._denom_core = denom[core]
-        self._alpha = p.alpha
-        self._coupling = p.alpha * p.delta
-        self._root = 1.0 / p.alpha
+        coupling = p.alpha * p.delta
+        # denom = 1 - coupling*g^alpha, then denom^(1/alpha), as ufunc calls into denom; 1.0*x is
+        # x, so a product of exactly 1.0 skips the multiply (alpha*(1/alpha) may be 1 - 2^-53)
+        powers = ((np.power, (p.alpha,)), (np.power, (1.0 / p.alpha,)))
+        lift, root = _EXACT_POWERS.get(p.alpha, powers)
+        calls, x = [], self._g_span
+        if lift is not None:
+            calls.append((lift[0], (x,) + lift[1]))
+            x = self._denom_span
+        if coupling != 1.0:
+            calls.append((np.multiply, (coupling, x)))
+            x = self._denom_span
+        calls.append((np.subtract, (1.0, x)))
+        self._denom_calls = tuple(calls)
+        self._root_calls = () if root is None else ((root[0], (self._denom_span,) + root[1]),)
         self._eps_blow = eps_blow
         # the largest max_f with alpha*delta*max_f^alpha <= 2^-60, to rounding; 0 if it
         # underflows. -1, no copy steps: with eps_blow >= 1 a denominator of 1.0 is a blow-up,
         # and past alpha = 2^40 the mean's rounding above max_f could lift g^alpha past 2^-54.
         self._copy_below = -1.0 if eps_blow >= 1 or p.alpha > 2.0**40 else math.exp(
-            (-60 * math.log(2) - math.log(self._coupling)) / p.alpha)
+            (-60 * math.log(2) - math.log(coupling)) / p.alpha)
 
     def step(self, max_f: float = math.inf) -> BlowupSignal | None:
         """One update: g is the neighbor average of f, and f becomes g / denom^(1/alpha).
@@ -156,12 +172,12 @@ class _Stepper:
             # is g, and 1.0 > eps_blow, so no site blows up.
             np.copyto(self._spans[1], g)
         else:
-            np.power(g, self._alpha, out=denom)
-            np.multiply(self._coupling, denom, out=denom)
-            np.subtract(1.0, denom, out=denom)
+            for ufunc, operands in self._denom_calls:
+                ufunc(*operands, out=denom)
             if denom.min() <= self._eps_blow:
                 return _first_offender(self._denom_core <= self._eps_blow, self.g)
-            np.power(denom, self._root, out=denom)
+            for ufunc, operands in self._root_calls:
+                ufunc(*operands, out=denom)
             np.divide(g, denom, out=self._spans[1])
         self.f, self._spare = self._spare, self.f
         self._spans, self._means = self._spans[::-1], self._means[::-1]

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -37,6 +38,27 @@ def reference_neighbor_mean(values):
         out += values[tuple(up)] + values[tuple(down)]
     out /= 2 * d
     return out
+
+
+def interior_sites(domain):
+    """Interior multi-indices in lexicographic order, the canonical order that
+    spectral coefficient vectors and file output follow."""
+    return itertools.product(*(range(1, n) for n in domain.extents))
+
+
+def neighbor_average(f, n):
+    """Mean of the 2d axis-adjacent values at the interior site n, one site at a time."""
+    n = tuple(int(c) for c in n)
+    if not f.domain.is_interior(n):
+        raise ValueError(f"site {n} is not interior to the domain")
+    total = 0.0
+    for k in range(f.domain.dims):
+        plus = list(n)
+        plus[k] += 1
+        minus = list(n)
+        minus[k] -= 1
+        total += f.values[tuple(plus)] + f.values[tuple(minus)]
+    return total / (2 * f.domain.dims)
 
 
 @pytest.fixture

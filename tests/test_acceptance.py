@@ -32,6 +32,8 @@ from latticeheat import (
 )
 from latticeheat.cli import main
 
+from conftest import interior_sites
+
 SQ2 = np.sqrt(2) / 2
 
 
@@ -130,7 +132,7 @@ def test_criterion_5_spectral_equivalence():
             ).max()
             worst_gap = max(worst_gap, gap)
         table = mode_table(domain)
-        for mode in domain.interior_sites():
+        for mode in interior_sites(domain):
             h = table.mode_field(mode)
             resid = np.abs(
                 apply_M(h).values - eigenvalue(domain, mode) * h.values

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeheat import BoxDomain, Field, neighbor_average
+from latticeheat import BoxDomain, Field
 from latticeheat.domain import _span, _Stencil, neighbor_mean_interior
 
-from conftest import random_domain, random_field, reference_neighbor_mean
+from conftest import (interior_sites, neighbor_average, random_domain, random_field,
+                      reference_neighbor_mean)
 
 
 class TestBoxDomain:
@@ -21,14 +22,14 @@ class TestBoxDomain:
             BoxDomain((4, 0))
 
     def test_interior_sites_1d_minimal(self):
-        assert list(BoxDomain((2,)).interior_sites()) == [(1,)]
+        assert list(interior_sites(BoxDomain((2,)))) == [(1,)]
 
     def test_interior_sites_1d(self):
-        assert list(BoxDomain((4,)).interior_sites()) == [(1,), (2,), (3,)]
+        assert list(interior_sites(BoxDomain((4,)))) == [(1,), (2,), (3,)]
 
     def test_interior_sites_2d(self):
         # brute-force oracle: all sites with 0 < n_k < N_k
-        assert list(BoxDomain((2, 3)).interior_sites()) == [(1, 1), (1, 2)]
+        assert list(interior_sites(BoxDomain((2, 3)))) == [(1, 1), (1, 2)]
 
     def test_interior_sites_matches_brute_force(self, rng):
         for _ in range(20):
@@ -38,7 +39,7 @@ class TestBoxDomain:
                 for n in itertools.product(*(range(N + 1) for N in d.extents))
                 if all(0 < ni < Ni for ni, Ni in zip(n, d.extents))
             ]
-            assert list(d.interior_sites()) == brute
+            assert list(interior_sites(d)) == brute
 
     def test_partition_counts(self, rng):
         for _ in range(20):
@@ -97,7 +98,7 @@ class TestNeighborAverage:
             d = random_domain(rng)
             f = random_field(rng, d)
             g = Field(d, f.values + rng.uniform(0, 1, size=d.shape))
-            for n in d.interior_sites():
+            for n in interior_sites(d):
                 assert neighbor_average(f, n) <= neighbor_average(g, n)
                 assert neighbor_average(f, n) <= f.values.max() + 1e-15
 
@@ -106,7 +107,7 @@ class TestNeighborAverage:
             d = random_domain(rng)
             f = Field(d, rng.uniform(-1, 1, size=d.shape))
             g = neighbor_mean_interior(f.values)
-            for n in d.interior_sites():
+            for n in interior_sites(d):
                 assert g[tuple(i - 1 for i in n)] == pytest.approx(neighbor_average(f, n), abs=1e-15)
 
     def test_mean_interior_into_buffer(self, rng):
@@ -134,15 +135,18 @@ def test_kernel_matches_frozen_reference(extents, special, scale, seed):
     shape = tuple(n + 1 for n in extents)
     values = _special_values(rng, shape, special, scale)
     core = (slice(1, -1),) * len(shape)
-    full = np.zeros(shape)
-    full[core] = np.nan
+    # a full-shape out in C order takes the means in place, one in Fortran order in its interior
+    full, fortran = np.zeros(shape), np.zeros(shape, order="F")
+    full[core] = fortran[core] = np.nan
     with np.errstate(all="ignore"):
         want = reference_neighbor_mean(values)
         assert neighbor_mean_interior(values, out=full) is full
+        assert neighbor_mean_interior(values, out=fortran) is fortran
         fresh = neighbor_mean_interior(values)
-    for got in (full[core], fresh):
+    for got in (full[core], fortran[core], fresh):
         _assert_same_means(got, want)
     _assert_plus_zero_boundary(full)
+    _assert_plus_zero_boundary(fortran)
 
 
 def _special_values(rng, shape, special, scale):

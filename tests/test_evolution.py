@@ -264,42 +264,79 @@ class TestSimulate:
 @given(
     extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
     alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
-    delta=st.floats(0.25, 4.0),
+    delta=st.one_of(st.none(), st.floats(0.25, 4.0)),  # None: 1/alpha, so alpha*delta is 1.0
     amplitude=st.floats(0.0, 1.5),
     shrink=st.one_of(st.just(0), st.integers(0, 1100)),
     zero=st.booleans(),
     minus_zero=st.sampled_from([0.0, 0.0, 0.3, 1.0]),  # half the runs without -0.0
     eps_blow=st.sampled_from([0.0, 1e-3, 0.25, 1.0, 2.0]),
+    edge=st.sampled_from([None, None, None, None, "copy", "blow-up"]),
+    ulps=st.integers(-1, 1),
     steps=st.integers(0, 300),
     seed=st.integers(0, 2**32 - 1),
 )
 # tiny data with eps_blow = 1 still blows up at step 0: its denominators are 1.0
 @example(extents=[3, 3], alpha=1.0, delta=1.0, amplitude=1.0, shrink=200, zero=False,
-         minus_zero=0.0, eps_blow=1.0, steps=10, seed=0)
+         minus_zero=0.0, eps_blow=1.0, edge=None, ulps=0, steps=10, seed=0)
 # alpha = 0.01: the copy edge underflows to 0, so only zero data is copied
 @example(extents=[4], alpha=0.01, delta=1.0, amplitude=0.0, shrink=0, zero=True,
-         minus_zero=0.0, eps_blow=0.0, steps=20, seed=0)
+         minus_zero=0.0, eps_blow=0.0, edge=None, ulps=0, steps=20, seed=0)
 # alpha = 8, delta = 1e-6: the copy edge is 0.55 % of the threshold, crossed at step 3
 @example(extents=[5, 5], alpha=8.0, delta=1e-6, amplitude=0.01, shrink=0, zero=False,
-         minus_zero=0.0, eps_blow=0.0, steps=300, seed=1)
+         minus_zero=0.0, eps_blow=0.0, edge=None, ulps=0, steps=300, seed=1)
 # 25 full updates, then copy steps to a subnormal fixed point at step 4903
 @example(extents=[6, 6, 6], alpha=1.0, delta=1.0, amplitude=1.0, shrink=55, zero=False,
-         minus_zero=0.0, eps_blow=0.0, steps=6000, seed=1)
+         minus_zero=0.0, eps_blow=0.0, edge=None, ulps=0, steps=6000, seed=1)
 # -0.0 on every interior site: the means start at +0.0, so g and the states are +0.0, also
 # at the sites whose neighbors are all -0.0 (a -0.0 start would keep -0.0 there to step 2)
 @example(extents=[6, 6], alpha=1.0, delta=1.0, amplitude=0.0, shrink=0, zero=True,
-         minus_zero=1.0, eps_blow=0.0, steps=1, seed=0)
+         minus_zero=1.0, eps_blow=0.0, edge=None, ulps=0, steps=1, seed=0)
+# subnormal data: at eps_blow = 1 the full update's first calls (sqrt at alpha = 0.5,
+# square at 2) run on it before the blow-up at step 0; below it, copy steps, whose means
+# are scaled by 1/2d (d = 1, 2) or divided by 6 (d = 3)
+@example(extents=[4, 4], alpha=0.5, delta=None, amplitude=1.0, shrink=1060, zero=False,
+         minus_zero=0.0, eps_blow=1.0, edge=None, ulps=0, steps=3, seed=2)
+@example(extents=[5, 5], alpha=2.0, delta=None, amplitude=1.0, shrink=1060, zero=False,
+         minus_zero=0.3, eps_blow=1.0, edge=None, ulps=0, steps=3, seed=2)
+@example(extents=[6], alpha=2.0, delta=None, amplitude=1.0, shrink=1040, zero=False,
+         minus_zero=0.0, eps_blow=0.0, edge=None, ulps=0, steps=200, seed=3)
+@example(extents=[4, 3, 5], alpha=1.0, delta=None, amplitude=1.0, shrink=1030, zero=False,
+         minus_zero=0.0, eps_blow=0.3, edge=None, ulps=0, steps=200, seed=4)
+# constant data one ulp either side of the copy edge and of the blow-up edge
+@example(extents=[5, 5], alpha=2.0, delta=None, amplitude=0.0, shrink=0, zero=False,
+         minus_zero=0.0, eps_blow=0.3, edge="copy", ulps=0, steps=20, seed=0)
+@example(extents=[5, 5], alpha=2.0, delta=None, amplitude=0.0, shrink=0, zero=False,
+         minus_zero=0.0, eps_blow=0.3, edge="copy", ulps=1, steps=20, seed=0)
+@example(extents=[5, 5], alpha=0.5, delta=None, amplitude=0.0, shrink=0, zero=False,
+         minus_zero=0.0, eps_blow=0.0, edge="copy", ulps=1, steps=20, seed=0)
+@example(extents=[5, 5], alpha=2.0, delta=None, amplitude=0.0, shrink=0, zero=False,
+         minus_zero=0.0, eps_blow=0.0, edge="blow-up", ulps=0, steps=20, seed=0)
+@example(extents=[5, 5], alpha=2.0, delta=None, amplitude=0.0, shrink=0, zero=False,
+         minus_zero=0.0, eps_blow=0.0, edge="blow-up", ulps=1, steps=20, seed=0)
+@example(extents=[6], alpha=0.5, delta=None, amplitude=0.0, shrink=0, zero=False,
+         minus_zero=0.0, eps_blow=0.3, edge="blow-up", ulps=0, steps=20, seed=0)
+@example(extents=[6], alpha=0.5, delta=None, amplitude=0.0, shrink=0, zero=False,
+         minus_zero=0.0, eps_blow=0.3, edge="blow-up", ulps=1, steps=20, seed=0)
+@example(extents=[5, 5], alpha=1.0, delta=3.0, amplitude=0.0, shrink=0, zero=False,
+         minus_zero=0.0, eps_blow=0.3, edge="blow-up", ulps=1, steps=20, seed=0)
+@example(extents=[5, 5], alpha=1.0, delta=None, amplitude=0.0, shrink=0, zero=False,
+         minus_zero=0.0, eps_blow=1.0, edge="blow-up", ulps=1, steps=20, seed=0)
 def test_simulate_matches_reference(extents, alpha, delta, amplitude, shrink, zero, minus_zero,
-                                    eps_blow, steps, seed):
+                                    eps_blow, edge, ulps, steps, seed):
     # amplitude is in units of the blow-up threshold, so about half the runs at
     # shrink 0 blow up; data shrunk by 2^-shrink reaches the copy path, and
-    # beyond 2^-1074 of the threshold underflows. A share minus_zero of the
-    # interior sites holds -0.0.
+    # beyond 2^-1074 of the threshold underflows. With an edge, the data is
+    # constant, at the copy edge or at the largest mean that does not blow up,
+    # moved by ulps; away from the boundary g is that value, exactly in 1-D and
+    # 2-D. A share minus_zero of the interior sites holds -0.0.
     d = BoxDomain(tuple(extents))
-    p = Params(alpha, delta)
+    p = Params(alpha, 1.0 / alpha if delta is None else delta)
     rng = np.random.default_rng(seed)
     if zero:
         interior = np.zeros(d.interior_shape)
+    elif edge is not None:
+        level = _copy_edge(p) if edge == "copy" else _blowup_edge(p, eps_blow)
+        interior = np.full(d.interior_shape, max(_nudge(level, ulps), 0.0))
     else:
         interior = np.ldexp(rng.uniform(0.0, amplitude * p.threshold, d.interior_shape), -shrink)
     interior[rng.random(d.interior_shape) < minus_zero] = -0.0
@@ -308,6 +345,29 @@ def test_simulate_matches_reference(extents, alpha, delta, amplitude, shrink, ze
 
 def _copy_edge(p):
     return evolution._Stepper(Field.zeros(BoxDomain((2,))), p, 0.0)._copy_below
+
+
+def _nudge(x, ulps):
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+def _blowup_edge(p, eps_blow):
+    """The largest g with 1 - alpha*delta*g^alpha > eps_blow, as the reference rounds it;
+    0 when eps_blow >= 1, where every g blows up."""
+    if eps_blow >= 1:
+        return 0.0
+
+    def survives(g):
+        return 1.0 - p.alpha * p.delta * np.power(g, p.alpha) > eps_blow
+
+    g = ((1.0 - eps_blow) / (p.alpha * p.delta)) ** (1.0 / p.alpha)
+    while not survives(g):
+        g = _nudge(g, -1)
+    while survives(_nudge(g, 1)):
+        g = _nudge(g, 1)
+    return g
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,9 +391,7 @@ def test_copy_edge_matches_reference(extents, alpha, delta, ulps, eps_blow, step
     # it the kernel copies g, above it it runs the full update
     d = BoxDomain(tuple(extents))
     p = Params(alpha, delta)
-    edge = _copy_edge(p)
-    for _ in range(abs(ulps)):
-        edge = max(float(np.nextafter(edge, math.copysign(math.inf, ulps))), 0.0)
+    edge = max(_nudge(_copy_edge(p), ulps), 0.0)
     interior = np.random.default_rng(seed).uniform(0.0, 1.0, d.interior_shape)
     interior = np.minimum(interior * (edge / interior.max()), edge)
     interior.flat[interior.argmax()] = edge
@@ -396,6 +454,35 @@ def test_long_runs_to_rest_match_reference(extents, alpha):
     rest = fast.trace[-1]
     assert rest.max_f < TINY
     assert (rest.max_f == 0.0) == (extents == (3,))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("extents", [(5,), (5, 5), (4, 3, 5)])
+def test_minus_zero_data_gives_plus_zero_means(extents, alpha):
+    # sqrt(-0.0) is -0.0, and np.power(-0.0, 0.5) is -0.0 on some platforms and C's +0.0 on
+    # others; the kernel's sqrt never meets -0.0 because the means start at +0.0
+    d = BoxDomain(extents)
+    rng = np.random.default_rng(5)
+    for share in (0.5, 1.0):
+        interior = rng.uniform(0.0, 0.5, d.interior_shape)
+        interior[rng.random(d.interior_shape) < share] = -0.0
+        a = Field.from_interior(d, interior)
+        stepper = evolution._Stepper(a, Params(alpha, 1.0 / alpha), 0.0)
+        assert stepper.step() is None
+        assert not np.signbit(stepper._g_span).any()
+        assert not np.signbit(stepper.f).any()
+
+
+@pytest.mark.parametrize("alpha, delta", [(0.5, 2.0), (1.0, 1.0), (2.0, 0.5), (2.0, 3.0),
+                                          (1.0, 0.3), (1.5, 1 / 1.5), (3.0, 1.0), (49.0, 1 / 49)])
+def test_exact_powers_and_unit_coupling_take_no_call(alpha, delta):
+    # no np.power at alpha in {0.5, 1, 2}, and no multiply when alpha*delta is exactly 1.0,
+    # which 49 * (1/49) is not
+    stepper = evolution._Stepper(Field.zeros(BoxDomain((3,))), Params(alpha, delta), 0.0)
+    ufuncs = [ufunc for ufunc, _ in stepper._denom_calls + stepper._root_calls]
+    assert (np.power in ufuncs) == (alpha not in (0.5, 1.0, 2.0))
+    assert (np.multiply in ufuncs) == (alpha * delta != 1.0)
+    assert len(ufuncs) == 1 + (alpha != 1.0) * 2 + (alpha * delta != 1.0)
 
 
 # Nonzero amplitudes for the conjugacy property start here: 8 steps of

@@ -406,7 +406,7 @@ def _certificate_edge(d, p, eps_blow, side):
 @settings(max_examples=30, deadline=None)
 @given(
     extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
-    alpha=st.floats(0.25, 3.0),
+    alpha=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.25, 3.0)),
     delta=st.sampled_from([0.5, 1.0, 2.0]),
     eps_blow=st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
     kind=st.sampled_from(["random", "sine", "delta"]),
