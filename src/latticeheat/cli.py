@@ -1,7 +1,7 @@
 """Command-line front end: config parsing, workflows, CSV/JSON artifacts.
 
-Subcommands: simulate | verify | bound | threshold | sweep. Configs are a
-single JSON document; outputs are deterministic (same config and seed give
+The command positional is one of simulate | verify | bound | threshold | sweep.
+Configs are a single JSON document; outputs are deterministic (same config and seed give
 byte-identical files). `main` checks every input before it creates `--out`.
 """
 
@@ -72,8 +72,9 @@ def _read_json(path: Path, key: str) -> dict:
 def read_field_json(path: Path) -> Field:
     """The field file named by init.path; a malformed one is a ConfigError naming it."""
     doc = _read_json(path, "init.path")
-    domain = BoxDomain(_extents(doc, path="init.path: "))
-    values = _require(doc, "values", list, path="init.path: ")
+    field = _read(doc, _FIELD, "init.path: ")
+    domain = BoxDomain(tuple(field["extents"]))
+    values = field["values"]
     if len(values) != domain.n_sites:
         raise ConfigError(f"init.path: values: {domain.n_sites} sites, got {len(values)}")
     if any(isinstance(v, bool) for v in values):
@@ -94,104 +95,117 @@ class ExperimentConfig:
     delta: float
     steps: int
     init: dict
-    amplitude: float = 1.0
-    eps_blow: float = 0.0
-    comparison_slack: float = 1e-12
-    threshold_tol: float = 1e-3
-    sweep: dict | None = None
+    amplitude: float
+    eps_blow: float
+    comparison_slack: float
+    threshold_tol: float
+    sweep: dict | None
 
     @property
     def params(self) -> Params:
         return Params(alpha=self.alpha, delta=self.delta)
 
 
-def _require(doc: dict, key: str, kind, path: str = ""):
-    where = f"{path}{key}"
-    if key not in doc:
-        raise ConfigError(f"{where}: missing required field")
-    val = doc[key]
-    if kind is float and type(val) is int:  # not bool
-        val = float(val) if abs(val) <= sys.float_info.max else math.inf
-    if isinstance(val, bool) or not isinstance(val, kind):  # bool is an int subclass
-        raise ConfigError(f"{where}: expected {kind.__name__}, got {type(val).__name__}")
-    if kind is float and not math.isfinite(val):
-        raise ConfigError(f"{where}: must be finite")
-    return val
-
-
 def _keyed(prefix: str, rule, *args):
     """rule(*args); an error it raises on bad input becomes a ConfigError that starts prefix."""
     try:
         return rule(*args)
-    except (TypeError, ValueError, ArithmeticError) as e:
+    except (TypeError, ValueError, ArithmeticError, OSError) as e:
         raise ConfigError(f"{prefix}{e}") from e
 
 
-def _extents(doc: dict, path: str = "") -> tuple[int, ...]:
-    extents = _require(doc, "extents", list, path)
-    if not extents or not all(type(n) is int for n in extents):  # bools are rejected
-        raise ConfigError(f"{path}extents: must be a nonempty list of integers")
-    if any(n < 2 for n in extents):
-        raise ConfigError(f"{path}extents: every extent must be >= 2")
-    return tuple(extents)
+_REQUIRED = object()  # the default of a key that must be present
+
+
+def _read(doc: dict, table: tuple, prefix: str = "", cfg: dict | None = None) -> dict:
+    """The value in `doc` of each key in `table`; a fault is a ConfigError naming prefix + key.
+
+    A row is (key, type, default, checks), read in order. An absent key takes the default.
+    A value must be of the type (None: any; an int is read as a float where one is due),
+    finite if a float, and pass each check (test, message): test(value, cfg) is true, where
+    cfg holds the values read so far unless the caller passes its own. A test that reads a
+    sub-table or builds Params raises its own ConfigError and is true otherwise.
+    """
+    vals = {}
+    cfg = vals if cfg is None else cfg
+    for key, kind, default, checks in table:
+        if key not in doc:
+            if default is _REQUIRED:
+                raise ConfigError(f"{prefix}{key}: missing required field")
+            vals[key] = default
+            continue
+        val = doc[key]
+        if kind is float and type(val) is int:  # not bool
+            val = float(val) if abs(val) <= sys.float_info.max else math.inf
+        exact = type(val) is kind  # as json.loads gives them; bool is an int subclass
+        if not exact and kind and (isinstance(val, bool) or not isinstance(val, kind)):
+            raise ConfigError(f"{prefix}{key}: expected {kind.__name__}, got {type(val).__name__}")
+        if kind is float and not math.isfinite(val):
+            raise ConfigError(f"{prefix}{key}: must be finite")
+        for test, why in checks:
+            if not test(val, cfg):
+                raise ConfigError(f"{prefix}{key}: {why.format(val)}")
+        vals[key] = val
+    return vals
+
+
+def _init(init: dict, cfg: dict) -> bool:
+    """True once init.kind and the keys that kind reads have passed their rows."""
+    kind = _read(init, _KIND, "init.")["kind"]
+    _read(init, _INIT[kind], "init.", cfg)
+    return True
+
+
+_AT_LEAST_0 = ((lambda v, cfg: v >= 0, "must be >= 0"),)
+_ABOVE_0 = ((lambda v, cfg: v > 0, "must be > 0"),)
+_EXTENTS = (  # bools are rejected
+    (lambda v, cfg: v and all(type(n) is int for n in v), "must be a nonempty list of integers"),
+    (lambda v, cfg: min(v) >= 2, "every extent must be >= 2"),
+)
+_POSITIVES = (  # sweep.alphas, sweep.amplitudes
+    (lambda v, cfg: v and all(type(x) in (int, float) and 0 < x <= sys.float_info.max for x in v),
+     "must be a nonempty list of positives"),
+)
+_KIND = (("kind", str, _REQUIRED, ((lambda v, cfg: v in _INIT, "unknown profile kind {!r}"),)),)
+_INIT = {  # the keys each init.kind reads
+    "delta_center": (),
+    "constant_interior": (),
+    "sine_mode": (("mode", list, _REQUIRED, (
+        (lambda v, cfg: len(v) == len(cfg["extents"]), "length must match extents"),
+        (lambda v, cfg: all(type(m) is int for m in v), "must be a list of integers"),
+        (lambda v, cfg: BoxDomain(tuple(cfg["extents"])).is_interior(tuple(v)),
+         "must be an interior multi-index"),
+    )),),
+    "file": (("path", str, _REQUIRED, ()),),
+    "random": (
+        ("seed", int, _REQUIRED, _AT_LEAST_0),
+        ("max_amplitude", float, _REQUIRED, _ABOVE_0),
+    ),
+}
+_SWEEP = (("alphas", list, _REQUIRED, _POSITIVES), ("amplitudes", list, _REQUIRED, _POSITIVES))
+_CONFIG = (  # the fields of ExperimentConfig
+    ("extents", list, _REQUIRED, _EXTENTS),
+    ("alpha", float, _REQUIRED, ()),
+    # Params' messages start with the key
+    ("delta", float, _REQUIRED, ((lambda v, cfg: _keyed("", Params, cfg["alpha"], v), ""),)),
+    ("steps", int, _REQUIRED, _AT_LEAST_0),
+    ("init", dict, _REQUIRED, ((_init, ""),)),
+    ("amplitude", float, 1.0, _AT_LEAST_0),
+    ("eps_blow", float, 0.0, _AT_LEAST_0),
+    ("comparison_slack", float, 1e-12, _AT_LEAST_0),
+    ("threshold_tol", float, 1e-3, _ABOVE_0),
+    ("sweep", None, None, (  # null is no sweep
+        (lambda v, cfg: v is None or isinstance(v, dict), "expected an object"),
+        (lambda v, cfg: v is None or _read(v, _SWEEP, "sweep."), ""),
+    )),
+)
+_FIELD = (("extents", list, _REQUIRED, _EXTENTS), ("values", list, _REQUIRED, ()))
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    extents = _extents(doc)
-    alpha = _require(doc, "alpha", float)
-    delta = _require(doc, "delta", float)
-    _keyed("", Params, alpha, delta)  # its messages start with the key
-    steps = _require(doc, "steps", int)
-    if steps < 0:
-        raise ConfigError("steps: must be >= 0")
-    init = _require(doc, "init", dict)
-    kind = _require(init, "kind", str, path="init.")
-    if kind not in {"delta_center", "constant_interior", "sine_mode", "file", "random"}:
-        raise ConfigError(f"init.kind: unknown profile kind {kind!r}")
-    if kind == "sine_mode":
-        mode = _require(init, "mode", list, path="init.")
-        if len(mode) != len(extents):
-            raise ConfigError("init.mode: length must match extents")
-        if not all(type(m) is int for m in mode):
-            raise ConfigError("init.mode: must be a list of integers")
-        if not BoxDomain(extents).is_interior(tuple(mode)):
-            raise ConfigError("init.mode: must be an interior multi-index")
-    if kind == "file":
-        _require(init, "path", str, path="init.")
-    if kind == "random":
-        seed = _require(init, "seed", int, path="init.")
-        if seed < 0:
-            raise ConfigError("init.seed: must be >= 0")
-        amp = _require(init, "max_amplitude", float, path="init.")
-        if not amp > 0:
-            raise ConfigError("init.max_amplitude: must be > 0")
-    cfg = ExperimentConfig(
-        extents=extents,
-        alpha=alpha,
-        delta=delta,
-        steps=steps,
-        init=init,
-        sweep=doc.get("sweep"),
-        **{  # the optional floats; absent ones take the dataclass defaults
-            k: _require(doc, k, float)
-            for k in ("amplitude", "eps_blow", "comparison_slack", "threshold_tol")
-            if k in doc
-        },
-    )
-    for k in ("amplitude", "eps_blow", "comparison_slack"):
-        if not getattr(cfg, k) >= 0:
-            raise ConfigError(f"{k}: must be >= 0")
-    if not cfg.threshold_tol > 0:
-        raise ConfigError("threshold_tol: must be > 0")
-    if cfg.sweep is not None:
-        if not isinstance(cfg.sweep, dict):
-            raise ConfigError("sweep: expected an object")
-        for k in ("alphas", "amplitudes"):
-            vals = _require(cfg.sweep, k, list, path="sweep.")
-            positive = (type(v) in (int, float) and 0 < v <= sys.float_info.max for v in vals)
-            if not vals or not all(positive):
-                raise ConfigError(f"sweep.{k}: must be a nonempty list of positives")
-    return cfg
+    cfg = _read(doc, _CONFIG)
+    cfg["extents"] = tuple(cfg["extents"])
+    return ExperimentConfig(**cfg)
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -388,22 +402,6 @@ def cmd_sweep(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="latticeheat",
-        description="Lattice heat dynamics: blow-up detection, majorant "
-        "verification, and global-existence certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "verify", "bound", "threshold", "sweep"):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", type=Path, required=True)
-        cmd.add_argument("--out", type=Path, default=Path("."))
-        cmd.add_argument("--seed", type=int, default=None, help="override init.seed")
-        cmd.add_argument("--steps", type=int, default=None, help="override steps")
-    return parser
-
-
 _COMMANDS = {
     "simulate": cmd_simulate,
     "verify": cmd_verify,
@@ -413,9 +411,32 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises its argv faults as ConfigError, for exit 1."""
+
+    def error(self, message: str):
+        # argparse quotes no token in some messages; a line break in one would split the line
+        raise ConfigError(" ".join(message.splitlines()))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argv parser; `main` builds one per call, as a fresh process does."""
+    parser = _Parser(
+        prog="latticeheat",
+        description="Lattice heat dynamics: blow-up detection, majorant "
+        "verification, and global-existence certificates.",
+    )
+    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument("--config", type=Path, required=True)
+    parser.add_argument("--out", type=Path, default=Path("."))
+    parser.add_argument("--seed", type=int, default=None, help="override init.seed")
+    parser.add_argument("--steps", type=int, default=None, help="override steps")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # -h prints the help and exits 0
         cfg = load_config(args)
         try:
             profile = build_profile(cfg)
@@ -424,7 +445,8 @@ def main(argv: list[str] | None = None) -> int:
         except (MemoryError, ValueError) as e:  # numpy cannot allocate that many sites or axes
             raise ConfigError(f"extents: {e}") from e
         _check_data(args.command, cfg, profile)
-        args.out.mkdir(parents=True, exist_ok=True)  # only once every input has passed
+        # only once every input has passed; a path with a NUL byte is a ValueError
+        _keyed("--out: ", lambda: args.out.mkdir(parents=True, exist_ok=True))
         return _COMMANDS[args.command](cfg, profile, args.out)
     except (ConfigError, OSError) as e:  # OSError: writing the artifacts
         print(f"error: {e}", file=sys.stderr)

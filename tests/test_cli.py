@@ -2,17 +2,24 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latticeheat
 from latticeheat import BoxDomain, Field, Params, simulate
 from latticeheat.cli import (
+    _COMMANDS,
     EXIT_BLOWUP,
     EXIT_ERROR,
     EXIT_OK,
     ConfigError,
+    build_parser,
     main,
     parse_config,
     read_field_json,
@@ -48,6 +55,82 @@ def main_quiet(capsys, argv):
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == ""
     return code
+
+
+class TestArgv:
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    @pytest.mark.parametrize(
+        "flags, parsed",
+        [
+            ([], {"out": Path("."), "seed": None, "steps": None}),
+            (["--out", "o", "--seed", "7", "--steps", "3"], {"out": Path("o"), "seed": 7, "steps": 3}),
+        ],
+    )
+    def test_namespace(self, command, flags, parsed):
+        # the Namespace the subparser of each command gave
+        args = build_parser().parse_args([command, "--config", "c.json", *flags])
+        assert vars(args) == {"command": command, "config": Path("c.json"), **parsed}
+
+    def test_command_choices(self):
+        (action,) = [a for a in build_parser()._actions if a.dest == "command"]
+        assert action.choices == tuple(_COMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--config", "{cfg}", "--out", "{out}"], "command"),
+            (["simulat", "--config", "{cfg}", "--out", "{out}"], "invalid choice: 'simulat'"),
+            (["simulate", "--out", "{out}"], "--config"),
+            (["simulate", "--config", "{cfg}", "--out", "{out}", "--steps", "abc"], "--steps"),
+            (["verify", "--config", "{cfg}", "--out", "{out}", "--seed", "1.5"], "--seed"),
+            (["bound", "--config", "{cfg}", "--out", "{out}", "--bogus"], "--bogus"),
+            (["sweep", "--config", "{cfg}", "--out", "{out}", "a\nb"], "unrecognized arguments: a b"),
+        ],
+        ids=["no-command", "unknown-command", "no-config", "steps-abc", "seed-1.5", "unknown-flag",
+             "stray-line-break"],
+    )
+    def test_argv_fault_exits_1(self, tmp_path, capsys, argv, named):
+        cfg, out = write_config(tmp_path, base_config()), tmp_path / "out"
+        code = main([a.format(cfg=cfg, out=out) for a in argv])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "out, why",
+        [
+            ("file", "File exists"),
+            ("file/run", "Not a directory"),
+            ("run\0", "embedded null byte"),
+        ],
+        ids=["existing-file", "under-a-file", "nul-byte"],
+    )
+    def test_unmakeable_out_names_out(self, tmp_path, capsys, out, why):
+        cfg = write_config(tmp_path, base_config())
+        (tmp_path / "file").write_text("kept")
+        code = main(["simulate", "--config", str(cfg), "--out", f"{tmp_path}/{out}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: --out: ") and err.count("\n") == 1 and why in err
+        assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exits_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: latticeheat")
+
+    def test_process_exit_codes(self):
+        # the `raise SystemExit(main())` path that a console script also takes
+        src = str(Path(latticeheat.__file__).parents[1])
+        run = [sys.executable, "-m", "latticeheat.cli"]
+        env = {**os.environ, "PYTHONPATH": src}
+        fault = subprocess.run([*run, "simulate"], capture_output=True, text=True, env=env)
+        assert (fault.returncode, fault.stderr.count("\n")) == (EXIT_ERROR, 1)
+        assert fault.stderr.startswith("error: ")
+        assert subprocess.run([*run, "--help"], capture_output=True, env=env).returncode == 0
 
 
 class TestConfigParsing:

@@ -1,14 +1,16 @@
-"""The CLI's input boundary: malformed configs and field files end in exit 1.
+"""The CLI's input boundary: malformed configs, field files and argv end in exit 1.
 
 A fuzzer mutates valid configs and field files and asserts that `main` only
 ever returns 0, 1 or 2 and raises nothing, that exit 1 leaves no `--out`
 behind, and that exit 0 or 2 leaves the command's artifacts. Sizes stay small
-(extents <= 6, steps <= 20) so every command finishes quickly.
+(extents <= 6, steps <= 20) so every command finishes quickly. A second
+fuzzer drops, duplicates or garbles one argv token of a valid run.
 """
 
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeheat import BoxDomain, Field
-from latticeheat.cli import EXIT_ERROR, main, write_field_json
+from latticeheat.cli import EXIT_ERROR, EXIT_OK, main, write_field_json
 
 COMMANDS = ("simulate", "verify", "bound", "threshold", "sweep")
 ARTIFACTS = {
@@ -136,6 +138,51 @@ def test_main_never_raises(
             assert not (tmp / "out").exists()
         else:
             assert all((tmp / "out" / name).is_file() for name in ARTIFACTS[command])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(COMMANDS),
+    flags=st.sampled_from([(), ("--seed", "7"), ("--steps", "10"), ("--steps", "10", "--seed", "7")]),
+    op=st.sampled_from(["drop", "duplicate", "insert", "delete", "replace"]),
+    where=st.floats(0, 1),
+    at=st.floats(0, 1),
+    char=st.characters(blacklist_characters="/"),  # a garbled path stays in the run's directory
+)
+def test_garbled_argv_never_exits_2(command, flags, op, where, at, char):
+    with tempfile.TemporaryDirectory() as td:
+        tmp = Path(td)
+        # data far below the threshold: no command of a valid run exits 2
+        config = {**_config([4], "random", 10, tmp), "amplitude": 0.1}
+        (tmp / "config.json").write_text(json.dumps(config))
+        argv = [command, "--config", "config.json", "--out", "out", *flags]
+        i = min(int(where * len(argv)), len(argv) - 1)
+        token = argv[i]
+        j = min(int(at * (len(token) + 1)), len(token))
+        if op == "drop":
+            del argv[i]
+        elif op == "duplicate":
+            argv.insert(i, token)
+        elif op == "insert":
+            argv[i] = token[:j] + char + token[j:]
+        elif op == "delete":
+            argv[i] = token[:j] + token[j + 1:]
+        else:
+            argv[i] = token[:j] + char + token[j + 1:]
+        err, cwd = io.StringIO(), os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as e:  # argparse exits 2 on an argv fault; main must return 1
+            code = f"SystemExit({e.code})"
+        finally:
+            os.chdir(cwd)
+        assert code in (EXIT_OK, EXIT_ERROR), argv
+        assert (code == EXIT_ERROR) == err.getvalue().startswith("error: ")
+        if code == EXIT_ERROR:
+            assert len(err.getvalue().splitlines()) == 1
+            assert [p.name for p in tmp.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize(
