@@ -8,12 +8,13 @@ byte-identical files). `main` checks every input before it creates `--out`.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
-import itertools
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,7 @@ class ExperimentConfig:
     threshold_tol: float
     sweep: dict | None
 
-    @property
+    @cached_property
     def params(self) -> Params:
         return Params(alpha=self.alpha, delta=self.delta)
 
@@ -304,14 +305,18 @@ def _echo_params(cfg: ExperimentConfig) -> dict:
 def cmd_simulate(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     a = Field(profile.domain, profile.values * cfg.amplitude)
     report = simulate(a, cfg.params, cfg.steps, eps_blow=cfg.eps_blow)
-    # trajectory.csv as csv.writer writes it, one string per run of one record (a run at
-    # rest repeats its record to the horizon); a blow-up flags the last row
-    text, i = ["step,max_f,max_g,blowup_flag\r\n"], 0
-    for _, run in itertools.groupby(report.trace, key=id):
-        rec, j = report.trace[i], i + len(list(run))
-        sep = f",{_fmt(rec.max_f)},{_fmt(rec.max_g)},0\r\n"
-        text += (sep.join(map(str, range(i, j))), sep)
-        i = j
+    # trajectory.csv as csv.writer writes it: rows one by one up to the tail, where the trace
+    # repeats its last record, then the tail as one string. A copy step's max_f is the last
+    # max_g's float object, whose string it reuses. A blow-up flags the last row.
+    trace = report.trace
+    tail = bisect.bisect_left(trace, True, key=lambda rec: rec is trace[-1])
+    text, last_g, cell = ["step,max_f,max_g,blowup_flag\r\n"], None, ""
+    for s, rec in enumerate(trace[:tail + 1]):
+        f_cell = cell if rec.max_f is last_g else _fmt(rec.max_f)
+        last_g, cell = rec.max_g, _fmt(rec.max_g)
+        sep = f",{f_cell},{cell},0\r\n"
+        text.append(f"{s}{sep}")
+    text[-1] = sep.join(map(str, range(tail, len(trace)))) + sep
     doc = {"parameters": _echo_params(cfg), "outcome": {"kind": "survived", "steps": cfg.steps}}
     if report.blew_up:
         text[-1] = text[-1][:-3] + "1\r\n"

@@ -105,25 +105,26 @@ class _Stepper:
     """The nonlinear update on preallocated full-shape buffers.
 
     The stencil and the update run on the buffers' flat span (`_span`), where
-    a boundary site gets g = 0, so denom = 1 and f = 0; the boundary outside
-    the span is never written. So the buffers keep a zero boundary. f and the
-    spare swap at each update, with their spans and `_Stencil` plans into g.
+    a boundary site gets g = +0.0, so denom = 1 and f = +0.0; the boundary
+    outside the span is never written, so the buffers keep the +0.0 boundary
+    they start with, whatever the data's zeros. f and the spare swap at each
+    update, with their spans and `_Stencil` plans into g and into each other.
     The update maps zero-boundary, nonnegative, finite data to the same set
     until blow-up, so the data is checked once, here; afterwards the only way
     out of that set is an update that overflows to inf, which `simulate`
     reads from its per-step maximum.
     """
 
-    __slots__ = ("f", "g", "_g_span", "_spare", "_spans", "_means", "_denom_span", "_denom_core",
-                 "_denom_calls", "_root_calls", "_eps_blow", "_copy_below")
+    __slots__ = ("f", "g", "_g_span", "_spare", "_spans", "_means", "_copies", "_denom_span",
+                 "_denom_core", "_denom_calls", "_root_calls", "_eps_blow", "_copy_below")
 
     def __init__(self, a: Field, p: Params, eps_blow: float) -> None:
         if not eps_blow >= 0:
             raise ValueError(f"eps_blow must be >= 0, got {eps_blow}")
         _check_solution_field(a)
         core = a.domain.core
-        self.f = a.values.copy()
-        self._spare = np.zeros(a.domain.shape)
+        self.f, self._spare = np.zeros(a.domain.shape), np.zeros(a.domain.shape)
+        self.f[core] = a.values[core]
         g, denom = np.zeros(a.domain.shape), np.zeros(a.domain.shape)
         span = _span(g)
         self._g_span = g.ravel()[span]
@@ -131,6 +132,7 @@ class _Stepper:
         # f's and the spare's span and plan; the plans' neighbor sums go to denom
         self._spans = [v.ravel()[span] for v in (self.f, self._spare)]
         self._means = [_Stencil(v, g, self._denom_span) for v in (self.f, self._spare)]
+        self._copies = [None, None]  # f's and the spare's plans into the other, built at first use
         self.g = g[core]
         self._denom_core = denom[core]
         coupling = p.alpha * p.delta
@@ -162,16 +164,19 @@ class _Stepper:
         or below eps_blow is returned instead, and f is left unchanged. The
         span's boundary denominators are 1.0 and no interior one exceeds it,
         so the span's minimum decides as the interior's would. A caller may
-        pass f's maximum; at or below `_copy_below` the update is a copy of g.
+        pass f's maximum; at or below `_copy_below` the update is g itself, which
+        the mean writes straight into the new state, and g is left stale.
         """
-        g, denom = self._g_span, self._denom_span
-        self._means[0]()
         if max_f <= self._copy_below:
             # Exact: g <= max_f up to the mean's rounding (under 2^-46 relative for 64 axes), so
-            # alpha*delta*g^alpha < 2^-54; 1 minus it rounds to 1.0, 1.0^(1/alpha) is 1.0, g/1.0
-            # is g, and 1.0 > eps_blow, so no site blows up.
-            np.copyto(self._spans[1], g)
+            # alpha*delta*g^alpha < 2^-54; 1 minus it rounds to 1.0, 1.0^(1/alpha) is 1.0, g/1.0 is
+            # g, and 1.0 > eps_blow, so no site blows up. The plan into the spare writes g's bits.
+            if self._copies[0] is None:
+                self._copies[0] = _Stencil(self.f, self._spare, self._denom_span)
+            self._copies[0]()
         else:
+            g, denom = self._g_span, self._denom_span
+            self._means[0]()
             for ufunc, operands in self._denom_calls:
                 ufunc(*operands, out=denom)
             if denom.min() <= self._eps_blow:
@@ -180,7 +185,9 @@ class _Stepper:
                 ufunc(*operands, out=denom)
             np.divide(g, denom, out=self._spans[1])
         self.f, self._spare = self._spare, self.f
-        self._spans, self._means = self._spans[::-1], self._means[::-1]
+        self._spans.reverse()
+        self._means.reverse()
+        self._copies.reverse()
         return None
 
     def at_rest(self) -> bool:
@@ -213,28 +220,35 @@ def simulate(
     survival. An update that overflows to inf is a blow-up at its step, at
     the first site it set to inf. A state with all values below the smallest
     normal double that a step leaves unchanged bit for bit is a fixed point:
-    its record repeats to max_steps without further steps.
+    the next record repeats to max_steps without further steps. That tail is
+    the only place the trace repeats a record; the CSV writer relies on it.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     stepper = _Stepper(a, p, eps_blow)
     trace: list[StepRecord] = []
+    max_f = float(a.values.max())  # the data's: a zero maximum takes its sign from the data
     with np.errstate(divide="ignore", over="ignore"):
         for s in range(max_steps + 1):
-            max_f = float(stepper.f.max())
-            if not math.isfinite(max_f):  # the boundary is never inf
+            # the boundary is never inf, and only a full step, which fills g, overflows
+            if not math.isfinite(max_f):
                 sig = _first_offender(np.isinf(stepper.f[a.domain.core]), stepper.g)
                 outcome = BlewUpAt(step=s - 1, site=sig.site, g_value=sig.g_value)
                 return BlowupReport(outcome=outcome, trace=trace)
+            copy = max_f <= stepper._copy_below
             sig = stepper.step(max_f)  # at s == max_steps, its update is discarded
-            # the span's boundary g is +0.0 and its interior g >= +0.0, so its maximum is g's
-            record = StepRecord(max_f=max_f, max_g=float(stepper._g_span.max()))
-            trace.append(record)
+            # the span's boundary g is +0.0 and its interior g >= +0.0, so its maximum is g's;
+            # a copy step wrote g into the new state's span
+            max_g = float((stepper._spans[0] if copy else stepper._g_span).max())
+            trace.append(StepRecord(max_f=max_f, max_g=max_g))
             if sig is not None:
                 outcome = BlewUpAt(step=s, site=sig.site, g_value=sig.g_value)
                 return BlowupReport(outcome=outcome, trace=trace)
-            if max_f < _TINY and stepper.at_rest():
-                trace += [record] * (max_steps - s)
+            # after a copy step the state is g on the span and +0.0 off it, so a positive
+            # max_g is its maximum, the same float object
+            max_f = max_g if copy and max_g > 0 else float(stepper.f.max())
+            if max_f < _TINY and stepper.at_rest():  # the state and g repeat, so the record does
+                trace += [StepRecord(max_f=max_f, max_g=max_g)] * (max_steps - s)
                 break
     return BlowupReport(outcome=Survived(steps=max_steps), trace=trace)
 

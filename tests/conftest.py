@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from latticeheat import BoxDomain, Field
+from latticeheat import BlewUpAt, BlowupReport, BoxDomain, Field, Survived
+from latticeheat.evolution import StepRecord, _check_solution_field, _first_offender
 
 # HYPOTHESIS_PROFILE=ci: no example database, so no stale local entry can
 # decide a run, and every failure prints its @reproduce_failure blob
@@ -24,6 +25,13 @@ def random_field(rng, domain, amplitude=1.0):
     return Field.from_interior(domain, interior)
 
 
+def with_boundary(domain, interior, zero):
+    """The field with `interior` inside and `zero`, +0.0 or -0.0, on every boundary site."""
+    values = np.full(domain.shape, zero)
+    values[domain.core] = interior
+    return Field(domain, values)
+
+
 def reference_neighbor_mean(values):
     """The interior neighbor mean as the per-axis expression over strided
     interior views, kept here as the stencil kernel's frozen reference."""
@@ -38,6 +46,31 @@ def reference_neighbor_mean(values):
         out += values[tuple(up)] + values[tuple(down)]
     out /= 2 * d
     return out
+
+
+def reference_simulate(a, p, max_steps, eps_blow=0.0):
+    """simulate as first written: every step re-validated, a fresh Field per step.
+
+    Returns the report and the last state formed, which is the state simulate's
+    kernel ends in: like the kernel, it also forms the update at the horizon.
+    """
+    f = a
+    trace = []
+    for s in range(max_steps + 1):
+        _check_solution_field(f)
+        g = reference_neighbor_mean(f.values)
+        trace.append(StepRecord(max_f=f.max(), max_g=float(g.max())))
+        denom = 1.0 - p.alpha * p.delta * np.power(g, p.alpha)
+        bad = denom <= eps_blow
+        if np.any(bad):
+            sig = _first_offender(bad, g)
+            outcome = BlewUpAt(step=s, site=sig.site, g_value=sig.g_value)
+            return BlowupReport(outcome=outcome, trace=trace), f.values
+        nxt = Field.zeros(f.domain)
+        with np.errstate(divide="ignore", over="ignore"):  # an inf fails the next check
+            nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)
+        f = nxt
+    return BlowupReport(outcome=Survived(steps=max_steps), trace=trace), f.values
 
 
 def interior_sites(domain):

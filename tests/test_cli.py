@@ -5,11 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import latticeheat
 from latticeheat import BoxDomain, Field, Params, simulate
@@ -26,6 +29,8 @@ from latticeheat.cli import (
     splitmix64_uniform,
     write_field_json,
 )
+
+from conftest import reference_simulate, with_boundary
 
 
 def base_config(**overrides):
@@ -45,6 +50,18 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def _rowwise_trajectory(report):
+    """trajectory.csv for `report` as csv.writer writes it, row by row."""
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(["step", "max_f", "max_g", "blowup_flag"])
+    last = len(report.trace) - 1
+    for s, rec in enumerate(report.trace):
+        flag = int(report.blew_up and s == last)
+        w.writerow([s, format(rec.max_f, ".17g"), format(rec.max_g, ".17g"), flag])
+    return want.getvalue().encode()
 
 
 def main_quiet(capsys, argv):
@@ -138,6 +155,10 @@ class TestConfigParsing:
         cfg = parse_config(base_config())
         assert cfg.extents == (4,)
         assert cfg.params.threshold == 1.0
+
+    def test_params_built_once(self):
+        cfg = parse_config(base_config(alpha=2.0, delta=0.5))
+        assert cfg.params is cfg.params and cfg.params == Params(2.0, 0.5)
 
     def test_rejects_zero_delta_naming_field(self):
         with pytest.raises(ConfigError, match="delta"):
@@ -279,14 +300,71 @@ class TestSimulateCommand:
             if outcome == "rest":
                 assert report.trace[-1] is report.trace[6000]
                 assert 0 < report.trace[-1].max_f < 2.0**-1022
-            want = io.StringIO(newline="")
-            w = csv.writer(want)
-            w.writerow(["step", "max_f", "max_g", "blowup_flag"])
-            last = len(report.trace) - 1
-            for s, rec in enumerate(report.trace):
-                flag = int(report.blew_up and s == last)
-                w.writerow([s, format(rec.max_f, ".17g"), format(rec.max_g, ".17g"), flag])
-            assert (out / "trajectory.csv").read_bytes() == want.getvalue().encode(), i
+            assert (out / "trajectory.csv").read_bytes() == _rowwise_trajectory(report), i
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+        alpha=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 0.01]), st.floats(0.25, 3.0)),
+        delta=st.one_of(st.none(), st.floats(0.25, 4.0)),  # None: 1/alpha
+        level=st.floats(0.0, 1.5),
+        constant=st.booleans(),
+        shrink=st.one_of(st.just(0), st.integers(0, 1080)),
+        minus_zero=st.sampled_from([0.0, 0.0, 0.3, 1.0]),
+        minus_boundary=st.booleans(),
+        steps=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # blow-up at step 0 and at step 3
+    @example(extents=[5], alpha=1.0, delta=None, level=2.0, constant=True, shrink=0,
+             minus_zero=0.0, minus_boundary=False, steps=100, seed=0)
+    @example(extents=[6], alpha=1.0, delta=None, level=0.3, constant=True, shrink=0,
+             minus_zero=0.0, minus_boundary=False, steps=100, seed=0)
+    # the update overflows at step 0: 1 - g^0.01 is a few doubles above 0, and its 100th power 0
+    @example(extents=[4], alpha=0.01, delta=None, level=1 - 41 * 2.0**-53, constant=True,
+             shrink=0, minus_zero=0.0, minus_boundary=False, steps=10, seed=0)
+    # full steps, then copy steps to rest at step 1065, and the rest repeated to the horizon
+    @example(extents=[3, 3], alpha=1.0, delta=None, level=1e-3, constant=True, shrink=0,
+             minus_zero=0.0, minus_boundary=False, steps=3000, seed=0)
+    # copy steps from subnormal random data to a subnormal fixed point
+    @example(extents=[6, 5], alpha=2.0, delta=0.7, level=0.8, constant=False, shrink=1050,
+             minus_zero=0.3, minus_boundary=True, steps=3000, seed=1)
+    def test_trajectory_matches_rowwise_writer(self, extents, alpha, delta, level, constant,
+                                               shrink, minus_zero, minus_boundary, steps, seed):
+        # `level` is in units of the blow-up threshold; data shrunk by 2^-shrink
+        # reaches the copy steps and, within the horizon, the fixed point. A share
+        # minus_zero of the interior sites and, with minus_boundary, the boundary
+        # hold -0.0, which a field file carries.
+        d = BoxDomain(tuple(extents))
+        p = Params(alpha, 1.0 / alpha if delta is None else delta)
+        rng = np.random.default_rng(seed)
+        scale = np.ones(d.interior_shape) if constant else rng.uniform(0.0, 1.0, d.interior_shape)
+        interior = np.ldexp(level * p.threshold * scale, -shrink)
+        interior[rng.random(d.interior_shape) < minus_zero] = -0.0
+        a = with_boundary(d, interior, -0.0 if minus_boundary else 0.0)
+        report = simulate(a, p, steps)
+        with tempfile.TemporaryDirectory() as td:
+            field, out = Path(td) / "field.json", Path(td) / "out"
+            write_field_json(field, a)
+            cfg = write_config(Path(td), base_config(
+                extents=extents, alpha=p.alpha, delta=p.delta, steps=steps, amplitude=1.0,
+                init={"kind": "file", "path": str(field)}))
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+            assert code == (EXIT_BLOWUP if report.blew_up else EXIT_OK)
+            assert (out / "trajectory.csv").read_bytes() == _rowwise_trajectory(report)
+
+    def test_minus_zero_data_rests(self, tmp_path):
+        # -0.0 * the profile puts -0.0 on every site; the kernel's boundary is +0.0, so the
+        # zero state rests after step 1 instead of reading -0.0 as every other maximum
+        doc = base_config(extents=[5], steps=5, amplitude=-0.0)
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        d = BoxDomain((5,))
+        profile = Field.from_interior(d, np.ones(d.interior_shape))
+        report, _ = reference_simulate(Field(d, profile.values * -0.0), Params(1.0, 1.0), 5)
+        want = _rowwise_trajectory(report)
+        assert (tmp_path / "trajectory.csv").read_bytes() == want
+        assert want.decode().splitlines()[1:3] == ["0,-0,0,0", "1,0,0,0"]
 
     def test_steps_override(self, tmp_path):
         cfg = write_config(tmp_path, base_config(amplitude=0.1))

@@ -19,36 +19,11 @@ from latticeheat import (
     simulate,
     step_nonlinear,
 )
-from latticeheat.evolution import StepRecord, _check_solution_field, _first_offender
+from latticeheat.evolution import StepRecord
 
-from conftest import random_domain, random_field, reference_neighbor_mean
+from conftest import random_domain, random_field, reference_simulate, with_boundary
 
 TINY = np.finfo(float).tiny
-
-
-def _reference_simulate(a, p, max_steps, eps_blow=0.0):
-    """simulate as first written: every step re-validated, a fresh Field per step.
-
-    Returns the report and the last state formed, which is the state simulate's
-    kernel ends in: like the kernel, it also forms the update at the horizon.
-    """
-    f = a
-    trace = []
-    for s in range(max_steps + 1):
-        _check_solution_field(f)
-        g = reference_neighbor_mean(f.values)
-        trace.append(StepRecord(max_f=f.max(), max_g=float(g.max())))
-        denom = 1.0 - p.alpha * p.delta * np.power(g, p.alpha)
-        bad = denom <= eps_blow
-        if np.any(bad):
-            sig = _first_offender(bad, g)
-            outcome = BlewUpAt(step=s, site=sig.site, g_value=sig.g_value)
-            return BlowupReport(outcome=outcome, trace=trace), f.values
-        nxt = Field.zeros(f.domain)
-        with np.errstate(divide="ignore", over="ignore"):  # an inf fails the next check
-            nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)
-        f = nxt
-    return BlowupReport(outcome=Survived(steps=max_steps), trace=trace), f.values
 
 
 def _run_kernel(a, p, max_steps, eps_blow=0.0, stepper=evolution._Stepper):
@@ -70,14 +45,16 @@ def _bits(record):
 
 
 def _assert_same_run(a, p, max_steps, eps_blow=0.0):
-    """simulate and _reference_simulate agree: outcome, records and final state, bit for bit."""
+    """simulate and reference_simulate agree: outcome, records and final state, bit for bit."""
     fast, state = _run_kernel(a, p, max_steps, eps_blow)
-    ref, ref_state = _reference_simulate(a, p, max_steps, eps_blow)
+    ref, ref_state = reference_simulate(a, p, max_steps, eps_blow)
     assert fast.outcome == ref.outcome
     assert len(fast.trace) == len(ref.trace)
     for s, (got, want) in enumerate(zip(fast.trace, ref.trace)):
         assert _bits(got) == _bits(want), f"step {s}"
-    assert state.tobytes() == ref_state.tobytes()
+    # the kernel keeps the state's interior on a +0.0 boundary, whatever the data's zeros
+    want = with_boundary(a.domain, ref_state[a.domain.core], 0.0).values
+    assert state.tobytes() == want.tobytes()
     return fast
 
 
@@ -252,7 +229,7 @@ class TestSimulate:
         assert report.outcome == BlewUpAt(step=0, site=(2,), g_value=float(v))
         assert report.trace == [StepRecord(max_f=float(v), max_g=float(v))]
         with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite"):
-            _reference_simulate(Field(d, [0, v, v, v, 0]), p, 10)
+            reference_simulate(Field(d, [0, v, v, v, 0]), p, 10)
         # at the horizon the overflowing update is computed but never read
         report = simulate(Field(d, [0, v, v, v, 0]), p, 0)
         assert report == BlowupReport(Survived(0), [StepRecord(max_f=float(v), max_g=float(v))])
@@ -269,6 +246,7 @@ class TestSimulate:
     shrink=st.one_of(st.just(0), st.integers(0, 1100)),
     zero=st.booleans(),
     minus_zero=st.sampled_from([0.0, 0.0, 0.3, 1.0]),  # half the runs without -0.0
+    minus_boundary=st.booleans(),
     eps_blow=st.sampled_from([0.0, 1e-3, 0.25, 1.0, 2.0]),
     edge=st.sampled_from([None, None, None, None, "copy", "blow-up"]),
     ulps=st.integers(-1, 1),
@@ -277,58 +255,67 @@ class TestSimulate:
 )
 # tiny data with eps_blow = 1 still blows up at step 0: its denominators are 1.0
 @example(extents=[3, 3], alpha=1.0, delta=1.0, amplitude=1.0, shrink=200, zero=False,
-         minus_zero=0.0, eps_blow=1.0, edge=None, ulps=0, steps=10, seed=0)
+         minus_zero=0.0, minus_boundary=False, eps_blow=1.0, edge=None, ulps=0, steps=10, seed=0)
 # alpha = 0.01: the copy edge underflows to 0, so only zero data is copied
 @example(extents=[4], alpha=0.01, delta=1.0, amplitude=0.0, shrink=0, zero=True,
-         minus_zero=0.0, eps_blow=0.0, edge=None, ulps=0, steps=20, seed=0)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.0, edge=None, ulps=0, steps=20, seed=0)
 # alpha = 8, delta = 1e-6: the copy edge is 0.55 % of the threshold, crossed at step 3
 @example(extents=[5, 5], alpha=8.0, delta=1e-6, amplitude=0.01, shrink=0, zero=False,
-         minus_zero=0.0, eps_blow=0.0, edge=None, ulps=0, steps=300, seed=1)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.0, edge=None, ulps=0, steps=300, seed=1)
 # 25 full updates, then copy steps to a subnormal fixed point at step 4903
 @example(extents=[6, 6, 6], alpha=1.0, delta=1.0, amplitude=1.0, shrink=55, zero=False,
-         minus_zero=0.0, eps_blow=0.0, edge=None, ulps=0, steps=6000, seed=1)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.0, edge=None, ulps=0, steps=6000, seed=1)
 # -0.0 on every interior site: the means start at +0.0, so g and the states are +0.0, also
 # at the sites whose neighbors are all -0.0 (a -0.0 start would keep -0.0 there to step 2)
 @example(extents=[6, 6], alpha=1.0, delta=1.0, amplitude=0.0, shrink=0, zero=True,
-         minus_zero=1.0, eps_blow=0.0, edge=None, ulps=0, steps=1, seed=0)
+         minus_zero=1.0, minus_boundary=False, eps_blow=0.0, edge=None, ulps=0, steps=1, seed=0)
+@example(extents=[6, 6], alpha=1.0, delta=1.0, amplitude=0.0, shrink=0, zero=True,
+         minus_zero=1.0, minus_boundary=True, eps_blow=0.0, edge=None, ulps=0, steps=1, seed=0)
+# -0.0 on the boundary and on a share of the interior, decaying to zero: the kernel's +0.0
+# boundary lets the zero state rest, where a -0.0 one read -0.0 as every other maximum
+@example(extents=[3, 4, 3], alpha=1.0, delta=None, amplitude=1.0, shrink=1000, zero=False,
+         minus_zero=0.3, minus_boundary=True, eps_blow=0.0, edge=None, ulps=0, steps=2000, seed=5)
 # subnormal data: at eps_blow = 1 the full update's first calls (sqrt at alpha = 0.5,
 # square at 2) run on it before the blow-up at step 0; below it, copy steps, whose means
 # are scaled by 1/2d (d = 1, 2) or divided by 6 (d = 3)
 @example(extents=[4, 4], alpha=0.5, delta=None, amplitude=1.0, shrink=1060, zero=False,
-         minus_zero=0.0, eps_blow=1.0, edge=None, ulps=0, steps=3, seed=2)
+         minus_zero=0.0, minus_boundary=False, eps_blow=1.0, edge=None, ulps=0, steps=3, seed=2)
 @example(extents=[5, 5], alpha=2.0, delta=None, amplitude=1.0, shrink=1060, zero=False,
-         minus_zero=0.3, eps_blow=1.0, edge=None, ulps=0, steps=3, seed=2)
+         minus_zero=0.3, minus_boundary=False, eps_blow=1.0, edge=None, ulps=0, steps=3, seed=2)
+@example(extents=[5, 5], alpha=2.0, delta=None, amplitude=1.0, shrink=1060, zero=False,
+         minus_zero=0.3, minus_boundary=True, eps_blow=1.0, edge=None, ulps=0, steps=3, seed=2)
 @example(extents=[6], alpha=2.0, delta=None, amplitude=1.0, shrink=1040, zero=False,
-         minus_zero=0.0, eps_blow=0.0, edge=None, ulps=0, steps=200, seed=3)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.0, edge=None, ulps=0, steps=200, seed=3)
 @example(extents=[4, 3, 5], alpha=1.0, delta=None, amplitude=1.0, shrink=1030, zero=False,
-         minus_zero=0.0, eps_blow=0.3, edge=None, ulps=0, steps=200, seed=4)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.3, edge=None, ulps=0, steps=200, seed=4)
 # constant data one ulp either side of the copy edge and of the blow-up edge
 @example(extents=[5, 5], alpha=2.0, delta=None, amplitude=0.0, shrink=0, zero=False,
-         minus_zero=0.0, eps_blow=0.3, edge="copy", ulps=0, steps=20, seed=0)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.3, edge="copy", ulps=0, steps=20, seed=0)
 @example(extents=[5, 5], alpha=2.0, delta=None, amplitude=0.0, shrink=0, zero=False,
-         minus_zero=0.0, eps_blow=0.3, edge="copy", ulps=1, steps=20, seed=0)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.3, edge="copy", ulps=1, steps=20, seed=0)
 @example(extents=[5, 5], alpha=0.5, delta=None, amplitude=0.0, shrink=0, zero=False,
-         minus_zero=0.0, eps_blow=0.0, edge="copy", ulps=1, steps=20, seed=0)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.0, edge="copy", ulps=1, steps=20, seed=0)
 @example(extents=[5, 5], alpha=2.0, delta=None, amplitude=0.0, shrink=0, zero=False,
-         minus_zero=0.0, eps_blow=0.0, edge="blow-up", ulps=0, steps=20, seed=0)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.0, edge="blow-up", ulps=0, steps=20, seed=0)
 @example(extents=[5, 5], alpha=2.0, delta=None, amplitude=0.0, shrink=0, zero=False,
-         minus_zero=0.0, eps_blow=0.0, edge="blow-up", ulps=1, steps=20, seed=0)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.0, edge="blow-up", ulps=1, steps=20, seed=0)
 @example(extents=[6], alpha=0.5, delta=None, amplitude=0.0, shrink=0, zero=False,
-         minus_zero=0.0, eps_blow=0.3, edge="blow-up", ulps=0, steps=20, seed=0)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.3, edge="blow-up", ulps=0, steps=20, seed=0)
 @example(extents=[6], alpha=0.5, delta=None, amplitude=0.0, shrink=0, zero=False,
-         minus_zero=0.0, eps_blow=0.3, edge="blow-up", ulps=1, steps=20, seed=0)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.3, edge="blow-up", ulps=1, steps=20, seed=0)
 @example(extents=[5, 5], alpha=1.0, delta=3.0, amplitude=0.0, shrink=0, zero=False,
-         minus_zero=0.0, eps_blow=0.3, edge="blow-up", ulps=1, steps=20, seed=0)
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.3, edge="blow-up", ulps=1, steps=20, seed=0)
 @example(extents=[5, 5], alpha=1.0, delta=None, amplitude=0.0, shrink=0, zero=False,
-         minus_zero=0.0, eps_blow=1.0, edge="blow-up", ulps=1, steps=20, seed=0)
+         minus_zero=0.0, minus_boundary=False, eps_blow=1.0, edge="blow-up", ulps=1, steps=20, seed=0)
 def test_simulate_matches_reference(extents, alpha, delta, amplitude, shrink, zero, minus_zero,
-                                    eps_blow, edge, ulps, steps, seed):
+                                    minus_boundary, eps_blow, edge, ulps, steps, seed):
     # amplitude is in units of the blow-up threshold, so about half the runs at
     # shrink 0 blow up; data shrunk by 2^-shrink reaches the copy path, and
     # beyond 2^-1074 of the threshold underflows. With an edge, the data is
     # constant, at the copy edge or at the largest mean that does not blow up,
     # moved by ulps; away from the boundary g is that value, exactly in 1-D and
-    # 2-D. A share minus_zero of the interior sites holds -0.0.
+    # 2-D. A share minus_zero of the interior sites holds -0.0, and with
+    # minus_boundary every boundary site does.
     d = BoxDomain(tuple(extents))
     p = Params(alpha, 1.0 / alpha if delta is None else delta)
     rng = np.random.default_rng(seed)
@@ -340,7 +327,8 @@ def test_simulate_matches_reference(extents, alpha, delta, amplitude, shrink, ze
     else:
         interior = np.ldexp(rng.uniform(0.0, amplitude * p.threshold, d.interior_shape), -shrink)
     interior[rng.random(d.interior_shape) < minus_zero] = -0.0
-    _assert_same_run(Field.from_interior(d, interior), p, steps, eps_blow)
+    _assert_same_run(with_boundary(d, interior, -0.0 if minus_boundary else 0.0), p, steps,
+                     eps_blow)
 
 
 def _copy_edge(p):
@@ -378,26 +366,51 @@ def _blowup_edge(p, eps_blow):
     ulps=st.integers(-2, 2),
     eps_blow=st.sampled_from([0.0, 0.25, 1.0]),
     steps=st.integers(0, 30),
+    constant=st.booleans(),
+    signed=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(extents=[4, 4], alpha=1.0, delta=1.0, ulps=0, eps_blow=0.0, steps=10, seed=0)
-@example(extents=[4, 4], alpha=1.0, delta=1.0, ulps=1, eps_blow=0.0, steps=10, seed=0)
-@example(extents=[3, 3, 3], alpha=2.0, delta=0.5, ulps=0, eps_blow=1.0, steps=10, seed=0)
-@example(extents=[5], alpha=0.01, delta=1.0, ulps=0, eps_blow=0.0, steps=10, seed=0)
-@example(extents=[5], alpha=0.01, delta=1.0, ulps=1, eps_blow=0.0, steps=10, seed=0)
-@example(extents=[4, 4], alpha=8.0, delta=1e-6, ulps=0, eps_blow=0.25, steps=30, seed=0)
-def test_copy_edge_matches_reference(extents, alpha, delta, ulps, eps_blow, steps, seed):
+@example(extents=[4, 4], alpha=1.0, delta=1.0, ulps=0, eps_blow=0.0, steps=10, constant=False,
+         signed=False, seed=0)
+@example(extents=[4, 4], alpha=1.0, delta=1.0, ulps=1, eps_blow=0.0, steps=10, constant=False,
+         signed=False, seed=0)
+@example(extents=[3, 3, 3], alpha=2.0, delta=0.5, ulps=0, eps_blow=1.0, steps=10, constant=False,
+         signed=True, seed=0)
+@example(extents=[5], alpha=0.01, delta=1.0, ulps=0, eps_blow=0.0, steps=10, constant=False,
+         signed=True, seed=0)
+@example(extents=[5], alpha=0.01, delta=1.0, ulps=1, eps_blow=0.0, steps=10, constant=False,
+         signed=False, seed=0)
+@example(extents=[4, 4], alpha=8.0, delta=1e-6, ulps=0, eps_blow=0.25, steps=30, constant=False,
+         signed=False, seed=0)
+# the mean of constant 3-D data at the edge rounds one double above it: a full step follows a copy
+@example(extents=[4, 4, 4], alpha=3.0, delta=1.0, ulps=0, eps_blow=0.0, steps=10, constant=True,
+         signed=True, seed=0)
+def test_copy_edge_matches_reference(extents, alpha, delta, ulps, eps_blow, steps, constant,
+                                     signed, seed):
     # data whose maximum is the copy edge, moved by `ulps` doubles: at and below
-    # it the kernel copies g, above it it runs the full update
+    # it the kernel copies g, above it it runs the full update, which may follow
+    # a copy step whose mean rounded above the edge. With `constant`, every
+    # interior site holds that maximum; with `signed`, the boundary holds -0.0.
     d = BoxDomain(tuple(extents))
     p = Params(alpha, delta)
     edge = max(_nudge(_copy_edge(p), ulps), 0.0)
     interior = np.random.default_rng(seed).uniform(0.0, 1.0, d.interior_shape)
     interior = np.minimum(interior * (edge / interior.max()), edge)
     interior.flat[interior.argmax()] = edge
-    a = Field.from_interior(d, interior)
+    if constant:
+        interior[...] = edge
+    a = with_boundary(d, interior, -0.0 if signed else 0.0)
     assert a.max() == edge
     _assert_same_run(a, p, steps, eps_blow)
+    _assert_copy_keeps_max(reference_simulate(a, p, steps, eps_blow)[0], _copy_edge(p))
+
+
+def _assert_copy_keeps_max(report, copy_below):
+    """The invariant a copy step's maximum rests on, read from the reference: after a step whose
+    max_f is at or below `copy_below`, a positive max_g is the next max_f, bit for bit."""
+    for s, (rec, nxt) in enumerate(zip(report.trace, report.trace[1:])):
+        if rec.max_f <= copy_below and rec.max_g > 0:
+            assert np.float64(nxt.max_f).tobytes() == np.float64(rec.max_g).tobytes(), s
 
 
 def test_copy_edge():
@@ -422,11 +435,26 @@ def test_decaying_run_copies_then_rests():
 
     d = BoxDomain((6, 6, 6))
     interior = np.random.default_rng(1).uniform(0.0, 1.0, d.interior_shape)
-    report, _ = _run_kernel(Field.from_interior(d, np.ldexp(interior, -55)), Params(1.0, 1.0), 6000,
-                            stepper=Counting)
+    a, p = Field.from_interior(d, np.ldexp(interior, -55)), Params(1.0, 1.0)
+    report, _ = _run_kernel(a, p, 6000, stepper=Counting)
     full = copies.index(True)
     assert full == 25 and all(copies[full:]) and len(copies) == 4904
     assert report.trace[-1] is report.trace[len(copies)] and 0 < report.trace[-1].max_f < TINY
+    _assert_copy_keeps_max(reference_simulate(a, p, 6000)[0], _copy_edge(p))
+
+
+def test_copy_plans_are_built_at_first_use():
+    # verify and step_nonlinear pass no maximum, so they take no copy steps and build no
+    # copy plans; each direction's plan is built at its first copy step
+    d = BoxDomain((4, 4))
+    a = Field.from_interior(d, np.full(d.interior_shape, 1e-30))
+    stepper = evolution._Stepper(a, Params(1.0, 1.0), 0.0)
+    assert stepper.step() is None and stepper.step() is None
+    assert stepper._copies == [None, None]
+    assert stepper.step(stepper.f.max()) is None
+    assert stepper._copies[0] is None and stepper._copies[1] is not None
+    assert stepper.step(stepper.f.max()) is None
+    assert None not in stepper._copies
 
 
 def test_huge_alpha_takes_no_copy_steps():
