@@ -99,6 +99,8 @@ _TINY = np.finfo(float).tiny
 # correctly rounded, give np.power's double; the stencil gives g no -0.0, whose sqrt is -0.0
 _EXACT_POWERS = {2.0: ((np.square, ()), (np.sqrt, ())), 0.5: ((np.sqrt, ()), (np.square, ())),
                  1.0: (None, None)}  # x^1 is x
+# the same powers on one double: CPython's float * and math.sqrt round as IEEE 754 does
+_SCALAR = {np.square: lambda x: x * x, np.sqrt: math.sqrt, None: lambda x: x}
 
 
 class _Stepper:
@@ -112,13 +114,21 @@ class _Stepper:
     The update maps zero-boundary, nonnegative, finite data to the same set
     until blow-up, so the data is checked once, here; afterwards the only way
     out of that set is an update that overflows to inf, which `simulate`
-    reads from its per-step maximum.
+    reads from the new state's maximum, `max_f`.
+
+    A step leaves its largest mean in `max_g` and the new state's maximum in
+    `max_f`. At alpha in {1/2, 1, 2} the update's calls are correctly rounded
+    and monotone in g, so a full step reads max g and forms the least
+    denominator and the new maximum from it, bit for bit. `np.power` is not
+    bound to be monotone, so other alpha reduce the denominators, and reduce
+    g only with `record` and the new state only for a caller passing max_f.
     """
 
-    __slots__ = ("f", "g", "_g_span", "_spare", "_spans", "_means", "_copies", "_denom_span",
-                 "_denom_core", "_denom_calls", "_root_calls", "_eps_blow", "_copy_below")
+    __slots__ = ("f", "g", "max_g", "max_f", "_g_span", "_spare", "_spans", "_means", "_copies",
+                 "_denom_span", "_denom_core", "_denom_calls", "_root_calls", "_scalar",
+                 "_record", "_eps_blow", "_copy_below")
 
-    def __init__(self, a: Field, p: Params, eps_blow: float) -> None:
+    def __init__(self, a: Field, p: Params, eps_blow: float, record: bool = False) -> None:
         if not eps_blow >= 0:
             raise ValueError(f"eps_blow must be >= 0, got {eps_blow}")
         _check_solution_field(a)
@@ -150,7 +160,11 @@ class _Stepper:
         calls.append((np.subtract, (1.0, x)))
         self._denom_calls = tuple(calls)
         self._root_calls = () if root is None else ((root[0], (self._denom_span,) + root[1]),)
-        self._eps_blow = eps_blow
+        self._scalar = None  # at exact powers: denom and its root at one g, as the calls form them
+        if p.alpha in _EXACT_POWERS:  # 1.0 * x is x, so the scalar product needs no skip
+            up, down = (_SCALAR[c[0] if c else None] for c in (lift, root))
+            self._scalar = (lambda y: 1.0 - coupling * up(y)), down
+        self._record, self._eps_blow = record, eps_blow
         # the largest max_f with alpha*delta*max_f^alpha <= 2^-60, to rounding; 0 if it
         # underflows. -1, no copy steps: with eps_blow >= 1 a denominator of 1.0 is a blow-up,
         # and past alpha = 2^40 the mean's rounding above max_f could lift g^alpha past 2^-54.
@@ -162,10 +176,10 @@ class _Stepper:
 
         With denom = 1 - alpha*delta*g^alpha, the first site whose denom is at
         or below eps_blow is returned instead, and f is left unchanged. The
-        span's boundary denominators are 1.0 and no interior one exceeds it,
-        so the span's minimum decides as the interior's would. A caller may
-        pass f's maximum; at or below `_copy_below` the update is g itself, which
-        the mean writes straight into the new state, and g is left stale.
+        span's boundary denominators are 1.0 and its g and f +0.0, and no
+        interior one passes them, so the span's extrema are the interior's. A
+        caller may pass f's maximum; at or below `_copy_below` the update is g
+        itself, which the mean writes straight into the new state, leaving g stale.
         """
         if max_f <= self._copy_below:
             # Exact: g <= max_f up to the mean's rounding (under 2^-46 relative for 64 axes), so
@@ -174,16 +188,30 @@ class _Stepper:
             if self._copies[0] is None:
                 self._copies[0] = _Stencil(self.f, self._spare, self._denom_span)
             self._copies[0]()
+            self.max_g = self.max_f = float(np.maximum.reduce(self._spans[1]))
         else:
             g, denom = self._g_span, self._denom_span
             self._means[0]()
             for ufunc, operands in self._denom_calls:
                 ufunc(*operands, out=denom)
-            if denom.min() <= self._eps_blow:
+            if self._scalar is None:
+                least = np.minimum.reduce(denom)
+                if self._record:
+                    self.max_g = float(np.maximum.reduce(g))
+            else:  # the least denominator is the one at max g
+                self.max_g = float(np.maximum.reduce(g))
+                least = self._scalar[0](self.max_g)
+            if least <= self._eps_blow:
                 return _first_offender(self._denom_core <= self._eps_blow, self.g)
             for ufunc, operands in self._root_calls:
                 ufunc(*operands, out=denom)
             np.divide(g, denom, out=self._spans[1])
+            if self._scalar is not None:
+                # least > eps_blow >= 0 is 1 - y with y < 1, so least >= 2^-53, its root
+                # >= 2^-106, and the divide meets no zero; an overflow gives inf, as numpy's does
+                self.max_f = self.max_g / self._scalar[1](least)
+            elif max_f < math.inf:
+                self.max_f = float(np.maximum.reduce(self._spans[1]))
         self.f, self._spare = self._spare, self.f
         self._spans.reverse()
         self._means.reverse()
@@ -225,7 +253,7 @@ def simulate(
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    stepper = _Stepper(a, p, eps_blow)
+    stepper = _Stepper(a, p, eps_blow, record=True)
     trace: list[StepRecord] = []
     max_f = float(a.values.max())  # the data's: a zero maximum takes its sign from the data
     with np.errstate(divide="ignore", over="ignore"):
@@ -235,20 +263,14 @@ def simulate(
                 sig = _first_offender(np.isinf(stepper.f[a.domain.core]), stepper.g)
                 outcome = BlewUpAt(step=s - 1, site=sig.site, g_value=sig.g_value)
                 return BlowupReport(outcome=outcome, trace=trace)
-            copy = max_f <= stepper._copy_below
             sig = stepper.step(max_f)  # at s == max_steps, its update is discarded
-            # the span's boundary g is +0.0 and its interior g >= +0.0, so its maximum is g's;
-            # a copy step wrote g into the new state's span
-            max_g = float((stepper._spans[0] if copy else stepper._g_span).max())
-            trace.append(StepRecord(max_f=max_f, max_g=max_g))
+            trace.append(StepRecord(max_f=max_f, max_g=stepper.max_g))  # the step's; see _Stepper
             if sig is not None:
                 outcome = BlewUpAt(step=s, site=sig.site, g_value=sig.g_value)
                 return BlowupReport(outcome=outcome, trace=trace)
-            # after a copy step the state is g on the span and +0.0 off it, so a positive
-            # max_g is its maximum, the same float object
-            max_f = max_g if copy and max_g > 0 else float(stepper.f.max())
+            max_f = stepper.max_f  # after a copy step, max_g's float object
             if max_f < _TINY and stepper.at_rest():  # the state and g repeat, so the record does
-                trace += [StepRecord(max_f=max_f, max_g=max_g)] * (max_steps - s)
+                trace += [StepRecord(max_f=max_f, max_g=stepper.max_g)] * (max_steps - s)
                 break
     return BlowupReport(outcome=Survived(steps=max_steps), trace=trace)
 

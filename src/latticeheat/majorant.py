@@ -299,9 +299,9 @@ class _Probe:
     def __call__(self, a: Field) -> int | None:
         stepper = _Stepper(a, self._p, self._eps_blow)
         S = self._S
+        max_f = float(a.values.max())
         with np.errstate(divide="ignore", over="ignore"):
             for s in range(S + 1):
-                max_f = float(stepper.f.max())
                 if not math.isfinite(max_f):  # an update overflowed: simulate's blow-up at s-1
                     return s - 1
                 f = stepper.f
@@ -311,6 +311,7 @@ class _Probe:
                     return s
                 if stepper.step(max_f) is not None:
                     return s
+                max_f = stepper.max_f
                 if max_f < _TINY and stepper.at_rest():
                     return None
         return None

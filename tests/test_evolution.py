@@ -21,7 +21,13 @@ from latticeheat import (
 )
 from latticeheat.evolution import StepRecord
 
-from conftest import random_domain, random_field, reference_simulate, with_boundary
+from conftest import (
+    random_domain,
+    random_field,
+    reference_neighbor_mean,
+    reference_simulate,
+    with_boundary,
+)
 
 TINY = np.finfo(float).tiny
 
@@ -31,8 +37,8 @@ def _run_kernel(a, p, max_steps, eps_blow=0.0, stepper=evolution._Stepper):
     made = []
 
     class Recording(stepper):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             made.append(self)
 
     with mock.patch.object(evolution, "_Stepper", Recording):
@@ -307,6 +313,16 @@ class TestSimulate:
          minus_zero=0.0, minus_boundary=False, eps_blow=0.3, edge="blow-up", ulps=1, steps=20, seed=0)
 @example(extents=[5, 5], alpha=1.0, delta=None, amplitude=0.0, shrink=0, zero=False,
          minus_zero=0.0, minus_boundary=False, eps_blow=1.0, edge="blow-up", ulps=1, steps=20, seed=0)
+# blow-ups mid-run with eps_blow > 0: at steps 7 and 10, through the least denominator and the
+# next maximum derived from max g, with and without the multiply; at step 11 through np.power
+@example(extents=[3, 3], alpha=0.5, delta=None, amplitude=0.6, shrink=0, zero=False,
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.25, edge=None, ulps=0, steps=60, seed=0)
+@example(extents=[6], alpha=2.0, delta=None, amplitude=1.2, shrink=0, zero=False,
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.25, edge=None, ulps=0, steps=60, seed=26)
+@example(extents=[6], alpha=2.0, delta=3.0, amplitude=1.2, shrink=0, zero=False,
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.25, edge=None, ulps=0, steps=60, seed=26)
+@example(extents=[3, 3, 3], alpha=0.75, delta=None, amplitude=0.8, shrink=0, zero=False,
+         minus_zero=0.0, minus_boundary=False, eps_blow=0.25, edge=None, ulps=0, steps=60, seed=14)
 def test_simulate_matches_reference(extents, alpha, delta, amplitude, shrink, zero, minus_zero,
                                     minus_boundary, eps_blow, edge, ulps, steps, seed):
     # amplitude is in units of the blow-up threshold, so about half the runs at
@@ -511,6 +527,88 @@ def test_exact_powers_and_unit_coupling_take_no_call(alpha, delta):
     assert (np.power in ufuncs) == (alpha not in (0.5, 1.0, 2.0))
     assert (np.multiply in ufuncs) == (alpha * delta != 1.0)
     assert len(ufuncs) == 1 + (alpha != 1.0) * 2 + (alpha * delta != 1.0)
+    # only the exact powers derive the blow-up test and the new maximum from max g
+    assert (stepper._scalar is None) == (np.power in ufuncs)
+
+
+def _u64(x):
+    return np.float64(x).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    delta=st.one_of(st.none(), st.floats(0.25, 4.0)),  # None: 1/alpha, so alpha*delta is 1.0
+    eps_blow=st.sampled_from([0.0, 0.3, 1.0]),
+    level=st.sampled_from(["random", "subnormal", "edge"]),
+    ulps=st.integers(-1, 1),
+    constant=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# constant data one ulp either side of the blow-up edge: away from the boundary g is the data
+@example(extents=[5, 5], alpha=2.0, delta=None, eps_blow=0.0, level="edge", ulps=0,
+         constant=True, seed=0)
+@example(extents=[5, 5], alpha=2.0, delta=None, eps_blow=0.0, level="edge", ulps=1,
+         constant=True, seed=0)
+@example(extents=[6], alpha=0.5, delta=3.0, eps_blow=0.3, level="edge", ulps=0,
+         constant=True, seed=0)
+@example(extents=[6], alpha=0.5, delta=3.0, eps_blow=0.3, level="edge", ulps=1,
+         constant=True, seed=0)
+@example(extents=[5, 4], alpha=1.0, delta=2.5, eps_blow=0.3, level="edge", ulps=0,
+         constant=True, seed=0)
+@example(extents=[5, 4], alpha=1.0, delta=2.5, eps_blow=0.3, level="edge", ulps=1,
+         constant=True, seed=0)
+@example(extents=[4, 4], alpha=0.5, delta=None, eps_blow=1.0, level="subnormal", ulps=0,
+         constant=False, seed=1)
+@example(extents=[4, 3, 5], alpha=2.0, delta=1.5, eps_blow=0.0, level="subnormal", ulps=0,
+         constant=False, seed=2)
+def test_derived_extrema_match_array_path(extents, alpha, delta, eps_blow, level, ulps, constant,
+                                          seed):
+    # One full step at an exact power: the stepper's least denominator, formed on max g alone,
+    # is the array path's denom.min(), and its next maximum the new state's f.max(), as uint64.
+    # The data's maximum is random (up to 1.2 thresholds), subnormal, or the largest g that
+    # does not blow up moved by `ulps`; with `constant`, every interior site holds it.
+    d = BoxDomain(tuple(extents))
+    p = Params(alpha, 1.0 / alpha if delta is None else delta)
+    rng = np.random.default_rng(seed)
+    top = {"random": 1.2 * p.threshold, "subnormal": 2.0**-1050,
+           "edge": max(_nudge(_blowup_edge(p, eps_blow), ulps), 0.0)}[level]
+    interior = np.full(d.interior_shape, top) if constant else rng.uniform(0, top, d.interior_shape)
+    a = Field.from_interior(d, interior)
+    stepper = evolution._Stepper(a, p, eps_blow)
+    sig = stepper.step()  # no maximum passed: a full step
+    g = reference_neighbor_mean(a.values)
+    denom = 1.0 - p.alpha * p.delta * np.power(g, p.alpha)
+    assert _u64(stepper.max_g) == _u64(g.max())
+    assert _u64(stepper._scalar[0](stepper.max_g)) == _u64(denom.min())
+    assert (sig is not None) == (denom.min() <= eps_blow)
+    if sig is None:
+        assert _u64(stepper.max_f) == _u64(stepper.f.max())
+        assert _u64(stepper.max_f) == _u64((g / np.power(denom, 1.0 / p.alpha)).max())
+
+
+@pytest.mark.parametrize("alpha, delta", [(0.5, 1e-150), (1.0, 1e-300), (2.0, 1e-310)])
+def test_overflowing_step_blows_up_through_derived_maximum(alpha, delta):
+    # The largest g that does not blow up, at a tiny delta: at alpha 0.5 and 1 its update
+    # g/denom^(1/alpha) overflows to inf, and the derived maximum is that inf, so simulate
+    # reports the overflow at the step that formed it. At alpha 2, g^2 overflows first (the
+    # threshold 7e154 lies above sqrt of the largest double), so denom is -inf at max g and
+    # the derived test blows up at once.
+    p = Params(alpha, delta)
+    g = _blowup_edge(p, 0.0) if alpha != 2.0 else 2e154
+    a = Field(BoxDomain((4,)), [0, g, g, g, 0])
+    stepper = evolution._Stepper(a, p, 0.0)
+    with np.errstate(over="ignore"):
+        sig = stepper.step(g)
+    if alpha == 2.0:
+        assert sig == BlowupSignal(site=(2,), g_value=g)
+    else:
+        assert sig is None and stepper.max_f == math.inf
+        assert _u64(stepper.max_f) == _u64(stepper.f.max())
+    report = simulate(a, p, 5)
+    assert report.outcome == BlewUpAt(step=0, site=(2,), g_value=g)
+    assert report.trace == [StepRecord(max_f=g, max_g=g)]
 
 
 # Nonzero amplitudes for the conjugacy property start here: 8 steps of

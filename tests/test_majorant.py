@@ -417,6 +417,11 @@ def _certificate_edge(d, p, eps_blow, side):
 @example(extents=[6], alpha=1.5, delta=1.0, eps_blow=0.3, kind="sine", S=100, seed=0)
 @example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.0, kind="sine", S=100, seed=0)
 @example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.3, kind="sine", S=100, seed=0)
+# eps_blow > 0, probes that blow up mid-run (up to step 86) and survive: at alpha 0.5 and 2 the
+# kernel derives its blow-up test and maximum from max g, at 0.75 it reduces
+@example(extents=[6, 4], alpha=0.5, delta=2.0, eps_blow=0.3, kind="random", S=100, seed=0)
+@example(extents=[6, 4], alpha=2.0, delta=0.5, eps_blow=0.3, kind="random", S=100, seed=0)
+@example(extents=[6, 4], alpha=0.75, delta=1.0, eps_blow=0.3, kind="random", S=100, seed=0)
 def test_probe_outcome_matches_simulate(extents, alpha, delta, eps_blow, kind, S, seed):
     # every probe of a threshold search, amplitudes packed around the
     # threshold it finds, and for the sine mode the two sides of the survival
