@@ -237,11 +237,21 @@ class _Probe:
     new data; both hold in exact arithmetic. Both read phi, the positive sine
     mode scaled to maximum 1, and its eigenvalue lam.
 
-    Survival is the paper's certificate, scaled to threshold 1 for the
-    coupling kappa = alpha*delta/(1 - eps_blow), whose dynamics dominates.
-    With C = max f/phi over the interior, f <= C*phi; averaging is a positive
-    operator, so m_k <= C*lam^k and kappa*P_inf <= kappa*C^alpha/(1-lam^alpha),
-    which is exact for a multiple of phi.
+    Survival is the paper's certificate over the remaining horizon, scaled to
+    threshold 1 for the coupling kappa = alpha*delta/(1 - eps_blow), whose
+    dynamics dominates. The update from step s cannot blow up while
+    kappa*P_{s+1} < 1, so at step s a state survives the steps s..S if
+    kappa*sum_{k=0..R} m_k^alpha < 1, where R = S - s + 1 and m_k are the
+    maxima of the linear flow from it. With M = max f and C = max f/phi over
+    the interior, f <= C*phi, and averaging is a positive operator that never
+    raises the maximum, so m_k <= min(M, C*lam^k). The sum of these bounds
+    is k*M^alpha plus a geometric series from the switch index k, where C*lam^k
+    falls to M; any integer k keeps it sound, and it is formed in logs. No term
+    exceeds its term in kappa*C^alpha/(1-lam^alpha), the infinite sum, which is
+    exact for a multiple of phi. P carries m_0, which no step tests, so for
+    constant data A the exact edge kappa*(S+1)*A^alpha = 1 meets the
+    certificate's kappa*(S+2)*A^alpha = 1 - margin: survivors within about
+    1/(alpha*(S+1)) of the threshold in amplitude still run to the horizon.
 
     Blow-up, with `blowup_exit`, is Kaplan's eigenfunction argument. As
     F(y) = y / (1 - alpha*delta*y^alpha)^(1/alpha) is convex and increasing,
@@ -266,15 +276,13 @@ class _Probe:
         lam = float(table.eigenvalues[(0,) * domain.dims])
         self._phi, self._phi_sum = phi.ravel(), float(phi.sum())
         self._core, self._phi_core = domain.core, phi[domain.core]
-        self._log_survival = -math.inf  # alpha * log C must fall below it
-        if eps_blow < 1 and lam**alpha < 1:  # else every step blows up, or no certificate
-            self._log_survival = (
-                math.log1p(-_EXIT_MARGIN) - log_coupling + math.log1p(-eps_blow)
-                + math.log1p(-lam**alpha)
-            )
+        self._log_lam = math.log(lam) if lam > 0 else -math.inf
+        self._log_survival = -math.inf  # log kappa*sum must fall below it
+        if eps_blow < 1:  # else every step blows up
+            self._log_survival = math.log1p(-_EXIT_MARGIN) - log_coupling + math.log1p(-eps_blow)
         self._log_jcrit = None
         if blowup_exit and any(N > 2 for N in domain.extents):  # else lam is 0
-            log_lam = math.log(lam)
+            log_lam = self._log_lam
             # log Jcrit(r) in units of the threshold; it decreases in r, so
             # stopping once it settles leaves later entries above their value
             L = [-log_lam]
@@ -285,10 +293,22 @@ class _Probe:
             shift = math.log1p(_EXIT_MARGIN) - log_coupling / alpha  # log threshold
             self._log_jcrit = [x + shift for x in L]
 
-    def _survives(self, f: np.ndarray) -> bool:
-        """Whether the certificate holds for the nonzero state f."""
-        C = float((f[self._core] / self._phi_core).max())
-        return self._p.alpha * math.log(C) < self._log_survival
+    def _survives(self, f: np.ndarray, M: float, R: int) -> bool:
+        """Whether kappa*sum_{k=0..R} min(M, C*lam^k)^alpha is below 1 - margin for the
+        nonzero state f of maximum M."""
+        alpha, log_lam = self._p.alpha, self._log_lam
+        gap = math.log(float((f[self._core] / self._phi_core).max()) / M)  # log(C/M) >= 0
+        # the first k with C*lam^k <= M; any integer k keeps every term a bound on m_k
+        switch = gap / -log_lam if log_lam < 0 else math.inf
+        k = max(1, math.ceil(switch)) if switch <= R else R + 1  # m_0 <= M <= C, so k >= 1
+        total = k  # the sum over M^alpha: k ones, then (C*lam^j/M)^alpha for j = k..R
+        if k <= R:
+            t = alpha * log_lam
+            geometric = math.expm1((R + 1 - k) * t) / math.expm1(t) if t else R + 1 - k
+            # C*lam^k <= M, so the exponent is <= 0 but for the rounding of k, which
+            # at a huge alpha could overflow exp
+            total += math.exp(min(0.0, alpha * (gap + k * log_lam))) * geometric
+        return alpha * math.log(M) + math.log(total) < self._log_survival
 
     def _blows_up(self, f: np.ndarray, remaining: int) -> bool:
         """Whether Kaplan's bound shows the state f blowing up within `remaining` more steps."""
@@ -305,7 +325,7 @@ class _Probe:
                 if not math.isfinite(max_f):  # an update overflowed: simulate's blow-up at s-1
                     return s - 1
                 f = stepper.f
-                if s % _SURVIVAL_EVERY == 0 and max_f > 0 and self._survives(f):
+                if s % _SURVIVAL_EVERY == 0 and max_f > 0 and self._survives(f, max_f, S - s + 1):
                     return None
                 if s % _BLOWUP_EVERY == 0 and self._log_jcrit and self._blows_up(f, S - s):
                     return s

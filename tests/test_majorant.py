@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -394,6 +396,13 @@ def _profile(kind, d, rng):
     return Field(d, values)
 
 
+def _phi_lam(d):
+    """The positive sine mode scaled to maximum 1, and its eigenvalue."""
+    table = mode_table(d)
+    phi = table.mode_field((1,) * d.dims).values
+    return phi / phi.max(), float(table.eigenvalues[(0,) * d.dims])
+
+
 def _certificate_edge(d, p, eps_blow, side):
     """The multiple c of the sine mode scaled to maximum 1 at which the
     survival certificate kappa*c^alpha/(1 - lam^alpha) equals 1 - 1e-3, times
@@ -401,6 +410,19 @@ def _certificate_edge(d, p, eps_blow, side):
     lam = float(mode_table(d).eigenvalues[(0,) * d.dims])
     kappa = p.alpha * p.delta / (1.0 - eps_blow)
     return ((1.0 - 1e-3) * (1.0 + side) * (1.0 - lam**p.alpha) / kappa) ** (1.0 / p.alpha)
+
+
+def _horizon_edge(profile, p, S, eps_blow, side):
+    """The amplitude c at which c*profile meets the survival certificate over
+    the remaining horizon at step 0, kappa*sum_{k=0..S+1} min(M, C*lam^k)^alpha
+    = (1 - 1e-3)*(1 + side), summed term by term."""
+    d = profile.domain
+    phi, lam = _phi_lam(d)
+    M = float(profile.values.max())
+    C = float((profile.values[d.core] / phi[d.core]).max())
+    total = sum(min(M, C * lam**k) ** p.alpha for k in range(S + 2))
+    kappa = p.alpha * p.delta / (1.0 - eps_blow)
+    return ((1.0 - 1e-3) * (1.0 + side) / (kappa * total)) ** (1.0 / p.alpha)
 
 
 @settings(max_examples=30, deadline=None)
@@ -422,19 +444,31 @@ def _certificate_edge(d, p, eps_blow, side):
 @example(extents=[6, 4], alpha=0.5, delta=2.0, eps_blow=0.3, kind="random", S=100, seed=0)
 @example(extents=[6, 4], alpha=2.0, delta=0.5, eps_blow=0.3, kind="random", S=100, seed=0)
 @example(extents=[6, 4], alpha=0.75, delta=1.0, eps_blow=0.3, kind="random", S=100, seed=0)
+# the certificate over the remaining horizon: all extents 2 (lam about 6e-17), alpha 0.01,
+# no step after the data's, and eps_blow 1, where every step blows up
+@example(extents=[2, 2], alpha=2.0, delta=0.5, eps_blow=0.0, kind="random", S=40, seed=0)
+@example(extents=[2], alpha=0.5, delta=2.0, eps_blow=0.3, kind="sine", S=3, seed=0)
+@example(extents=[5, 4], alpha=0.01, delta=1.0, eps_blow=0.0, kind="random", S=6, seed=0)
+@example(extents=[6], alpha=0.01, delta=2.0, eps_blow=0.3, kind="sine", S=40, seed=0)
+@example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.0, kind="random", S=0, seed=0)
+@example(extents=[5, 5], alpha=2.0, delta=0.5, eps_blow=0.3, kind="delta", S=0, seed=0)
+@example(extents=[6, 4], alpha=1.0, delta=1.0, eps_blow=1.0, kind="random", S=30, seed=0)
 def test_probe_outcome_matches_simulate(extents, alpha, delta, eps_blow, kind, S, seed):
     # every probe of a threshold search, amplitudes packed around the
-    # threshold it finds, and for the sine mode the two sides of the survival
-    # certificate's edge, against the full run
+    # threshold it finds, the two sides of the survival certificate's edge
+    # at step 0, and for the sine mode those of the infinite sum's edge,
+    # against the full run
     d = BoxDomain(tuple(extents))
     profile = _profile(kind, d, np.random.default_rng(seed))
     p = Params(alpha, delta)
     res = find_threshold(profile, p, S, 1e-3, eps_blow)
     lams = [lam for lam, _ in res.evaluations]
     lams += [res.amplitude * (1 + t) for t in (-1e-3, -1e-6, 1e-6, 1e-3)]
-    if kind == "sine" and eps_blow < 1:
-        top = profile.values.max()
-        lams += [_certificate_edge(d, p, eps_blow, side) / top for side in (-1e-6, 1e-6)]
+    if eps_blow < 1:
+        lams += [_horizon_edge(profile, p, S, eps_blow, side) for side in (-1e-6, 1e-6)]
+        if kind == "sine":
+            top = profile.values.max()
+            lams += [_certificate_edge(d, p, eps_blow, side) / top for side in (-1e-6, 1e-6)]
     with_blowup_exit = _Probe(d, p, S, eps_blow, blowup_exit=True)
     survival_only = _Probe(d, p, S, eps_blow, blowup_exit=False)
     for lam in lams:
@@ -503,6 +537,90 @@ def test_survival_certificate_edge(monkeypatch, extents, eps_blow):
     outside = Field(d, _certificate_edge(d, p, eps_blow, 1e-6) * phi)
     assert isinstance(simulate(outside, p, 100, eps_blow).outcome, Survived)
     assert probe(outside) is None and len(steps) > 0
+
+
+@pytest.mark.parametrize("extents, kind, S", [((48, 48), "sine", 100), ((6, 4), "random", 30),
+                                              ((9,), "delta", 5), ((2, 2), "random", 40)])
+@pytest.mark.parametrize("eps_blow", [0.0, 0.3])
+def test_horizon_certificate_edge(monkeypatch, extents, kind, S, eps_blow):
+    # the certificate's closed form meets the term-by-term sum: just inside
+    # its edge a probe is certified before its first step, just outside it
+    # steps, to simulate's outcome
+    steps = _counting_steps(monkeypatch)
+    d = BoxDomain(extents)
+    profile = _profile(kind, d, np.random.default_rng(0))
+    p = Params(1.5, 1.0)
+    probe = _Probe(d, p, S, eps_blow, blowup_exit=True)
+    inside = Field(d, _horizon_edge(profile, p, S, eps_blow, -1e-6) * profile.values)
+    assert probe(inside) is None and len(steps) == 0
+    outside = Field(d, _horizon_edge(profile, p, S, eps_blow, 1e-6) * profile.values)
+    assert isinstance(simulate(outside, p, S, eps_blow).outcome, Survived)
+    assert probe(outside) is None and len(steps) > 0
+
+
+def _infinite_sum_survives(d, p, eps_blow, f):
+    """The survival test the probe made before the certificate over the
+    remaining horizon: kappa*C^alpha/(1 - lam^alpha) < 1 - 1e-3, in logs."""
+    phi, lam = _phi_lam(d)
+    if not (eps_blow < 1 and lam**p.alpha < 1):
+        return False
+    C = float((f[d.core] / phi[d.core]).max())
+    log_survival = (
+        math.log1p(-1e-3) - math.log(p.alpha) - math.log(p.delta) + math.log1p(-eps_blow)
+        + math.log1p(-lam**p.alpha)
+    )
+    return p.alpha * math.log(C) < log_survival
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 9), min_size=1, max_size=3),
+    alpha=st.one_of(st.sampled_from([0.01, 0.5, 1.0, 2.0]), st.floats(0.05, 4.0)),
+    delta=st.sampled_from([0.5, 1.0, 2.0]),
+    eps_blow=st.sampled_from([0.0, 1e-3, 0.3]),
+    kind=st.sampled_from(["random", "sine", "delta"]),
+    below=st.one_of(st.just(1e-9), st.floats(1e-9, 0.999)),
+    R=st.integers(1, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_horizon_certificate_never_weaker(extents, alpha, delta, eps_blow, kind, below, R, seed):
+    # a state inside the infinite sum's edge, by the factor 1 - below on the
+    # sum, is certified over any remaining horizon
+    d = BoxDomain(tuple(extents))
+    p = Params(alpha, delta)
+    profile = _profile(kind, d, np.random.default_rng(seed))
+    phi, _ = _phi_lam(d)
+    C = float((profile.values[d.core] / phi[d.core]).max())
+    f = profile.values * (_certificate_edge(d, p, eps_blow, -below) / C)
+    M = float(f.max())
+    assert M > 0 and _infinite_sum_survives(d, p, eps_blow, f)
+    assert _Probe(d, p, 0, eps_blow, blowup_exit=False)._survives(f, M, R)
+
+
+def test_horizon_certificate_at_huge_alpha():
+    # at alpha 1e307 a state far below 1 has alpha*log(m_k) = -inf: both sums
+    # are 0, and both certify
+    d = BoxDomain((6,))
+    p = Params(1e307, 1e-307)
+    phi, _ = _phi_lam(d)
+    f = 1e-30 * phi
+    assert _infinite_sum_survives(d, p, 0.0, f)
+    assert _Probe(d, p, 0, 0.0, blowup_exit=False)._survives(f, float(f.max()), 100)
+
+
+def test_horizon_certificate_saves_steps(monkeypatch):
+    # a 48x48 constant interior at alpha 2, delta 0.5 and 100 steps: the
+    # infinite sum never falls below 1 there, and its 15-probe search took
+    # 1,054 kernel steps; the outcomes, and so the probes, are full runs'
+    steps = _counting_steps(monkeypatch)
+    d = BoxDomain((48, 48))
+    profile = Field.from_interior(d, np.ones(d.interior_shape))
+    p = Params(2.0, 0.5)
+    res = find_threshold(profile, p, 100, 1e-3)
+    assert len(steps) <= 800
+    assert len(res.evaluations) == 15
+    for lam, blew in res.evaluations:
+        assert simulate(Field(d, lam * profile.values), p, 100).blew_up == blew
 
 
 def _apply_M_maxima(a, S):
