@@ -152,28 +152,17 @@ class _Stencil:
 
 
 def neighbor_mean_interior(
-    values: np.ndarray, out: np.ndarray | None = None, pairs: np.ndarray | None = None
+    values: np.ndarray, out: np.ndarray, pairs: np.ndarray | None = None
 ) -> np.ndarray:
-    """Average of the 2d axis neighbors at every interior site.
+    """Average of the 2d axis neighbors at every interior site, into `out`, which is returned.
 
-    `values` is a full-shape array. One `_Stencil` forms the means on its flat
-    span (`_span`), where neighbor n +/- e_k is the flat position +/- the
-    stride of axis k, then sets the boundary faces normal to axes 2..d, where
-    the span holds wrapped sums, to +0.0. A C-contiguous full-shape `out` with
-    a zero boundary, which must not overlap `values`, receives them in place
-    and is returned; any other `out` receives the interior block, a full-shape
-    one in its interior, and without one a new interior-shaped array is
-    returned. `pairs`, if given, is a float array of the span's length that
-    takes each axis's neighbor sums.
+    `out` is a C-contiguous array of the full-shape `values`' shape, with a
+    zero boundary, that does not overlap `values`. One `_Stencil` forms the
+    means on their flat span (`_span`), then sets the boundary faces normal to
+    axes 2..d, where the span holds wrapped sums, to +0.0. `pairs`, if given,
+    is a float array of the span's length that takes each axis's neighbor sums.
     """
-    values = np.ascontiguousarray(values)
-    core = (slice(1, -1),) * values.ndim
-    in_place = out is not None and out.shape == values.shape and out.strides == values.strides
-    full = out if in_place else np.zeros(values.shape)  # out is C-contiguous, as values now is
-    _Stencil(values, full, pairs)()
-    if out is None:
-        return full[core]
-    if full is not out:  # a full-shape out takes the block in its interior
-        (out[core] if out.shape == values.shape else out)[...] = full[core]
+    if out.shape != values.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous with shape {values.shape}")
+    _Stencil(np.ascontiguousarray(values), out, pairs)()
     return out
-

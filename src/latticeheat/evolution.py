@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Field, MultiIndex, _span, _Stencil
+from .domain import BoxDomain, Field, MultiIndex, _span, _Stencil
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ _SCALAR = {np.square: lambda x: x * x, np.sqrt: math.sqrt, None: lambda x: x}
 
 
 class _Stepper:
-    """The nonlinear update on preallocated full-shape buffers.
+    """The nonlinear update on full-shape buffers, built once per (domain, p, eps_blow).
 
     The stencil and the update run on the buffers' flat span (`_span`), where
     a boundary site gets g = +0.0, so denom = 1 and f = +0.0; the boundary
@@ -112,30 +112,29 @@ class _Stepper:
     they start with, whatever the data's zeros. f and the spare swap at each
     update, with their spans and `_Stencil` plans into g and into each other.
     The update maps zero-boundary, nonnegative, finite data to the same set
-    until blow-up, so the data is checked once, here; afterwards the only way
-    out of that set is an update that overflows to inf, which `simulate`
-    reads from the new state's maximum, `max_f`.
+    until blow-up, so `load` checks the data once; afterwards the only way
+    out of that set is an update that overflows to inf, which `run` reads
+    from the new state's maximum, `max_f`.
 
     A step leaves its largest mean in `max_g` and the new state's maximum in
     `max_f`. At alpha in {1/2, 1, 2} the update's calls are correctly rounded
     and monotone in g, so a full step reads max g and forms the least
     denominator and the new maximum from it, bit for bit. `np.power` is not
-    bound to be monotone, so other alpha reduce the denominators, and reduce
-    g only with `record` and the new state only for a caller passing max_f.
+    bound to be monotone, so other alpha reduce the denominators and the new
+    state, and reduce g only when recording.
     """
 
-    __slots__ = ("f", "g", "max_g", "max_f", "_g_span", "_spare", "_spans", "_means", "_copies",
-                 "_denom_span", "_denom_core", "_denom_calls", "_root_calls", "_scalar",
-                 "_record", "_eps_blow", "_copy_below")
+    __slots__ = ("f", "g", "max_g", "max_f", "trace", "_g_span", "_spare", "_spans", "_means",
+                 "_copies", "_denom_span", "_denom_core", "_denom_calls", "_root_calls", "_scalar",
+                 "_core", "_eps_blow", "_copy_below")
 
-    def __init__(self, a: Field, p: Params, eps_blow: float, record: bool = False) -> None:
+    def __init__(self, domain: BoxDomain, p: Params, eps_blow: float,
+                 record: bool = False) -> None:
         if not eps_blow >= 0:
             raise ValueError(f"eps_blow must be >= 0, got {eps_blow}")
-        _check_solution_field(a)
-        core = a.domain.core
-        self.f, self._spare = np.zeros(a.domain.shape), np.zeros(a.domain.shape)
-        self.f[core] = a.values[core]
-        g, denom = np.zeros(a.domain.shape), np.zeros(a.domain.shape)
+        core = self._core = domain.core
+        self.f, self._spare = np.zeros(domain.shape), np.zeros(domain.shape)
+        g, denom = np.zeros(domain.shape), np.zeros(domain.shape)
         span = _span(g)
         self._g_span = g.ravel()[span]
         self._denom_span = denom.ravel()[span]
@@ -164,21 +163,62 @@ class _Stepper:
         if p.alpha in _EXACT_POWERS:  # 1.0 * x is x, so the scalar product needs no skip
             up, down = (_SCALAR[c[0] if c else None] for c in (lift, root))
             self._scalar = (lambda y: 1.0 - coupling * up(y)), down
-        self._record, self._eps_blow = record, eps_blow
+        self.trace, self._eps_blow = ([] if record else None), eps_blow
         # the largest max_f with alpha*delta*max_f^alpha <= 2^-60, to rounding; 0 if it
         # underflows. -1, no copy steps: with eps_blow >= 1 a denominator of 1.0 is a blow-up,
         # and past alpha = 2^40 the mean's rounding above max_f could lift g^alpha past 2^-54.
         self._copy_below = -1.0 if eps_blow >= 1 or p.alpha > 2.0**40 else math.exp(
             (-60 * math.log(2) - math.log(coupling)) / p.alpha)
 
-    def step(self, max_f: float = math.inf) -> BlowupSignal | None:
+    def load(self, a: Field) -> None:
+        """Check the data and copy its interior onto the +0.0 buffers."""
+        _check_solution_field(a)
+        self.f[self._core] = a.values[self._core]
+
+    def run(self, a: Field, steps: int, exits=None) -> tuple[int, BlowupSignal | bool | None]:
+        """Step from the data `a` over s = 0..steps; the step s where the run stopped, and why.
+
+        Each s tests `max_f` for an update that overflowed, asks `exits(s, f,
+        max_f)` for an outcome, steps, records, tests for blow-up, carries
+        `max_f` and tests for rest, as `simulate` defines it. The stop is a
+        BlowupSignal (an overflow's at its first inf site, charged to step
+        s - 1), the exit's value (True blows up, False survives), or None for
+        survival: at rest after step s, or at the horizon s = steps.
+        """
+        if steps < 0:
+            raise ValueError("max_steps must be >= 0")
+        self.load(a)
+        if self.trace is not None:
+            self.trace = []  # a new list per run: the last run's belongs to its caller
+        trace = self.trace
+        max_f = float(a.values.max())  # the data's: a zero maximum takes its sign from the data
+        with np.errstate(divide="ignore", over="ignore"):
+            for s in range(steps + 1):
+                # the boundary is never inf, and only a full step, which fills g, overflows
+                if not math.isfinite(max_f):
+                    return s - 1, _first_offender(np.isinf(self.f[self._core]), self.g)
+                if exits is not None:
+                    stop = exits(s, self.f, max_f)
+                    if stop is not None:
+                        return s, stop
+                sig = self.step(max_f)  # at s == steps, its update is discarded
+                if trace is not None:
+                    trace.append(StepRecord(max_f=max_f, max_g=self.max_g))  # the step's
+                if sig is not None:
+                    return s, sig
+                max_f = self.max_f  # after a copy step, max_g's float object
+                if max_f < _TINY and self.at_rest():
+                    return s, None
+        return steps, None
+
+    def step(self, max_f: float) -> BlowupSignal | None:
         """One update: g is the neighbor average of f, and f becomes g / denom^(1/alpha).
 
         With denom = 1 - alpha*delta*g^alpha, the first site whose denom is at
         or below eps_blow is returned instead, and f is left unchanged. The
         span's boundary denominators are 1.0 and its g and f +0.0, and no
-        interior one passes them, so the span's extrema are the interior's. A
-        caller may pass f's maximum; at or below `_copy_below` the update is g
+        interior one passes them, so the span's extrema are the interior's.
+        `max_f` is at least f's maximum; at or below `_copy_below` the update is g
         itself, which the mean writes straight into the new state, leaving g stale.
         """
         if max_f <= self._copy_below:
@@ -196,7 +236,7 @@ class _Stepper:
                 ufunc(*operands, out=denom)
             if self._scalar is None:
                 least = np.minimum.reduce(denom)
-                if self._record:
+                if self.trace is not None:
                     self.max_g = float(np.maximum.reduce(g))
             else:  # the least denominator is the one at max g
                 self.max_g = float(np.maximum.reduce(g))
@@ -210,7 +250,7 @@ class _Stepper:
                 # least > eps_blow >= 0 is 1 - y with y < 1, so least >= 2^-53, its root
                 # >= 2^-106, and the divide meets no zero; an overflow gives inf, as numpy's does
                 self.max_f = self.max_g / self._scalar[1](least)
-            elif max_f < math.inf:
+            else:
                 self.max_f = float(np.maximum.reduce(self._spans[1]))
         self.f, self._spare = self._spare, self.f
         self._spans.reverse()
@@ -223,24 +263,19 @@ class _Stepper:
         return np.array_equal(self.f.view(np.uint64), self._spare.view(np.uint64))
 
 
-def step_nonlinear(
-    f: Field, p: Params, eps_blow: float = 0.0
-) -> Field | BlowupSignal:
+def step_nonlinear(f: Field, p: Params, eps_blow: float = 0.0) -> Field | BlowupSignal:
     """One nonlinear step, or a BlowupSignal if a denominator (nearly) vanishes.
 
     Blow-up is declared where 1 - alpha*delta*g^alpha <= eps_blow; the default
     eps_blow = 0 is the exact sign test (equality counts as blow-up since the
     update is undefined there). eps_blow must be >= 0.
     """
-    stepper = _Stepper(f, p, eps_blow)
-    with np.errstate(divide="ignore", over="ignore"):
-        sig = stepper.step()
+    stepper = _Stepper(f.domain, p, eps_blow)
+    _, sig = stepper.run(f, 0)
     return sig if sig is not None else Field(f.domain, stepper.f)
 
 
-def simulate(
-    a: Field, p: Params, max_steps: int, eps_blow: float = 0.0
-) -> BlowupReport:
+def simulate(a: Field, p: Params, max_steps: int, eps_blow: float = 0.0) -> BlowupReport:
     """Iterate the nonlinear update up to max_steps, watching for blow-up.
 
     The neighbor average is checked at every step s = 0..max_steps, so the
@@ -251,28 +286,13 @@ def simulate(
     the next record repeats to max_steps without further steps. That tail is
     the only place the trace repeats a record; the CSV writer relies on it.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    stepper = _Stepper(a, p, eps_blow, record=True)
-    trace: list[StepRecord] = []
-    max_f = float(a.values.max())  # the data's: a zero maximum takes its sign from the data
-    with np.errstate(divide="ignore", over="ignore"):
-        for s in range(max_steps + 1):
-            # the boundary is never inf, and only a full step, which fills g, overflows
-            if not math.isfinite(max_f):
-                sig = _first_offender(np.isinf(stepper.f[a.domain.core]), stepper.g)
-                outcome = BlewUpAt(step=s - 1, site=sig.site, g_value=sig.g_value)
-                return BlowupReport(outcome=outcome, trace=trace)
-            sig = stepper.step(max_f)  # at s == max_steps, its update is discarded
-            trace.append(StepRecord(max_f=max_f, max_g=stepper.max_g))  # the step's; see _Stepper
-            if sig is not None:
-                outcome = BlewUpAt(step=s, site=sig.site, g_value=sig.g_value)
-                return BlowupReport(outcome=outcome, trace=trace)
-            max_f = stepper.max_f  # after a copy step, max_g's float object
-            if max_f < _TINY and stepper.at_rest():  # the state and g repeat, so the record does
-                trace += [StepRecord(max_f=max_f, max_g=stepper.max_g)] * (max_steps - s)
-                break
-    return BlowupReport(outcome=Survived(steps=max_steps), trace=trace)
+    stepper = _Stepper(a.domain, p, eps_blow, record=True)
+    s, sig = stepper.run(a, max_steps)
+    if sig is not None:
+        return BlowupReport(BlewUpAt(step=s, site=sig.site, g_value=sig.g_value), stepper.trace)
+    # at rest after step s the state and g repeat, so the record does; at the horizon s = max_steps
+    stepper.trace += [StepRecord(max_f=stepper.max_f, max_g=stepper.max_g)] * (max_steps - s)
+    return BlowupReport(outcome=Survived(steps=max_steps), trace=stepper.trace)
 
 
 def normalize_scaling(a: Field, p: Params) -> tuple[Field, Params]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoxDomain, Field, MultiIndex
-from .evolution import _TINY, Params, _Stepper
+from .evolution import Params, _Stepper
 from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
 COMPARISON_SLACK = 1e-12
@@ -48,7 +48,7 @@ def _trace_from_maxima(m: np.ndarray, alpha: float) -> MajorantTrace:
 
 def compute_trace(a: Field, alpha: float, S: int) -> MajorantTrace:
     """Run the linear evolution S steps recording interior maxima."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be > 0")
     core = a.domain.core
     m = np.array([h[core].max() for h in _linear_flow(a, S)])
@@ -100,13 +100,15 @@ def verify_comparison(
     flow goes. A failure signals an implementation bug, never expected
     behavior.
     """
+    if math.isnan(slack):
+        raise ValueError("slack must not be NaN")
     p = Params(alpha=alpha, delta=1.0 / alpha)
     core = a.domain.core
     m: list[float] = []
     margins: list[float] = []
     failure = None
-    stepper = None  # the nonlinear flow; made, and its data checked, at its first step
-    f = a.values
+    stepper = _Stepper(a.domain, p, 0.0)  # the nonlinear flow
+    f, max_f = a.values, float(a.values.max())
     P = 0.0
     fbar, diff = np.empty(a.domain.shape), np.empty(a.domain.shape)
     # With S > 0 the linear flow has checked that both flows have a zero
@@ -121,16 +123,16 @@ def verify_comparison(
             if failure is not None or not P < 1.0:  # P_s never decreases
                 continue
             if s:
-                if stepper is None:
-                    stepper = _Stepper(a, p, 0.0)
-                sig = stepper.step()
+                if s == 1:  # as in _linear_flow, only a flow that steps checks the data
+                    stepper.load(a)
+                sig = stepper.step(max_f)
                 if sig is not None:
                     failure = ComparisonFailure(
                         step=s, site=sig.site, majorant_value=math.inf,
                         solution_value=sig.g_value,
                     )
                     continue
-                f = stepper.f
+                f, max_f = stepper.f, stepper.max_f
             fbar = _over_root(h, (1.0 - P) ** (1.0 / alpha), fbar)
             np.subtract(fbar, f, out=diff)
             margins.append(float(diff[core].min()))  # both are 0 on the boundary
@@ -230,12 +232,12 @@ def _softplus(t: float) -> float:
 class _Probe:
     """simulate's outcome for data on one domain, found with two early exits.
 
-    A call runs the nonlinear update of `simulate(a, p, S, eps_blow)` with its
-    blow-up, overflow and fixed-point tests, and returns simulate's blow-up
-    step, or None for survival. Two exits end a run once its outcome is
-    certain. The map is a semigroup, so each applies to the current state as
-    new data; both hold in exact arithmetic. Both read phi, the positive sine
-    mode scaled to maximum 1, and its eigenvalue lam.
+    A call runs the loop of `simulate(a, p, S, eps_blow)`, `_Stepper.run`, on
+    the probe's one stepper, and returns simulate's blow-up step, or None for
+    survival. Two exits end a run once its outcome is certain. The map is a
+    semigroup, so each applies to the current state as new data; both hold in
+    exact arithmetic. Both read phi, the positive sine mode scaled to maximum
+    1, and its eigenvalue lam.
 
     Survival is the paper's certificate over the remaining horizon, scaled to
     threshold 1 for the coupling kappa = alpha*delta/(1 - eps_blow), whose
@@ -265,9 +267,8 @@ class _Probe:
     def __init__(
         self, domain: BoxDomain, p: Params, S: int, eps_blow: float, blowup_exit: bool
     ) -> None:
-        if S < 0:
-            raise ValueError("max_steps must be >= 0")
-        self._p, self._S, self._eps_blow = p, S, eps_blow
+        self._p, self._S = p, S
+        self._stepper = _Stepper(domain, p, eps_blow)
         alpha = p.alpha
         log_coupling = math.log(alpha) + math.log(p.delta)
         table = mode_table(domain)
@@ -316,25 +317,17 @@ class _Probe:
         log_jcrit = self._log_jcrit[min(remaining, len(self._log_jcrit) - 1)]
         return J > 0 and math.log(J) >= log_jcrit
 
-    def __call__(self, a: Field) -> int | None:
-        stepper = _Stepper(a, self._p, self._eps_blow)
-        S = self._S
-        max_f = float(a.values.max())
-        with np.errstate(divide="ignore", over="ignore"):
-            for s in range(S + 1):
-                if not math.isfinite(max_f):  # an update overflowed: simulate's blow-up at s-1
-                    return s - 1
-                f = stepper.f
-                if s % _SURVIVAL_EVERY == 0 and max_f > 0 and self._survives(f, max_f, S - s + 1):
-                    return None
-                if s % _BLOWUP_EVERY == 0 and self._log_jcrit and self._blows_up(f, S - s):
-                    return s
-                if stepper.step(max_f) is not None:
-                    return s
-                max_f = stepper.max_f
-                if max_f < _TINY and stepper.at_rest():
-                    return None
+    def _exits(self, s: int, f: np.ndarray, max_f: float) -> bool | None:
+        """The run's exits at step s: False for certified survival, True for Kaplan's blow-up."""
+        if s % _SURVIVAL_EVERY == 0 and max_f > 0 and self._survives(f, max_f, self._S - s + 1):
+            return False
+        if s % _BLOWUP_EVERY == 0 and self._log_jcrit and self._blows_up(f, self._S - s):
+            return True
         return None
+
+    def __call__(self, a: Field) -> int | None:
+        s, stop = self._stepper.run(a, self._S, self._exits)
+        return None if stop is None or stop is False else s
 
 
 @dataclass(frozen=True)
@@ -363,7 +356,7 @@ def find_threshold(
     that of `simulate(amplitude * profile, p, S, eps_blow)`; it stops as soon
     as that outcome is certain.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     hi = _bracket_top(profile, p)
     probe = _Probe(profile.domain, p, S, eps_blow, blowup_exit=True)

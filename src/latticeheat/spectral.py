@@ -22,9 +22,7 @@ def apply_M(h: Field) -> Field:
     """One linear step: neighbor average at interior sites, zero boundary."""
     if not h.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
-    out = Field.zeros(h.domain)
-    neighbor_mean_interior(h.values, out=out.values)
-    return out
+    return Field(h.domain, neighbor_mean_interior(h.values, np.zeros(h.domain.shape)))
 
 
 def _linear_flow(a: Field, S: int) -> Iterator[np.ndarray]:

@@ -23,6 +23,7 @@ from latticeheat.cli import (
     EXIT_OK,
     ConfigError,
     build_parser,
+    build_profile,
     main,
     parse_config,
     read_field_json,
@@ -563,6 +564,31 @@ class TestSweepCommand:
                     seen_blowup = True
                 else:
                     assert not seen_blowup
+
+    def test_one_stepper_per_alpha(self, tmp_path, monkeypatch):
+        # each alpha's probe builds one stepper and runs every amplitude on it, and each row
+        # is simulate's outcome and blow-up step
+        from latticeheat import majorant
+
+        built = []
+
+        class Counting(majorant._Stepper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(majorant, "_Stepper", Counting)
+        cfg = self.sweep_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        assert len(built) == 3
+        profile = build_profile(parse_config(json.loads(cfg.read_text())))
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+        assert {r["outcome"] for r in rows} == {"blew_up", "survived"}
+        for r in rows:
+            a = Field(profile.domain, profile.values * float(r["amplitude"]))
+            report = simulate(a, Params(float(r["alpha"]), 1.0), 100)
+            step = report.outcome.step if report.blew_up else 100
+            assert (r["outcome"] == "blew_up", int(r["s0_or_steps"])) == (report.blew_up, step)
 
     def test_certified_rows_never_blow_up(self, tmp_path):
         cfg = self.sweep_config(tmp_path)

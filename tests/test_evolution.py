@@ -15,11 +15,13 @@ from latticeheat import (
     Params,
     Survived,
     evolution,
+    mode_table,
     normalize_scaling,
     simulate,
     step_nonlinear,
 )
 from latticeheat.evolution import StepRecord
+from latticeheat.majorant import _Probe
 
 from conftest import (
     random_domain,
@@ -348,7 +350,7 @@ def test_simulate_matches_reference(extents, alpha, delta, amplitude, shrink, ze
 
 
 def _copy_edge(p):
-    return evolution._Stepper(Field.zeros(BoxDomain((2,))), p, 0.0)._copy_below
+    return evolution._Stepper(BoxDomain((2,)), p, 0.0)._copy_below
 
 
 def _nudge(x, ulps):
@@ -435,7 +437,7 @@ def test_copy_edge():
         edge = _copy_edge(Params(alpha, delta))
         assert alpha * delta * edge**alpha == pytest.approx(2.0**-60, rel=1e-9)
     assert _copy_edge(Params(0.01, 1.0)) == 0.0
-    assert evolution._Stepper(Field.zeros(BoxDomain((2,))), Params(1, 1), 1.0)._copy_below < 0
+    assert evolution._Stepper(BoxDomain((2,)), Params(1, 1), 1.0)._copy_below < 0
 
 
 def test_decaying_run_copies_then_rests():
@@ -445,7 +447,7 @@ def test_decaying_run_copies_then_rests():
     copies = []
 
     class Counting(evolution._Stepper):
-        def step(self, max_f=math.inf):
+        def step(self, max_f):
             copies.append(max_f <= self._copy_below)
             return super().step(max_f)
 
@@ -460,12 +462,15 @@ def test_decaying_run_copies_then_rests():
 
 
 def test_copy_plans_are_built_at_first_use():
-    # verify and step_nonlinear pass no maximum, so they take no copy steps and build no
-    # copy plans; each direction's plan is built at its first copy step
+    # full steps, which an infinite bound on the maximum forces, build no copy plans; each
+    # direction's plan is built at its first copy step. step_nonlinear passes the data's
+    # maximum, so on this data it takes a copy step, to the reference's bits.
     d = BoxDomain((4, 4))
-    a = Field.from_interior(d, np.full(d.interior_shape, 1e-30))
-    stepper = evolution._Stepper(a, Params(1.0, 1.0), 0.0)
-    assert stepper.step() is None and stepper.step() is None
+    a, p = Field.from_interior(d, np.full(d.interior_shape, 1e-30)), Params(1.0, 1.0)
+    assert step_nonlinear(a, p).values.tobytes() == reference_simulate(a, p, 0)[1].tobytes()
+    stepper = evolution._Stepper(d, p, 0.0)
+    stepper.load(a)
+    assert stepper.step(math.inf) is None and stepper.step(math.inf) is None
     assert stepper._copies == [None, None]
     assert stepper.step(stepper.f.max()) is None
     assert stepper._copies[0] is None and stepper._copies[1] is not None
@@ -511,8 +516,9 @@ def test_minus_zero_data_gives_plus_zero_means(extents, alpha):
         interior = rng.uniform(0.0, 0.5, d.interior_shape)
         interior[rng.random(d.interior_shape) < share] = -0.0
         a = Field.from_interior(d, interior)
-        stepper = evolution._Stepper(a, Params(alpha, 1.0 / alpha), 0.0)
-        assert stepper.step() is None
+        stepper = evolution._Stepper(d, Params(alpha, 1.0 / alpha), 0.0)
+        stepper.load(a)
+        assert stepper.step(math.inf) is None  # a full step
         assert not np.signbit(stepper._g_span).any()
         assert not np.signbit(stepper.f).any()
 
@@ -522,7 +528,7 @@ def test_minus_zero_data_gives_plus_zero_means(extents, alpha):
 def test_exact_powers_and_unit_coupling_take_no_call(alpha, delta):
     # no np.power at alpha in {0.5, 1, 2}, and no multiply when alpha*delta is exactly 1.0,
     # which 49 * (1/49) is not
-    stepper = evolution._Stepper(Field.zeros(BoxDomain((3,))), Params(alpha, delta), 0.0)
+    stepper = evolution._Stepper(BoxDomain((3,)), Params(alpha, delta), 0.0)
     ufuncs = [ufunc for ufunc, _ in stepper._denom_calls + stepper._root_calls]
     assert (np.power in ufuncs) == (alpha not in (0.5, 1.0, 2.0))
     assert (np.multiply in ufuncs) == (alpha * delta != 1.0)
@@ -576,8 +582,9 @@ def test_derived_extrema_match_array_path(extents, alpha, delta, eps_blow, level
            "edge": max(_nudge(_blowup_edge(p, eps_blow), ulps), 0.0)}[level]
     interior = np.full(d.interior_shape, top) if constant else rng.uniform(0, top, d.interior_shape)
     a = Field.from_interior(d, interior)
-    stepper = evolution._Stepper(a, p, eps_blow)
-    sig = stepper.step()  # no maximum passed: a full step
+    stepper = evolution._Stepper(d, p, eps_blow)
+    stepper.load(a)
+    sig = stepper.step(math.inf)  # no finite bound on the maximum: a full step
     g = reference_neighbor_mean(a.values)
     denom = 1.0 - p.alpha * p.delta * np.power(g, p.alpha)
     assert _u64(stepper.max_g) == _u64(g.max())
@@ -598,7 +605,8 @@ def test_overflowing_step_blows_up_through_derived_maximum(alpha, delta):
     p = Params(alpha, delta)
     g = _blowup_edge(p, 0.0) if alpha != 2.0 else 2e154
     a = Field(BoxDomain((4,)), [0, g, g, g, 0])
-    stepper = evolution._Stepper(a, p, 0.0)
+    stepper = evolution._Stepper(a.domain, p, 0.0)
+    stepper.load(a)
     with np.errstate(over="ignore"):
         sig = stepper.step(g)
     if alpha == 2.0:
@@ -681,3 +689,131 @@ class TestNormalizeScaling:
             assert 0 < f.max() < TINY
             spacing = np.finfo(float).smallest_subnormal
             np.testing.assert_allclose(2.0 * f.values, f2.values, rtol=0, atol=spacing)
+
+
+def _run(stepper, a, steps, exits=None):
+    """One `_Stepper.run`: the step and stop, the records (None unless recording) and the
+    state's bytes."""
+    s, stop = stepper.run(a, steps, exits)
+    trace = None if stepper.trace is None else [_bits(rec) for rec in stepper.trace]
+    return s, stop, trace, stepper.f.tobytes()
+
+
+def _run_data(d, p, eps_blow, kind, amplitude, seed):
+    """Data of one kind: random up to `amplitude` thresholds, subnormal (copy steps to rest),
+    constant at the largest g that does not blow up (at tiny delta and alpha 1/2 its update
+    overflows), or zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_field(rng, d, amplitude=amplitude * p.threshold)
+    if kind == "subnormal":
+        return random_field(rng, d, amplitude=1e-318)
+    level = _blowup_edge(p, eps_blow) if kind == "edge" else 0.0
+    return Field.from_interior(d, np.full(d.interior_shape, level))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    tiny_delta=st.booleans(),
+    eps_blow=st.sampled_from([0.0, 0.0, 0.3]),
+    record=st.booleans(),
+    blowup_exit=st.booleans(),
+    S=st.integers(0, 80),
+    runs=st.lists(st.tuples(st.sampled_from(["random", "subnormal", "edge", "zero"]),
+                            st.floats(0.0, 1.5), st.booleans(), st.integers(0, 2**32 - 1)),
+                  min_size=2, max_size=6),
+)
+# an overflow at step 0, a rest at step 37, a blow-up at step 1 that leaves g stale, Kaplan's
+# exit at step 0 and a rest at step 0
+@example(extents=[4], alpha=0.5, tiny_delta=True, eps_blow=0.0, record=True, blowup_exit=True,
+         S=80, runs=[("edge", 0.0, False, 0), ("subnormal", 0.0, False, 1),
+                     ("random", 1.2, False, 2), ("edge", 0.0, True, 3), ("zero", 0.0, False, 4)])
+# certified survival at step 0, Kaplan's exit at step 0, then blow-ups at step 1 (the last
+# from edge data) that leave g stale
+@example(extents=[8], alpha=1.0, tiny_delta=False, eps_blow=0.0, record=False, blowup_exit=True,
+         S=80, runs=[("random", 0.02, True, 5), ("random", 1.1, True, 6),
+                     ("random", 1.1, False, 6), ("edge", 0.0, False, 7)])
+def test_reused_stepper_matches_fresh_one(extents, alpha, tiny_delta, eps_blow, record,
+                                          blowup_exit, S, runs):
+    # one stepper over a sequence of runs, whatever each leaves behind (a stale g after a
+    # blow-up, inf after an overflow, a spare at rest, swapped buffers and copy plans), gives
+    # each run's step, stop, records and final state, bit for bit, as a fresh one does
+    d = BoxDomain(tuple(extents))
+    p = Params(alpha, 1e-150 if tiny_delta else 1.0 / alpha)
+    exits = _Probe(d, p, S, eps_blow, blowup_exit)._exits
+    reused = evolution._Stepper(d, p, eps_blow, record)
+    for kind, amplitude, with_exits, seed in runs:
+        a = _run_data(d, p, eps_blow, kind, amplitude, seed)
+        run_exits = exits if with_exits else None
+        got = _run(reused, a, S, run_exits)
+        want = _run(evolution._Stepper(d, p, eps_blow, record), a, S, run_exits)
+        assert type(got[1]) is type(want[1]) and got == want
+
+
+def _sine(d, amplitude):
+    return Field(d, amplitude * mode_table(d).mode_field((1,) * d.dims).values)
+
+
+def _stop_of(report):
+    """reference_simulate's outcome as `run` states it: the step, and the site and g of a
+    blow-up or None for survival."""
+    out = report.outcome
+    return (out.step, (out.site, out.g_value)) if report.blew_up else (None, None)
+
+
+def test_each_stop_matches_reference():
+    # blow-up at step 1, at the first site whose denominator reaches 0
+    d, p = BoxDomain((4,)), Params(1.0, 1.0)
+    a = Field(d, [0, 0.9, 0.9, 0.9, 0])
+    stepper = evolution._Stepper(d, p, 0.0, record=True)
+    s, stop = stepper.run(a, 10)
+    ref, ref_state = reference_simulate(a, p, 10)
+    assert (s, (stop.site, stop.g_value)) == _stop_of(ref) and (s, stop.site) == (1, (1,))
+    assert [_bits(r) for r in stepper.trace] == [_bits(r) for r in ref.trace]
+    assert stepper.f.tobytes() == ref_state.tobytes()  # the state the blow-up step read
+
+    # overflow: the update of step 0 sets site 2 to inf, charged to step 0 at that site
+    p = Params(0.5, 1e-150)
+    g = _blowup_edge(p, 0.0)
+    a = Field(d, [0, g, g, g, 0])
+    s, stop = evolution._Stepper(d, p, 0.0).run(a, 10)
+    ref, ref_state = reference_simulate(a, p, 0)  # the reference forms that update at its horizon
+    assert (s, stop) == (0, BlowupSignal(site=(2,), g_value=g))
+    assert np.isinf(ref_state).tolist() == [False, False, True, False, False]
+    assert ref.trace[0].max_g == g
+
+    # rest after step s < steps, and the horizon: the state of a reference run to s
+    p = Params(1.0, 1.0)
+    for data, steps, at_rest in ((random_field(np.random.default_rng(3), BoxDomain((3, 3)),
+                                               1e-318), 500, True),
+                                 (Field(d, [0, 0.3, 0.5, 0.3, 0]), 20, False)):
+        stepper = evolution._Stepper(data.domain, p, 0.0, record=True)
+        s, stop = stepper.run(data, steps)
+        assert stop is None and (s < steps) == at_rest
+        ref, ref_state = reference_simulate(data, p, s)
+        assert [_bits(r) for r in stepper.trace] == [_bits(r) for r in ref.trace]
+        assert stepper.f.tobytes() == ref_state.tobytes()
+        if at_rest:  # one more step repeats the state
+            assert reference_simulate(data, p, s + 1)[1].tobytes() == ref_state.tobytes()
+
+    # the probe's exits on (8,): the sine mode at 0.05 is certified to survive at step 0, and
+    # at 0.1 Kaplan's bound fires before the reference's blow-up at step 40
+    d = BoxDomain((8,))
+    exits = _Probe(d, p, 2000, 0.0, blowup_exit=True)._exits
+    stepper = evolution._Stepper(d, p, 0.0)
+    assert stepper.run(_sine(d, 0.05), 2000, exits) == (0, False)
+    assert _stop_of(reference_simulate(_sine(d, 0.05), p, 2000)[0]) == (None, None)
+    s, stop = stepper.run(_sine(d, 0.1), 2000, exits)
+    assert stop is True and 0 < s < 40
+    assert _stop_of(reference_simulate(_sine(d, 0.1), p, 2000)[0])[0] == 40
+
+
+def test_negative_horizon_is_rejected():
+    # the one check, in `run`, serves simulate and the probes
+    a, p = Field.zeros(BoxDomain((4,))), Params(1.0, 1.0)
+    with pytest.raises(ValueError, match="max_steps"):
+        simulate(a, p, -1)
+    with pytest.raises(ValueError, match="max_steps"):
+        _Probe(a.domain, p, -1, 0.0, blowup_exit=True)(a)

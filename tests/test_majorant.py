@@ -211,7 +211,7 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
 @given(
     extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
     alpha=st.sampled_from([0.01, 0.5, 1.0, 1.5, 2.0]),
-    amplitude=st.floats(0.0, 1.0),
+    amplitude=st.one_of(st.floats(0.0, 1.0), st.floats(1e-19, 1e-17)),
     S=st.integers(0, 60),
     slack=st.sampled_from([1e-12, 0.0, -1e-6, -1e-2]),
     edge=st.sampled_from([0.0, 0.0, -0.5, 0.5]),
@@ -221,9 +221,12 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
 @example(extents=[5], alpha=1.0, amplitude=0.5, S=40, slack=0.0, edge=0.0, seed=2)
 @example(extents=[3, 4], alpha=2.0, amplitude=0.3, S=0, slack=1e-12, edge=-0.5, seed=3)
 @example(extents=[3], alpha=0.01, amplitude=0.96875, S=0, slack=0.0, edge=0.0, seed=1)
+@example(extents=[4, 4], alpha=1.0, amplitude=2e-18, S=30, slack=1e-12, edge=0.0, seed=4)
 def test_verify_matches_reference(extents, alpha, amplitude, S, slack, edge, seed):
     # amplitudes near 1 truncate the majorant early, and at alpha 0.01 its
-    # root underflows, or h / root overflows at some sites; a negative slack
+    # root underflows, or h / root overflows at some sites; near 1e-18 the
+    # nonlinear flow takes copy steps (at alpha 1 from about 8.7e-19, at 1.5
+    # and 2 from every amplitude drawn there); a negative slack
     # demands a positive margin and so exercises the failure path; with S = 0
     # the data may have a nonzero boundary, where the margins do not look
     d = BoxDomain(tuple(extents))
@@ -249,7 +252,7 @@ def test_verify_blowup_path_matches_reference(monkeypatch, rng):
     from latticeheat import majorant
 
     stepper = majorant._Stepper
-    monkeypatch.setattr(majorant, "_Stepper", lambda a, p, eps: stepper(a, p, 0.9))
+    monkeypatch.setattr(majorant, "_Stepper", lambda domain, p, eps: stepper(domain, p, 0.9))
     for _ in range(10):
         d = random_domain(rng)
         a = random_field(rng, d, amplitude=0.3)
@@ -488,12 +491,46 @@ def _counting_steps(monkeypatch):
     steps = []
 
     class CountingStepper(majorant._Stepper):
-        def step(self, *max_f):
+        def step(self, max_f):
             steps.append(1)
-            return super().step(*max_f)
+            return super().step(max_f)
 
     monkeypatch.setattr(majorant, "_Stepper", CountingStepper)
     return steps
+
+
+def test_nan_arguments_are_rejected():
+    # NaN fails every comparison, so each guard is written to fail on it; a negative slack
+    # keeps its meaning, and fails this case
+    d = BoxDomain((5, 5))
+    a = random_field(np.random.default_rng(0), d, amplitude=0.5)
+    assert not verify_comparison(a, 1.0, 10, slack=-0.5).holds
+    with pytest.raises(ValueError, match="slack"):
+        verify_comparison(a, 1.0, 10, slack=math.nan)
+    with pytest.raises(ValueError, match="tol"):
+        find_threshold(a, Params(1.0, 1.0), 10, math.nan)
+    with pytest.raises(ValueError, match="alpha"):
+        compute_trace(a, math.nan, 10)
+
+
+def test_one_stepper_per_search(monkeypatch):
+    # a search builds its stepper once, with its probe, and loads every probe's data into it
+    from latticeheat import majorant
+
+    built = []
+
+    class Counting(majorant._Stepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(majorant, "_Stepper", Counting)
+    d = BoxDomain((6, 4))
+    profile = _profile("random", d, np.random.default_rng(0))
+    for _ in range(2):
+        res = find_threshold(profile, Params(1.5, 1.0), 100, 1e-3)
+        assert len(res.evaluations) > 5
+    assert len(built) == 2
 
 
 def test_probe_exits_fire(monkeypatch):
