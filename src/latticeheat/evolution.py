@@ -182,7 +182,7 @@ class _Stepper:
         max_f)` for an outcome, steps, records, tests for blow-up, carries
         `max_f` and tests for rest, as `simulate` defines it. The stop is a
         BlowupSignal (an overflow's at its first inf site, charged to step
-        s - 1), the exit's value (True blows up, False survives), or None for
+        s - 1), the exit's value (a probe's True blows up, False survives), or None for
         survival: at rest after step s, or at the horizon s = steps.
         """
         if steps < 0:
@@ -264,15 +264,15 @@ class _Stepper:
 
 
 def step_nonlinear(f: Field, p: Params, eps_blow: float = 0.0) -> Field | BlowupSignal:
-    """One nonlinear step, or a BlowupSignal if a denominator (nearly) vanishes.
+    """One nonlinear step, or the BlowupSignal that `simulate` reports at step 0.
 
-    Blow-up is declared where 1 - alpha*delta*g^alpha <= eps_blow; the default
-    eps_blow = 0 is the exact sign test (equality counts as blow-up since the
-    update is undefined there). eps_blow must be >= 0.
+    Blow-up is declared where 1 - alpha*delta*g^alpha <= eps_blow (eps_blow >= 0; the default
+    0 is the exact sign test, as the update is undefined at equality), and at the first inf
+    site of an update that overflows, which `run` finds at step 1, where an exit stops it.
     """
     stepper = _Stepper(f.domain, p, eps_blow)
-    _, sig = stepper.run(f, 0)
-    return sig if sig is not None else Field(f.domain, stepper.f)
+    _, stop = stepper.run(f, 1, lambda s, *_: False if s else None)
+    return stop if isinstance(stop, BlowupSignal) else Field(f.domain, stepper.f)
 
 
 def simulate(a: Field, p: Params, max_steps: int, eps_blow: float = 0.0) -> BlowupReport:

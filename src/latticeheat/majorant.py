@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoxDomain, Field, MultiIndex
-from .evolution import Params, _Stepper
+from .evolution import BlowupSignal, Params, _Stepper
 from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
 COMPARISON_SLACK = 1e-12
@@ -94,52 +94,38 @@ def verify_comparison(
 ) -> ComparisonVerdict:
     """Check fbar^s >= f^s pointwise and no blow-up while the majorant exists.
 
-    Runs the scaled nonlinear dynamics (delta = 1/alpha) alongside the linear
-    flow for s <= min(S, defined_up_to), and the linear flow alone on to S for
-    the trace. P_s is nondecreasing, so s <= defined_up_to is decided as the
-    flow goes. A failure signals an implementation bug, never expected
-    behavior.
+    `_Stepper.run` checks the data at every S and steps the scaled dynamics
+    (delta = 1/alpha). Its exit steps the linear flow to h^s, compares fbar^s
+    with f^s, and stops the run at a failure, at S or where P_s >= 1 (P_s
+    never decreases). A state at rest is compared on without steps. A blow-up
+    in the step to s, an overflow included, fails if s <= defined_up_to. The
+    linear flow runs alone on to S for the trace. A failure is a bug.
     """
     if math.isnan(slack):
         raise ValueError("slack must not be NaN")
-    p = Params(alpha=alpha, delta=1.0 / alpha)
     core = a.domain.core
+    flow = _linear_flow(a, S)
     m: list[float] = []
     margins: list[float] = []
     failure = None
-    stepper = _Stepper(a.domain, p, 0.0)  # the nonlinear flow
-    f, max_f = a.values, float(a.values.max())
     P = 0.0
-    fbar, diff = np.empty(a.domain.shape), np.empty(a.domain.shape)
-    # With S > 0 the linear flow has checked that both flows have a zero
-    # boundary. There a nonnegative slack makes f - tol <= 0 <= fbar, and a
-    # nonnegative margin gives fbar >= f >= f - tol at every interior site.
-    margin_decides = S > 0 and slack >= 0
-    with np.errstate(divide="ignore", over="ignore"):
-        for s, h in enumerate(_linear_flow(a, S)):
-            m.append(float(h[core].max()))
-            # the expression of _trace_from_maxima, so P is partial_sums[s] bit for bit
-            P = P + (np.abs(m[-1:]) ** alpha)[0]
-            if failure is not None or not P < 1.0:  # P_s never decreases
-                continue
-            if s:
-                if s == 1:  # as in _linear_flow, only a flow that steps checks the data
-                    stepper.load(a)
-                sig = stepper.step(max_f)
-                if sig is not None:
-                    failure = ComparisonFailure(
-                        step=s, site=sig.site, majorant_value=math.inf,
-                        solution_value=sig.g_value,
-                    )
-                    continue
-                f, max_f = stepper.f, stepper.max_f
-            fbar = _over_root(h, (1.0 - P) ** (1.0 / alpha), fbar)
-            np.subtract(fbar, f, out=diff)
-            margins.append(float(diff[core].min()))  # both are 0 on the boundary
-            if margin_decides and margins[-1] >= 0:  # a NaN margin goes on to the test
-                continue
-            # slack * max(1, fbar) wherever fbar can lie below f; for a zero
-            # slack that is 0, where the product would be NaN at an infinite fbar
+    buf, diff = np.empty(a.domain.shape), np.empty(a.domain.shape)
+
+    def compare(s: int, f: np.ndarray, max_f: float) -> bool | None:
+        nonlocal P, failure
+        h = next(flow)
+        m.append(float(h[core].max()))
+        # the expression of _trace_from_maxima, so P is partial_sums[s] bit for bit
+        P = P + (np.abs(m[-1:]) ** alpha)[0]
+        if not P < 1.0:
+            return False
+        fbar = _over_root(h, (1.0 - P) ** (1.0 / alpha), buf)
+        np.subtract(fbar, f, out=diff)
+        margins.append(float(diff[core].min()))  # both are 0 on the boundary
+        # run checks that f, and so h, has a zero boundary; there a nonnegative slack makes f - tol
+        # <= 0 <= fbar, and a nonnegative margin gives fbar >= f >= f - tol at every interior site
+        if not (slack >= 0 and margins[-1] >= 0):  # a NaN margin goes on to the test
+            # slack * max(1, fbar) wherever fbar can lie below f; a zero slack is 0, not NaN at inf
             tol = slack * np.maximum(1.0, fbar) if slack else slack
             bad = fbar < f - tol
             if np.any(bad):
@@ -148,7 +134,21 @@ def verify_comparison(
                     step=s, site=site, majorant_value=float(fbar[site]),
                     solution_value=float(f[site]),
                 )
+                return True
+        return False if s == S else None
+
+    stepper = _Stepper(a.domain, Params(alpha=alpha, delta=1.0 / alpha), 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        s, stop = stepper.run(a, S, compare)
+        while stop is None:  # at rest after step s < S: every later state is this one
+            s += 1
+            stop = compare(s, stepper.f, stepper.max_f)
+    m += [float(h[core].max()) for h in flow]
     trace = _trace_from_maxima(np.array(m), alpha)
+    if isinstance(stop, BlowupSignal) and s < trace.defined_up_to:
+        failure = ComparisonFailure(
+            step=s + 1, site=stop.site, majorant_value=math.inf, solution_value=stop.g_value
+        )
     return ComparisonVerdict(
         holds=failure is None,
         margins=np.array(margins),

@@ -619,6 +619,18 @@ def test_overflowing_step_blows_up_through_derived_maximum(alpha, delta):
     assert report.trace == [StepRecord(max_f=g, max_g=g)]
 
 
+@pytest.mark.parametrize("alpha, delta", [(0.5, 1e-150), (1.0, 1e-300), (2.0, 1e-310)])
+def test_step_nonlinear_reports_simulates_blowup(alpha, delta):
+    # the cases above: an update that overflows to inf, or a g^2 that does, is the
+    # blow-up simulate reports at step 0, never a Field holding inf
+    p = Params(alpha, delta)
+    g = _blowup_edge(p, 0.0) if alpha != 2.0 else 2e154
+    a = Field(BoxDomain((4,)), [0, g, g, g, 0])
+    outcome = simulate(a, p, 1).outcome
+    assert outcome == BlewUpAt(step=0, site=(2,), g_value=g)
+    assert step_nonlinear(a, p) == BlowupSignal(site=outcome.site, g_value=outcome.g_value)
+
+
 # Nonzero amplitudes for the conjugacy property start here: 8 steps of
 # averaging on at most 6 sites per axis, and a rescaling factor of at least
 # 1e-5, keep every value far above the smallest normal double (2.2e-308).

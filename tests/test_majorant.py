@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticeheat import (
+    BlewUpAt,
     BoxDomain,
     ComparisonVerdict,
     Field,
@@ -222,19 +223,26 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
 @example(extents=[3, 4], alpha=2.0, amplitude=0.3, S=0, slack=1e-12, edge=-0.5, seed=3)
 @example(extents=[3], alpha=0.01, amplitude=0.96875, S=0, slack=0.0, edge=0.0, seed=1)
 @example(extents=[4, 4], alpha=1.0, amplitude=2e-18, S=30, slack=1e-12, edge=0.0, seed=4)
+@example(extents=[3, 3], alpha=1.0, amplitude=1e-300, S=3000, slack=1e-12, edge=0.0, seed=0)
+@example(extents=[5], alpha=2.0, amplitude=1e-305, S=2000, slack=0.0, edge=0.0, seed=0)
 def test_verify_matches_reference(extents, alpha, amplitude, S, slack, edge, seed):
     # amplitudes near 1 truncate the majorant early, and at alpha 0.01 its
     # root underflows, or h / root overflows at some sites; near 1e-18 the
     # nonlinear flow takes copy steps (at alpha 1 from about 8.7e-19, at 1.5
-    # and 2 from every amplitude drawn there); a negative slack
+    # and 2 from every amplitude drawn there); subnormal data rests long
+    # before S (the last two examples at steps 77 and 190), and verify
+    # compares the resting state on without steps; a negative slack
     # demands a positive margin and so exercises the failure path; with S = 0
-    # the data may have a nonzero boundary, where the margins do not look
+    # the data may have a nonzero boundary, which verify rejects as simulate
+    # does, though it takes no step
     d = BoxDomain(tuple(extents))
     a = random_field(np.random.default_rng(seed), d, amplitude=amplitude)
-    if S == 0:  # a flow that takes no step accepts a nonzero boundary
+    if S == 0 and edge:
         values = np.full(d.shape, edge)
         values[d.core] = a.interior()
-        a = Field(d, values)
+        with pytest.raises(ValueError, match="nonzero boundary"):
+            verify_comparison(Field(d, values), alpha, S, slack)
+        return
     got = verify_comparison(a, alpha, S, slack)
     want = _reference_verify(a, alpha, S, slack)
     np.testing.assert_array_equal(got.margins, want.margins)
@@ -253,9 +261,12 @@ def test_verify_blowup_path_matches_reference(monkeypatch, rng):
 
     stepper = majorant._Stepper
     monkeypatch.setattr(majorant, "_Stepper", lambda domain, p, eps: stepper(domain, p, 0.9))
-    for _ in range(10):
+    # the stand-in blows up inside the majorant's range, and on the step just past
+    # defined_up_to, which verify takes and must not count as a failure
+    blowups = {"inside": 0, "edge": 0}
+    for _ in range(40):
         d = random_domain(rng)
-        a = random_field(rng, d, amplitude=0.3)
+        a = random_field(rng, d, amplitude=rng.uniform(0.3, 1.0))
         got = verify_comparison(a, 1.0, 20)
         want = _reference_verify(a, 1.0, 20, COMPARISON_SLACK, eps_blow=0.9)
         np.testing.assert_array_equal(got.margins, want.margins)
@@ -263,6 +274,10 @@ def test_verify_blowup_path_matches_reference(monkeypatch, rng):
             want.holds, want.checked_steps, want.failure
         )
         np.testing.assert_array_equal(got.trace.m, compute_trace(a, 1.0, 20).m)
+        outcome = simulate(a, Params(1.0, 1.0), 20, 0.9).outcome
+        if isinstance(outcome, BlewUpAt) and outcome.step <= got.defined_up_to:
+            blowups["edge" if outcome.step == got.defined_up_to else "inside"] += 1
+    assert min(blowups.values()) > 0, blowups
 
 
 class TestBounds:
