@@ -7,6 +7,7 @@ stencil operations use the 2d axis neighbors n +/- e_k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,17 @@ def _span(values: np.ndarray) -> slice:
     """
     lo = sum(values.strides) // values.itemsize
     return slice(lo, values.size - lo)
+
+
+def _span_buffers(shape: tuple[int, ...], count: int) -> list[np.ndarray]:
+    """`count` zeroed C-contiguous float arrays of a full `shape`, from one allocation, each
+    with its `_span` on a 64-byte cache line, wherever the allocator puts the block."""
+    n = math.prod(shape)
+    size = -(-n // 8) * 8  # each array's doubles, a whole number of cache lines
+    block = np.zeros(count * size + 7)
+    lo = sum(math.prod(shape[k + 1:]) for k in range(len(shape)))  # the span's first site
+    start = -(block.ctypes.data // 8 + lo) % 8  # doubles are 8-byte aligned
+    return [block[start + i * size:start + i * size + n].reshape(shape) for i in range(count)]
 
 
 class _Stencil:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, _span, _Stencil
+from .domain import BoxDomain, Field, MultiIndex, _span, _span_buffers, _Stencil
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,9 @@ _SCALAR = {np.square: lambda x: x * x, np.sqrt: math.sqrt, None: lambda x: x}
 class _Stepper:
     """The nonlinear update on full-shape buffers, built once per (domain, p, eps_blow).
 
-    The stencil and the update run on the buffers' flat span (`_span`), where
-    a boundary site gets g = +0.0, so denom = 1 and f = +0.0; the boundary
+    f, the spare, g and denom are one `_span_buffers` block, each flat span
+    (`_span`) on a cache line. The stencil and the update run on the spans,
+    where a boundary site gets g = +0.0, so denom = 1 and f = +0.0; the boundary
     outside the span is never written, so the buffers keep the +0.0 boundary
     they start with, whatever the data's zeros. f and the spare swap at each
     update, with their spans and `_Stencil` plans into g and into each other.
@@ -133,8 +134,7 @@ class _Stepper:
         if not eps_blow >= 0:
             raise ValueError(f"eps_blow must be >= 0, got {eps_blow}")
         core = self._core = domain.core
-        self.f, self._spare = np.zeros(domain.shape), np.zeros(domain.shape)
-        g, denom = np.zeros(domain.shape), np.zeros(domain.shape)
+        self.f, self._spare, g, denom = _span_buffers(domain.shape, 4)
         span = _span(g)
         self._g_span = g.ravel()[span]
         self._denom_span = denom.ravel()[span]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex
+from .domain import BoxDomain, Field, MultiIndex, _span_buffers
 from .evolution import BlowupSignal, Params, _Stepper
 from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
@@ -109,7 +109,7 @@ def verify_comparison(
     margins: list[float] = []
     failure = None
     P = 0.0
-    buf, diff = np.empty(a.domain.shape), np.empty(a.domain.shape)
+    buf, diff = _span_buffers(a.domain.shape, 2)
 
     def compare(s: int, f: np.ndarray, max_f: float) -> bool | None:
         nonlocal P, failure
@@ -241,19 +241,20 @@ class _Probe:
 
     Survival is the paper's certificate over the remaining horizon, scaled to
     threshold 1 for the coupling kappa = alpha*delta/(1 - eps_blow), whose
-    dynamics dominates. The update from step s cannot blow up while
-    kappa*P_{s+1} < 1, so at step s a state survives the steps s..S if
-    kappa*sum_{k=0..R} m_k^alpha < 1, where R = S - s + 1 and m_k are the
-    maxima of the linear flow from it. With M = max f and C = max f/phi over
-    the interior, f <= C*phi, and averaging is a positive operator that never
-    raises the maximum, so m_k <= min(M, C*lam^k). The sum of these bounds
-    is k*M^alpha plus a geometric series from the switch index k, where C*lam^k
-    falls to M; any integer k keeps it sound, and it is formed in logs. No term
-    exceeds its term in kappa*C^alpha/(1-lam^alpha), the infinite sum, which is
-    exact for a multiple of phi. P carries m_0, which no step tests, so for
-    constant data A the exact edge kappa*(S+1)*A^alpha = 1 meets the
-    certificate's kappa*(S+2)*A^alpha = 1 - margin: survivors within about
-    1/(alpha*(S+1)) of the threshold in amplitude still run to the horizon.
+    dynamics dominates. With P_s = sum_{k=1..s} m_k^alpha, which leaves out m_0
+    as no step tests it, fbar^s = h^s/(1 - P_s)^(1/alpha) >= f^s while P_s < 1,
+    by induction: fbar^0 = f^0, as P_0 = 0. If f^s <= fbar^s, averaging is
+    positive, so g^s <= h^{s+1}/(1 - P_s)^(1/alpha), below the threshold 1 as
+    P_{s+1} = P_s + m_{s+1}^alpha < 1; the update F(y) = y/(1 - y^alpha)^(1/alpha)
+    increases, so f^{s+1} <= h^{s+1}/(1 - P_s - m_{s+1}^alpha)^(1/alpha) = fbar^{s+1}.
+    So at step s a state survives the steps s..S if P_R < 1, where R = S - s + 1
+    and m_k are the maxima of the linear flow from it, in threshold units.
+    With M = max f and C = max f/phi over the interior, f <= C*phi; averaging
+    maps phi to lam*phi and never raises the maximum, so m_k <= min(M, C*lam^k).
+    The sum of these bounds is (k - 1)*M^alpha plus a geometric series from
+    the switch index k, where C*lam^k falls to M; any integer k keeps it
+    sound, and it is formed in logs. No term exceeds its term in
+    kappa*C^alpha/(1-lam^alpha), the infinite sum from m_0.
 
     Blow-up, with `blowup_exit`, is Kaplan's eigenfunction argument. As
     F(y) = y / (1 - alpha*delta*y^alpha)^(1/alpha) is convex and increasing,
@@ -295,21 +296,22 @@ class _Probe:
             self._log_jcrit = [x + shift for x in L]
 
     def _survives(self, f: np.ndarray, M: float, R: int) -> bool:
-        """Whether kappa*sum_{k=0..R} min(M, C*lam^k)^alpha is below 1 - margin for the
+        """Whether kappa*sum_{k=1..R} min(M, C*lam^k)^alpha is below 1 - margin for the
         nonzero state f of maximum M."""
         alpha, log_lam = self._p.alpha, self._log_lam
         gap = math.log(float((f[self._core] / self._phi_core).max()) / M)  # log(C/M) >= 0
         # the first k with C*lam^k <= M; any integer k keeps every term a bound on m_k
         switch = gap / -log_lam if log_lam < 0 else math.inf
-        k = max(1, math.ceil(switch)) if switch <= R else R + 1  # m_0 <= M <= C, so k >= 1
-        total = k  # the sum over M^alpha: k ones, then (C*lam^j/M)^alpha for j = k..R
+        k = max(1, math.ceil(switch)) if switch <= R else R + 1
+        total = k - 1  # the sum over M^alpha: k - 1 ones, then (C*lam^j/M)^alpha for j = k..R
         if k <= R:
             t = alpha * log_lam
             geometric = math.expm1((R + 1 - k) * t) / math.expm1(t) if t else R + 1 - k
             # C*lam^k <= M, so the exponent is <= 0 but for the rounding of k, which
             # at a huge alpha could overflow exp
             total += math.exp(min(0.0, alpha * (gap + k * log_lam))) * geometric
-        return alpha * math.log(M) + math.log(total) < self._log_survival
+        # a sum that underflows to 0 certifies, unless eps_blow >= 1 blows up every step
+        return alpha * math.log(M) + (math.log(total) if total else -math.inf) < self._log_survival
 
     def _blows_up(self, f: np.ndarray, remaining: int) -> bool:
         """Whether Kaplan's bound shows the state f blowing up within `remaining` more steps."""

@@ -15,7 +15,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, _span, _Stencil, neighbor_mean_interior
+from .domain import (BoxDomain, Field, MultiIndex, _span, _span_buffers, _Stencil,
+                     neighbor_mean_interior)
 
 
 def apply_M(h: Field) -> Field:
@@ -38,8 +39,8 @@ def _linear_flow(a: Field, S: int) -> Iterator[np.ndarray]:
         raise ValueError("S must be >= 0")
     if S and not a.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
-    buffers = (np.zeros(a.domain.shape), np.zeros(a.domain.shape))
-    pairs = np.empty(a.domain.n_sites)[_span(buffers[0])]  # the span's length
+    *buffers, spare = _span_buffers(a.domain.shape, 3)
+    pairs = spare.ravel()[_span(spare)]
     plans = (_Stencil(buffers[1], buffers[0], pairs), _Stencil(buffers[0], buffers[1], pairs))
     yield a.values
     if S:

@@ -1,0 +1,41 @@
+"""tools/bench_record.py on the benchmark's smoke sizes (a few seconds)."""
+
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace, kind", [(0, "end_to_end"), (1, "per_layer")])
+def test_bench_record_writes_every_declared_metric(tmp_path, trace, kind):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())[kind]
+    command = [sys.executable, str(ROOT / "tools" / "bench_record.py"), "--workload",
+               "certify-small", "--seed", "777", "--seconds", "1", "--smoke", "--trace",
+               str(trace), "--out", str(tmp_path)]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    [path] = tmp_path.iterdir()
+    assert re.fullmatch(r"BENCH_\d{4}-\d\d-\d\d_certify-small_s777\.json", path.name)
+    assert proc.stdout.split() == [str(path)]
+    record = json.loads(path.read_text())
+    assert record["git_sha"] is None or re.fullmatch(r"[0-9a-f]{40}", record["git_sha"])
+    assert record["dirty"] in (None, True, False)
+    assert (record["python"], record["numpy"]) == (platform.python_version(), np.__version__)
+    assert record["cpu_count"] == os.cpu_count()
+    assert (record["workload"], record["seed"], record["trace"]) == ("certify-small", 777, trace)
+    assert record["calibration_ms"] > 0
+    assert re.fullmatch(r"[0-9a-f]{64}", record["artifacts_sha256"])
+    assert record["correct"] is True and record["failed"] == 0
+    metrics = record["metrics"]
+    assert set(metrics) == {m["name"] for m in declared}
+    for m in declared:
+        assert metrics[m["name"]]["unit"] == m["unit"], m["name"]
+        assert isinstance(metrics[m["name"]]["value"], (int, float))

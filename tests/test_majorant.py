@@ -421,24 +421,25 @@ def _phi_lam(d):
     return phi / phi.max(), float(table.eigenvalues[(0,) * d.dims])
 
 
-def _certificate_edge(d, p, eps_blow, side):
+def _certificate_edge(d, p, eps_blow, side, first=0):
     """The multiple c of the sine mode scaled to maximum 1 at which the
-    survival certificate kappa*c^alpha/(1 - lam^alpha) equals 1 - 1e-3, times
-    (1 + side)^(1/alpha)."""
+    infinite sum from m_first, kappa*c^alpha*lam^(first*alpha)/(1 - lam^alpha),
+    equals 1 - 1e-3, times (1 + side)^(1/alpha)."""
     lam = float(mode_table(d).eigenvalues[(0,) * d.dims])
     kappa = p.alpha * p.delta / (1.0 - eps_blow)
-    return ((1.0 - 1e-3) * (1.0 + side) * (1.0 - lam**p.alpha) / kappa) ** (1.0 / p.alpha)
+    return ((1.0 - 1e-3) * (1.0 + side) * (1.0 - lam**p.alpha)
+            / (kappa * lam ** (first * p.alpha))) ** (1.0 / p.alpha)
 
 
 def _horizon_edge(profile, p, S, eps_blow, side):
     """The amplitude c at which c*profile meets the survival certificate over
-    the remaining horizon at step 0, kappa*sum_{k=0..S+1} min(M, C*lam^k)^alpha
+    the remaining horizon at step 0, kappa*sum_{k=1..S+1} min(M, C*lam^k)^alpha
     = (1 - 1e-3)*(1 + side), summed term by term."""
     d = profile.domain
     phi, lam = _phi_lam(d)
     M = float(profile.values.max())
     C = float((profile.values[d.core] / phi[d.core]).max())
-    total = sum(min(M, C * lam**k) ** p.alpha for k in range(S + 2))
+    total = sum(min(M, C * lam**k) ** p.alpha for k in range(1, S + 2))
     kappa = p.alpha * p.delta / (1.0 - eps_blow)
     return ((1.0 - 1e-3) * (1.0 + side) / (kappa * total)) ** (1.0 / p.alpha)
 
@@ -576,17 +577,18 @@ def test_probe_exits_fire(monkeypatch):
 @pytest.mark.parametrize("eps_blow", [0.0, 0.3])
 def test_survival_certificate_edge(monkeypatch, extents, eps_blow):
     # c * phi, with phi the sine mode at maximum 1 (sin(pi/2) on even
-    # extents), is certified before its first step just inside the edge
-    # kappa*c^alpha/(1 - lam^alpha) = 1 - 1e-3, and steps just outside it
+    # extents), is certified before its first step just inside the edge of
+    # the sum from m_1, kappa*c^alpha*lam^alpha/(1 - lam^alpha) = 1 - 1e-3,
+    # and steps just outside it; over 101 steps lam^(101*alpha) < 1e-9
     steps = _counting_steps(monkeypatch)
     d = BoxDomain(extents)
     phi = mode_table(d).mode_field((1,) * d.dims).values
     assert phi.max() == 1.0
     p = Params(1.5, 1.0)
     probe = _Probe(d, p, 100, eps_blow, blowup_exit=True)
-    inside = Field(d, _certificate_edge(d, p, eps_blow, -1e-6) * phi)
+    inside = Field(d, _certificate_edge(d, p, eps_blow, -1e-6, first=1) * phi)
     assert probe(inside) is None and len(steps) == 0
-    outside = Field(d, _certificate_edge(d, p, eps_blow, 1e-6) * phi)
+    outside = Field(d, _certificate_edge(d, p, eps_blow, 1e-6, first=1) * phi)
     assert isinstance(simulate(outside, p, 100, eps_blow).outcome, Survived)
     assert probe(outside) is None and len(steps) > 0
 
@@ -651,25 +653,27 @@ def test_horizon_certificate_never_weaker(extents, alpha, delta, eps_blow, kind,
 
 def test_horizon_certificate_at_huge_alpha():
     # at alpha 1e307 a state far below 1 has alpha*log(m_k) = -inf: both sums
-    # are 0, and both certify
+    # are 0, and both certify, but for eps_blow 1, where every step blows up
     d = BoxDomain((6,))
     p = Params(1e307, 1e-307)
     phi, _ = _phi_lam(d)
     f = 1e-30 * phi
     assert _infinite_sum_survives(d, p, 0.0, f)
     assert _Probe(d, p, 0, 0.0, blowup_exit=False)._survives(f, float(f.max()), 100)
+    assert not _Probe(d, p, 0, 1.0, blowup_exit=False)._survives(f, float(f.max()), 100)
 
 
 def test_horizon_certificate_saves_steps(monkeypatch):
     # a 48x48 constant interior at alpha 2, delta 0.5 and 100 steps: the
     # infinite sum never falls below 1 there, and its 15-probe search took
-    # 1,054 kernel steps; the outcomes, and so the probes, are full runs'
+    # 1,054 kernel steps (751 with m_0 in the sum over the remaining horizon);
+    # the outcomes, and so the probes, are full runs'
     steps = _counting_steps(monkeypatch)
     d = BoxDomain((48, 48))
     profile = Field.from_interior(d, np.ones(d.interior_shape))
     p = Params(2.0, 0.5)
     res = find_threshold(profile, p, 100, 1e-3)
-    assert len(steps) <= 800
+    assert len(steps) <= 741
     assert len(res.evaluations) == 15
     for lam, blew in res.evaluations:
         assert simulate(Field(d, lam * profile.values), p, 100).blew_up == blew

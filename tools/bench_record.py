@@ -1,0 +1,90 @@
+"""Record perfbench runs as BENCH_*.json files, one per workload.
+
+    python3 tools/bench_record.py --seed N [--workload NAME ...] [--seconds S]
+                                  [--trace 0|1] [--smoke] [--checkout DIR] [--out DIR]
+
+For each workload (default: every one that BENCHMARK.json lists) it runs the
+checkout's `perfbench/run.py` as a child process, from the checkout's root,
+and keeps the final JSON line and the `calibration_ms` and `artifacts_sha256`
+lines. It writes OUT/BENCH_<yyyy-mm-dd>_<workload>_s<seed>.json (the date in
+UTC) with the checkout's git SHA and whether its tree is dirty, the Python
+and numpy versions, the CPU count and every metric. The checkout defaults to
+the one that holds this script, and OUT to bench/<first 12 digits of its
+SHA> there, so a base and a head run of one day do not overwrite each other.
+It edits nothing under perfbench/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", action="append", help="repeat for several; default all")
+    parser.add_argument("--seconds", type=float, default=24.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--checkout", type=Path, default=ROOT)
+    parser.add_argument("--out", type=Path)
+    return parser.parse_args(argv)
+
+
+def _git(checkout: Path, *args: str) -> str | None:
+    proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+    return proc.stdout if proc.returncode == 0 else None
+
+
+def _run(checkout: Path, workload: str, args) -> dict:
+    """One perfbench run: its result line, plus the calibration and artifact digest lines."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+               str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    command += ["--smoke"] if args.smoke else []
+    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"error: {' '.join(command)} exited {proc.returncode}:\n{proc.stderr}")
+    fields = {line.split()[0]: line.split()[1] for line in lines[:-1] if len(line.split()) > 1}
+    return {"command": command[1:], "calibration_ms": float(fields["calibration_ms"]),
+            "artifacts_sha256": fields["artifacts_sha256"], **json.loads(lines[-1])}
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
+    checkout = args.checkout.resolve()
+    workloads = args.workload or [w["name"] for w in
+                                  json.loads((checkout / "BENCHMARK.json").read_text())["workloads"]]
+    sha = (_git(checkout, "rev-parse", "HEAD") or "").strip() or None
+    status = _git(checkout, "status", "--porcelain")
+    out = args.out or ROOT / "bench" / (sha or "unknown")[:12]
+    out.mkdir(parents=True, exist_ok=True)
+    for workload in workloads:
+        result = _run(checkout, workload, args)
+        date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
+        record = {
+            "workload": workload, "seed": args.seed, "seconds": args.seconds,
+            "trace": args.trace, "smoke": args.smoke, "date": date,
+            "git_sha": sha, "dirty": None if status is None else bool(status.strip()),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "cpu_count": os.cpu_count(), **result,
+        }
+        path = out / f"BENCH_{date}_{workload}_s{args.seed}.json"
+        path.write_text(json.dumps(record, indent=1) + "\n")
+        print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
