@@ -121,7 +121,7 @@ def _span_buffers(shape: tuple[int, ...], count: int) -> list[np.ndarray]:
     n = math.prod(shape)
     size = -(-n // 8) * 8  # each array's doubles, a whole number of cache lines
     block = np.zeros(count * size + 7)
-    lo = sum(math.prod(shape[k + 1:]) for k in range(len(shape)))  # the span's first site
+    lo = _span(block[:n].reshape(shape)).start
     start = -(block.ctypes.data // 8 + lo) % 8  # doubles are 8-byte aligned
     return [block[start + i * size:start + i * size + n].reshape(shape) for i in range(count)]
 

@@ -303,15 +303,15 @@ class _Probe:
         # the first k with C*lam^k <= M; any integer k keeps every term a bound on m_k
         switch = gap / -log_lam if log_lam < 0 else math.inf
         k = max(1, math.ceil(switch)) if switch <= R else R + 1
-        total = k - 1  # the sum over M^alpha: k - 1 ones, then (C*lam^j/M)^alpha for j = k..R
+        # the sum over M^alpha: k - 1 ones, then (C*lam^j/M)^alpha for j = k..R, in logs, as
+        # those terms can underflow; C*lam^k <= M, so their log is <= 0 but for k's rounding
+        log_geo = -math.inf
         if k <= R:
             t = alpha * log_lam
             geometric = math.expm1((R + 1 - k) * t) / math.expm1(t) if t else R + 1 - k
-            # C*lam^k <= M, so the exponent is <= 0 but for the rounding of k, which
-            # at a huge alpha could overflow exp
-            total += math.exp(min(0.0, alpha * (gap + k * log_lam))) * geometric
-        # a sum that underflows to 0 certifies, unless eps_blow >= 1 blows up every step
-        return alpha * math.log(M) + (math.log(total) if total else -math.inf) < self._log_survival
+            log_geo = min(0.0, alpha * (gap + k * log_lam)) + math.log(geometric)
+        log_total = log_geo if k == 1 else math.log(k - 1 + math.exp(log_geo))
+        return alpha * math.log(M) + log_total < self._log_survival
 
     def _blows_up(self, f: np.ndarray, remaining: int) -> bool:
         """Whether Kaplan's bound shows the state f blowing up within `remaining` more steps."""

@@ -590,6 +590,23 @@ class TestSweepCommand:
             step = report.outcome.step if report.blew_up else 100
             assert (r["outcome"] == "blew_up", int(r["s0_or_steps"])) == (report.blew_up, step)
 
+    def test_rows_far_above_threshold(self, tmp_path):
+        # at alpha 2000 on a 2-site line the sine mode at amplitude 3 blows up at step 0,
+        # though (C*lam/M)^alpha = 0.5^2000 underflows; every row is simulate's outcome
+        doc = base_config(extents=[3], alpha=2000.0, delta=5e-4, steps=20,
+                          init={"kind": "sine_mode", "mode": [1]},
+                          sweep={"alphas": [2000.0], "amplitudes": [0.5, 1.5, 3.0]})
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        profile = build_profile(parse_config(doc))
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+        assert [r["outcome"] for r in rows] == ["survived", "survived", "blew_up"]
+        for r in rows:
+            a = Field(profile.domain, profile.values * float(r["amplitude"]))
+            report = simulate(a, Params(2000.0, 5e-4), 20)
+            step = report.outcome.step if report.blew_up else 20
+            assert (r["outcome"] == "blew_up", int(r["s0_or_steps"])) == (report.blew_up, step)
+
     def test_certified_rows_never_blow_up(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
         main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])

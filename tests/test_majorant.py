@@ -663,6 +663,23 @@ def test_horizon_certificate_at_huge_alpha():
     assert not _Probe(d, p, 0, 1.0, blowup_exit=False)._survives(f, float(f.max()), 100)
 
 
+@pytest.mark.parametrize("extents, alpha, delta", [((3,), 2000.0, 5e-4), ((5, 4), 700.0, 1 / 700),
+                                                   ((3, 3), 1e6, 1e-6), ((6,), 1.5, 1.0)])
+@pytest.mark.parametrize("amplitude", [0.5, 1.5, 3.0, 1e3])
+def test_probe_far_above_threshold(extents, alpha, delta, amplitude):
+    # a sweep's amplitudes come from its config, so its probes may start far above the
+    # threshold; at a large alpha the certificate's geometric part, (C*lam/M)^alpha on the
+    # sine mode, is far below the smallest double, and the sum must still carry M^alpha
+    d = BoxDomain(extents)
+    phi, _ = _phi_lam(d)
+    p = Params(alpha, delta)
+    probe = _Probe(d, p, 20, 0.0, blowup_exit=False)
+    a = Field(d, amplitude * phi)
+    want = simulate(a, p, 20).outcome
+    assert probe(a) == (None if isinstance(want, Survived) else want.step)
+    assert isinstance(want, Survived) or not probe._survives(a.values, amplitude, 21)
+
+
 def test_horizon_certificate_saves_steps(monkeypatch):
     # a 48x48 constant interior at alpha 2, delta 0.5 and 100 steps: the
     # infinite sum never falls below 1 there, and its 15-probe search took
