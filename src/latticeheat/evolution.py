@@ -171,9 +171,10 @@ class _Stepper:
             (-60 * math.log(2) - math.log(coupling)) / p.alpha)
 
     def load(self, a: Field) -> None:
-        """Check the data and copy its interior onto the +0.0 buffers."""
+        """Check the data and write its interior + 0.0 onto the +0.0 buffers: adding 0.0
+        keeps every double but -0.0, which becomes +0.0, so the stencil never meets -0.0."""
         _check_solution_field(a)
-        self.f[self._core] = a.values[self._core]
+        np.add(a.values[self._core], 0.0, out=self.f[self._core])
 
     def run(self, a: Field, steps: int, exits=None) -> tuple[int, BlowupSignal | bool | None]:
         """Step from the data `a` over s = 0..steps; the step s where the run stopped, and why.

@@ -29,11 +29,11 @@ def apply_M(h: Field) -> Field:
 def _linear_flow(a: Field, S: int) -> Iterator[np.ndarray]:
     """h^0..h^S of the linear flow as full-shape arrays; checks the data on entry.
 
-    h^0 is `a.values`; later steps alternate between two zero-boundary
-    buffers, so a yielded array is overwritten two steps on. The first step
-    reads `a.values` through `neighbor_mean_interior`, the others run the two
-    buffers' `_Stencil` plans, built once. As in `apply_M`, the boundary is
-    checked only when a step is taken.
+    h^0 is `a.values`. The steps run the `_Stencil` plans, built once, of two
+    zero-boundary buffers into each other, from `a.values + 0.0` in the first
+    (-0.0 made +0.0, as the stencil must not meet it); a yielded array is
+    overwritten two steps on. As in `apply_M`, the boundary is checked only
+    when a step is taken.
     """
     if S < 0:
         raise ValueError("S must be >= 0")
@@ -43,9 +43,8 @@ def _linear_flow(a: Field, S: int) -> Iterator[np.ndarray]:
     pairs = spare.ravel()[_span(spare)]
     plans = (_Stencil(buffers[1], buffers[0], pairs), _Stencil(buffers[0], buffers[1], pairs))
     yield a.values
-    if S:
-        yield neighbor_mean_interior(a.values, buffers[0], pairs)  # out, pairs
-    for s in range(1, S):  # step s writes buffers[s % 2]
+    np.add(a.values, 0.0, out=buffers[0])
+    for s in range(1, S + 1):  # step s writes buffers[s % 2]
         plans[s % 2]()
         yield buffers[s % 2]
 

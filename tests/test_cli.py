@@ -394,6 +394,25 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["margins"][0] > 0
 
+    @pytest.mark.parametrize("extents", [[6], [4, 5], [4, 4, 4]])
+    def test_minus_zero_data_margin_is_plus_zero(self, tmp_path, extents):
+        # delta-like data from a field file: 0.5 at the centre and -0.0 on every other site.
+        # Step 0 compares fbar^0 with the data itself, so those sites give (-0.0)/root - (-0.0),
+        # which is +0.0: margins[0] is 0, not -0.0, as with the data's +0.0 kernel copy
+        d = BoxDomain(tuple(extents))
+        values = np.full(d.shape, -0.0)
+        values[tuple(n // 2 for n in extents)] = 0.5
+        field = tmp_path / "field.json"
+        write_field_json(field, Field(d, values))
+        doc = base_config(extents=extents, steps=20, amplitude=1.0,
+                          init={"kind": "file", "path": str(field)})
+        cfg = write_config(tmp_path, doc)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        text = (tmp_path / "verify.json").read_text()
+        margins = json.loads(text)["margins"]
+        assert margins[0] == 0.0 and math.copysign(1.0, margins[0]) == 1.0
+        assert '"margins": [\n    0.0,' in text
+
     def test_random_suite_config(self, tmp_path):
         cfg = write_config(
             tmp_path,

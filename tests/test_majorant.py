@@ -22,14 +22,18 @@ from latticeheat import (
     regime_bound,
     simulate,
     step_linear_direct,
+    step_nonlinear,
     tail_start,
     verify_comparison,
 )
 
+from latticeheat.domain import neighbor_mean_interior
 from latticeheat.evolution import _check_solution_field, _first_offender
 from latticeheat.majorant import COMPARISON_SLACK, ComparisonFailure, _Probe, _trace_from_maxima
+from latticeheat.spectral import _linear_flow
 
-from conftest import random_domain, random_field, reference_neighbor_mean
+from conftest import (random_domain, random_field, reference_neighbor_mean, reference_simulate,
+                      with_boundary)
 
 SQ2 = np.sqrt(2) / 2
 
@@ -216,16 +220,26 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
     S=st.integers(0, 60),
     slack=st.sampled_from([1e-12, 0.0, -1e-6, -1e-2]),
     edge=st.sampled_from([0.0, 0.0, -0.5, 0.5]),
+    layout=st.sampled_from(["C", "C", "F", "strided"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(extents=[4, 3], alpha=0.01, amplitude=1.0, S=5, slack=1e-12, edge=0.0, seed=1)
-@example(extents=[5], alpha=1.0, amplitude=0.5, S=40, slack=0.0, edge=0.0, seed=2)
-@example(extents=[3, 4], alpha=2.0, amplitude=0.3, S=0, slack=1e-12, edge=-0.5, seed=3)
-@example(extents=[3], alpha=0.01, amplitude=0.96875, S=0, slack=0.0, edge=0.0, seed=1)
-@example(extents=[4, 4], alpha=1.0, amplitude=2e-18, S=30, slack=1e-12, edge=0.0, seed=4)
-@example(extents=[3, 3], alpha=1.0, amplitude=1e-300, S=3000, slack=1e-12, edge=0.0, seed=0)
-@example(extents=[5], alpha=2.0, amplitude=1e-305, S=2000, slack=0.0, edge=0.0, seed=0)
-def test_verify_matches_reference(extents, alpha, amplitude, S, slack, edge, seed):
+@example(extents=[4, 3], alpha=0.01, amplitude=1.0, S=5, slack=1e-12, edge=0.0, layout="C", seed=1)
+@example(extents=[5], alpha=1.0, amplitude=0.5, S=40, slack=0.0, edge=0.0, layout="C", seed=2)
+@example(extents=[3, 4], alpha=2.0, amplitude=0.3, S=0, slack=1e-12, edge=-0.5, layout="C", seed=3)
+@example(extents=[3], alpha=0.01, amplitude=0.96875, S=0, slack=0.0, edge=0.0, layout="C", seed=1)
+@example(extents=[4, 4], alpha=1.0, amplitude=2e-18, S=30, slack=1e-12, edge=0.0, layout="C",
+         seed=4)
+@example(extents=[3, 3], alpha=1.0, amplitude=1e-300, S=3000, slack=1e-12, edge=0.0, layout="C",
+         seed=0)
+@example(extents=[5], alpha=2.0, amplitude=1e-305, S=2000, slack=0.0, edge=0.0, layout="C", seed=0)
+# 3-D at alpha 2 over 300 steps: the stencil divides by 6, and verify compares on spans throughout
+@example(extents=[6, 6, 6], alpha=2.0, amplitude=0.5, S=300, slack=1e-12, edge=0.0, layout="C",
+         seed=1)
+@example(extents=[5, 4, 6], alpha=2.0, amplitude=0.3, S=300, slack=0.0, edge=0.0, layout="F",
+         seed=2)
+@example(extents=[6, 6, 6], alpha=2.0, amplitude=0.5, S=300, slack=-1e-2, edge=0.0,
+         layout="strided", seed=1)
+def test_verify_matches_reference(extents, alpha, amplitude, S, slack, edge, layout, seed):
     # amplitudes near 1 truncate the majorant early, and at alpha 0.01 its
     # root underflows, or h / root overflows at some sites; near 1e-18 the
     # nonlinear flow takes copy steps (at alpha 1 from about 8.7e-19, at 1.5
@@ -234,9 +248,11 @@ def test_verify_matches_reference(extents, alpha, amplitude, S, slack, edge, see
     # compares the resting state on without steps; a negative slack
     # demands a positive margin and so exercises the failure path; with S = 0
     # the data may have a nonzero boundary, which verify rejects as simulate
-    # does, though it takes no step
+    # does, though it takes no step. The data's layout is C order, Fortran order or a strided
+    # view: verify reads h^0 and f^0 from the data itself.
     d = BoxDomain(tuple(extents))
     a = random_field(np.random.default_rng(seed), d, amplitude=amplitude)
+    a = Field(d, _laid_out(a.values, layout))
     if S == 0 and edge:
         values = np.full(d.shape, edge)
         values[d.core] = a.interior()
@@ -252,6 +268,71 @@ def test_verify_matches_reference(extents, alpha, amplitude, S, slack, edge, see
     trace = compute_trace(a, alpha, S)
     np.testing.assert_array_equal(got.trace.m, trace.m)
     np.testing.assert_array_equal(got.trace.partial_sums, trace.partial_sums)
+
+
+def _laid_out(values, layout):
+    """`values` in C order, in Fortran order, or as a view of every other site of a larger array."""
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "strided":
+        big = np.full(tuple(2 * n for n in values.shape), np.nan)
+        view = big[(slice(None, None, 2),) * values.ndim]
+        view[...] = values
+        return view
+    return values
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    amplitude=st.floats(0.0, 0.9),
+    share=st.sampled_from([0.3, 1.0]),
+    minus_boundary=st.booleans(),
+    S=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(extents=[5], alpha=1.0, amplitude=0.5, share=1.0, minus_boundary=True, S=5, seed=0)
+@example(extents=[4, 5], alpha=2.0, amplitude=0.0, share=0.3, minus_boundary=True, S=3, seed=0)
+@example(extents=[4, 4, 4], alpha=2.0, amplitude=0.8, share=0.3, minus_boundary=True, S=40,
+         seed=1)
+def test_minus_zero_data_matches_zero_start_reference(extents, alpha, amplitude, share,
+                                                      minus_boundary, S, seed):
+    # The kernels add 0.0 to the data once, where it enters, and their stencil sums start at
+    # the first axis's pair. On data with -0.0 on a share of the interior and, with
+    # minus_boundary, on the boundary, every result has the bits of the references, whose
+    # sums start at +0.0. amplitude <= 0.9 of the threshold keeps the step from overflowing.
+    d = BoxDomain(tuple(extents))
+    rng = np.random.default_rng(seed)
+    interior = rng.uniform(0.0, amplitude, d.interior_shape)
+    interior[rng.random(d.interior_shape) < share] = -0.0
+    a = with_boundary(d, interior, -0.0 if minus_boundary else 0.0)
+    mean = neighbor_mean_interior(a.values, np.zeros(d.shape))[d.core]
+    assert _bits(mean) == _bits(reference_neighbor_mean(a.values))
+    h, m = a.values, []
+    for s, got in enumerate(_linear_flow(a, S)):
+        assert got.tobytes() == h.tobytes(), s
+        m.append(h[d.core].max())
+        h = with_boundary(d, reference_neighbor_mean(h), 0.0).values
+    p = Params(alpha, 1.0 / alpha)
+    got, want = step_nonlinear(a, p), _reference_step(a, p)
+    assert isinstance(got, Field) == isinstance(want, Field)
+    assert got.values.tobytes() == want.values.tobytes() if isinstance(got, Field) else got == want
+    report, (want_report, _) = simulate(a, p, S), reference_simulate(a, p, S)
+    assert report.outcome == want_report.outcome
+    records = [[(r.max_f, r.max_g) for r in rep.trace] for rep in (report, want_report)]
+    assert _bits(records[0]) == _bits(records[1])
+    got, want = verify_comparison(a, alpha, S), _reference_verify(a, alpha, S, COMPARISON_SLACK)
+    assert _bits(got.margins) == _bits(want.margins)
+    assert (got.holds, got.checked_steps, got.failure) == (want.holds, want.checked_steps,
+                                                            want.failure)
+    trace = _trace_from_maxima(np.array(m), alpha)
+    for t in (got.trace, compute_trace(a, alpha, S)):
+        assert _bits(t.m) == _bits(trace.m) and _bits(t.partial_sums) == _bits(trace.partial_sums)
 
 
 def test_verify_blowup_path_matches_reference(monkeypatch, rng):
