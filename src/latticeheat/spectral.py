@@ -31,9 +31,9 @@ def _linear_flow(a: Field, S: int) -> Iterator[np.ndarray]:
 
     h^0 is `a.values`. The steps run the `_Stencil` plans, built once, of two
     zero-boundary buffers into each other, from `a.values + 0.0` in the first
-    (-0.0 made +0.0, as the stencil must not meet it); a yielded array is
-    overwritten two steps on. As in `apply_M`, the boundary is checked only
-    when a step is taken.
+    (-0.0 made +0.0; only signed data's means can bring -0.0 back, and only
+    as zeros' signs). A yielded array is overwritten two steps on. As in
+    `apply_M`, the boundary is checked only when a step is taken.
     """
     if S < 0:
         raise ValueError("S must be >= 0")

@@ -335,6 +335,28 @@ def test_minus_zero_data_matches_zero_start_reference(extents, alpha, amplitude,
         assert _bits(t.m) == _bits(trace.m) and _bits(t.partial_sums) == _bits(trace.partial_sums)
 
 
+def test_signed_flow_differs_from_reference_only_in_zero_signs(rng):
+    # Signed data (which `bound` reads) can make a mean underflow to -0.0, and a sum of two -0.0
+    # that no +0.0 starts stays -0.0: the flow then differs from the +0.0-started reference
+    # only in the sign of zeros, and the trace reads |m|, so partial sums keep their bits
+    signs = 0
+    for _ in range(200):
+        d = random_domain(rng, max_d=2)
+        interior = rng.choice([-5e-324, 0.0, 5e-324, -1e-323, 0.25, -0.25], d.interior_shape)
+        a = with_boundary(d, interior, 0.0)
+        h, m = a.values, []
+        for got in _linear_flow(a, 6):
+            np.testing.assert_array_equal(got, h)  # as numbers: -0.0 == +0.0
+            signs += got.tobytes() != h.tobytes()
+            m.append(h[d.core].max())
+            h = with_boundary(d, reference_neighbor_mean(h), 0.0).values
+        for alpha in (0.5, 2.0):
+            got, want = compute_trace(a, alpha, 6), _trace_from_maxima(np.array(m), alpha)
+            assert _bits(np.abs(got.m)) == _bits(np.abs(want.m))
+            assert _bits(got.partial_sums) == _bits(want.partial_sums)
+    assert signs > 0  # the case arises
+
+
 def test_verify_blowup_path_matches_reference(monkeypatch, rng):
     # the majorant rules out blow-up of the true dynamics, so a stepper with a
     # raised blow-up level stands in for a faulty one
