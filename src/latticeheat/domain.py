@@ -127,21 +127,19 @@ def _span_buffers(shape: tuple[int, ...], count: int) -> list[np.ndarray]:
 
 
 class _Stencil:
-    """`neighbor_mean_interior`'s ufuncs from `values` into `out`, C-contiguous and
-    full-shape, on views built once; each call reads `values` as it then is. The first
-    axis's neighbor sums go into `out`'s span, each later axis's onto them through `pairs`
-    (neither may overlap `values`): one pass for the first axis, two for each other. On
-    `values` without -0.0 the means are those of sums from +0.0, bit for bit, as a rounded
+    """The mean of the 2d axis neighbors at each interior site of `values`, into `out`, both
+    C-contiguous and full-shape, on views built once; each call reads `values` as it then is.
+    The first axis's neighbor sums go into `out`'s span (`_span`), each later axis's onto them
+    through `pairs` (neither may overlap `values`): one pass for the first axis, two for each
+    other; the faces normal to axes 2..d, where the span holds wrapped sums, are set to +0.0.
+    On `values` without -0.0 the means are those of sums from +0.0, bit for bit, as a rounded
     sum is -0.0 only if both addends are; the kernels add 0.0 to their data to that end."""
 
     __slots__ = ("_first", "_axes", "_pairs", "_acc", "_scale", "_faces")
 
-    def __init__(
-        self, values: np.ndarray, out: np.ndarray, pairs: np.ndarray | None = None
-    ) -> None:
+    def __init__(self, values: np.ndarray, out: np.ndarray, pairs: np.ndarray) -> None:
         span, flat, size = _span(values), values.ravel(), values.itemsize
         lo, hi = span.start, span.stop
-        pairs = np.empty(hi - lo) if pairs is None else pairs
         self._first, *self._axes = ((flat[lo + k:hi + k], flat[lo - k:hi - k])
                                     for k in (stride // size for stride in values.strides))
         self._pairs, self._acc = pairs, out.ravel()[span]
@@ -162,22 +160,3 @@ class _Stencil:
         scale_by(acc, scale, out=acc)  # scalars as 0-d arrays cost numpy less per call
         for face in self._faces:
             face.fill(0.0)
-
-
-def neighbor_mean_interior(
-    values: np.ndarray, out: np.ndarray, pairs: np.ndarray | None = None
-) -> np.ndarray:
-    """Average of the 2d axis neighbors at every interior site, into `out`, which is returned.
-
-    `out` is a C-contiguous array of the full-shape `values`' shape, with a
-    zero boundary, that does not overlap `values`. One `_Stencil` forms the means
-    on their flat span (`_span`) from a C-ordered `values + 0.0` (-0.0 made +0.0),
-    then sets the boundary faces normal to axes 2..d, where the span holds wrapped
-    sums, to +0.0. `pairs`, if given, is a float array of the span's length.
-    """
-    if out.shape != values.shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be C-contiguous with shape {values.shape}")
-    if any(np.may_share_memory(values, x) for x in (out, pairs) if x is not None):
-        raise ValueError("out and pairs must not share memory with values")
-    _Stencil(np.add(values, 0.0, order="C"), out, pairs)()
-    return out

@@ -99,35 +99,32 @@ def verify_comparison(
     with f^s, and stops the run at a failure, at S or where P_s >= 1 (P_s
     never decreases). A state at rest is compared on without steps. A blow-up
     in the step to s, an overflow included, fails if s <= defined_up_to. The
-    linear flow runs alone on to S for the trace. A failure is a bug. At s = 0, h
-    and f are the data. Later they are nonnegative kernel buffers with a +0.0
-    boundary, so m_s is h's flat span's maximum (`_span`), and fbar and fbar - f
-    are formed on the spans of two buffers, whose other sites stay +0.0.
+    linear flow runs alone on to S for the trace. A failure is a bug. h and f
+    are nonnegative kernel buffers with a +0.0 boundary, the data + 0.0 at s = 0,
+    so m_s is h's flat span's maximum (`_span`), and fbar and fbar - f are formed
+    on the spans of two buffers, whose other sites stay +0.0.
     """
     if math.isnan(slack):
         raise ValueError("slack must not be NaN")
-    core = a.domain.core
     flow = _linear_flow(a, S)
     m: list[float] = []
     margins: list[float] = []
     failure = None
     P = 0.0
     buf, diff = _span_buffers(a.domain.shape, 2)
-    span, interior = _span(buf), diff[core]
+    span, interior = _span(buf), diff[a.domain.core]
 
     def compare(s: int, f: np.ndarray, max_f: float) -> bool | None:
         nonlocal P, failure
         h = next(flow)
-        f = f if s else a.values  # not the kernel's copy, whose -0.0 are +0.0
-        m.append(float(np.maximum.reduce(h.ravel()[span]) if s else h[core].max()))
+        m.append(float(np.maximum.reduce(h.ravel()[span])))
         # the expression of _trace_from_maxima, so P is partial_sums[s] bit for bit
         P = P + (np.abs(m[-1:]) ** alpha)[0]
         if not P < 1.0:
             return False
         root = (1.0 - P) ** (1.0 / alpha)
-        sites = span if s else slice(None)  # at s = 0 every site of the data, in any layout
-        fbar = _over_root(h.ravel()[sites], root, buf.ravel()[sites])
-        np.subtract(fbar, f.ravel()[sites], out=diff.ravel()[sites])
+        fbar = _over_root(h.ravel()[span], root, buf.ravel()[span])
+        np.subtract(fbar, f.ravel()[span], out=diff.ravel()[span])
         margins.append(float(np.minimum.reduce(interior, axis=None)))  # diff is 0 on the boundary
         # run checks that f, and so h, has a zero boundary; there a nonnegative slack makes f - tol
         # <= 0 <= fbar, and a nonnegative margin gives fbar >= f >= f - tol at every interior site
@@ -151,7 +148,7 @@ def verify_comparison(
         while stop is None:  # at rest after step s < S: every later state is this one
             s += 1
             stop = compare(s, stepper.f, stepper.max_f)
-    m += [float(np.maximum.reduce(h.ravel()[span])) for h in flow]  # s >= 1
+    m += [float(np.maximum.reduce(h.ravel()[span])) for h in flow]
     trace = _trace_from_maxima(np.array(m), alpha)
     if isinstance(stop, BlowupSignal) and s < trace.defined_up_to:
         failure = ComparisonFailure(

@@ -15,25 +15,23 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .domain import (BoxDomain, Field, MultiIndex, _span, _span_buffers, _Stencil,
-                     neighbor_mean_interior)
+from .domain import BoxDomain, Field, MultiIndex, _span, _span_buffers, _Stencil
 
 
 def apply_M(h: Field) -> Field:
-    """One linear step: neighbor average at interior sites, zero boundary."""
-    if not h.boundary_is_zero():
-        raise ValueError("field has nonzero boundary values")
-    return Field(h.domain, neighbor_mean_interior(h.values, np.zeros(h.domain.shape)))
+    """One step of the linear flow: neighbor average at interior sites, zero boundary."""
+    return step_linear_direct(h, 1)
 
 
 def _linear_flow(a: Field, S: int) -> Iterator[np.ndarray]:
-    """h^0..h^S of the linear flow as full-shape arrays; checks the data on entry.
+    """h^0..h^S of the linear flow as C-contiguous full-shape arrays; checks the data on entry.
 
-    h^0 is `a.values`. The steps run the `_Stencil` plans, built once, of two
-    zero-boundary buffers into each other, from `a.values + 0.0` in the first
-    (-0.0 made +0.0; only signed data's means can bring -0.0 back, and only
-    as zeros' signs). A yielded array is overwritten two steps on. As in
-    `apply_M`, the boundary is checked only when a step is taken.
+    Each h^s is one of two kernel buffers. h^0 is `a.values + 0.0` (-0.0 made
+    +0.0), copied whole, so at S = 0 a nonzero boundary is kept; the boundary
+    is checked only when a step is taken. The steps run the `_Stencil` plans,
+    built once, of the two buffers into each other; only signed data's means
+    can bring -0.0 back, and only as zeros' signs. A yielded array is
+    overwritten two steps on.
     """
     if S < 0:
         raise ValueError("S must be >= 0")
@@ -42,8 +40,8 @@ def _linear_flow(a: Field, S: int) -> Iterator[np.ndarray]:
     *buffers, spare = _span_buffers(a.domain.shape, 3)
     pairs = spare.ravel()[_span(spare)]
     plans = (_Stencil(buffers[1], buffers[0], pairs), _Stencil(buffers[0], buffers[1], pairs))
-    yield a.values
     np.add(a.values, 0.0, out=buffers[0])
+    yield buffers[0]
     for s in range(1, S + 1):  # step s writes buffers[s % 2]
         plans[s % 2]()
         yield buffers[s % 2]

@@ -397,8 +397,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("extents", [[6], [4, 5], [4, 4, 4]])
     def test_minus_zero_data_margin_is_plus_zero(self, tmp_path, extents):
         # delta-like data from a field file: 0.5 at the centre and -0.0 on every other site.
-        # Step 0 compares fbar^0 with the data itself, so those sites give (-0.0)/root - (-0.0),
-        # which is +0.0: margins[0] is 0, not -0.0, as with the data's +0.0 kernel copy
+        # Step 0 compares the flow's and the stepper's +0.0 copies of the data, so those sites
+        # give +0.0/root - +0.0, which is +0.0: margins[0] is 0, not -0.0, as with the data
+        # itself, where (-0.0)/root - (-0.0) is +0.0 too
         d = BoxDomain(tuple(extents))
         values = np.full(d.shape, -0.0)
         values[tuple(n // 2 for n in extents)] = 0.5

@@ -27,7 +27,6 @@ from latticeheat import (
     verify_comparison,
 )
 
-from latticeheat.domain import neighbor_mean_interior
 from latticeheat.evolution import _check_solution_field, _first_offender
 from latticeheat.majorant import COMPARISON_SLACK, ComparisonFailure, _Probe, _trace_from_maxima
 from latticeheat.spectral import _linear_flow
@@ -249,7 +248,7 @@ def test_verify_matches_reference(extents, alpha, amplitude, S, slack, edge, lay
     # demands a positive margin and so exercises the failure path; with S = 0
     # the data may have a nonzero boundary, which verify rejects as simulate
     # does, though it takes no step. The data's layout is C order, Fortran order or a strided
-    # view: verify reads h^0 and f^0 from the data itself.
+    # view: verify reads h^0 and f^0 from the flow's and the stepper's C-ordered copies of it.
     d = BoxDomain(tuple(extents))
     a = random_field(np.random.default_rng(seed), d, amplitude=amplitude)
     a = Field(d, _laid_out(a.values, layout))
@@ -311,9 +310,9 @@ def test_minus_zero_data_matches_zero_start_reference(extents, alpha, amplitude,
     interior = rng.uniform(0.0, amplitude, d.interior_shape)
     interior[rng.random(d.interior_shape) < share] = -0.0
     a = with_boundary(d, interior, -0.0 if minus_boundary else 0.0)
-    mean = neighbor_mean_interior(a.values, np.zeros(d.shape))[d.core]
+    mean = apply_M(a).values[d.core]
     assert _bits(mean) == _bits(reference_neighbor_mean(a.values))
-    h, m = a.values, []
+    h, m = a.values + 0.0, []
     for s, got in enumerate(_linear_flow(a, S)):
         assert got.tobytes() == h.tobytes(), s
         m.append(h[d.core].max())
@@ -800,10 +799,10 @@ def test_horizon_certificate_saves_steps(monkeypatch):
 
 
 def _apply_M_maxima(a, S):
-    """m_0..m_S and h^S from a per-step apply_M loop, the reference flow."""
+    """m_0..m_S and h^S from M applied step by step as the frozen reference mean."""
     h, m = a, [float(a.interior().max())]
     for _ in range(S):
-        h = apply_M(h)
+        h = with_boundary(a.domain, reference_neighbor_mean(h.values), 0.0)
         m.append(float(h.interior().max()))
     return np.array(m), h
 
@@ -951,3 +950,25 @@ def test_flows_ignore_memory_layout(rng, extents, amplitude):
         assert not values.flags.c_contiguous, name
         np.testing.assert_array_equal(values, a.values)
         assert run(Field(d, values)) == want, name
+
+
+@pytest.mark.parametrize("extents", [(6,), (5, 4), (4, 3, 5)])
+def test_linear_flow_starts_at_its_own_copy(rng, extents):
+    # h^0 is the flow's first kernel buffer: the data + 0.0 in C order, whatever the data's
+    # layout, so its -0.0 are +0.0; at S = 0 the copy keeps a nonzero boundary, which a step
+    # refuses
+    d = BoxDomain(extents)
+    interior = rng.uniform(0.0, 1.0, d.interior_shape)
+    interior[rng.random(d.interior_shape) < 0.3] = -0.0
+    a = with_boundary(d, interior, -0.0)
+    want = (a.values + 0.0).tobytes()
+    assert want != a.values.tobytes()
+    for name, values in {"C": a.values, **_layouts(a.values)}.items():
+        for S in (0, 3):
+            h0 = next(_linear_flow(Field(d, values), S))
+            assert h0.flags.c_contiguous and h0.tobytes() == want, (name, S)
+    edged = a.values + 0.0
+    edged[(0,) * d.dims] = 0.5
+    assert step_linear_direct(Field(d, edged), 0).values.tobytes() == edged.tobytes()
+    with pytest.raises(ValueError, match="nonzero boundary"):
+        apply_M(Field(d, edged))

@@ -76,12 +76,12 @@ def test_stepper_spans_on_cache_lines(extents):
 @pytest.mark.parametrize("extents", EXTENTS)
 def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
     # every stencil plan the flow and verify build reads and writes spans on cache lines: the
-    # flow's two plans run from step 0, on a copy of the data; verify's fbar and fbar - f
-    # buffers start on cache lines too
+    # flow's two plans run from step 0, on a copy of the data, which is h^0; verify's fbar and
+    # fbar - f buffers start on cache lines too
     plans, verify_buffers = [], []
     real_init, real_buffers = domain_module._Stencil.__init__, majorant._span_buffers
 
-    def recording_init(self, values, out, pairs=None):
+    def recording_init(self, values, out, pairs):
         plans.append((values, out, pairs))
         real_init(self, values, out, pairs)
 
@@ -98,7 +98,7 @@ def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
         a = random_field(np.random.default_rng(k), d, amplitude=0.1)
         plans.clear()
         flow = list(_linear_flow(a, 3))
-        assert len(plans) == 2 and flow[0] is a.values
+        assert len(plans) == 2 and flow[0] is plans[0][1] is plans[1][0]
         for values, out, pairs in plans:
             assert _on_line(_span_of(out)) and _on_line(pairs) and _on_line(_span_of(values))
         _assert_apart([plans[0][1], plans[1][1], plans[0][2]])  # the two buffers and pairs
