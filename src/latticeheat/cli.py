@@ -275,6 +275,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _numbered_rows(lo: int, hi: int, sep: str) -> str:
+    """sep.join(map(str, range(lo, hi))) + sep; from max(lo, 100), rounded up to a hundred, to
+    the last whole hundred, each hundred is its number joined with a template of rows 00..99."""
+    a = min(hi, max(100, -(-lo // 100) * 100))
+    b = max(a, hi // 100 * 100)
+    block = ["", *(f"{s:02d}{sep}" for s in range(100 if b > a else 0))]
+    return "".join([*(f"{s}{sep}" for s in range(lo, a)),
+                    *(str(h).join(block) for h in range(a // 100, b // 100)),
+                    *(f"{s}{sep}" for s in range(b, hi))])
+
+
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -311,12 +322,12 @@ def cmd_simulate(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     trace = report.trace
     tail = bisect.bisect_left(trace, True, key=lambda rec: rec is trace[-1])
     text, last_g, cell = ["step,max_f,max_g,blowup_flag\r\n"], None, ""
-    for s, rec in enumerate(trace[:tail + 1]):
-        f_cell = cell if rec.max_f is last_g else _fmt(rec.max_f)
-        last_g, cell = rec.max_g, _fmt(rec.max_g)
+    for s, (max_f, max_g) in enumerate(trace[:tail + 1]):
+        f_cell = cell if max_f is last_g else format(max_f, ".17g")
+        last_g, cell = max_g, format(max_g, ".17g")
         sep = f",{f_cell},{cell},0\r\n"
         text.append(f"{s}{sep}")
-    text[-1] = sep.join(map(str, range(tail, len(trace)))) + sep
+    text[-1] = _numbered_rows(tail, len(trace), sep)
     doc = {"parameters": _echo_params(cfg), "outcome": {"kind": "survived", "steps": cfg.steps}}
     if report.blew_up:
         text[-1] = text[-1][:-3] + "1\r\n"

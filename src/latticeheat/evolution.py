@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ class Survived:
     steps: int
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     max_f: float
     max_g: float
 
@@ -204,7 +204,7 @@ class _Stepper:
                         return s, stop
                 sig = self.step(max_f)  # at s == steps, its update is discarded
                 if trace is not None:
-                    trace.append(StepRecord(max_f=max_f, max_g=self.max_g))  # the step's
+                    trace.append(StepRecord(max_f, self.max_g))  # the step's
                 if sig is not None:
                     return s, sig
                 max_f = self.max_f  # after a copy step, max_g's float object

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoxDomain, Field, MultiIndex, _span, _span_buffers
-from .evolution import BlowupSignal, Params, _Stepper
+from .evolution import _EXACT_POWERS, _SCALAR, BlowupSignal, Params, _Stepper
 from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
 COMPARISON_SLACK = 1e-12
@@ -113,18 +113,27 @@ def verify_comparison(
     P = 0.0
     buf, diff = _span_buffers(a.domain.shape, 2)
     span, interior = _span(buf), diff[a.domain.core]
+    stepper = _Stepper(a.domain, Params(alpha=alpha, delta=1.0 / alpha), 0.0)
+    # span views built once; each flow buffer's at its first yield, the stepper's as its _spans[0]
+    fbar_span, diff_span, h_spans = buf.ravel()[span], diff.ravel()[span], {}
+    # |m|^alpha as _trace_from_maxima's np.abs(m) ** alpha forms it, so P is partial_sums[s] bit
+    # for bit: on one double at alpha in {1/2, 1, 2}, where x*x and sqrt are correctly rounded
+    lift = _EXACT_POWERS.get(alpha)
+    power = _SCALAR[lift[0] and lift[0][0]] if lift else lambda x: (np.array([x]) ** alpha)[0]
 
     def compare(s: int, f: np.ndarray, max_f: float) -> bool | None:
         nonlocal P, failure
         h = next(flow)
-        m.append(float(np.maximum.reduce(h.ravel()[span])))
-        # the expression of _trace_from_maxima, so P is partial_sums[s] bit for bit
-        P = P + (np.abs(m[-1:]) ** alpha)[0]
+        if id(h) not in h_spans:
+            h_spans[id(h)] = h.ravel()[span]
+        h_span = h_spans[id(h)]
+        m.append(float(np.maximum.reduce(h_span)))
+        P = P + power(abs(m[-1]))
         if not P < 1.0:
             return False
         root = (1.0 - P) ** (1.0 / alpha)
-        fbar = _over_root(h.ravel()[span], root, buf.ravel()[span])
-        np.subtract(fbar, f.ravel()[span], out=diff.ravel()[span])
+        fbar = _over_root(h_span, root, fbar_span)
+        np.subtract(fbar, stepper._spans[0], out=diff_span)
         margins.append(float(np.minimum.reduce(interior, axis=None)))  # diff is 0 on the boundary
         # run checks that f, and so h, has a zero boundary; there a nonnegative slack makes f - tol
         # <= 0 <= fbar, and a nonnegative margin gives fbar >= f >= f - tol at every interior site
@@ -142,7 +151,6 @@ def verify_comparison(
                 return True
         return False if s == S else None
 
-    stepper = _Stepper(a.domain, Params(alpha=alpha, delta=1.0 / alpha), 0.0)
     with np.errstate(divide="ignore", over="ignore"):
         s, stop = stepper.run(a, S, compare)
         while stop is None:  # at rest after step s < S: every later state is this one

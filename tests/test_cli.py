@@ -22,6 +22,7 @@ from latticeheat.cli import (
     EXIT_ERROR,
     EXIT_OK,
     ConfigError,
+    _numbered_rows,
     build_parser,
     build_profile,
     main,
@@ -228,7 +229,36 @@ class TestSplitmix:
         assert np.all((u >= 0) & (u < 1))
 
 
+def _tail_his(lo):
+    """lo + 1, lo + 2, and each multiple of 100 past lo, +-1, among the next ten hundreds and
+    the powers of ten up to 10^5, then 100,001."""
+    hundreds = [*range(lo // 100 * 100 + 100, lo // 100 * 100 + 1100, 100), 1000, 10**4, 10**5]
+    return sorted({lo + 1, lo + 2, 100_001} | {m + d for m in hundreds for d in (-1, 0, 1)
+                                               if m + d > lo})
+
+
+@pytest.mark.parametrize("lo", [0, 1, 2, 9, 10, 99, 100, 101, 537, 999, 1000, 1066, 9999, 10000])
+def test_numbered_rows_equal_the_naive_join(lo):
+    # at lo = 0 a block of the hundred 0 would print 000; separators as cmd_simulate writes them
+    seps = [",inf,nan,0\r\n", ",-0,4.9406564584124654e-324,0\r\n",
+            ",2.2250738585072014e-308,-0,1\r\n"]
+    for k, hi in enumerate(_tail_his(lo)):
+        sep = seps[k % len(seps)]
+        assert _numbered_rows(lo, hi, sep) == sep.join(map(str, range(lo, hi))) + sep, (lo, hi)
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize("steps", [250, 10_000])
+    def test_zero_data_rests_at_step_0(self, tmp_path, capsys, steps):
+        # the run rests after step 0, so its tail repeats from step 1: the rows below 100 go one
+        # by one, then the hundreds, then, at S = 250, the rows from 200
+        doc = base_config(steps=steps, amplitude=0.0)
+        cfg = write_config(tmp_path, doc)
+        assert main_quiet(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = simulate(Field.zeros(BoxDomain(tuple(doc["extents"]))), Params(1.0, 1.0), steps)
+        assert len(report.trace) == steps + 1 and report.trace[1] is report.trace[-1]
+        assert (tmp_path / "trajectory.csv").read_bytes() == _rowwise_trajectory(report)
+
     def test_golden_blowup_instance(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])

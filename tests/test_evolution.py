@@ -226,6 +226,15 @@ class TestSimulate:
         assert report.outcome == Survived(steps=5)
         assert report.trace == [StepRecord(max_f=0.0, max_g=0.0)] * 6
 
+    def test_step_record_is_an_immutable_pair(self):
+        rec = StepRecord(max_f=0.25, max_g=0.5)
+        assert rec == StepRecord(0.25, 0.5) and (rec.max_f, rec.max_g) == (0.25, 0.5)
+        with pytest.raises(AttributeError):
+            rec.max_f = 1.0
+        trace = [StepRecord(0.5, 0.5), rec]
+        assert BlowupReport(Survived(1), trace) == BlowupReport(Survived(1), list(trace))
+        assert BlowupReport(Survived(1), trace) != BlowupReport(Survived(1), trace[::-1])
+
     def test_underflowing_update_is_blowup(self):
         # 1 - g^0.01 is a few ulp above 0 at the middle site, and
         # denom^100 underflows to 0: the update writes inf there
