@@ -317,8 +317,8 @@ def cmd_simulate(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     a = Field(profile.domain, profile.values * cfg.amplitude)
     report = simulate(a, cfg.params, cfg.steps, eps_blow=cfg.eps_blow)
     # trajectory.csv as csv.writer writes it: rows one by one up to the tail, where the trace
-    # repeats its last record, then the tail as one string. A copy step's max_f is the last
-    # max_g's float object, whose string it reuses. A blow-up flags the last row.
+    # repeats its last record, then the tail as one `_numbered_rows` string. A copy step's max_f
+    # is the last max_g's float object, whose string it reuses. A blow-up flags the last row.
     trace = report.trace
     tail = bisect.bisect_left(trace, True, key=lambda rec: rec is trace[-1])
     text, last_g, cell = ["step,max_f,max_g,blowup_flag\r\n"], None, ""

@@ -32,6 +32,9 @@ import numpy as np
 
 from bench_record import ROOT, _git, _run
 
+SIDES = ("base", "head")
+_RUN_KEYS = ("calibration_ms", "artifacts_sha256", "correct", "attempted", "failed")
+
 
 def _parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -99,32 +102,27 @@ def main(argv=None) -> int:
     out = args.out or ROOT / "bench" / head_sha[:12]
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
-        clones = {"base": _clone(base_sha, Path(tmp) / "base"),
-                  "head": _clone(head_sha, Path(tmp) / "head")}
+        clones = {side: _clone(sha, Path(tmp) / side)
+                  for side, sha in zip(SIDES, (base_sha, head_sha))}
         for workload in workloads:
             runs = []
             for pair in range(args.pairs):
-                order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-                run = {"first": order[0]}
-                for side in order:
-                    run[side] = _run(clones[side], workload, args)
-                runs.append(run)
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                runs.append({"first": order[0], **{side: _run(clones[side], workload, args)
+                                                   for side in order}})
             date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
-            digests = {run[side]["artifacts_sha256"] for run in runs for side in ("base", "head")}
+            digests = {run[side]["artifacts_sha256"] for run in runs for side in SIDES}
             record = {
                 "workload": workload, "seed": args.seed, "seconds": args.seconds,
                 "trace": args.trace, "smoke": args.smoke, "pairs": args.pairs, "date": date,
                 "base": {"ref": args.base, "git_sha": base_sha}, "head": {"git_sha": head_sha},
                 "python": platform.python_version(), "numpy": np.__version__,
-                "cpu_count": os.cpu_count(),
-                "artifacts_equal": len(digests) == 1,
-                "failed": {side: sum(run[side]["failed"] for run in runs)
-                           for side in ("base", "head")},
+                "cpu_count": os.cpu_count(), "artifacts_equal": len(digests) == 1,
+                "failed": {side: sum(run[side]["failed"] for run in runs) for side in SIDES},
                 "metrics": _summary(declared, runs),
-                "runs": [{"first": run["first"], **{side: {
-                    key: run[side][key] for key in ("calibration_ms", "artifacts_sha256",
-                                                    "correct", "attempted", "failed")}
-                    for side in ("base", "head")}} for run in runs],
+                "runs": [{"first": run["first"], **{
+                    side: {key: run[side][key] for key in _RUN_KEYS} for side in SIDES}}
+                    for run in runs],
             }
             path = out / f"AB_{date}_{workload}_s{args.seed}.json"
             path.write_text(json.dumps(record, indent=1) + "\n")
