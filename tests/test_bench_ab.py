@@ -42,6 +42,12 @@ def test_bench_ab_writes_every_declared_metric(tmp_path):
             assert got[side]["median"] == got[side]["q1"] == got[side]["q3"] == value
             assert got[side]["iqr"] == 0
         assert got["head_wins"] in (0, 1)
+    # a second batch into the same directory stops before it runs and leaves the first's file
+    written = path.read_bytes()
+    again = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert again.returncode != 0 and "refusing to overwrite" in again.stderr
+    assert str(path) in again.stderr and again.stdout == ""
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == written
 
 
 def test_bench_ab_rejects_an_unknown_base(tmp_path):

@@ -1,19 +1,21 @@
 """A/B comparison of perfbench runs: a base commit against HEAD, in alternating pairs.
 
     python3 tools/bench_ab.py --base REF --seed N [--pairs N] [--workload NAME ...]
-                              [--seconds S] [--trace 0|1] [--smoke] [--out DIR]
+                              [--seconds S] [--smoke] [--out DIR]
 
 It makes fresh local clones of REF and of HEAD of the repository that holds
 this script, so both sides run committed code from a new directory (a working
 checkout can read slower than a fresh clone of the same code). For each
 workload (default: every one that BENCHMARK.json lists) it runs each clone's
-`perfbench/run.py` `--pairs` times through `bench_record._run`, the base first
-in even pairs and the head first in odd ones. It writes
-OUT/AB_<yyyy-mm-dd>_<workload>_s<seed>.json (the date in UTC; OUT defaults to
-bench/<first 12 digits of HEAD's SHA>). Per metric that file holds both sides'
-values, medians and quartiles, the relative change of the medians, the pairs
-the head won and whether the medians differ by more than the base's IQR. The
-clones are removed afterwards. It edits nothing under perfbench/.
+`perfbench/run.py` `--pairs` times through `bench_record._run`, untraced, the
+base first in even pairs and the head first in odd ones. It writes
+OUT/AB_<yyyy-mm-dd>_<workload>_s<seed>.json (the batch's start date in UTC; OUT
+defaults to bench/<first 12 digits of HEAD's SHA>), and stops before any run if
+one of those files exists: an earlier batch is evidence, never overwritten. Per
+end-to-end metric that file holds both sides' values, medians and quartiles, the
+relative change of the medians, the pairs the head won and whether the medians
+differ by more than the base's IQR. The clones are removed afterwards. It edits
+nothing under perfbench/.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ def _parse_args(argv):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", help="repeat for several; default all")
     parser.add_argument("--seconds", type=float, default=24.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    args.trace = 0  # bench_record._run's option; the end-to-end metrics are read untraced
     return args
 
 
@@ -96,10 +98,14 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    kind = "per_layer" if args.trace else "end_to_end"
-    declared = {m["name"]: m["better"] for m in benchmark[kind]}
+    declared = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     base_sha, head_sha = _sha(args.base), _sha("HEAD")
     out = args.out or ROOT / "bench" / head_sha[:12]
+    date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
+    paths = {w: out / f"AB_{date}_{w}_s{args.seed}.json" for w in workloads}
+    taken = [str(path) for path in paths.values() if path.exists()]
+    if taken:
+        raise SystemExit(f"error: refusing to overwrite an earlier batch: {', '.join(taken)}")
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
         clones = {side: _clone(sha, Path(tmp) / side)
@@ -110,11 +116,10 @@ def main(argv=None) -> int:
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 runs.append({"first": order[0], **{side: _run(clones[side], workload, args)
                                                    for side in order}})
-            date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
             digests = {run[side]["artifacts_sha256"] for run in runs for side in SIDES}
             record = {
                 "workload": workload, "seed": args.seed, "seconds": args.seconds,
-                "trace": args.trace, "smoke": args.smoke, "pairs": args.pairs, "date": date,
+                "smoke": args.smoke, "pairs": args.pairs, "date": date,
                 "base": {"ref": args.base, "git_sha": base_sha}, "head": {"git_sha": head_sha},
                 "python": platform.python_version(), "numpy": np.__version__,
                 "cpu_count": os.cpu_count(), "artifacts_equal": len(digests) == 1,
@@ -124,9 +129,9 @@ def main(argv=None) -> int:
                     side: {key: run[side][key] for key in _RUN_KEYS} for side in SIDES}}
                     for run in runs],
             }
-            path = out / f"AB_{date}_{workload}_s{args.seed}.json"
-            path.write_text(json.dumps(record, indent=1) + "\n")
-            print(path)
+            with paths[workload].open("x") as file:  # a batch started in the meantime fails here
+                file.write(json.dumps(record, indent=1) + "\n")
+            print(paths[workload])
     return 0
 
 
