@@ -99,8 +99,9 @@ _TINY = np.finfo(float).tiny
 # correctly rounded, give np.power's double; the stencil gives g no -0.0, whose sqrt is -0.0
 _EXACT_POWERS = {2.0: ((np.square, ()), (np.sqrt, ())), 0.5: ((np.sqrt, ()), (np.square, ())),
                  1.0: (None, None)}  # x^1 is x
-# the same powers on one double: CPython's float * and math.sqrt round as IEEE 754 does
+# x^alpha on one double at the same alpha: CPython's float * and math.sqrt round as IEEE 754 does
 _SCALAR = {np.square: lambda x: x * x, np.sqrt: math.sqrt, None: lambda x: x}
+_SCALAR_POWERS = {alpha: _SCALAR[lift and lift[0]] for alpha, (lift, _) in _EXACT_POWERS.items()}
 
 
 class _Stepper:
@@ -160,8 +161,8 @@ class _Stepper:
         self._denom_calls = tuple(calls)
         self._root_calls = () if root is None else ((root[0], (self._denom_span,) + root[1]),)
         self._scalar = None  # at exact powers: denom and its root at one g, as the calls form them
-        if p.alpha in _EXACT_POWERS:  # 1.0 * x is x, so the scalar product needs no skip
-            up, down = (_SCALAR[c[0] if c else None] for c in (lift, root))
+        up, down = (_SCALAR_POWERS.get(x) for x in (p.alpha, 1 / p.alpha))  # root: 1/alpha's lift
+        if up is not None:  # 1.0 * x is x, so the scalar product needs no skip
             self._scalar = (lambda y: 1.0 - coupling * up(y)), down
         self.trace, self._eps_blow = ([] if record else None), eps_blow
         # the largest max_f with alpha*delta*max_f^alpha <= 2^-60, to rounding; 0 if it

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoxDomain, Field, MultiIndex, _span, _span_buffers
-from .evolution import _EXACT_POWERS, _SCALAR, BlowupSignal, Params, _Stepper
+from .evolution import BlowupSignal, Params, _SCALAR_POWERS, _Stepper
 from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
 COMPARISON_SLACK = 1e-12
@@ -114,26 +114,26 @@ def verify_comparison(
     buf, diff = _span_buffers(a.domain.shape, 2)
     span, interior = _span(buf), diff[a.domain.core]
     stepper = _Stepper(a.domain, Params(alpha=alpha, delta=1.0 / alpha), 0.0)
-    # span views built once; each flow buffer's at its first yield, the stepper's as its _spans[0]
-    fbar_span, diff_span, h_spans = buf.ravel()[span], diff.ravel()[span], {}
+    fbar_span, diff_span, spans = buf.ravel()[span], diff.ravel()[span], {}
     # |m|^alpha as _trace_from_maxima's np.abs(m) ** alpha forms it, so P is partial_sums[s] bit
     # for bit: on one double at alpha in {1/2, 1, 2}, where x*x and sqrt are correctly rounded
-    lift = _EXACT_POWERS.get(alpha)
-    power = _SCALAR[lift[0] and lift[0][0]] if lift else lambda x: (np.array([x]) ** alpha)[0]
+    power = _SCALAR_POWERS.get(alpha) or (lambda x: (np.array([x]) ** alpha)[0])
 
     def compare(s: int, f: np.ndarray, max_f: float) -> bool | None:
         nonlocal P, failure
         h = next(flow)
-        if id(h) not in h_spans:
-            h_spans[id(h)] = h.ravel()[span]
-        h_span = h_spans[id(h)]
+        try:  # span views built once: the flow's and the stepper's two buffers at their first use
+            h_span, f_span = spans[id(h)], spans[id(f)]
+        except KeyError:
+            spans.update((id(x), x.ravel()[span]) for x in (h, f))
+            h_span, f_span = spans[id(h)], spans[id(f)]
         m.append(float(np.maximum.reduce(h_span)))
         P = P + power(abs(m[-1]))
         if not P < 1.0:
             return False
         root = (1.0 - P) ** (1.0 / alpha)
         fbar = _over_root(h_span, root, fbar_span)
-        np.subtract(fbar, stepper._spans[0], out=diff_span)
+        np.subtract(fbar, f_span, out=diff_span)
         margins.append(float(np.minimum.reduce(interior, axis=None)))  # diff is 0 on the boundary
         # run checks that f, and so h, has a zero boundary; there a nonnegative slack makes f - tol
         # <= 0 <= fbar, and a nonnegative margin gives fbar >= f >= f - tol at every interior site

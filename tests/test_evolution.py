@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from unittest import mock
 
@@ -234,6 +236,12 @@ class TestSimulate:
         trace = [StepRecord(0.5, 0.5), rec]
         assert BlowupReport(Survived(1), trace) == BlowupReport(Survived(1), list(trace))
         assert BlowupReport(Survived(1), trace) != BlowupReport(Survived(1), trace[::-1])
+        # a NamedTuple: a record is the tuple (max_f, max_g), and asdict keeps it one, so a
+        # report's trace goes to JSON as [max_f, max_g] pairs
+        assert rec == (0.25, 0.5) and tuple(rec) == (0.25, 0.5) and rec < StepRecord(0.25, 1.0)
+        assert dataclasses.asdict(BlowupReport(Survived(1), trace))["trace"] == [(0.5, 0.5), rec]
+        assert json.loads(json.dumps(dataclasses.asdict(BlowupReport(Survived(1), [rec])))) == {
+            "outcome": {"steps": 1}, "trace": [[0.25, 0.5]]}
 
     def test_underflowing_update_is_blowup(self):
         # 1 - g^0.01 is a few ulp above 0 at the middle site, and
