@@ -262,7 +262,7 @@ class _Stepper:
 
     def at_rest(self) -> bool:
         """Whether the last update left the state unchanged, bit for bit."""
-        return np.array_equal(self.f.view(np.uint64), self._spare.view(np.uint64))
+        return self.f.tobytes() == self._spare.tobytes()
 
 
 def step_nonlinear(f: Field, p: Params, eps_blow: float = 0.0) -> Field | BlowupSignal:

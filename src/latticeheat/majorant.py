@@ -51,7 +51,7 @@ def compute_trace(a: Field, alpha: float, S: int) -> MajorantTrace:
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     core = a.domain.core
-    m = np.array([h[core].max() for h in _linear_flow(a, S)])
+    m = np.array([h[core].max() for h, _ in _linear_flow(a, S)])
     return _trace_from_maxima(m, alpha)
 
 
@@ -99,10 +99,11 @@ def verify_comparison(
     with f^s, and stops the run at a failure, at S or where P_s >= 1 (P_s
     never decreases). A state at rest is compared on without steps. A blow-up
     in the step to s, an overflow included, fails if s <= defined_up_to. The
-    linear flow runs alone on to S for the trace. A failure is a bug. h and f
-    are nonnegative kernel buffers with a +0.0 boundary, the data + 0.0 at s = 0,
-    so m_s is h's flat span's maximum (`_span`), and fbar and fbar - f are formed
-    on the spans of two buffers, whose other sites stay +0.0.
+    linear flow runs alone on to S for the trace, in blocks. A failure is a bug.
+    h and f are nonnegative kernel buffers with a +0.0 boundary, the data + 0.0 at
+    s = 0, so the flow's m_s, the maximum of h's flat span (`_span`), is h's interior
+    maximum, and fbar and fbar - f are formed on the spans of two buffers, whose
+    other sites stay +0.0.
     """
     if math.isnan(slack):
         raise ValueError("slack must not be NaN")
@@ -121,14 +122,14 @@ def verify_comparison(
 
     def compare(s: int, f: np.ndarray, max_f: float) -> bool | None:
         nonlocal P, failure
-        h = next(flow)
-        try:  # span views built once: the flow's and the stepper's two buffers at their first use
+        h, m_s = next(flow)
+        try:  # span views built once: the flow's and the stepper's buffers at their first use
             h_span, f_span = spans[id(h)], spans[id(f)]
         except KeyError:
             spans.update((id(x), x.ravel()[span]) for x in (h, f))
             h_span, f_span = spans[id(h)], spans[id(f)]
-        m.append(float(np.maximum.reduce(h_span)))
-        P = P + power(abs(m[-1]))
+        m.append(m_s)
+        P = P + power(abs(m_s))
         if not P < 1.0:
             return False
         root = (1.0 - P) ** (1.0 / alpha)
@@ -156,7 +157,7 @@ def verify_comparison(
         while stop is None:  # at rest after step s < S: every later state is this one
             s += 1
             stop = compare(s, stepper.f, stepper.max_f)
-    m += [float(np.maximum.reduce(h.ravel()[span])) for h in flow]
+    m.extend(m_s for _, m_s in flow)
     trace = _trace_from_maxima(np.array(m), alpha)
     if isinstance(stop, BlowupSignal) and s < trace.defined_up_to:
         failure = ComparisonFailure(

@@ -23,33 +23,45 @@ def apply_M(h: Field) -> Field:
     return step_linear_direct(h, 1)
 
 
-def _linear_flow(a: Field, S: int) -> Iterator[np.ndarray]:
-    """h^0..h^S of the linear flow as C-contiguous full-shape arrays; checks the data on entry.
+def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, float]]:
+    """(h^s, m_s) for s = 0..S: the linear flow as C-contiguous full-shape arrays, each with
+    the maximum of its flat span (`_span`); checks the data on entry.
 
-    Each h^s is one of two kernel buffers. h^0 is `a.values + 0.0` (-0.0 made
-    +0.0), copied whole, so at S = 0 a nonzero boundary is kept; the boundary
-    is checked only when a step is taken. The steps run the `_Stencil` plans,
-    built once, of the two buffers into each other; only signed data's means
-    can bring -0.0 back, and only as zeros' signs. A yielded array is
-    overwritten two steps on.
+    h^s is row s mod k of k kernel buffers, k = max(2, min(16, (S + 1) // 32, 2^15 // sites)):
+    a ring of 16 rows pays for its plans only over long horizons on small arrays. h^0 is
+    `a.values + 0.0` (-0.0 made +0.0), copied whole, so at S = 0 a nonzero boundary is kept;
+    the boundary is checked only when a step is taken. The steps run each row's `_Stencil`
+    plan into the next row, built at its first use; only signed data's means can bring -0.0
+    back, and only as zeros' signs. The flow fills a block of k rows, takes their maxima in
+    one reduce over a (k, span) view, and then yields them: a yielded array is overwritten
+    k steps on, which the flow computes when the next block is asked for.
     """
     if S < 0:
         raise ValueError("S must be >= 0")
     if S and not a.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
-    *buffers, spare = _span_buffers(a.domain.shape, 3)
-    pairs = spare.ravel()[_span(spare)]
-    plans = (_Stencil(buffers[1], buffers[0], pairs), _Stencil(buffers[0], buffers[1], pairs))
-    np.add(a.values, 0.0, out=buffers[0])
-    yield buffers[0]
-    for s in range(1, S + 1):  # step s writes buffers[s % 2]
-        plans[s % 2]()
-        yield buffers[s % 2]
+    k = max(2, min(16, (S + 1) // 32, 2**15 // a.domain.n_sites))
+    *rows, spare = _span_buffers(a.domain.shape, k + 1)
+    span = _span(spare)
+    pairs, first = spare.ravel()[span], rows[0].ravel()[span]
+    row_bytes = rows[1].ctypes.data - rows[0].ctypes.data  # the rows' spans, one view
+    spans = np.lib.stride_tricks.as_strided(first, (k, first.size), (row_bytes, first.itemsize),
+                                            writeable=False)
+    plans = [None] * k  # row i's into row i + 1 mod k
+    np.add(a.values, 0.0, out=rows[0])
+    for start in range(0, S + 1, k):  # the block h^start..h^(stop - 1) in rows 0, 1, ...
+        stop = min(start + k, S + 1)
+        for s in range(max(start, 1), stop):
+            i = (s - 1) % k  # h^s from h^(s - 1) in row i
+            if plans[i] is None:
+                plans[i] = _Stencil(rows[i], rows[(i + 1) % k], pairs)
+            plans[i]()
+        yield from zip(rows, np.maximum.reduce(spans[:stop - start], axis=1).tolist())
 
 
 def step_linear_direct(a: Field, steps: int) -> Field:
     """h^steps by iterating the averaging step; the reference for the closed form."""
-    *_, h = _linear_flow(a, steps)
+    *_, (h, _) = _linear_flow(a, steps)
     return Field(a.domain, h.copy())
 
 

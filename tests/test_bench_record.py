@@ -39,3 +39,9 @@ def test_bench_record_writes_every_declared_metric(tmp_path, trace, kind):
     for m in declared:
         assert metrics[m["name"]]["unit"] == m["unit"], m["name"]
         assert isinstance(metrics[m["name"]]["value"], (int, float))
+    # a second run of the same day, workload and seed into the same --out refuses before
+    # running, names the file, and leaves its bytes
+    first = path.read_bytes()
+    again = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert again.returncode != 0 and str(path) in again.stderr and again.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == [path.name] and path.read_bytes() == first

@@ -523,6 +523,22 @@ def test_long_runs_to_rest_match_reference(extents, alpha):
     assert (rest.max_f == 0.0) == (extents == (3,))
 
 
+@pytest.mark.parametrize("extents", [(4,), (3, 4), (3, 3, 4)])
+def test_at_rest_tells_one_subnormal_site_apart(extents):
+    # the rest test compares the two states' bytes: states that differ at one site only, by
+    # one subnormal step, are not at rest, whether the rest is zero or subnormal
+    d = BoxDomain(extents)
+    stepper = evolution._Stepper(d, Params(1.0, 1.0), 0.0)
+    site = tuple(N - 1 for N in extents)
+    subnormal = np.ldexp(np.random.default_rng(0).uniform(0.0, 1.0, d.interior_shape), -1030)
+    for interior in (np.zeros(d.interior_shape), subnormal):
+        for state in (stepper.f, stepper._spare):
+            state[d.core] = interior
+        assert stepper.at_rest()
+        stepper._spare[site] = np.nextafter(stepper._spare[site], 1.0)
+        assert 0 < stepper._spare[site] < TINY and not stepper.at_rest()
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("extents", [(5,), (5, 5), (4, 3, 5)])
 def test_minus_zero_data_gives_plus_zero_means(extents, alpha):

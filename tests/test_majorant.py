@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latticeheat import (
@@ -29,6 +29,7 @@ from latticeheat import (
 
 from latticeheat.evolution import _check_solution_field, _first_offender
 from latticeheat.majorant import COMPARISON_SLACK, ComparisonFailure, _Probe, _trace_from_maxima
+from latticeheat import spectral
 from latticeheat.spectral import _linear_flow
 
 from conftest import (random_domain, random_field, reference_neighbor_mean, reference_simulate,
@@ -197,7 +198,8 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
                 step=s, site=site, majorant_value=float(fbar[site]),
                 solution_value=float(f.values[site]),
             )
-            return ComparisonVerdict(False, np.array(margins), s + 1, trace.defined_up_to, failure)
+            return ComparisonVerdict(False, np.array(margins), s + 1, trace.defined_up_to, failure,
+                                     trace)
         if s < last:
             nxt = _reference_step(f, p, eps_blow)
             if not isinstance(nxt, Field):
@@ -205,10 +207,11 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
                     step=s + 1, site=nxt.site, majorant_value=np.inf,
                     solution_value=nxt.g_value,
                 )
-                return ComparisonVerdict(False, np.array(margins), s + 1, trace.defined_up_to, failure)
+                return ComparisonVerdict(False, np.array(margins), s + 1, trace.defined_up_to,
+                                         failure, trace)
             f = nxt
             h = _reference_linear_step(h)
-    return ComparisonVerdict(True, np.array(margins), last + 1, trace.defined_up_to)
+    return ComparisonVerdict(True, np.array(margins), last + 1, trace.defined_up_to, trace=trace)
 
 
 @settings(max_examples=150, deadline=None)
@@ -313,9 +316,10 @@ def test_minus_zero_data_matches_zero_start_reference(extents, alpha, amplitude,
     mean = apply_M(a).values[d.core]
     assert _bits(mean) == _bits(reference_neighbor_mean(a.values))
     h, m = a.values + 0.0, []
-    for s, got in enumerate(_linear_flow(a, S)):
+    for s, (got, m_s) in enumerate(_linear_flow(a, S)):
         assert got.tobytes() == h.tobytes(), s
         m.append(h[d.core].max())
+        assert _bits(m_s) == _bits(m[-1]), s
         h = with_boundary(d, reference_neighbor_mean(h), 0.0).values
     p = Params(alpha, 1.0 / alpha)
     got, want = step_nonlinear(a, p), _reference_step(a, p)
@@ -344,7 +348,7 @@ def test_signed_flow_differs_from_reference_only_in_zero_signs(rng):
         interior = rng.choice([-5e-324, 0.0, 5e-324, -1e-323, 0.25, -0.25], d.interior_shape)
         a = with_boundary(d, interior, 0.0)
         h, m = a.values, []
-        for got in _linear_flow(a, 6):
+        for got, _ in _linear_flow(a, 6):
             np.testing.assert_array_equal(got, h)  # as numbers: -0.0 == +0.0
             signs += got.tobytes() != h.tobytes()
             m.append(h[d.core].max())
@@ -523,14 +527,19 @@ def _phi_lam(d):
     return phi / phi.max(), float(table.eigenvalues[(0,) * d.dims])
 
 
-def _certificate_edge(d, p, eps_blow, side, first=0):
-    """The multiple c of the sine mode scaled to maximum 1 at which the
+def _log_certificate_edge(d, p, eps_blow, side, first=0):
+    """The log of the multiple c of the sine mode scaled to maximum 1 at which the
     infinite sum from m_first, kappa*c^alpha*lam^(first*alpha)/(1 - lam^alpha),
-    equals 1 - 1e-3, times (1 + side)^(1/alpha)."""
+    equals 1 - 1e-3, times (1 + side)^(1/alpha); in logs, as the power 1/alpha
+    takes c below the double range at small alpha."""
     lam = float(mode_table(d).eigenvalues[(0,) * d.dims])
-    kappa = p.alpha * p.delta / (1.0 - eps_blow)
-    return ((1.0 - 1e-3) * (1.0 + side) * (1.0 - lam**p.alpha)
-            / (kappa * lam ** (first * p.alpha))) ** (1.0 / p.alpha)
+    log_kappa = math.log(p.alpha) + math.log(p.delta) - math.log1p(-eps_blow)
+    return (math.log1p(-1e-3) + math.log1p(side) + math.log1p(-lam**p.alpha) - log_kappa
+            - first * p.alpha * math.log(lam)) / p.alpha
+
+
+def _certificate_edge(d, p, eps_blow, side, first=0):
+    return math.exp(_log_certificate_edge(d, p, eps_blow, side, first))
 
 
 def _horizon_edge(profile, p, S, eps_blow, side):
@@ -735,19 +744,28 @@ def _infinite_sum_survives(d, p, eps_blow, f):
     delta=st.sampled_from([0.5, 1.0, 2.0]),
     eps_blow=st.sampled_from([0.0, 1e-3, 0.3]),
     kind=st.sampled_from(["random", "sine", "delta"]),
+    # the body draws no (alpha, below) pair whose edge c lies below the smallest normal
+    # double, 2.2e-308: no nonzero state lies inside an edge below 5e-324, and below 2.2e-308
+    # f = c*profile/C can round to zero or lose its relative precision. At alpha 0.01 the
+    # power 1/alpha = 100 puts c there for large `below` (1e-347 at extents [4], delta 2,
+    # below 0.998046875)
     below=st.one_of(st.just(1e-9), st.floats(1e-9, 0.999)),
     R=st.integers(1, 10**6),
     seed=st.integers(0, 2**32 - 1),
 )
+# the failing draw's neighbour, with an edge of about 1e-278
+@example(extents=[4], alpha=0.01, delta=2.0, eps_blow=0.0, kind="random", below=0.99, R=1, seed=0)
 def test_horizon_certificate_never_weaker(extents, alpha, delta, eps_blow, kind, below, R, seed):
     # a state inside the infinite sum's edge, by the factor 1 - below on the
     # sum, is certified over any remaining horizon
     d = BoxDomain(tuple(extents))
     p = Params(alpha, delta)
+    log_edge = _log_certificate_edge(d, p, eps_blow, -below)
+    assume(log_edge >= math.log(np.finfo(float).tiny))
     profile = _profile(kind, d, np.random.default_rng(seed))
     phi, _ = _phi_lam(d)
     C = float((profile.values[d.core] / phi[d.core]).max())
-    f = profile.values * (_certificate_edge(d, p, eps_blow, -below) / C)
+    f = profile.values * (math.exp(log_edge) / C)
     M = float(f.max())
     assert M > 0 and _infinite_sum_survives(d, p, eps_blow, f)
     assert _Probe(d, p, 0, eps_blow, blowup_exit=False)._survives(f, M, R)
@@ -822,6 +840,93 @@ def test_linear_flow_matches_apply_M_loop(extents, alpha, S, signed, seed):
     m, h = _apply_M_maxima(a, S)
     np.testing.assert_array_equal(compute_trace(a, alpha, S).m, m)
     np.testing.assert_array_equal(step_linear_direct(a, S).values, h.values)
+
+
+def _signed_zero_data(d, rng):
+    """Nonnegative data with -0.0 on its boundary and on a third of its interior."""
+    interior = rng.uniform(0.0, 1.0, d.interior_shape)
+    interior[rng.random(d.interior_shape) < 1 / 3] = -0.0
+    return with_boundary(d, interior, -0.0)
+
+
+def _block_rows(monkeypatch):
+    """The row counts of the flows built from now on: each takes k rows and a spare."""
+    counts, real = [], spectral._span_buffers
+
+    def recording(shape, count):
+        counts.append(count - 1)
+        return real(shape, count)
+
+    monkeypatch.setattr(spectral, "_span_buffers", recording)
+    return counts
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("k", range(2, 17))
+def test_linear_flow_blocks_match_reference(monkeypatch, k, dims):
+    # h^s and m_s bit for bit against the frozen reference mean, on data with -0.0, at
+    # horizons of a whole number of blocks of k rows and one or two states over: S = k - 1, k,
+    # k + 1, 2k and 2k + 1, and the same 31k steps on, where on boxes of at most 2,048 sites
+    # the rule gives k = (S + 1) // 32 (at the first five, k = 2 whatever k is drawn)
+    rng = np.random.default_rng(100 * k + dims)
+    d = BoxDomain(tuple(int(n) for n in rng.integers(2, 7, dims)))
+    a = _signed_zero_data(d, rng)
+    horizons = [base + j for base in (0, 31 * k) for j in (k - 1, k, k + 1, 2 * k, 2 * k + 1)]
+    h, want = a.values + 0.0, []
+    for _ in range(max(horizons) + 1):
+        want.append((h.tobytes(), _bits(h[d.core].max())))
+        h = with_boundary(d, reference_neighbor_mean(h), 0.0).values
+    rows = _block_rows(monkeypatch)
+    for S in horizons:
+        got = [(h.tobytes(), _bits(m_s)) for h, m_s in _linear_flow(a, S)]
+        assert got == want[:S + 1], S
+    assert rows == [2] * 5 + [k] * 5
+
+
+@pytest.mark.parametrize("extents, k", [((2000,), 16), ((60, 60), 8), ((130, 70), 3),
+                                        ((23, 23, 23), 2)])
+def test_linear_flow_blocks_on_large_boxes_match_reference(monkeypatch, extents, k):
+    # on boxes of more than 2,048 sites the rule's k is 2^15 // sites (at least 2), at every
+    # horizon past 32k steps
+    d = BoxDomain(extents)
+    a = _signed_zero_data(d, np.random.default_rng(k))
+    S = 33 * k + 1
+    h, want = a.values + 0.0, []
+    for _ in range(S + 1):
+        want.append((h.tobytes(), _bits(h[d.core].max())))
+        h = with_boundary(d, reference_neighbor_mean(h), 0.0).values
+    rows = _block_rows(monkeypatch)
+    assert [(h.tobytes(), _bits(m_s)) for h, m_s in _linear_flow(a, S)] == want
+    assert rows == [k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.5, 0.75, 1.0, 2.0]),
+    amplitude=st.floats(0.3, 1.5),
+    slack=st.sampled_from([1e-12, 0.0, -1e-2]),
+    factor=st.integers(20, 40),
+    extra=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(extents=[8, 8], alpha=0.5, amplitude=0.3, slack=1e-12, factor=40, extra=0, seed=0)
+def test_early_stopping_verify_matches_reference(extents, alpha, amplitude, slack, factor, extra,
+                                                 seed):
+    # the comparison stops at step `stop` (P_s reaches 1, or a failure) and the flow runs
+    # alone on to S >= 20 * stop, over many blocks of up to 16 rows and into a partial one;
+    # partial sums, margins and the verdict are the reference's
+    d = BoxDomain(tuple(extents))
+    a = random_field(np.random.default_rng(seed), d, amplitude=amplitude)
+    stop = _reference_verify(a, alpha, 60, slack).checked_steps
+    assume(stop <= 50)
+    S = factor * max(stop, 1) + extra
+    got, want = verify_comparison(a, alpha, S, slack), _reference_verify(a, alpha, S, slack)
+    assert got.checked_steps == stop
+    assert _bits(got.trace.partial_sums) == _bits(want.trace.partial_sums)
+    assert _bits(got.margins) == _bits(want.margins)
+    assert (got.holds, got.checked_steps, got.defined_up_to, got.failure) == (
+        want.holds, want.checked_steps, want.defined_up_to, want.failure)
 
 
 def _cli_regime_bound(a_scaled, alpha):
@@ -965,7 +1070,7 @@ def test_linear_flow_starts_at_its_own_copy(rng, extents):
     assert want != a.values.tobytes()
     for name, values in {"C": a.values, **_layouts(a.values)}.items():
         for S in (0, 3):
-            h0 = next(_linear_flow(Field(d, values), S))
+            h0, _ = next(_linear_flow(Field(d, values), S))
             assert h0.flags.c_contiguous and h0.tobytes() == want, (name, S)
     edged = a.values + 0.0
     edged[(0,) * d.dims] = 0.5

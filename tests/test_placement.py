@@ -1,6 +1,6 @@
 """Every kernel buffer's flat span starts on a 64-byte cache line, on any heap.
 
-The stepper, the linear flow and verify take their buffers from
+The stepper, the linear flow's ring of rows and verify take their buffers from
 `domain._span_buffers`; a pass over a span then meets the same cache-line
 splits whatever the allocator did before. Each case shifts the heap with
 odd-sized allocations that stay alive between constructions.
@@ -13,7 +13,7 @@ import pytest
 
 from latticeheat import BoxDomain, Params, verify_comparison
 from latticeheat import domain as domain_module
-from latticeheat import majorant
+from latticeheat import majorant, spectral
 from latticeheat.domain import _span, _span_buffers
 from latticeheat.evolution import _Stepper
 from latticeheat.spectral import _linear_flow
@@ -46,7 +46,7 @@ def _assert_apart(arrays):
 def test_span_buffers_are_zero_apart_and_on_cache_lines(extents):
     shape = BoxDomain(extents).shape
     keep = []
-    for k, count in itertools.product(SHIFTS, (1, 2, 3, 4)):
+    for k, count in itertools.product(SHIFTS, (1, 2, 3, 4, 17)):
         _shift_heap(keep, k)
         buffers = _span_buffers(shape, count)
         assert len(buffers) == count
@@ -75,36 +75,46 @@ def test_stepper_spans_on_cache_lines(extents):
 
 @pytest.mark.parametrize("extents", EXTENTS)
 def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
-    # every stencil plan the flow and verify build reads and writes spans on cache lines: the
-    # flow's two plans run from step 0, on a copy of the data, which is h^0; verify's fbar and
-    # fbar - f buffers start on cache lines too
-    plans, verify_buffers = [], []
-    real_init, real_buffers = domain_module._Stencil.__init__, majorant._span_buffers
+    # the flow's k ring rows and the spare its plans sum into are one block, each span on a
+    # cache line; h^s is row s mod k, and each row's plan, built at its first use, reads that
+    # row and writes the next, mod k. At S = 600 the rule gives k = 3 on 97^2, 5 on 17^3 and
+    # 16 on the other boxes. verify's fbar and fbar - f buffers start on cache lines too.
+    plans, flow_buffers, verify_buffers = [], [], []
+    real_init, real_buffers = domain_module._Stencil.__init__, domain_module._span_buffers
 
     def recording_init(self, values, out, pairs):
         plans.append((values, out, pairs))
         real_init(self, values, out, pairs)
 
-    def recording_buffers(shape, count):
-        verify_buffers.append(real_buffers(shape, count))
-        return verify_buffers[-1]
+    def recording(into):
+        def buffers(shape, count):
+            into.append(real_buffers(shape, count))
+            return into[-1]
+        return buffers
 
     monkeypatch.setattr(domain_module._Stencil, "__init__", recording_init)
-    monkeypatch.setattr(majorant, "_span_buffers", recording_buffers)
+    monkeypatch.setattr(spectral, "_span_buffers", recording(flow_buffers))
+    monkeypatch.setattr(majorant, "_span_buffers", recording(verify_buffers))
     d = BoxDomain(extents)
     keep = []
-    for k in SHIFTS:
-        _shift_heap(keep, k)
-        a = random_field(np.random.default_rng(k), d, amplitude=0.1)
+    for shift, S in itertools.product(SHIFTS, (3, 600)):
+        _shift_heap(keep, shift)
+        a = random_field(np.random.default_rng(shift), d, amplitude=0.1)
         plans.clear()
-        flow = list(_linear_flow(a, 3))
-        assert len(plans) == 2 and flow[0] is plans[0][1] is plans[1][0]
-        for values, out, pairs in plans:
-            assert _on_line(_span_of(out)) and _on_line(pairs) and _on_line(_span_of(values))
-        _assert_apart([plans[0][1], plans[1][1], plans[0][2]])  # the two buffers and pairs
+        flow_buffers.clear()
+        states = [h for h, _ in _linear_flow(a, S)]
+        [(*rows, spare)] = flow_buffers
+        k = len(rows)
+        assert k == max(2, min(16, (S + 1) // 32, 2**15 // d.n_sites))
+        assert all(h is rows[s % k] for s, h in enumerate(states))
+        assert all(_on_line(_span_of(b)) for b in (*rows, spare))
+        _assert_apart([*rows, spare])
+        assert len(plans) == min(S, k)
+        for i, (values, out, pairs) in enumerate(plans):
+            assert values is rows[i] and out is rows[(i + 1) % k]
+            assert pairs.ctypes.data == _span_of(spare).ctypes.data and _on_line(pairs)
         verify_buffers.clear()
-        assert verify_comparison(a, 1.0, 3).holds
+        assert verify_comparison(a, 1.0, S).holds
         [(fbar, diff)] = verify_buffers
         assert fbar.shape == diff.shape == d.shape
         assert _on_line(_span_of(fbar)) and _on_line(_span_of(diff))
-        assert all(_on_line(_span_of(out)) and _on_line(pairs) for _, out, pairs in plans)

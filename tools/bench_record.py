@@ -6,12 +6,13 @@
 For each workload (default: every one that BENCHMARK.json lists) it runs the
 checkout's `perfbench/run.py` as a child process, from the checkout's root,
 and keeps the final JSON line and the `calibration_ms` and `artifacts_sha256`
-lines. It writes OUT/BENCH_<yyyy-mm-dd>_<workload>_s<seed>.json (the date in
-UTC) with the checkout's git SHA and whether its tree is dirty, the Python
-and numpy versions, the CPU count and every metric. The checkout defaults to
-the one that holds this script, and OUT to bench/<first 12 digits of its
-SHA> there, so a base and a head run of one day do not overwrite each other.
-It edits nothing under perfbench/.
+lines. It writes OUT/BENCH_<yyyy-mm-dd>_<workload>_s<seed>.json (the start
+date in UTC) with the checkout's git SHA and whether its tree is dirty, the
+Python and numpy versions, the CPU count and every metric, and stops before
+any run if one of those files exists: an earlier record is never overwritten.
+The checkout defaults to the one that holds this script, and OUT to
+bench/<first 12 digits of its SHA> there, so a base and a head run of one day
+do not overwrite each other. It edits nothing under perfbench/.
 """
 
 from __future__ import annotations
@@ -69,10 +70,14 @@ def main(argv=None) -> int:
     sha = (_git(checkout, "rev-parse", "HEAD") or "").strip() or None
     status = _git(checkout, "status", "--porcelain")
     out = args.out or ROOT / "bench" / (sha or "unknown")[:12]
+    date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
+    paths = {w: out / f"BENCH_{date}_{w}_s{args.seed}.json" for w in workloads}
+    taken = [str(path) for path in paths.values() if path.exists()]
+    if taken:
+        raise SystemExit(f"error: refusing to overwrite an earlier record: {', '.join(taken)}")
     out.mkdir(parents=True, exist_ok=True)
     for workload in workloads:
         result = _run(checkout, workload, args)
-        date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
         record = {
             "workload": workload, "seed": args.seed, "seconds": args.seconds,
             "trace": args.trace, "smoke": args.smoke, "date": date,
@@ -80,9 +85,9 @@ def main(argv=None) -> int:
             "python": platform.python_version(), "numpy": np.__version__,
             "cpu_count": os.cpu_count(), **result,
         }
-        path = out / f"BENCH_{date}_{workload}_s{args.seed}.json"
-        path.write_text(json.dumps(record, indent=1) + "\n")
-        print(path)
+        with paths[workload].open("x") as file:  # a run started in the meantime fails here
+            file.write(json.dumps(record, indent=1) + "\n")
+        print(paths[workload])
     return 0
 
 
