@@ -47,11 +47,16 @@ def _trace_from_maxima(m: np.ndarray, alpha: float) -> MajorantTrace:
 
 
 def compute_trace(a: Field, alpha: float, S: int) -> MajorantTrace:
-    """Run the linear evolution S steps recording interior maxima."""
+    """Run the linear evolution S steps recording interior maxima.
+
+    Once a step is taken the flow's span maximum m_s reads the interior and
+    +0.0 boundary sites, so a positive m_s is the interior maximum; on signed
+    data that maximum can lie below +0.0, and is then reduced from h.
+    """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     core = a.domain.core
-    m = np.array([h[core].max() for h, _ in _linear_flow(a, S)])
+    m = np.array([m_s if S and m_s > 0 else h[core].max() for h, m_s in _linear_flow(a, S)])
     return _trace_from_maxima(m, alpha)
 
 

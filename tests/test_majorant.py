@@ -1074,6 +1074,9 @@ def test_linear_flow_starts_at_its_own_copy(rng, extents):
             assert h0.flags.c_contiguous and h0.tobytes() == want, (name, S)
     edged = a.values + 0.0
     edged[(0,) * d.dims] = 0.5
+    edged[(1,) + (-1,) * (d.dims - 1)] += 2.0  # from 2-D on a boundary site in the span
     assert step_linear_direct(Field(d, edged), 0).values.tobytes() == edged.tobytes()
+    # the trace at S = 0 reads the interior, not the data's boundary
+    assert compute_trace(Field(d, edged), 1.0, 0).m.tolist() == [edged[d.core].max()]
     with pytest.raises(ValueError, match="nonzero boundary"):
         apply_M(Field(d, edged))
