@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -47,16 +47,17 @@ def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, float]]:
     row_bytes = rows[1].ctypes.data - rows[0].ctypes.data  # the rows' spans, one view
     spans = np.lib.stride_tricks.as_strided(first, (k, first.size), (row_bytes, first.itemsize),
                                             writeable=False)
-    plans = [None] * k  # row i's into row i + 1 mod k
-    np.add(a.values, 0.0, out=rows[0])
-    for start in range(0, S + 1, k):  # the block h^start..h^(stop - 1) in rows 0, 1, ...
-        stop = min(start + k, S + 1)
-        for s in range(max(start, 1), stop):
-            i = (s - 1) % k  # h^s from h^(s - 1) in row i
-            if plans[i] is None:
-                plans[i] = _Stencil(rows[i], rows[(i + 1) % k], pairs)
-            plans[i]()
-        yield from zip(rows, np.maximum.reduce(spans[:stop - start], axis=1).tolist())
+    # a block's steps write rows 0, 1, ...: the first block's first is the copy of the data,
+    # each later block's is the plan of row k - 1 into row 0, built when the second block starts
+    steps = [partial(np.add, a.values, 0.0, out=rows[0])]
+    steps += [_Stencil(rows[i], rows[i + 1], pairs) for i in range(min(S, k - 1))]
+    for start in range(0, S + 1, k):  # the block h^start..h^(start + n - 1)
+        n = min(k, S + 1 - start)
+        if start == k:
+            steps[0] = _Stencil(rows[-1], rows[0], pairs)
+        for step in steps[:n]:
+            step()
+        yield from zip(rows, np.maximum.reduce(spans[:n], axis=1).tolist())
 
 
 def step_linear_direct(a: Field, steps: int) -> Field:
