@@ -115,15 +115,16 @@ def _span(values: np.ndarray) -> slice:
     return slice(lo, values.size - lo)
 
 
-def _span_buffers(shape: tuple[int, ...], count: int) -> list[np.ndarray]:
-    """`count` zeroed C-contiguous float arrays of a full `shape`, from one allocation, each
-    with its `_span` on a 64-byte cache line, wherever the allocator puts the block."""
+def _span_buffers(shape: tuple[int, ...], count: int) -> np.ndarray:
+    """A (count, *shape) view of one zeroed allocation: `count` C-contiguous float arrays of a
+    full `shape`, each with its `_span` on a 64-byte cache line, wherever the allocator puts
+    the block, and each padded to whole cache lines, so that axis 0 strides over them."""
     n = math.prod(shape)
     size = -(-n // 8) * 8  # each array's doubles, a whole number of cache lines
     block = np.zeros(count * size + 7)
     lo = _span(block[:n].reshape(shape)).start
     start = -(block.ctypes.data // 8 + lo) % 8  # doubles are 8-byte aligned
-    return [block[start + i * size:start + i * size + n].reshape(shape) for i in range(count)]
+    return block[start:start + count * size].reshape(count, size)[:, :n].reshape(count, *shape)
 
 
 class _Stencil:

@@ -41,12 +41,10 @@ def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, float]]:
     if S and not a.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
     k = max(2, min(16, (S + 1) // 32, 2**15 // a.domain.n_sites))
-    *rows, spare = _span_buffers(a.domain.shape, k + 1)
+    buffers = _span_buffers(a.domain.shape, k + 1)
+    *rows, spare = buffers
     span = _span(spare)
-    pairs, first = spare.ravel()[span], rows[0].ravel()[span]
-    row_bytes = rows[1].ctypes.data - rows[0].ctypes.data  # the rows' spans, one view
-    spans = np.lib.stride_tricks.as_strided(first, (k, first.size), (row_bytes, first.itemsize),
-                                            writeable=False)
+    pairs, spans = spare.ravel()[span], buffers[:k].reshape(k, -1)[:, span]  # the rows' spans
     # a block's steps write rows 0, 1, ...: the first block's first is the copy of the data,
     # each later block's is the plan of row k - 1 into row 0, built when the second block starts
     steps = [partial(np.add, a.values, 0.0, out=rows[0])]

@@ -37,6 +37,11 @@ def _span_of(full):
     return full.ravel()[_span(full)]
 
 
+def _same(a, b):
+    """Whether two full-shape views start at one address, so are views of one buffer."""
+    return a.shape == b.shape and a.ctypes.data == b.ctypes.data
+
+
 def _assert_apart(arrays):
     for a, b in itertools.combinations(arrays, 2):
         assert not np.shares_memory(a, b)
@@ -49,7 +54,7 @@ def test_span_buffers_are_zero_apart_and_on_cache_lines(extents):
     for k, count in itertools.product(SHIFTS, (1, 2, 3, 4, 17)):
         _shift_heap(keep, k)
         buffers = _span_buffers(shape, count)
-        assert len(buffers) == count
+        assert buffers.shape == (count, *shape)  # axis 0 strides over the arrays
         for b in buffers:
             assert b.shape == shape and b.dtype == np.float64 and b.flags.c_contiguous
             assert b.flags.writeable and not np.any(b) and _on_line(_span_of(b))
@@ -106,12 +111,12 @@ def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
         [(*rows, spare)] = flow_buffers
         k = len(rows)
         assert k == max(2, min(16, (S + 1) // 32, 2**15 // d.n_sites))
-        assert all(h is rows[s % k] for s, h in enumerate(states))
+        assert all(_same(h, rows[s % k]) for s, h in enumerate(states))
         assert all(_on_line(_span_of(b)) for b in (*rows, spare))
         _assert_apart([*rows, spare])
         assert len(plans) == min(S, k)
         for i, (values, out, pairs) in enumerate(plans):
-            assert values is rows[i] and out is rows[(i + 1) % k]
+            assert _same(values, rows[i]) and _same(out, rows[(i + 1) % k])
             assert pairs.ctypes.data == _span_of(spare).ctypes.data and _on_line(pairs)
         verify_buffers.clear()
         assert verify_comparison(a, 1.0, S).holds
