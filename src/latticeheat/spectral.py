@@ -40,7 +40,7 @@ def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, float]]:
         raise ValueError("S must be >= 0")
     if S and not a.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
-    k = max(2, min(16, (S + 1) // 32, 2**15 // a.domain.n_sites))
+    k = max(2, min(16, (S + 1) // 32, 2**15 // a.values.size))
     buffers = _span_buffers(a.domain.shape, k + 1)
     *rows, spare = buffers
     span = _span(spare)
