@@ -849,6 +849,19 @@ def _signed_zero_data(d, rng):
     return with_boundary(d, interior, -0.0)
 
 
+def _reference_flow(a, S):
+    """(h^s, m_s) as bytes for s = 0..S from the frozen reference mean, started at a + 0.0."""
+    h, out = a.values + 0.0, []
+    for _ in range(S + 1):
+        out.append((h.tobytes(), _bits(h[a.domain.core].max())))
+        h = with_boundary(a.domain, reference_neighbor_mean(h), 0.0).values
+    return out
+
+
+def _flow_bytes(a, S):
+    return [(h.tobytes(), _bits(m_s)) for h, m_s in _linear_flow(a, S)]
+
+
 def _block_rows(monkeypatch):
     """The row counts of the flows built from now on: each takes k rows and a spare."""
     counts, real = [], spectral._span_buffers
@@ -872,14 +885,10 @@ def test_linear_flow_blocks_match_reference(monkeypatch, k, dims):
     d = BoxDomain(tuple(int(n) for n in rng.integers(2, 7, dims)))
     a = _signed_zero_data(d, rng)
     horizons = [base + j for base in (0, 31 * k) for j in (k - 1, k, k + 1, 2 * k, 2 * k + 1)]
-    h, want = a.values + 0.0, []
-    for _ in range(max(horizons) + 1):
-        want.append((h.tobytes(), _bits(h[d.core].max())))
-        h = with_boundary(d, reference_neighbor_mean(h), 0.0).values
+    want = _reference_flow(a, max(horizons))
     rows = _block_rows(monkeypatch)
     for S in horizons:
-        got = [(h.tobytes(), _bits(m_s)) for h, m_s in _linear_flow(a, S)]
-        assert got == want[:S + 1], S
+        assert _flow_bytes(a, S) == want[:S + 1], S
     assert rows == [2] * 5 + [k] * 5
 
 
@@ -891,12 +900,9 @@ def test_linear_flow_blocks_on_large_boxes_match_reference(monkeypatch, extents,
     d = BoxDomain(extents)
     a = _signed_zero_data(d, np.random.default_rng(k))
     S = 33 * k + 1
-    h, want = a.values + 0.0, []
-    for _ in range(S + 1):
-        want.append((h.tobytes(), _bits(h[d.core].max())))
-        h = with_boundary(d, reference_neighbor_mean(h), 0.0).values
+    want = _reference_flow(a, S)
     rows = _block_rows(monkeypatch)
-    assert [(h.tobytes(), _bits(m_s)) for h, m_s in _linear_flow(a, S)] == want
+    assert _flow_bytes(a, S) == want
     assert rows == [k]
 
 
