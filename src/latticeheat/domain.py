@@ -115,16 +115,17 @@ def _span(values: np.ndarray) -> slice:
     return slice(lo, values.size - lo)
 
 
-def _span_buffers(shape: tuple[int, ...], count: int) -> np.ndarray:
-    """A (count, *shape) view of one zeroed allocation: `count` C-contiguous float arrays of a
-    full `shape`, each with its `_span` on a 64-byte cache line, wherever the allocator puts
-    the block, and each padded to whole cache lines, so that axis 0 strides over them."""
+def _span_buffers(shape: tuple[int, ...], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`count` C-contiguous float arrays of a full `shape` in one zeroed allocation, as a
+    (count, *shape) view and as a (count, span) view of their `_span`s; each array is padded
+    to whole 64-byte cache lines, and each span starts on one, wherever the block lies."""
     n = math.prod(shape)
     size = -(-n // 8) * 8  # each array's doubles, a whole number of cache lines
     block = np.zeros(count * size + 7)
     lo = _span(block[:n].reshape(shape)).start
     start = -(block.ctypes.data // 8 + lo) % 8  # doubles are 8-byte aligned
-    return block[start:start + count * size].reshape(count, size)[:, :n].reshape(count, *shape)
+    rows = block[start:start + count * size].reshape(count, size)
+    return rows[:, :n].reshape(count, *shape), rows[:, lo:n - lo]
 
 
 class _Stencil:

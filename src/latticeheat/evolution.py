@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, _span, _span_buffers, _Stencil
+from .domain import BoxDomain, Field, MultiIndex, _span_buffers, _Stencil
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,10 @@ class BlowupReport:
 def _check_solution_field(f: Field) -> None:
     if not f.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
-    if not np.all(np.isfinite(f.values)):
+    lo, hi = f.values.min(), f.values.max()  # NaN and +-inf reach one of the two
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("field has non-finite values")
-    if np.any(f.values < 0):
+    if lo < 0:
         raise ValueError("field has negative values")
 
 
@@ -107,12 +108,12 @@ _SCALAR_POWERS = {alpha: _SCALAR[lift and lift[0]] for alpha, (lift, _) in _EXAC
 class _Stepper:
     """The nonlinear update on full-shape buffers, built once per (domain, p, eps_blow).
 
-    f, the spare, g and denom are one `_span_buffers` block, each flat span
-    (`_span`) on a cache line. The stencil and the update run on the spans,
-    where a boundary site gets g = +0.0, so denom = 1 and f = +0.0; the boundary
-    outside the span is never written, so the buffers keep the +0.0 boundary
-    they start with, whatever the data's zeros. f and the spare swap at each
-    update, with their spans and `_Stencil` plans into g and into each other.
+    f, the spare, g and denom are one `_span_buffers` block, which also hands out
+    their flat spans, each on a cache line. The stencil and the update run on the spans,
+    where a boundary site gets g = +0.0, so denom = 1 and f = +0.0; the boundary outside
+    the span is never written, so the buffers keep the +0.0 boundary they start with,
+    whatever the data's zeros. f and the spare swap at each update, with their spans
+    (f's is `f_span`) and `_Stencil` plans into g and into each other.
     The update maps zero-boundary, nonnegative, finite data to the same set
     until blow-up, so `load` checks the data once; afterwards the only way
     out of that set is an update that overflows to inf, which `run` reads
@@ -126,21 +127,18 @@ class _Stepper:
     state, and reduce g only when recording.
     """
 
-    __slots__ = ("f", "g", "max_g", "max_f", "trace", "_g_span", "_spare", "_spans", "_means",
-                 "_copies", "_denom_span", "_denom_core", "_denom_calls", "_root_calls", "_scalar",
-                 "_core", "_eps_blow", "_copy_below")
+    __slots__ = ("f", "f_span", "g", "max_g", "max_f", "trace", "_g_span", "_spare",
+                 "_spare_span", "_means", "_copies", "_denom_span", "_denom_core", "_denom_calls",
+                 "_root_calls", "_scalar", "_core", "_eps_blow", "_copy_below")
 
     def __init__(self, domain: BoxDomain, p: Params, eps_blow: float,
                  record: bool = False) -> None:
         if not eps_blow >= 0:
             raise ValueError(f"eps_blow must be >= 0, got {eps_blow}")
         core = self._core = domain.core
-        self.f, self._spare, g, denom = _span_buffers(domain.shape, 4)
-        span = _span(g)
-        self._g_span = g.ravel()[span]
-        self._denom_span = denom.ravel()[span]
-        # f's and the spare's span and plan; the plans' neighbor sums go to denom
-        self._spans = [v.ravel()[span] for v in (self.f, self._spare)]
+        (self.f, self._spare, g, denom), spans = _span_buffers(domain.shape, 4)
+        self.f_span, self._spare_span, self._g_span, self._denom_span = spans
+        # f's and the spare's plans into g; their neighbor sums go to denom
         self._means = [_Stencil(v, g, self._denom_span) for v in (self.f, self._spare)]
         self._copies = [None, None]  # f's and the spare's plans into the other, built at first use
         self.g = g[core]
@@ -230,7 +228,7 @@ class _Stepper:
             if self._copies[0] is None:
                 self._copies[0] = _Stencil(self.f, self._spare, self._denom_span)
             self._copies[0]()
-            self.max_g = self.max_f = float(np.maximum.reduce(self._spans[1]))
+            self.max_g = self.max_f = float(np.maximum.reduce(self._spare_span))
         else:
             g, denom = self._g_span, self._denom_span
             self._means[0]()
@@ -247,15 +245,15 @@ class _Stepper:
                 return _first_offender(self._denom_core <= self._eps_blow, self.g)
             for ufunc, operands in self._root_calls:
                 ufunc(*operands, out=denom)
-            np.divide(g, denom, out=self._spans[1])
+            np.divide(g, denom, out=self._spare_span)
             if self._scalar is not None:
                 # least > eps_blow >= 0 is 1 - y with y < 1, so least >= 2^-53, its root
                 # >= 2^-106, and the divide meets no zero; an overflow gives inf, as numpy's does
                 self.max_f = self.max_g / self._scalar[1](least)
             else:
-                self.max_f = float(np.maximum.reduce(self._spans[1]))
-        self.f, self._spare = self._spare, self.f
-        self._spans.reverse()
+                self.max_f = float(np.maximum.reduce(self._spare_span))
+        self.f, self._spare, self.f_span, self._spare_span = (self._spare, self.f,
+                                                              self._spare_span, self.f_span)
         self._means.reverse()
         self._copies.reverse()
         return None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, _span, _span_buffers
+from .domain import BoxDomain, Field, MultiIndex, _span_buffers
 from .evolution import BlowupSignal, Params, _SCALAR_POWERS, _Stepper
 from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
@@ -56,7 +56,7 @@ def compute_trace(a: Field, alpha: float, S: int) -> MajorantTrace:
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     core = a.domain.core
-    m = np.array([m_s if S and m_s > 0 else h[core].max() for h, m_s in _linear_flow(a, S)])
+    m = np.array([m_s if S and m_s > 0 else h[core].max() for h, _, m_s in _linear_flow(a, S)])
     return _trace_from_maxima(m, alpha)
 
 
@@ -106,9 +106,9 @@ def verify_comparison(
     in the step to s, an overflow included, fails if s <= defined_up_to. The
     linear flow runs alone on to S for the trace, in blocks. A failure is a bug.
     h and f are nonnegative kernel buffers with a +0.0 boundary, the data + 0.0 at
-    s = 0, so the flow's m_s, the maximum of h's flat span (`_span`), is h's interior
-    maximum, and fbar and fbar - f are formed on the spans of two buffers, whose
-    other sites stay +0.0.
+    s = 0. The flow yields h with its flat span and m_s, the span's maximum, which is
+    h's interior maximum; fbar and fbar - f are formed from that span and the stepper's
+    `f_span` on the spans of two buffers of their own, whose other sites stay +0.0.
     """
     if math.isnan(slack):
         raise ValueError("slack must not be NaN")
@@ -117,29 +117,23 @@ def verify_comparison(
     margins: list[float] = []
     failure = None
     P = 0.0
-    buf, diff = _span_buffers(a.domain.shape, 2)
-    span, interior = _span(buf), diff[a.domain.core]
+    (_, diff), (fbar_span, diff_span) = _span_buffers(a.domain.shape, 2)
+    interior = diff[a.domain.core]
     stepper = _Stepper(a.domain, Params(alpha=alpha, delta=1.0 / alpha), 0.0)
-    fbar_span, diff_span, spans = buf.ravel()[span], diff.ravel()[span], {}
     # |m|^alpha as _trace_from_maxima's np.abs(m) ** alpha forms it, so P is partial_sums[s] bit
     # for bit: on one double at alpha in {1/2, 1, 2}, where x*x and sqrt are correctly rounded
     power = _SCALAR_POWERS.get(alpha) or (lambda x: (np.array([x]) ** alpha)[0])
 
     def compare(s: int, f: np.ndarray, max_f: float) -> bool | None:
         nonlocal P, failure
-        h, m_s = next(flow)
-        try:  # span views built once: the flow's and the stepper's buffers at their first use
-            h_span, f_span = spans[id(h)], spans[id(f)]
-        except KeyError:
-            spans.update((id(x), x.ravel()[span]) for x in (h, f))
-            h_span, f_span = spans[id(h)], spans[id(f)]
+        h, h_span, m_s = next(flow)
         m.append(m_s)
         P = P + power(abs(m_s))
         if not P < 1.0:
             return False
         root = (1.0 - P) ** (1.0 / alpha)
         fbar = _over_root(h_span, root, fbar_span)
-        np.subtract(fbar, f_span, out=diff_span)
+        np.subtract(fbar, stepper.f_span, out=diff_span)
         margins.append(float(np.minimum.reduce(interior, axis=None)))  # diff is 0 on the boundary
         # run checks that f, and so h, has a zero boundary; there a nonnegative slack makes f - tol
         # <= 0 <= fbar, and a nonnegative margin gives fbar >= f >= f - tol at every interior site
@@ -162,7 +156,7 @@ def verify_comparison(
         while stop is None:  # at rest after step s < S: every later state is this one
             s += 1
             stop = compare(s, stepper.f, stepper.max_f)
-    m.extend(m_s for _, m_s in flow)
+    m.extend(m_s for *_, m_s in flow)
     trace = _trace_from_maxima(np.array(m), alpha)
     if isinstance(stop, BlowupSignal) and s < trace.defined_up_to:
         failure = ComparisonFailure(

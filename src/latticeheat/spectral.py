@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, _span, _span_buffers, _Stencil
+from .domain import BoxDomain, Field, MultiIndex, _span_buffers, _Stencil
 
 
 def apply_M(h: Field) -> Field:
@@ -23,9 +23,9 @@ def apply_M(h: Field) -> Field:
     return step_linear_direct(h, 1)
 
 
-def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, float]]:
-    """(h^s, m_s) for s = 0..S: the linear flow as C-contiguous full-shape arrays, each with
-    the maximum of its flat span (`_span`); checks the data on entry.
+def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """(h^s, h^s's flat span, m_s) for s = 0..S: the linear flow as C-contiguous full-shape
+    arrays, each with its span (`_span`) and the span's maximum; checks the data on entry.
 
     h^s is row s mod k of k kernel buffers, k = max(2, min(16, (S + 1) // 32, 2^15 // sites)):
     a ring of 16 rows pays for its plans only over long horizons on small arrays. h^0 is
@@ -33,18 +33,16 @@ def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, float]]:
     the boundary is checked only when a step is taken. The steps run each row's `_Stencil`
     plan into the next row, built at its first use; only signed data's means can bring -0.0
     back, and only as zeros' signs. The flow fills a block of k rows, takes their maxima in
-    one reduce over a (k, span) view, and then yields them: a yielded array is overwritten
-    k steps on, which the flow computes when the next block is asked for.
+    one reduce over the block's (k, span) view, and then yields them: a yielded array and its
+    span are overwritten k steps on, which the flow computes when the next block is asked for.
     """
     if S < 0:
         raise ValueError("S must be >= 0")
     if S and not a.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
     k = max(2, min(16, (S + 1) // 32, 2**15 // a.values.size))
-    buffers = _span_buffers(a.domain.shape, k + 1)
-    *rows, spare = buffers
-    span = _span(spare)
-    pairs, spans = spare.ravel()[span], buffers[:k].reshape(k, -1)[:, span]  # the rows' spans
+    (*rows, _), spans = _span_buffers(a.domain.shape, k + 1)
+    *row_spans, pairs = spans  # the spare's span takes the plans' neighbor sums
     # a block's steps write rows 0, 1, ...: the first block's first is the copy of the data,
     # each later block's is the plan of row k - 1 into row 0, built when the second block starts
     steps = [partial(np.add, a.values, 0.0, out=rows[0])]
@@ -55,12 +53,12 @@ def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, float]]:
             steps[0] = _Stencil(rows[-1], rows[0], pairs)
         for step in steps[:n]:
             step()
-        yield from zip(rows, np.maximum.reduce(spans[:n], axis=1).tolist())
+        yield from zip(rows, row_spans, np.maximum.reduce(spans[:n], axis=1).tolist())
 
 
 def step_linear_direct(a: Field, steps: int) -> Field:
     """h^steps by iterating the averaging step; the reference for the closed form."""
-    *_, (h, _) = _linear_flow(a, steps)
+    *_, (h, _, _) = _linear_flow(a, steps)
     return Field(a.domain, h.copy())
 
 

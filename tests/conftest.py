@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from latticeheat import BlewUpAt, BlowupReport, BoxDomain, Field, Survived
+from latticeheat.domain import _span
 from latticeheat.evolution import StepRecord, _check_solution_field, _first_offender
 
 # HYPOTHESIS_PROFILE=ci: no example database, so no stale local entry can
@@ -30,6 +31,14 @@ def with_boundary(domain, interior, zero):
     values = np.full(domain.shape, zero)
     values[domain.core] = interior
     return Field(domain, values)
+
+
+def is_span_of(view, full):
+    """Whether `view` is the flat span (`domain._span`) of the C-contiguous full-shape array
+    `full`: the same first address, length and stride."""
+    span = full.ravel()[_span(full)]
+    return (view.ctypes.data, view.shape, view.strides) == (span.ctypes.data, span.shape,
+                                                            span.strides)
 
 
 def reference_neighbor_mean(values):

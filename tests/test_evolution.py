@@ -863,3 +863,38 @@ def test_negative_horizon_is_rejected():
         simulate(a, p, -1)
     with pytest.raises(ValueError, match="max_steps"):
         _Probe(a.domain, p, -1, 0.0, blowup_exit=True)(a)
+
+
+def _reference_check_message(f):
+    """The data check's message in its first form, an elementwise pass per test; None if the
+    data pass."""
+    if not f.boundary_is_zero():
+        return "field has nonzero boundary values"
+    if not np.all(np.isfinite(f.values)):
+        return "field has non-finite values"
+    if np.any(f.values < 0):
+        return "field has negative values"
+    return None
+
+
+def test_data_check_messages_match_the_elementwise_check(rng):
+    # the check reduces the data to its minimum and maximum; on fields drawn from +-0.0, NaN,
+    # +-inf, +-subnormals and +-normals, on the interior alone or on every site, it raises what
+    # the elementwise check raises, and warns of nothing (RuntimeWarning is an error here)
+    pool = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2e-308, -2e-308, 0.5, -0.5]
+    messages = set()
+    for i in range(3000):
+        d = random_domain(rng, max_extent=5)
+        weights = rng.dirichlet(np.full(len(pool), 0.3))  # mostly one or two kinds per field
+        values = rng.choice(pool, d.shape, p=weights)
+        zero = rng.choice([0.0, -0.0])
+        f = Field(d, values) if i % 2 else with_boundary(d, values[d.core], zero)
+        want = _reference_check_message(f)
+        messages.add(want)
+        if want is None:
+            evolution._check_solution_field(f)
+        else:
+            with pytest.raises(ValueError) as raised:
+                evolution._check_solution_field(f)
+            assert str(raised.value) == want
+    assert len(messages) == 4  # every outcome arises

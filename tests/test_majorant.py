@@ -32,8 +32,8 @@ from latticeheat.majorant import COMPARISON_SLACK, ComparisonFailure, _Probe, _t
 from latticeheat import spectral
 from latticeheat.spectral import _linear_flow
 
-from conftest import (random_domain, random_field, reference_neighbor_mean, reference_simulate,
-                      with_boundary)
+from conftest import (is_span_of, random_domain, random_field, reference_neighbor_mean,
+                      reference_simulate, with_boundary)
 
 SQ2 = np.sqrt(2) / 2
 
@@ -316,7 +316,7 @@ def test_minus_zero_data_matches_zero_start_reference(extents, alpha, amplitude,
     mean = apply_M(a).values[d.core]
     assert _bits(mean) == _bits(reference_neighbor_mean(a.values))
     h, m = a.values + 0.0, []
-    for s, (got, m_s) in enumerate(_linear_flow(a, S)):
+    for s, (got, _, m_s) in enumerate(_linear_flow(a, S)):
         assert got.tobytes() == h.tobytes(), s
         m.append(h[d.core].max())
         assert _bits(m_s) == _bits(m[-1]), s
@@ -348,7 +348,7 @@ def test_signed_flow_differs_from_reference_only_in_zero_signs(rng):
         interior = rng.choice([-5e-324, 0.0, 5e-324, -1e-323, 0.25, -0.25], d.interior_shape)
         a = with_boundary(d, interior, 0.0)
         h, m = a.values, []
-        for got, _ in _linear_flow(a, 6):
+        for got, *_ in _linear_flow(a, 6):
             np.testing.assert_array_equal(got, h)  # as numbers: -0.0 == +0.0
             signs += got.tobytes() != h.tobytes()
             m.append(h[d.core].max())
@@ -859,7 +859,12 @@ def _reference_flow(a, S):
 
 
 def _flow_bytes(a, S):
-    return [(h.tobytes(), _bits(m_s)) for h, m_s in _linear_flow(a, S)]
+    """(h^s, m_s) as bytes for s = 0..S from the flow, which yields each h^s with its span."""
+    out = []
+    for h, h_span, m_s in _linear_flow(a, S):  # h is overwritten k steps on
+        assert is_span_of(h_span, h)
+        out.append((h.tobytes(), _bits(m_s)))
+    return out
 
 
 def _block_rows(monkeypatch):
@@ -1076,7 +1081,7 @@ def test_linear_flow_starts_at_its_own_copy(rng, extents):
     assert want != a.values.tobytes()
     for name, values in {"C": a.values, **_layouts(a.values)}.items():
         for S in (0, 3):
-            h0, _ = next(_linear_flow(Field(d, values), S))
+            h0, *_ = next(_linear_flow(Field(d, values), S))
             assert h0.flags.c_contiguous and h0.tobytes() == want, (name, S)
     edged = a.values + 0.0
     edged[(0,) * d.dims] = 0.5

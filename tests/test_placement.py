@@ -11,14 +11,14 @@ import itertools
 import numpy as np
 import pytest
 
-from latticeheat import BoxDomain, Params, verify_comparison
+from latticeheat import BoxDomain, Field, Params, verify_comparison
 from latticeheat import domain as domain_module
 from latticeheat import majorant, spectral
 from latticeheat.domain import _span, _span_buffers
 from latticeheat.evolution import _Stepper
 from latticeheat.spectral import _linear_flow
 
-from conftest import random_field
+from conftest import is_span_of, random_field
 
 EXTENTS = [(2,), (401,), (2, 2), (97, 97), (401, 2), (5, 97), (2, 2, 2), (17, 17, 17), (2, 17, 3)]
 SHIFTS = range(6)
@@ -53,11 +53,13 @@ def test_span_buffers_are_zero_apart_and_on_cache_lines(extents):
     keep = []
     for k, count in itertools.product(SHIFTS, (1, 2, 3, 4, 17)):
         _shift_heap(keep, k)
-        buffers = _span_buffers(shape, count)
+        buffers, spans = _span_buffers(shape, count)
         assert buffers.shape == (count, *shape)  # axis 0 strides over the arrays
-        for b in buffers:
+        assert spans.shape == (count, _span_of(buffers[0]).size)  # and over their spans
+        for b, span in zip(buffers, spans):
             assert b.shape == shape and b.dtype == np.float64 and b.flags.c_contiguous
             assert b.flags.writeable and not np.any(b) and _on_line(_span_of(b))
+            assert is_span_of(span, b)  # the same address and length as `_span` gives
         _assert_apart(buffers)
 
 
@@ -68,14 +70,15 @@ def test_stepper_spans_on_cache_lines(extents):
     for k in SHIFTS:
         _shift_heap(keep, k)
         stepper = _Stepper(d, Params(2.0, 0.5), 0.0)
-        spans = [*stepper._spans, stepper._g_span, stepper._denom_span]
+        spans = [stepper.f_span, stepper._spare_span, stepper._g_span, stepper._denom_span]
         assert all(_on_line(s) and not np.any(s) for s in spans)
         assert _span_of(stepper.f).ctypes.data == spans[0].ctypes.data
         _assert_apart([stepper.f, stepper._spare, stepper._g_span, stepper._denom_span])
         f = stepper.f
         stepper.load(random_field(np.random.default_rng(k), d, amplitude=0.5))
         assert stepper.step(0.5) is None and stepper.f is not f  # the buffers swapped
-        assert all(_on_line(s) for s in (*stepper._spans, _span_of(stepper.f)))
+        assert all(_on_line(s) for s in (stepper.f_span, stepper._spare_span))
+        assert is_span_of(stepper.f_span, stepper.f)
 
 
 @pytest.mark.parametrize("extents", EXTENTS)
@@ -107,8 +110,8 @@ def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
         a = random_field(np.random.default_rng(shift), d, amplitude=0.1)
         plans.clear()
         flow_buffers.clear()
-        states = [h for h, _ in _linear_flow(a, S)]
-        [(*rows, spare)] = flow_buffers
+        states = [h for h, *_ in _linear_flow(a, S)]
+        [((*rows, spare), _)] = flow_buffers
         k = len(rows)
         assert k == max(2, min(16, (S + 1) // 32, 2**15 // d.n_sites))
         assert all(_same(h, rows[s % k]) for s, h in enumerate(states))
@@ -120,6 +123,31 @@ def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
             assert pairs.ctypes.data == _span_of(spare).ctypes.data and _on_line(pairs)
         verify_buffers.clear()
         assert verify_comparison(a, 1.0, S).holds
-        [(fbar, diff)] = verify_buffers
+        [((fbar, diff), _)] = verify_buffers
         assert fbar.shape == diff.shape == d.shape
         assert _on_line(_span_of(fbar)) and _on_line(_span_of(diff))
+
+
+@pytest.mark.parametrize("extents", EXTENTS)
+def test_stepper_f_span_is_the_span_of_f(extents):
+    # f_span swaps with f, and the spare's span with the spare: at the start, after one and two
+    # full steps, after a copy step (a maximum at or below _copy_below) and at rest
+    d = BoxDomain(extents)
+    stepper = _Stepper(d, Params(2.0, 0.5), 0.0)
+
+    def spans_follow():
+        return (is_span_of(stepper.f_span, stepper.f)
+                and is_span_of(stepper._spare_span, stepper._spare))
+
+    assert spans_follow()
+    stepper.load(random_field(np.random.default_rng(len(extents)), d, amplitude=0.5))
+    for _ in range(2):
+        f = stepper.f
+        assert stepper.step(0.5) is None and stepper.f is not f and spans_follow()
+    tiny = random_field(np.random.default_rng(0), d, amplitude=1e-12)
+    stepper.load(tiny)
+    f = stepper.f
+    assert stepper.step(tiny.max()) is None and stepper._copies.count(None) == 1  # a copy plan
+    assert stepper.f is not f and spans_follow()
+    s, stop = stepper.run(Field.zeros(d), 10)
+    assert (s, stop) == (0, None) and spans_follow()  # the zero state rests after step 0
