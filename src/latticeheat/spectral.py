@@ -24,8 +24,8 @@ def apply_M(h: Field) -> Field:
 
 
 def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
-    """(h^s, h^s's flat span, m_s) for s = 0..S: the linear flow as C-contiguous full-shape
-    arrays, each with its span (`_span`) and the span's maximum; checks the data on entry.
+    """(h^s, its flat span, m_s) for s = 0..S: the linear flow as C-contiguous full-shape
+    arrays, each with the span `_span_buffers` hands out and its maximum; checks the data.
 
     h^s is row s mod k of k kernel buffers, k = max(2, min(16, (S + 1) // 32, 2^15 // sites)):
     a ring of 16 rows pays for its plans only over long horizons on small arrays. h^0 is
