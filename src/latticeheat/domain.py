@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,6 +129,16 @@ def _span_buffers(shape: tuple[int, ...], count: int) -> tuple[np.ndarray, np.nd
     return rows[:, :n].reshape(count, *shape), rows[:, lo:n - lo]
 
 
+@lru_cache(maxsize=None)
+def _face_weights(shape: tuple[int, ...]) -> np.ndarray:
+    """The read-only `_span` of a full `shape`: 2d at interior sites, +inf at the others."""
+    (weights,), (span,) = _span_buffers(shape, 1)
+    weights.fill(np.inf)
+    weights[(slice(1, -1),) * len(shape)] = 2 * len(shape)
+    span.flags.writeable = False
+    return span
+
+
 class _Stencil:
     """The mean of the 2d axis neighbors at each interior site of `values`, into `out`, both
     C-contiguous and full-shape, on views built once; each call reads `values` as it then is.
@@ -135,11 +146,15 @@ class _Stencil:
     through `pairs` (neither may overlap `values`): one pass for the first axis, two for each
     other; the faces normal to axes 2..d, where the span holds wrapped sums, are set to +0.0.
     On `values` without -0.0 the means are those of sums from +0.0, bit for bit, as a rounded
-    sum is -0.0 only if both addends are; the kernels add 0.0 to their data to that end."""
+    sum is -0.0 only if both addends are; the kernels add 0.0 to their data to that end.
+    If every call's `values` is finite and >= +0.0 with a +0.0 boundary (`nonnegative`), a plan
+    that divides by 2d has no face views and divides by `_face_weights`, +inf on the faces: a
+    face site's wrapped sum is one source value v >= +0.0 at most, and v / inf is +0.0."""
 
     __slots__ = ("_first", "_axes", "_pairs", "_acc", "_scale", "_faces")
 
-    def __init__(self, values: np.ndarray, out: np.ndarray, pairs: np.ndarray) -> None:
+    def __init__(self, values: np.ndarray, out: np.ndarray, pairs: np.ndarray,
+                 nonnegative: bool = False) -> None:
         span, flat, size = _span(values), values.ravel(), values.itemsize
         lo, hi = span.start, span.stop
         self._first, *self._axes = ((flat[lo + k:hi + k], flat[lo - k:hi - k])
@@ -147,9 +162,10 @@ class _Stencil:
         self._pairs, self._acc = pairs, out.ravel()[span]
         # 1/2d is exact for d = 1, 2, 4, so x * (1/2d) rounds the real x/2d as x / 2d does
         two_d = 2 * values.ndim
-        self._scale = ((np.multiply, np.array(1.0 / two_d)) if two_d & (two_d - 1) == 0
-                       else (np.divide, np.array(float(two_d))))
-        self._faces = tuple(  # faces x_k = 0 and x_k = N_k, each pair as one strided view
+        fold = nonnegative and two_d & (two_d - 1) != 0
+        self._scale = ((np.multiply, np.array(1.0 / two_d)) if two_d & (two_d - 1) == 0 else
+                       (np.divide, _face_weights(values.shape) if fold else np.array(float(two_d))))
+        self._faces = () if fold else tuple(  # faces x_k = 0 and x_k = N_k, each pair as one view
             out[(slice(1, -1),) + (slice(None),) * (k - 1) + (slice(None, None, n - 1),)]
             for k, n in enumerate(values.shape[1:], 1))
 

@@ -139,7 +139,7 @@ class _Stepper:
         (self.f, self._spare, g, denom), spans = _span_buffers(domain.shape, 4)
         self.f_span, self._spare_span, self._g_span, self._denom_span = spans
         # f's and the spare's plans into g; their neighbor sums go to denom
-        self._means = [_Stencil(v, g, self._denom_span) for v in (self.f, self._spare)]
+        self._means = [_Stencil(v, g, self._denom_span, True) for v in (self.f, self._spare)]
         self._copies = [None, None]  # f's and the spare's plans into the other, built at first use
         self.g = g[core]
         self._denom_core = denom[core]
@@ -220,13 +220,15 @@ class _Stepper:
         interior one passes them, so the span's extrema are the interior's.
         `max_f` is at least f's maximum; at or below `_copy_below` the update is g
         itself, which the mean writes straight into the new state, leaving g stale.
+        f must be finite and >= +0.0, as the plans fold the faces (`_Stencil`'s `nonnegative`):
+        `load` checks the data, and `run` stops at a non-finite `max_f` before it steps again.
         """
         if max_f <= self._copy_below:
             # Exact: g <= max_f up to the mean's rounding (under 2^-46 relative for 64 axes), so
             # alpha*delta*g^alpha < 2^-54; 1 minus it rounds to 1.0, 1.0^(1/alpha) is 1.0, g/1.0 is
             # g, and 1.0 > eps_blow, so no site blows up. The plan into the spare writes g's bits.
             if self._copies[0] is None:
-                self._copies[0] = _Stencil(self.f, self._spare, self._denom_span)
+                self._copies[0] = _Stencil(self.f, self._spare, self._denom_span, True)
             self._copies[0]()
             self.max_g = self.max_f = float(np.maximum.reduce(self._spare_span))
         else:

@@ -43,14 +43,17 @@ def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, np.ndarray, flo
     k = max(2, min(16, (S + 1) // 32, 2**15 // a.values.size))
     (*rows, _), spans = _span_buffers(a.domain.shape, k + 1)
     *row_spans, pairs = spans  # the spare's span takes the plans' neighbor sums
+    # plans fold their faces (_Stencil's `nonnegative`) on finite data >= +0.0 up to max / 4d,
+    # whose sums stay finite: a mean exceeds the data's maximum by a few ulps a step at most
+    folds = 0 <= a.values.min() and a.values.max() <= np.finfo(float).max / (4 * a.domain.dims)
     # a block's steps write rows 0, 1, ...: the first block's first is the copy of the data,
     # each later block's is the plan of row k - 1 into row 0, built when the second block starts
     steps = [partial(np.add, a.values, 0.0, out=rows[0])]
-    steps += [_Stencil(rows[i], rows[i + 1], pairs) for i in range(min(S, k - 1))]
+    steps += [_Stencil(rows[i], rows[i + 1], pairs, folds) for i in range(min(S, k - 1))]
     for start in range(0, S + 1, k):  # the block h^start..h^(start + n - 1)
         n = min(k, S + 1 - start)
         if start == k:
-            steps[0] = _Stencil(rows[-1], rows[0], pairs)
+            steps[0] = _Stencil(rows[-1], rows[0], pairs, folds)
         for step in steps[:n]:
             step()
         yield from zip(rows, row_spans, np.maximum.reduce(spans[:n], axis=1).tolist())

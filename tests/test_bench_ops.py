@@ -1,0 +1,61 @@
+"""tools/bench_ops.py on the benchmark's smoke sizes, HEAD against itself (several seconds)."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+
+def test_bench_ops_times_every_op(tmp_path):
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
+                          text=True)
+    if head.returncode != 0:
+        pytest.skip("bench_ops clones commits, and this tree is not a git checkout")
+    command = [sys.executable, str(ROOT / "tools" / "bench_ops.py"), "--base", "HEAD",
+               "--workload", "certify-small", "--seed", "777", "--pairs", "2", "--seconds", "1",
+               "--smoke", "--out", str(tmp_path)]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    [path] = tmp_path.iterdir()
+    assert re.fullmatch(r"OPS_\d{4}-\d\d-\d\d_certify-small_s777\.json", path.name)
+    assert proc.stdout.split() == [str(path)]
+    record = json.loads(path.read_text())
+    sha = head.stdout.strip()
+    assert record["base"] == {"ref": "HEAD", "git_sha": sha} and record["head"] == {"git_sha": sha}
+    assert (record["workload"], record["seed"], record["pairs"]) == ("certify-small", 777, 2)
+    assert record["artifacts_equal"] is True and record["failed"] == {"base": 0, "head": 0}
+    assert [run["first"] for run in record["runs"]] == ["base", "head"]  # alternating
+    plan = [op for group in workloads.make_plan("certify-small", 777, True) for op in group]
+    assert len(record["ops"]) == len(plan)
+    for i, (got, op) in enumerate(zip(record["ops"], plan)):
+        assert got["op"] == i and got["command"] == op.command
+        assert [got[k] for k in ("extents", "alpha", "steps")] == [
+            op.config[k] for k in ("extents", "alpha", "steps")]
+        for side in ("base", "head"):
+            values = got[side]["values"]
+            assert len(values) == 2 and all(t > 0 for t in values)
+            assert got[side]["q1"] <= got[side]["median"] <= got[side]["q3"]
+        assert got["change"] == pytest.approx(got["head"]["median"] / got["base"]["median"] - 1)
+        assert got["head_wins"] in (0, 1, 2)
+    # a second batch into the same directory stops before it runs and leaves the first's file
+    written = path.read_bytes()
+    again = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert again.returncode != 0 and "refusing to overwrite" in again.stderr
+    assert str(path) in again.stderr and again.stdout == ""
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == written
+
+
+def test_bench_ops_rejects_an_unknown_base(tmp_path):
+    command = [sys.executable, str(ROOT / "tools" / "bench_ops.py"), "--base", "no-such-ref",
+               "--seed", "777", "--smoke", "--out", str(tmp_path)]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0 and "no-such-ref" in proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeheat import BoxDomain, Field, apply_M
-from latticeheat.domain import _span, _Stencil
+from latticeheat.domain import _face_weights, _span, _Stencil
 
 from conftest import (interior_sites, neighbor_average, random_domain, random_field,
                       reference_neighbor_mean, with_boundary)
@@ -179,3 +179,92 @@ def test_plan_reuse_matches_frozen_reference(extents, special, scales, seed):
             want = reference_neighbor_mean(values)
         _assert_same_means(full[core], want)
         _assert_plus_zero_boundary(full)
+
+
+def _fold_data(rng, shape, d):
+    """Finite data >= +0.0 on a +0.0 boundary: +0.0, subnormals, ordinary values and values up
+    to the largest that the linear flow folds, max / 4d."""
+    top = np.finfo(float).max / (4 * d)
+    pool = np.array([0.0, 5e-324, 1e-310, 2.5e-308, 1.0, top, np.nextafter(top, 0.0)])
+    values = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
+                      rng.uniform(0.0, 1.0, shape) * rng.choice([1e-300, 1.0, top], shape))
+    _zero_boundary(values)
+    return values
+
+
+def _zero_boundary(values):
+    core = values[(slice(1, -1),) * values.ndim].copy()
+    values[...] = 0.0
+    values[(slice(1, -1),) * values.ndim] = core
+
+
+@settings(max_examples=120, deadline=None)
+@given(dims=st.sampled_from([3, 5]), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_folded_plan_writes_the_fill_plans_bytes(dims, data, seed):
+    # d = 3 and 5 divide by 2d; a plan told its sources are finite and >= +0.0 divides by the
+    # face weights instead of filling the faces, and writes the same bytes, call after call
+    extents = data.draw(st.lists(st.integers(2, 6 if dims == 3 else 4), min_size=dims,
+                                 max_size=dims))
+    rng = np.random.default_rng(seed)
+    shape = tuple(n + 1 for n in extents)
+    values, spare, outs = np.zeros(shape), np.zeros(shape), [np.zeros(shape), np.zeros(shape)]
+    for out in outs:  # a plan writes every site of the span; outside it a fill writes +0.0
+        out.ravel()[_span(out)] = np.nan
+    fills, folded = (_Stencil(values, out, spare.ravel()[_span(spare)], nonnegative)
+                     for out, nonnegative in zip(outs, (False, True)))
+    assert folded._faces == () and len(fills._faces) == dims - 1
+    for _ in range(3):
+        values[...] = _fold_data(rng, shape, dims)
+        fills()
+        folded()
+        assert outs[0].tobytes() == outs[1].tobytes()
+        inside = outs[1].ravel()[_span(values)]
+        weights = _face_weights(shape)
+        assert not np.any(inside[weights == np.inf].view(np.uint64))  # +0.0 on the faces
+        np.testing.assert_array_equal(outs[1][(slice(1, -1),) * dims].view(np.uint64),
+                                      reference_neighbor_mean(values).view(np.uint64))
+
+
+@pytest.mark.parametrize("extents", [(2,), (7,), (2, 2), (5, 3), (2, 2, 2, 2), (3, 4, 2, 3)])
+@pytest.mark.parametrize("nonnegative", [False, True])
+def test_plans_that_multiply_keep_their_faces(extents, nonnegative):
+    # 2d = 2, 4, 8: the scale is a multiply by the exact 1/2d, and the faces stay fills
+    shape = tuple(n + 1 for n in extents)
+    values, out, spare = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    plan = _Stencil(values, out, spare.ravel()[_span(spare)], nonnegative)
+    scale_by, scale = plan._scale
+    assert scale_by is np.multiply and scale.shape == () and scale == 1 / (2 * len(extents))
+    assert len(plan._faces) == len(extents) - 1
+    assert all(np.shares_memory(face, out) for face in plan._faces)
+
+
+@pytest.mark.parametrize("dims", [3, 5])
+def test_plans_that_divide_fold_only_when_told(dims):
+    shape = (4, 3, 5, 3, 4)[:dims]
+    values, out, spare = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    fills, folded = (_Stencil(values, out, spare.ravel()[_span(spare)], nonnegative)
+                     for nonnegative in (False, True))
+    assert fills._scale[0] is np.divide and fills._scale[1].shape == ()
+    assert fills._scale[1] == 2 * dims and len(fills._faces) == dims - 1
+    assert folded._scale[0] is np.divide and folded._faces == ()
+    assert folded._scale[1] is _face_weights(shape)  # one cached span per shape
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4, 5])
+def test_a_face_sites_wrapped_sum_holds_one_source_at_most(dims):
+    # every box with extents 2..6: inside the span, the 2d neighbors of a site
+    # with a coordinate after the first at 0 or N_k hold at most one interior site, so on a
+    # +0.0 boundary its sum is one source value plus +0.0s
+    faces_seen = 0
+    for extents in itertools.product(range(2, 7), repeat=dims):
+        shape = tuple(n + 1 for n in extents)
+        interior = np.zeros(shape, dtype=bool)
+        interior[(slice(1, -1),) * dims] = True
+        flat, span = interior.ravel(), _span(interior)
+        sites = np.arange(span.start, span.stop)
+        faces = sites[~flat[span]]
+        counts = sum(flat[faces + k].astype(int) + flat[faces - k]
+                     for k in (stride // interior.itemsize for stride in interior.strides))
+        assert counts.max(initial=0) <= 1, extents
+        faces_seen += faces.size
+    assert faces_seen

@@ -26,6 +26,13 @@ one artifact. The configs are kept byte for byte.
   - `verify.json` for an 8x8 box that stops comparing at step 29 of 2,000 (P_s reaches 1), so
     it lists 2,001 partial sums that the linear flow computes alone, in blocks of 16 states,
     the last of them partial.
+  - the 6x6x6 cube's `trajectory.csv` and `bisection.csv` (14 probes), and `verify.json` for a
+    3x3x3x3x3 box of random data over 301 steps: their stencils divide by 6 and 10, and fold
+    the faces into that divide.
+- `bound.json` at alpha 2 on the signed sine mode (2, 1, 1) of a 6x5x4 box, whose linear flow
+  keeps the face fills; its head sums m_0..m_5. Like `bound_value` in `sweep.csv`, its
+  `B_max` and tail come from np.sin, np.cos and a BLAS product, so their last bits could
+  differ on another BLAS or SIMD build.
 """
 
 import hashlib
@@ -67,6 +74,12 @@ CONFIGS = {
     "signed.json": '{"extents": [6, 5], "alpha": 1.0, "delta": 1.0, "steps": 200, '
                    '"amplitude": 1.0,\n'
                    ' "init": {"kind": "file", "path": "field.json"}}\n',
+    "five.json": '{"extents": [3, 3, 3, 3, 3], "alpha": 1.0, "delta": 1.0, "steps": 300, '
+                 '"amplitude": 0.5,\n'
+                 ' "init": {"kind": "random", "seed": 5, "max_amplitude": 1.0}}\n',
+    "mode.json": '{"extents": [6, 5, 4], "alpha": 2.0, "delta": 0.5, "steps": 100, '
+                 '"amplitude": 0.5,\n'
+                 ' "init": {"kind": "sine_mode", "mode": [2, 1, 1]}}\n',
     "low.json": '{"extents": [2], "alpha": 1.0, "delta": 1.0, "steps": 10000, "amplitude": 0.5,\n'
                 ' "init": {"kind": "constant_interior"}}\n',
 }
@@ -95,6 +108,14 @@ PINS = [
      "3d73d5541c57651a69163b67e6e90a95f812eb5a98498bc5c78d988c94c3c4df"),
     ("simulate", "low.json", "low", "trajectory.csv",
      "2cf220ca3f11cab3ccd47298331644f9f4e2354ca9c6b170fcb5927e26a8812b"),
+    ("simulate", "cube.json", "cube-run", "trajectory.csv",
+     "6c4a9452c5fd48f59c09f2990a1c9db7fb8d48e39430a24292f9755920ab9a2e"),
+    ("threshold", "cube.json", "cube-threshold", "bisection.csv",
+     "4b7621e7be21b915bf6deff9485380d1ea09edd24b3c6d7e2772e797da5cc745"),
+    ("verify", "five.json", "five", "verify.json",
+     "b236d6c64a9827829be5714685a0e3bd13361fde9069aad624d4d7ba82eb4ca3"),
+    ("bound", "mode.json", "mode", "bound.json",
+     "cd6d1f5402b3202e2268b7c991f27c2754520457a35e1090ccf54a8d644857ef"),
 ]
 
 

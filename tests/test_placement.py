@@ -14,7 +14,7 @@ import pytest
 from latticeheat import BoxDomain, Field, Params, verify_comparison
 from latticeheat import domain as domain_module
 from latticeheat import majorant, spectral
-from latticeheat.domain import _span, _span_buffers
+from latticeheat.domain import _face_weights, _span, _span_buffers
 from latticeheat.evolution import _Stepper
 from latticeheat.spectral import _linear_flow
 
@@ -87,12 +87,15 @@ def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
     # cache line; h^s is row s mod k, and each row's plan, built at its first use, reads that
     # row and writes the next, mod k. At S = 600 the rule gives k = 3 on 97^2, 5 on 17^3 and
     # 16 on the other boxes. verify's fbar and fbar - f buffers start on cache lines too.
+    # The data is finite and >= +0.0, so every plan, the stepper's too, is told its sources
+    # are; on 3-D boxes, where the scale divides, it then divides by the shape's face weights
+    # and holds no face views.
     plans, flow_buffers, verify_buffers = [], [], []
     real_init, real_buffers = domain_module._Stencil.__init__, domain_module._span_buffers
 
-    def recording_init(self, values, out, pairs):
-        plans.append((values, out, pairs))
-        real_init(self, values, out, pairs)
+    def recording_init(self, values, out, pairs, nonnegative=False):
+        real_init(self, values, out, pairs, nonnegative)
+        plans.append((values, out, pairs, nonnegative, self))
 
     def recording(into):
         def buffers(shape, count):
@@ -104,6 +107,11 @@ def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
     monkeypatch.setattr(spectral, "_span_buffers", recording(flow_buffers))
     monkeypatch.setattr(majorant, "_span_buffers", recording(verify_buffers))
     d = BoxDomain(extents)
+    weights = _face_weights(d.shape)  # one read-only span per shape, on a cache line
+    assert weights is _face_weights(d.shape) and not weights.flags.writeable and _on_line(weights)
+    expected = np.full(d.shape, np.inf)
+    expected[d.core] = 2 * d.dims
+    np.testing.assert_array_equal(weights, _span_of(expected))  # 2d inside, +inf on the faces
     keep = []
     for shift, S in itertools.product(SHIFTS, (3, 600)):
         _shift_heap(keep, shift)
@@ -118,11 +126,18 @@ def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
         assert all(_on_line(_span_of(b)) for b in (*rows, spare))
         _assert_apart([*rows, spare])
         assert len(plans) == min(S, k)
-        for i, (values, out, pairs) in enumerate(plans):
+        for i, (values, out, pairs, _, _) in enumerate(plans):
             assert _same(values, rows[i]) and _same(out, rows[(i + 1) % k])
             assert pairs.ctypes.data == _span_of(spare).ctypes.data and _on_line(pairs)
         verify_buffers.clear()
         assert verify_comparison(a, 1.0, S).holds
+        for *_, nonnegative, plan in plans:
+            assert nonnegative
+            if d.dims == 3:
+                assert plan._scale[0] is np.divide and plan._scale[1] is weights
+                assert plan._faces == ()
+            else:  # a multiply by the exact 1/2d, and the faces' fills
+                assert plan._scale[0] is np.multiply and len(plan._faces) == d.dims - 1
         [((fbar, diff), _)] = verify_buffers
         assert fbar.shape == diff.shape == d.shape
         assert _on_line(_span_of(fbar)) and _on_line(_span_of(diff))

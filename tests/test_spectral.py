@@ -13,7 +13,11 @@ from latticeheat import (
     synthesize,
 )
 
-from conftest import interior_sites, random_domain, random_field
+from latticeheat import spectral
+from latticeheat.domain import _Stencil
+from latticeheat.spectral import _linear_flow
+
+from conftest import interior_sites, random_domain, random_field, reference_neighbor_mean
 
 
 class TestApplyM:
@@ -193,3 +197,59 @@ class TestStepLinearDirect:
         h200 = step_linear_direct(a, 200)
         limit = np.abs(a.values).max() * cmax**200 + 1e-12 * d.n_interior
         assert np.abs(h200.values).max() <= limit
+
+
+def _flow_plans(monkeypatch, a, S):
+    """The `nonnegative` each of the flow's plans is built with, and the flow's m_s."""
+    told = []
+
+    def recording(values, out, pairs, nonnegative=False):
+        told.append(nonnegative)
+        return _Stencil(values, out, pairs, nonnegative)
+
+    monkeypatch.setattr(spectral, "_Stencil", recording)
+    with np.errstate(all="ignore"):
+        m = [m_s for *_, m_s in _linear_flow(a, S)]
+    return told, m
+
+
+@pytest.mark.parametrize("extents", [(5, 4, 3), (3, 3, 2, 3, 2)])
+def test_linear_flow_folds_only_finite_nonnegative_data_below_max_over_4d(monkeypatch, extents):
+    d = BoxDomain(extents)
+    top = np.finfo(float).max / (4 * d.dims)
+    rng = np.random.default_rng(len(extents))
+    interior = rng.uniform(0.0, 1.0, d.interior_shape)
+    interior.flat[0], interior.flat[1], interior.flat[-1] = 0.0, 1.0, 5e-324  # max: scale
+    for scale, folds in [(1.0, True), (top, True), (np.nextafter(top, np.inf), False)]:
+        told, _ = _flow_plans(monkeypatch, Field.from_interior(d, interior * scale), 40)
+        assert told and all(t == folds for t in told), scale
+    for special in (-1.0, -5e-324, np.nan, np.inf):  # signed, NaN or inf data keep the fills
+        values = interior.copy()
+        values.flat[2] = special
+        told, _ = _flow_plans(monkeypatch, Field.from_interior(d, values), 40)
+        assert told and not any(told), special
+
+
+@pytest.mark.parametrize("extents", [(4, 4, 4), (3, 2, 3, 2, 3)])
+def test_linear_flow_overflow_stays_inf(monkeypatch, extents):
+    # sums of data above max / 4d can overflow to inf; the fill plans keep the faces at +0.0,
+    # where a divide by the +inf face weights would give inf / inf = NaN
+    d = BoxDomain(extents)
+    told, m = _flow_plans(monkeypatch, Field.from_interior(d, np.full(d.interior_shape,
+                                                                      np.finfo(float).max)), 40)
+    assert not any(told)
+    assert m[1:] == [np.inf] * 40
+
+
+@pytest.mark.parametrize("extents", [(5, 4, 3), (3, 3, 2, 3, 2), (6, 6, 6)])
+def test_folded_linear_flow_matches_the_frozen_reference(extents):
+    # the folding flow against the per-axis reference, bit for bit, over a block boundary
+    d = BoxDomain(extents)
+    rng = np.random.default_rng(sum(extents))
+    h = Field.from_interior(d, rng.uniform(0.0, 1.0, d.interior_shape)).values
+    h.flat[rng.integers(0, h.size, 5)] = 0.0
+    h[(slice(1, -1),) * d.dims] += 0.0
+    want = h.copy()
+    for s, (got, _, _) in enumerate(_linear_flow(Field(d, h), 40)):
+        assert got.tobytes() == want.tobytes(), s
+        want[(slice(1, -1),) * d.dims] = reference_neighbor_mean(want)
