@@ -181,21 +181,15 @@ def test_plan_reuse_matches_frozen_reference(extents, special, scales, seed):
         _assert_plus_zero_boundary(full)
 
 
-def _fold_data(rng, shape, d):
+def _fold_data(rng, domain):
     """Finite data >= +0.0 on a +0.0 boundary: +0.0, subnormals, ordinary values and values up
     to the largest that the linear flow folds, max / 4d."""
-    top = np.finfo(float).max / (4 * d)
+    top = np.finfo(float).max / (4 * domain.dims)
     pool = np.array([0.0, 5e-324, 1e-310, 2.5e-308, 1.0, top, np.nextafter(top, 0.0)])
-    values = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
-                      rng.uniform(0.0, 1.0, shape) * rng.choice([1e-300, 1.0, top], shape))
-    _zero_boundary(values)
-    return values
-
-
-def _zero_boundary(values):
-    core = values[(slice(1, -1),) * values.ndim].copy()
-    values[...] = 0.0
-    values[(slice(1, -1),) * values.ndim] = core
+    shape = domain.interior_shape
+    interior = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
+                        rng.uniform(0.0, 1.0, shape) * rng.choice([1e-300, 1.0, top], shape))
+    return with_boundary(domain, interior, 0.0).values
 
 
 @settings(max_examples=120, deadline=None)
@@ -206,7 +200,8 @@ def test_folded_plan_writes_the_fill_plans_bytes(dims, data, seed):
     extents = data.draw(st.lists(st.integers(2, 6 if dims == 3 else 4), min_size=dims,
                                  max_size=dims))
     rng = np.random.default_rng(seed)
-    shape = tuple(n + 1 for n in extents)
+    domain = BoxDomain(tuple(extents))
+    shape = domain.shape
     values, spare, outs = np.zeros(shape), np.zeros(shape), [np.zeros(shape), np.zeros(shape)]
     for out in outs:  # a plan writes every site of the span; outside it a fill writes +0.0
         out.ravel()[_span(out)] = np.nan
@@ -214,7 +209,7 @@ def test_folded_plan_writes_the_fill_plans_bytes(dims, data, seed):
                      for out, nonnegative in zip(outs, (False, True)))
     assert folded._faces == () and len(fills._faces) == dims - 1
     for _ in range(3):
-        values[...] = _fold_data(rng, shape, dims)
+        values[...] = _fold_data(rng, domain)
         fills()
         folded()
         assert outs[0].tobytes() == outs[1].tobytes()

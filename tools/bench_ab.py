@@ -94,44 +94,66 @@ def _summary(declared: dict, runs: list[dict]) -> dict:
     return metrics
 
 
+def _batch(args, kind: str, workloads: list[str], head_sha: str) -> tuple[str, dict]:
+    """The batch's date and OUT/<kind>_<date>_<workload>_s<seed>.json per workload; stops
+    before any run if one of them exists."""
+    out = args.out or ROOT / "bench" / head_sha[:12]
+    date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
+    paths = {w: out / f"{kind}_{date}_{w}_s{args.seed}.json" for w in workloads}
+    taken = [str(path) for path in paths.values() if path.exists()]
+    if taken:
+        raise SystemExit(f"error: refusing to overwrite an earlier batch: {', '.join(taken)}")
+    out.mkdir(parents=True, exist_ok=True)
+    return date, paths
+
+
+def _pairs(clones: dict, workload: str, args, time) -> list[dict]:
+    """`time(clone, workload, args)` for each side, in pairs that alternate the first side."""
+    runs = []
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        runs.append({"first": order[0], **{side: time(clones[side], workload, args)
+                                           for side in order}})
+    return runs
+
+
+def _record(args, workload: str, date: str, shas: tuple[str, str], runs: list[dict]) -> dict:
+    """What every batch file holds: the settings, the two commits, the host, the digests."""
+    digests = {run[side]["artifacts_sha256"] for run in runs for side in SIDES}
+    return {
+        "workload": workload, "seed": args.seed, "seconds": args.seconds,
+        "smoke": args.smoke, "pairs": args.pairs, "date": date,
+        "base": {"ref": args.base, "git_sha": shas[0]}, "head": {"git_sha": shas[1]},
+        "python": platform.python_version(), "numpy": np.__version__,
+        "cpu_count": os.cpu_count(), "artifacts_equal": len(digests) == 1,
+        "failed": {side: sum(run[side]["failed"] for run in runs) for side in SIDES},
+    }
+
+
+def _write(path: Path, record: dict) -> None:
+    with path.open("x") as file:  # a batch started in the meantime fails here
+        file.write(json.dumps(record, indent=1) + "\n")
+    print(path)
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     declared = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    base_sha, head_sha = _sha(args.base), _sha("HEAD")
-    out = args.out or ROOT / "bench" / head_sha[:12]
-    date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
-    paths = {w: out / f"AB_{date}_{w}_s{args.seed}.json" for w in workloads}
-    taken = [str(path) for path in paths.values() if path.exists()]
-    if taken:
-        raise SystemExit(f"error: refusing to overwrite an earlier batch: {', '.join(taken)}")
-    out.mkdir(parents=True, exist_ok=True)
+    shas = _sha(args.base), _sha("HEAD")
+    date, paths = _batch(args, "AB", workloads, shas[1])
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
-        clones = {side: _clone(sha, Path(tmp) / side)
-                  for side, sha in zip(SIDES, (base_sha, head_sha))}
+        clones = {side: _clone(sha, Path(tmp) / side) for side, sha in zip(SIDES, shas)}
         for workload in workloads:
-            runs = []
-            for pair in range(args.pairs):
-                order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                runs.append({"first": order[0], **{side: _run(clones[side], workload, args)
-                                                   for side in order}})
-            digests = {run[side]["artifacts_sha256"] for run in runs for side in SIDES}
-            record = {
-                "workload": workload, "seed": args.seed, "seconds": args.seconds,
-                "smoke": args.smoke, "pairs": args.pairs, "date": date,
-                "base": {"ref": args.base, "git_sha": base_sha}, "head": {"git_sha": head_sha},
-                "python": platform.python_version(), "numpy": np.__version__,
-                "cpu_count": os.cpu_count(), "artifacts_equal": len(digests) == 1,
-                "failed": {side: sum(run[side]["failed"] for run in runs) for side in SIDES},
+            runs = _pairs(clones, workload, args, _run)
+            _write(paths[workload], {
+                **_record(args, workload, date, shas, runs),
                 "metrics": _summary(declared, runs),
                 "runs": [{"first": run["first"], **{
                     side: {key: run[side][key] for key in _RUN_KEYS} for side in SIDES}}
                     for run in runs],
-            }
-            with paths[workload].open("x") as file:  # a batch started in the meantime fails here
-                file.write(json.dumps(record, indent=1) + "\n")
-            print(paths[workload])
+            })
     return 0
 
 

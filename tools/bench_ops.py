@@ -24,10 +24,7 @@ differ by more than the base's IQR. It edits nothing under perfbench/.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
-import os
-import platform
 import shutil
 import statistics
 import subprocess
@@ -35,7 +32,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-SIDES = ("base", "head")
 _OP_KEYS = ("extents", "alpha", "steps")
 
 
@@ -118,49 +114,27 @@ def main(argv=None) -> int:
     if args.child is not None:
         print(json.dumps(_child(args)))
         return 0
-    import numpy as np
-    from bench_ab import _clone, _sha
+    from bench_ab import SIDES, _batch, _clone, _pairs, _record, _sha, _write
     from bench_record import ROOT
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    base_sha, head_sha = _sha(args.base), _sha("HEAD")
-    out = args.out or ROOT / "bench" / head_sha[:12]
-    date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
-    paths = {w: out / f"OPS_{date}_{w}_s{args.seed}.json" for w in workloads}
-    taken = [str(path) for path in paths.values() if path.exists()]
-    if taken:
-        raise SystemExit(f"error: refusing to overwrite an earlier batch: {', '.join(taken)}")
-    out.mkdir(parents=True, exist_ok=True)
+    shas = _sha(args.base), _sha("HEAD")
+    date, paths = _batch(args, "OPS", workloads, shas[1])
     with tempfile.TemporaryDirectory(prefix="bench_ops_") as tmp:
-        clones = {side: _clone(sha, Path(tmp) / side)
-                  for side, sha in zip(SIDES, (base_sha, head_sha))}
+        clones = {side: _clone(sha, Path(tmp) / side) for side, sha in zip(SIDES, shas)}
         for workload in workloads:
-            runs = []
-            for pair in range(args.pairs):
-                order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                runs.append({"first": order[0], **{side: _time(clones[side], workload, args)
-                                                   for side in order}})
+            runs = _pairs(clones, workload, args, _time)
             if any(run[side]["ops"] != runs[0]["base"]["ops"] for run in runs for side in SIDES):
                 raise SystemExit(f"error: {workload}: the two sides ran different op plans")
-            digests = {run[side]["artifacts_sha256"] for run in runs for side in SIDES}
-            record = {
-                "workload": workload, "seed": args.seed, "seconds": args.seconds,
-                "smoke": args.smoke, "pairs": args.pairs, "passes": runs[0]["base"]["passes"],
-                "date": date, "base": {"ref": args.base, "git_sha": base_sha},
-                "head": {"git_sha": head_sha}, "python": platform.python_version(),
-                "numpy": np.__version__, "cpu_count": os.cpu_count(), "unit": "ms",
-                "artifacts_equal": len(digests) == 1,
-                "failed": {side: sum(run[side]["failed"] for run in runs) for side in SIDES},
-                "ops": _ops(runs),
+            _write(paths[workload], {
+                **_record(args, workload, date, shas, runs),
+                "passes": runs[0]["base"]["passes"], "unit": "ms", "ops": _ops(runs),
                 "runs": [{"first": run["first"], **{side: {
                     key: run[side][key] for key in ("calibration_ms", "artifacts_sha256",
                                                     "attempted", "failed", "failures")}
                     for side in SIDES}} for run in runs],
-            }
-            with paths[workload].open("x") as file:  # a batch started in the meantime fails here
-                file.write(json.dumps(record, indent=1) + "\n")
-            print(paths[workload])
+            })
     return 0
 
 
