@@ -898,10 +898,11 @@ def test_linear_flow_blocks_match_reference(monkeypatch, k, dims):
 
 
 @pytest.mark.parametrize("extents, k", [((2000,), 16), ((60, 60), 8), ((130, 70), 3),
-                                        ((23, 23, 23), 2)])
+                                        ((23, 23, 23), 2), ((4, 4, 4, 4, 4), 10)])
 def test_linear_flow_blocks_on_large_boxes_match_reference(monkeypatch, extents, k):
     # on boxes of more than 2,048 sites the rule's k is 2^15 // sites (at least 2), at every
-    # horizon past 32k steps
+    # horizon past 32k steps; the data is >= +0.0 or -0.0, so the 3-D and 5-D plans fold
+    # their faces into the divide
     d = BoxDomain(extents)
     a = _signed_zero_data(d, np.random.default_rng(k))
     S = 33 * k + 1

@@ -17,7 +17,7 @@ from latticeheat import spectral
 from latticeheat.domain import _Stencil
 from latticeheat.spectral import _linear_flow
 
-from conftest import interior_sites, random_domain, random_field, reference_neighbor_mean
+from conftest import interior_sites, random_domain, random_field
 
 
 class TestApplyM:
@@ -239,17 +239,3 @@ def test_linear_flow_overflow_stays_inf(monkeypatch, extents):
                                                                       np.finfo(float).max)), 40)
     assert not any(told)
     assert m[1:] == [np.inf] * 40
-
-
-@pytest.mark.parametrize("extents", [(5, 4, 3), (3, 3, 2, 3, 2), (6, 6, 6)])
-def test_folded_linear_flow_matches_the_frozen_reference(extents):
-    # the folding flow against the per-axis reference, bit for bit, over a block boundary
-    d = BoxDomain(extents)
-    rng = np.random.default_rng(sum(extents))
-    h = Field.from_interior(d, rng.uniform(0.0, 1.0, d.interior_shape)).values
-    h.flat[rng.integers(0, h.size, 5)] = 0.0
-    h[(slice(1, -1),) * d.dims] += 0.0
-    want = h.copy()
-    for s, (got, _, _) in enumerate(_linear_flow(Field(d, h), 40)):
-        assert got.tobytes() == want.tobytes(), s
-        want[(slice(1, -1),) * d.dims] = reference_neighbor_mean(want)
