@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, _span_buffers, _Stencil
+from .domain import BoxDomain, Field, MultiIndex, _orthant, _span_buffers, _Stencil
 
 
 @dataclass(frozen=True)
@@ -125,21 +125,35 @@ class _Stepper:
     denominator and the new maximum from it, bit for bit. `np.power` is not
     bound to be monotone, so other alpha reduce the denominators and the new
     state, and reduce g only when recording.
+
+    A `mirror` stepper runs data that equals its mirror image along every axis (the caller
+    tests it, `domain._mirror_symmetric`) on the `_orthant` of the domain: the update keeps
+    that symmetry bit for bit, as a site and its mirror image add the same doubles in mirrored
+    order and IEEE addition commutes. Its plans refresh the ghost planes from their mirror
+    planes, so each interior site reads the doubles of the whole box's site, in its order, and
+    steps, stops, blow-up and overflow sites, g values and records are the whole box's: the
+    extrema of a symmetric state are its orthant's, and its lexicographically first site in a
+    symmetric set lies in the orthant, the lower mirror image of each coordinate being there.
     """
 
     __slots__ = ("f", "f_span", "g", "max_g", "max_f", "trace", "_g_span", "_spare",
-                 "_spare_span", "_means", "_copies", "_denom_span", "_denom_core", "_denom_calls",
-                 "_root_calls", "_scalar", "_core", "_eps_blow", "_copy_below")
+                 "_spare_span", "_means", "_copies", "_mirror", "_denom_span", "_denom_core",
+                 "_denom_calls", "_root_calls", "_scalar", "_core", "_data", "_eps_blow",
+                 "_copy_below")
 
     def __init__(self, domain: BoxDomain, p: Params, eps_blow: float,
-                 record: bool = False) -> None:
+                 record: bool = False, mirror: bool = False) -> None:
         if not eps_blow >= 0:
             raise ValueError(f"eps_blow must be >= 0, got {eps_blow}")
-        core = self._core = domain.core
-        (self.f, self._spare, g, denom), spans = _span_buffers(domain.shape, 4)
+        box = _orthant(domain) if mirror else domain
+        core = self._core = box.core
+        self._data = tuple(slice(1, n) for n in box.extents)  # the box's interior in the data
+        self._mirror = domain.extents if mirror else None
+        (self.f, self._spare, g, denom), spans = _span_buffers(box.shape, 4)
         self.f_span, self._spare_span, self._g_span, self._denom_span = spans
         # f's and the spare's plans into g; their neighbor sums go to denom
-        self._means = [_Stencil(v, g, self._denom_span, True) for v in (self.f, self._spare)]
+        self._means = [_Stencil(v, g, self._denom_span, True, self._mirror)
+                       for v in (self.f, self._spare)]
         self._copies = [None, None]  # f's and the spare's plans into the other, built at first use
         self.g = g[core]
         self._denom_core = denom[core]
@@ -173,7 +187,7 @@ class _Stepper:
         """Check the data and write its interior + 0.0 onto the +0.0 buffers: adding 0.0
         keeps every double but -0.0, which becomes +0.0, so the stencil never meets -0.0."""
         _check_solution_field(a)
-        np.add(a.values[self._core], 0.0, out=self.f[self._core])
+        np.add(a.values[self._data], 0.0, out=self.f[self._core])
 
     def run(self, a: Field, steps: int, exits=None) -> tuple[int, BlowupSignal | bool | None]:
         """Step from the data `a` over s = 0..steps; the step s where the run stopped, and why.
@@ -228,7 +242,8 @@ class _Stepper:
             # alpha*delta*g^alpha < 2^-54; 1 minus it rounds to 1.0, 1.0^(1/alpha) is 1.0, g/1.0 is
             # g, and 1.0 > eps_blow, so no site blows up. The plan into the spare writes g's bits.
             if self._copies[0] is None:
-                self._copies[0] = _Stencil(self.f, self._spare, self._denom_span, True)
+                self._copies[0] = _Stencil(self.f, self._spare, self._denom_span, True,
+                                           self._mirror)
             self._copies[0]()
             self.max_g = self.max_f = float(np.maximum.reduce(self._spare_span))
         else:
@@ -261,8 +276,8 @@ class _Stepper:
         return None
 
     def at_rest(self) -> bool:
-        """Whether the last update left the state unchanged, bit for bit."""
-        return self.f.tobytes() == self._spare.tobytes()
+        """Whether the last update left the interior unchanged, bit for bit."""
+        return self.f[self._core].tobytes() == self._spare[self._core].tobytes()
 
 
 def step_nonlinear(f: Field, p: Params, eps_blow: float = 0.0) -> Field | BlowupSignal:

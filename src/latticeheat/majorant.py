@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, _span_buffers
+from .domain import (BoxDomain, Field, MultiIndex, _mirror_multiplicity, _mirror_symmetric,
+                     _orthant, _span_buffers)
 from .evolution import BlowupSignal, Params, _SCALAR_POWERS, _Stepper
 from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
@@ -246,7 +247,7 @@ class _Probe:
     """simulate's outcome for data on one domain, found with two early exits.
 
     A call runs the loop of `simulate(a, p, S, eps_blow)`, `_Stepper.run`, on
-    the probe's one stepper, and returns simulate's blow-up step, or None for
+    the probe's stepper, and returns simulate's blow-up step, or None for
     survival. Two exits end a run once its outcome is certain. The map is a
     semigroup, so each applies to the current state as new data; both hold in
     exact arithmetic. Both read phi, the positive sine mode scaled to maximum
@@ -276,21 +277,27 @@ class _Probe:
     Jcrit(r+1) = F^-1(Jcrit(r))/lam. When this exit fires, the step returned
     is the current one, no later than simulate's; eps_blow > 0 only brings
     blow-up forward. Sweeps, which report the blow-up step, go without it.
+
+    Data that `_mirror_symmetric` passes runs on a `mirror` stepper, one orthant of the box,
+    and the exits read that orthant: C from phi on it, and phi.f from phi weighted by the
+    sites each orthant site stands for (`_mirror_multiplicity`). np.sin's phi is symmetric to
+    rounding, and these sums add in another order, which the margin absorbs. Each layout's
+    stepper is built at its first probe.
     """
 
     def __init__(
         self, domain: BoxDomain, p: Params, S: int, eps_blow: float, blowup_exit: bool
     ) -> None:
-        self._p, self._S = p, S
-        self._stepper = _Stepper(domain, p, eps_blow)
+        self._domain, self._p, self._S, self._eps_blow = domain, p, S, eps_blow
         alpha = p.alpha
         log_coupling = math.log(alpha) + math.log(p.delta)
         table = mode_table(domain)
         phi = table.mode_field((1,) * domain.dims).values
-        phi = phi / phi.max()
+        self._phi_box = phi = phi / phi.max()
         lam = float(table.eigenvalues[(0,) * domain.dims])
-        self._phi, self._phi_sum = phi.ravel(), float(phi.sum())
-        self._core, self._phi_core = domain.core, phi[domain.core]
+        self._phi_sum = float(phi.sum())
+        self._phi, self._core, self._phi_core = phi.ravel(), domain.core, phi[domain.core]
+        self._runs: dict[bool, tuple] = {}  # per layout: the stepper and the exits' arrays
         self._log_lam = math.log(lam) if lam > 0 else -math.inf
         self._log_survival = -math.inf  # log kappa*sum must fall below it
         if eps_blow < 1:  # else every step blows up
@@ -340,8 +347,23 @@ class _Probe:
             return True
         return None
 
+    def _layout(self, mirror: bool) -> tuple:
+        """The stepper for whole-box or orthant data, phi.f's weights on its buffers, their
+        core and phi on it."""
+        if mirror not in self._runs:
+            box = _orthant(self._domain) if mirror else self._domain
+            phi = self._phi_box[tuple(slice(n) for n in box.shape)]  # on the box's sites
+            weights = phi
+            if mirror:
+                weights = np.zeros(box.shape)
+                weights[box.core] = phi[box.core] * _mirror_multiplicity(self._domain.extents)
+            self._runs[mirror] = (_Stepper(self._domain, self._p, self._eps_blow, False, mirror),
+                                  weights.ravel(), box.core, phi[box.core])
+        return self._runs[mirror]
+
     def __call__(self, a: Field) -> int | None:
-        s, stop = self._stepper.run(a, self._S, self._exits)
+        stepper, self._phi, self._core, self._phi_core = self._layout(_mirror_symmetric(a.values))
+        s, stop = stepper.run(a, self._S, self._exits)
         return None if stop is None or stop is False else s
 
 

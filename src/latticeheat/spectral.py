@@ -85,17 +85,21 @@ class ModeTable:
 
     domain: BoxDomain
     eigenvalues: np.ndarray  # interior shape, mode-indexed
-    sine_matrices: tuple[np.ndarray, ...]
 
     @classmethod
     def for_domain(cls, domain: BoxDomain) -> "ModeTable":
-        mats = tuple(_sine_matrix(N) for N in domain.extents)
         axis_cos = [
             np.cos(np.arange(1, N) * np.pi / N) for N in domain.extents
         ]
         grids = np.meshgrid(*axis_cos, indexing="ij")
         eig = sum(grids) / domain.dims
-        return cls(domain=domain, eigenvalues=np.asarray(eig), sine_matrices=mats)
+        return cls(domain=domain, eigenvalues=np.asarray(eig))
+
+    @cached_property
+    def sine_matrices(self) -> tuple[np.ndarray, ...]:
+        """The per-axis `_sine_matrix`es, built at first use: the probes read only the
+        eigenvalues and `mode_field`, and on 1-D N = 400 the matrix is most of the table's cost."""
+        return tuple(_sine_matrix(N) for N in self.domain.extents)
 
     @cached_property
     def tail_start(self) -> int:

@@ -26,6 +26,14 @@ def random_field(rng, domain, amplitude=1.0):
     return Field.from_interior(domain, interior)
 
 
+def mirrored(values):
+    """`values` made equal to its mirror image n_k -> N_k - n_k along every axis, bit for bit:
+    each site takes the largest value among its mirror images."""
+    for k in range(values.ndim):
+        values = np.maximum(values, np.flip(values, k))
+    return values
+
+
 def with_boundary(domain, interior, zero):
     """The field with `interior` inside and `zero`, +0.0 or -0.0, on every boundary site."""
     values = np.full(domain.shape, zero)

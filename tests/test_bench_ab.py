@@ -1,5 +1,6 @@
 """tools/bench_ab.py on the benchmark's smoke sizes, HEAD against itself (several seconds)."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -9,6 +10,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bench_ab  # noqa: E402
 
 
 def test_bench_ab_writes_every_declared_metric(tmp_path):
@@ -56,3 +60,32 @@ def test_bench_ab_rejects_an_unknown_base(tmp_path):
     proc = subprocess.run(command, capture_output=True, text=True, timeout=60)
     assert proc.returncode != 0 and "no-such-ref" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_ab_control_runs_the_base_against_itself_plus_a_comment(tmp_path):
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
+                          text=True)
+    if head.returncode != 0:
+        pytest.skip("bench_ab clones commits, and this tree is not a git checkout")
+    sha = head.stdout.strip()
+    # the head's clone differs from the base's by the 600-byte comment alone
+    clones = bench_ab._clones(argparse.Namespace(control=True), (sha, sha), str(tmp_path))
+    base, changed = ((clones[side] / bench_ab.CONTROL_FILE).read_bytes() for side in bench_ab.SIDES)
+    assert len(bench_ab.CONTROL_COMMENT.encode()) == 600
+    assert changed == base + bench_ab.CONTROL_COMMENT.encode()
+    assert all(line.startswith("#") for line in bench_ab.CONTROL_COMMENT.splitlines())
+    out = tmp_path / "out"
+    command = [sys.executable, str(ROOT / "tools" / "bench_ab.py"), "--base", "HEAD", "--control",
+               "--workload", "certify-small", "--seed", "777", "--pairs", "1", "--seconds", "1",
+               "--smoke", "--out", str(out)]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    [path] = (out / "aa").iterdir()
+    assert list(out.iterdir()) == [out / "aa"] and proc.stdout.split() == [str(path)]
+    assert re.fullmatch(r"AB_\d{4}-\d\d-\d\d_certify-small_s777\.json", path.name)
+    record = json.loads(path.read_text())
+    assert record["control"] is True
+    assert record["base"] == {"ref": "HEAD", "git_sha": sha} and record["head"] == {"git_sha": sha}
+    assert record["artifacts_equal"] is True and record["failed"] == {"base": 0, "head": 0}
+    again = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert again.returncode != 0 and "refusing to overwrite" in again.stderr

@@ -59,3 +59,27 @@ def test_bench_ops_rejects_an_unknown_base(tmp_path):
     proc = subprocess.run(command, capture_output=True, text=True, timeout=60)
     assert proc.returncode != 0 and "no-such-ref" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_ops_control_times_the_base_against_itself(tmp_path):
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
+                          text=True)
+    if head.returncode != 0:
+        pytest.skip("bench_ops clones commits, and this tree is not a git checkout")
+    command = [sys.executable, str(ROOT / "tools" / "bench_ops.py"), "--base", "HEAD",
+               "--control", "--workload", "certify-small", "--seed", "777", "--pairs", "1",
+               "--seconds", "1", "--smoke", "--out", str(tmp_path)]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    [path] = (tmp_path / "aa").iterdir()
+    assert list(tmp_path.iterdir()) == [tmp_path / "aa"] and proc.stdout.split() == [str(path)]
+    assert re.fullmatch(r"OPS_\d{4}-\d\d-\d\d_certify-small_s777\.json", path.name)
+    record = json.loads(path.read_text())
+    sha = head.stdout.strip()
+    assert record["control"] is True
+    assert record["base"] == {"ref": "HEAD", "git_sha": sha} and record["head"] == {"git_sha": sha}
+    assert record["artifacts_equal"] is True and record["failed"] == {"base": 0, "head": 0}
+    plan = [op for group in workloads.make_plan("certify-small", 777, True) for op in group]
+    assert len(record["ops"]) == len(plan)
+    again = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert again.returncode != 0 and "refusing to overwrite" in again.stderr

@@ -22,10 +22,13 @@ from latticeheat import (
     simulate,
     step_nonlinear,
 )
+from latticeheat import domain as domain_module
+from latticeheat.domain import _mirror_symmetric
 from latticeheat.evolution import StepRecord
 from latticeheat.majorant import _Probe
 
 from conftest import (
+    mirrored,
     random_domain,
     random_field,
     reference_neighbor_mean,
@@ -796,6 +799,73 @@ def test_reused_stepper_matches_fresh_one(extents, alpha, tiny_delta, eps_blow, 
         got = _run(reused, a, S, run_exits)
         want = _run(evolution._Stepper(d, p, eps_blow, record), a, S, run_exits)
         assert type(got[1]) is type(want[1]) and got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 7), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    tiny_delta=st.booleans(),
+    eps_blow=st.sampled_from([0.0, 0.0, 0.3]),
+    kind=st.sampled_from(["constant", "delta", "random", "subnormal", "edge"]),
+    amplitude=st.floats(0.0, 1.5),
+    S=st.integers(0, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+# an overflow at step 0 on an odd box, a blow-up at alpha 1.5 (np.power) with eps_blow > 0, a
+# centred delta that survives, copy steps to rest, and a constant that blows up on a 2x3x2 box
+@example(extents=[5, 4], alpha=0.5, tiny_delta=True, eps_blow=0.0, kind="edge", amplitude=0.0,
+         S=10, seed=0)
+@example(extents=[6, 5, 4], alpha=1.5, tiny_delta=False, eps_blow=0.3, kind="constant",
+         amplitude=1.2, S=120, seed=0)
+@example(extents=[6, 6], alpha=2.0, tiny_delta=False, eps_blow=0.0, kind="delta",
+         amplitude=0.9, S=120, seed=0)
+@example(extents=[7, 2], alpha=1.0, tiny_delta=False, eps_blow=0.0, kind="subnormal",
+         amplitude=0.0, S=120, seed=1)
+@example(extents=[2, 3, 2], alpha=1.0, tiny_delta=False, eps_blow=0.3, kind="constant",
+         amplitude=1.4, S=120, seed=0)
+def test_orthant_stepper_matches_the_whole_box(extents, alpha, tiny_delta, eps_blow, kind,
+                                               amplitude, S, seed):
+    # on data equal to its mirror image along every axis, a `mirror` stepper, on one orthant,
+    # gives the whole box's step and stop (blow-up and overflow sites and g included), records
+    # as uint64 and interior state: constant, centred delta (extents made even) and mirrored
+    # random data up to `amplitude` thresholds, subnormal data that rests, and the largest
+    # constant that does not blow up, whose update overflows at tiny delta and alpha 1/2
+    if kind == "delta":
+        extents = [n + n % 2 for n in extents]
+    d = BoxDomain(tuple(extents))
+    p = Params(alpha, 1e-150 if tiny_delta else 1.0 / alpha)
+    if kind in ("constant", "delta"):
+        values = np.zeros(d.shape)
+        values[d.core if kind == "constant" else tuple(n // 2 for n in extents)] = 1.0
+        a = Field(d, values * (amplitude * p.threshold))
+    else:
+        a = Field(d, mirrored(_run_data(d, p, eps_blow, kind, amplitude, seed).values))
+    want, got = (evolution._Stepper(d, p, eps_blow, True, mirror) for mirror in (False, True))
+    assert got.run(a, S) == want.run(a, S)
+    assert [r.view(np.uint64).tolist() for r in map(np.array, got.trace)] == [
+        r.view(np.uint64).tolist() for r in map(np.array, want.trace)]
+    orthant = tuple(slice(1, n // 2 + 1) for n in extents)
+    assert got.f[got._core].tobytes() == want.f[orthant].tobytes()
+
+
+def test_one_ulp_off_symmetric_data_takes_the_whole_box(monkeypatch):
+    # the symmetry test is exact, and the probe builds its orthant stepper only for data that
+    # passes it; below `_ORTHANT_MIN_SITES` symmetric data stays on the whole box too
+    d = BoxDomain((6, 5, 4))
+    a = Field.from_interior(d, np.full(d.interior_shape, 0.5))
+    probe = _Probe(d, Params(1.0, 1.0), 50, 0.0, blowup_exit=True)
+    assert d.n_sites < domain_module._ORTHANT_MIN_SITES and not _mirror_symmetric(a.values)
+    monkeypatch.setattr(domain_module, "_ORTHANT_MIN_SITES", 0)
+    assert _mirror_symmetric(a.values)
+    for site in ((1, 1, 1), (3, 2, 2), (5, 4, 3), (3, 3, 2)):
+        off = a.values.copy()
+        off[site] = np.nextafter(off[site], 1.0)
+        assert not _mirror_symmetric(off)
+        probe(Field(d, off))
+    assert list(probe._runs) == [False]
+    probe(a)
+    assert sorted(probe._runs) == [False, True]
 
 
 def _sine(d, amplitude):

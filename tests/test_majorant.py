@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,13 +28,14 @@ from latticeheat import (
     verify_comparison,
 )
 
+from latticeheat import domain as domain_module
 from latticeheat.evolution import _check_solution_field, _first_offender
 from latticeheat.majorant import COMPARISON_SLACK, ComparisonFailure, _Probe, _trace_from_maxima
 from latticeheat import spectral
 from latticeheat.spectral import _linear_flow
 
-from conftest import (is_span_of, random_domain, random_field, reference_neighbor_mean,
-                      reference_simulate, with_boundary)
+from conftest import (is_span_of, mirrored, random_domain, random_field,
+                      reference_neighbor_mean, reference_simulate, with_boundary)
 
 SQ2 = np.sqrt(2) / 2
 
@@ -513,6 +515,10 @@ class TestFindThreshold:
 def _profile(kind, d, rng):
     if kind == "random":
         return random_field(rng, d)
+    if kind == "mirrored":  # random data made equal to its mirror image along every axis
+        return Field(d, mirrored(random_field(rng, d).values))
+    if kind == "constant":
+        return Field.from_interior(d, np.ones(d.interior_shape))
     if kind == "sine":
         return mode_table(d).mode_field((1,) * d.dims)
     values = np.zeros(d.shape)  # a delta at the centre
@@ -561,11 +567,15 @@ def _horizon_edge(profile, p, S, eps_blow, side):
     alpha=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.25, 3.0)),
     delta=st.sampled_from([0.5, 1.0, 2.0]),
     eps_blow=st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
-    kind=st.sampled_from(["random", "sine", "delta"]),
+    kind=st.sampled_from(["random", "sine", "delta", "constant", "mirrored"]),
     S=st.integers(0, 150),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(extents=[6], alpha=1.5, delta=1.0, eps_blow=0.0, kind="sine", S=100, seed=0)
+# mirror-symmetric data, on the orthant at `_ORTHANT_MIN_SITES` 0: np.power's alpha 1.5 with
+# eps_blow > 0 on an odd 3-D box, and mirrored random data at alpha 2 with an extent 2
+@example(extents=[6, 5, 4], alpha=1.5, delta=1.0, eps_blow=0.3, kind="constant", S=100, seed=0)
+@example(extents=[7, 2], alpha=2.0, delta=0.5, eps_blow=0.0, kind="mirrored", S=150, seed=0)
 @example(extents=[6], alpha=1.5, delta=1.0, eps_blow=0.3, kind="sine", S=100, seed=0)
 @example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.0, kind="sine", S=100, seed=0)
 @example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.3, kind="sine", S=100, seed=0)
@@ -609,6 +619,12 @@ def test_probe_outcome_matches_simulate(extents, alpha, delta, eps_blow, kind, S
         got = with_blowup_exit(a)
         assert (got is None) == (s0 is None)
         assert got is None or got <= s0
+
+
+def test_orthant_probe_outcome_matches_simulate():
+    # the same draws with all mirror-symmetric data on the orthant, however few its sites
+    with mock.patch.object(domain_module, "_ORTHANT_MIN_SITES", 0):
+        test_probe_outcome_matches_simulate()
 
 
 def _counting_steps(monkeypatch):

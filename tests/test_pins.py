@@ -39,6 +39,7 @@ import hashlib
 
 import pytest
 
+from latticeheat import domain
 from latticeheat.cli import EXIT_OK, main
 
 CONFIGS = {
@@ -136,3 +137,17 @@ def test_artifact_keeps_its_pinned_sha256(tmp_path, monkeypatch, capsys, command
     if artifact == "sweep.csv":
         data = _first_four_columns(data)
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+ORTHANT_PINS = [pin for pin in PINS if pin[3] in ("bisection.csv", "sweep.csv")]
+
+
+@pytest.mark.parametrize("command, config, out, artifact, digest", ORTHANT_PINS,
+                         ids=[f"{out}/{artifact}" for _, _, out, artifact, _ in ORTHANT_PINS])
+def test_orthant_artifact_keeps_its_pinned_sha256(tmp_path, monkeypatch, capsys, command, config,
+                                                  out, artifact, digest):
+    # the searches and the sweep again, with every mirror-symmetric probe on the orthant: the
+    # constant and centred-delta data of all five, whose boxes but 48x48 are below the cutoff
+    monkeypatch.setattr(domain, "_ORTHANT_MIN_SITES", 0)
+    test_artifact_keeps_its_pinned_sha256(tmp_path, monkeypatch, capsys, command, config, out,
+                                          artifact, digest)

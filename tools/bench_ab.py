@@ -1,7 +1,7 @@
 """A/B comparison of perfbench runs: a base commit against HEAD, in alternating pairs.
 
     python3 tools/bench_ab.py --base REF --seed N [--pairs N] [--workload NAME ...]
-                              [--seconds S] [--smoke] [--out DIR]
+                              [--seconds S] [--smoke] [--control] [--out DIR]
 
 It makes fresh local clones of REF and of HEAD of the repository that holds
 this script, so both sides run committed code from a new directory (a working
@@ -16,6 +16,11 @@ end-to-end metric that file holds both sides' values, medians and quartiles, the
 relative change of the medians, the pairs the head won and whether the medians
 differ by more than the base's IQR. The clones are removed afterwards. It edits
 nothing under perfbench/.
+
+--control makes the batch an A/A control: both clones are of REF, and the head's
+gets CONTROL_COMMENT appended to CONTROL_FILE, which moves source bytes and no
+code. Its files go under OUT/aa/. A claimed gain is read against the control's
+change, as an end-to-end metric can move that far with the bytes alone.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ import numpy as np
 from bench_record import ROOT, _git, _run
 
 SIDES = ("base", "head")
+CONTROL_FILE = "src/latticeheat/majorant.py"
+CONTROL_COMMENT = ("#" * 59 + "\n") * 10  # 600 bytes
 _RUN_KEYS = ("calibration_ms", "artifacts_sha256", "correct", "attempted", "failed")
 
 
@@ -46,6 +53,7 @@ def _parse_args(argv):
     parser.add_argument("--workload", action="append", help="repeat for several; default all")
     parser.add_argument("--seconds", type=float, default=24.0)
     parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--control", action="store_true", help="REF against REF plus a comment")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -62,6 +70,21 @@ def _clone(sha: str, path: Path) -> Path:
         if proc.returncode != 0:
             raise SystemExit(f"error: {' '.join(command)} exited {proc.returncode}:\n{proc.stderr}")
     return path
+
+
+def _clones(args, shas: tuple[str, str], tmp: str) -> dict:
+    """Each side's fresh clone; with --control, the head's gets CONTROL_COMMENT."""
+    clones = {side: _clone(sha, Path(tmp) / side) for side, sha in zip(SIDES, shas)}
+    if args.control:
+        with (clones["head"] / CONTROL_FILE).open("a") as file:
+            file.write(CONTROL_COMMENT)
+    return clones
+
+
+def _shas(args) -> tuple[str, str]:
+    """The commits the two sides run, and HEAD's, which names the batch's directory."""
+    base, head = _sha(args.base), _sha("HEAD")
+    return ((base, base) if args.control else (base, head)), head
 
 
 def _sha(ref: str) -> str:
@@ -95,9 +118,9 @@ def _summary(declared: dict, runs: list[dict]) -> dict:
 
 
 def _batch(args, kind: str, workloads: list[str], head_sha: str) -> tuple[str, dict]:
-    """The batch's date and OUT/<kind>_<date>_<workload>_s<seed>.json per workload; stops
-    before any run if one of them exists."""
-    out = args.out or ROOT / "bench" / head_sha[:12]
+    """The batch's date and OUT/<kind>_<date>_<workload>_s<seed>.json per workload (OUT/aa/
+    for a control); stops before any run if one of them exists."""
+    out = (args.out or ROOT / "bench" / head_sha[:12]) / ("aa" if args.control else "")
     date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
     paths = {w: out / f"{kind}_{date}_{w}_s{args.seed}.json" for w in workloads}
     taken = [str(path) for path in paths.values() if path.exists()]
@@ -122,7 +145,7 @@ def _record(args, workload: str, date: str, shas: tuple[str, str], runs: list[di
     digests = {run[side]["artifacts_sha256"] for run in runs for side in SIDES}
     return {
         "workload": workload, "seed": args.seed, "seconds": args.seconds,
-        "smoke": args.smoke, "pairs": args.pairs, "date": date,
+        "smoke": args.smoke, "control": args.control, "pairs": args.pairs, "date": date,
         "base": {"ref": args.base, "git_sha": shas[0]}, "head": {"git_sha": shas[1]},
         "python": platform.python_version(), "numpy": np.__version__,
         "cpu_count": os.cpu_count(), "artifacts_equal": len(digests) == 1,
@@ -141,10 +164,10 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     declared = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    shas = _sha(args.base), _sha("HEAD")
-    date, paths = _batch(args, "AB", workloads, shas[1])
+    shas, head = _shas(args)
+    date, paths = _batch(args, "AB", workloads, head)
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
-        clones = {side: _clone(sha, Path(tmp) / side) for side, sha in zip(SIDES, shas)}
+        clones = _clones(args, shas, tmp)
         for workload in workloads:
             runs = _pairs(clones, workload, args, _run)
             _write(paths[workload], {

@@ -1,7 +1,7 @@
 """Per-op A/B timing: a base commit against HEAD, one op at a time, in alternating processes.
 
     python3 tools/bench_ops.py --base REF --seed N [--pairs N] [--workload NAME ...]
-                               [--seconds S] [--smoke] [--out DIR]
+                               [--seconds S] [--smoke] [--control] [--out DIR]
 
 An end-to-end metric is a median over ops that each run in one process among
 other ops, so an effect smaller than the spread between processes does not
@@ -19,6 +19,7 @@ evidence, never overwritten. Per op that file holds its command, extents, alpha
 and steps, both sides' scaled times in ms with their medians and quartiles, the
 relative change of the medians, the pairs the head won and whether the medians
 differ by more than the base's IQR. It edits nothing under perfbench/.
+--control times REF against REF with `bench_ab.py`'s control comment, into OUT/aa/.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ def _parse_args(argv):
     parser.add_argument("--workload", action="append", help="repeat for several; default all")
     parser.add_argument("--seconds", type=float, default=24.0)
     parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--control", action="store_true", help="REF against REF plus a comment")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)  # a clone to time
     args = parser.parse_args(argv)
@@ -114,15 +116,15 @@ def main(argv=None) -> int:
     if args.child is not None:
         print(json.dumps(_child(args)))
         return 0
-    from bench_ab import SIDES, _batch, _clone, _pairs, _record, _sha, _write
+    from bench_ab import SIDES, _batch, _clones, _pairs, _record, _shas, _write
     from bench_record import ROOT
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    shas = _sha(args.base), _sha("HEAD")
-    date, paths = _batch(args, "OPS", workloads, shas[1])
+    shas, head = _shas(args)
+    date, paths = _batch(args, "OPS", workloads, head)
     with tempfile.TemporaryDirectory(prefix="bench_ops_") as tmp:
-        clones = {side: _clone(sha, Path(tmp) / side) for side, sha in zip(SIDES, shas)}
+        clones = _clones(args, shas, tmp)
         for workload in workloads:
             runs = _pairs(clones, workload, args, _time)
             if any(run[side]["ops"] != runs[0]["base"]["ops"] for run in runs for side in SIDES):
