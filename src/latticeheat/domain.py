@@ -151,7 +151,8 @@ def _orthant(domain: BoxDomain) -> BoxDomain:
     return BoxDomain(tuple(n // 2 + 1 for n in domain.extents))
 
 
-def _ghost_planes(values: np.ndarray, extents: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+def _ghost_planes(values: np.ndarray,
+                  extents: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per axis of an array of `_orthant(BoxDomain(extents))`'s shape, its ghost plane and the
     mirror plane whose values it holds, as whole-plane views (of one site in 1-D)."""
     return tuple(tuple(values[(slice(None),) * k + (slice(i, i + 1),)]
@@ -185,17 +186,12 @@ class _Stencil:
     sum is -0.0 only if both addends are; the kernels add 0.0 to their data to that end.
     If every call's `values` is finite and >= +0.0 with a +0.0 boundary (`nonnegative`), a plan
     that divides by 2d has no face views and divides by `_face_weights`, +inf on the faces: a
-    face site's wrapped sum is one source value v >= +0.0 at most, and v / inf is +0.0.
-    Where `values` is the `_orthant` of mirror-symmetric data on the box of extents `mirror`,
-    each call first copies the mirror planes into the ghost planes (`_ghost_planes`), so each
-    interior site adds the doubles of the whole box's site in its order; ghost sums wrap in
-    more than one source value, so such a plan fills its faces."""
+    face site's wrapped sum is one source value v >= +0.0 at most, and v / inf is +0.0."""
 
-    __slots__ = ("_ghosts", "_first", "_axes", "_pairs", "_acc", "_scale", "_faces")
+    __slots__ = ("_first", "_axes", "_pairs", "_acc", "_scale", "_faces")
 
     def __init__(self, values: np.ndarray, out: np.ndarray, pairs: np.ndarray,
-                 nonnegative: bool = False, mirror: tuple[int, ...] | None = None) -> None:
-        self._ghosts = () if mirror is None else _ghost_planes(values, mirror)
+                 nonnegative: bool = False) -> None:
         span, flat, size = _span(values), values.ravel(), values.itemsize
         lo, hi = span.start, span.stop
         self._first, *self._axes = ((flat[lo + k:hi + k], flat[lo - k:hi - k])
@@ -203,7 +199,7 @@ class _Stencil:
         self._pairs, self._acc = pairs, out.ravel()[span]
         # 1/2d is exact for d = 1, 2, 4, so x * (1/2d) rounds the real x/2d as x / 2d does
         two_d = 2 * values.ndim
-        fold = nonnegative and mirror is None and two_d & (two_d - 1) != 0
+        fold = nonnegative and two_d & (two_d - 1) != 0
         self._scale = ((np.multiply, np.array(1.0 / two_d)) if two_d & (two_d - 1) == 0 else
                        (np.divide, _face_weights(values.shape) if fold else np.array(float(two_d))))
         self._faces = () if fold else tuple(  # faces x_k = 0 and x_k = N_k, each pair as one view
@@ -212,8 +208,6 @@ class _Stencil:
 
     def __call__(self) -> None:
         pairs, acc, (scale_by, scale) = self._pairs, self._acc, self._scale
-        for ghost, plane in self._ghosts:
-            np.copyto(ghost, plane)
         np.add(*self._first, out=acc)
         for plus, minus in self._axes:
             np.add(plus, minus, out=pairs)
@@ -221,3 +215,22 @@ class _Stencil:
         scale_by(acc, scale, out=acc)  # scalars as 0-d arrays cost numpy less per call
         for face in self._faces:
             face.fill(0.0)
+
+
+class _MirrorStencil(_Stencil):
+    """A `_Stencil` on the `_orthant` of mirror-symmetric data on the box of extents `mirror`:
+    each call first copies the mirror planes into the ghost planes (`_ghost_planes`), so each
+    interior site adds the doubles of the whole box's site in its order. It fills its faces,
+    as a ghost face's wrapped sum holds more than one source value, which could overflow."""
+
+    __slots__ = ("_ghosts",)
+
+    def __init__(self, values: np.ndarray, out: np.ndarray, pairs: np.ndarray,
+                 mirror: tuple[int, ...]) -> None:
+        super().__init__(values, out, pairs)
+        self._ghosts = _ghost_planes(values, mirror)
+
+    def __call__(self) -> None:
+        for ghost, plane in self._ghosts:
+            np.copyto(ghost, plane)
+        super().__call__()

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, _orthant, _span_buffers, _Stencil
+from .domain import (BoxDomain, Field, MultiIndex, _MirrorStencil, _orthant, _span_buffers,
+                     _Stencil)
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ class _Stepper:
     """
 
     __slots__ = ("f", "f_span", "g", "max_g", "max_f", "trace", "_g_span", "_spare",
-                 "_spare_span", "_means", "_copies", "_mirror", "_denom_span", "_denom_core",
+                 "_spare_span", "_means", "_copies", "_plan", "_denom_span", "_denom_core",
                  "_denom_calls", "_root_calls", "_scalar", "_core", "_data", "_eps_blow",
                  "_copy_below")
 
@@ -148,12 +150,12 @@ class _Stepper:
         box = _orthant(domain) if mirror else domain
         core = self._core = box.core
         self._data = tuple(slice(1, n) for n in box.extents)  # the box's interior in the data
-        self._mirror = domain.extents if mirror else None
+        # a plan from a source into an output, its neighbor sums to denom
+        self._plan = (partial(_MirrorStencil, mirror=domain.extents) if mirror else
+                      partial(_Stencil, nonnegative=True))
         (self.f, self._spare, g, denom), spans = _span_buffers(box.shape, 4)
         self.f_span, self._spare_span, self._g_span, self._denom_span = spans
-        # f's and the spare's plans into g; their neighbor sums go to denom
-        self._means = [_Stencil(v, g, self._denom_span, True, self._mirror)
-                       for v in (self.f, self._spare)]
+        self._means = [self._plan(v, g, self._denom_span) for v in (self.f, self._spare)]
         self._copies = [None, None]  # f's and the spare's plans into the other, built at first use
         self.g = g[core]
         self._denom_core = denom[core]
@@ -242,8 +244,7 @@ class _Stepper:
             # alpha*delta*g^alpha < 2^-54; 1 minus it rounds to 1.0, 1.0^(1/alpha) is 1.0, g/1.0 is
             # g, and 1.0 > eps_blow, so no site blows up. The plan into the spare writes g's bits.
             if self._copies[0] is None:
-                self._copies[0] = _Stencil(self.f, self._spare, self._denom_span, True,
-                                           self._mirror)
+                self._copies[0] = self._plan(self.f, self._spare, self._denom_span)
             self._copies[0]()
             self.max_g = self.max_f = float(np.maximum.reduce(self._spare_span))
         else:

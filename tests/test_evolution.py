@@ -849,6 +849,18 @@ def test_orthant_stepper_matches_the_whole_box(extents, alpha, tiny_delta, eps_b
     assert got.f[got._core].tobytes() == want.f[orthant].tobytes()
 
 
+@pytest.mark.parametrize("extents", [(5, 4, 6), (7, 6), (9,)])
+def test_orthant_blows_up_where_neighbour_sums_overflow(extents):
+    # at a threshold of 1e308 the data's neighbour sums overflow to inf at step 0: the whole
+    # box blows up there, and so must the orthant, whose ghost faces' wrapped sums overflow too
+    d = BoxDomain(extents)
+    p = Params(0.5, 2e-154)
+    a = Field.from_interior(d, np.full(d.interior_shape, 0.9 * p.threshold))
+    want, got = (evolution._Stepper(d, p, 0.0, True, mirror) for mirror in (False, True))
+    s, stop = want.run(a, 5)
+    assert s == 0 and stop.g_value == math.inf and got.run(a, 5) == (s, stop)
+
+
 def test_one_ulp_off_symmetric_data_takes_the_whole_box(monkeypatch):
     # the symmetry test is exact, and the probe builds its orthant stepper only for data that
     # passes it; below `_ORTHANT_MIN_SITES` symmetric data stays on the whole box too

@@ -93,8 +93,8 @@ def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
     plans, flow_buffers, verify_buffers = [], [], []
     real_init, real_buffers = domain_module._Stencil.__init__, domain_module._span_buffers
 
-    def recording_init(self, values, out, pairs, nonnegative=False, mirror=None):
-        real_init(self, values, out, pairs, nonnegative, mirror)
+    def recording_init(self, values, out, pairs, nonnegative=False):
+        real_init(self, values, out, pairs, nonnegative)
         plans.append((values, out, pairs, nonnegative, self))
 
     def recording(into):
