@@ -352,8 +352,8 @@ def cmd_verify(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
         "checked_steps": verdict.checked_steps,
         "defined_up_to": verdict.defined_up_to,
         "truncated": verdict.defined_up_to < cfg.steps,
-        "margins": [float(m) for m in verdict.margins],
-        "partial_sums": [float(x) for x in verdict.trace.partial_sums],
+        "margins": verdict.margins.tolist(),
+        "partial_sums": verdict.trace.partial_sums.tolist(),
     }
     if verdict.failure is not None:
         doc["failure"] = asdict(verdict.failure)
@@ -396,19 +396,13 @@ def cmd_sweep(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     rows = []
     for alpha in cfg.sweep["alphas"]:
         p = Params(alpha=float(alpha), delta=cfg.delta)
-        probe = _Probe(profile.domain, p, cfg.steps, cfg.eps_blow, blowup_exit=False)
+        probe = _Probe(profile, p, cfg.steps, cfg.eps_blow, blowup_exit=False)
         for amplitude in cfg.sweep["amplitudes"]:
+            s0 = probe(float(amplitude))  # simulate's blow-up step, or None
             a = Field(profile.domain, profile.values * float(amplitude))
-            s0 = probe(a)  # simulate's blow-up step, or None
-            a_scaled, _ = normalize_scaling(a, p)
-            bound = regime_bound(a_scaled, p.alpha)
-            if s0 is None:
-                outcome, s_col = "survived", cfg.steps
-            else:
-                outcome, s_col = "blew_up", s0
-            rows.append(
-                [_fmt(alpha), _fmt(amplitude), outcome, s_col, _fmt(bound.bound_value)]
-            )
+            bound = regime_bound(normalize_scaling(a, p)[0], p.alpha)
+            outcome = ("survived", cfg.steps) if s0 is None else ("blew_up", s0)
+            rows.append([_fmt(alpha), _fmt(amplitude), *outcome, _fmt(bound.bound_value)])
     header = ["alpha", "amplitude", "outcome", "s0_or_steps", "bound_value"]
     _write_csv(out / "sweep.csv", header, rows)
     return EXIT_OK

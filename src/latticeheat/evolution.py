@@ -117,9 +117,9 @@ class _Stepper:
     whatever the data's zeros. f and the spare swap at each update, with their spans
     (f's is `f_span`) and `_Stencil` plans into g and into each other.
     The update maps zero-boundary, nonnegative, finite data to the same set
-    until blow-up, so `load` checks the data once; afterwards the only way
-    out of that set is an update that overflows to inf, which `run` reads
-    from the new state's maximum, `max_f`.
+    until blow-up, so `load` checks the data once (a `majorant._Probe` checks its profile
+    once, and writes amplitude times it); afterwards the only way out of that set is an
+    update that overflows to inf, which `loop` reads from the new state's maximum, `max_f`.
 
     A step leaves its largest mean in `max_g` and the new state's maximum in
     `max_f`. At alpha in {1/2, 1, 2} the update's calls are correctly rounded
@@ -140,7 +140,7 @@ class _Stepper:
 
     __slots__ = ("f", "f_span", "g", "max_g", "max_f", "trace", "_g_span", "_spare",
                  "_spare_span", "_means", "_copies", "_plan", "_denom_span", "_denom_core",
-                 "_denom_calls", "_root_calls", "_scalar", "_core", "_data", "_rest", "_eps_blow",
+                 "_denom_calls", "_root_calls", "_scalar", "core", "data", "_rest", "_eps_blow",
                  "_copy_below")
 
     def __init__(self, domain: BoxDomain, p: Params, eps_blow: float,
@@ -148,8 +148,8 @@ class _Stepper:
         if not eps_blow >= 0:
             raise ValueError(f"eps_blow must be >= 0, got {eps_blow}")
         box = _orthant(domain) if mirror else domain
-        core = self._core = box.core
-        self._data = tuple(slice(1, n) for n in box.extents)  # the box's interior in the data
+        core = self.core = box.core
+        self.data = tuple(slice(1, n) for n in box.extents)  # the box's interior in the data
         self._rest = core if mirror else None  # the sites `at_rest` compares; None for all
         # a plan from a source into an output, its neighbor sums to denom
         self._plan = (partial(_MirrorStencil, mirror=domain.extents) if mirror else
@@ -190,10 +190,17 @@ class _Stepper:
         """Check the data and write its interior + 0.0 onto the +0.0 buffers: adding 0.0
         keeps every double but -0.0, which becomes +0.0, so the stencil never meets -0.0."""
         _check_solution_field(a)
-        np.add(a.values[self._data], 0.0, out=self.f[self._core])
+        np.add(a.values[self.data], 0.0, out=self.f[self.core])
 
     def run(self, a: Field, steps: int, exits=None) -> tuple[int, BlowupSignal | bool | None]:
-        """Step from the data `a` over s = 0..steps; the step s where the run stopped, and why.
+        """`load` the data `a`, and `loop` from it and its maximum."""
+        self.load(a)
+        return self.loop(float(a.values.max()), steps, exits)
+
+    def loop(self, max_f: float, steps: int,
+             exits=None) -> tuple[int, BlowupSignal | bool | None]:
+        """Step from the loaded state, of maximum `max_f`, over s = 0..steps; the step s where
+        the run stopped, and why.
 
         Each s tests `max_f` for an update that overflowed, asks `exits(s, f,
         max_f)` for an outcome, steps, records, tests for blow-up, carries
@@ -204,16 +211,14 @@ class _Stepper:
         """
         if steps < 0:
             raise ValueError("max_steps must be >= 0")
-        self.load(a)
         if self.trace is not None:
             self.trace = []  # a new list per run: the last run's belongs to its caller
         trace = self.trace
-        max_f = float(a.values.max())  # the data's: a zero maximum takes its sign from the data
         with np.errstate(divide="ignore", over="ignore"):
             for s in range(steps + 1):
                 # the boundary is never inf, and only a full step, which fills g, overflows
                 if not math.isfinite(max_f):
-                    return s - 1, _first_offender(np.isinf(self.f[self._core]), self.g)
+                    return s - 1, _first_offender(np.isinf(self.f[self.core]), self.g)
                 if exits is not None:
                     stop = exits(s, self.f, max_f)
                     if stop is not None:
@@ -238,7 +243,7 @@ class _Stepper:
         `max_f` is at least f's maximum; at or below `_copy_below` the update is g
         itself, which the mean writes straight into the new state, leaving g stale.
         f must be finite and >= +0.0, as the plans fold the faces (`_Stencil`'s `nonnegative`):
-        `load` checks the data, and `run` stops at a non-finite `max_f` before it steps again.
+        `load` or a probe checks the data; `loop` stops at a non-finite `max_f` before a step.
         """
         if max_f <= self._copy_below:
             # Exact: g <= max_f up to the mean's rounding (under 2^-46 relative for 64 axes), so
@@ -291,7 +296,7 @@ def step_nonlinear(f: Field, p: Params, eps_blow: float = 0.0) -> Field | Blowup
 
     Blow-up is declared where 1 - alpha*delta*g^alpha <= eps_blow (eps_blow >= 0; the default
     0 is the exact sign test, as the update is undefined at equality), and at the first inf
-    site of an update that overflows, which `run` finds at step 1, where an exit stops it.
+    site of an update that overflows, which `loop` finds at step 1, where an exit stops it.
     """
     stepper = _Stepper(f.domain, p, eps_blow)
     _, stop = stepper.run(f, 1, lambda s, *_: False if s else None)

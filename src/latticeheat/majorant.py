@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (BoxDomain, Field, MultiIndex, _mirror_multiplicity, _mirror_symmetric,
-                     _orthant, _span_buffers)
-from .evolution import BlowupSignal, Params, _SCALAR_POWERS, _Stepper
+from .domain import Field, MultiIndex, _mirror_multiplicity, _mirror_symmetric, _span_buffers
+from .evolution import BlowupSignal, Params, _SCALAR_POWERS, _check_solution_field, _Stepper
 from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
 COMPARISON_SLACK = 1e-12
@@ -244,10 +243,11 @@ def _softplus(t: float) -> float:
 
 
 class _Probe:
-    """simulate's outcome for data on one domain, found with two early exits.
+    """simulate's outcome for amplitude times one profile, found with two early exits.
 
-    A call runs the loop of `simulate(a, p, S, eps_blow)`, `_Stepper.run`, on
-    the probe's stepper, and returns simulate's blow-up step, or None for
+    `_Probe(profile, ...)` checks the profile once, as `_Stepper.load` would, and a call
+    `probe(amplitude)` runs the loop of `simulate(amplitude * profile, p, S, eps_blow)`,
+    `_Stepper.loop`, on the probe's stepper, and returns simulate's blow-up step, or None for
     survival. Two exits end a run once its outcome is certain. The map is a
     semigroup, so each applies to the current state as new data; both hold in
     exact arithmetic. Both read phi, the positive sine mode scaled to maximum
@@ -278,26 +278,33 @@ class _Probe:
     is the current one, no later than simulate's; eps_blow > 0 only brings
     blow-up forward. Sweeps, which report the blow-up step, go without it.
 
-    Data that `_mirror_symmetric` passes runs on a `mirror` stepper, one orthant of the box,
-    and the exits read that orthant: C from phi on it, and phi.f from phi weighted by the
-    sites each orthant site stands for (`_mirror_multiplicity`). np.sin's phi is symmetric to
-    rounding, and these sums add in another order, which the margin absorbs. Each layout's
-    stepper is built at its first probe.
+    A profile that `_mirror_symmetric` passes runs on a `mirror` stepper, one orthant of the
+    box, as amplitude times it is symmetric too, and the exits read that orthant: C from phi
+    on it, and phi.f from phi weighted by the sites each orthant site stands for
+    (`_mirror_multiplicity`). np.sin's phi is symmetric to rounding, and these sums add in
+    another order, which the margin absorbs.
     """
 
     def __init__(
-        self, domain: BoxDomain, p: Params, S: int, eps_blow: float, blowup_exit: bool
+        self, profile: Field, p: Params, S: int, eps_blow: float, blowup_exit: bool
     ) -> None:
-        self._domain, self._p, self._S, self._eps_blow = domain, p, S, eps_blow
+        _check_solution_field(profile)
+        domain, mirror = profile.domain, _mirror_symmetric(profile.values)
+        self._stepper = stepper = _Stepper(domain, p, eps_blow, False, mirror)
+        self._unit = profile.values[stepper.data] + 0.0  # the layout's interior, -0.0 made +0.0
+        self._peak = float(profile.values.max())
+        self._p, self._S = p, S
         alpha = p.alpha
         log_coupling = math.log(alpha) + math.log(p.delta)
         table = mode_table(domain)
         phi = table.mode_field((1,) * domain.dims).values
-        self._phi_box = phi = phi / phi.max()
+        phi = phi / phi.max()
         lam = float(table.eigenvalues[(0,) * domain.dims])
         self._phi_sum = float(phi.sum())
-        self._phi, self._core, self._phi_core = phi.ravel(), domain.core, phi[domain.core]
-        self._runs: dict[bool, tuple] = {}  # per layout: the stepper and the exits' arrays
+        phi, core = phi[tuple(slice(n) for n in stepper.f.shape)], stepper.core  # on its sites
+        weights = np.zeros(phi.shape)  # phi, and on an orthant times each site's multiplicity
+        weights[core] = phi[core] * (_mirror_multiplicity(domain.extents) if mirror else 1.0)
+        self._phi, self._core, self._phi_core = weights.ravel(), core, phi[core]
         self._log_lam = math.log(lam) if lam > 0 else -math.inf
         self._log_survival = -math.inf  # log kappa*sum must fall below it
         if eps_blow < 1:  # else every step blows up
@@ -347,23 +354,17 @@ class _Probe:
             return True
         return None
 
-    def _layout(self, mirror: bool) -> tuple:
-        """The stepper for whole-box or orthant data, phi.f's weights on its buffers, their
-        core and phi on it."""
-        if mirror not in self._runs:
-            box = _orthant(self._domain) if mirror else self._domain
-            phi = self._phi_box[tuple(slice(n) for n in box.shape)]  # on the box's sites
-            weights = phi
-            if mirror:
-                weights = np.zeros(box.shape)
-                weights[box.core] = phi[box.core] * _mirror_multiplicity(self._domain.extents)
-            self._runs[mirror] = (_Stepper(self._domain, self._p, self._eps_blow, False, mirror),
-                                  weights.ravel(), box.core, phi[box.core])
-        return self._runs[mirror]
-
-    def __call__(self, a: Field) -> int | None:
-        stepper, self._phi, self._core, self._phi_core = self._layout(_mirror_symmetric(a.values))
-        s, stop = stepper.run(a, self._S, self._exits)
+    def __call__(self, amplitude: float) -> int | None:
+        """The outcome for amplitude * profile. Its interior is amplitude * (profile + 0.0), bit
+        for bit simulate's profile * amplitude + 0.0 at amplitude >= +0.0, and its maximum is
+        amplitude * max(profile), as rounding is monotone; so only these scalars are checked."""
+        peak = amplitude * self._peak
+        if not (0 <= amplitude < math.inf and peak < math.inf):
+            raise ValueError("amplitude must be finite and >= 0, and amplitude * max(profile) "
+                             f"finite; got {amplitude!r}")
+        stepper = self._stepper  # + 0.0: an amplitude of -0.0 would write -0.0 into the state
+        np.multiply(self._unit, amplitude + 0.0, out=stepper.f[stepper.core])
+        s, stop = stepper.loop(peak, self._S, self._exits)
         return None if stop is None or stop is False else s
 
 
@@ -396,11 +397,11 @@ def find_threshold(
     if not tol > 0:
         raise ValueError("tol must be > 0")
     hi = _bracket_top(profile, p)
-    probe = _Probe(profile.domain, p, S, eps_blow, blowup_exit=True)
+    probe = _Probe(profile, p, S, eps_blow, blowup_exit=True)
     evaluations: list[tuple[float, bool]] = []
 
     def blows_up(lam: float) -> bool:
-        blew = probe(Field(profile.domain, profile.values * lam)) is not None
+        blew = probe(lam) is not None
         evaluations.append((lam, blew))
         return blew
 

@@ -23,7 +23,7 @@ from latticeheat import (
     step_nonlinear,
 )
 from latticeheat import domain as domain_module
-from latticeheat.domain import _mirror_symmetric
+from latticeheat.domain import _mirror_symmetric, _orthant
 from latticeheat.evolution import StepRecord
 from latticeheat.majorant import _Probe
 
@@ -791,7 +791,7 @@ def test_reused_stepper_matches_fresh_one(extents, alpha, tiny_delta, eps_blow, 
     # each run's step, stop, records and final state, bit for bit, as a fresh one does
     d = BoxDomain(tuple(extents))
     p = Params(alpha, 1e-150 if tiny_delta else 1.0 / alpha)
-    exits = _Probe(d, p, S, eps_blow, blowup_exit)._exits
+    exits = _Probe(Field.zeros(d), p, S, eps_blow, blowup_exit)._exits  # of a whole-box probe
     reused = evolution._Stepper(d, p, eps_blow, record)
     for kind, amplitude, with_exits, seed in runs:
         a = _run_data(d, p, eps_blow, kind, amplitude, seed)
@@ -845,7 +845,7 @@ def test_orthant_stepper_matches_the_whole_box(extents, alpha, tiny_delta, eps_b
     assert got.run(a, S) == want.run(a, S)
     assert [_bits(r) for r in got.trace] == [_bits(r) for r in want.trace]
     orthant = tuple(slice(1, n // 2 + 1) for n in extents)
-    assert got.f[got._core].tobytes() == want.f[orthant].tobytes()
+    assert got.f[got.core].tobytes() == want.f[orthant].tobytes()
 
 
 @pytest.mark.parametrize("extents", [(5, 4, 6), (7, 6), (9,)])
@@ -861,22 +861,26 @@ def test_orthant_blows_up_where_neighbour_sums_overflow(extents):
 
 
 def test_one_ulp_off_symmetric_data_takes_the_whole_box(monkeypatch):
-    # the symmetry test is exact, and the probe builds its orthant stepper only for data that
-    # passes it; below `_ORTHANT_MIN_SITES` symmetric data stays on the whole box too
-    d = BoxDomain((6, 5, 4))
+    # the symmetry test is exact, and a probe builds an orthant stepper only for a profile that
+    # passes it; below `_ORTHANT_MIN_SITES` a symmetric profile stays on the whole box too
+    d, p = BoxDomain((6, 5, 4)), Params(1.0, 1.0)
     a = Field.from_interior(d, np.full(d.interior_shape, 0.5))
-    probe = _Probe(d, Params(1.0, 1.0), 50, 0.0, blowup_exit=True)
+
+    def probe_shape(profile):  # the shape of the probe's stepper buffers, after a probe
+        probe = _Probe(profile, p, 50, 0.0, blowup_exit=True)
+        probe(1.0)
+        return probe._stepper.f.shape
+
     assert d.n_sites < domain_module._ORTHANT_MIN_SITES and not _mirror_symmetric(a.values)
+    assert probe_shape(a) == d.shape
     monkeypatch.setattr(domain_module, "_ORTHANT_MIN_SITES", 0)
     assert _mirror_symmetric(a.values)
     for site in ((1, 1, 1), (3, 2, 2), (5, 4, 3), (3, 3, 2)):
         off = a.values.copy()
         off[site] = np.nextafter(off[site], 1.0)
         assert not _mirror_symmetric(off)
-        probe(Field(d, off))
-    assert list(probe._runs) == [False]
-    probe(a)
-    assert sorted(probe._runs) == [False, True]
+        assert probe_shape(Field(d, off)) == d.shape
+    assert probe_shape(a) == _orthant(d).shape
 
 
 def _sine(d, amplitude):
@@ -928,7 +932,7 @@ def test_each_stop_matches_reference():
     # the probe's exits on (8,): the sine mode at 0.05 is certified to survive at step 0, and
     # at 0.1 Kaplan's bound fires before the reference's blow-up at step 40
     d = BoxDomain((8,))
-    exits = _Probe(d, p, 2000, 0.0, blowup_exit=True)._exits
+    exits = _Probe(Field.zeros(d), p, 2000, 0.0, blowup_exit=True)._exits
     stepper = evolution._Stepper(d, p, 0.0)
     assert stepper.run(_sine(d, 0.05), 2000, exits) == (0, False)
     assert _stop_of(reference_simulate(_sine(d, 0.05), p, 2000)[0]) == (None, None)
@@ -938,12 +942,12 @@ def test_each_stop_matches_reference():
 
 
 def test_negative_horizon_is_rejected():
-    # the one check, in `run`, serves simulate and the probes
+    # the one check, in `loop`, serves simulate and the probes
     a, p = Field.zeros(BoxDomain((4,))), Params(1.0, 1.0)
     with pytest.raises(ValueError, match="max_steps"):
         simulate(a, p, -1)
     with pytest.raises(ValueError, match="max_steps"):
-        _Probe(a.domain, p, -1, 0.0, blowup_exit=True)(a)
+        _Probe(a, p, -1, 0.0, blowup_exit=True)(1.0)
 
 
 def _reference_check_message(f):

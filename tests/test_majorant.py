@@ -526,6 +526,20 @@ def _profile(kind, d, rng):
     return Field(d, values)
 
 
+def _with_signed_zeros(profile):
+    """The profile with every zero made -0.0, on the boundary and inside, after its interior
+    corners (1, ..., 1) and their mirror images are set to zero where that leaves a positive
+    maximum; a mirror-symmetric profile stays symmetric."""
+    values = profile.values.copy()
+    corners = np.ix_(*([1, n - 1] for n in profile.domain.extents))
+    kept = values[corners].copy()
+    values[corners] = 0.0
+    if not values.max() > 0:
+        values[corners] = kept
+    values[values == 0] = -0.0
+    return Field(profile.domain, values)
+
+
 def _phi_lam(d):
     """The positive sine mode scaled to maximum 1, and its eigenvalue."""
     table = mode_table(d)
@@ -570,36 +584,63 @@ def _horizon_edge(profile, p, S, eps_blow, side):
     kind=st.sampled_from(["random", "sine", "delta", "constant", "mirrored"]),
     S=st.integers(0, 150),
     seed=st.integers(0, 2**32 - 1),
+    signed_zeros=st.booleans(),
 )
-@example(extents=[6], alpha=1.5, delta=1.0, eps_blow=0.0, kind="sine", S=100, seed=0)
+@example(extents=[6], alpha=1.5, delta=1.0, eps_blow=0.0, kind="sine", S=100, seed=0,
+         signed_zeros=False)
 # mirror-symmetric data, on the orthant at `_ORTHANT_MIN_SITES` 0: np.power's alpha 1.5 with
 # eps_blow > 0 on an odd 3-D box, and mirrored random data at alpha 2 with an extent 2
-@example(extents=[6, 5, 4], alpha=1.5, delta=1.0, eps_blow=0.3, kind="constant", S=100, seed=0)
-@example(extents=[7, 2], alpha=2.0, delta=0.5, eps_blow=0.0, kind="mirrored", S=150, seed=0)
-@example(extents=[6], alpha=1.5, delta=1.0, eps_blow=0.3, kind="sine", S=100, seed=0)
-@example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.0, kind="sine", S=100, seed=0)
-@example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.3, kind="sine", S=100, seed=0)
+@example(extents=[6, 5, 4], alpha=1.5, delta=1.0, eps_blow=0.3, kind="constant", S=100, seed=0,
+         signed_zeros=False)
+@example(extents=[7, 2], alpha=2.0, delta=0.5, eps_blow=0.0, kind="mirrored", S=150, seed=0,
+         signed_zeros=False)
+@example(extents=[6], alpha=1.5, delta=1.0, eps_blow=0.3, kind="sine", S=100, seed=0,
+         signed_zeros=False)
+@example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.0, kind="sine", S=100, seed=0,
+         signed_zeros=False)
+@example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.3, kind="sine", S=100, seed=0,
+         signed_zeros=False)
 # eps_blow > 0, probes that blow up mid-run (up to step 86) and survive: at alpha 0.5 and 2 the
 # kernel derives its blow-up test and maximum from max g, at 0.75 it reduces
-@example(extents=[6, 4], alpha=0.5, delta=2.0, eps_blow=0.3, kind="random", S=100, seed=0)
-@example(extents=[6, 4], alpha=2.0, delta=0.5, eps_blow=0.3, kind="random", S=100, seed=0)
-@example(extents=[6, 4], alpha=0.75, delta=1.0, eps_blow=0.3, kind="random", S=100, seed=0)
+@example(extents=[6, 4], alpha=0.5, delta=2.0, eps_blow=0.3, kind="random", S=100, seed=0,
+         signed_zeros=False)
+@example(extents=[6, 4], alpha=2.0, delta=0.5, eps_blow=0.3, kind="random", S=100, seed=0,
+         signed_zeros=False)
+@example(extents=[6, 4], alpha=0.75, delta=1.0, eps_blow=0.3, kind="random", S=100, seed=0,
+         signed_zeros=False)
 # the certificate over the remaining horizon: all extents 2 (lam about 6e-17), alpha 0.01,
 # no step after the data's, and eps_blow 1, where every step blows up
-@example(extents=[2, 2], alpha=2.0, delta=0.5, eps_blow=0.0, kind="random", S=40, seed=0)
-@example(extents=[2], alpha=0.5, delta=2.0, eps_blow=0.3, kind="sine", S=3, seed=0)
-@example(extents=[5, 4], alpha=0.01, delta=1.0, eps_blow=0.0, kind="random", S=6, seed=0)
-@example(extents=[6], alpha=0.01, delta=2.0, eps_blow=0.3, kind="sine", S=40, seed=0)
-@example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.0, kind="random", S=0, seed=0)
-@example(extents=[5, 5], alpha=2.0, delta=0.5, eps_blow=0.3, kind="delta", S=0, seed=0)
-@example(extents=[6, 4], alpha=1.0, delta=1.0, eps_blow=1.0, kind="random", S=30, seed=0)
-def test_probe_outcome_matches_simulate(extents, alpha, delta, eps_blow, kind, S, seed):
+@example(extents=[2, 2], alpha=2.0, delta=0.5, eps_blow=0.0, kind="random", S=40, seed=0,
+         signed_zeros=False)
+@example(extents=[2], alpha=0.5, delta=2.0, eps_blow=0.3, kind="sine", S=3, seed=0,
+         signed_zeros=False)
+@example(extents=[5, 4], alpha=0.01, delta=1.0, eps_blow=0.0, kind="random", S=6, seed=0,
+         signed_zeros=False)
+@example(extents=[6], alpha=0.01, delta=2.0, eps_blow=0.3, kind="sine", S=40, seed=0,
+         signed_zeros=False)
+@example(extents=[6, 4], alpha=1.5, delta=1.0, eps_blow=0.0, kind="random", S=0, seed=0,
+         signed_zeros=False)
+@example(extents=[5, 5], alpha=2.0, delta=0.5, eps_blow=0.3, kind="delta", S=0, seed=0,
+         signed_zeros=False)
+@example(extents=[6, 4], alpha=1.0, delta=1.0, eps_blow=1.0, kind="random", S=30, seed=0,
+         signed_zeros=False)
+# -0.0 on the boundary and inside: a constant on a 3-D box (on the orthant at
+# `_ORTHANT_MIN_SITES` 0) and a centred delta whose other interior sites are all -0.0
+@example(extents=[6, 5, 4], alpha=2.0, delta=0.5, eps_blow=0.0, kind="constant", S=100, seed=0,
+         signed_zeros=True)
+@example(extents=[6, 6], alpha=1.0, delta=1.0, eps_blow=0.3, kind="delta", S=100, seed=0,
+         signed_zeros=True)
+def test_probe_outcome_matches_simulate(extents, alpha, delta, eps_blow, kind, S, seed,
+                                        signed_zeros):
     # every probe of a threshold search, amplitudes packed around the
     # threshold it finds, the two sides of the survival certificate's edge
-    # at step 0, and for the sine mode those of the infinite sum's edge,
-    # against the full run
+    # at step 0, for the sine mode those of the infinite sum's edge, and
+    # amplitudes whose products underflow to subnormals or to zero, and 0,
+    # against the full run of amplitude * profile
     d = BoxDomain(tuple(extents))
     profile = _profile(kind, d, np.random.default_rng(seed))
+    if signed_zeros:
+        profile = _with_signed_zeros(profile)
     p = Params(alpha, delta)
     res = find_threshold(profile, p, S, 1e-3, eps_blow)
     lams = [lam for lam, _ in res.evaluations]
@@ -609,14 +650,15 @@ def test_probe_outcome_matches_simulate(extents, alpha, delta, eps_blow, kind, S
         if kind == "sine":
             top = profile.values.max()
             lams += [_certificate_edge(d, p, eps_blow, side) / top for side in (-1e-6, 1e-6)]
-    with_blowup_exit = _Probe(d, p, S, eps_blow, blowup_exit=True)
-    survival_only = _Probe(d, p, S, eps_blow, blowup_exit=False)
+    lams += [1e-310 / profile.values.max(), 2.0**-1074, 0.0, -0.0]
+    with_blowup_exit = _Probe(profile, p, S, eps_blow, blowup_exit=True)
+    survival_only = _Probe(profile, p, S, eps_blow, blowup_exit=False)
     for lam in lams:
         a = Field(d, profile.values * lam)
         want = simulate(a, p, S, eps_blow).outcome
         s0 = None if isinstance(want, Survived) else want.step
-        assert survival_only(a) == s0
-        got = with_blowup_exit(a)
+        assert survival_only(lam) == s0
+        got = with_blowup_exit(lam)
         assert (got is None) == (s0 is None)
         assert got is None or got <= s0
 
@@ -676,6 +718,80 @@ def test_one_stepper_per_search(monkeypatch):
     assert len(built) == 2
 
 
+@pytest.mark.parametrize("site, value, message", [
+    ((0, 2), 1e-300, "field has nonzero boundary values"),
+    ((6, 4), -0.5, "field has nonzero boundary values"),
+    ((2, 2), math.nan, "field has non-finite values"),
+    ((3, 1), math.inf, "field has non-finite values"),
+    ((1, 3), -5e-324, "field has negative values"),
+])
+def test_probe_checks_its_profile_when_built(monkeypatch, site, value, message):
+    # a probe checks its profile once, with the data check's message, before it builds anything
+    steps = _counting_steps(monkeypatch)
+    d = BoxDomain((6, 4))
+    values = random_field(np.random.default_rng(0), d).values
+    values[site] = value
+    with pytest.raises(ValueError) as raised:
+        _Probe(Field(d, values), Params(1.0, 1.0), 20, 0.0, blowup_exit=True)
+    assert str(raised.value) == message and not steps
+
+
+@pytest.mark.parametrize("extents", [(6, 4), (32, 32)])
+def test_probe_rejects_a_bad_amplitude_before_any_step(monkeypatch, extents):
+    # NaN, a negative, inf, and an amplitude whose product with the profile's maximum overflows
+    # are refused before the stepper's state is touched, on the whole box and on the orthant
+    steps = _counting_steps(monkeypatch)
+    d = BoxDomain(extents)
+    profile = Field.from_interior(d, np.full(d.interior_shape, 4.0))
+    probe = _Probe(profile, Params(1.0, 1.0), 20, 0.0, blowup_exit=False)
+    assert probe(0.1) in (2, 3) and len(steps) > 0  # simulate's blow-up step
+    state, taken = probe._stepper.f.copy(), len(steps)
+    for amplitude in (math.nan, -1.0, -5e-324, math.inf, -math.inf, 1e308):
+        with pytest.raises(ValueError, match="amplitude must be finite and >= 0"):
+            probe(amplitude)
+    assert len(steps) == taken and probe._stepper.f.tobytes() == state.tobytes()
+    assert probe(np.finfo(float).max / 4.0) == 0  # the largest amplitude that is allowed
+
+
+def _count_calls(monkeypatch, name):
+    """A list that gains an entry at every call of the latticeheat function `name`, through
+    every module that holds it."""
+    from latticeheat import cli, evolution, majorant
+
+    calls, modules = [], (domain_module, evolution, majorant, cli)
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for m in modules:
+        if getattr(m, name, None) is original:
+            monkeypatch.setattr(m, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("extents, kind", [((32, 32), "constant"), ((6, 4), "random"),
+                                           ((9, 8, 10), "delta")])
+def test_one_check_and_symmetry_test_per_search(monkeypatch, tmp_path, extents, kind):
+    # a `find_threshold` search, and a `sweep` per alpha, check the profile and test its
+    # symmetry once, however many probes they run
+    from latticeheat import cli
+
+    checks = _count_calls(monkeypatch, "_check_solution_field")
+    tests = _count_calls(monkeypatch, "_mirror_symmetric")
+    d = BoxDomain(extents)
+    profile = _profile(kind, d, np.random.default_rng(0))
+    res = find_threshold(profile, Params(0.5, 2.0), 60, 1e-3)
+    assert len(res.evaluations) > 5 and (len(checks), len(tests)) == (1, 1)
+    cfg = cli.parse_config({"extents": list(extents), "alpha": 1.0, "delta": 1.0, "steps": 60,
+                            "init": {"kind": "constant_interior"},
+                            "sweep": {"alphas": [0.5, 1.0, 2.0], "amplitudes": [0.1, 0.5, 2.0]}})
+    assert cli.cmd_sweep(cfg, profile, tmp_path) == cli.EXIT_OK
+    assert (tmp_path / "sweep.csv").read_text().count("\n") == 10
+    assert (len(checks), len(tests)) == (4, 4)
+
+
 def test_probe_exits_fire(monkeypatch):
     # at alpha = delta = 1 on (8,), the sine mode survives at 0.05 and is
     # certified before its first step, a 0.05 delta at site 1 survives and is
@@ -687,17 +803,17 @@ def test_probe_exits_fire(monkeypatch):
     survivor = Field(d, 0.05 * profile.values)
     report = simulate(survivor, p, 2000)
     assert isinstance(report.outcome, Survived) and report.trace[-1].max_f > 1e-100  # never at rest
-    assert _Probe(d, p, 2000, 0.0, blowup_exit=False)(survivor) is None
+    assert _Probe(profile, p, 2000, 0.0, blowup_exit=False)(0.05) is None
     assert len(steps) == 0
-    spike = Field(d, [0, 0.05, 0, 0, 0, 0, 0, 0, 0])
-    report = simulate(spike, p, 2000)
+    spike = Field(d, [0, 1.0, 0, 0, 0, 0, 0, 0, 0])
+    report = simulate(Field(d, spike.values * 0.05), p, 2000)
     assert isinstance(report.outcome, Survived) and report.trace[-1].max_f > 1e-100
-    assert _Probe(d, p, 2000, 0.0, blowup_exit=False)(spike) is None
+    assert _Probe(spike, p, 2000, 0.0, blowup_exit=False)(0.05) is None
     assert 0 < len(steps) < 100
     blower = Field(d, 0.1 * profile.values)
     assert simulate(blower, p, 2000).outcome.step == 40
-    assert _Probe(d, p, 2000, 0.0, blowup_exit=True)(blower) < 40
-    assert _Probe(d, p, 2000, 0.0, blowup_exit=False)(blower) == 40
+    assert _Probe(profile, p, 2000, 0.0, blowup_exit=True)(0.1) < 40
+    assert _Probe(profile, p, 2000, 0.0, blowup_exit=False)(0.1) == 40
 
 
 @pytest.mark.parametrize("extents", [(6,), (6, 4)])
@@ -712,11 +828,11 @@ def test_survival_certificate_edge(monkeypatch, extents, eps_blow):
     phi = mode_table(d).mode_field((1,) * d.dims).values
     assert phi.max() == 1.0
     p = Params(1.5, 1.0)
-    probe = _Probe(d, p, 100, eps_blow, blowup_exit=True)
-    inside = Field(d, _certificate_edge(d, p, eps_blow, -1e-6, first=1) * phi)
+    probe = _Probe(Field(d, phi), p, 100, eps_blow, blowup_exit=True)
+    inside = _certificate_edge(d, p, eps_blow, -1e-6, first=1)
     assert probe(inside) is None and len(steps) == 0
-    outside = Field(d, _certificate_edge(d, p, eps_blow, 1e-6, first=1) * phi)
-    assert isinstance(simulate(outside, p, 100, eps_blow).outcome, Survived)
+    outside = _certificate_edge(d, p, eps_blow, 1e-6, first=1)
+    assert isinstance(simulate(Field(d, outside * phi), p, 100, eps_blow).outcome, Survived)
     assert probe(outside) is None and len(steps) > 0
 
 
@@ -731,11 +847,12 @@ def test_horizon_certificate_edge(monkeypatch, extents, kind, S, eps_blow):
     d = BoxDomain(extents)
     profile = _profile(kind, d, np.random.default_rng(0))
     p = Params(1.5, 1.0)
-    probe = _Probe(d, p, S, eps_blow, blowup_exit=True)
-    inside = Field(d, _horizon_edge(profile, p, S, eps_blow, -1e-6) * profile.values)
+    probe = _Probe(profile, p, S, eps_blow, blowup_exit=True)
+    inside = _horizon_edge(profile, p, S, eps_blow, -1e-6)
     assert probe(inside) is None and len(steps) == 0
-    outside = Field(d, _horizon_edge(profile, p, S, eps_blow, 1e-6) * profile.values)
-    assert isinstance(simulate(outside, p, S, eps_blow).outcome, Survived)
+    outside = _horizon_edge(profile, p, S, eps_blow, 1e-6)
+    assert isinstance(simulate(Field(d, outside * profile.values), p, S, eps_blow).outcome,
+                      Survived)
     assert probe(outside) is None and len(steps) > 0
 
 
@@ -784,7 +901,7 @@ def test_horizon_certificate_never_weaker(extents, alpha, delta, eps_blow, kind,
     f = profile.values * (math.exp(log_edge) / C)
     M = float(f.max())
     assert M > 0 and _infinite_sum_survives(d, p, eps_blow, f)
-    assert _Probe(d, p, 0, eps_blow, blowup_exit=False)._survives(f, M, R)
+    assert _Probe(Field(d, f), p, 0, eps_blow, blowup_exit=False)._survives(f, M, R)
 
 
 def test_horizon_certificate_at_huge_alpha():
@@ -795,8 +912,8 @@ def test_horizon_certificate_at_huge_alpha():
     phi, _ = _phi_lam(d)
     f = 1e-30 * phi
     assert _infinite_sum_survives(d, p, 0.0, f)
-    assert _Probe(d, p, 0, 0.0, blowup_exit=False)._survives(f, float(f.max()), 100)
-    assert not _Probe(d, p, 0, 1.0, blowup_exit=False)._survives(f, float(f.max()), 100)
+    assert _Probe(Field(d, f), p, 0, 0.0, blowup_exit=False)._survives(f, float(f.max()), 100)
+    assert not _Probe(Field(d, f), p, 0, 1.0, blowup_exit=False)._survives(f, float(f.max()), 100)
 
 
 @pytest.mark.parametrize("extents, alpha, delta", [((3,), 2000.0, 5e-4), ((5, 4), 700.0, 1 / 700),
@@ -809,10 +926,10 @@ def test_probe_far_above_threshold(extents, alpha, delta, amplitude):
     d = BoxDomain(extents)
     phi, _ = _phi_lam(d)
     p = Params(alpha, delta)
-    probe = _Probe(d, p, 20, 0.0, blowup_exit=False)
+    probe = _Probe(Field(d, phi), p, 20, 0.0, blowup_exit=False)
     a = Field(d, amplitude * phi)
     want = simulate(a, p, 20).outcome
-    assert probe(a) == (None if isinstance(want, Survived) else want.step)
+    assert probe(amplitude) == (None if isinstance(want, Survived) else want.step)
     assert isinstance(want, Survived) or not probe._survives(a.values, amplitude, 21)
 
 
