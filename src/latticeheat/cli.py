@@ -396,6 +396,7 @@ def cmd_sweep(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     rows = []
     for alpha in cfg.sweep["alphas"]:
         p = Params(alpha=float(alpha), delta=cfg.delta)
+        probe = None  # the last alpha's stepper goes before this one's is built
         probe = _Probe(profile, p, cfg.steps, cfg.eps_blow, blowup_exit=False)
         for amplitude in cfg.sweep["amplitudes"]:
             s0 = probe(float(amplitude))  # simulate's blow-up step, or None

@@ -291,7 +291,8 @@ class _Probe:
         _check_solution_field(profile)
         domain, mirror = profile.domain, _mirror_symmetric(profile.values)
         self._stepper = stepper = _Stepper(domain, p, eps_blow, False, mirror)
-        self._unit = profile.values[stepper.data] + 0.0  # the layout's interior, -0.0 made +0.0
+        unit = profile.values[stepper.data]  # a view: the profile must not change
+        self._unit = unit + 0.0 if np.signbit(unit).any() else unit  # -0.0 made +0.0
         self._peak = float(profile.values.max())
         self._p, self._S = p, S
         alpha = p.alpha
@@ -302,8 +303,10 @@ class _Probe:
         lam = float(table.eigenvalues[(0,) * domain.dims])
         self._phi_sum = float(phi.sum())
         phi, core = phi[tuple(slice(n) for n in stepper.f.shape)], stepper.core  # on its sites
-        weights = np.zeros(phi.shape)  # phi, and on an orthant times each site's multiplicity
-        weights[core] = phi[core] * (_mirror_multiplicity(domain.extents) if mirror else 1.0)
+        weights = phi  # on an orthant, times the number of box sites each site stands for
+        if mirror:
+            weights = np.zeros(phi.shape)
+            weights[core] = phi[core] * _mirror_multiplicity(domain.extents)
         self._phi, self._core, self._phi_core = weights.ravel(), core, phi[core]
         self._log_lam = math.log(lam) if lam > 0 else -math.inf
         self._log_survival = -math.inf  # log kappa*sum must fall below it
