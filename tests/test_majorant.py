@@ -653,6 +653,7 @@ def test_probe_outcome_matches_simulate(extents, alpha, delta, eps_blow, kind, S
     lams += [1e-310 / profile.values.max(), 2.0**-1074, 0.0, -0.0]
     with_blowup_exit = _Probe(profile, p, S, eps_blow, blowup_exit=True)
     survival_only = _Probe(profile, p, S, eps_blow, blowup_exit=False)
+    assert not np.signbit(survival_only._unit).any()  # the stepper never meets -0.0
     for lam in lams:
         a = Field(d, profile.values * lam)
         want = simulate(a, p, S, eps_blow).outcome
