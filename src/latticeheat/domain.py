@@ -100,9 +100,8 @@ class Field:
         return float(self.values.max())
 
     def boundary_is_zero(self) -> bool:
-        probe = self.values.copy()
-        probe[self.domain.core] = 0.0
-        return bool(np.all(probe == 0.0))
+        v = self.values  # the faces normal to axis 1, then `_faces`; NaN counts as nonzero
+        return not any(face.any() for face in (v[::v.shape[0] - 1], *_faces(v)))
 
 
 def _span(values: np.ndarray) -> slice:
@@ -166,6 +165,13 @@ def _mirror_multiplicity(extents: tuple[int, ...]) -> np.ndarray:
     return reduce(np.multiply.outer, factors)
 
 
+def _faces(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The faces x_k = 0 and x_k = N_k of a full-shape array, k = 2..d, each pair one view on
+    x_1 = 1..N_1 - 1: they hold the `_span`'s non-interior sites; 1-D has none."""
+    return tuple(values[(slice(1, -1),) + (slice(None),) * (k - 1) + (slice(None, None, n - 1),)]
+                 for k, n in enumerate(values.shape[1:], 1))
+
+
 @lru_cache(maxsize=None)
 def _face_weights(shape: tuple[int, ...]) -> np.ndarray:
     """The read-only `_span` of a full `shape`: 2d at interior sites, +inf at the others."""
@@ -202,9 +208,7 @@ class _Stencil:
         fold = nonnegative and two_d & (two_d - 1) != 0
         self._scale = ((np.multiply, np.array(1.0 / two_d)) if two_d & (two_d - 1) == 0 else
                        (np.divide, _face_weights(values.shape) if fold else np.array(float(two_d))))
-        self._faces = () if fold else tuple(  # faces x_k = 0 and x_k = N_k, each pair as one view
-            out[(slice(1, -1),) + (slice(None),) * (k - 1) + (slice(None, None, n - 1),)]
-            for k, n in enumerate(values.shape[1:], 1))
+        self._faces = () if fold else _faces(out)
 
     def __call__(self) -> None:
         pairs, acc, (scale_by, scale) = self._pairs, self._acc, self._scale

@@ -125,8 +125,8 @@ class _Stepper:
     `max_f`. At alpha in {1/2, 1, 2} the update's calls are correctly rounded
     and monotone in g, so a full step reads max g and forms the least
     denominator and the new maximum from it, bit for bit. `np.power` is not
-    bound to be monotone, so other alpha reduce the denominators and the new
-    state, and reduce g only when recording.
+    bound to be monotone, so other alpha read the least denominator and the new
+    state's maximum off their spans, and max g only when recording.
 
     A `mirror` stepper runs data that equals its mirror image along every axis (the caller
     tests it, `domain._mirror_symmetric`) on the `_orthant` of the domain: the update keeps
@@ -163,16 +163,17 @@ class _Stepper:
         coupling = p.alpha * p.delta
         # denom = 1 - coupling*g^alpha, then denom^(1/alpha), as ufunc calls into denom; 1.0*x is
         # x, so a product of exactly 1.0 skips the multiply (alpha*(1/alpha) may be 1 - 2^-53)
-        powers = ((np.power, (p.alpha,)), (np.power, (1.0 / p.alpha,)))
+        # scalar operands as 0-d arrays, which cost numpy less per call and give the same doubles
+        powers = ((np.power, (np.array(p.alpha),)), (np.power, (np.array(1.0 / p.alpha),)))
         lift, root = _EXACT_POWERS.get(p.alpha, powers)
         calls, x = [], self._g_span
         if lift is not None:
             calls.append((lift[0], (x,) + lift[1]))
             x = self._denom_span
         if coupling != 1.0:
-            calls.append((np.multiply, (coupling, x)))
+            calls.append((np.multiply, (np.array(coupling), x)))
             x = self._denom_span
-        calls.append((np.subtract, (1.0, x)))
+        calls.append((np.subtract, (np.array(1.0), x)))
         self._denom_calls = tuple(calls)
         self._root_calls = () if root is None else ((root[0], (self._denom_span,) + root[1]),)
         self._scalar = None  # at exact powers: denom and its root at one g, as the calls form them
@@ -239,7 +240,10 @@ class _Stepper:
         With denom = 1 - alpha*delta*g^alpha, the first site whose denom is at
         or below eps_blow is returned instead, and f is left unchanged. The
         span's boundary denominators are 1.0 and its g and f +0.0, and no
-        interior one passes them, so the span's extrema are the interior's.
+        interior one passes them, so the span's extrema are the interior's. Each is read as
+        `span.item(span.argmax())` (or argmin), the first extreme element, which costs less
+        than a reduce and is its double: no span holds NaN (g is finite or +inf, denom at
+        worst -inf, f' = g over a positive root) or -0.0 (the kernels add 0.0 to the data).
         `max_f` is at least f's maximum; at or below `_copy_below` the update is g
         itself, which the mean writes straight into the new state, leaving g stale.
         f must be finite and >= +0.0, as the plans fold the faces (`_Stencil`'s `nonnegative`):
@@ -252,18 +256,18 @@ class _Stepper:
             if self._copies[0] is None:
                 self._copies[0] = self._plan(self.f, self._spare, self._denom_span)
             self._copies[0]()
-            self.max_g = self.max_f = float(np.maximum.reduce(self._spare_span))
+            self.max_g = self.max_f = self._spare_span.item(self._spare_span.argmax())
         else:
             g, denom = self._g_span, self._denom_span
             self._means[0]()
             for ufunc, operands in self._denom_calls:
                 ufunc(*operands, out=denom)
             if self._scalar is None:
-                least = np.minimum.reduce(denom)
+                least = denom.item(denom.argmin())
                 if self.trace is not None:
-                    self.max_g = float(np.maximum.reduce(g))
+                    self.max_g = g.item(g.argmax())
             else:  # the least denominator is the one at max g
-                self.max_g = float(np.maximum.reduce(g))
+                self.max_g = g.item(g.argmax())
                 least = self._scalar[0](self.max_g)
             if least <= self._eps_blow:
                 return _first_offender(self._denom_core <= self._eps_blow, self.g)
@@ -275,7 +279,7 @@ class _Stepper:
                 # >= 2^-106, and the divide meets no zero; an overflow gives inf, as numpy's does
                 self.max_f = self.max_g / self._scalar[1](least)
             else:
-                self.max_f = float(np.maximum.reduce(self._spare_span))
+                self.max_f = self._spare_span.item(self._spare_span.argmax())
         self.f, self._spare, self.f_span, self._spare_span = (self._spare, self.f,
                                                               self._spare_span, self.f_span)
         self._means.reverse()

@@ -86,15 +86,6 @@ class ModeTable:
     domain: BoxDomain
     eigenvalues: np.ndarray  # interior shape, mode-indexed
 
-    @classmethod
-    def for_domain(cls, domain: BoxDomain) -> "ModeTable":
-        axis_cos = [
-            np.cos(np.arange(1, N) * np.pi / N) for N in domain.extents
-        ]
-        grids = np.meshgrid(*axis_cos, indexing="ij")
-        eig = sum(grids) / domain.dims
-        return cls(domain=domain, eigenvalues=np.asarray(eig))
-
     @cached_property
     def sine_matrices(self) -> tuple[np.ndarray, ...]:
         """The per-axis `_sine_matrix`es, built at first use: the probes read only the
@@ -141,7 +132,9 @@ class ModeTable:
 
 @lru_cache(maxsize=None)
 def mode_table(domain: BoxDomain) -> ModeTable:
-    return ModeTable.for_domain(domain)
+    axis_cos = [np.cos(np.arange(1, N) * np.pi / N) for N in domain.extents]
+    eig = sum(np.meshgrid(*axis_cos, indexing="ij")) / domain.dims
+    return ModeTable(domain=domain, eigenvalues=np.asarray(eig))
 
 
 @dataclass(frozen=True)

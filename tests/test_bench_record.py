@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bench_record  # noqa: E402
 
 
 @pytest.mark.parametrize("trace, kind", [(0, "end_to_end"), (1, "per_layer")])
@@ -45,3 +48,30 @@ def test_bench_record_writes_every_declared_metric(tmp_path, trace, kind):
     again = subprocess.run(command, capture_output=True, text=True, timeout=300)
     assert again.returncode != 0 and str(path) in again.stderr and again.stdout == ""
     assert [p.name for p in tmp_path.iterdir()] == [path.name] and path.read_bytes() == first
+
+
+def test_dirty_counts_tracked_files_only(tmp_path):
+    # an untracked file, such as an A/B batch under bench/, leaves a point clean; an edited
+    # tracked file makes it dirty; outside a git checkout the answer is None
+    repo, plain = tmp_path / "repo", tmp_path / "plain"
+    repo.mkdir()
+    plain.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    try:
+        git("init", "-q")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("no usable git")
+    (repo / "a.txt").write_text("a\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "a")
+    assert bench_record._dirty(repo) is False
+    (repo / "bench").mkdir()
+    (repo / "bench" / "AB_batch.json").write_text("{}\n")
+    assert bench_record._dirty(repo) is False
+    (repo / "a.txt").write_text("b\n")
+    assert bench_record._dirty(repo) is True
+    assert bench_record._dirty(plain) is None

@@ -668,6 +668,94 @@ def test_step_nonlinear_reports_simulates_blowup(alpha, delta):
     assert step_nonlinear(a, p) == BlowupSignal(site=outcome.site, g_value=outcome.g_value)
 
 
+class _Least(float):
+    """An eps_blow that keeps what a step compares with it: `least <= eps_blow` on a Python
+    float `least` calls this subclass's reflected `>=` first."""
+
+    def __ge__(self, least):
+        self.seen.append(least)
+        return float(self) >= least
+
+
+def _clean(span):
+    """Whether a span holds no NaN and no -0.0."""
+    return not (np.isnan(span).any() or (np.signbit(span) & (span == 0)).any())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 8), min_size=1, max_size=3),
+    alpha=st.sampled_from([0.5, 1.0, 2.0, 0.75, 1.5]),
+    unit_coupling=st.booleans(),
+    eps_blow=st.sampled_from([0.0, 0.3]),
+    kind=st.sampled_from(["random", "subnormal", "edge", "huge"]),
+    amplitude=st.floats(0.0, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+# subnormal data copies g until it rests; random data blows up at step 0 (eps_blow 0.3) or later
+@example(extents=[4, 4], alpha=0.75, unit_coupling=True, eps_blow=0.0, kind="subnormal",
+         amplitude=0.0, seed=0)
+@example(extents=[6, 6], alpha=1.5, unit_coupling=False, eps_blow=0.3, kind="random",
+         amplitude=1.2, seed=1)
+@example(extents=[8, 7], alpha=0.75, unit_coupling=True, eps_blow=0.0, kind="random",
+         amplitude=0.99, seed=2)
+# a threshold of 1e308: neighbour sums overflow to inf at alpha 1/2, the update does at alpha 1,
+# and at alpha 2 (threshold 7e154) g^2 does, so that denom is -inf
+@example(extents=[5, 4, 6], alpha=0.5, unit_coupling=False, eps_blow=0.0, kind="huge",
+         amplitude=0.9, seed=3)
+@example(extents=[7], alpha=1.0, unit_coupling=False, eps_blow=0.0, kind="huge",
+         amplitude=0.95, seed=0)
+@example(extents=[6, 6], alpha=2.0, unit_coupling=False, eps_blow=0.0, kind="huge",
+         amplitude=1.5, seed=4)
+def test_span_extrema_are_the_reduces(extents, alpha, unit_coupling, eps_blow, kind, amplitude,
+                                      seed):
+    # After every step the stepper's max_g, max_f and the least denominator it tests for blow-up
+    # are, bit for bit, np.maximum.reduce / np.minimum.reduce of the spans they come from, and
+    # those spans hold no -0.0 and no NaN. Data: random up to `amplitude` thresholds, subnormal,
+    # constant at the largest g that does not blow up, or "huge": random up to `amplitude` times
+    # a threshold of 1e308, or at alpha > 1 the largest one that Params allows.
+    d = BoxDomain(tuple(extents))
+    delta = 1.0 / alpha if unit_coupling else 2.5
+    if kind == "huge":
+        delta = max(1e308 ** -alpha / alpha, 1e-310)
+    p = Params(alpha, delta)
+    rng = np.random.default_rng(seed)
+    if kind == "edge":
+        a = Field.from_interior(d, np.full(d.interior_shape, _blowup_edge(p, eps_blow)))
+    else:
+        top = 1e-318 if kind == "subnormal" else amplitude * p.threshold
+        a = random_field(rng, d, amplitude=top)
+    stepper = evolution._Stepper(d, p, eps_blow, record=True)
+    stepper._eps_blow = least = _Least(eps_blow)
+    least.seen = []
+    denoms = []  # each full step's denominators, as its root calls find them
+    stepper._root_calls = ((lambda out: denoms.append(out.copy()), ()),) + stepper._root_calls
+    stepper.load(a)
+    max_f = float(a.values.max())
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(60):
+            if not math.isfinite(max_f):  # an update overflowed: `loop` stops here
+                break
+            full, seen = max_f > stepper._copy_below, len(least.seen)
+            sig = stepper.step(max_f)
+            if full:
+                g = stepper._g_span
+                denom = denoms.pop() if sig is None else stepper._denom_span
+                assert _clean(g) and _clean(denom)
+                assert _u64(stepper.max_g) == _u64(np.maximum.reduce(g))
+                assert least.seen[seen:] == [least.seen[-1]]
+                assert _u64(least.seen[-1]) == _u64(np.minimum.reduce(denom))
+            else:
+                assert len(least.seen) == seen and stepper.max_g is stepper.max_f
+            if sig is not None:
+                break
+            assert _clean(stepper.f_span)
+            assert _u64(stepper.max_f) == _u64(np.maximum.reduce(stepper.f_span))
+            max_f = stepper.max_f
+            if max_f < TINY and stepper.at_rest():
+                break
+
+
 # Nonzero amplitudes for the conjugacy property start here: 8 steps of
 # averaging on at most 6 sites per axis, and a rescaling factor of at least
 # 1e-5, keep every value far above the smallest normal double (2.2e-308).

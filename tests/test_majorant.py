@@ -243,6 +243,15 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
          seed=2)
 @example(extents=[6, 6, 6], alpha=2.0, amplitude=0.5, S=300, slack=-1e-2, edge=0.0,
          layout="strided", seed=1)
+# 4-D and 5-D: 3 and 4 face views of diff are refilled with +inf before the span minimum
+@example(extents=[3, 4, 3, 5], alpha=2.0, amplitude=0.3, S=60, slack=1e-12, edge=0.0, layout="C",
+         seed=5)
+@example(extents=[3, 3, 3, 3, 3], alpha=1.0, amplitude=0.05, S=40, slack=0.0, edge=0.0,
+         layout="C", seed=6)
+# 2-D at alpha 0.01, P_0 = 0.99929: the root underflows to 0, so fbar is inf at every interior
+# site and the margin is inf, while diff's faces would read 0 - 0 = +0.0 unless refilled
+@example(extents=[4, 3], alpha=0.01, amplitude=0.98, S=5, slack=1e-12, edge=0.0, layout="C",
+         seed=1)
 def test_verify_matches_reference(extents, alpha, amplitude, S, slack, edge, layout, seed):
     # amplitudes near 1 truncate the majorant early, and at alpha 0.01 its
     # root underflows, or h / root overflows at some sites; near 1e-18 the
@@ -265,7 +274,7 @@ def test_verify_matches_reference(extents, alpha, amplitude, S, slack, edge, lay
         return
     got = verify_comparison(a, alpha, S, slack)
     want = _reference_verify(a, alpha, S, slack)
-    np.testing.assert_array_equal(got.margins, want.margins)
+    assert _bits(got.margins) == _bits(want.margins)  # -0.0 is not +0.0
     assert (got.holds, got.checked_steps, got.defined_up_to, got.failure) == (
         want.holds, want.checked_steps, want.defined_up_to, want.failure
     )

@@ -7,9 +7,11 @@ For each workload (default: every one that BENCHMARK.json lists) it runs the
 checkout's `perfbench/run.py` as a child process, from the checkout's root,
 and keeps the final JSON line and the `calibration_ms` and `artifacts_sha256`
 lines. It writes OUT/BENCH_<yyyy-mm-dd>_<workload>_s<seed>.json (the start
-date in UTC) with the checkout's git SHA and whether its tree is dirty, the
-Python and numpy versions, the CPU count and every metric, and stops before
-any run if one of those files exists: an earlier record is never overwritten.
+date in UTC) with the checkout's git SHA and whether its tree is dirty (a
+tracked file differs from the commit; untracked files, such as the A/B batches
+under bench/, do not count), the Python and numpy versions, the CPU count and
+every metric, and stops before any run if one of those files exists: an
+earlier record is never overwritten.
 The checkout defaults to the one that holds this script, and OUT to
 bench/<first 12 digits of its SHA> there, so a base and a head run of one day
 do not overwrite each other. It edits nothing under perfbench/.
@@ -48,6 +50,12 @@ def _git(checkout: Path, *args: str) -> str | None:
     return proc.stdout if proc.returncode == 0 else None
 
 
+def _dirty(checkout: Path) -> bool | None:
+    """Whether a tracked file of the checkout differs from its commit; None if git cannot say."""
+    status = _git(checkout, "status", "--porcelain", "--untracked-files=no")
+    return None if status is None else bool(status.strip())
+
+
 def _run(checkout: Path, workload: str, args) -> dict:
     """One perfbench run: its result line, plus the calibration and artifact digest lines."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
@@ -68,7 +76,7 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in
                                   json.loads((checkout / "BENCHMARK.json").read_text())["workloads"]]
     sha = (_git(checkout, "rev-parse", "HEAD") or "").strip() or None
-    status = _git(checkout, "status", "--porcelain")
+    dirty = _dirty(checkout)
     out = args.out or ROOT / "bench" / (sha or "unknown")[:12]
     date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
     paths = {w: out / f"BENCH_{date}_{w}_s{args.seed}.json" for w in workloads}
@@ -81,7 +89,7 @@ def main(argv=None) -> int:
         record = {
             "workload": workload, "seed": args.seed, "seconds": args.seconds,
             "trace": args.trace, "smoke": args.smoke, "date": date,
-            "git_sha": sha, "dirty": None if status is None else bool(status.strip()),
+            "git_sha": sha, "dirty": dirty,
             "python": platform.python_version(), "numpy": np.__version__,
             "cpu_count": os.cpu_count(), **result,
         }
