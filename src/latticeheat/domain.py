@@ -100,8 +100,9 @@ class Field:
         return float(self.values.max())
 
     def boundary_is_zero(self) -> bool:
-        v = self.values  # the faces normal to axis 1, then `_faces`; NaN counts as nonzero
-        return not any(face.any() for face in (v[::v.shape[0] - 1], *_faces(v)))
+        probe = self.values.copy()
+        probe[self.domain.core] = 0.0
+        return bool(np.all(probe == 0.0))
 
 
 def _span(values: np.ndarray) -> slice:
