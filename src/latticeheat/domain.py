@@ -213,11 +213,12 @@ class _Stencil:
 
     def __call__(self) -> None:
         pairs, acc, (scale_by, scale) = self._pairs, self._acc, self._scale
-        np.add(*self._first, out=acc)
+        # outputs by position and scalars as 0-d arrays, as either costs numpy less per call
+        np.add(*self._first, acc)
         for plus, minus in self._axes:
-            np.add(plus, minus, out=pairs)
-            np.add(acc, pairs, out=acc)
-        scale_by(acc, scale, out=acc)  # scalars as 0-d arrays cost numpy less per call
+            np.add(plus, minus, pairs)
+            np.add(acc, pairs, acc)
+        scale_by(acc, scale, acc)
         for face in self._faces:
             face.fill(0.0)
 

@@ -162,20 +162,21 @@ class _Stepper:
         self._denom_core = denom[core]
         coupling = p.alpha * p.delta
         # denom = 1 - coupling*g^alpha, then denom^(1/alpha), as ufunc calls into denom; 1.0*x is
-        # x, so a product of exactly 1.0 skips the multiply (alpha*(1/alpha) may be 1 - 2^-53)
-        # scalar operands as 0-d arrays, which cost numpy less per call and give the same doubles
+        # x, so a product of exactly 1.0 skips the multiply (alpha*(1/alpha) may be 1 - 2^-53).
+        # Each call's arguments end in its output, passed by position, and its scalars are 0-d
+        # arrays: numpy spends less per call than on `out=` or Python floats, for the same doubles
         powers = ((np.power, (np.array(p.alpha),)), (np.power, (np.array(1.0 / p.alpha),)))
         lift, root = _EXACT_POWERS.get(p.alpha, powers)
-        calls, x = [], self._g_span
+        calls, x, out = [], self._g_span, self._denom_span
         if lift is not None:
-            calls.append((lift[0], (x,) + lift[1]))
-            x = self._denom_span
+            calls.append((lift[0], (x, *lift[1], out)))
+            x = out
         if coupling != 1.0:
-            calls.append((np.multiply, (np.array(coupling), x)))
-            x = self._denom_span
-        calls.append((np.subtract, (np.array(1.0), x)))
+            calls.append((np.multiply, (np.array(coupling), x, out)))
+            x = out
+        calls.append((np.subtract, (np.array(1.0), x, out)))
         self._denom_calls = tuple(calls)
-        self._root_calls = () if root is None else ((root[0], (self._denom_span,) + root[1]),)
+        self._root_calls = () if root is None else ((root[0], (out, *root[1], out)),)
         self._scalar = None  # at exact powers: denom and its root at one g, as the calls form them
         up, down = (_SCALAR_POWERS.get(x) for x in (p.alpha, 1 / p.alpha))  # root: 1/alpha's lift
         if up is not None:  # 1.0 * x is x, so the scalar product needs no skip
@@ -260,8 +261,8 @@ class _Stepper:
         else:
             g, denom = self._g_span, self._denom_span
             self._means[0]()
-            for ufunc, operands in self._denom_calls:
-                ufunc(*operands, out=denom)
+            for ufunc, args in self._denom_calls:
+                ufunc(*args)
             if self._scalar is None:
                 least = denom.item(denom.argmin())
                 if self.trace is not None:
@@ -271,9 +272,9 @@ class _Stepper:
                 least = self._scalar[0](self.max_g)
             if least <= self._eps_blow:
                 return _first_offender(self._denom_core <= self._eps_blow, self.g)
-            for ufunc, operands in self._root_calls:
-                ufunc(*operands, out=denom)
-            np.divide(g, denom, out=self._spare_span)
+            for ufunc, args in self._root_calls:
+                ufunc(*args)
+            np.divide(g, denom, self._spare_span)
             if self._scalar is not None:
                 # least > eps_blow >= 0 is 1 - y with y < 1, so least >= 2^-53, its root
                 # >= 2^-106, and the divide meets no zero; an overflow gives inf, as numpy's does

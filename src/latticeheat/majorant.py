@@ -136,7 +136,7 @@ def verify_comparison(
             return False
         root = (1.0 - P) ** (1.0 / alpha)
         fbar = _over_root(h_span, root, fbar_span)
-        np.subtract(fbar, stepper.f_span, out=diff_span)
+        np.subtract(fbar, stepper.f_span, diff_span)
         for face in faces:
             face.fill(math.inf)
         margins.append(diff_span.item(diff_span.argmin()))

@@ -729,7 +729,8 @@ def test_span_extrema_are_the_reduces(extents, alpha, unit_coupling, eps_blow, k
     stepper._eps_blow = least = _Least(eps_blow)
     least.seen = []
     denoms = []  # each full step's denominators, as its root calls find them
-    stepper._root_calls = ((lambda out: denoms.append(out.copy()), ()),) + stepper._root_calls
+    snapshot = (lambda denom: denoms.append(denom.copy()), (stepper._denom_span,))
+    stepper._root_calls = (snapshot,) + stepper._root_calls
     stepper.load(a)
     max_f = float(a.values.max())
     with np.errstate(divide="ignore", over="ignore"):
