@@ -21,7 +21,8 @@ import numpy as np
 
 from .domain import BoxDomain, Field
 from .evolution import Params, _check_solution_field, normalize_scaling, simulate
-from .majorant import _bracket_top, _Probe, find_threshold, regime_bound, verify_comparison
+from .majorant import (COMPARISON_SLACK, _bracket_top, _Probe, find_threshold, regime_bound,
+                       verify_comparison)
 from .spectral import mode_table
 
 EXIT_OK = 0
@@ -193,7 +194,7 @@ _CONFIG = (  # the fields of ExperimentConfig
     ("init", dict, _REQUIRED, ((_init, ""),)),
     ("amplitude", float, 1.0, _AT_LEAST_0),
     ("eps_blow", float, 0.0, _AT_LEAST_0),
-    ("comparison_slack", float, 1e-12, _AT_LEAST_0),
+    ("comparison_slack", float, COMPARISON_SLACK, _AT_LEAST_0),
     ("threshold_tol", float, 1e-3, _ABOVE_0),
     ("sweep", None, None, (  # null is no sweep
         (lambda v, cfg: v is None or isinstance(v, dict), "expected an object"),

@@ -53,8 +53,8 @@ class BoxDomain:
 
     @property
     def core(self) -> tuple[slice, ...]:
-        """Slice tuple selecting the interior of a full-shape array."""
-        return tuple(slice(1, -1) for _ in self.extents)
+        """Sites 1..N_k - 1 per axis: a full-shape array's interior, or an orthant's in its box."""
+        return tuple(slice(1, n) for n in self.extents)
 
     def is_interior(self, n: MultiIndex) -> bool:
         return len(n) == self.dims and all(

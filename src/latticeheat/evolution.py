@@ -81,7 +81,8 @@ class BlowupReport:
         return isinstance(self.outcome, BlewUpAt)
 
 
-def _check_solution_field(f: Field) -> None:
+def _check_solution_field(f: Field) -> float:
+    """The maximum of zero-boundary, nonnegative, finite data; other data raises."""
     if not f.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
     lo, hi = f.values.min(), f.values.max()  # NaN and +-inf reach one of the two
@@ -89,6 +90,7 @@ def _check_solution_field(f: Field) -> None:
         raise ValueError("field has non-finite values")
     if lo < 0:
         raise ValueError("field has negative values")
+    return float(hi)
 
 
 def _first_offender(bad: np.ndarray, g: np.ndarray) -> BlowupSignal:
@@ -98,13 +100,12 @@ def _first_offender(bad: np.ndarray, g: np.ndarray) -> BlowupSignal:
 
 
 _TINY = np.finfo(float).tiny
-# g^alpha and denom^(1/alpha) as (ufunc, operands after the first) where x*x and sqrt, both
-# correctly rounded, give np.power's double; the stencil gives g no -0.0, whose sqrt is -0.0
-_EXACT_POWERS = {2.0: ((np.square, ()), (np.sqrt, ())), 0.5: ((np.sqrt, ()), (np.square, ())),
-                 1.0: (None, None)}  # x^1 is x
-# x^alpha on one double at the same alpha: CPython's float * and math.sqrt round as IEEE 754 does
-_SCALAR = {np.square: lambda x: x * x, np.sqrt: math.sqrt, None: lambda x: x}
-_SCALAR_POWERS = {alpha: _SCALAR[lift and lift[0]] for alpha, (lift, _) in _EXACT_POWERS.items()}
+# Per alpha where x*x and sqrt, both correctly rounded, give np.power's double: x^alpha and
+# x^(1/alpha) as ufuncs (None: x^1 is x), then on one double, where CPython's float * and
+# math.sqrt round as IEEE 754 does. The stencil gives g no -0.0, whose sqrt is -0.0.
+_EXACT_POWERS = {2.0: (np.square, np.sqrt, lambda x: x * x, math.sqrt),
+                 0.5: (np.sqrt, np.square, math.sqrt, lambda x: x * x),
+                 1.0: (None, None, lambda x: x, lambda x: x)}
 
 
 class _Stepper:
@@ -117,7 +118,7 @@ class _Stepper:
     whatever the data's zeros. f and the spare swap at each update, with their spans
     (f's is `f_span`) and `_Stencil` plans into g and into each other.
     The update maps zero-boundary, nonnegative, finite data to the same set
-    until blow-up, so `load` checks the data once (a `majorant._Probe` checks its profile
+    until blow-up, so `load` checks the data once (a `majorant._Probe` loads its profile
     once, and writes amplitude times it); afterwards the only way out of that set is an
     update that overflows to inf, which `loop` reads from the new state's maximum, `max_f`.
 
@@ -140,7 +141,7 @@ class _Stepper:
 
     __slots__ = ("f", "f_span", "g", "max_g", "max_f", "trace", "_g_span", "_spare",
                  "_spare_span", "_means", "_copies", "_plan", "_denom_span", "_denom_core",
-                 "_denom_calls", "_root_calls", "_scalar", "core", "data", "_rest", "_eps_blow",
+                 "_denom_calls", "_root_calls", "_scalar", "core", "_rest", "_eps_blow",
                  "_copy_below")
 
     def __init__(self, domain: BoxDomain, p: Params, eps_blow: float,
@@ -148,8 +149,7 @@ class _Stepper:
         if not eps_blow >= 0:
             raise ValueError(f"eps_blow must be >= 0, got {eps_blow}")
         box = _orthant(domain) if mirror else domain
-        core = self.core = box.core
-        self.data = tuple(slice(1, n) for n in box.extents)  # the box's interior in the data
+        core = self.core = box.core  # the box's interior, in its buffers and in the data
         self._rest = core if mirror else None  # the sites `at_rest` compares; None for all
         # a plan from a source into an output, its neighbor sums to denom
         self._plan = (partial(_MirrorStencil, mirror=domain.extents) if mirror else
@@ -165,22 +165,21 @@ class _Stepper:
         # x, so a product of exactly 1.0 skips the multiply (alpha*(1/alpha) may be 1 - 2^-53).
         # Each call's arguments end in its output, passed by position, and its scalars are 0-d
         # arrays: numpy spends less per call than on `out=` or Python floats, for the same doubles
-        powers = ((np.power, (np.array(p.alpha),)), (np.power, (np.array(1.0 / p.alpha),)))
-        lift, root = _EXACT_POWERS.get(p.alpha, powers)
+        lift, root, up, down = _EXACT_POWERS.get(p.alpha, (np.power, np.power, None, None))
+        exponents = [()] * 2 if up else [(np.array(p.alpha),), (np.array(1.0 / p.alpha),)]
         calls, x, out = [], self._g_span, self._denom_span
         if lift is not None:
-            calls.append((lift[0], (x, *lift[1], out)))
+            calls.append((lift, (x, *exponents[0], out)))
             x = out
         if coupling != 1.0:
             calls.append((np.multiply, (np.array(coupling), x, out)))
             x = out
         calls.append((np.subtract, (np.array(1.0), x, out)))
         self._denom_calls = tuple(calls)
-        self._root_calls = () if root is None else ((root[0], (out, *root[1], out)),)
-        self._scalar = None  # at exact powers: denom and its root at one g, as the calls form them
-        up, down = (_SCALAR_POWERS.get(x) for x in (p.alpha, 1 / p.alpha))  # root: 1/alpha's lift
-        if up is not None:  # 1.0 * x is x, so the scalar product needs no skip
-            self._scalar = (lambda y: 1.0 - coupling * up(y)), down
+        self._root_calls = () if root is None else ((root, (out, *exponents[1], out)),)
+        # at exact powers: denom and its root at one g, as the calls form them; 1.0 * x is x, so
+        # the scalar product needs no skip
+        self._scalar = None if up is None else ((lambda y: 1.0 - coupling * up(y)), down)
         self.trace, self._eps_blow = ([] if record else None), eps_blow
         # the largest max_f with alpha*delta*max_f^alpha <= 2^-60, to rounding; 0 if it
         # underflows. -1, no copy steps: with eps_blow >= 1 a denominator of 1.0 is a blow-up,
@@ -188,16 +187,13 @@ class _Stepper:
         self._copy_below = -1.0 if eps_blow >= 1 or p.alpha > 2.0**40 else math.exp(
             (-60 * math.log(2) - math.log(coupling)) / p.alpha)
 
-    def load(self, a: Field) -> None:
-        """Check the data and write its interior + 0.0 onto the +0.0 buffers: adding 0.0
-        keeps every double but -0.0, which becomes +0.0, so the stencil never meets -0.0."""
-        _check_solution_field(a)
-        np.add(a.values[self.data], 0.0, out=self.f[self.core])
-
-    def run(self, a: Field, steps: int, exits=None) -> tuple[int, BlowupSignal | bool | None]:
-        """`load` the data `a`, and `loop` from it and its maximum."""
-        self.load(a)
-        return self.loop(float(a.values.max()), steps, exits)
+    def load(self, a: Field) -> float:
+        """Check the data, write its interior + 0.0 onto the +0.0 buffers and return its maximum,
+        which `loop` starts from: adding 0.0 keeps every double but -0.0, which becomes +0.0, so
+        the stencil never meets -0.0."""
+        peak = _check_solution_field(a)
+        np.add(a.values[self.core], 0.0, out=self.f[self.core])
+        return peak
 
     def loop(self, max_f: float, steps: int,
              exits=None) -> tuple[int, BlowupSignal | bool | None]:
@@ -304,7 +300,7 @@ def step_nonlinear(f: Field, p: Params, eps_blow: float = 0.0) -> Field | Blowup
     site of an update that overflows, which `loop` finds at step 1, where an exit stops it.
     """
     stepper = _Stepper(f.domain, p, eps_blow)
-    _, stop = stepper.run(f, 1, lambda s, *_: False if s else None)
+    _, stop = stepper.loop(stepper.load(f), 1, lambda s, *_: False if s else None)
     return stop if isinstance(stop, BlowupSignal) else Field(f.domain, stepper.f)
 
 
@@ -320,7 +316,7 @@ def simulate(a: Field, p: Params, max_steps: int, eps_blow: float = 0.0) -> Blow
     the only place the trace repeats a record; the CSV writer relies on it.
     """
     stepper = _Stepper(a.domain, p, eps_blow, record=True)
-    s, sig = stepper.run(a, max_steps)
+    s, sig = stepper.loop(stepper.load(a), max_steps)
     if sig is not None:
         return BlowupReport(BlewUpAt(step=s, site=sig.site, g_value=sig.g_value), stepper.trace)
     # at rest after step s the state and g repeat, so the record does; at the horizon s = max_steps

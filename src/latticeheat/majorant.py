@@ -20,7 +20,7 @@ import numpy as np
 
 from .domain import (Field, MultiIndex, _faces, _mirror_multiplicity, _mirror_symmetric,
                      _span_buffers)
-from .evolution import BlowupSignal, Params, _SCALAR_POWERS, _check_solution_field, _Stepper
+from .evolution import _EXACT_POWERS, BlowupSignal, Params, _Stepper
 from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
 COMPARISON_SLACK = 1e-12
@@ -100,7 +100,7 @@ def verify_comparison(
 ) -> ComparisonVerdict:
     """Check fbar^s >= f^s pointwise and no blow-up while the majorant exists.
 
-    `_Stepper.run` checks the data at every S and steps the scaled dynamics
+    `_Stepper.load` checks the data at every S, and `_Stepper.loop` steps the scaled dynamics
     (delta = 1/alpha). Its exit steps the linear flow to h^s, compares fbar^s
     with f^s, and stops the run at a failure, at S or where P_s >= 1 (P_s
     never decreases). A state at rest is compared on without steps. A blow-up
@@ -125,7 +125,7 @@ def verify_comparison(
     stepper = _Stepper(a.domain, Params(alpha=alpha, delta=1.0 / alpha), 0.0)
     # |m|^alpha as _trace_from_maxima's np.abs(m) ** alpha forms it, so P is partial_sums[s] bit
     # for bit: on one double at alpha in {1/2, 1, 2}, where x*x and sqrt are correctly rounded
-    power = _SCALAR_POWERS.get(alpha) or (lambda x: (np.array([x]) ** alpha)[0])
+    power = _EXACT_POWERS.get(alpha, (None, None, lambda x: (np.array([x]) ** alpha)[0]))[2]
 
     def compare(s: int, f: np.ndarray, max_f: float) -> bool | None:
         nonlocal P, failure
@@ -140,7 +140,7 @@ def verify_comparison(
         for face in faces:
             face.fill(math.inf)
         margins.append(diff_span.item(diff_span.argmin()))
-        # run checks that f, and so h, has a zero boundary; there a nonnegative slack makes f - tol
+        # load checks that f, and so h, has a zero boundary; there a nonnegative slack makes f - tol
         # <= 0 <= fbar, and a nonnegative margin gives fbar >= f >= f - tol at every interior site
         if not (slack >= 0 and margins[-1] >= 0):  # a NaN margin goes on to the test
             fbar = _over_root(h, root)
@@ -157,7 +157,7 @@ def verify_comparison(
         return False if s == S else None
 
     with np.errstate(divide="ignore", over="ignore"):
-        s, stop = stepper.run(a, S, compare)
+        s, stop = stepper.loop(stepper.load(a), S, compare)
         while stop is None:  # at rest after step s < S: every later state is this one
             s += 1
             stop = compare(s, stepper.f, stepper.max_f)
@@ -250,7 +250,7 @@ def _softplus(t: float) -> float:
 class _Probe:
     """simulate's outcome for amplitude times one profile, found with two early exits.
 
-    `_Probe(profile, ...)` checks the profile once, as `_Stepper.load` would, and a call
+    `_Probe(profile, ...)` checks the profile once, through `_Stepper.load`, and a call
     `probe(amplitude)` runs the loop of `simulate(amplitude * profile, p, S, eps_blow)`,
     `_Stepper.loop`, on the probe's stepper, and returns simulate's blow-up step, or None for
     survival. Two exits end a run once its outcome is certain. The map is a
@@ -293,12 +293,11 @@ class _Probe:
     def __init__(
         self, profile: Field, p: Params, S: int, eps_blow: float, blowup_exit: bool
     ) -> None:
-        _check_solution_field(profile)
         domain, mirror = profile.domain, _mirror_symmetric(profile.values)
         self._stepper = stepper = _Stepper(domain, p, eps_blow, False, mirror)
-        unit = profile.values[stepper.data]  # a view: the profile must not change
+        self._peak = stepper.load(profile)
+        unit = profile.values[stepper.core]  # a view: the profile must not change
         self._unit = unit + 0.0 if np.signbit(unit).any() else unit  # -0.0 made +0.0
-        self._peak = float(profile.values.max())
         self._p, self._S = p, S
         alpha = p.alpha
         log_coupling = math.log(alpha) + math.log(p.delta)
@@ -307,10 +306,10 @@ class _Probe:
         phi = phi / phi.max()
         lam = float(table.eigenvalues[(0,) * domain.dims])
         self._phi_sum = float(phi.sum())
-        phi, core = phi[tuple(slice(n) for n in stepper.f.shape)], stepper.core  # on its sites
+        core = stepper.core  # its sites' interior, in its buffers and in phi
         weights = phi  # on an orthant, times the number of box sites each site stands for
         if mirror:
-            weights = np.zeros(phi.shape)
+            weights = np.zeros(stepper.f.shape)
             weights[core] = phi[core] * _mirror_multiplicity(domain.extents)
         self._phi, self._core, self._phi_core = weights.ravel(), core, phi[core]
         self._log_lam = math.log(lam) if lam > 0 else -math.inf
@@ -318,7 +317,8 @@ class _Probe:
         if eps_blow < 1:  # else every step blows up
             self._log_survival = math.log1p(-_EXIT_MARGIN) - log_coupling + math.log1p(-eps_blow)
         self._log_jcrit = None
-        if blowup_exit and any(N > 2 for N in domain.extents):  # else lam is 0
+        # all extents 2: lam = cos(pi/2) = 0 is 6.1e-17 as a double, and the exit would misfire
+        if blowup_exit and any(N > 2 for N in domain.extents):
             log_lam = self._log_lam
             # log Jcrit(r) in units of the threshold; it decreases in r, so
             # stopping once it settles leaves later entries above their value

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
@@ -118,16 +118,10 @@ class ModeTable:
         mode = tuple(int(m) for m in mode)
         if not self.domain.is_interior(mode):
             raise ValueError(f"mode {mode} is not an interior multi-index")
-        axes = [
-            np.sin(m * np.pi * np.arange(0, N + 1) / N)
-            for m, N in zip(mode, self.domain.extents)
-        ]
-        vals = axes[0]
-        for ax in axes[1:]:
-            vals = np.multiply.outer(vals, ax)
-        # sin at n=0 and n=N is analytically 0 but carries rounding
-        interior = vals.reshape(self.domain.shape)[self.domain.core]
-        return Field.from_interior(self.domain, interior)
+        # sin at n=0 and n=N is analytically 0 but carries rounding, so each row's ends are cut
+        rows = [np.sin(m * np.pi * np.arange(0, N + 1) / N)[1:-1]
+                for m, N in zip(mode, self.domain.extents)]
+        return Field.from_interior(self.domain, reduce(np.multiply.outer, rows))
 
 
 @lru_cache(maxsize=None)

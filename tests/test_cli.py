@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latticeheat
-from latticeheat import BoxDomain, Field, Params, simulate
+from latticeheat import BoxDomain, Field, Params, cli, simulate
 from latticeheat.cli import (
     _COMMANDS,
     EXIT_BLOWUP,
@@ -31,6 +32,7 @@ from latticeheat.cli import (
     splitmix64_uniform,
     write_field_json,
 )
+from latticeheat.majorant import ComparisonFailure
 
 from conftest import reference_simulate, with_boundary
 
@@ -443,6 +445,23 @@ class TestVerifyCommand:
         margins = json.loads(text)["margins"]
         assert margins[0] == 0.0 and math.copysign(1.0, margins[0]) == 1.0
         assert '"margins": [\n    0.0,' in text
+
+    def test_failing_verdict_is_written_and_exits_2(self, tmp_path, monkeypatch):
+        # no sound run fails, so the verdict is made to: verify.json then says so and holds
+        # the failure's step, site, majorant value and solution value
+        real = cli.verify_comparison
+        failure = ComparisonFailure(step=1, site=(2,), majorant_value=0.25, solution_value=0.5)
+
+        def failing(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), holds=False, failure=failure)
+
+        monkeypatch.setattr(cli, "verify_comparison", failing)
+        cfg = write_config(tmp_path, base_config(amplitude=0.1, steps=10))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_BLOWUP
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["holds"] is False
+        assert report["failure"] == {"step": 1, "site": [2], "majorant_value": 0.25,
+                                     "solution_value": 0.5}
 
     def test_random_suite_config(self, tmp_path):
         cfg = write_config(

@@ -288,6 +288,8 @@ REJECTED = [
     ("seed-flag-without-random", ("simulate",), "constant_interior", {}, None, ("--seed", "3"),
      "--seed"),
     ("missing-field-file", COMMANDS, "file", {}, None, (), "init.path"),
+    ("field-of-other-extents", COMMANDS, "file", {}, _file(0, 0.5, 0.5, 0), (),
+     "init.path: field extents do not match config extents"),
     ("zero-profile", ("threshold",), "file", {}, _file(0, 0, 0, 0, 0), (), "init.path: values"),
     ("tiny-peak", ("threshold",), "file", {}, _file(0, 5e-324, 0, 0, 0), (), "init.path: values"),
     ("mode-out-of-range", COMMANDS, "sine_mode", {"init": {"kind": "sine_mode", "mode": [4]}},

@@ -56,6 +56,8 @@ class TestField:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Field(BoxDomain((4,)), [0, 1, 2])
+        with pytest.raises(ValueError, match=r"interior shape \(3, 3\) does not match \(3, 2\)"):
+            Field.from_interior(BoxDomain((4, 3)), np.zeros((3, 3)))
 
     def test_from_interior_has_zero_boundary(self, rng):
         d = random_domain(rng)

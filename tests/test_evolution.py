@@ -830,9 +830,9 @@ class TestNormalizeScaling:
 
 
 def _run(stepper, a, steps, exits=None):
-    """One `_Stepper.run`: the step and stop, the records (None unless recording) and the
-    state's bytes."""
-    s, stop = stepper.run(a, steps, exits)
+    """One `_Stepper.loop` from `load(a)`: the step and stop, the records (None unless
+    recording) and the state's bytes."""
+    s, stop = stepper.loop(stepper.load(a), steps, exits)
     trace = None if stepper.trace is None else [_bits(rec) for rec in stepper.trace]
     return s, stop, trace, stepper.f.tobytes()
 
@@ -931,7 +931,7 @@ def test_orthant_stepper_matches_the_whole_box(extents, alpha, tiny_delta, eps_b
     else:
         a = Field(d, mirrored(_run_data(d, p, eps_blow, kind, amplitude, seed).values))
     want, got = (evolution._Stepper(d, p, eps_blow, True, mirror) for mirror in (False, True))
-    assert got.run(a, S) == want.run(a, S)
+    assert got.loop(got.load(a), S) == want.loop(want.load(a), S)
     assert [_bits(r) for r in got.trace] == [_bits(r) for r in want.trace]
     orthant = tuple(slice(1, n // 2 + 1) for n in extents)
     assert got.f[got.core].tobytes() == want.f[orthant].tobytes()
@@ -945,8 +945,8 @@ def test_orthant_blows_up_where_neighbour_sums_overflow(extents):
     p = Params(0.5, 2e-154)
     a = Field.from_interior(d, np.full(d.interior_shape, 0.9 * p.threshold))
     want, got = (evolution._Stepper(d, p, 0.0, True, mirror) for mirror in (False, True))
-    s, stop = want.run(a, 5)
-    assert s == 0 and stop.g_value == math.inf and got.run(a, 5) == (s, stop)
+    s, stop = want.loop(want.load(a), 5)
+    assert s == 0 and stop.g_value == math.inf and got.loop(got.load(a), 5) == (s, stop)
 
 
 def test_one_ulp_off_symmetric_data_takes_the_whole_box(monkeypatch):
@@ -977,7 +977,7 @@ def _sine(d, amplitude):
 
 
 def _stop_of(report):
-    """reference_simulate's outcome as `run` states it: the step, and the site and g of a
+    """reference_simulate's outcome as `loop` states it: the step, and the site and g of a
     blow-up or None for survival."""
     out = report.outcome
     return (out.step, (out.site, out.g_value)) if report.blew_up else (None, None)
@@ -988,7 +988,7 @@ def test_each_stop_matches_reference():
     d, p = BoxDomain((4,)), Params(1.0, 1.0)
     a = Field(d, [0, 0.9, 0.9, 0.9, 0])
     stepper = evolution._Stepper(d, p, 0.0, record=True)
-    s, stop = stepper.run(a, 10)
+    s, stop = stepper.loop(stepper.load(a), 10)
     ref, ref_state = reference_simulate(a, p, 10)
     assert (s, (stop.site, stop.g_value)) == _stop_of(ref) and (s, stop.site) == (1, (1,))
     assert [_bits(r) for r in stepper.trace] == [_bits(r) for r in ref.trace]
@@ -998,7 +998,8 @@ def test_each_stop_matches_reference():
     p = Params(0.5, 1e-150)
     g = _blowup_edge(p, 0.0)
     a = Field(d, [0, g, g, g, 0])
-    s, stop = evolution._Stepper(d, p, 0.0).run(a, 10)
+    stepper = evolution._Stepper(d, p, 0.0)
+    s, stop = stepper.loop(stepper.load(a), 10)
     ref, ref_state = reference_simulate(a, p, 0)  # the reference forms that update at its horizon
     assert (s, stop) == (0, BlowupSignal(site=(2,), g_value=g))
     assert np.isinf(ref_state).tolist() == [False, False, True, False, False]
@@ -1010,7 +1011,7 @@ def test_each_stop_matches_reference():
                                                1e-318), 500, True),
                                  (Field(d, [0, 0.3, 0.5, 0.3, 0]), 20, False)):
         stepper = evolution._Stepper(data.domain, p, 0.0, record=True)
-        s, stop = stepper.run(data, steps)
+        s, stop = stepper.loop(stepper.load(data), steps)
         assert stop is None and (s < steps) == at_rest
         ref, ref_state = reference_simulate(data, p, s)
         assert [_bits(r) for r in stepper.trace] == [_bits(r) for r in ref.trace]
@@ -1023,9 +1024,9 @@ def test_each_stop_matches_reference():
     d = BoxDomain((8,))
     exits = _Probe(Field.zeros(d), p, 2000, 0.0, blowup_exit=True)._exits
     stepper = evolution._Stepper(d, p, 0.0)
-    assert stepper.run(_sine(d, 0.05), 2000, exits) == (0, False)
+    assert stepper.loop(stepper.load(_sine(d, 0.05)), 2000, exits) == (0, False)
     assert _stop_of(reference_simulate(_sine(d, 0.05), p, 2000)[0]) == (None, None)
-    s, stop = stepper.run(_sine(d, 0.1), 2000, exits)
+    s, stop = stepper.loop(stepper.load(_sine(d, 0.1)), 2000, exits)
     assert stop is True and 0 < s < 40
     assert _stop_of(reference_simulate(_sine(d, 0.1), p, 2000)[0])[0] == 40
 

@@ -441,6 +441,11 @@ class TestBounds:
         with pytest.raises(ValueError):
             bound_alpha_gt_1(1.0, mode_table(BoxDomain((4,))), 1.0, [0.1])
 
+    def test_gt1_rejects_a_prefix_shorter_than_tail_start(self):
+        # tail_start is 3 on (4,): the head needs m_0..m_2
+        with pytest.raises(ValueError, match="m_prefix needs at least 3 entries, got 2"):
+            bound_alpha_gt_1(1.0, mode_table(BoxDomain((4,))), 2.0, [0.1, 0.05])
+
     def test_bounds_dominate_partial_sums(self, rng):
         from latticeheat import analyze, normalize_scaling
 
@@ -632,6 +637,11 @@ def _horizon_edge(profile, p, S, eps_blow, side):
 @example(extents=[5, 5], alpha=2.0, delta=0.5, eps_blow=0.3, kind="delta", S=0, seed=0,
          signed_zeros=False)
 @example(extents=[6, 4], alpha=1.0, delta=1.0, eps_blow=1.0, kind="random", S=30, seed=0,
+         signed_zeros=False)
+# Kaplan's exit on a box of extents 2: lam = cos(pi/2) is 0, but its double is 6.1e-17, and
+# without the probe's guard the exit reports a blow-up at alpha 0.01, delta 100, which simulate
+# never sees, as the one interior site's mean is always 0
+@example(extents=[2, 2], alpha=0.01, delta=100.0, eps_blow=0.0, kind="constant", S=50, seed=0,
          signed_zeros=False)
 # -0.0 on the boundary and inside: a constant on a 3-D box (on the orthant at
 # `_ORTHANT_MIN_SITES` 0) and a centred delta whose other interior sites are all -0.0

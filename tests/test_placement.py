@@ -164,5 +164,5 @@ def test_stepper_f_span_is_the_span_of_f(extents):
     f = stepper.f
     assert stepper.step(tiny.max()) is None and stepper._copies.count(None) == 1  # a copy plan
     assert stepper.f is not f and spans_follow()
-    s, stop = stepper.run(Field.zeros(d), 10)
+    s, stop = stepper.loop(stepper.load(Field.zeros(d)), 10)
     assert (s, stop) == (0, None) and spans_follow()  # the zero state rests after step 0

@@ -7,6 +7,7 @@ from latticeheat import (
     SpectralCoeffs,
     analyze,
     apply_M,
+    compute_trace,
     eigenvalue,
     mode_table,
     step_linear_direct,
@@ -66,6 +67,9 @@ class TestEigenvalue:
             eigenvalue(BoxDomain((4,)), (0,))
         with pytest.raises(ValueError):
             eigenvalue(BoxDomain((4,)), (4,))
+        for mode in ((0, 1), (1, 3)):  # the table's sine modes check it too
+            with pytest.raises(ValueError, match="not an interior multi-index"):
+                mode_table(BoxDomain((4, 3))).mode_field(mode)
 
     def test_strictly_inside_unit_interval(self, rng):
         for _ in range(20):
@@ -175,6 +179,16 @@ class TestStepLinearDirect:
     def test_zero_field(self):
         d = BoxDomain((3, 3))
         assert np.all(step_linear_direct(Field.zeros(d), 40).values == 0)
+
+    def test_negative_steps_rejected(self):
+        # the flow by steps, and through it the majorant trace, and the closed form
+        a = Field.from_interior(BoxDomain((4,)), [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="S must be >= 0"):
+            step_linear_direct(a, -1)
+        with pytest.raises(ValueError, match="S must be >= 0"):
+            compute_trace(a, 1.0, -1)
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            synthesize(analyze(a), -1)
 
     def test_spectral_vs_direct(self, rng):
         for _ in range(15):

@@ -26,7 +26,6 @@ change, as an end-to-end metric can move that far with the bytes alone.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import platform
@@ -37,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bench_record import ROOT, _git, _run
+from bench_record import ROOT, _batch, _git, _run, _write
 
 SIDES = ("base", "head")
 CONTROL_FILE = "src/latticeheat/majorant.py"
@@ -99,35 +98,27 @@ def _side(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def _summary(declared: dict, runs: list[dict]) -> dict:
-    """Per metric: both sides' values and quartiles, the change and the pairs the head won."""
-    metrics = {}
-    for name, better in declared.items():
-        base = [run["base"]["metrics"][name]["value"] for run in runs]
-        head = [run["head"]["metrics"][name]["value"] for run in runs]
-        sign = 1 if better == "lower" else -1
-        b, h = _side(base), _side(head)
-        metrics[name] = {
-            "unit": runs[0]["base"]["metrics"][name]["unit"], "better": better,
-            "base": b, "head": h,
+def _compare(base: list[float], head: list[float], sign: int) -> dict:
+    """Both sides' values and quartiles, the relative change of the medians, the pairs the head
+    won (sign 1 if lower is better, else -1) and whether the medians differ by more than the
+    base's IQR."""
+    b, h = _side(base), _side(head)
+    return {"base": b, "head": h,
             "change": (h["median"] - b["median"]) / b["median"] if b["median"] else None,
             "head_wins": sum(sign * (y - x) < 0 for x, y in zip(base, head)),
-            "beyond_base_iqr": abs(h["median"] - b["median"]) > b["iqr"],
-        }
-    return metrics
+            "beyond_base_iqr": abs(h["median"] - b["median"]) > b["iqr"]}
 
 
-def _batch(args, kind: str, workloads: list[str], head_sha: str) -> tuple[str, dict]:
-    """The batch's date and OUT/<kind>_<date>_<workload>_s<seed>.json per workload (OUT/aa/
-    for a control); stops before any run if one of them exists."""
-    out = (args.out or ROOT / "bench" / head_sha[:12]) / ("aa" if args.control else "")
-    date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
-    paths = {w: out / f"{kind}_{date}_{w}_s{args.seed}.json" for w in workloads}
-    taken = [str(path) for path in paths.values() if path.exists()]
-    if taken:
-        raise SystemExit(f"error: refusing to overwrite an earlier batch: {', '.join(taken)}")
-    out.mkdir(parents=True, exist_ok=True)
-    return date, paths
+def _summary(benchmark: dict, workload: str, runs: list[dict]) -> dict:
+    """Per end-to-end metric: its unit, which way is better, and the two sides `_compare`d."""
+    metrics = {}
+    for m in benchmark["end_to_end"]:
+        name, better = m["name"], m["better"]
+        base = [run["base"]["metrics"][name]["value"] for run in runs]
+        head = [run["head"]["metrics"][name]["value"] for run in runs]
+        metrics[name] = {"unit": runs[0]["base"]["metrics"][name]["unit"], "better": better,
+                         **_compare(base, head, 1 if better == "lower" else -1)}
+    return {"metrics": metrics}
 
 
 def _pairs(clones: dict, workload: str, args, time) -> list[dict]:
@@ -153,31 +144,30 @@ def _record(args, workload: str, date: str, shas: tuple[str, str], runs: list[di
     }
 
 
-def _write(path: Path, record: dict) -> None:
-    with path.open("x") as file:  # a batch started in the meantime fails here
-        file.write(json.dumps(record, indent=1) + "\n")
-    print(path)
-
-
-def main(argv=None) -> int:
-    args = _parse_args(argv)
+def _batches(args, kind: str, time, summary, run_keys: tuple[str, ...]) -> int:
+    """Per workload, `time`'s pairs on fresh clones into one `_batch` file (under OUT/aa/ for a
+    control): the `_record`, then `summary(benchmark, workload, runs)`, then each run's
+    `run_keys`."""
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    declared = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     shas, head = _shas(args)
-    date, paths = _batch(args, "AB", workloads, head)
-    with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
+    out = (args.out or ROOT / "bench" / head[:12]) / ("aa" if args.control else "")
+    date, paths = _batch(out, kind, workloads, args.seed)
+    with tempfile.TemporaryDirectory(prefix=f"bench_{kind.lower()}_") as tmp:
         clones = _clones(args, shas, tmp)
         for workload in workloads:
-            runs = _pairs(clones, workload, args, _run)
+            runs = _pairs(clones, workload, args, time)
             _write(paths[workload], {
-                **_record(args, workload, date, shas, runs),
-                "metrics": _summary(declared, runs),
+                **_record(args, workload, date, shas, runs), **summary(benchmark, workload, runs),
                 "runs": [{"first": run["first"], **{
-                    side: {key: run[side][key] for key in _RUN_KEYS} for side in SIDES}}
+                    side: {key: run[side][key] for key in run_keys} for side in SIDES}}
                     for run in runs],
             })
     return 0
+
+
+def main(argv=None) -> int:
+    return _batches(_parse_args(argv), "AB", _run, _summary, _RUN_KEYS)
 
 
 if __name__ == "__main__":

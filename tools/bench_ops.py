@@ -95,20 +95,16 @@ def _time(clone: Path, workload: str, args) -> dict:
     return json.loads(lines[-1])
 
 
-def _ops(runs: list[dict]) -> list[dict]:
-    """Per op: what it runs, both sides' times and quartiles, the change and the head's wins."""
-    from bench_ab import _side
+def _ops(benchmark: dict, workload: str, runs: list[dict]) -> dict:
+    """Per op: what it runs and both sides' times, `bench_ab._compare`d; both ran one plan."""
+    from bench_ab import SIDES, _compare
 
-    ops = []
-    for i, op in enumerate(runs[0]["base"]["ops"]):
-        base = [run["base"]["scaled_ms"][i] for run in runs]
-        head = [run["head"]["scaled_ms"][i] for run in runs]
-        b, h = _side(base), _side(head)
-        ops.append({"op": i, **op, "base": b, "head": h,
-                    "change": (h["median"] - b["median"]) / b["median"] if b["median"] else None,
-                    "head_wins": sum(y < x for x, y in zip(base, head)),
-                    "beyond_base_iqr": abs(h["median"] - b["median"]) > b["iqr"]})
-    return ops
+    if any(run[side]["ops"] != runs[0]["base"]["ops"] for run in runs for side in SIDES):
+        raise SystemExit(f"error: {workload}: the two sides ran different op plans")
+    return {"passes": runs[0]["base"]["passes"], "unit": "ms", "ops": [
+        {"op": i, **op, **_compare([run["base"]["scaled_ms"][i] for run in runs],
+                                   [run["head"]["scaled_ms"][i] for run in runs], 1)}
+        for i, op in enumerate(runs[0]["base"]["ops"])]}
 
 
 def main(argv=None) -> int:
@@ -116,28 +112,10 @@ def main(argv=None) -> int:
     if args.child is not None:
         print(json.dumps(_child(args)))
         return 0
-    from bench_ab import SIDES, _batch, _clones, _pairs, _record, _shas, _write
-    from bench_record import ROOT
+    from bench_ab import _batches  # it loads numpy, which a child must not load before run.py
 
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    shas, head = _shas(args)
-    date, paths = _batch(args, "OPS", workloads, head)
-    with tempfile.TemporaryDirectory(prefix="bench_ops_") as tmp:
-        clones = _clones(args, shas, tmp)
-        for workload in workloads:
-            runs = _pairs(clones, workload, args, _time)
-            if any(run[side]["ops"] != runs[0]["base"]["ops"] for run in runs for side in SIDES):
-                raise SystemExit(f"error: {workload}: the two sides ran different op plans")
-            _write(paths[workload], {
-                **_record(args, workload, date, shas, runs),
-                "passes": runs[0]["base"]["passes"], "unit": "ms", "ops": _ops(runs),
-                "runs": [{"first": run["first"], **{side: {
-                    key: run[side][key] for key in ("calibration_ms", "artifacts_sha256",
-                                                    "attempted", "failed", "failures")}
-                    for side in SIDES}} for run in runs],
-            })
-    return 0
+    return _batches(args, "OPS", _time, _ops,
+                    ("calibration_ms", "artifacts_sha256", "attempted", "failed", "failures"))
 
 
 if __name__ == "__main__":

@@ -70,6 +70,24 @@ def _run(checkout: Path, workload: str, args) -> dict:
             "artifacts_sha256": fields["artifacts_sha256"], **json.loads(lines[-1])}
 
 
+def _batch(out: Path, kind: str, workloads: list[str], seed: int) -> tuple[str, dict]:
+    """The batch's start date in UTC and OUT/<kind>_<date>_<workload>_s<seed>.json per
+    workload; stops before any run if one of them exists, and makes OUT otherwise."""
+    date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
+    paths = {w: out / f"{kind}_{date}_{w}_s{seed}.json" for w in workloads}
+    taken = [str(path) for path in paths.values() if path.exists()]
+    if taken:
+        raise SystemExit(f"error: refusing to overwrite an earlier batch: {', '.join(taken)}")
+    out.mkdir(parents=True, exist_ok=True)
+    return date, paths
+
+
+def _write(path: Path, record: dict) -> None:
+    with path.open("x") as file:  # a batch started in the meantime fails here
+        file.write(json.dumps(record, indent=1) + "\n")
+    print(path)
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     checkout = args.checkout.resolve()
@@ -78,24 +96,15 @@ def main(argv=None) -> int:
     sha = (_git(checkout, "rev-parse", "HEAD") or "").strip() or None
     dirty = _dirty(checkout)
     out = args.out or ROOT / "bench" / (sha or "unknown")[:12]
-    date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
-    paths = {w: out / f"BENCH_{date}_{w}_s{args.seed}.json" for w in workloads}
-    taken = [str(path) for path in paths.values() if path.exists()]
-    if taken:
-        raise SystemExit(f"error: refusing to overwrite an earlier record: {', '.join(taken)}")
-    out.mkdir(parents=True, exist_ok=True)
+    date, paths = _batch(out, "BENCH", workloads, args.seed)
     for workload in workloads:
-        result = _run(checkout, workload, args)
-        record = {
+        _write(paths[workload], {
             "workload": workload, "seed": args.seed, "seconds": args.seconds,
             "trace": args.trace, "smoke": args.smoke, "date": date,
             "git_sha": sha, "dirty": dirty,
             "python": platform.python_version(), "numpy": np.__version__,
-            "cpu_count": os.cpu_count(), **result,
-        }
-        with paths[workload].open("x") as file:  # a run started in the meantime fails here
-            file.write(json.dumps(record, indent=1) + "\n")
-        print(paths[workload])
+            "cpu_count": os.cpu_count(), **_run(checkout, workload, args),
+        })
     return 0
 
 
