@@ -250,9 +250,9 @@ def _check_data(command: str, cfg: ExperimentConfig, profile: Field) -> None:
     if command == "bound":  # the certificate also reads signed data
         profile = Field(profile.domain, np.abs(profile.values))
     key = {"file": "init.path: values: ", "sine_mode": "init.mode: "}.get(cfg.init["kind"], "")
-    _keyed(key, _check_solution_field, profile)
+    peak = _keyed(key, _check_solution_field, profile)
     if command == "threshold":
-        _keyed(key, _bracket_top, profile, cfg.params)
+        _keyed(key, _bracket_top, peak, cfg.params)
         return
     if command == "sweep" and cfg.sweep is None:
         raise ConfigError("sweep: required for the sweep command")

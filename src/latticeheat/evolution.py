@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -101,11 +101,12 @@ def _first_offender(bad: np.ndarray, g: np.ndarray) -> BlowupSignal:
 
 _TINY = np.finfo(float).tiny
 # Per alpha where x*x and sqrt, both correctly rounded, give np.power's double: x^alpha and
-# x^(1/alpha) as ufuncs (None: x^1 is x), then on one double, where CPython's float * and
-# math.sqrt round as IEEE 754 does. The stencil gives g no -0.0, whose sqrt is -0.0.
-_EXACT_POWERS = {2.0: (np.square, np.sqrt, lambda x: x * x, math.sqrt),
-                 0.5: (np.sqrt, np.square, math.sqrt, lambda x: x * x),
-                 1.0: (None, None, lambda x: x, lambda x: x)}
+# x^(1/alpha) as ufuncs, lift and root (None: x^1 is x), then on one double, up and down, where
+# CPython's float * and math.sqrt round as IEEE 754 does. The stencil gives g no -0.0 to root.
+_Powers = NamedTuple("_Powers", [("lift", Any), ("root", Any), ("up", Any), ("down", Any)])
+_EXACT_POWERS = {2.0: _Powers(np.square, np.sqrt, lambda x: x * x, math.sqrt),
+                 0.5: _Powers(np.sqrt, np.square, math.sqrt, lambda x: x * x),
+                 1.0: _Powers(None, None, lambda x: x, lambda x: x)}
 
 
 class _Stepper:

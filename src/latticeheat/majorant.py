@@ -125,7 +125,8 @@ def verify_comparison(
     stepper = _Stepper(a.domain, Params(alpha=alpha, delta=1.0 / alpha), 0.0)
     # |m|^alpha as _trace_from_maxima's np.abs(m) ** alpha forms it, so P is partial_sums[s] bit
     # for bit: on one double at alpha in {1/2, 1, 2}, where x*x and sqrt are correctly rounded
-    power = _EXACT_POWERS.get(alpha, (None, None, lambda x: (np.array([x]) ** alpha)[0]))[2]
+    exact = _EXACT_POWERS.get(alpha)
+    power = exact.up if exact else (lambda x: (np.array([x]) ** alpha)[0])
 
     def compare(s: int, f: np.ndarray, max_f: float) -> bool | None:
         nonlocal P, failure
@@ -296,8 +297,7 @@ class _Probe:
         domain, mirror = profile.domain, _mirror_symmetric(profile.values)
         self._stepper = stepper = _Stepper(domain, p, eps_blow, False, mirror)
         self._peak = stepper.load(profile)
-        unit = profile.values[stepper.core]  # a view: the profile must not change
-        self._unit = unit + 0.0 if np.signbit(unit).any() else unit  # -0.0 made +0.0
+        self._unit = stepper.f[stepper.core].copy()  # the profile's interior + 0.0
         self._p, self._S = p, S
         alpha = p.alpha
         log_coupling = math.log(alpha) + math.log(p.delta)
@@ -383,9 +383,8 @@ class ThresholdResult:
     evaluations: list[tuple[float, bool]]  # (amplitude, blew_up) in probe order
 
 
-def _bracket_top(profile: Field, p: Params) -> float:
-    """The bisection's upper amplitude, which puts the profile maximum at the threshold."""
-    peak = float(profile.values.max())
+def _bracket_top(peak: float, p: Params) -> float:
+    """The bisection's upper amplitude, which puts the profile maximum, `peak`, at the threshold."""
     if not (peak > 0 and peak * (p.threshold / peak) < math.inf):  # the top probe is finite
         raise ValueError(f"profile maximum must be > 0, and threshold/maximum finite: {peak!r}")
     return p.threshold / peak
@@ -404,7 +403,7 @@ def find_threshold(
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    hi = _bracket_top(profile, p)
+    hi = _bracket_top(float(profile.values.max()), p)
     probe = _Probe(profile, p, S, eps_blow, blowup_exit=True)
     evaluations: list[tuple[float, bool]] = []
 

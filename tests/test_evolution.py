@@ -933,8 +933,9 @@ def test_orthant_stepper_matches_the_whole_box(extents, alpha, tiny_delta, eps_b
     want, got = (evolution._Stepper(d, p, eps_blow, True, mirror) for mirror in (False, True))
     assert got.loop(got.load(a), S) == want.loop(want.load(a), S)
     assert [_bits(r) for r in got.trace] == [_bits(r) for r in want.trace]
-    # the orthant's core, sites 1..N_k//2, picks the same sites of the whole box's state
-    assert got.f[got.core].tobytes() == want.f[got.core].tobytes()
+    # the orthant's core is its sites 1..N_k//2, and its state is the whole box's there
+    orthant = tuple(slice(1, n // 2 + 1) for n in extents)
+    assert got.core == orthant and got.f[got.core].tobytes() == want.f[orthant].tobytes()
 
 
 @pytest.mark.parametrize("extents", [(5, 4, 6), (7, 6), (9,)])
