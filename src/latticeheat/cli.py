@@ -245,27 +245,29 @@ def build_profile(cfg: ExperimentConfig) -> Field:
     return Field.from_interior(domain, interior)
 
 
-def _check_data(command: str, cfg: ExperimentConfig, profile: Field) -> None:
-    """The data `command` reads; a fault is a ConfigError naming the key it came from."""
+def _check_data(command: str, cfg: ExperimentConfig, profile: Field) -> float:
+    """The checked maximum of the profile (of |profile| for bound); a fault is a ConfigError naming
+    the key it came from. Rounding is monotone, so c * profile has the maximum c * peak for c >= 0,
+    and can fault only by overflowing: the largest amplitude's data, then each alpha's scaled data
+    but simulate's, are tested as these scalars."""
     if command == "bound":  # the certificate also reads signed data
         profile = Field(profile.domain, np.abs(profile.values))
     key = {"file": "init.path: values: ", "sine_mode": "init.mode: "}.get(cfg.init["kind"], "")
     peak = _keyed(key, _check_solution_field, profile)
     if command == "threshold":
         _keyed(key, _bracket_top, peak, cfg.params)
-        return
+        return peak
     if command == "sweep" and cfg.sweep is None:
         raise ConfigError("sweep: required for the sweep command")
     key, prefix, sweep = "amplitude: ", "", {"alphas": [cfg.alpha], "amplitudes": [cfg.amplitude]}
     if command == "sweep":
         key, prefix, sweep = "sweep.amplitudes: ", "sweep.alphas: ", cfg.sweep
-    with np.errstate(over="ignore"):  # data that overflows is the amplitude's fault
-        a = Field(profile.domain, profile.values * float(max(sweep["amplitudes"])))
-        _keyed(key, _check_solution_field, a)
-        for alpha in sweep["alphas"] if command != "simulate" else ():  # scaled to threshold 1
-            p = _keyed(prefix, Params, float(alpha), cfg.delta)
-            scaled, _ = _keyed(prefix, normalize_scaling, a, p)
-            _keyed(key, _check_solution_field, scaled)
+    top = peak * float(max(sweep["amplitudes"]))
+    alphas = sweep["alphas"] if command != "simulate" else ()  # each scales to threshold 1
+    scaled = (top * _keyed(prefix, lambda a: Params(a, cfg.delta).scale, float(a)) for a in alphas)
+    if not top < math.inf or any(not x < math.inf for x in scaled):  # lazily: faults in order
+        raise ConfigError(f"{key}field has non-finite values")
+    return peak
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +316,7 @@ def _echo_params(cfg: ExperimentConfig) -> dict:
 # commands
 
 
-def cmd_simulate(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
+def cmd_simulate(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> int:
     a = Field(profile.domain, profile.values * cfg.amplitude)
     report = simulate(a, cfg.params, cfg.steps, eps_blow=cfg.eps_blow)
     # trajectory.csv as csv.writer writes it: rows one by one up to the tail, where the trace
@@ -343,14 +345,14 @@ def cmd_simulate(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     return EXIT_BLOWUP if report.blew_up else EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
+def cmd_verify(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> int:
     a = Field(profile.domain, profile.values * cfg.amplitude)
     a, p_scaled = normalize_scaling(a, cfg.params)
     verdict = verify_comparison(a, p_scaled.alpha, cfg.steps, slack=cfg.comparison_slack)
     doc = {
         "parameters": _echo_params(cfg),
         "holds": verdict.holds,
-        "checked_steps": verdict.checked_steps,
+        "checked_steps": len(verdict.margins),
         "defined_up_to": verdict.defined_up_to,
         "truncated": verdict.defined_up_to < cfg.steps,
         "margins": verdict.margins.tolist(),
@@ -362,7 +364,7 @@ def cmd_verify(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     return EXIT_OK if verdict.holds else EXIT_BLOWUP
 
 
-def cmd_bound(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
+def cmd_bound(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> int:
     a = Field(profile.domain, profile.values * cfg.amplitude)
     a, _ = normalize_scaling(a, cfg.params)
     report = regime_bound(a, cfg.alpha)
@@ -378,7 +380,7 @@ def cmd_bound(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_threshold(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
+def cmd_threshold(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> int:
     result = find_threshold(profile, cfg.params, cfg.steps, cfg.threshold_tol, cfg.eps_blow)
     rows = ([i, _fmt(lam), int(blew)] for i, (lam, blew) in enumerate(result.evaluations))
     _write_csv(out / "bisection.csv", ["probe", "amplitude", "blew_up"], rows)
@@ -393,12 +395,12 @@ def cmd_threshold(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: ExperimentConfig, profile: Field, out: Path) -> int:
+def cmd_sweep(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> int:
     rows = []
     for alpha in cfg.sweep["alphas"]:
         p = Params(alpha=float(alpha), delta=cfg.delta)
         probe = None  # the last alpha's stepper goes before this one's is built
-        probe = _Probe(profile, p, cfg.steps, cfg.eps_blow, blowup_exit=False)
+        probe = _Probe(profile, peak, p, cfg.steps, cfg.eps_blow, blowup_exit=False)
         for amplitude in cfg.sweep["amplitudes"]:
             s0 = probe(float(amplitude))  # simulate's blow-up step, or None
             a = Field(profile.domain, profile.values * float(amplitude))
@@ -456,10 +458,10 @@ def main(argv: list[str] | None = None) -> int:
             raise
         except (MemoryError, ValueError) as e:  # numpy cannot allocate that many sites or axes
             raise ConfigError(f"extents: {e}") from e
-        _check_data(args.command, cfg, profile)
+        peak = _check_data(args.command, cfg, profile)
         # only once every input has passed; a path with a NUL byte is a ValueError
         _keyed("--out: ", lambda: args.out.mkdir(parents=True, exist_ok=True))
-        return _COMMANDS[args.command](cfg, profile, args.out)
+        return _COMMANDS[args.command](cfg, profile, peak, args.out)
     except (ConfigError, OSError) as e:  # OSError: writing the artifacts
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

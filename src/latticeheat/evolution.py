@@ -45,6 +45,11 @@ class Params:
         """Neighbor-average level at which the update denominator vanishes."""
         return (self.alpha * self.delta) ** (-1.0 / self.alpha)
 
+    @property
+    def scale(self) -> float:
+        """The factor (alpha*delta)^(1/alpha) by which data is scaled to threshold 1."""
+        return (self.alpha * self.delta) ** (1.0 / self.alpha)
+
 
 @dataclass(frozen=True)
 class BlowupSignal:
@@ -119,8 +124,8 @@ class _Stepper:
     whatever the data's zeros. f and the spare swap at each update, with their spans
     (f's is `f_span`) and `_Stencil` plans into g and into each other.
     The update maps zero-boundary, nonnegative, finite data to the same set
-    until blow-up, so `load` checks the data once (a `majorant._Probe` loads its profile
-    once, and writes amplitude times it); afterwards the only way out of that set is an
+    until blow-up, so `load` checks the data once (a `majorant._Probe` writes amplitude times
+    a profile its caller checked); afterwards the only way out of that set is an
     update that overflows to inf, which `loop` reads from the new state's maximum, `max_f`.
 
     A step leaves its largest mean in `max_g` and the new state's maximum in
@@ -245,7 +250,7 @@ class _Stepper:
         `max_f` is at least f's maximum; at or below `_copy_below` the update is g
         itself, which the mean writes straight into the new state, leaving g stale.
         f must be finite and >= +0.0, as the plans fold the faces (`_Stencil`'s `nonnegative`):
-        `load` or a probe checks the data; `loop` stops at a non-finite `max_f` before a step.
+        `load`, or a probe's caller, checks the data; `loop` stops at a non-finite `max_f` first.
         """
         if max_f <= self._copy_below:
             # Exact: g <= max_f up to the mean's rounding (under 2^-46 relative for 64 axes), so
@@ -328,12 +333,11 @@ def simulate(a: Field, p: Params, max_steps: int, eps_blow: float = 0.0) -> Blow
 def normalize_scaling(a: Field, p: Params) -> tuple[Field, Params]:
     """Rescale so the blow-up threshold becomes 1.
 
-    Multiplies the data by (alpha*delta)^(1/alpha) and returns parameters with
+    Multiplies the data by p.scale = (alpha*delta)^(1/alpha) and returns parameters with
     alpha*delta = 1. The rescaled trajectory is the pointwise rescaling of the
     original one, step for step, until either blows up, to relative rounding
     while the values stay normal doubles; among subnormals rounding is
     absolute, so the two agree only to the smallest subnormal spacing.
     """
-    factor = (p.alpha * p.delta) ** (1.0 / p.alpha)
-    scaled = Field(a.domain, a.values * factor)
+    scaled = Field(a.domain, a.values * p.scale)
     return scaled, Params(alpha=p.alpha, delta=1.0 / p.alpha)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .domain import (Field, MultiIndex, _faces, _mirror_multiplicity, _mirror_symmetric,
                      _span_buffers)
-from .evolution import _EXACT_POWERS, BlowupSignal, Params, _Stepper
+from .evolution import _EXACT_POWERS, BlowupSignal, Params, _check_solution_field, _Stepper
 from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
 COMPARISON_SLACK = 1e-12
@@ -33,10 +33,6 @@ class MajorantTrace:
     m: np.ndarray
     partial_sums: np.ndarray
     defined_up_to: int  # largest s with P_s < 1; -1 if already P_0 >= 1
-
-    @property
-    def all_steps_defined(self) -> bool:
-        return self.defined_up_to == len(self.m) - 1
 
 
 def _trace_from_maxima(m: np.ndarray, alpha: float) -> MajorantTrace:
@@ -88,8 +84,7 @@ class ComparisonFailure:
 @dataclass(frozen=True)
 class ComparisonVerdict:
     holds: bool
-    margins: np.ndarray  # min over interior sites of fbar - f, one entry per checked step
-    checked_steps: int  # steps 0..checked_steps-1 were verified
+    margins: np.ndarray  # min over interior sites of fbar - f at steps 0, 1, ... as checked
     defined_up_to: int
     failure: ComparisonFailure | None = None
     trace: MajorantTrace | None = None  # the linear flow's trace to S
@@ -171,7 +166,6 @@ def verify_comparison(
     return ComparisonVerdict(
         holds=failure is None,
         margins=np.array(margins),
-        checked_steps=len(margins),
         defined_up_to=trace.defined_up_to,
         failure=failure,
         trace=trace,
@@ -226,7 +220,9 @@ def bound_alpha_gt_1(
 
 
 def regime_bound(a_scaled: Field, alpha: float) -> BoundReport:
-    """The certificate for data scaled to threshold 1: the bound of alpha's regime."""
+    """The certificate for zero-boundary data scaled to threshold 1: the bound of alpha's regime."""
+    if alpha <= 1 and not a_scaled.boundary_is_zero():  # else compute_trace tests it
+        raise ValueError("field has nonzero boundary values")
     table = mode_table(a_scaled.domain)
     with np.errstate(all="ignore"):  # data beyond the double range: inf, never NaN
         B_max = analyze(a_scaled).max_abs
@@ -251,7 +247,7 @@ def _softplus(t: float) -> float:
 class _Probe:
     """simulate's outcome for amplitude times one profile, found with two early exits.
 
-    `_Probe(profile, ...)` checks the profile once, through `_Stepper.load`, and a call
+    `_Probe(profile, peak, ...)` takes checked data and the maximum the check returned, and a call
     `probe(amplitude)` runs the loop of `simulate(amplitude * profile, p, S, eps_blow)`,
     `_Stepper.loop`, on the probe's stepper, and returns simulate's blow-up step, or None for
     survival. Two exits end a run once its outcome is certain. The map is a
@@ -292,12 +288,11 @@ class _Probe:
     """
 
     def __init__(
-        self, profile: Field, p: Params, S: int, eps_blow: float, blowup_exit: bool
+        self, profile: Field, peak: float, p: Params, S: int, eps_blow: float, blowup_exit: bool
     ) -> None:
         domain, mirror = profile.domain, _mirror_symmetric(profile.values)
         self._stepper = stepper = _Stepper(domain, p, eps_blow, False, mirror)
-        self._peak = stepper.load(profile)
-        self._unit = stepper.f[stepper.core].copy()  # the profile's interior + 0.0
+        self._peak, self._unit = peak, profile.values[stepper.core] + 0.0  # -0.0 made +0.0
         self._p, self._S = p, S
         alpha = p.alpha
         log_coupling = math.log(alpha) + math.log(p.delta)
@@ -403,8 +398,9 @@ def find_threshold(
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    hi = _bracket_top(float(profile.values.max()), p)
-    probe = _Probe(profile, p, S, eps_blow, blowup_exit=True)
+    peak = _check_solution_field(profile)
+    hi = _bracket_top(peak, p)
+    probe = _Probe(profile, peak, p, S, eps_blow, blowup_exit=True)
     evaluations: list[tuple[float, bool]] = []
 
     def blows_up(lam: float) -> bool:

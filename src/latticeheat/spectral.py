@@ -138,9 +138,6 @@ class SpectralCoeffs:
     domain: BoxDomain
     coeffs: np.ndarray  # interior shape
 
-    def flat(self) -> np.ndarray:
-        return self.coeffs.ravel()  # C order = lexicographic
-
     @property
     def max_abs(self) -> float:
         """Largest |coefficient|; inf if the transform overflowed (an inf or NaN coefficient)."""

@@ -16,11 +16,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticeheat import BoxDomain, Field
-from latticeheat.cli import EXIT_ERROR, EXIT_OK, main, write_field_json
+from latticeheat import BoxDomain, Field, Params, normalize_scaling
+from latticeheat.cli import (EXIT_ERROR, EXIT_OK, ConfigError, _check_data, _keyed, main,
+                             parse_config, write_field_json)
+from latticeheat.evolution import _check_solution_field
+from latticeheat.majorant import _bracket_top
 
 COMMANDS = ("simulate", "verify", "bound", "threshold", "sweep")
 ARTIFACTS = {
@@ -337,3 +340,89 @@ def test_bound_accepts_signed_data(tmp_path):
     code, err = _run(tmp_path, "bound", config)
     assert (code, err) == (0, "")
     assert (tmp_path / "out" / "bound.json").is_file()
+
+
+def _array_check(command, cfg, profile):
+    """The CLI's data check as it first stood, the reference for its scalar tests: the profile,
+    amplitude times it and, per alpha, that scaled to threshold 1, each formed and checked whole."""
+    if command == "bound":
+        profile = Field(profile.domain, np.abs(profile.values))
+    key = {"file": "init.path: values: ", "sine_mode": "init.mode: "}.get(cfg.init["kind"], "")
+    peak = _keyed(key, _check_solution_field, profile)
+    if command == "threshold":
+        _keyed(key, _bracket_top, peak, cfg.params)
+        return
+    if command == "sweep" and cfg.sweep is None:
+        raise ConfigError("sweep: required for the sweep command")
+    key, prefix, sweep = "amplitude: ", "", {"alphas": [cfg.alpha], "amplitudes": [cfg.amplitude]}
+    if command == "sweep":
+        key, prefix, sweep = "sweep.amplitudes: ", "sweep.alphas: ", cfg.sweep
+    with np.errstate(over="ignore"):
+        a = Field(profile.domain, profile.values * float(max(sweep["amplitudes"])))
+        _keyed(key, _check_solution_field, a)
+        for alpha in sweep["alphas"] if command != "simulate" else ():
+            p = _keyed(prefix, Params, float(alpha), cfg.delta)
+            scaled, _ = _keyed(prefix, normalize_scaling, a, p)
+            _keyed(key, _check_solution_field, scaled)
+
+
+def _verdict(check, *args):
+    """The ConfigError text `check(*args)` raises, or None."""
+    try:
+        check(*args)
+    except ConfigError as e:
+        return str(e)
+    return None
+
+
+TOP = np.finfo(float).max
+# amplitudes and alphas whose products with a peak near the top of the double range, and with
+# (alpha*delta)^(1/alpha), land on both sides of overflow; tiny alphas make invalid Params
+SCALARS = st.one_of(st.floats(0.5, 4.0), st.floats(1e-3, 1e3), st.just(1.0))
+ALPHAS = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 4.0), st.floats(1e-4, 0.01))
+SWEEP = st.fixed_dictionaries({"alphas": st.lists(ALPHAS, min_size=1, max_size=3),
+                               "amplitudes": st.lists(SCALARS, min_size=1, max_size=3)})
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    command=st.sampled_from(COMMANDS),
+    kind=st.sampled_from(["constant_interior", "sine_mode", "file"]),
+    extents=st.lists(st.integers(2, 4), min_size=1, max_size=2),
+    peak=st.one_of(st.floats(TOP / 4, TOP), st.floats(1e300, TOP), st.floats(0.0, 4.0),
+                   st.just(0.0)),
+    fault=st.sampled_from([None, None, "nan", "inf", "negative", "boundary"]),
+    alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    delta=st.one_of(st.floats(0.1, 10.0), st.just(1.0)),
+    amplitude=st.one_of(SCALARS, st.just(0.0)),
+    sweep=st.one_of(st.none(), SWEEP, SWEEP, SWEEP),
+    seed=st.integers(0, 2**32 - 1),
+)
+# faults in order: an amplitude that overflows before an invalid alpha, and an alpha whose data
+# overflows before a later invalid one (the scale (1e-3 * 2)^1000 underflows to 0)
+@example(command="sweep", kind="file", extents=[3], peak=TOP, fault=None, alpha=1.0, delta=2.0,
+         amplitude=1.0, sweep={"alphas": [1e-3], "amplitudes": [2.0]}, seed=0)
+@example(command="sweep", kind="file", extents=[3], peak=TOP, fault=None, alpha=1.0, delta=2.0,
+         amplitude=1.0, sweep={"alphas": [1.0, 1e-3], "amplitudes": [1.0]}, seed=0)
+def test_scalar_checks_match_the_array_path(command, kind, extents, peak, fault, alpha, delta,
+                                            amplitude, sweep, seed):
+    # each amplitude and each alpha's scaling is tested as a scalar on the profile's checked
+    # maximum, with the message, key and order of faults of the data the array path formed
+    rng = np.random.default_rng(seed)
+    d = BoxDomain(tuple(extents))
+    values = Field.from_interior(d, peak * rng.uniform(0.0, 1.0, d.interior_shape)).values
+    values[(1,) * d.dims] = peak
+    site = tuple(int(rng.integers(1, n)) for n in d.extents)
+    if fault == "boundary":
+        site = (0,) + site[1:]
+    values[site] = {None: values[site], "nan": np.nan, "inf": np.inf, "negative": -peak / 2,
+                    "boundary": peak / 3}[fault]
+    init = {"kind": kind, "mode": [1] * d.dims, "path": "field.json"}
+    cfg = parse_config({"extents": list(extents), "alpha": alpha, "delta": delta, "steps": 5,
+                        "init": init, "amplitude": amplitude, "sweep": sweep})
+    profile = Field(d, values)
+    want = _verdict(_array_check, command, cfg, profile)
+    assert _verdict(_check_data, command, cfg, profile) == want
+    if want is None:
+        top = np.abs(values).max() if command == "bound" else values.max()
+        assert _check_data(command, cfg, profile) == top

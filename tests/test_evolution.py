@@ -880,7 +880,7 @@ def test_reused_stepper_matches_fresh_one(extents, alpha, tiny_delta, eps_blow, 
     # each run's step, stop, records and final state, bit for bit, as a fresh one does
     d = BoxDomain(tuple(extents))
     p = Params(alpha, 1e-150 if tiny_delta else 1.0 / alpha)
-    exits = _Probe(Field.zeros(d), p, S, eps_blow, blowup_exit)._exits  # of a whole-box probe
+    exits = _Probe(Field.zeros(d), 0.0, p, S, eps_blow, blowup_exit)._exits  # of a whole-box probe
     reused = evolution._Stepper(d, p, eps_blow, record)
     for kind, amplitude, with_exits, seed in runs:
         a = _run_data(d, p, eps_blow, kind, amplitude, seed)
@@ -957,7 +957,7 @@ def test_one_ulp_off_symmetric_data_takes_the_whole_box(monkeypatch):
     a = Field.from_interior(d, np.full(d.interior_shape, 0.5))
 
     def probe_shape(profile):  # the shape of the probe's stepper buffers, after a probe
-        probe = _Probe(profile, p, 50, 0.0, blowup_exit=True)
+        probe = _Probe(profile, profile.max(), p, 50, 0.0, blowup_exit=True)
         probe(1.0)
         return probe._stepper.f.shape
 
@@ -1023,7 +1023,7 @@ def test_each_stop_matches_reference():
     # the probe's exits on (8,): the sine mode at 0.05 is certified to survive at step 0, and
     # at 0.1 Kaplan's bound fires before the reference's blow-up at step 40
     d = BoxDomain((8,))
-    exits = _Probe(Field.zeros(d), p, 2000, 0.0, blowup_exit=True)._exits
+    exits = _Probe(Field.zeros(d), 0.0, p, 2000, 0.0, blowup_exit=True)._exits
     stepper = evolution._Stepper(d, p, 0.0)
     assert stepper.loop(stepper.load(_sine(d, 0.05)), 2000, exits) == (0, False)
     assert _stop_of(reference_simulate(_sine(d, 0.05), p, 2000)[0]) == (None, None)
@@ -1038,7 +1038,7 @@ def test_negative_horizon_is_rejected():
     with pytest.raises(ValueError, match="max_steps"):
         simulate(a, p, -1)
     with pytest.raises(ValueError, match="max_steps"):
-        _Probe(a, p, -1, 0.0, blowup_exit=True)(1.0)
+        _Probe(a, 0.0, p, -1, 0.0, blowup_exit=True)(1.0)
 
 
 def _reference_check_message(f):

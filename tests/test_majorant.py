@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -53,7 +54,7 @@ class TestComputeTrace:
         t = compute_trace(Field.zeros(d), 1.0, 20)
         assert np.all(t.m == 0)
         assert np.all(t.partial_sums == 0)
-        assert t.all_steps_defined
+        assert t.defined_up_to == len(t.m) - 1  # every step
 
     def test_geometric_series_unit_amplitude(self):
         # m_s = (cos(pi/4))^s; P_0 = 1 already, so the majorant never exists
@@ -66,7 +67,7 @@ class TestComputeTrace:
         # P_infinity = 0.2/(1 - cos(pi/4)) ~ 0.6828 < 1: defined at all steps
         t = compute_trace(sine_profile_1d_n4(0.2), 1.0, 200)
         assert t.partial_sums[-1] == pytest.approx(0.2 / (1 - SQ2), abs=1e-9)
-        assert t.all_steps_defined
+        assert t.defined_up_to == len(t.m) - 1  # every step
 
     def test_partial_sums_nondecreasing(self, rng):
         for _ in range(10):
@@ -129,14 +130,14 @@ class TestVerifyComparison:
     def test_small_sine_mode_long_horizon(self):
         v = verify_comparison(sine_profile_1d_n4(0.2), 1.0, 100)
         assert v.holds
-        assert v.checked_steps == 101
+        assert len(v.margins) == 101
         assert np.all(v.margins >= -1e-12)
 
     def test_truncates_at_defined_up_to(self):
         v = verify_comparison(sine_profile_1d_n4(0.9), 1.0, 100)
         assert v.holds
         assert v.defined_up_to < 100
-        assert v.checked_steps == v.defined_up_to + 1
+        assert len(v.margins) == v.defined_up_to + 1
 
     def test_randomized_suite(self, rng):
         for _ in range(100):
@@ -200,8 +201,7 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
                 step=s, site=site, majorant_value=float(fbar[site]),
                 solution_value=float(f.values[site]),
             )
-            return ComparisonVerdict(False, np.array(margins), s + 1, trace.defined_up_to, failure,
-                                     trace)
+            return ComparisonVerdict(False, np.array(margins), trace.defined_up_to, failure, trace)
         if s < last:
             nxt = _reference_step(f, p, eps_blow)
             if not isinstance(nxt, Field):
@@ -209,11 +209,11 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
                     step=s + 1, site=nxt.site, majorant_value=np.inf,
                     solution_value=nxt.g_value,
                 )
-                return ComparisonVerdict(False, np.array(margins), s + 1, trace.defined_up_to,
-                                         failure, trace)
+                return ComparisonVerdict(False, np.array(margins), trace.defined_up_to, failure,
+                                         trace)
             f = nxt
             h = _reference_linear_step(h)
-    return ComparisonVerdict(True, np.array(margins), last + 1, trace.defined_up_to, trace=trace)
+    return ComparisonVerdict(True, np.array(margins), trace.defined_up_to, trace=trace)
 
 
 @settings(max_examples=150, deadline=None)
@@ -275,8 +275,8 @@ def test_verify_matches_reference(extents, alpha, amplitude, S, slack, edge, lay
     got = verify_comparison(a, alpha, S, slack)
     want = _reference_verify(a, alpha, S, slack)
     assert _bits(got.margins) == _bits(want.margins)  # -0.0 is not +0.0
-    assert (got.holds, got.checked_steps, got.defined_up_to, got.failure) == (
-        want.holds, want.checked_steps, want.defined_up_to, want.failure
+    assert (got.holds, len(got.margins), got.defined_up_to, got.failure) == (
+        want.holds, len(want.margins), want.defined_up_to, want.failure
     )
     trace = compute_trace(a, alpha, S)
     np.testing.assert_array_equal(got.trace.m, trace.m)
@@ -342,7 +342,7 @@ def test_minus_zero_data_matches_zero_start_reference(extents, alpha, amplitude,
     assert _bits(records[0]) == _bits(records[1])
     got, want = verify_comparison(a, alpha, S), _reference_verify(a, alpha, S, COMPARISON_SLACK)
     assert _bits(got.margins) == _bits(want.margins)
-    assert (got.holds, got.checked_steps, got.failure) == (want.holds, want.checked_steps,
+    assert (got.holds, len(got.margins), got.failure) == (want.holds, len(want.margins),
                                                             want.failure)
     trace = _trace_from_maxima(np.array(m), alpha)
     for t in (got.trace, compute_trace(a, alpha, S)):
@@ -387,8 +387,8 @@ def test_verify_blowup_path_matches_reference(monkeypatch, rng):
         got = verify_comparison(a, 1.0, 20)
         want = _reference_verify(a, 1.0, 20, COMPARISON_SLACK, eps_blow=0.9)
         np.testing.assert_array_equal(got.margins, want.margins)
-        assert (got.holds, got.checked_steps, got.failure) == (
-            want.holds, want.checked_steps, want.failure
+        assert (got.holds, len(got.margins), got.failure) == (
+            want.holds, len(want.margins), want.failure
         )
         np.testing.assert_array_equal(got.trace.m, compute_trace(a, 1.0, 20).m)
         outcome = simulate(a, Params(1.0, 1.0), 20, 0.9).outcome
@@ -670,8 +670,8 @@ def test_probe_outcome_matches_simulate(extents, alpha, delta, eps_blow, kind, S
             top = profile.values.max()
             lams += [_certificate_edge(d, p, eps_blow, side) / top for side in (-1e-6, 1e-6)]
     lams += [1e-310 / profile.values.max(), 2.0**-1074, 0.0, -0.0]
-    with_blowup_exit = _Probe(profile, p, S, eps_blow, blowup_exit=True)
-    survival_only = _Probe(profile, p, S, eps_blow, blowup_exit=False)
+    with_blowup_exit = _Probe(profile, profile.max(), p, S, eps_blow, blowup_exit=True)
+    survival_only = _Probe(profile, profile.max(), p, S, eps_blow, blowup_exit=False)
     assert not np.signbit(survival_only._unit).any()  # the stepper never meets -0.0
     for lam in lams:
         a = Field(d, profile.values * lam)
@@ -745,14 +745,15 @@ def test_one_stepper_per_search(monkeypatch):
     ((3, 1), math.inf, "field has non-finite values"),
     ((1, 3), -5e-324, "field has negative values"),
 ])
-def test_probe_checks_its_profile_when_built(monkeypatch, site, value, message):
-    # a probe checks its profile once, with the data check's message, before it builds anything
+def test_search_checks_its_profile_first(monkeypatch, site, value, message):
+    # a search checks its profile once, with the data check's message, before any probe steps;
+    # NaN data fails the bracket's test too, and gets the data check's message
     steps = _counting_steps(monkeypatch)
     d = BoxDomain((6, 4))
     values = random_field(np.random.default_rng(0), d).values
     values[site] = value
     with pytest.raises(ValueError) as raised:
-        _Probe(Field(d, values), Params(1.0, 1.0), 20, 0.0, blowup_exit=True)
+        find_threshold(Field(d, values), Params(1.0, 1.0), 20, 1e-3)
     assert str(raised.value) == message and not steps
 
 
@@ -763,7 +764,7 @@ def test_probe_rejects_a_bad_amplitude_before_any_step(monkeypatch, extents):
     steps = _counting_steps(monkeypatch)
     d = BoxDomain(extents)
     profile = Field.from_interior(d, np.full(d.interior_shape, 4.0))
-    probe = _Probe(profile, Params(1.0, 1.0), 20, 0.0, blowup_exit=False)
+    probe = _Probe(profile, 4.0, Params(1.0, 1.0), 20, 0.0, blowup_exit=False)
     assert probe(0.1) in (2, 3) and len(steps) > 0  # simulate's blow-up step
     state, taken = probe._stepper.f.copy(), len(steps)
     for amplitude in (math.nan, -1.0, -5e-324, math.inf, -math.inf, 1e308):
@@ -794,8 +795,9 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize("extents, kind", [((32, 32), "constant"), ((6, 4), "random"),
                                            ((9, 8, 10), "delta")])
 def test_one_check_and_symmetry_test_per_search(monkeypatch, tmp_path, extents, kind):
-    # a `find_threshold` search, and a `sweep` per alpha, check the profile and test its
-    # symmetry once, however many probes they run
+    # a `find_threshold` search checks the profile and tests its symmetry once, however many
+    # probes it runs; a `sweep` tests the symmetry once per alpha, and its probes take the
+    # maximum the CLI checked
     from latticeheat import cli
 
     checks = _count_calls(monkeypatch, "_check_solution_field")
@@ -807,9 +809,26 @@ def test_one_check_and_symmetry_test_per_search(monkeypatch, tmp_path, extents, 
     cfg = cli.parse_config({"extents": list(extents), "alpha": 1.0, "delta": 1.0, "steps": 60,
                             "init": {"kind": "constant_interior"},
                             "sweep": {"alphas": [0.5, 1.0, 2.0], "amplitudes": [0.1, 0.5, 2.0]}})
-    assert cli.cmd_sweep(cfg, profile, tmp_path) == cli.EXIT_OK
+    assert cli.cmd_sweep(cfg, profile, profile.max(), tmp_path) == cli.EXIT_OK
     assert (tmp_path / "sweep.csv").read_text().count("\n") == 10
-    assert (len(checks), len(tests)) == (4, 4)
+    assert (len(checks), len(tests)) == (1, 4)
+
+
+@pytest.mark.parametrize("command, count", [("simulate", 2), ("verify", 2), ("bound", 1),
+                                            ("threshold", 2), ("sweep", 1)])
+def test_each_command_checks_its_data_at_the_edge(monkeypatch, tmp_path, command, count):
+    # through `cli.main`, the CLI checks the profile once and then only scalars; a public
+    # entry it calls checks its own data once more, and a sweep's probes take the CLI's maximum
+    from latticeheat import cli
+
+    checks = _count_calls(monkeypatch, "_check_solution_field")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "extents": [16, 16], "alpha": 1.0, "delta": 1.0, "steps": 50, "amplitude": 0.1,
+        "init": {"kind": "constant_interior"},
+        "sweep": {"alphas": [0.5, 1.0, 2.0], "amplitudes": [0.1, 0.5, 2.0]}}))
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code in (cli.EXIT_OK, cli.EXIT_BLOWUP) and len(checks) == count
 
 
 def test_probe_exits_fire(monkeypatch):
@@ -823,17 +842,17 @@ def test_probe_exits_fire(monkeypatch):
     survivor = Field(d, 0.05 * profile.values)
     report = simulate(survivor, p, 2000)
     assert isinstance(report.outcome, Survived) and report.trace[-1].max_f > 1e-100  # never at rest
-    assert _Probe(profile, p, 2000, 0.0, blowup_exit=False)(0.05) is None
+    assert _Probe(profile, 1.0, p, 2000, 0.0, blowup_exit=False)(0.05) is None
     assert len(steps) == 0
     spike = Field(d, [0, 1.0, 0, 0, 0, 0, 0, 0, 0])
     report = simulate(Field(d, spike.values * 0.05), p, 2000)
     assert isinstance(report.outcome, Survived) and report.trace[-1].max_f > 1e-100
-    assert _Probe(spike, p, 2000, 0.0, blowup_exit=False)(0.05) is None
+    assert _Probe(spike, 1.0, p, 2000, 0.0, blowup_exit=False)(0.05) is None
     assert 0 < len(steps) < 100
     blower = Field(d, 0.1 * profile.values)
     assert simulate(blower, p, 2000).outcome.step == 40
-    assert _Probe(profile, p, 2000, 0.0, blowup_exit=True)(0.1) < 40
-    assert _Probe(profile, p, 2000, 0.0, blowup_exit=False)(0.1) == 40
+    assert _Probe(profile, 1.0, p, 2000, 0.0, blowup_exit=True)(0.1) < 40
+    assert _Probe(profile, 1.0, p, 2000, 0.0, blowup_exit=False)(0.1) == 40
 
 
 @pytest.mark.parametrize("extents", [(6,), (6, 4)])
@@ -848,7 +867,7 @@ def test_survival_certificate_edge(monkeypatch, extents, eps_blow):
     phi = mode_table(d).mode_field((1,) * d.dims).values
     assert phi.max() == 1.0
     p = Params(1.5, 1.0)
-    probe = _Probe(Field(d, phi), p, 100, eps_blow, blowup_exit=True)
+    probe = _Probe(Field(d, phi), 1.0, p, 100, eps_blow, blowup_exit=True)
     inside = _certificate_edge(d, p, eps_blow, -1e-6, first=1)
     assert probe(inside) is None and len(steps) == 0
     outside = _certificate_edge(d, p, eps_blow, 1e-6, first=1)
@@ -867,7 +886,7 @@ def test_horizon_certificate_edge(monkeypatch, extents, kind, S, eps_blow):
     d = BoxDomain(extents)
     profile = _profile(kind, d, np.random.default_rng(0))
     p = Params(1.5, 1.0)
-    probe = _Probe(profile, p, S, eps_blow, blowup_exit=True)
+    probe = _Probe(profile, profile.max(), p, S, eps_blow, blowup_exit=True)
     inside = _horizon_edge(profile, p, S, eps_blow, -1e-6)
     assert probe(inside) is None and len(steps) == 0
     outside = _horizon_edge(profile, p, S, eps_blow, 1e-6)
@@ -921,7 +940,7 @@ def test_horizon_certificate_never_weaker(extents, alpha, delta, eps_blow, kind,
     f = profile.values * (math.exp(log_edge) / C)
     M = float(f.max())
     assert M > 0 and _infinite_sum_survives(d, p, eps_blow, f)
-    assert _Probe(Field(d, f), p, 0, eps_blow, blowup_exit=False)._survives(f, M, R)
+    assert _Probe(Field(d, f), M, p, 0, eps_blow, blowup_exit=False)._survives(f, M, R)
 
 
 def test_horizon_certificate_at_huge_alpha():
@@ -932,8 +951,9 @@ def test_horizon_certificate_at_huge_alpha():
     phi, _ = _phi_lam(d)
     f = 1e-30 * phi
     assert _infinite_sum_survives(d, p, 0.0, f)
-    assert _Probe(Field(d, f), p, 0, 0.0, blowup_exit=False)._survives(f, float(f.max()), 100)
-    assert not _Probe(Field(d, f), p, 0, 1.0, blowup_exit=False)._survives(f, float(f.max()), 100)
+    M = float(f.max())
+    assert _Probe(Field(d, f), M, p, 0, 0.0, blowup_exit=False)._survives(f, M, 100)
+    assert not _Probe(Field(d, f), M, p, 0, 1.0, blowup_exit=False)._survives(f, M, 100)
 
 
 @pytest.mark.parametrize("extents, alpha, delta", [((3,), 2000.0, 5e-4), ((5, 4), 700.0, 1 / 700),
@@ -946,7 +966,7 @@ def test_probe_far_above_threshold(extents, alpha, delta, amplitude):
     d = BoxDomain(extents)
     phi, _ = _phi_lam(d)
     p = Params(alpha, delta)
-    probe = _Probe(Field(d, phi), p, 20, 0.0, blowup_exit=False)
+    probe = _Probe(Field(d, phi), 1.0, p, 20, 0.0, blowup_exit=False)
     a = Field(d, amplitude * phi)
     want = simulate(a, p, 20).outcome
     assert probe(amplitude) == (None if isinstance(want, Survived) else want.step)
@@ -1083,15 +1103,15 @@ def test_early_stopping_verify_matches_reference(extents, alpha, amplitude, slac
     # partial sums, margins and the verdict are the reference's
     d = BoxDomain(tuple(extents))
     a = random_field(np.random.default_rng(seed), d, amplitude=amplitude)
-    stop = _reference_verify(a, alpha, 60, slack).checked_steps
+    stop = len(_reference_verify(a, alpha, 60, slack).margins)
     assume(stop <= 50)
     S = factor * max(stop, 1) + extra
     got, want = verify_comparison(a, alpha, S, slack), _reference_verify(a, alpha, S, slack)
-    assert got.checked_steps == stop
+    assert len(got.margins) == stop
     assert _bits(got.trace.partial_sums) == _bits(want.trace.partial_sums)
     assert _bits(got.margins) == _bits(want.margins)
-    assert (got.holds, got.checked_steps, got.defined_up_to, got.failure) == (
-        want.holds, want.checked_steps, want.defined_up_to, want.failure)
+    assert (got.holds, len(got.margins), got.defined_up_to, got.failure) == (
+        want.holds, len(want.margins), want.defined_up_to, want.failure)
 
 
 def _cli_regime_bound(a_scaled, alpha):
@@ -1118,6 +1138,22 @@ def test_regime_bound_matches_cli_dispatch(extents, alpha, amplitude, seed):
     d = BoxDomain(tuple(extents))
     a = random_field(np.random.default_rng(seed), d, amplitude=amplitude)
     assert regime_bound(a, alpha) == _cli_regime_bound(a, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_regime_bound_refuses_a_nonzero_boundary(monkeypatch, alpha):
+    # in both regimes, with one boundary test per call: at alpha <= 1 this data had a bound of
+    # 0.63 (6x5, interior 0.01, one boundary site 0.3), which certifies global existence
+    tests, boundary_is_zero = [], Field.boundary_is_zero
+    monkeypatch.setattr(Field, "boundary_is_zero", lambda f: tests.append(1) or boundary_is_zero(f))
+    d = BoxDomain((6, 5))
+    a = Field.from_interior(d, np.full(d.interior_shape, 0.01))
+    regime_bound(a, alpha)
+    assert len(tests) == 1
+    a.values[0, 2] = 0.3
+    with pytest.raises(ValueError) as raised:
+        regime_bound(a, alpha)
+    assert str(raised.value) == "field has nonzero boundary values" and len(tests) == 2
 
 
 def _scan_tail_start(c):
@@ -1169,8 +1205,6 @@ def test_alpha_gt_1_bound_scans_for_s0_once(monkeypatch):
 
 
 def test_sweep_scans_for_s0_once(monkeypatch, tmp_path):
-    import json
-
     from latticeheat.cli import main
 
     scans = _count_scans(monkeypatch)
