@@ -12,7 +12,6 @@ from .domain import BoxDomain, Field
 from .evolution import (
     BlewUpAt,
     BlowupReport,
-    BlowupSignal,
     Params,
     Survived,
     normalize_scaling,

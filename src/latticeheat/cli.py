@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import BoxDomain, Field
-from .evolution import Params, _check_solution_field, normalize_scaling, simulate
+from .evolution import Params, _check_solution_field, simulate
 from .majorant import (COMPARISON_SLACK, _bracket_top, _Probe, find_threshold, regime_bound,
                        verify_comparison)
 from .spectral import mode_table
@@ -346,9 +346,8 @@ def cmd_simulate(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) 
 
 
 def cmd_verify(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> int:
-    a = Field(profile.domain, profile.values * cfg.amplitude)
-    a, p_scaled = normalize_scaling(a, cfg.params)
-    verdict = verify_comparison(a, p_scaled.alpha, cfg.steps, slack=cfg.comparison_slack)
+    a = Field(profile.domain, profile.values * cfg.amplitude * cfg.params.scale)  # threshold 1
+    verdict = verify_comparison(a, cfg.alpha, cfg.steps, slack=cfg.comparison_slack)
     doc = {
         "parameters": _echo_params(cfg),
         "holds": verdict.holds,
@@ -365,8 +364,7 @@ def cmd_verify(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) ->
 
 
 def cmd_bound(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> int:
-    a = Field(profile.domain, profile.values * cfg.amplitude)
-    a, _ = normalize_scaling(a, cfg.params)
+    a = Field(profile.domain, profile.values * cfg.amplitude * cfg.params.scale)  # threshold 1
     report = regime_bound(a, cfg.alpha)
     doc = {
         "parameters": _echo_params(cfg),
@@ -403,8 +401,8 @@ def cmd_sweep(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> 
         probe = _Probe(profile, peak, p, cfg.steps, cfg.eps_blow, blowup_exit=False)
         for amplitude in cfg.sweep["amplitudes"]:
             s0 = probe(float(amplitude))  # simulate's blow-up step, or None
-            a = Field(profile.domain, profile.values * float(amplitude))
-            bound = regime_bound(normalize_scaling(a, p)[0], p.alpha)
+            a = Field(profile.domain, profile.values * float(amplitude) * p.scale)
+            bound = regime_bound(a, p.alpha)
             outcome = ("survived", cfg.steps) if s0 is None else ("blew_up", s0)
             rows.append([_fmt(alpha), _fmt(amplitude), *outcome, _fmt(bound.bound_value)])
     header = ["alpha", "amplitude", "outcome", "s0_or_steps", "bound_value"]

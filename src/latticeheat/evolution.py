@@ -52,15 +52,9 @@ class Params:
 
 
 @dataclass(frozen=True)
-class BlowupSignal:
-    """First offending site (lexicographic) and its neighbor-average value."""
-
-    site: MultiIndex
-    g_value: float
-
-
-@dataclass(frozen=True)
 class BlewUpAt:
+    """A blow-up's step, its first offending site (lexicographic) and that site's mean g."""
+
     step: int
     site: MultiIndex
     g_value: float
@@ -98,10 +92,9 @@ def _check_solution_field(f: Field) -> float:
     return float(hi)
 
 
-def _first_offender(bad: np.ndarray, g: np.ndarray) -> BlowupSignal:
+def _first_offender(step: int, bad: np.ndarray, g: np.ndarray) -> BlewUpAt:
     idx = np.argwhere(bad)[0]  # argwhere is lexicographic in C order
-    site = tuple(int(i) + 1 for i in idx)
-    return BlowupSignal(site=site, g_value=float(g[tuple(idx)]))
+    return BlewUpAt(step, tuple(int(i) + 1 for i in idx), float(g[tuple(idx)]))
 
 
 _TINY = np.finfo(float).tiny
@@ -202,14 +195,14 @@ class _Stepper:
         return peak
 
     def loop(self, max_f: float, steps: int,
-             exits=None) -> tuple[int, BlowupSignal | bool | None]:
+             exits=None) -> tuple[int, BlewUpAt | bool | None]:
         """Step from the loaded state, of maximum `max_f`, over s = 0..steps; the step s where
         the run stopped, and why.
 
         Each s tests `max_f` for an update that overflowed, asks `exits(s, f,
         max_f)` for an outcome, steps, records, tests for blow-up, carries
-        `max_f` and tests for rest, as `simulate` defines it. The stop is a
-        BlowupSignal (an overflow's at its first inf site, charged to step
+        `max_f` and tests for rest, as `simulate` defines it. The stop is
+        simulate's BlewUpAt (an overflow's at its first inf site, charged to step
         s - 1), the exit's value (a probe's True blows up, False survives), or None for
         survival: at rest after step s, or at the horizon s = steps.
         """
@@ -222,26 +215,26 @@ class _Stepper:
             for s in range(steps + 1):
                 # the boundary is never inf, and only a full step, which fills g, overflows
                 if not math.isfinite(max_f):
-                    return s - 1, _first_offender(np.isinf(self.f[self.core]), self.g)
+                    return s - 1, _first_offender(s - 1, np.isinf(self.f[self.core]), self.g)
                 if exits is not None:
                     stop = exits(s, self.f, max_f)
                     if stop is not None:
                         return s, stop
-                sig = self.step(max_f)  # at s == steps, its update is discarded
+                blew_up = self.step(max_f)  # at s == steps, its update is discarded
                 if trace is not None:
                     trace.append(StepRecord(max_f, self.max_g))  # the step's
-                if sig is not None:
-                    return s, sig
+                if blew_up:
+                    return s, _first_offender(s, self._denom_core <= self._eps_blow, self.g)
                 max_f = self.max_f  # after a copy step, max_g's float object
                 if max_f < _TINY and self.at_rest():
                     return s, None
         return steps, None
 
-    def step(self, max_f: float) -> BlowupSignal | None:
+    def step(self, max_f: float) -> bool:
         """One update: g is the neighbor average of f, and f becomes g / denom^(1/alpha).
 
-        With denom = 1 - alpha*delta*g^alpha, the first site whose denom is at
-        or below eps_blow is returned instead, and f is left unchanged. The
+        With denom = 1 - alpha*delta*g^alpha, a step where some denom is at or
+        below eps_blow returns True instead, and leaves f unchanged. The
         span's boundary denominators are 1.0 and its g and f +0.0, and no
         interior one passes them, so the span's extrema are the interior's. Each is read as
         `span.item(span.argmax())` (or argmin), the first extreme element, which costs less
@@ -273,7 +266,7 @@ class _Stepper:
                 self.max_g = g.item(g.argmax())
                 least = self._scalar[0](self.max_g)
             if least <= self._eps_blow:
-                return _first_offender(self._denom_core <= self._eps_blow, self.g)
+                return True
             for ufunc, args in self._root_calls:
                 ufunc(*args)
             np.divide(g, denom, self._spare_span)
@@ -287,7 +280,7 @@ class _Stepper:
                                                               self._spare_span, self.f_span)
         self._means.reverse()
         self._copies.reverse()
-        return None
+        return False
 
     def at_rest(self) -> bool:
         """Whether the last update left the state unchanged, bit for bit. On an orthant the
@@ -298,8 +291,8 @@ class _Stepper:
         return self.f[self._rest].tobytes() == self._spare[self._rest].tobytes()
 
 
-def step_nonlinear(f: Field, p: Params, eps_blow: float = 0.0) -> Field | BlowupSignal:
-    """One nonlinear step, or the BlowupSignal that `simulate` reports at step 0.
+def step_nonlinear(f: Field, p: Params, eps_blow: float = 0.0) -> Field | BlewUpAt:
+    """One nonlinear step, or the BlewUpAt(step=0, ...) that `simulate` reports.
 
     Blow-up is declared where 1 - alpha*delta*g^alpha <= eps_blow (eps_blow >= 0; the default
     0 is the exact sign test, as the update is undefined at equality), and at the first inf
@@ -307,7 +300,7 @@ def step_nonlinear(f: Field, p: Params, eps_blow: float = 0.0) -> Field | Blowup
     """
     stepper = _Stepper(f.domain, p, eps_blow)
     _, stop = stepper.loop(stepper.load(f), 1, lambda s, *_: False if s else None)
-    return stop if isinstance(stop, BlowupSignal) else Field(f.domain, stepper.f)
+    return stop if isinstance(stop, BlewUpAt) else Field(f.domain, stepper.f)
 
 
 def simulate(a: Field, p: Params, max_steps: int, eps_blow: float = 0.0) -> BlowupReport:
@@ -322,9 +315,9 @@ def simulate(a: Field, p: Params, max_steps: int, eps_blow: float = 0.0) -> Blow
     the only place the trace repeats a record; the CSV writer relies on it.
     """
     stepper = _Stepper(a.domain, p, eps_blow, record=True)
-    s, sig = stepper.loop(stepper.load(a), max_steps)
-    if sig is not None:
-        return BlowupReport(BlewUpAt(step=s, site=sig.site, g_value=sig.g_value), stepper.trace)
+    s, stop = stepper.loop(stepper.load(a), max_steps)
+    if stop is not None:
+        return BlowupReport(stop, stepper.trace)
     # at rest after step s the state and g repeat, so the record does; at the horizon s = max_steps
     stepper.trace += [StepRecord(max_f=stepper.max_f, max_g=stepper.max_g)] * (max_steps - s)
     return BlowupReport(outcome=Survived(steps=max_steps), trace=stepper.trace)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .domain import (Field, MultiIndex, _faces, _mirror_multiplicity, _mirror_symmetric,
                      _span_buffers)
-from .evolution import _EXACT_POWERS, BlowupSignal, Params, _check_solution_field, _Stepper
+from .evolution import _EXACT_POWERS, BlewUpAt, Params, _check_solution_field, _Stepper
 from .spectral import ModeTable, _linear_flow, analyze, mode_table
 
 COMPARISON_SLACK = 1e-12
@@ -159,7 +159,7 @@ def verify_comparison(
             stop = compare(s, stepper.f, stepper.max_f)
     m.extend(m_s for *_, m_s in flow)
     trace = _trace_from_maxima(np.array(m), alpha)
-    if isinstance(stop, BlowupSignal) and s < trace.defined_up_to:
+    if isinstance(stop, BlewUpAt) and s < trace.defined_up_to:
         failure = ComparisonFailure(
             step=s + 1, site=stop.site, majorant_value=math.inf, solution_value=stop.g_value
         )
@@ -239,9 +239,9 @@ _SURVIVAL_EVERY = 16
 _EXIT_MARGIN = 1e-3
 
 
-def _softplus(t: float) -> float:
-    """log(1 + e^t), without overflow."""
-    return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+def _geometric(n: int, t: float) -> float:
+    """sum_{j=0..n-1} e^(j*t), for t <= 0."""
+    return math.expm1(n * t) / math.expm1(t) if t else n
 
 
 class _Probe:
@@ -276,8 +276,11 @@ class _Probe:
     F(y) = y / (1 - alpha*delta*y^alpha)^(1/alpha) is convex and increasing,
     J = phi.f/sum(phi) obeys J' >= F(lam J) by Jensen. J >= Jcrit(r) then
     blows up within r more steps, where Jcrit(0) = threshold/lam and
-    Jcrit(r+1) = F^-1(Jcrit(r))/lam. When this exit fires, the step returned
-    is the current one, no later than simulate's; eps_blow > 0 only brings
+    Jcrit(r+1) = F^-1(Jcrit(r))/lam. In u = (Jcrit/threshold)^-alpha, F^-1 adds 1 and dividing
+    by lam multiplies by lam^alpha, so u(0) = lam^alpha, u(r) = lam^alpha*(u(r-1) + 1) =
+    e^t*sum_{j=0..r} e^(j*t) with t = alpha*log(lam), the survival side's geometric sum, and
+    Jcrit(r) falls to J* = threshold*(1 - lam^alpha)^(1/alpha)/lam. When this exit fires, the
+    step returned is the current one, no later than simulate's; eps_blow > 0 only brings
     blow-up forward. Sweeps, which report the blow-up step, go without it.
 
     A profile that `_mirror_symmetric` passes runs on a `mirror` stepper, one orthant of the
@@ -311,19 +314,9 @@ class _Probe:
         self._log_survival = -math.inf  # log kappa*sum must fall below it
         if eps_blow < 1:  # else every step blows up
             self._log_survival = math.log1p(-_EXIT_MARGIN) - log_coupling + math.log1p(-eps_blow)
-        self._log_jcrit = None
         # all extents 2: lam = cos(pi/2) = 0 is 6.1e-17 as a double, and the exit would misfire
-        if blowup_exit and any(N > 2 for N in domain.extents):
-            log_lam = self._log_lam
-            # log Jcrit(r) in units of the threshold; it decreases in r, so
-            # stopping once it settles leaves later entries above their value
-            L = [-log_lam]
-            while len(L) <= S:
-                L.append(-_softplus(-alpha * L[-1]) / alpha - log_lam)
-                if L[-1] >= L[-2] - 1e-12:
-                    break
-            shift = math.log1p(_EXIT_MARGIN) - log_coupling / alpha  # log threshold
-            self._log_jcrit = [x + shift for x in L]
+        self._blowup_exit = blowup_exit and any(N > 2 for N in domain.extents)
+        self._log_threshold = math.log1p(_EXIT_MARGIN) - log_coupling / alpha  # with the margin
 
     def _survives(self, f: np.ndarray, M: float, R: int) -> bool:
         """Whether kappa*sum_{k=1..R} min(M, C*lam^k)^alpha is below 1 - margin for the
@@ -337,8 +330,7 @@ class _Probe:
         # those terms can underflow; C*lam^k <= M, so their log is <= 0 but for k's rounding
         log_geo = -math.inf
         if k <= R:
-            t = alpha * log_lam
-            geometric = math.expm1((R + 1 - k) * t) / math.expm1(t) if t else R + 1 - k
+            geometric = _geometric(R + 1 - k, alpha * log_lam)
             log_geo = min(0.0, alpha * (gap + k * log_lam)) + math.log(geometric)
         log_total = log_geo if k == 1 else math.log(k - 1 + math.exp(log_geo))
         return alpha * math.log(M) + log_total < self._log_survival
@@ -346,14 +338,16 @@ class _Probe:
     def _blows_up(self, f: np.ndarray, remaining: int) -> bool:
         """Whether Kaplan's bound shows the state f blowing up within `remaining` more steps."""
         J = float(self._phi @ f.ravel()) / self._phi_sum
-        log_jcrit = self._log_jcrit[min(remaining, len(self._log_jcrit) - 1)]
+        alpha = self._p.alpha
+        t = alpha * self._log_lam
+        log_jcrit = self._log_threshold - (t + math.log(_geometric(remaining + 1, t))) / alpha
         return J > 0 and math.log(J) >= log_jcrit
 
     def _exits(self, s: int, f: np.ndarray, max_f: float) -> bool | None:
         """The run's exits at step s: False for certified survival, True for Kaplan's blow-up."""
         if s % _SURVIVAL_EVERY == 0 and max_f > 0 and self._survives(f, max_f, self._S - s + 1):
             return False
-        if s % _BLOWUP_EVERY == 0 and self._log_jcrit and self._blows_up(f, self._S - s):
+        if s % _BLOWUP_EVERY == 0 and self._blowup_exit and self._blows_up(f, self._S - s):
             return True
         return None
 

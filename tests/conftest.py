@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from latticeheat import BlewUpAt, BlowupReport, BoxDomain, Field, Survived
 from latticeheat.domain import _span
-from latticeheat.evolution import StepRecord, _check_solution_field, _first_offender
+from latticeheat.evolution import StepRecord, _check_solution_field
 
 # HYPOTHESIS_PROFILE=ci: no example database, so no stale local entry can
 # decide a run, and every failure prints its @reproduce_failure blob
@@ -65,6 +65,12 @@ def reference_neighbor_mean(values):
     return out
 
 
+def reference_offender(step, bad, g):
+    """The blow-up at `step` at the lexicographically first site of the interior mask `bad`."""
+    idx = np.argwhere(bad)[0]
+    return BlewUpAt(step=step, site=tuple(int(i) + 1 for i in idx), g_value=float(g[tuple(idx)]))
+
+
 def reference_simulate(a, p, max_steps, eps_blow=0.0):
     """simulate as first written: every step re-validated, a fresh Field per step.
 
@@ -80,9 +86,7 @@ def reference_simulate(a, p, max_steps, eps_blow=0.0):
         denom = 1.0 - p.alpha * p.delta * np.power(g, p.alpha)
         bad = denom <= eps_blow
         if np.any(bad):
-            sig = _first_offender(bad, g)
-            outcome = BlewUpAt(step=s, site=sig.site, g_value=sig.g_value)
-            return BlowupReport(outcome=outcome, trace=trace), f.values
+            return BlowupReport(outcome=reference_offender(s, bad, g), trace=trace), f.values
         nxt = Field.zeros(f.domain)
         with np.errstate(divide="ignore", over="ignore"):  # an inf fails the next check
             nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)

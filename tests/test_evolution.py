@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from latticeheat import (
     BlewUpAt,
     BlowupReport,
-    BlowupSignal,
     BoxDomain,
     Field,
     Params,
@@ -114,7 +113,7 @@ class TestStepNonlinear:
         d = BoxDomain((4,))
         f = Field(d, [0, 2, 2, 2, 0])
         out = step_nonlinear(f, Params(1, 1))
-        assert isinstance(out, BlowupSignal)
+        assert isinstance(out, BlewUpAt) and out.step == 0
         assert out.site == (1,)  # lexicographically first offender
         assert out.g_value == 1.0
 
@@ -209,8 +208,8 @@ class TestSimulate:
                 nb = step_nonlinear(fb, p)
                 if not (isinstance(na, Field) and isinstance(nb, Field)):
                     # if the smaller blows up the larger must too
-                    if isinstance(na, BlowupSignal):
-                        assert isinstance(nb, BlowupSignal)
+                    if isinstance(na, BlewUpAt):
+                        assert isinstance(nb, BlewUpAt)
                     break
                 assert np.all(na.values <= nb.values + 1e-12)
                 fa, fb = na, nb
@@ -491,11 +490,11 @@ def test_copy_plans_are_built_at_first_use():
     assert step_nonlinear(a, p).values.tobytes() == reference_simulate(a, p, 0)[1].tobytes()
     stepper = evolution._Stepper(d, p, 0.0)
     stepper.load(a)
-    assert stepper.step(math.inf) is None and stepper.step(math.inf) is None
+    assert stepper.step(math.inf) is False and stepper.step(math.inf) is False
     assert stepper._copies == [None, None]
-    assert stepper.step(stepper.f.max()) is None
+    assert stepper.step(stepper.f.max()) is False
     assert stepper._copies[0] is None and stepper._copies[1] is not None
-    assert stepper.step(stepper.f.max()) is None
+    assert stepper.step(stepper.f.max()) is False
     assert None not in stepper._copies
 
 
@@ -555,7 +554,7 @@ def test_minus_zero_data_gives_plus_zero_means(extents, alpha):
         a = Field.from_interior(d, interior)
         stepper = evolution._Stepper(d, Params(alpha, 1.0 / alpha), 0.0)
         stepper.load(a)
-        assert stepper.step(math.inf) is None  # a full step
+        assert stepper.step(math.inf) is False  # a full step
         assert not np.signbit(stepper._g_span).any()
         assert not np.signbit(stepper.f).any()
 
@@ -621,13 +620,13 @@ def test_derived_extrema_match_array_path(extents, alpha, delta, eps_blow, level
     a = Field.from_interior(d, interior)
     stepper = evolution._Stepper(d, p, eps_blow)
     stepper.load(a)
-    sig = stepper.step(math.inf)  # no finite bound on the maximum: a full step
+    blew_up = stepper.step(math.inf)  # no finite bound on the maximum: a full step
     g = reference_neighbor_mean(a.values)
     denom = 1.0 - p.alpha * p.delta * np.power(g, p.alpha)
     assert _u64(stepper.max_g) == _u64(g.max())
     assert _u64(stepper._scalar[0](stepper.max_g)) == _u64(denom.min())
-    assert (sig is not None) == (denom.min() <= eps_blow)
-    if sig is None:
+    assert blew_up == (denom.min() <= eps_blow)
+    if not blew_up:
         assert _u64(stepper.max_f) == _u64(stepper.f.max())
         assert _u64(stepper.max_f) == _u64((g / np.power(denom, 1.0 / p.alpha)).max())
 
@@ -645,11 +644,11 @@ def test_overflowing_step_blows_up_through_derived_maximum(alpha, delta):
     stepper = evolution._Stepper(a.domain, p, 0.0)
     stepper.load(a)
     with np.errstate(over="ignore"):
-        sig = stepper.step(g)
+        blew_up = stepper.step(g)
     if alpha == 2.0:
-        assert sig == BlowupSignal(site=(2,), g_value=g)
+        assert blew_up is True  # the site and g of this blow-up are simulate's, below
     else:
-        assert sig is None and stepper.max_f == math.inf
+        assert blew_up is False and stepper.max_f == math.inf
         assert _u64(stepper.max_f) == _u64(stepper.f.max())
     report = simulate(a, p, 5)
     assert report.outcome == BlewUpAt(step=0, site=(2,), g_value=g)
@@ -665,7 +664,7 @@ def test_step_nonlinear_reports_simulates_blowup(alpha, delta):
     a = Field(BoxDomain((4,)), [0, g, g, g, 0])
     outcome = simulate(a, p, 1).outcome
     assert outcome == BlewUpAt(step=0, site=(2,), g_value=g)
-    assert step_nonlinear(a, p) == BlowupSignal(site=outcome.site, g_value=outcome.g_value)
+    assert step_nonlinear(a, p) == outcome
 
 
 class _Least(float):
@@ -738,17 +737,17 @@ def test_span_extrema_are_the_reduces(extents, alpha, unit_coupling, eps_blow, k
             if not math.isfinite(max_f):  # an update overflowed: `loop` stops here
                 break
             full, seen = max_f > stepper._copy_below, len(least.seen)
-            sig = stepper.step(max_f)
+            blew_up = stepper.step(max_f)
             if full:
                 g = stepper._g_span
-                denom = denoms.pop() if sig is None else stepper._denom_span
+                denom = stepper._denom_span if blew_up else denoms.pop()
                 assert _clean(g) and _clean(denom)
                 assert _u64(stepper.max_g) == _u64(np.maximum.reduce(g))
                 assert least.seen[seen:] == [least.seen[-1]]
                 assert _u64(least.seen[-1]) == _u64(np.minimum.reduce(denom))
             else:
                 assert len(least.seen) == seen and stepper.max_g is stepper.max_f
-            if sig is not None:
+            if blew_up:
                 break
             assert _clean(stepper.f_span)
             assert _u64(stepper.max_f) == _u64(np.maximum.reduce(stepper.f_span))
@@ -807,7 +806,7 @@ class TestNormalizeScaling:
             nf = step_nonlinear(f, p)
             nf2 = step_nonlinear(f2, p2)
             assert type(nf) is type(nf2)
-            if isinstance(nf, BlowupSignal):
+            if isinstance(nf, BlewUpAt):
                 assert nf.site == nf2.site
                 break
             np.testing.assert_allclose(factor * nf.values, nf2.values, rtol=1e-12, atol=0)
@@ -1002,7 +1001,7 @@ def test_each_stop_matches_reference():
     stepper = evolution._Stepper(d, p, 0.0)
     s, stop = stepper.loop(stepper.load(a), 10)
     ref, ref_state = reference_simulate(a, p, 0)  # the reference forms that update at its horizon
-    assert (s, stop) == (0, BlowupSignal(site=(2,), g_value=g))
+    assert (s, stop) == (0, BlewUpAt(step=0, site=(2,), g_value=g))
     assert np.isinf(ref_state).tolist() == [False, False, True, False, False]
     assert ref.trace[0].max_g == g
 

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,14 +31,16 @@ from latticeheat import (
     verify_comparison,
 )
 
+from latticeheat import cli, majorant
 from latticeheat import domain as domain_module
-from latticeheat.evolution import _check_solution_field, _first_offender
+from latticeheat.evolution import _check_solution_field
 from latticeheat.majorant import COMPARISON_SLACK, ComparisonFailure, _Probe, _trace_from_maxima
 from latticeheat import spectral
 from latticeheat.spectral import _linear_flow
 
 from conftest import (is_span_of, mirrored, random_domain, random_field,
-                      reference_neighbor_mean, reference_simulate, with_boundary)
+                      reference_neighbor_mean, reference_offender, reference_simulate,
+                      with_boundary)
 
 SQ2 = np.sqrt(2) / 2
 
@@ -165,7 +169,7 @@ def _reference_step(f, p, eps_blow=0.0):
     denom = 1.0 - p.alpha * p.delta * np.power(g, p.alpha)
     bad = denom <= eps_blow
     if np.any(bad):
-        return _first_offender(bad, g)
+        return reference_offender(0, bad, g)
     nxt = Field.zeros(f.domain)
     nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)
     return nxt
@@ -987,6 +991,143 @@ def test_horizon_certificate_saves_steps(monkeypatch):
     assert len(res.evaluations) == 15
     for lam, blew in res.evaluations:
         assert simulate(Field(d, lam * profile.values), p, 100).blew_up == blew
+
+
+def _softplus(t):
+    """log(1 + e^t), without overflow."""
+    return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+
+
+def _recurrence_log_jcrit(lam, alpha, r_max):
+    """log(Jcrit(r)/threshold) for r = 0..r_max by Kaplan's recurrence, Jcrit(0) = threshold/lam
+    and Jcrit(r+1) = F^-1(Jcrit(r))/lam, whose log in threshold units is
+    -softplus(-alpha*L)/alpha - log(lam)."""
+    L = [-math.log(lam)]
+    for _ in range(r_max):
+        L.append(-_softplus(-alpha * L[-1]) / alpha - math.log(lam))
+    return L
+
+
+class _TableProbe(_Probe):
+    """The probe with the blow-up exit's former table: log Jcrit(r) plus the probe's log
+    threshold by the recurrence, built per search up to S + 1 entries, and cut once an entry
+    moves by less than 1e-12, the later entries reading the last."""
+
+    def __init__(self, profile, peak, p, S, eps_blow, blowup_exit):
+        super().__init__(profile, peak, p, S, eps_blow, blowup_exit)
+        alpha, log_lam = p.alpha, self._log_lam
+        L = [-log_lam]
+        while len(L) <= S:
+            L.append(-_softplus(-alpha * L[-1]) / alpha - log_lam)
+            if L[-1] >= L[-2] - 1e-12:
+                break
+        self._table = [x + self._log_threshold for x in L]
+
+    def _blows_up(self, f, remaining):
+        J = float(self._phi @ f.ravel()) / self._phi_sum
+        return J > 0 and math.log(J) >= self._table[min(remaining, len(self._table) - 1)]
+
+
+# the principal eigenvalues of boxes from 1-D to 3-D, lam 0.5 (3,) to 0.99997 (400,)
+_KAPLAN_BOXES = [(3,), (400,), (5, 7), (48, 48), (4, 5, 4), (12, 12, 12)]
+_KAPLAN_ALPHAS = [0.01, 0.1, 0.5, 1.0, 2.0, 10.0]
+_KAPLAN_STEPS = [0, 1, 2, 7, 100, 1000, 10_000]
+
+
+def _closed_form_cases(extents):
+    """(lam, alpha, r, closed, scale) over the grids: `closed` is the probe's closed form of
+    log(Jcrit(r)/threshold), -(t + log G)/alpha with t = alpha*log(lam) and
+    G = _geometric(r + 1, t), and `scale` = eps*(1 + |t| + log G)/alpha is the a-priori size
+    of its rounding: t, G and the log each round to within a few eps of their size, and the
+    division by alpha scales the sum's error."""
+    d = BoxDomain(extents)
+    lam = float(mode_table(d).eigenvalues[(0,) * d.dims])
+    eps = np.finfo(float).eps
+    for alpha in _KAPLAN_ALPHAS:
+        t = alpha * math.log(lam)
+        for r in _KAPLAN_STEPS:
+            log_G = math.log(majorant._geometric(r + 1, t))
+            yield lam, alpha, r, -(t + log_G) / alpha, eps * (1 + abs(t) + log_G) / alpha
+
+
+def _assert_exit_fires_at(d, alpha, r, log_jcrit):
+    """The probe's blow-up exit, with r steps remaining, fires on a constant state at
+    threshold*Jcrit(r)*(1 + margin)*e^1e-9, and not at e^-1e-9: its closed form is log_jcrit
+    to 1e-9. The threshold e^(-log_jcrit/2) keeps it and the state, e^(log_jcrit/2), in the
+    double range (log_jcrit reaches -921), and J, a sum over the box, rounds to 1e-12."""
+    delta = math.exp(alpha * log_jcrit / 2) / alpha  # threshold = (alpha*delta)^(-1/alpha)
+    probe = _Probe(Field.from_interior(d, np.ones(d.interior_shape)), 1.0, Params(alpha, delta),
+                   r, 0.0, blowup_exit=True)
+    level = log_jcrit + math.log1p(1e-3) - (math.log(alpha) + math.log(delta)) / alpha
+    for side, fires in ((1e-9, True), (-1e-9, False)):
+        f = np.zeros(probe._stepper.f.shape)
+        f[probe._stepper.core] = math.exp(level + side)
+        assert probe._blows_up(f, r) is fires
+
+
+def test_geometric_sum():
+    # sum_{j<n} e^(j*t) against the sum term by term, and its limits: n terms of 1 at t = 0
+    # (and where alpha*log(lam) would underflow to it), and the one term e^0 at t = -inf
+    for n in (1, 2, 7, 10_000):
+        for t in (-1e-5, -0.5, -30.0):
+            terms = [math.exp(j * t) for j in range(n)]
+            assert math.isclose(majorant._geometric(n, t), math.fsum(terms))
+        assert majorant._geometric(n, 0.0) == n
+        assert math.isclose(majorant._geometric(n, -5e-324), n)
+        assert majorant._geometric(n, -math.inf) == 1.0
+
+
+@pytest.mark.parametrize("extents", _KAPLAN_BOXES)
+def test_kaplan_closed_form_matches_recurrence(extents):
+    # the recurrence rounds once per step: within 4*(r + 1) times the closed form's rounding
+    # scale (measured: 0.46 times it), over every r the probe's table once held
+    for lam, alpha, r, closed, scale in _closed_form_cases(extents):
+        L = _recurrence_log_jcrit(lam, alpha, r)[-1]
+        assert abs(closed - L) <= 4 * (r + 1) * scale
+        _assert_exit_fires_at(BoxDomain(extents), alpha, r, L)
+
+
+@pytest.mark.parametrize("extents", _KAPLAN_BOXES)
+def test_kaplan_closed_form_matches_mpmath(extents):
+    # u(r) = lam^alpha*sum_{j=0..r} lam^(alpha*j) = lam^alpha*(1 - lam^(alpha*(r+1)))/(1 -
+    # lam^alpha) to 40 digits: the closed form lies within 4 times its rounding scale
+    # (measured: 1.01 times it)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for lam, alpha, r, closed, scale in _closed_form_cases(extents):
+            x = mpmath.mpf(lam) ** alpha
+            u = x * (1 - x ** (r + 1)) / (1 - x)
+            assert abs(closed - float(-mpmath.log(u) / alpha)) <= 4 * scale
+
+
+def _threshold_sweep_searches():
+    """The threshold searches of the benchmark's `threshold-sweep` workload at seed 777, and a
+    48x48 constant interior at alpha 2, delta 1/2 and 100 steps: (params, S, tol, eps_blow,
+    profile)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    configs = [op.config for group in workloads.make_plan("threshold-sweep", 777)
+               for op in group if op.command == "threshold"]
+    configs.append({"extents": [48, 48], "alpha": 2.0, "delta": 0.5, "steps": 100,
+                    "amplitude": 1.0, "init": {"kind": "constant_interior"}})
+    for config in configs:
+        cfg = cli.parse_config(config)
+        yield cfg.params, cfg.steps, cfg.threshold_tol, cfg.eps_blow, cli.build_profile(cfg)
+
+
+def test_closed_form_probe_matches_table(monkeypatch):
+    # the same probes, outcomes and kernel steps with the closed form as with the former table
+    steps = _counting_steps(monkeypatch)
+    searches = list(_threshold_sweep_searches())
+    assert len(searches) == 7
+    for p, S, tol, eps_blow, profile in searches:
+        runs = []
+        for probe in (_Probe, _TableProbe):
+            monkeypatch.setattr(majorant, "_Probe", probe)
+            steps.clear()
+            runs.append((find_threshold(profile, p, S, tol, eps_blow).evaluations, len(steps)))
+        assert runs[0] == runs[1]
 
 
 def _apply_M_maxima(a, S):

@@ -76,7 +76,7 @@ def test_stepper_spans_on_cache_lines(extents):
         _assert_apart([stepper.f, stepper._spare, stepper._g_span, stepper._denom_span])
         f = stepper.f
         stepper.load(random_field(np.random.default_rng(k), d, amplitude=0.5))
-        assert stepper.step(0.5) is None and stepper.f is not f  # the buffers swapped
+        assert stepper.step(0.5) is False and stepper.f is not f  # the buffers swapped
         assert all(_on_line(s) for s in (stepper.f_span, stepper._spare_span))
         assert is_span_of(stepper.f_span, stepper.f)
 
@@ -158,11 +158,11 @@ def test_stepper_f_span_is_the_span_of_f(extents):
     stepper.load(random_field(np.random.default_rng(len(extents)), d, amplitude=0.5))
     for _ in range(2):
         f = stepper.f
-        assert stepper.step(0.5) is None and stepper.f is not f and spans_follow()
+        assert stepper.step(0.5) is False and stepper.f is not f and spans_follow()
     tiny = random_field(np.random.default_rng(0), d, amplitude=1e-12)
     stepper.load(tiny)
     f = stepper.f
-    assert stepper.step(tiny.max()) is None and stepper._copies.count(None) == 1  # a copy plan
+    assert stepper.step(tiny.max()) is False and stepper._copies.count(None) == 1  # a copy plan
     assert stepper.f is not f and spans_follow()
     s, stop = stepper.loop(stepper.load(Field.zeros(d)), 10)
     assert (s, stop) == (0, None) and spans_follow()  # the zero state rests after step 0
