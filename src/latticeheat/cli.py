@@ -13,9 +13,9 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -88,24 +88,6 @@ def read_field_json(path: Path) -> Field:
 
 # ---------------------------------------------------------------------------
 # config
-
-
-@dataclass
-class ExperimentConfig:
-    extents: tuple[int, ...]
-    alpha: float
-    delta: float
-    steps: int
-    init: dict
-    amplitude: float
-    eps_blow: float
-    comparison_slack: float
-    threshold_tol: float
-    sweep: dict | None
-
-    @cached_property
-    def params(self) -> Params:
-        return Params(alpha=self.alpha, delta=self.delta)
 
 
 def _keyed(prefix: str, rule, *args):
@@ -185,7 +167,7 @@ _INIT = {  # the keys each init.kind reads
     ),
 }
 _SWEEP = (("alphas", list, _REQUIRED, _POSITIVES), ("amplitudes", list, _REQUIRED, _POSITIVES))
-_CONFIG = (  # the fields of ExperimentConfig
+_CONFIG = (  # the keys of a config, each an attribute of parse_config's namespace
     ("extents", list, _REQUIRED, _EXTENTS),
     ("alpha", float, _REQUIRED, ()),
     # Params' messages start with the key
@@ -204,13 +186,14 @@ _CONFIG = (  # the fields of ExperimentConfig
 _FIELD = (("extents", list, _REQUIRED, _EXTENTS), ("values", list, _REQUIRED, ()))
 
 
-def parse_config(doc: dict) -> ExperimentConfig:
+def parse_config(doc: dict) -> SimpleNamespace:
+    """The checked config: an attribute per `_CONFIG` key, and `params`, built once."""
     cfg = _read(doc, _CONFIG)
     cfg["extents"] = tuple(cfg["extents"])
-    return ExperimentConfig(**cfg)
+    return SimpleNamespace(**cfg, params=Params(cfg["alpha"], cfg["delta"]))
 
 
-def load_config(args: argparse.Namespace) -> ExperimentConfig:
+def load_config(args: argparse.Namespace) -> SimpleNamespace:
     """The config `--config` names, with `--steps` and `--seed` written in before parsing."""
     doc = _read_json(args.config, "config")
     if args.steps is not None:
@@ -222,7 +205,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def build_profile(cfg: ExperimentConfig) -> Field:
+def build_profile(cfg: SimpleNamespace) -> Field:
     """Unit-scale initial profile; callers apply cfg.amplitude."""
     domain = BoxDomain(cfg.extents)
     kind = cfg.init["kind"]
@@ -245,7 +228,7 @@ def build_profile(cfg: ExperimentConfig) -> Field:
     return Field.from_interior(domain, interior)
 
 
-def _check_data(command: str, cfg: ExperimentConfig, profile: Field) -> float:
+def _check_data(command: str, cfg: SimpleNamespace, profile: Field) -> float:
     """The checked maximum of the profile (of |profile| for bound); a fault is a ConfigError naming
     the key it came from. Rounding is monotone, so c * profile has the maximum c * peak for c >= 0,
     and can fault only by overflowing: the largest amplitude's data, then each alpha's scaled data
@@ -300,7 +283,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _echo_params(cfg: ExperimentConfig) -> dict:
+def _echo_params(cfg: SimpleNamespace) -> dict:
     return {
         "extents": list(cfg.extents),
         "alpha": cfg.alpha,
@@ -316,7 +299,7 @@ def _echo_params(cfg: ExperimentConfig) -> dict:
 # commands
 
 
-def cmd_simulate(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> int:
+def cmd_simulate(cfg: SimpleNamespace, profile: Field, peak: float, out: Path) -> int:
     a = Field(profile.domain, profile.values * cfg.amplitude)
     report = simulate(a, cfg.params, cfg.steps, eps_blow=cfg.eps_blow)
     # trajectory.csv as csv.writer writes it: rows one by one up to the tail, where the trace
@@ -345,15 +328,15 @@ def cmd_simulate(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) 
     return EXIT_BLOWUP if report.blew_up else EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> int:
+def cmd_verify(cfg: SimpleNamespace, profile: Field, peak: float, out: Path) -> int:
     a = Field(profile.domain, profile.values * cfg.amplitude * cfg.params.scale)  # threshold 1
     verdict = verify_comparison(a, cfg.alpha, cfg.steps, slack=cfg.comparison_slack)
     doc = {
         "parameters": _echo_params(cfg),
         "holds": verdict.holds,
         "checked_steps": len(verdict.margins),
-        "defined_up_to": verdict.defined_up_to,
-        "truncated": verdict.defined_up_to < cfg.steps,
+        "defined_up_to": verdict.trace.defined_up_to,
+        "truncated": verdict.trace.defined_up_to < cfg.steps,
         "margins": verdict.margins.tolist(),
         "partial_sums": verdict.trace.partial_sums.tolist(),
     }
@@ -363,7 +346,7 @@ def cmd_verify(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) ->
     return EXIT_OK if verdict.holds else EXIT_BLOWUP
 
 
-def cmd_bound(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> int:
+def cmd_bound(cfg: SimpleNamespace, profile: Field, peak: float, out: Path) -> int:
     a = Field(profile.domain, profile.values * cfg.amplitude * cfg.params.scale)  # threshold 1
     report = regime_bound(a, cfg.alpha)
     doc = {
@@ -378,7 +361,7 @@ def cmd_bound(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> 
     return EXIT_OK
 
 
-def cmd_threshold(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> int:
+def cmd_threshold(cfg: SimpleNamespace, profile: Field, peak: float, out: Path) -> int:
     result = find_threshold(profile, cfg.params, cfg.steps, cfg.threshold_tol, cfg.eps_blow)
     rows = ([i, _fmt(lam), int(blew)] for i, (lam, blew) in enumerate(result.evaluations))
     _write_csv(out / "bisection.csv", ["probe", "amplitude", "blew_up"], rows)
@@ -393,7 +376,7 @@ def cmd_threshold(cfg: ExperimentConfig, profile: Field, peak: float, out: Path)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: ExperimentConfig, profile: Field, peak: float, out: Path) -> int:
+def cmd_sweep(cfg: SimpleNamespace, profile: Field, peak: float, out: Path) -> int:
     rows = []
     for alpha in cfg.sweep["alphas"]:
         p = Params(alpha=float(alpha), delta=cfg.delta)

@@ -46,14 +46,14 @@ def _trace_from_maxima(m: np.ndarray, alpha: float) -> MajorantTrace:
 def compute_trace(a: Field, alpha: float, S: int) -> MajorantTrace:
     """Run the linear evolution S steps recording interior maxima.
 
-    Once a step is taken the flow's span maximum m_s reads the interior and
-    +0.0 boundary sites, so a positive m_s is the interior maximum; on signed
-    data that maximum can lie below +0.0, and is then reduced from h.
+    The flow's span maximum m_s reads the interior and +0.0 boundary sites,
+    so a positive m_s is the interior maximum; on signed data that maximum
+    can lie below +0.0, and is then reduced from h.
     """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     core = a.domain.core
-    m = np.array([m_s if S and m_s > 0 else h[core].max() for h, _, m_s in _linear_flow(a, S)])
+    m = np.array([m_s if m_s > 0 else h[core].max() for h, _, m_s in _linear_flow(a, S)])
     return _trace_from_maxima(m, alpha)
 
 
@@ -85,9 +85,8 @@ class ComparisonFailure:
 class ComparisonVerdict:
     holds: bool
     margins: np.ndarray  # min over interior sites of fbar - f at steps 0, 1, ... as checked
-    defined_up_to: int
-    failure: ComparisonFailure | None = None
-    trace: MajorantTrace | None = None  # the linear flow's trace to S
+    failure: ComparisonFailure | None
+    trace: MajorantTrace  # the linear flow's trace to S; its defined_up_to bounds the check
 
 
 def verify_comparison(
@@ -166,7 +165,6 @@ def verify_comparison(
     return ComparisonVerdict(
         holds=failure is None,
         margins=np.array(margins),
-        defined_up_to=trace.defined_up_to,
         failure=failure,
         trace=trace,
     )

@@ -29,16 +29,16 @@ def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, np.ndarray, flo
 
     h^s is row s mod k of k kernel buffers, k = max(2, min(16, (S + 1) // 32, 2^15 // sites)):
     a ring of 16 rows pays for its plans only over long horizons on small arrays. h^0 is
-    `a.values + 0.0` (-0.0 made +0.0), copied whole, so at S = 0 a nonzero boundary is kept;
-    the boundary is checked only when a step is taken. The steps run each row's `_Stencil`
-    plan into the next row, built at its first use; only signed data's means can bring -0.0
-    back, and only as zeros' signs. The flow fills a block of k rows, takes their maxima in
-    one reduce over the block's (k, span) view, and then yields them: a yielded array and its
-    span are overwritten k steps on, which the flow computes when the next block is asked for.
+    `a.values + 0.0` (-0.0 made +0.0), copied whole; the boundary is checked at every S. The
+    steps run each row's `_Stencil` plan into the next row, built at its first use; only
+    signed data's means can bring -0.0 back, and only as zeros' signs. The flow fills a block
+    of k rows, takes their maxima in one reduce over the block's (k, span) view, and then
+    yields them: a yielded array and its span are overwritten k steps on, which the flow
+    computes when the next block is asked for.
     """
     if S < 0:
         raise ValueError("S must be >= 0")
-    if S and not a.boundary_is_zero():
+    if not a.boundary_is_zero():
         raise ValueError("field has nonzero boundary values")
     k = max(2, min(16, (S + 1) // 32, 2**15 // a.values.size))
     (*rows, _), spans = _span_buffers(a.domain.shape, k + 1)

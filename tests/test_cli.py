@@ -164,6 +164,19 @@ class TestConfigParsing:
         cfg = parse_config(base_config(alpha=2.0, delta=0.5))
         assert cfg.params is cfg.params and cfg.params == Params(2.0, 0.5)
 
+    @pytest.mark.parametrize("optional", [{}, {
+        "amplitude": 0.5, "eps_blow": 0.1, "comparison_slack": 0.0, "threshold_tol": 0.01,
+        "sweep": {"alphas": [1.0], "amplitudes": [0.5]}}], ids=["minimal", "every-key"])
+    def test_attributes_are_the_table_keys(self, optional):
+        # the key table is the config's only schema: one attribute per key, plus params
+        required = {"extents": [4], "alpha": 1.0, "delta": 1.0, "steps": 10,
+                    "init": {"kind": "constant_interior"}}
+        cfg = vars(parse_config({**required, **optional}))
+        assert cfg.keys() == {key for key, *_ in cli._CONFIG} | {"params"}
+        for key, _, default, _ in cli._CONFIG:
+            if key not in required:
+                assert cfg[key] == optional.get(key, default), key
+
     def test_rejects_zero_delta_naming_field(self):
         with pytest.raises(ConfigError, match="delta"):
             parse_config(base_config(delta=0))

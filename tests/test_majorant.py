@@ -140,8 +140,8 @@ class TestVerifyComparison:
     def test_truncates_at_defined_up_to(self):
         v = verify_comparison(sine_profile_1d_n4(0.9), 1.0, 100)
         assert v.holds
-        assert v.defined_up_to < 100
-        assert len(v.margins) == v.defined_up_to + 1
+        assert v.trace.defined_up_to < 100
+        assert len(v.margins) == v.trace.defined_up_to + 1
 
     def test_randomized_suite(self, rng):
         for _ in range(100):
@@ -159,7 +159,12 @@ class TestVerifyComparison:
         t = compute_trace(a, 1.0, 100)
         np.testing.assert_array_equal(v.trace.m, t.m)
         np.testing.assert_array_equal(v.trace.partial_sums, t.partial_sums)
-        assert v.trace.defined_up_to == t.defined_up_to == v.defined_up_to
+        assert v.trace.defined_up_to == t.defined_up_to
+
+    def test_verdict_needs_its_trace(self):
+        # the range the check covers is read from the trace, which every verdict carries
+        with pytest.raises(TypeError, match="trace"):
+            ComparisonVerdict(True, np.zeros(1), None)
 
 
 def _reference_step(f, p, eps_blow=0.0):
@@ -205,7 +210,7 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
                 step=s, site=site, majorant_value=float(fbar[site]),
                 solution_value=float(f.values[site]),
             )
-            return ComparisonVerdict(False, np.array(margins), trace.defined_up_to, failure, trace)
+            return ComparisonVerdict(False, np.array(margins), failure, trace)
         if s < last:
             nxt = _reference_step(f, p, eps_blow)
             if not isinstance(nxt, Field):
@@ -213,11 +218,10 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
                     step=s + 1, site=nxt.site, majorant_value=np.inf,
                     solution_value=nxt.g_value,
                 )
-                return ComparisonVerdict(False, np.array(margins), trace.defined_up_to, failure,
-                                         trace)
+                return ComparisonVerdict(False, np.array(margins), failure, trace)
             f = nxt
             h = _reference_linear_step(h)
-    return ComparisonVerdict(True, np.array(margins), trace.defined_up_to, trace=trace)
+    return ComparisonVerdict(True, np.array(margins), None, trace)
 
 
 @settings(max_examples=150, deadline=None)
@@ -279,8 +283,8 @@ def test_verify_matches_reference(extents, alpha, amplitude, S, slack, edge, lay
     got = verify_comparison(a, alpha, S, slack)
     want = _reference_verify(a, alpha, S, slack)
     assert _bits(got.margins) == _bits(want.margins)  # -0.0 is not +0.0
-    assert (got.holds, len(got.margins), got.defined_up_to, got.failure) == (
-        want.holds, len(want.margins), want.defined_up_to, want.failure
+    assert (got.holds, len(got.margins), got.trace.defined_up_to, got.failure) == (
+        want.holds, len(want.margins), want.trace.defined_up_to, want.failure
     )
     trace = compute_trace(a, alpha, S)
     np.testing.assert_array_equal(got.trace.m, trace.m)
@@ -396,8 +400,8 @@ def test_verify_blowup_path_matches_reference(monkeypatch, rng):
         )
         np.testing.assert_array_equal(got.trace.m, compute_trace(a, 1.0, 20).m)
         outcome = simulate(a, Params(1.0, 1.0), 20, 0.9).outcome
-        if isinstance(outcome, BlewUpAt) and outcome.step <= got.defined_up_to:
-            blowups["edge" if outcome.step == got.defined_up_to else "inside"] += 1
+        if isinstance(outcome, BlewUpAt) and outcome.step <= got.trace.defined_up_to:
+            blowups["edge" if outcome.step == got.trace.defined_up_to else "inside"] += 1
     assert min(blowups.values()) > 0, blowups
 
 
@@ -1251,8 +1255,8 @@ def test_early_stopping_verify_matches_reference(extents, alpha, amplitude, slac
     assert len(got.margins) == stop
     assert _bits(got.trace.partial_sums) == _bits(want.trace.partial_sums)
     assert _bits(got.margins) == _bits(want.margins)
-    assert (got.holds, len(got.margins), got.defined_up_to, got.failure) == (
-        want.holds, len(want.margins), want.defined_up_to, want.failure)
+    assert (got.holds, len(got.margins), got.trace.defined_up_to, got.failure) == (
+        want.holds, len(want.margins), want.trace.defined_up_to, want.failure)
 
 
 def _cli_regime_bound(a_scaled, alpha):
@@ -1400,8 +1404,7 @@ def test_flows_ignore_memory_layout(rng, extents, amplitude):
 @pytest.mark.parametrize("extents", [(6,), (5, 4), (4, 3, 5)])
 def test_linear_flow_starts_at_its_own_copy(rng, extents):
     # h^0 is the flow's first kernel buffer: the data + 0.0 in C order, whatever the data's
-    # layout, so its -0.0 are +0.0; at S = 0 the copy keeps a nonzero boundary, which a step
-    # refuses
+    # layout, so its -0.0 are +0.0; a nonzero boundary is refused at every S, S = 0 included
     d = BoxDomain(extents)
     interior = rng.uniform(0.0, 1.0, d.interior_shape)
     interior[rng.random(d.interior_shape) < 0.3] = -0.0
@@ -1415,8 +1418,10 @@ def test_linear_flow_starts_at_its_own_copy(rng, extents):
     edged = a.values + 0.0
     edged[(0,) * d.dims] = 0.5
     edged[(1,) + (-1,) * (d.dims - 1)] += 2.0  # from 2-D on a boundary site in the span
-    assert step_linear_direct(Field(d, edged), 0).values.tobytes() == edged.tobytes()
-    # the trace at S = 0 reads the interior, not the data's boundary
-    assert compute_trace(Field(d, edged), 1.0, 0).m.tolist() == [edged[d.core].max()]
+    for S in (0, 1):
+        with pytest.raises(ValueError, match="nonzero boundary"):
+            step_linear_direct(Field(d, edged), S)
+        with pytest.raises(ValueError, match="nonzero boundary"):
+            compute_trace(Field(d, edged), 1.0, S)
     with pytest.raises(ValueError, match="nonzero boundary"):
         apply_M(Field(d, edged))
