@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from latticeheat import (
 
 from latticeheat import spectral
 from latticeheat.domain import _Stencil
-from latticeheat.spectral import _linear_flow
+from latticeheat.spectral import _linear_flow, _sine_matrix
 
 from conftest import interior_sites, random_domain, random_field
 
@@ -253,3 +256,63 @@ def test_linear_flow_overflow_stays_inf(monkeypatch, extents):
                                                                       np.finfo(float).max)), 40)
     assert not any(told)
     assert m[1:] == [np.inf] * 40
+
+
+def _product_sine_matrix(N):
+    """`_sine_matrix` as the expression it replaced: an integer outer product, then copies."""
+    idx = np.arange(1, N)
+    return np.sin(np.outer(idx, idx) * np.pi / N)
+
+
+def _meshgrid_eigenvalues(domain):
+    """`mode_table`'s eigenvalues as the expression they replaced: a sum of meshgrid copies."""
+    axis_cos = [np.cos(np.arange(1, N) * np.pi / N) for N in domain.extents]
+    return sum(np.meshgrid(*axis_cos, indexing="ij")) / domain.dims
+
+
+def _traced_peak(build, *args):
+    """The largest memory, in bytes, that `build(*args)` held at once, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        build(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTableBuild:
+    def test_sine_matrix_keeps_the_product_bits(self):
+        # every N to 128, then a stride of 7 to 699 (400 and 699 included): each N runs the
+        # same ufuncs, and all 698 extents cost about 6 s
+        for N in [*range(2, 129), *range(129, 700, 7), 400, 699]:
+            assert _sine_matrix(N).tobytes() == _product_sine_matrix(N).tobytes(), N
+
+    def test_eigenvalues_keep_the_meshgrid_bits(self):
+        for d in range(1, 5):
+            for extents in itertools.product(range(2, 9), repeat=d):
+                domain = BoxDomain(extents)
+                eig = mode_table.__wrapped__(domain).eigenvalues  # uncached: a fresh build
+                old = _meshgrid_eigenvalues(domain)
+                assert eig.shape == old.shape and eig.tobytes() == old.tobytes(), extents
+
+    def test_tables_are_read_only(self):
+        table = mode_table(BoxDomain((5, 4, 5)))
+        with pytest.raises(ValueError, match="read-only"):
+            table.eigenvalues[0, 0, 0] = 1.0
+        for S in table.sine_matrices:
+            with pytest.raises(ValueError, match="read-only"):
+                S[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            _sine_matrix(3)[...] *= 2.0
+
+    @pytest.mark.parametrize("extents", [(96, 96), (5, 7, 5), (16, 16, 16)])
+    def test_equal_extents_share_one_matrix(self, extents):
+        mats = mode_table(BoxDomain(extents)).sine_matrices
+        for N, S in zip(extents, mats):
+            assert S.shape == (N - 1, N - 1)
+            assert all((S is T) == (N == M) for M, T in zip(extents, mats))
+
+    def test_builds_peak_at_one_table(self):
+        # the replaced expressions peaked at 2.06 matrices and 4.0 eigenvalue arrays
+        assert _traced_peak(_sine_matrix, 400) <= 1.05 * 399**2 * 8
+        assert _traced_peak(mode_table.__wrapped__, BoxDomain((64,) * 3)) <= 1.2 * 63**3 * 8
