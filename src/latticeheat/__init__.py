@@ -14,7 +14,6 @@ from .evolution import (
     BlowupReport,
     Params,
     Survived,
-    normalize_scaling,
     simulate,
     step_nonlinear,
 )

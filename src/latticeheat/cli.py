@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import bisect
-import csv
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -79,9 +79,10 @@ def read_field_json(path: Path) -> Field:
     values = field["values"]
     if len(values) != domain.n_sites:
         raise ConfigError(f"init.path: values: {domain.n_sites} sites, got {len(values)}")
-    if any(isinstance(v, bool) for v in values):
-        raise ConfigError("init.path: values: true/false are not numbers")
-    # numbers, or the strings write_field_json writes
+    # numbers, or write_field_json's strings: float() also reads bools, spaces, _ and other digits
+    bad = [v for v in values if type(v) is bool or type(v) is str and not _LITERAL.fullmatch(v)]
+    if bad:
+        raise ConfigError(f"init.path: values: not a number: {bad[0]!r}")
     flat = _keyed("init.path: values: ", lambda: np.array([float(v) for v in values]))
     return Field(domain, flat.reshape(domain.shape))
 
@@ -184,6 +185,7 @@ _CONFIG = (  # the keys of a config, each an attribute of parse_config's namespa
     )),
 )
 _FIELD = (("extents", list, _REQUIRED, _EXTENTS), ("values", list, _REQUIRED, ()))
+_LITERAL = re.compile(r"[+-]?(inf|nan|([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?)")  # ASCII
 
 
 def parse_config(doc: dict) -> SimpleNamespace:
@@ -277,10 +279,8 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    lines = (",".join(map(str, row)) + "\r\n" for row in [header, *rows])
+    path.write_text("".join(lines), newline="")
 
 
 def _echo_params(cfg: SimpleNamespace) -> dict:
@@ -297,6 +297,10 @@ def _echo_params(cfg: SimpleNamespace) -> dict:
 
 # ---------------------------------------------------------------------------
 # commands
+
+
+def _scaled(profile: Field, amplitude: float, p: Params) -> Field:
+    return Field(profile.domain, profile.values * amplitude * p.scale)
 
 
 def cmd_simulate(cfg: SimpleNamespace, profile: Field, peak: float, out: Path) -> int:
@@ -329,8 +333,8 @@ def cmd_simulate(cfg: SimpleNamespace, profile: Field, peak: float, out: Path) -
 
 
 def cmd_verify(cfg: SimpleNamespace, profile: Field, peak: float, out: Path) -> int:
-    a = Field(profile.domain, profile.values * cfg.amplitude * cfg.params.scale)  # threshold 1
-    verdict = verify_comparison(a, cfg.alpha, cfg.steps, slack=cfg.comparison_slack)
+    verdict = verify_comparison(_scaled(profile, cfg.amplitude, cfg.params), cfg.alpha,
+                                cfg.steps, slack=cfg.comparison_slack)
     doc = {
         "parameters": _echo_params(cfg),
         "holds": verdict.holds,
@@ -347,8 +351,7 @@ def cmd_verify(cfg: SimpleNamespace, profile: Field, peak: float, out: Path) -> 
 
 
 def cmd_bound(cfg: SimpleNamespace, profile: Field, peak: float, out: Path) -> int:
-    a = Field(profile.domain, profile.values * cfg.amplitude * cfg.params.scale)  # threshold 1
-    report = regime_bound(a, cfg.alpha)
+    report = regime_bound(_scaled(profile, cfg.amplitude, cfg.params), cfg.alpha)
     doc = {
         "parameters": _echo_params(cfg),
         "regime": report.regime,
@@ -384,8 +387,7 @@ def cmd_sweep(cfg: SimpleNamespace, profile: Field, peak: float, out: Path) -> i
         probe = _Probe(profile, peak, p, cfg.steps, cfg.eps_blow, blowup_exit=False)
         for amplitude in cfg.sweep["amplitudes"]:
             s0 = probe(float(amplitude))  # simulate's blow-up step, or None
-            a = Field(profile.domain, profile.values * float(amplitude) * p.scale)
-            bound = regime_bound(a, p.alpha)
+            bound = regime_bound(_scaled(profile, float(amplitude), p), p.alpha)
             outcome = ("survived", cfg.steps) if s0 is None else ("blew_up", s0)
             rows.append([_fmt(alpha), _fmt(amplitude), *outcome, _fmt(bound.bound_value)])
     header = ["alpha", "amplitude", "outcome", "s0_or_steps", "bound_value"]

@@ -1,4 +1,4 @@
-"""Nonlinear lattice dynamics, blow-up detection, and scaling normalization.
+"""Nonlinear lattice dynamics, blow-up detection, and the scaling to threshold 1.
 
 The update at interior sites is
 
@@ -47,7 +47,9 @@ class Params:
 
     @property
     def scale(self) -> float:
-        """The factor (alpha*delta)^(1/alpha) by which data is scaled to threshold 1."""
+        """(alpha*delta)^(1/alpha), which scales data to threshold 1: under Params(alpha, 1/alpha)
+        the scaled trajectory is the original's times it, step for step until either blows up, to
+        relative rounding among normal doubles, and among subnormals to one subnormal spacing."""
         return (self.alpha * self.delta) ** (1.0 / self.alpha)
 
 
@@ -321,16 +323,3 @@ def simulate(a: Field, p: Params, max_steps: int, eps_blow: float = 0.0) -> Blow
     # at rest after step s the state and g repeat, so the record does; at the horizon s = max_steps
     stepper.trace += [StepRecord(max_f=stepper.max_f, max_g=stepper.max_g)] * (max_steps - s)
     return BlowupReport(outcome=Survived(steps=max_steps), trace=stepper.trace)
-
-
-def normalize_scaling(a: Field, p: Params) -> tuple[Field, Params]:
-    """Rescale so the blow-up threshold becomes 1.
-
-    Multiplies the data by p.scale = (alpha*delta)^(1/alpha) and returns parameters with
-    alpha*delta = 1. The rescaled trajectory is the pointwise rescaling of the
-    original one, step for step, until either blows up, to relative rounding
-    while the values stay normal doubles; among subnormals rounding is
-    absolute, so the two agree only to the smallest subnormal spacing.
-    """
-    scaled = Field(a.domain, a.values * p.scale)
-    return scaled, Params(alpha=p.alpha, delta=1.0 / p.alpha)

@@ -1,5 +1,7 @@
 import itertools
 import os
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from latticeheat.evolution import StepRecord, _check_solution_field
 # decide a run, and every failure prints its @reproduce_failure blob
 settings.register_profile("ci", database=None, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def random_domain(rng, max_d=3, max_extent=6):
@@ -65,6 +69,15 @@ def reference_neighbor_mean(values):
     return out
 
 
+def reference_flow(domain, h, steps):
+    """The linear flow's reference, h^0..h^steps: h^0 is the array h, and each next state has the
+    frozen reference mean of the last inside and +0.0 on the boundary."""
+    yield h
+    for _ in range(steps):
+        h = with_boundary(domain, reference_neighbor_mean(h), 0.0).values
+        yield h
+
+
 def reference_offender(step, bad, g):
     """The blow-up at `step` at the lexicographically first site of the interior mask `bad`."""
     idx = np.argwhere(bad)[0]
@@ -113,6 +126,25 @@ def neighbor_average(f, n):
         minus[k] -= 1
         total += f.values[tuple(plus)] + f.values[tuple(minus)]
     return total / (2 * f.domain.dims)
+
+
+def head_sha(tool):
+    """HEAD's commit, which the tool `tool` clones; outside a git checkout the test is skipped."""
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
+                          text=True)
+    if head.returncode != 0:
+        pytest.skip(f"{tool} clones commits, and this tree is not a git checkout")
+    return head.stdout.strip()
+
+
+def assert_refuses_rerun(command, path):
+    """A second batch of `command` stops before it runs: it names the batch file `path`, prints
+    nothing, and leaves `path`, alone in its directory, byte for byte."""
+    written = path.read_bytes()
+    again = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert again.returncode != 0 and "refusing to overwrite" in again.stderr
+    assert str(path) in again.stderr and again.stdout == ""
+    assert list(path.parent.iterdir()) == [path] and path.read_bytes() == written
 
 
 @pytest.fixture

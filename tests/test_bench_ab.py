@@ -5,21 +5,16 @@ import json
 import re
 import subprocess
 import sys
-from pathlib import Path
 
-import pytest
+from conftest import ROOT, assert_refuses_rerun, head_sha
 
-ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_ab  # noqa: E402
 
 
 def test_bench_ab_writes_every_declared_metric(tmp_path):
-    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
-                          text=True)
-    if head.returncode != 0:
-        pytest.skip("bench_ab clones commits, and this tree is not a git checkout")
+    sha = head_sha("bench_ab")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     command = [sys.executable, str(ROOT / "tools" / "bench_ab.py"), "--base", "HEAD",
                "--workload", "certify-small", "--seed", "777", "--pairs", "1", "--seconds", "1",
@@ -30,7 +25,6 @@ def test_bench_ab_writes_every_declared_metric(tmp_path):
     assert re.fullmatch(r"AB_\d{4}-\d\d-\d\d_certify-small_s777\.json", path.name)
     assert proc.stdout.split() == [str(path)]
     record = json.loads(path.read_text())
-    sha = head.stdout.strip()
     assert record["base"] == {"ref": "HEAD", "git_sha": sha} and record["head"] == {"git_sha": sha}
     assert (record["workload"], record["seed"], record["pairs"]) == ("certify-small", 777, 1)
     assert record["artifacts_equal"] is True and record["failed"] == {"base": 0, "head": 0}
@@ -46,12 +40,7 @@ def test_bench_ab_writes_every_declared_metric(tmp_path):
             assert got[side]["median"] == got[side]["q1"] == got[side]["q3"] == value
             assert got[side]["iqr"] == 0
         assert got["head_wins"] in (0, 1)
-    # a second batch into the same directory stops before it runs and leaves the first's file
-    written = path.read_bytes()
-    again = subprocess.run(command, capture_output=True, text=True, timeout=60)
-    assert again.returncode != 0 and "refusing to overwrite" in again.stderr
-    assert str(path) in again.stderr and again.stdout == ""
-    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == written
+    assert_refuses_rerun(command, path)
 
 
 def test_bench_ab_rejects_an_unknown_base(tmp_path):
@@ -63,29 +52,11 @@ def test_bench_ab_rejects_an_unknown_base(tmp_path):
 
 
 def test_bench_ab_control_runs_the_base_against_itself_plus_a_comment(tmp_path):
-    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
-                          text=True)
-    if head.returncode != 0:
-        pytest.skip("bench_ab clones commits, and this tree is not a git checkout")
-    sha = head.stdout.strip()
-    # the head's clone differs from the base's by the 600-byte comment alone
+    # the head's clone differs from the base's by the 600-byte comment alone; the --control
+    # batch that runs them goes through `_batches`, which bench_ops.py's control test runs
+    sha = head_sha("bench_ab")
     clones = bench_ab._clones(argparse.Namespace(control=True), (sha, sha), str(tmp_path))
     base, changed = ((clones[side] / bench_ab.CONTROL_FILE).read_bytes() for side in bench_ab.SIDES)
     assert len(bench_ab.CONTROL_COMMENT.encode()) == 600
     assert changed == base + bench_ab.CONTROL_COMMENT.encode()
     assert all(line.startswith("#") for line in bench_ab.CONTROL_COMMENT.splitlines())
-    out = tmp_path / "out"
-    command = [sys.executable, str(ROOT / "tools" / "bench_ab.py"), "--base", "HEAD", "--control",
-               "--workload", "certify-small", "--seed", "777", "--pairs", "1", "--seconds", "1",
-               "--smoke", "--out", str(out)]
-    proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    [path] = (out / "aa").iterdir()
-    assert list(out.iterdir()) == [out / "aa"] and proc.stdout.split() == [str(path)]
-    assert re.fullmatch(r"AB_\d{4}-\d\d-\d\d_certify-small_s777\.json", path.name)
-    record = json.loads(path.read_text())
-    assert record["control"] is True
-    assert record["base"] == {"ref": "HEAD", "git_sha": sha} and record["head"] == {"git_sha": sha}
-    assert record["artifacts_equal"] is True and record["failed"] == {"base": 0, "head": 0}
-    again = subprocess.run(command, capture_output=True, text=True, timeout=60)
-    assert again.returncode != 0 and "refusing to overwrite" in again.stderr

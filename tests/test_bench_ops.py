@@ -4,21 +4,18 @@ import json
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, assert_refuses_rerun, head_sha
+
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 
 
 def test_bench_ops_times_every_op(tmp_path):
-    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
-                          text=True)
-    if head.returncode != 0:
-        pytest.skip("bench_ops clones commits, and this tree is not a git checkout")
+    sha = head_sha("bench_ops")
     command = [sys.executable, str(ROOT / "tools" / "bench_ops.py"), "--base", "HEAD",
                "--workload", "certify-small", "--seed", "777", "--pairs", "2", "--seconds", "1",
                "--smoke", "--out", str(tmp_path)]
@@ -28,7 +25,6 @@ def test_bench_ops_times_every_op(tmp_path):
     assert re.fullmatch(r"OPS_\d{4}-\d\d-\d\d_certify-small_s777\.json", path.name)
     assert proc.stdout.split() == [str(path)]
     record = json.loads(path.read_text())
-    sha = head.stdout.strip()
     assert record["base"] == {"ref": "HEAD", "git_sha": sha} and record["head"] == {"git_sha": sha}
     assert (record["workload"], record["seed"], record["pairs"]) == ("certify-small", 777, 2)
     assert record["artifacts_equal"] is True and record["failed"] == {"base": 0, "head": 0}
@@ -45,12 +41,7 @@ def test_bench_ops_times_every_op(tmp_path):
             assert got[side]["q1"] <= got[side]["median"] <= got[side]["q3"]
         assert got["change"] == pytest.approx(got["head"]["median"] / got["base"]["median"] - 1)
         assert got["head_wins"] in (0, 1, 2)
-    # a second batch into the same directory stops before it runs and leaves the first's file
-    written = path.read_bytes()
-    again = subprocess.run(command, capture_output=True, text=True, timeout=60)
-    assert again.returncode != 0 and "refusing to overwrite" in again.stderr
-    assert str(path) in again.stderr and again.stdout == ""
-    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == written
+    assert_refuses_rerun(command, path)
 
 
 def test_bench_ops_rejects_an_unknown_base(tmp_path):
@@ -62,10 +53,7 @@ def test_bench_ops_rejects_an_unknown_base(tmp_path):
 
 
 def test_bench_ops_control_times_the_base_against_itself(tmp_path):
-    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
-                          text=True)
-    if head.returncode != 0:
-        pytest.skip("bench_ops clones commits, and this tree is not a git checkout")
+    sha = head_sha("bench_ops")
     command = [sys.executable, str(ROOT / "tools" / "bench_ops.py"), "--base", "HEAD",
                "--control", "--workload", "certify-small", "--seed", "777", "--pairs", "1",
                "--seconds", "1", "--smoke", "--out", str(tmp_path)]
@@ -75,11 +63,9 @@ def test_bench_ops_control_times_the_base_against_itself(tmp_path):
     assert list(tmp_path.iterdir()) == [tmp_path / "aa"] and proc.stdout.split() == [str(path)]
     assert re.fullmatch(r"OPS_\d{4}-\d\d-\d\d_certify-small_s777\.json", path.name)
     record = json.loads(path.read_text())
-    sha = head.stdout.strip()
     assert record["control"] is True
     assert record["base"] == {"ref": "HEAD", "git_sha": sha} and record["head"] == {"git_sha": sha}
     assert record["artifacts_equal"] is True and record["failed"] == {"base": 0, "head": 0}
     plan = [op for group in workloads.make_plan("certify-small", 777, True) for op in group]
     assert len(record["ops"]) == len(plan)
-    again = subprocess.run(command, capture_output=True, text=True, timeout=60)
-    assert again.returncode != 0 and "refusing to overwrite" in again.stderr
+    assert_refuses_rerun(command, path)

@@ -6,12 +6,12 @@ import platform
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, assert_refuses_rerun
+
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_record  # noqa: E402
@@ -42,12 +42,7 @@ def test_bench_record_writes_every_declared_metric(tmp_path, trace, kind):
     for m in declared:
         assert metrics[m["name"]]["unit"] == m["unit"], m["name"]
         assert isinstance(metrics[m["name"]]["value"], (int, float))
-    # a second run of the same day, workload and seed into the same --out refuses before
-    # running, names the file, and leaves its bytes
-    first = path.read_bytes()
-    again = subprocess.run(command, capture_output=True, text=True, timeout=300)
-    assert again.returncode != 0 and str(path) in again.stderr and again.stdout == ""
-    assert [p.name for p in tmp_path.iterdir()] == [path.name] and path.read_bytes() == first
+    assert_refuses_rerun(command, path)  # a second run of the same day, workload and seed
 
 
 def test_dirty_counts_tracked_files_only(tmp_path):

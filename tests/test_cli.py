@@ -262,6 +262,20 @@ def test_numbered_rows_equal_the_naive_join(lo):
         assert _numbered_rows(lo, hi, sep) == sep.join(map(str, range(lo, hi))) + sep, (lo, hi)
 
 
+@pytest.mark.parametrize("count", [0, 13])
+def test_write_csv_gives_csv_writers_bytes(tmp_path, count):
+    # every kind of cell bisection.csv and sweep.csv hold: ints, `_fmt` of finite values, of
+    # +-inf (bound_value can be inf), nan, -0.0 and a subnormal, and both outcome words
+    values = [0.1, 2.5e-5, 1e300, math.inf, -math.inf, math.nan, -0.0, 5e-324]
+    cells = [0, 7, 10**4, *map(cli._fmt, values), "survived", "blew_up"]
+    header = ["alpha", "amplitude", "outcome", "s0_or_steps", "bound_value"]
+    rows = [cells[i:i + 5] for i in range(count)]  # every cell, and short rows
+    cli._write_csv(tmp_path / "got.csv", header, iter(rows))  # commands pass generators
+    want = io.StringIO(newline="")
+    csv.writer(want).writerows([header, *rows])
+    assert (tmp_path / "got.csv").read_bytes() == want.getvalue().encode()
+
+
 class TestSimulateCommand:
     @pytest.mark.parametrize("steps", [250, 10_000])
     def test_zero_data_rests_at_step_0(self, tmp_path, capsys, steps):

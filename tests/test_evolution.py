@@ -17,11 +17,11 @@ from latticeheat import (
     Survived,
     evolution,
     mode_table,
-    normalize_scaling,
     simulate,
     step_nonlinear,
 )
 from latticeheat import domain as domain_module
+from latticeheat.cli import _scaled
 from latticeheat.domain import _mirror_symmetric, _orthant
 from latticeheat.evolution import StepRecord
 from latticeheat.majorant import _Probe
@@ -763,25 +763,31 @@ def test_span_extrema_are_the_reduces(extents, alpha, unit_coupling, eps_blow, k
 NORMAL_RANGE_AMPLITUDE = 1e-200
 
 
+def _normalized(a, p):
+    """The data scaled to threshold 1 as the CLI forms it (amplitude 1), and the parameters of
+    the scaled system, Params(alpha, 1/alpha)."""
+    return _scaled(a, 1.0, p), Params(p.alpha, 1.0 / p.alpha)
+
+
 class TestNormalizeScaling:
     def test_identity_when_already_normalized(self):
         d = BoxDomain((4,))
         a = Field(d, [0, 0.1, 0.2, 0.1, 0])
-        a2, p2 = normalize_scaling(a, Params(1, 1))
+        a2, p2 = _normalized(a, Params(1, 1))
         np.testing.assert_array_equal(a2.values, a.values)
         assert p2.alpha * p2.delta == 1.0
 
     def test_scaling_factor(self):
         d = BoxDomain((2,))
         a = Field(d, [0, 0.1, 0])
-        a2, p2 = normalize_scaling(a, Params(1, 4))
+        a2, p2 = _normalized(a, Params(1, 4))
         assert a2.values[1] == pytest.approx(0.4)
         assert p2.threshold == 1.0
 
     def test_alpha_delta_product_one(self):
         d = BoxDomain((2,))
         a = Field(d, [0, 0.3, 0])
-        a2, p2 = normalize_scaling(a, Params(2, 0.5))
+        a2, p2 = _normalized(a, Params(2, 0.5))
         np.testing.assert_array_equal(a2.values, a.values)
         assert p2.alpha * p2.delta == 1.0
 
@@ -799,7 +805,7 @@ class TestNormalizeScaling:
         p = Params(alpha, delta)
         d = BoxDomain(tuple(extents))
         a = random_field(np.random.default_rng(seed), d, amplitude=amplitude * p.threshold)
-        a2, p2 = normalize_scaling(a, p)
+        a2, p2 = _normalized(a, p)
         factor = (alpha * delta) ** (1.0 / alpha)
         f, f2 = a, a2
         for _ in range(8):
@@ -819,7 +825,7 @@ class TestNormalizeScaling:
         p = Params(1.0, 2.0)
         d = BoxDomain((3,))
         a = random_field(np.random.default_rng(0), d, amplitude=2.225073858507e-311 * p.threshold)
-        a2, p2 = normalize_scaling(a, p)
+        a2, p2 = _normalized(a, p)
         f, f2 = a, a2
         for _ in range(8):
             f, f2 = step_nonlinear(f, p), step_nonlinear(f2, p2)

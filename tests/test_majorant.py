@@ -33,14 +33,12 @@ from latticeheat import (
 
 from latticeheat import cli, majorant
 from latticeheat import domain as domain_module
-from latticeheat.evolution import _check_solution_field
 from latticeheat.majorant import COMPARISON_SLACK, ComparisonFailure, _Probe, _trace_from_maxima
 from latticeheat import spectral
 from latticeheat.spectral import _linear_flow
 
-from conftest import (is_span_of, mirrored, random_domain, random_field,
-                      reference_neighbor_mean, reference_offender, reference_simulate,
-                      with_boundary)
+from conftest import (is_span_of, mirrored, random_domain, random_field, reference_flow,
+                      reference_neighbor_mean, reference_simulate, with_boundary)
 
 SQ2 = np.sqrt(2) / 2
 
@@ -167,41 +165,20 @@ class TestVerifyComparison:
             ComparisonVerdict(True, np.zeros(1), None)
 
 
-def _reference_step(f, p, eps_blow=0.0):
-    """step_nonlinear as first written, for the reference verify loop."""
-    _check_solution_field(f)
-    g = reference_neighbor_mean(f.values)
-    denom = 1.0 - p.alpha * p.delta * np.power(g, p.alpha)
-    bad = denom <= eps_blow
-    if np.any(bad):
-        return reference_offender(0, bad, g)
-    nxt = Field.zeros(f.domain)
-    nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)
-    return nxt
-
-
-def _reference_linear_step(h):
-    return Field.from_interior(h.domain, reference_neighbor_mean(h.values))
-
-
 def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
     """verify_comparison as first written: the linear flow run once for the
     trace and again beside the nonlinear flow. Where the majorant root
     (1 - P_s)^(1/alpha) underflows to 0, majorant_field gives its limit h/+0
     (+inf where h > 0, 0 where h is 0)."""
     p = Params(alpha=alpha, delta=1.0 / alpha)
-    h, m = a, [float(a.interior().max())]
-    for _ in range(S):
-        h = _reference_linear_step(h)
-        m.append(float(h.interior().max()))
+    m = [float(h[a.domain.core].max()) for h in reference_flow(a.domain, a.values, S)]
     trace = _trace_from_maxima(np.array(m), alpha)
     last = min(S, trace.defined_up_to)
     margins = []
     f = a
-    h = a
-    for s in range(last + 1):
+    for s, h in zip(range(last + 1), reference_flow(a.domain, a.values, S)):
         with np.errstate(over="ignore", invalid="ignore"):  # inf, and 0 * inf at slack 0
-            fbar = majorant_field(trace, h, s, alpha).values
+            fbar = majorant_field(trace, Field(a.domain, h), s, alpha).values
             tol = slack * np.maximum(1.0, fbar)
         margins.append(float((fbar[a.domain.core] - f.interior()).min()))
         if np.any(fbar < f.values - tol):
@@ -212,15 +189,14 @@ def _reference_verify(a, alpha, S, slack, eps_blow=0.0):
             )
             return ComparisonVerdict(False, np.array(margins), failure, trace)
         if s < last:
-            nxt = _reference_step(f, p, eps_blow)
-            if not isinstance(nxt, Field):
+            report, state = reference_simulate(f, p, 0, eps_blow)  # the step to s + 1
+            if report.blew_up:
                 failure = ComparisonFailure(
-                    step=s + 1, site=nxt.site, majorant_value=np.inf,
-                    solution_value=nxt.g_value,
+                    step=s + 1, site=report.outcome.site, majorant_value=np.inf,
+                    solution_value=report.outcome.g_value,
                 )
                 return ComparisonVerdict(False, np.array(margins), failure, trace)
-            f = nxt
-            h = _reference_linear_step(h)
+            f = Field(a.domain, state)
     return ComparisonVerdict(True, np.array(margins), None, trace)
 
 
@@ -334,16 +310,16 @@ def test_minus_zero_data_matches_zero_start_reference(extents, alpha, amplitude,
     a = with_boundary(d, interior, -0.0 if minus_boundary else 0.0)
     mean = apply_M(a).values[d.core]
     assert _bits(mean) == _bits(reference_neighbor_mean(a.values))
-    h, m = a.values + 0.0, []
-    for s, (got, _, m_s) in enumerate(_linear_flow(a, S)):
+    m = []
+    flows = zip(_linear_flow(a, S), reference_flow(d, a.values + 0.0, S), strict=True)
+    for s, ((got, _, m_s), h) in enumerate(flows):
         assert got.tobytes() == h.tobytes(), s
         m.append(h[d.core].max())
         assert _bits(m_s) == _bits(m[-1]), s
-        h = with_boundary(d, reference_neighbor_mean(h), 0.0).values
     p = Params(alpha, 1.0 / alpha)
-    got, want = step_nonlinear(a, p), _reference_step(a, p)
-    assert isinstance(got, Field) == isinstance(want, Field)
-    assert got.values.tobytes() == want.values.tobytes() if isinstance(got, Field) else got == want
+    got, (want, state) = step_nonlinear(a, p), reference_simulate(a, p, 0)
+    assert isinstance(got, Field) != want.blew_up
+    assert got == want.outcome if want.blew_up else got.values.tobytes() == state.tobytes()
     report, (want_report, _) = simulate(a, p, S), reference_simulate(a, p, S)
     assert report.outcome == want_report.outcome
     records = [[(r.max_f, r.max_g) for r in rep.trace] for rep in (report, want_report)]
@@ -366,12 +342,11 @@ def test_signed_flow_differs_from_reference_only_in_zero_signs(rng):
         d = random_domain(rng, max_d=2)
         interior = rng.choice([-5e-324, 0.0, 5e-324, -1e-323, 0.25, -0.25], d.interior_shape)
         a = with_boundary(d, interior, 0.0)
-        h, m = a.values, []
-        for got, *_ in _linear_flow(a, 6):
+        m = []
+        for (got, *_), h in zip(_linear_flow(a, 6), reference_flow(d, a.values, 6), strict=True):
             np.testing.assert_array_equal(got, h)  # as numbers: -0.0 == +0.0
             signs += got.tobytes() != h.tobytes()
             m.append(h[d.core].max())
-            h = with_boundary(d, reference_neighbor_mean(h), 0.0).values
         for alpha in (0.5, 2.0):
             got, want = compute_trace(a, alpha, 6), _trace_from_maxima(np.array(m), alpha)
             assert _bits(np.abs(got.m)) == _bits(np.abs(want.m))
@@ -455,7 +430,7 @@ class TestBounds:
             bound_alpha_gt_1(1.0, mode_table(BoxDomain((4,))), 2.0, [0.1, 0.05])
 
     def test_bounds_dominate_partial_sums(self, rng):
-        from latticeheat import analyze, normalize_scaling
+        from latticeheat import analyze
 
         for _ in range(40):
             d = random_domain(rng, max_extent=6)
@@ -1134,15 +1109,6 @@ def test_closed_form_probe_matches_table(monkeypatch):
         assert runs[0] == runs[1]
 
 
-def _apply_M_maxima(a, S):
-    """m_0..m_S and h^S from M applied step by step as the frozen reference mean."""
-    h, m = a, [float(a.interior().max())]
-    for _ in range(S):
-        h = with_boundary(a.domain, reference_neighbor_mean(h.values), 0.0)
-        m.append(float(h.interior().max()))
-    return np.array(m), h
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     extents=st.lists(st.integers(2, 7), min_size=1, max_size=3),
@@ -1155,9 +1121,9 @@ def test_linear_flow_matches_apply_M_loop(extents, alpha, S, signed, seed):
     d = BoxDomain(tuple(extents))
     rng = np.random.default_rng(seed)
     a = Field.from_interior(d, rng.uniform(-1.0 if signed else 0.0, 1.0, size=d.interior_shape))
-    m, h = _apply_M_maxima(a, S)
-    np.testing.assert_array_equal(compute_trace(a, alpha, S).m, m)
-    np.testing.assert_array_equal(step_linear_direct(a, S).values, h.values)
+    h = list(reference_flow(d, a.values, S))  # M applied step by step as the reference mean
+    np.testing.assert_array_equal(compute_trace(a, alpha, S).m, [h_s[d.core].max() for h_s in h])
+    np.testing.assert_array_equal(step_linear_direct(a, S).values, h[-1])
 
 
 def _signed_zero_data(d, rng):
@@ -1165,15 +1131,6 @@ def _signed_zero_data(d, rng):
     interior = rng.uniform(0.0, 1.0, d.interior_shape)
     interior[rng.random(d.interior_shape) < 1 / 3] = -0.0
     return with_boundary(d, interior, -0.0)
-
-
-def _reference_flow(a, S):
-    """(h^s, m_s) as bytes for s = 0..S from the frozen reference mean, started at a + 0.0."""
-    h, out = a.values + 0.0, []
-    for _ in range(S + 1):
-        out.append((h.tobytes(), _bits(h[a.domain.core].max())))
-        h = with_boundary(a.domain, reference_neighbor_mean(h), 0.0).values
-    return out
 
 
 def _flow_bytes(a, S):
@@ -1208,7 +1165,8 @@ def test_linear_flow_blocks_match_reference(monkeypatch, k, dims):
     d = BoxDomain(tuple(int(n) for n in rng.integers(2, 7, dims)))
     a = _signed_zero_data(d, rng)
     horizons = [base + j for base in (0, 31 * k) for j in (k - 1, k, k + 1, 2 * k, 2 * k + 1)]
-    want = _reference_flow(a, max(horizons))
+    want = [(h.tobytes(), _bits(h[d.core].max()))
+            for h in reference_flow(d, a.values + 0.0, max(horizons))]
     rows = _block_rows(monkeypatch)
     for S in horizons:
         assert _flow_bytes(a, S) == want[:S + 1], S
@@ -1224,7 +1182,7 @@ def test_linear_flow_blocks_on_large_boxes_match_reference(monkeypatch, extents,
     d = BoxDomain(extents)
     a = _signed_zero_data(d, np.random.default_rng(k))
     S = 33 * k + 1
-    want = _reference_flow(a, S)
+    want = [(h.tobytes(), _bits(h[d.core].max())) for h in reference_flow(d, a.values + 0.0, S)]
     rows = _block_rows(monkeypatch)
     assert _flow_bytes(a, S) == want
     assert rows == [k]

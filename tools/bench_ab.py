@@ -25,17 +25,16 @@ change, as an end-to-end metric can move that far with the bytes alone.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from bench_ops import _checked, _parse_args
 from bench_record import ROOT, _batch, _git, _run, _write
 
 SIDES = ("base", "head")
@@ -44,30 +43,10 @@ CONTROL_COMMENT = ("#" * 59 + "\n") * 10  # 600 bytes
 _RUN_KEYS = ("calibration_ms", "artifacts_sha256", "correct", "attempted", "failed")
 
 
-def _parse_args(argv):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, help="the git ref to compare HEAD against")
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", action="append", help="repeat for several; default all")
-    parser.add_argument("--seconds", type=float, default=24.0)
-    parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--control", action="store_true", help="REF against REF plus a comment")
-    parser.add_argument("--out", type=Path)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-    args.trace = 0  # bench_record._run's option; the end-to-end metrics are read untraced
-    return args
-
-
 def _clone(sha: str, path: Path) -> Path:
     """A fresh clone of this repository at `sha`, detached."""
-    for command in (["git", "clone", "--quiet", "--no-checkout", str(ROOT), str(path)],
-                    ["git", "-C", str(path), "checkout", "--quiet", "--detach", sha]):
-        proc = subprocess.run(command, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SystemExit(f"error: {' '.join(command)} exited {proc.returncode}:\n{proc.stderr}")
+    _checked(["git", "clone", "--quiet", "--no-checkout", str(ROOT), str(path)])
+    _checked(["git", "-C", str(path), "checkout", "--quiet", "--detach", sha])
     return path
 
 
@@ -167,7 +146,7 @@ def _batches(args, kind: str, time, summary, run_keys: tuple[str, ...]) -> int:
 
 
 def main(argv=None) -> int:
-    return _batches(_parse_args(argv), "AB", _run, _summary, _RUN_KEYS)
+    return _batches(_parse_args(argv, __doc__), "AB", _run, _summary, _RUN_KEYS)
 
 
 if __name__ == "__main__":

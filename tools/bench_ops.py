@@ -36,9 +36,12 @@ from pathlib import Path
 _OP_KEYS = ("extents", "alpha", "steps")
 
 
-def _parse_args(argv):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", help="the git ref to compare HEAD against")
+def _parse_args(argv, doc=__doc__):
+    """This script's options, or with bench_ab.py's `doc` that script's: the same but --child.
+    They live here, as a child must not load numpy before its clone's run.py does."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    child = doc is __doc__  # only this script times ops in child processes
+    parser.add_argument("--base", required=not child, help="the git ref to compare HEAD against")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", help="repeat for several; default all")
@@ -46,13 +49,23 @@ def _parse_args(argv):
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--control", action="store_true", help="REF against REF plus a comment")
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)  # a clone to time
+    if child:
+        parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)  # a clone to time
     args = parser.parse_args(argv)
-    if args.child is None and args.base is None:
+    if child and args.child is None and args.base is None:
         parser.error("--base is required")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    args.trace = 0  # bench_record._run's option; the end-to-end metrics are read untraced
     return args
+
+
+def _checked(command: list[str], cwd: Path | None = None) -> list[str]:
+    """The lines `command` prints, run in `cwd`; a nonzero exit stops with its stderr."""
+    proc = subprocess.run(command, cwd=cwd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(command)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout.strip().splitlines()
 
 
 def _child(args) -> dict:
@@ -88,11 +101,7 @@ def _time(clone: Path, workload: str, args) -> dict:
     command = [sys.executable, str(Path(__file__).resolve()), "--child", str(clone),
                "--workload", workload, "--seed", str(args.seed), "--seconds", str(args.seconds)]
     command += ["--smoke"] if args.smoke else []
-    proc = subprocess.run(command, cwd=clone, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise SystemExit(f"error: {' '.join(command)} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    return json.loads(_checked(command, clone)[-1])
 
 
 def _ops(benchmark: dict, workload: str, runs: list[dict]) -> dict:

@@ -30,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_ops import _checked
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -61,10 +63,7 @@ def _run(checkout: Path, workload: str, args) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
                str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
     command += ["--smoke"] if args.smoke else []
-    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise SystemExit(f"error: {' '.join(command)} exited {proc.returncode}:\n{proc.stderr}")
+    lines = _checked(command, checkout)
     fields = {line.split()[0]: line.split()[1] for line in lines[:-1] if len(line.split()) > 1}
     return {"command": command[1:], "calibration_ms": float(fields["calibration_ms"]),
             "artifacts_sha256": fields["artifacts_sha256"], **json.loads(lines[-1])}
