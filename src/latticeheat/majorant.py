@@ -242,50 +242,65 @@ def _geometric(n: int, t: float) -> float:
     return math.expm1(n * t) / math.expm1(t) if t else n
 
 
+def _log_majorant_sum(alpha: float, log_lam: float, gap: float, R: int) -> float:
+    """log sum_{k=1..R} min(1, e^gap*lam^k)^alpha, for gap = log(C/M) >= 0 and R >= 1: the
+    sum over M^alpha of the survival certificate, the paper's, scaled to threshold 1.
+
+    With P_s = sum_{k=1..s} m_k^alpha, which leaves out m_0 as no step tests it,
+    fbar^s = h^s/(1 - P_s)^(1/alpha) >= f^s while P_s < 1, by induction: fbar^0 = f^0, as P_0 = 0.
+    If f^s <= fbar^s, averaging is positive, so g^s <= h^{s+1}/(1 - P_s)^(1/alpha), below the
+    threshold 1 as P_{s+1} = P_s + m_{s+1}^alpha < 1; the update F(y) = y/(1 - y^alpha)^(1/alpha)
+    increases, so f^{s+1} <= h^{s+1}/(1 - P_s - m_{s+1}^alpha)^(1/alpha) = fbar^{s+1}. So a state
+    survives its next R steps if P_R < 1, where m_k are the maxima of the linear flow from it, in
+    threshold units. With M = max f and C = max f/phi over the interior, f <= C*phi; averaging
+    maps phi to lam*phi and never raises the maximum, so m_k <= min(M, C*lam^k). The sum of
+    these bounds is (k - 1)*M^alpha plus a geometric series from the switch index k, where
+    C*lam^k falls to M; any integer k keeps every term a bound on m_k. No term exceeds its term
+    in C^alpha/(1-lam^alpha), the infinite sum from m_0.
+    """
+    switch = gap / -log_lam if log_lam < 0 else math.inf  # C*lam^k <= M from k = switch on
+    k = max(1, math.ceil(switch)) if switch <= R else R + 1
+    # the sum over M^alpha: k - 1 ones, then (C*lam^j/M)^alpha for j = k..R, in logs, as
+    # those terms can underflow; C*lam^k <= M, so their log is <= 0 but for k's rounding
+    if k > R:  # R terms of 1
+        return math.log(R)
+    geometric = _geometric(R + 1 - k, alpha * log_lam)
+    log_geo = min(0.0, alpha * (gap + k * log_lam)) + math.log(geometric)
+    return log_geo if k == 1 else math.log(k - 1 + math.exp(log_geo))
+
+
+def _log_jcrit(alpha: float, log_lam: float, r: int) -> float:
+    """log Jcrit(r) in threshold units: Kaplan's level of J from which blow-up comes in r steps.
+
+    F(y) = y / (1 - alpha*delta*y^alpha)^(1/alpha) is convex and increasing, so by Jensen
+    J = phi.f/sum(phi) obeys J' >= F(lam J), and J >= Jcrit(r) blows up within r more steps, where
+    Jcrit(0) = threshold/lam and Jcrit(r+1) = F^-1(Jcrit(r))/lam. In u = (Jcrit/threshold)^-alpha,
+    F^-1 adds 1 and dividing by lam multiplies by lam^alpha, so u(0) = lam^alpha and
+    u(r) = lam^alpha*(u(r-1) + 1) = e^t*sum_{j=0..r} e^(j*t) with t = alpha*log(lam), the
+    survival side's geometric sum; Jcrit(r) falls to J* = threshold*(1 - lam^alpha)^(1/alpha)/lam.
+    """
+    t = alpha * log_lam
+    return -(t + math.log(_geometric(r + 1, t))) / alpha
+
+
 class _Probe:
     """simulate's outcome for amplitude times one profile, found with two early exits.
 
     `_Probe(profile, peak, ...)` takes checked data and the maximum the check returned, and a call
     `probe(amplitude)` runs the loop of `simulate(amplitude * profile, p, S, eps_blow)`,
     `_Stepper.loop`, on the probe's stepper, and returns simulate's blow-up step, or None for
-    survival. Two exits end a run once its outcome is certain. The map is a
-    semigroup, so each applies to the current state as new data; both hold in
-    exact arithmetic. Both read phi, the positive sine mode scaled to maximum
-    1, and its eigenvalue lam.
+    survival. Two exits end a run once its outcome is certain; the map is a semigroup, so each
+    applies to the current state as new data. Both hold in exact arithmetic. Survival is
+    `_log_majorant_sum`'s certificate for kappa = alpha*delta/(1 - eps_blow), whose dynamics
+    dominates; blow-up, with `blowup_exit`, is `_log_jcrit`'s bound, at the current step, no
+    later than simulate's: eps_blow > 0 only brings blow-up forward. Sweeps, which report the
+    blow-up step, go without it.
 
-    Survival is the paper's certificate over the remaining horizon, scaled to
-    threshold 1 for the coupling kappa = alpha*delta/(1 - eps_blow), whose
-    dynamics dominates. With P_s = sum_{k=1..s} m_k^alpha, which leaves out m_0
-    as no step tests it, fbar^s = h^s/(1 - P_s)^(1/alpha) >= f^s while P_s < 1,
-    by induction: fbar^0 = f^0, as P_0 = 0. If f^s <= fbar^s, averaging is
-    positive, so g^s <= h^{s+1}/(1 - P_s)^(1/alpha), below the threshold 1 as
-    P_{s+1} = P_s + m_{s+1}^alpha < 1; the update F(y) = y/(1 - y^alpha)^(1/alpha)
-    increases, so f^{s+1} <= h^{s+1}/(1 - P_s - m_{s+1}^alpha)^(1/alpha) = fbar^{s+1}.
-    So at step s a state survives the steps s..S if P_R < 1, where R = S - s + 1
-    and m_k are the maxima of the linear flow from it, in threshold units.
-    With M = max f and C = max f/phi over the interior, f <= C*phi; averaging
-    maps phi to lam*phi and never raises the maximum, so m_k <= min(M, C*lam^k).
-    The sum of these bounds is (k - 1)*M^alpha plus a geometric series from
-    the switch index k, where C*lam^k falls to M; any integer k keeps it
-    sound, and it is formed in logs. No term exceeds its term in
-    kappa*C^alpha/(1-lam^alpha), the infinite sum from m_0.
-
-    Blow-up, with `blowup_exit`, is Kaplan's eigenfunction argument. As
-    F(y) = y / (1 - alpha*delta*y^alpha)^(1/alpha) is convex and increasing,
-    J = phi.f/sum(phi) obeys J' >= F(lam J) by Jensen. J >= Jcrit(r) then
-    blows up within r more steps, where Jcrit(0) = threshold/lam and
-    Jcrit(r+1) = F^-1(Jcrit(r))/lam. In u = (Jcrit/threshold)^-alpha, F^-1 adds 1 and dividing
-    by lam multiplies by lam^alpha, so u(0) = lam^alpha, u(r) = lam^alpha*(u(r-1) + 1) =
-    e^t*sum_{j=0..r} e^(j*t) with t = alpha*log(lam), the survival side's geometric sum, and
-    Jcrit(r) falls to J* = threshold*(1 - lam^alpha)^(1/alpha)/lam. When this exit fires, the
-    step returned is the current one, no later than simulate's; eps_blow > 0 only brings
-    blow-up forward. Sweeps, which report the blow-up step, go without it.
-
-    A profile that `_mirror_symmetric` passes runs on a `mirror` stepper, one orthant of the
-    box, as amplitude times it is symmetric too, and the exits read that orthant: C from phi
-    on it, and phi.f from phi weighted by the sites each orthant site stands for
-    (`_mirror_multiplicity`). np.sin's phi is symmetric to rounding, and these sums add in
-    another order, which the margin absorbs.
+    A profile that `_mirror_symmetric` passes runs on a `mirror` stepper, one orthant of the box,
+    as amplitude times it is symmetric too, and the exits read that orthant: C from phi on it, and
+    phi.f from phi weighted by the sites each orthant site stands for (`_mirror_multiplicity`).
+    np.sin's phi is symmetric to rounding, and these sums add in another order, which the margin
+    absorbs.
     """
 
     def __init__(
@@ -295,13 +310,8 @@ class _Probe:
         self._stepper = stepper = _Stepper(domain, p, eps_blow, False, mirror)
         self._peak, self._unit = peak, profile.values[stepper.core] + 0.0  # -0.0 made +0.0
         self._p, self._S = p, S
-        alpha = p.alpha
-        log_coupling = math.log(alpha) + math.log(p.delta)
-        table = mode_table(domain)
-        phi = table.mode_field((1,) * domain.dims).values
-        phi = phi / phi.max()
-        lam = float(table.eigenvalues[(0,) * domain.dims])
-        self._phi_sum = float(phi.sum())
+        log_coupling = math.log(p.alpha) + math.log(p.delta)
+        phi, lam, self._phi_sum = mode_table(domain).principal
         core = stepper.core  # its sites' interior, in its buffers and in phi
         weights = phi  # on an orthant, times the number of box sites each site stands for
         if mirror:
@@ -314,39 +324,21 @@ class _Probe:
             self._log_survival = math.log1p(-_EXIT_MARGIN) - log_coupling + math.log1p(-eps_blow)
         # all extents 2: lam = cos(pi/2) = 0 is 6.1e-17 as a double, and the exit would misfire
         self._blowup_exit = blowup_exit and any(N > 2 for N in domain.extents)
-        self._log_threshold = math.log1p(_EXIT_MARGIN) - log_coupling / alpha  # with the margin
-
-    def _survives(self, f: np.ndarray, M: float, R: int) -> bool:
-        """Whether kappa*sum_{k=1..R} min(M, C*lam^k)^alpha is below 1 - margin for the
-        nonzero state f of maximum M."""
-        alpha, log_lam = self._p.alpha, self._log_lam
-        gap = math.log(float((f[self._core] / self._phi_core).max()) / M)  # log(C/M) >= 0
-        # the first k with C*lam^k <= M; any integer k keeps every term a bound on m_k
-        switch = gap / -log_lam if log_lam < 0 else math.inf
-        k = max(1, math.ceil(switch)) if switch <= R else R + 1
-        # the sum over M^alpha: k - 1 ones, then (C*lam^j/M)^alpha for j = k..R, in logs, as
-        # those terms can underflow; C*lam^k <= M, so their log is <= 0 but for k's rounding
-        log_geo = -math.inf
-        if k <= R:
-            geometric = _geometric(R + 1 - k, alpha * log_lam)
-            log_geo = min(0.0, alpha * (gap + k * log_lam)) + math.log(geometric)
-        log_total = log_geo if k == 1 else math.log(k - 1 + math.exp(log_geo))
-        return alpha * math.log(M) + log_total < self._log_survival
-
-    def _blows_up(self, f: np.ndarray, remaining: int) -> bool:
-        """Whether Kaplan's bound shows the state f blowing up within `remaining` more steps."""
-        J = float(self._phi @ f.ravel()) / self._phi_sum
-        alpha = self._p.alpha
-        t = alpha * self._log_lam
-        log_jcrit = self._log_threshold - (t + math.log(_geometric(remaining + 1, t))) / alpha
-        return J > 0 and math.log(J) >= log_jcrit
+        self._log_threshold = math.log1p(_EXIT_MARGIN) - log_coupling / p.alpha  # with the margin
 
     def _exits(self, s: int, f: np.ndarray, max_f: float) -> bool | None:
         """The run's exits at step s: False for certified survival, True for Kaplan's blow-up."""
-        if s % _SURVIVAL_EVERY == 0 and max_f > 0 and self._survives(f, max_f, self._S - s + 1):
-            return False
-        if s % _BLOWUP_EVERY == 0 and self._blowup_exit and self._blows_up(f, self._S - s):
-            return True
+        alpha, log_lam = self._p.alpha, self._log_lam
+        if s % _SURVIVAL_EVERY == 0 and max_f > 0:
+            gap = math.log(float((f[self._core] / self._phi_core).max()) / max_f)  # log(C/M) >= 0
+            log_sum = _log_majorant_sum(alpha, log_lam, gap, self._S - s + 1)
+            if alpha * math.log(max_f) + log_sum < self._log_survival:
+                return False
+        if s % _BLOWUP_EVERY == 0 and self._blowup_exit:
+            J = float(self._phi @ f.ravel()) / self._phi_sum
+            log_jcrit = self._log_threshold + _log_jcrit(alpha, log_lam, self._S - s)
+            if J > 0 and math.log(J) >= log_jcrit:
+                return True
         return None
 
     def __call__(self, amplitude: float) -> int | None:

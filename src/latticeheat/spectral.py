@@ -107,7 +107,7 @@ class ModeTable:
     @cached_property
     def sine_matrices(self) -> tuple[np.ndarray, ...]:
         """The per-axis `_sine_matrix`es, built at first use: the probes read only the
-        eigenvalues and `mode_field`, and on 1-D N = 400 the matrix is most of the table's cost."""
+        eigenvalues and `principal`, and on 1-D N = 400 the matrix is most of the table's cost."""
         mats = {N: _sine_matrix(N) for N in set(self.domain.extents)}
         return tuple(mats[N] for N in self.domain.extents)
 
@@ -131,6 +131,14 @@ class ModeTable:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if below(mid) else (mid, hi)
         return hi
+
+    @cached_property
+    def principal(self) -> tuple[np.ndarray, float, float]:
+        """(phi, lam, sum(phi)) of the sine mode (1, ..., 1) at maximum 1; phi is read-only."""
+        phi = self.mode_field((1,) * self.domain.dims).values
+        phi = phi / phi.max()
+        phi.flags.writeable = False
+        return phi, float(self.eigenvalues[(0,) * self.domain.dims]), float(phi.sum())
 
     def mode_field(self, mode: MultiIndex) -> Field:
         """The product-of-sines eigenvector as a zero-boundary field."""

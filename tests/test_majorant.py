@@ -538,10 +538,10 @@ def _with_signed_zeros(profile):
 
 
 def _phi_lam(d):
-    """The positive sine mode scaled to maximum 1, and its eigenvalue."""
-    table = mode_table(d)
-    phi = table.mode_field((1,) * d.dims).values
-    return phi / phi.max(), float(table.eigenvalues[(0,) * d.dims])
+    """The positive sine mode scaled to maximum 1, and its eigenvalue: the table's `principal`,
+    which `TestTableBuild.test_principal_keeps_the_probe_bits` checks against its expressions."""
+    phi, lam, _ = mode_table(d).principal
+    return phi, lam
 
 
 def _log_certificate_edge(d, p, eps_blow, side, first=0):
@@ -814,6 +814,28 @@ def test_each_command_checks_its_data_at_the_edge(monkeypatch, tmp_path, command
     assert code in (cli.EXIT_OK, cli.EXIT_BLOWUP) and len(checks) == count
 
 
+def test_sweep_builds_the_principal_mode_once(monkeypatch, tmp_path):
+    # a sweep's probes, one per alpha, read the table's `principal`: on constant data, whose
+    # profile is no sine mode, the sweep's one mode_field call is that build, for any number of
+    # alphas
+    modes = []
+    mode_field = spectral.ModeTable.mode_field
+
+    def counted(table, mode):
+        modes.append(tuple(mode))
+        return mode_field(table, mode)
+
+    monkeypatch.setattr(spectral.ModeTable, "mode_field", counted)
+    mode_table.cache_clear()  # no table built by an earlier test
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "extents": [6, 5], "alpha": 1.0, "delta": 1.0, "steps": 50,
+        "init": {"kind": "constant_interior"},
+        "sweep": {"alphas": [0.5, 1.0, 2.0], "amplitudes": [0.1, 2.0]}}))
+    code = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK and modes == [(1, 1)]
+
+
 def test_probe_exits_fire(monkeypatch):
     # at alpha = delta = 1 on (8,), the sine mode survives at 0.05 and is
     # certified before its first step, a 0.05 delta at site 1 survives and is
@@ -923,7 +945,8 @@ def test_horizon_certificate_never_weaker(extents, alpha, delta, eps_blow, kind,
     f = profile.values * (math.exp(log_edge) / C)
     M = float(f.max())
     assert M > 0 and _infinite_sum_survives(d, p, eps_blow, f)
-    assert _Probe(Field(d, f), M, p, 0, eps_blow, blowup_exit=False)._survives(f, M, R)
+    # at step 0 of S = R - 1 the certificate sums over the R remaining steps
+    assert _Probe(Field(d, f), M, p, R - 1, eps_blow, blowup_exit=False)._exits(0, f, M) is False
 
 
 def test_horizon_certificate_at_huge_alpha():
@@ -935,8 +958,8 @@ def test_horizon_certificate_at_huge_alpha():
     f = 1e-30 * phi
     assert _infinite_sum_survives(d, p, 0.0, f)
     M = float(f.max())
-    assert _Probe(Field(d, f), M, p, 0, 0.0, blowup_exit=False)._survives(f, M, 100)
-    assert not _Probe(Field(d, f), M, p, 0, 1.0, blowup_exit=False)._survives(f, M, 100)
+    assert _Probe(Field(d, f), M, p, 99, 0.0, blowup_exit=False)._exits(0, f, M) is False
+    assert _Probe(Field(d, f), M, p, 99, 1.0, blowup_exit=False)._exits(0, f, M) is None
 
 
 @pytest.mark.parametrize("extents, alpha, delta", [((3,), 2000.0, 5e-4), ((5, 4), 700.0, 1 / 700),
@@ -953,7 +976,7 @@ def test_probe_far_above_threshold(extents, alpha, delta, amplitude):
     a = Field(d, amplitude * phi)
     want = simulate(a, p, 20).outcome
     assert probe(amplitude) == (None if isinstance(want, Survived) else want.step)
-    assert isinstance(want, Survived) or not probe._survives(a.values, amplitude, 21)
+    assert isinstance(want, Survived) or probe._exits(0, a.values, amplitude) is None
 
 
 def test_horizon_certificate_saves_steps(monkeypatch):
@@ -987,24 +1010,29 @@ def _recurrence_log_jcrit(lam, alpha, r_max):
     return L
 
 
-class _TableProbe(_Probe):
-    """The probe with the blow-up exit's former table: log Jcrit(r) plus the probe's log
-    threshold by the recurrence, built per search up to S + 1 entries, and cut once an entry
-    moves by less than 1e-12, the later entries reading the last."""
+def _table_log_jcrit():
+    """`majorant._log_jcrit` as a table: log Jcrit(r) by the recurrence per (alpha, log lam),
+    grown to entry r as the reads need it and cut once an entry moves by less than 1e-12, the
+    later entries reading the last. A table built per search up to S + 1 entries holds the same
+    entries, and gives the same one at every r <= S."""
+    tables = {}
 
-    def __init__(self, profile, peak, p, S, eps_blow, blowup_exit):
-        super().__init__(profile, peak, p, S, eps_blow, blowup_exit)
-        alpha, log_lam = p.alpha, self._log_lam
-        L = [-log_lam]
-        while len(L) <= S:
+    def log_jcrit(alpha, log_lam, r):
+        L = tables.setdefault((alpha, log_lam), [-log_lam])
+        while len(L) <= r and not (len(L) > 1 and L[-1] >= L[-2] - 1e-12):
             L.append(-_softplus(-alpha * L[-1]) / alpha - log_lam)
-            if L[-1] >= L[-2] - 1e-12:
-                break
-        self._table = [x + self._log_threshold for x in L]
+        return L[min(r, len(L) - 1)]
 
-    def _blows_up(self, f, remaining):
-        J = float(self._phi @ f.ravel()) / self._phi_sum
-        return J > 0 and math.log(J) >= self._table[min(remaining, len(self._table) - 1)]
+    return log_jcrit
+
+
+def _recording(log_jcrit, reads):
+    """log_jcrit, appending each call's r to `reads`."""
+    def recorded(alpha, log_lam, r):
+        reads.append(r)
+        return log_jcrit(alpha, log_lam, r)
+
+    return recorded
 
 
 # the principal eigenvalues of boxes from 1-D to 3-D, lam 0.5 (3,) to 0.99997 (400,)
@@ -1015,25 +1043,27 @@ _KAPLAN_STEPS = [0, 1, 2, 7, 100, 1000, 10_000]
 
 def _closed_form_cases(extents):
     """(lam, alpha, r, closed, scale) over the grids: `closed` is the probe's closed form of
-    log(Jcrit(r)/threshold), -(t + log G)/alpha with t = alpha*log(lam) and
+    log(Jcrit(r)/threshold), `_log_jcrit`'s -(t + log G)/alpha with t = alpha*log(lam) and
     G = _geometric(r + 1, t), and `scale` = eps*(1 + |t| + log G)/alpha is the a-priori size
     of its rounding: t, G and the log each round to within a few eps of their size, and the
     division by alpha scales the sum's error."""
     d = BoxDomain(extents)
-    lam = float(mode_table(d).eigenvalues[(0,) * d.dims])
+    lam = mode_table(d).principal[1]
     eps = np.finfo(float).eps
     for alpha in _KAPLAN_ALPHAS:
         t = alpha * math.log(lam)
         for r in _KAPLAN_STEPS:
             log_G = math.log(majorant._geometric(r + 1, t))
-            yield lam, alpha, r, -(t + log_G) / alpha, eps * (1 + abs(t) + log_G) / alpha
+            closed = majorant._log_jcrit(alpha, math.log(lam), r)
+            yield lam, alpha, r, closed, eps * (1 + abs(t) + log_G) / alpha
 
 
 def _assert_exit_fires_at(d, alpha, r, log_jcrit):
     """The probe's blow-up exit, with r steps remaining, fires on a constant state at
     threshold*Jcrit(r)*(1 + margin)*e^1e-9, and not at e^-1e-9: its closed form is log_jcrit
     to 1e-9. The threshold e^(-log_jcrit/2) keeps it and the state, e^(log_jcrit/2), in the
-    double range (log_jcrit reaches -921), and J, a sum over the box, rounds to 1e-12."""
+    double range (log_jcrit reaches -921), and J, a sum over the box, rounds to 1e-12. The
+    exits run at step 0 of S = r, where the survival exit, sound, certifies neither state."""
     delta = math.exp(alpha * log_jcrit / 2) / alpha  # threshold = (alpha*delta)^(-1/alpha)
     probe = _Probe(Field.from_interior(d, np.ones(d.interior_shape)), 1.0, Params(alpha, delta),
                    r, 0.0, blowup_exit=True)
@@ -1041,7 +1071,7 @@ def _assert_exit_fires_at(d, alpha, r, log_jcrit):
     for side, fires in ((1e-9, True), (-1e-9, False)):
         f = np.zeros(probe._stepper.f.shape)
         f[probe._stepper.core] = math.exp(level + side)
-        assert probe._blows_up(f, r) is fires
+        assert probe._exits(0, f, float(f.max())) is (True if fires else None)
 
 
 def test_geometric_sum():
@@ -1079,6 +1109,74 @@ def test_kaplan_closed_form_matches_mpmath(extents):
             assert abs(closed - float(-mpmath.log(u) / alpha)) <= 4 * scale
 
 
+def _mp_log_majorant_sum(mpmath, alpha, log_lam, gap, R):
+    """log sum_{k=1..R} min(1, e^gap*lam^k)^alpha at the double inputs, in mpmath's precision:
+    the k0 = min(R, floor(gap/-log(lam))) terms of 1, where gap + k*log(lam) >= 0, then the
+    geometric sum e^(alpha*gap)*x^(k0+1)*(1 - x^(R-k0))/(1 - x) with x = lam^alpha."""
+    L = mpmath.mpf(log_lam)
+    k0 = min(R, int(mpmath.floor(gap / -L)))
+    x = mpmath.exp(alpha * L)
+    return mpmath.log(k0 + mpmath.exp(alpha * gap) * x ** (k0 + 1) * (1 - x ** (R - k0)) / (1 - x))
+
+
+@pytest.mark.parametrize("extents", _KAPLAN_BOXES)
+def test_majorant_sum_matches_mpmath(extents):
+    # the survival certificate's sum against its value to 40 digits at the same double inputs:
+    # within 4 times the a-priori scale eps*(1 + |t| + 2*alpha*gap + log G + |log sum|), with
+    # t = alpha*log(lam) and G = _geometric(R, t), the largest geometric sum it forms. t, the
+    # exponent alpha*(gap + k*log(lam)) (k*|log(lam)| <= gap + |log(lam)| at the switch index
+    # k), G, the logs and the exp each round to within a few eps of their size (measured: 0.63
+    # times the scale); the switch index, if its rounding moves it, moves a term within the same
+    # rounding of 1
+    mpmath = pytest.importorskip("mpmath")
+    log_lam = math.log(_phi_lam(BoxDomain(extents))[1])
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for alpha in _KAPLAN_ALPHAS:
+            t = alpha * log_lam
+            for R in [R for R in _KAPLAN_STEPS if R >= 1]:
+                log_G = math.log(majorant._geometric(R, t))
+                for gap in (0.0, 0.5, 30.0):
+                    got = majorant._log_majorant_sum(alpha, log_lam, gap, R)
+                    want = float(_mp_log_majorant_sum(mpmath, alpha, log_lam, gap, R))
+                    scale = eps * (1 + abs(t) + 2 * alpha * gap + log_G + abs(want))
+                    assert abs(got - want) <= 4 * scale, (alpha, R, gap)
+
+
+def test_closed_forms_reach_their_limits():
+    # at R = r = 10^6 the survival sum from gap 0, log(x*(1 - x^R)/(1 - x)) with x = lam^alpha,
+    # is log(x/(1 - x)) less the tail -log(1 - x^R), and log Jcrit(r) is
+    # log((1 - x)^(1/alpha)/lam) plus -log(1 - x^(r+1))/alpha: each within 4 times its rounding
+    # scale (measured: 0.75 times it). The tails are below the scale on 31 of the 36 (box, alpha)
+    # pairs; the other 5 have lam near 1 and a small alpha, (400,) at alpha <= 1 and (48, 48)
+    # at alpha 0.01, whose x^R runs from 0.73 down to 4e-14
+    mpmath = pytest.importorskip("mpmath")
+    eps, R = np.finfo(float).eps, 10**6
+    reached = 0
+    with mpmath.workdps(40):
+        for extents in _KAPLAN_BOXES:
+            log_lam = math.log(_phi_lam(BoxDomain(extents))[1])
+            for alpha in _KAPLAN_ALPHAS:
+                t = alpha * log_lam
+                log_G = math.log(majorant._geometric(R + 1, t))
+                x = mpmath.exp(alpha * mpmath.mpf(log_lam))
+                limit_sum = mpmath.log(x / (1 - x))
+                limit_jcrit = mpmath.log(1 - x) / alpha - log_lam
+                tail_sum = -mpmath.log(1 - x**R)
+                tail_jcrit = -mpmath.log(1 - x ** (R + 1)) / alpha
+                scale_sum = eps * (1 + abs(t) + log_G + abs(float(limit_sum)))
+                scale_jcrit = eps * (1 + abs(t) + log_G) / alpha
+                got_sum = majorant._log_majorant_sum(alpha, log_lam, 0.0, R)
+                got_jcrit = majorant._log_jcrit(alpha, log_lam, R)
+                assert abs(got_sum - float(limit_sum - tail_sum)) <= 4 * scale_sum
+                assert abs(got_jcrit - float(limit_jcrit + tail_jcrit)) <= 4 * scale_jcrit
+                if tail_sum < scale_sum and tail_jcrit < scale_jcrit:
+                    reached += 1
+                    assert abs(got_sum - float(limit_sum)) <= 4 * scale_sum
+                    assert abs(got_jcrit - float(limit_jcrit)) <= 4 * scale_jcrit
+    assert reached == 31
+
+
 def _threshold_sweep_searches():
     """The threshold searches of the benchmark's `threshold-sweep` workload at seed 777, and a
     48x48 constant interior at alpha 2, delta 1/2 and 100 steps: (params, S, tol, eps_blow,
@@ -1096,17 +1194,21 @@ def _threshold_sweep_searches():
 
 
 def test_closed_form_probe_matches_table(monkeypatch):
-    # the same probes, outcomes and kernel steps with the closed form as with the former table
+    # the same probes, outcomes and kernel steps with the closed form as with the former table,
+    # which the blow-up exit reads in place of `_log_jcrit`, and at the same remaining steps
     steps = _counting_steps(monkeypatch)
     searches = list(_threshold_sweep_searches())
     assert len(searches) == 7
+    closed_form = majorant._log_jcrit
     for p, S, tol, eps_blow, profile in searches:
         runs = []
-        for probe in (_Probe, _TableProbe):
-            monkeypatch.setattr(majorant, "_Probe", probe)
+        for log_jcrit in (closed_form, _table_log_jcrit()):
+            reads = []
+            monkeypatch.setattr(majorant, "_log_jcrit", _recording(log_jcrit, reads))
             steps.clear()
-            runs.append((find_threshold(profile, p, S, tol, eps_blow).evaluations, len(steps)))
-        assert runs[0] == runs[1]
+            result = find_threshold(profile, p, S, tol, eps_blow)
+            runs.append((result.evaluations, len(steps), reads))
+        assert runs[0] == runs[1] and runs[1][2]  # the table was read
 
 
 @settings(max_examples=150, deadline=None)

@@ -295,6 +295,28 @@ class TestTableBuild:
                 old = _meshgrid_eigenvalues(domain)
                 assert eig.shape == old.shape and eig.tobytes() == old.tobytes(), extents
 
+    def test_principal_keeps_the_probe_bits(self):
+        # (phi, lam, sum(phi)) are, bit for bit, mode_field((1, ..., 1)) over its maximum, the
+        # eigenvalue at index (0, ..., 0) and that phi's sum, on every box the eigenvalue test
+        # reads
+        for d in range(1, 5):
+            for extents in itertools.product(range(2, 9), repeat=d):
+                table = mode_table.__wrapped__(BoxDomain(extents))  # uncached: a fresh build
+                phi, lam, phi_sum = table.principal
+                old = table.mode_field((1,) * d).values
+                old = old / old.max()
+                assert phi.shape == old.shape and phi.tobytes() == old.tobytes(), extents
+                assert lam.hex() == float(table.eigenvalues[(0,) * d]).hex(), extents
+                assert phi_sum.hex() == float(old.sum()).hex(), extents
+
+    def test_principal_is_read_only_and_built_once(self):
+        table = mode_table(BoxDomain((5, 4, 5)))
+        first = table.principal
+        assert all(x is y for x, y in zip(table.principal, first))
+        with pytest.raises(ValueError, match="read-only"):
+            first[0][1, 1, 1] = 1.0
+        assert type(first[1]) is float and type(first[2]) is float
+
     def test_tables_are_read_only(self):
         table = mode_table(BoxDomain((5, 4, 5)))
         with pytest.raises(ValueError, match="read-only"):
