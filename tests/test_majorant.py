@@ -1194,8 +1194,8 @@ def _threshold_sweep_searches():
 
 
 def test_closed_form_probe_matches_table(monkeypatch):
-    # the same probes, outcomes and kernel steps with the closed form as with the former table,
-    # which the blow-up exit reads in place of `_log_jcrit`, and at the same remaining steps
+    # the same probes, outcomes and kernel steps with the closed form as with Kaplan's recurrence
+    # as a table, which the blow-up exit reads in place of `_log_jcrit` at the same remaining steps
     steps = _counting_steps(monkeypatch)
     searches = list(_threshold_sweep_searches())
     assert len(searches) == 7
