@@ -416,8 +416,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(" ".join(message.splitlines()))
 
 
+def _integer(text: str) -> int:
+    """An argv integer. int() alone would also read spaces, _ separators and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):  # ASCII, so not \d
+        raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The argv parser; `main` builds one per call, as a fresh process does."""
+    """The argv parser. `main` parses with `_PARSER`, built once per process, at import."""
     parser = _Parser(
         prog="latticeheat",
         description="Lattice heat dynamics: blow-up detection, majorant "
@@ -426,14 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=tuple(_COMMANDS))
     parser.add_argument("--config", type=Path, required=True)
     parser.add_argument("--out", type=Path, default=Path("."))
-    parser.add_argument("--seed", type=int, default=None, help="override init.seed")
-    parser.add_argument("--steps", type=int, default=None, help="override steps")
+    parser.add_argument("--seed", type=_integer, default=None, help="override init.seed")
+    parser.add_argument("--steps", type=_integer, default=None, help="override steps")
     return parser
+
+
+_PARSER = build_parser()  # parse_args writes nothing into it, and every default is immutable
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)  # -h prints the help and exits 0
+        args = _PARSER.parse_args(argv)  # -h prints the help and exits 0
         cfg = load_config(args)
         try:
             profile = build_profile(cfg)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -106,12 +107,18 @@ class TestArgv:
             (["verify", "--config", "{cfg}", "--out", "{out}", "--seed", "1.5"], "--seed"),
             (["bound", "--config", "{cfg}", "--out", "{out}", "--bogus"], "--bogus"),
             (["sweep", "--config", "{cfg}", "--out", "{out}", "a\nb"], "unrecognized arguments: a b"),
+            # int() reads each of these, as 10, 7 and 7
+            (["simulate", "--config", "{cfg}", "--out", "{out}", "--steps", "1_0"], "--steps"),
+            (["verify", "--config", "{cfg}", "--out", "{out}", "--steps", " 7 "], "--steps"),
+            (["bound", "--config", "{cfg}", "--out", "{out}", "--seed", "\u0667"], "--seed"),
         ],
         ids=["no-command", "unknown-command", "no-config", "steps-abc", "seed-1.5", "unknown-flag",
-             "stray-line-break"],
+             "stray-line-break", "steps-underscore", "steps-spaces", "seed-arabic-indic-digit"],
     )
     def test_argv_fault_exits_1(self, tmp_path, capsys, argv, named):
-        cfg, out = write_config(tmp_path, base_config()), tmp_path / "out"
+        # random data, which --seed may override
+        doc = base_config(init={"kind": "random", "seed": 1, "max_amplitude": 0.1})
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
         code = main([a.format(cfg=cfg, out=out) for a in argv])
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
@@ -135,6 +142,30 @@ class TestArgv:
         assert code == EXIT_ERROR
         assert err.startswith("error: --out: ") and err.count("\n") == 1 and why in err
         assert (tmp_path / "file").read_text() == "kept"
+
+    def test_main_builds_no_parser(self, tmp_path, capsys, monkeypatch):
+        # one process runs every command through cli._PARSER, which was built at import
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        cfg = write_config(tmp_path, base_config(sweep={"alphas": [1.0], "amplitudes": [0.5]}))
+        codes = [main_quiet(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / command)])
+                 for command in _COMMANDS]
+        assert codes == [EXIT_BLOWUP, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert len(built) == 0
+
+    def test_shared_parser_keeps_no_state(self, capsys):
+        # a fault, the help and a mutated Namespace leave it parsing as a fresh parser does
+        assert main(["simulate", "--config", "c.json", "--steps", "1_0"]) == EXIT_ERROR
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        first = cli._PARSER.parse_args(["bound", "--config", "a.json", "--seed", "3"])
+        first.out, first.seed, first.extra = Path("elsewhere"), 4, []
+        del first.steps
+        argv = ["simulate", "--config", "b.json", "--steps", "5"]
+        assert cli._PARSER.parse_args(argv) == build_parser().parse_args(argv)
+        capsys.readouterr()
 
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_exits_0(self, capsys, flag):
