@@ -420,7 +420,10 @@ def _integer(text: str) -> int:
     """An argv integer. int() alone would also read spaces, _ separators and non-ASCII digits."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):  # ASCII, so not \d
         raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits(); argparse would name this function
+        raise argparse.ArgumentTypeError(f"more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
