@@ -166,11 +166,11 @@ def _mirror_multiplicity(extents: tuple[int, ...]) -> np.ndarray:
     return reduce(np.multiply.outer, factors)
 
 
-def _faces(values: np.ndarray) -> tuple[np.ndarray, ...]:
+def _faces(values: np.ndarray) -> list[np.ndarray]:
     """The faces x_k = 0 and x_k = N_k of a full-shape array, k = 2..d, each pair one view on
     x_1 = 1..N_1 - 1: they hold the `_span`'s non-interior sites; 1-D has none."""
-    return tuple(values[(slice(1, -1),) + (slice(None),) * (k - 1) + (slice(None, None, n - 1),)]
-                 for k, n in enumerate(values.shape[1:], 1))
+    return [values[(slice(1, -1),) + (slice(None),) * (k - 1) + (slice(None, None, n - 1),)]
+            for k, n in enumerate(values.shape[1:], 1)]
 
 
 @lru_cache(maxsize=None)
@@ -185,58 +185,47 @@ def _face_weights(shape: tuple[int, ...]) -> np.ndarray:
 
 class _Stencil:
     """The mean of the 2d axis neighbors at each interior site of `values`, into `out`, both
-    C-contiguous and full-shape, on views built once; each call reads `values` as it then is.
+    C-contiguous and full-shape, planned once as `calls`: (ufunc, args) pairs on views built
+    once, which callers splice into their own flat runs (calling the plan runs them alone);
+    each run reads `values` as it then is.
     The first axis's neighbor sums go into `out`'s span (`_span`), each later axis's onto them
     through `pairs` (neither may overlap `values`): one pass for the first axis, two for each
     other; the faces normal to axes 2..d, where the span holds wrapped sums, are set to +0.0.
     On `values` without -0.0 the means are those of sums from +0.0, bit for bit, as a rounded
     sum is -0.0 only if both addends are; the kernels add 0.0 to their data to that end.
-    If every call's `values` is finite and >= +0.0 with a +0.0 boundary (`nonnegative`), a plan
-    that divides by 2d has no face views and divides by `_face_weights`, +inf on the faces: a
-    face site's wrapped sum is one source value v >= +0.0 at most, and v / inf is +0.0."""
+    If every run's `values` is finite and >= +0.0 with a +0.0 boundary (`nonnegative`), a plan
+    that divides by 2d has no face fills and divides by `_face_weights`, +inf on the faces: a
+    face site's wrapped sum is one source value v >= +0.0 at most, and v / inf is +0.0.
+    With `mirror`, the extents of a box, `values` is the `_orthant` of mirror-symmetric data on
+    it: the first calls copy the mirror planes into the ghost planes (`_ghost_planes`), so each
+    interior site adds the doubles of the whole box's site in its order. Such a plan fills its
+    faces, as a ghost face's wrapped sum holds more than one source value, which could overflow.
+    """
 
-    __slots__ = ("_first", "_axes", "_pairs", "_acc", "_scale", "_faces")
+    __slots__ = ("calls",)
 
     def __init__(self, values: np.ndarray, out: np.ndarray, pairs: np.ndarray,
-                 nonnegative: bool = False) -> None:
+                 nonnegative: bool = False, mirror: tuple[int, ...] = ()) -> None:
         span, flat, size = _span(values), values.ravel(), values.itemsize
-        lo, hi = span.start, span.stop
-        self._first, *self._axes = ((flat[lo + k:hi + k], flat[lo - k:hi - k])
-                                    for k in (stride // size for stride in values.strides))
-        self._pairs, self._acc = pairs, out.ravel()[span]
+        lo, hi, acc = span.start, span.stop, out.ravel()[span]
         # 1/2d is exact for d = 1, 2, 4, so x * (1/2d) rounds the real x/2d as x / 2d does
         two_d = 2 * values.ndim
-        fold = nonnegative and two_d & (two_d - 1) != 0
-        self._scale = ((np.multiply, np.array(1.0 / two_d)) if two_d & (two_d - 1) == 0 else
-                       (np.divide, _face_weights(values.shape) if fold else np.array(float(two_d))))
-        self._faces = () if fold else _faces(out)
-
-    def __call__(self) -> None:
-        pairs, acc, (scale_by, scale) = self._pairs, self._acc, self._scale
+        fold = nonnegative and not mirror and two_d & (two_d - 1) != 0
+        scale_by, scale = ((np.multiply, np.array(1.0 / two_d)) if two_d & (two_d - 1) == 0 else
+                           (np.divide, _face_weights(values.shape) if fold else
+                            np.array(float(two_d))))
         # outputs by position and scalars as 0-d arrays, as either costs numpy less per call
-        np.add(*self._first, acc)
-        for plus, minus in self._axes:
-            np.add(plus, minus, pairs)
-            np.add(acc, pairs, acc)
-        scale_by(acc, scale, acc)
-        for face in self._faces:
-            face.fill(0.0)
-
-
-class _MirrorStencil(_Stencil):
-    """A `_Stencil` on the `_orthant` of mirror-symmetric data on the box of extents `mirror`:
-    each call first copies the mirror planes into the ghost planes (`_ghost_planes`), so each
-    interior site adds the doubles of the whole box's site in its order. It fills its faces,
-    as a ghost face's wrapped sum holds more than one source value, which could overflow."""
-
-    __slots__ = ("_ghosts",)
-
-    def __init__(self, values: np.ndarray, out: np.ndarray, pairs: np.ndarray,
-                 mirror: tuple[int, ...]) -> None:
-        super().__init__(values, out, pairs)
-        self._ghosts = _ghost_planes(values, mirror)
+        calls = [(np.copyto, planes) for planes in _ghost_planes(values, mirror)] if mirror else []
+        for axis, stride in enumerate(values.strides):
+            k = stride // size
+            plus, minus = flat[lo + k:hi + k], flat[lo - k:hi - k]
+            calls += ([(np.add, (plus, minus, acc))] if axis == 0 else
+                      [(np.add, (plus, minus, pairs)), (np.add, (acc, pairs, acc))])
+        calls.append((scale_by, (acc, scale, acc)))
+        if not fold:
+            calls += [(face.fill, (0.0,)) for face in _faces(out)]
+        self.calls = tuple(calls)
 
     def __call__(self) -> None:
-        for ghost, plane in self._ghosts:
-            np.copyto(ghost, plane)
-        super().__call__()
+        for ufunc, args in self.calls:
+            ufunc(*args)

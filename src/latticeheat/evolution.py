@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, NamedTuple
 
 import numpy as np
 
-from .domain import (BoxDomain, Field, MultiIndex, _MirrorStencil, _orthant, _span_buffers,
-                     _Stencil)
+from .domain import BoxDomain, Field, MultiIndex, _orthant, _span_buffers, _Stencil
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ class _Stepper:
     where a boundary site gets g = +0.0, so denom = 1 and f = +0.0; the boundary outside
     the span is never written, so the buffers keep the +0.0 boundary they start with,
     whatever the data's zeros. f and the spare swap at each update, with their spans
-    (f's is `f_span`) and `_Stencil` plans into g and into each other.
+    (f's is `f_span`) and the flat runs of calls that read them (`_phases`, `_copies`).
     The update maps zero-boundary, nonnegative, finite data to the same set
     until blow-up, so `load` checks the data once (a `majorant._Probe` writes amplitude times
     a profile its caller checked); afterwards the only way out of that set is an
@@ -133,17 +131,17 @@ class _Stepper:
     A `mirror` stepper runs data that equals its mirror image along every axis (the caller
     tests it, `domain._mirror_symmetric`) on the `_orthant` of the domain: the update keeps
     that symmetry bit for bit, as a site and its mirror image add the same doubles in mirrored
-    order and IEEE addition commutes. Its plans refresh the ghost planes from their mirror
-    planes, so each interior site reads the doubles of the whole box's site, in its order, and
-    steps, stops, blow-up and overflow sites, g values and records are the whole box's: the
-    extrema of a symmetric state are its orthant's, and its lexicographically first site in a
-    symmetric set lies in the orthant, the lower mirror image of each coordinate being there.
+    order and IEEE addition commutes. Its plans (`_Stencil`'s `mirror`) refresh the ghost
+    planes from their mirror planes, so each interior site reads the doubles of the whole box's
+    site, in its order, and steps, stops, blow-up and overflow sites, g values and records are
+    the whole box's: the extrema of a symmetric state are its orthant's, and its
+    lexicographically first site in a symmetric set lies in the orthant, the lower mirror image
+    of each coordinate being there.
     """
 
     __slots__ = ("f", "f_span", "g", "max_g", "max_f", "trace", "_g_span", "_spare",
-                 "_spare_span", "_means", "_copies", "_plan", "_denom_span", "_denom_core",
-                 "_denom_calls", "_root_calls", "_scalar", "core", "_rest", "_eps_blow",
-                 "_copy_below")
+                 "_spare_span", "_phases", "_copies", "_plan", "_denom_span", "_denom_core",
+                 "_scalar", "core", "_rest", "_eps_blow", "_copy_below")
 
     def __init__(self, domain: BoxDomain, p: Params, eps_blow: float,
                  record: bool = False, mirror: bool = False) -> None:
@@ -152,12 +150,10 @@ class _Stepper:
         box = _orthant(domain) if mirror else domain
         core = self.core = box.core  # the box's interior, in its buffers and in the data
         self._rest = core if mirror else None  # the sites `at_rest` compares; None for all
-        # a plan from a source into an output, its neighbor sums to denom
-        self._plan = (partial(_MirrorStencil, mirror=domain.extents) if mirror else
-                      partial(_Stencil, nonnegative=True))
         (self.f, self._spare, g, denom), spans = _span_buffers(box.shape, 4)
         self.f_span, self._spare_span, self._g_span, self._denom_span = spans
-        self._means = [self._plan(v, g, self._denom_span) for v in (self.f, self._spare)]
+        # every plan's arguments after its source and output: neighbor sums to denom
+        self._plan = (self._denom_span, True, domain.extents if mirror else ())
         self._copies = [None, None]  # f's and the spare's plans into the other, built at first use
         self.g = g[core]
         self._denom_core = denom[core]
@@ -176,8 +172,12 @@ class _Stepper:
             calls.append((np.multiply, (np.array(coupling), x, out)))
             x = out
         calls.append((np.subtract, (np.array(1.0), x, out)))
-        self._denom_calls = tuple(calls)
-        self._root_calls = () if root is None else ((root, (out, *exponents[1], out)),)
+        calls, roots = tuple(calls), () if root is None else ((root, (out, *exponents[1], out)),)
+        # per parity of the state, the full step's two flat runs: f's plan into g, then denom;
+        # then denom's root, and g over it into the spare
+        self._phases = [(_Stencil(v, g, *self._plan).calls + calls,
+                         roots + ((np.divide, (self._g_span, out, spare)),))
+                        for v, spare in ((self.f, self._spare_span), (self._spare, self.f_span))]
         # at exact powers: denom and its root at one g, as the calls form them; 1.0 * x is x, so
         # the scalar product needs no skip
         self._scalar = None if up is None else ((lambda y: 1.0 - coupling * up(y)), down)
@@ -252,13 +252,14 @@ class _Stepper:
             # alpha*delta*g^alpha < 2^-54; 1 minus it rounds to 1.0, 1.0^(1/alpha) is 1.0, g/1.0 is
             # g, and 1.0 > eps_blow, so no site blows up. The plan into the spare writes g's bits.
             if self._copies[0] is None:
-                self._copies[0] = self._plan(self.f, self._spare, self._denom_span)
-            self._copies[0]()
+                self._copies[0] = _Stencil(self.f, self._spare, *self._plan).calls
+            for ufunc, args in self._copies[0]:
+                ufunc(*args)
             self.max_g = self.max_f = self._spare_span.item(self._spare_span.argmax())
         else:
             g, denom = self._g_span, self._denom_span
-            self._means[0]()
-            for ufunc, args in self._denom_calls:
+            means, update = self._phases[0]
+            for ufunc, args in means:
                 ufunc(*args)
             if self._scalar is None:
                 least = denom.item(denom.argmin())
@@ -269,9 +270,8 @@ class _Stepper:
                 least = self._scalar[0](self.max_g)
             if least <= self._eps_blow:
                 return True
-            for ufunc, args in self._root_calls:
+            for ufunc, args in update:
                 ufunc(*args)
-            np.divide(g, denom, self._spare_span)
             if self._scalar is not None:
                 # least > eps_blow >= 0 is 1 - y with y < 1, so least >= 2^-53, its root
                 # >= 2^-106, and the divide meets no zero; an overflow gives inf, as numpy's does
@@ -280,7 +280,7 @@ class _Stepper:
                 self.max_f = self._spare_span.item(self._spare_span.argmax())
         self.f, self._spare, self.f_span, self._spare_span = (self._spare, self.f,
                                                               self._spare_span, self.f_span)
-        self._means.reverse()
+        self._phases.reverse()
         self._copies.reverse()
         return False
 

@@ -231,7 +231,8 @@ def regime_bound(a_scaled: Field, alpha: float) -> BoundReport:
 
 
 # The probe's exits are tested every few steps, and fire only with this
-# relative margin, which absorbs the rounding of the state and the tables.
+# relative margin, which absorbs the rounding of the state and the tables. The
+# survival cadence is a multiple of the blow-up one, which `_Probe._exits` relies on.
 _BLOWUP_EVERY = 8
 _SURVIVAL_EVERY = 16
 _EXIT_MARGIN = 1e-3
@@ -328,13 +329,15 @@ class _Probe:
 
     def _exits(self, s: int, f: np.ndarray, max_f: float) -> bool | None:
         """The run's exits at step s: False for certified survival, True for Kaplan's blow-up."""
+        if s % _BLOWUP_EVERY:  # so s % _SURVIVAL_EVERY too: no exit is tested
+            return None
         alpha, log_lam = self._p.alpha, self._log_lam
         if s % _SURVIVAL_EVERY == 0 and max_f > 0:
             gap = math.log(float((f[self._core] / self._phi_core).max()) / max_f)  # log(C/M) >= 0
             log_sum = _log_majorant_sum(alpha, log_lam, gap, self._S - s + 1)
             if alpha * math.log(max_f) + log_sum < self._log_survival:
                 return False
-        if s % _BLOWUP_EVERY == 0 and self._blowup_exit:
+        if self._blowup_exit:
             J = float(self._phi @ f.ravel()) / self._phi_sum
             log_jcrit = self._log_threshold + _log_jcrit(alpha, log_lam, self._S - s)
             if J > 0 and math.log(J) >= log_jcrit:

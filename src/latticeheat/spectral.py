@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -32,9 +32,10 @@ def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, np.ndarray, flo
     `a.values + 0.0` (-0.0 made +0.0), copied whole; the boundary is checked at every S. The
     steps run each row's `_Stencil` plan into the next row, built at its first use; only
     signed data's means can bring -0.0 back, and only as zeros' signs. The flow fills a block
-    of k rows, takes their maxima in one reduce over the block's (k, span) view, and then
-    yields them: a yielded array and its span are overwritten k steps on, which the flow
-    computes when the next block is asked for.
+    of k rows as one flat run of the steps' calls, built once per block shape (the first, a
+    full later one and a short last one), takes their maxima in one reduce over the block's
+    (k, span) view, and then yields them: a yielded array and its span are overwritten k steps
+    on, which the flow computes when the next block is asked for.
     """
     if S < 0:
         raise ValueError("S must be >= 0")
@@ -48,14 +49,16 @@ def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, np.ndarray, flo
     folds = 0 <= a.values.min() and a.values.max() <= np.finfo(float).max / (4 * a.domain.dims)
     # a block's steps write rows 0, 1, ...: the first block's first is the copy of the data,
     # each later block's is the plan of row k - 1 into row 0, built when the second block starts
-    steps = [partial(np.add, a.values, 0.0, out=rows[0])]
-    steps += [_Stencil(rows[i], rows[i + 1], pairs, folds) for i in range(min(S, k - 1))]
+    steps = [((np.add, (a.values, 0.0, rows[0])),)]
+    steps += [_Stencil(rows[i], rows[i + 1], pairs, folds).calls for i in range(min(S, k - 1))]
     for start in range(0, S + 1, k):  # the block h^start..h^(start + n - 1)
         n = min(k, S + 1 - start)
         if start == k:
-            steps[0] = _Stencil(rows[-1], rows[0], pairs, folds)
-        for step in steps[:n]:
-            step()
+            steps[0] = _Stencil(rows[-1], rows[0], pairs, folds).calls
+        if start <= k or n < k:
+            block = sum(steps[:n], ())
+        for ufunc, args in block:
+            ufunc(*args)
         yield from zip(rows, row_spans, np.maximum.reduce(spans[:n], axis=1).tolist())
 
 

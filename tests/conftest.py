@@ -53,6 +53,13 @@ def is_span_of(view, full):
                                                             span.strides)
 
 
+def plan_scale_and_fills(plan):
+    """A `_Stencil` plan's scale, read off its `calls`: the ufunc and the scalar (or span) that
+    scale the sums, and the face views that its fill calls set to +0.0."""
+    [(scale_by, (_, scale, _))] = [c for c in plan.calls if c[0] in (np.multiply, np.divide)]
+    return scale_by, scale, [fn.__self__ for fn, _ in plan.calls if fn.__name__ == "fill"]
+
+
 def reference_neighbor_mean(values):
     """The interior neighbor mean as the per-axis expression over strided
     interior views, kept here as the stencil kernel's frozen reference."""

@@ -40,6 +40,7 @@ def test_bench_ab_writes_every_declared_metric(tmp_path):
             assert got[side]["median"] == got[side]["q1"] == got[side]["q3"] == value
             assert got[side]["iqr"] == 0
         assert got["head_wins"] in (0, 1)
+        assert type(got["gain_rule"]) is bool and type(got["within_bound"]) is bool
     assert_refuses_rerun(command, path)
 
 
@@ -60,3 +61,26 @@ def test_bench_ab_control_runs_the_base_against_itself_plus_a_comment(tmp_path):
     assert len(bench_ab.CONTROL_COMMENT.encode()) == 600
     assert changed == base + bench_ab.CONTROL_COMMENT.encode()
     assert all(line.startswith("#") for line in bench_ab.CONTROL_COMMENT.splitlines())
+
+
+def test_compare_applies_the_gain_rule_and_the_bound():
+    # base 10..19: median 14.5, quartiles 12.25 and 16.75, so an IQR of 4.5
+    base = [10.0 + i for i in range(10)]
+    lower = bench_ab._compare(base, [x - 5 for x in base], 1, 0.25)
+    assert lower["base"]["iqr"] == 4.5 and lower["head_wins"] == 10 and lower["gain_rule"]
+    assert lower["within_bound"] is True
+    assert not bench_ab._compare(base, [x - 4 for x in base], 1)["gain_rule"]  # inside the IQR
+    nine = [x - 5 for x in base[:9]] + [base[9] + 1]
+    eight = [x - 5 for x in base[:8]] + [x + 1 for x in base[8:]]
+    assert bench_ab._compare(base, nine, 1)["gain_rule"]  # 9 of 10 pairs won
+    assert not bench_ab._compare(base, eight, 1)["gain_rule"]  # 8 of 10
+    # a bound of 25 % of the base's median, 3.625: worse by 3.6 is within it, by 3.7 is not
+    assert bench_ab._compare(base, [x + 3.6 for x in base], 1, 0.25)["within_bound"] is True
+    assert bench_ab._compare(base, [x + 3.7 for x in base], 1, 0.25)["within_bound"] is False
+    assert bench_ab._compare(base, [x + 3.7 for x in base], 1)["within_bound"] is None
+    # higher is better: a lower median is the worse one
+    higher = bench_ab._compare(base, [x + 5 for x in base], -1, 0.25)
+    assert higher["gain_rule"] and higher["within_bound"] is True
+    assert bench_ab._compare(base, [x * 0.8 for x in base], -1, 0.25)["within_bound"] is True
+    assert bench_ab._compare(base, [x * 0.7 for x in base], -1, 0.25)["within_bound"] is False
+    assert not bench_ab._compare(base, [x * 0.7 for x in base], -1, 0.25)["gain_rule"]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from latticeheat import BoxDomain, Field, apply_M
 from latticeheat.domain import _face_weights, _span, _Stencil
 
-from conftest import (interior_sites, neighbor_average, random_domain, random_field,
-                      reference_neighbor_mean, with_boundary)
+from conftest import (interior_sites, neighbor_average, plan_scale_and_fills, random_domain,
+                      random_field, reference_neighbor_mean, with_boundary)
 
 
 class TestBoxDomain:
@@ -209,7 +209,8 @@ def test_folded_plan_writes_the_fill_plans_bytes(dims, data, seed):
         out.ravel()[_span(out)] = np.nan
     fills, folded = (_Stencil(values, out, spare.ravel()[_span(spare)], nonnegative)
                      for out, nonnegative in zip(outs, (False, True)))
-    assert folded._faces == () and len(fills._faces) == dims - 1
+    assert plan_scale_and_fills(folded)[2] == []
+    assert len(plan_scale_and_fills(fills)[2]) == dims - 1
     for _ in range(3):
         values[...] = _fold_data(rng, domain)
         fills()
@@ -229,10 +230,10 @@ def test_plans_that_multiply_keep_their_faces(extents, nonnegative):
     shape = tuple(n + 1 for n in extents)
     values, out, spare = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     plan = _Stencil(values, out, spare.ravel()[_span(spare)], nonnegative)
-    scale_by, scale = plan._scale
+    scale_by, scale, faces = plan_scale_and_fills(plan)
     assert scale_by is np.multiply and scale.shape == () and scale == 1 / (2 * len(extents))
-    assert len(plan._faces) == len(extents) - 1
-    assert all(np.shares_memory(face, out) for face in plan._faces)
+    assert len(faces) == len(extents) - 1
+    assert all(np.shares_memory(face, out) for face in faces)
 
 
 @pytest.mark.parametrize("dims", [3, 5])
@@ -241,10 +242,12 @@ def test_plans_that_divide_fold_only_when_told(dims):
     values, out, spare = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     fills, folded = (_Stencil(values, out, spare.ravel()[_span(spare)], nonnegative)
                      for nonnegative in (False, True))
-    assert fills._scale[0] is np.divide and fills._scale[1].shape == ()
-    assert fills._scale[1] == 2 * dims and len(fills._faces) == dims - 1
-    assert folded._scale[0] is np.divide and folded._faces == ()
-    assert folded._scale[1] is _face_weights(shape)  # one cached span per shape
+    (fill_by, fill_scale, fill_faces), (fold_by, fold_scale, fold_faces) = (
+        plan_scale_and_fills(plan) for plan in (fills, folded))
+    assert fill_by is np.divide and fill_scale.shape == ()
+    assert fill_scale == 2 * dims and len(fill_faces) == dims - 1
+    assert fold_by is np.divide and fold_faces == []
+    assert fold_scale is _face_weights(shape)  # one cached span per shape
 
 
 @pytest.mark.parametrize("dims", [2, 3, 4, 5])

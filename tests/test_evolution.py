@@ -565,7 +565,10 @@ def test_exact_powers_and_unit_coupling_take_no_call(alpha, delta):
     # no np.power at alpha in {0.5, 1, 2}, and no multiply when alpha*delta is exactly 1.0,
     # which 49 * (1/49) is not
     stepper = evolution._Stepper(BoxDomain((3,)), Params(alpha, delta), 0.0)
-    ufuncs = [ufunc for ufunc, _ in stepper._denom_calls + stepper._root_calls]
+    means, update = stepper._phases[0]
+    # the 1-D plan's add and multiply start the first run, the divide into the spare ends the other
+    assert [u for u, _ in means[:2]] == [np.add, np.multiply] and update[-1][0] is np.divide
+    ufuncs = [ufunc for ufunc, _ in means[2:] + update[:-1]]
     assert (np.power in ufuncs) == (alpha not in (0.5, 1.0, 2.0))
     assert (np.multiply in ufuncs) == (alpha * delta != 1.0)
     assert len(ufuncs) == 1 + (alpha != 1.0) * 2 + (alpha * delta != 1.0)
@@ -729,7 +732,7 @@ def test_span_extrema_are_the_reduces(extents, alpha, unit_coupling, eps_blow, k
     least.seen = []
     denoms = []  # each full step's denominators, as its root calls find them
     snapshot = (lambda denom: denoms.append(denom.copy()), (stepper._denom_span,))
-    stepper._root_calls = (snapshot,) + stepper._root_calls
+    stepper._phases = [(means, (snapshot,) + update) for means, update in stepper._phases]
     stepper.load(a)
     max_f = float(a.values.max())
     with np.errstate(divide="ignore", over="ignore"):

@@ -18,7 +18,7 @@ from latticeheat.domain import _face_weights, _span, _span_buffers
 from latticeheat.evolution import _Stepper
 from latticeheat.spectral import _linear_flow
 
-from conftest import is_span_of, random_field
+from conftest import is_span_of, plan_scale_and_fills, random_field
 
 EXTENTS = [(2,), (401,), (2, 2), (97, 97), (401, 2), (5, 97), (2, 2, 2), (17, 17, 17), (2, 17, 3)]
 SHIFTS = range(6)
@@ -93,8 +93,8 @@ def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
     plans, flow_buffers, verify_buffers = [], [], []
     real_init, real_buffers = domain_module._Stencil.__init__, domain_module._span_buffers
 
-    def recording_init(self, values, out, pairs, nonnegative=False):
-        real_init(self, values, out, pairs, nonnegative)
+    def recording_init(self, values, out, pairs, nonnegative=False, mirror=()):
+        real_init(self, values, out, pairs, nonnegative, mirror)
         plans.append((values, out, pairs, nonnegative, self))
 
     def recording(into):
@@ -133,11 +133,12 @@ def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
         assert verify_comparison(a, 1.0, S).holds
         for *_, nonnegative, plan in plans:
             assert nonnegative
+            scale_by, scale, faces = plan_scale_and_fills(plan)
             if d.dims == 3:
-                assert plan._scale[0] is np.divide and plan._scale[1] is weights
-                assert plan._faces == ()
+                assert scale_by is np.divide and scale is weights
+                assert faces == []
             else:  # a multiply by the exact 1/2d, and the faces' fills
-                assert plan._scale[0] is np.multiply and len(plan._faces) == d.dims - 1
+                assert scale_by is np.multiply and len(faces) == d.dims - 1
         [((fbar, diff), _)] = verify_buffers
         assert fbar.shape == diff.shape == d.shape
         assert _on_line(_span_of(fbar)) and _on_line(_span_of(diff))

@@ -13,9 +13,11 @@ OUT/AB_<yyyy-mm-dd>_<workload>_s<seed>.json (the batch's start date in UTC; OUT
 defaults to bench/<first 12 digits of HEAD's SHA>), and stops before any run if
 one of those files exists: an earlier batch is evidence, never overwritten. Per
 end-to-end metric that file holds both sides' values, medians and quartiles, the
-relative change of the medians, the pairs the head won and whether the medians
-differ by more than the base's IQR. The clones are removed afterwards. It edits
-nothing under perfbench/.
+relative change of the medians, the pairs the head won, whether the medians
+differ by more than the base's IQR, whether the head meets the gain rule (better
+in at least 9/10 of the pairs, and its median better by more than the base's
+IQR) and whether its median is within the metric's BENCHMARK.json `bound` of the
+base's. The clones are removed afterwards. It edits nothing under perfbench/.
 
 --control makes the batch an A/A control: both clones are of REF, and the head's
 gets CONTROL_COMMENT appended to CONTROL_FILE, which moves source bytes and no
@@ -77,26 +79,33 @@ def _side(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def _compare(base: list[float], head: list[float], sign: int) -> dict:
+def _compare(base: list[float], head: list[float], sign: int, bound: float | None = None) -> dict:
     """Both sides' values and quartiles, the relative change of the medians, the pairs the head
-    won (sign 1 if lower is better, else -1) and whether the medians differ by more than the
-    base's IQR."""
+    won (sign 1 if lower is better, else -1), whether the medians differ by more than the
+    base's IQR, `gain_rule`: the head won at least 9/10 of the pairs and its median is better
+    by more than the base's IQR, and `within_bound`: the head's median is worse than the
+    base's by at most `bound` times the base's (None without a bound)."""
     b, h = _side(base), _side(head)
+    worse = sign * (h["median"] - b["median"])  # > 0: the head's median is the worse one
+    wins = sum(sign * (y - x) < 0 for x, y in zip(base, head))
     return {"base": b, "head": h,
             "change": (h["median"] - b["median"]) / b["median"] if b["median"] else None,
-            "head_wins": sum(sign * (y - x) < 0 for x, y in zip(base, head)),
-            "beyond_base_iqr": abs(h["median"] - b["median"]) > b["iqr"]}
+            "head_wins": wins,
+            "beyond_base_iqr": abs(h["median"] - b["median"]) > b["iqr"],
+            "gain_rule": wins >= 0.9 * len(base) and -worse > b["iqr"],
+            "within_bound": None if bound is None else worse <= bound * abs(b["median"])}
 
 
 def _summary(benchmark: dict, workload: str, runs: list[dict]) -> dict:
-    """Per end-to-end metric: its unit, which way is better, and the two sides `_compare`d."""
+    """Per end-to-end metric: its unit, which way is better, and the two sides `_compare`d
+    against its bound."""
     metrics = {}
     for m in benchmark["end_to_end"]:
         name, better = m["name"], m["better"]
         base = [run["base"]["metrics"][name]["value"] for run in runs]
         head = [run["head"]["metrics"][name]["value"] for run in runs]
         metrics[name] = {"unit": runs[0]["base"]["metrics"][name]["unit"], "better": better,
-                         **_compare(base, head, 1 if better == "lower" else -1)}
+                         **_compare(base, head, 1 if better == "lower" else -1, m["bound"])}
     return {"metrics": metrics}
 
 

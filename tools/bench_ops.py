@@ -17,8 +17,10 @@ start date in UTC; OUT defaults to bench/<first 12 digits of HEAD's SHA>) and
 stops before any run if one of those files exists: an earlier batch is
 evidence, never overwritten. Per op that file holds its command, extents, alpha
 and steps, both sides' scaled times in ms with their medians and quartiles, the
-relative change of the medians, the pairs the head won and whether the medians
-differ by more than the base's IQR. It edits nothing under perfbench/.
+relative change of the medians, the pairs the head won, whether the medians
+differ by more than the base's IQR and whether the head meets the gain rule
+(`bench_ab._compare`; an op has no bound, so its `within_bound` is null). It
+edits nothing under perfbench/.
 --control times REF against REF with `bench_ab.py`'s control comment, into OUT/aa/.
 """
 
