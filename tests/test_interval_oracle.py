@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeheat import BoxDomain, Field, Params, Survived, cli, find_threshold, simulate
+from latticeheat import (BoxDomain, Field, Params, Survived, cli, find_threshold, regime_bound,
+                         simulate)
 
 from conftest import random_field
 
@@ -117,6 +118,26 @@ def test_threshold_brackets_the_exact_map_at_the_cli_tolerance():
             assert high[0] in ("undecided", "blew_up"), (extents, alpha, high)
             checked += 2
     assert ceilings <= 5 and undecided <= checked // 10  # a share of at most 10 %
+
+
+def test_the_bound_certificate_survives_in_the_exact_map():
+    # soundness of `bound`: where its series reads 0.9 < 1, the majorant exists at every step, so
+    # no step blows up. On this grid's random data, scaled to the amplitude where regime_bound
+    # reads 0.9 (the bound is A^alpha times its value at A = 1), the enclosure of the exact map
+    # on the data's doubles survives S steps. The 10 % headroom absorbs the rounding of A and
+    # of the threshold scaling, as the exact map is conjugate to the scaled one.
+    outcomes = []
+    for i, extents in enumerate(_BOXES):
+        for alpha in _ALPHAS:
+            d, p = BoxDomain(extents), Params(alpha, _DELTA)
+            profile = random_field(np.random.default_rng(100 * i + int(4 * alpha)), d)
+            unit = regime_bound(cli._scaled(profile, 1.0, p), alpha).bound_value
+            amplitude = (0.9 / unit) ** (1 / alpha)
+            bound = regime_bound(cli._scaled(profile, amplitude, p), alpha).bound_value
+            assert bound == pytest.approx(0.9, rel=1e-9), (extents, alpha)
+            outcomes.append(_enclosure(Field(d, profile.values * amplitude), p, _S)[0])
+            assert outcomes[-1] in ("survived", "undecided"), (extents, alpha)
+    assert outcomes.count("undecided") <= len(outcomes) // 10  # a share of at most 10 %
 
 
 @settings(max_examples=10, deadline=None)

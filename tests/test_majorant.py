@@ -860,6 +860,21 @@ def test_probe_exits_fire(monkeypatch):
     assert _Probe(profile, 1.0, p, 2000, 0.0, blowup_exit=False)(0.1) == 40
 
 
+def test_probe_exits_are_tested_only_on_the_blowup_cadence():
+    # the survival cadence is a multiple of the blow-up one, so off the blow-up cadence no exit
+    # is tested, and _exits returns None without reading the state, which here is None; on it,
+    # an exit reads the state (Kaplan's J at every multiple, the survival sum at every other)
+    assert majorant._SURVIVAL_EVERY % majorant._BLOWUP_EVERY == 0
+    d = BoxDomain((8,))
+    probe = _Probe(mode_table(d).mode_field((1,)), 1.0, Params(1.0, 1.0), 2000, 0.0, True)
+    for s in range(4 * majorant._SURVIVAL_EVERY + 1):
+        if s % majorant._BLOWUP_EVERY:
+            assert probe._exits(s, None, 0.05) is None
+        else:
+            with pytest.raises((TypeError, AttributeError)):
+                probe._exits(s, None, 0.05)
+
+
 @pytest.mark.parametrize("extents", [(6,), (6, 4)])
 @pytest.mark.parametrize("eps_blow", [0.0, 0.3])
 def test_survival_certificate_edge(monkeypatch, extents, eps_blow):
