@@ -8,12 +8,21 @@ stencil operations use the 2d axis neighbors n +/- e_k.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
 MultiIndex = tuple[int, ...]
+
+
+def _index(n, what: str) -> int:
+    """n by `operator.index`, which refuses the floats and strings `int()` truncates or parses;
+    a bool is refused too."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise TypeError(f"{what} must be integers, got {n!r}")
+    return operator.index(n)
 
 
 @dataclass(frozen=True)
@@ -23,7 +32,7 @@ class BoxDomain:
     extents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        extents = tuple(int(n) for n in self.extents)
+        extents = tuple(_index(n, "extents") for n in self.extents)
         object.__setattr__(self, "extents", extents)
         if len(extents) < 1:
             raise ValueError("domain needs at least one axis")

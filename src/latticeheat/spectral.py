@@ -9,13 +9,14 @@ the discrete sine orthogonality sum_{n=1}^{N-1} sin(m pi n/N) sin(m' pi n/N)
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, _span_buffers, _Stencil
+from .domain import BoxDomain, Field, MultiIndex, _index, _span_buffers, _Stencil
 
 
 def apply_M(h: Field) -> Field:
@@ -70,7 +71,7 @@ def step_linear_direct(a: Field, steps: int) -> Field:
 
 def eigenvalue(domain: BoxDomain, mode: MultiIndex) -> float:
     """Averaging-operator eigenvalue of the sine mode; always in (-1, 1)."""
-    mode = tuple(int(m) for m in mode)
+    mode = tuple(_index(m, "mode") for m in mode)
     if not domain.is_interior(mode):
         raise ValueError(f"mode {mode} is not an interior multi-index")
     return float(mode_table(domain).eigenvalues[tuple(m - 1 for m in mode)])
@@ -145,7 +146,7 @@ class ModeTable:
 
     def mode_field(self, mode: MultiIndex) -> Field:
         """The product-of-sines eigenvector as a zero-boundary field."""
-        mode = tuple(int(m) for m in mode)
+        mode = tuple(_index(m, "mode") for m in mode)
         if not self.domain.is_interior(mode):
             raise ValueError(f"mode {mode} is not an interior multi-index")
         # sin at n=0 and n=N is analytically 0 but carries rounding, so each row's ends are cut
@@ -180,9 +181,13 @@ class SpectralCoeffs:
 
 
 def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...]) -> np.ndarray:
-    out = arr
+    """Per axis k, the `np.dot` that `np.tensordot(S, out, axes=(1, k))` makes, on the same
+    (N_k - 1, rest) reshape of out with k in front, without its axis bookkeeping: the same bits."""
+    out, d = arr, arr.ndim
     for k, S in enumerate(mats):
-        out = np.moveaxis(np.tensordot(S, out, axes=(1, k)), 0, k)
+        front = out.transpose(k, *range(k), *range(k + 1, d))
+        out = np.dot(S, front.reshape(len(S), -1)).reshape(front.shape)
+        out = out.transpose(*range(1, k + 1), 0, *range(k + 1, d))
     return out
 
 
@@ -193,8 +198,8 @@ def analyze(a: Field) -> SpectralCoeffs:
     block). Boundary values are ignored.
     """
     table = mode_table(a.domain)
-    norm = float(np.prod([2.0 / N for N in a.domain.extents]))
-    coeffs = _transform(np.array(a.interior()), table.sine_matrices)
+    norm = math.prod(2.0 / N for N in a.domain.extents)  # np.prod's bits: both multiply in order
+    coeffs = _transform(a.interior(), table.sine_matrices)
     coeffs *= norm
     return SpectralCoeffs(domain=a.domain, coeffs=coeffs)
 

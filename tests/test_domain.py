@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,14 @@ class TestBoxDomain:
             BoxDomain((1,))
         with pytest.raises(ValueError):
             BoxDomain((4, 0))
+
+    @pytest.mark.parametrize("bad", [2.5, "4", True, np.True_, np.float64(4.0)])
+    def test_extents_are_integers_never_truncated(self, bad):
+        # int() read 2.5 as 2 and "4" as 4; numpy's integers are still read, as ints
+        with pytest.raises(TypeError, match=re.escape(f"extents must be integers, got {bad!r}")):
+            BoxDomain((bad, 3))
+        extents = BoxDomain((np.int64(4), np.uint8(3))).extents
+        assert extents == (4, 3) and all(type(n) is int for n in extents)
 
     def test_interior_sites_1d_minimal(self):
         assert list(interior_sites(BoxDomain((2,)))) == [(1,)]

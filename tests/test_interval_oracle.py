@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeheat import (BoxDomain, Field, Params, Survived, cli, find_threshold, regime_bound,
-                         simulate)
+from latticeheat import (BoxDomain, Field, Params, Survived, cli, compute_trace, find_threshold,
+                         regime_bound, simulate, verify_comparison)
 
-from conftest import random_field
+from conftest import interior_sites, random_field
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -30,30 +30,41 @@ _SIDES = (-1e-6, 1e-6)
 _CLI_TOL = next(default for key, _, default, _ in cli._CONFIG if key == "threshold_tol")
 
 
-def _enclosure(a, p, S):
+# x^alpha and x^(1/alpha) at alpha in {1/2, 1, 2}: exact interval operations at the context's bits
+_POWERS = {0.5: (mpmath.iv.sqrt, lambda x: x * x), 1.0: (lambda x: x, lambda x: x),
+           2.0: (lambda x: x * x, mpmath.iv.sqrt)}
+
+
+def _exact_mean(f, d):
+    """The interior neighbor mean of the full-shape object array f, in f's interval context."""
+    total = np.full(d.interior_shape, mpmath.iv.mpf(0), dtype=object)
+    for k in range(d.dims):
+        for shift in (slice(2, None), slice(0, -2)):
+            view = list(d.core)
+            view[k] = shift
+            total = total + f[tuple(view)]
+    return total / (2 * d.dims)
+
+
+def _enclosure(a, p, S, states=None):
     """The exact map's outcome from the doubles of `a`: ("blew_up", s), ("survived", S), or
-    ("undecided", s) at the first step s whose denominators' enclosure decides neither.
+    ("undecided", s) at the first step s whose denominators' enclosure decides neither; the
+    enclosures of f^0, f^1, ... up to that step go to `states`, if given.
 
     Blow-up at step s is simulate's: the mean g of the state f^s has a site where
-    1 - alpha*delta*g^alpha <= 0. g^alpha and the root D^(1/alpha) are exact interval
-    operations at alpha in {1/2, 1, 2}: sqrt, the identity, and a square."""
+    1 - alpha*delta*g^alpha <= 0. g^alpha and the root D^(1/alpha) are `_POWERS`."""
     iv = mpmath.iv
     prec, iv.prec = iv.prec, _BITS
     try:
-        lift, root = {0.5: (iv.sqrt, lambda x: x * x), 1.0: (lambda x: x, lambda x: x),
-                      2.0: (lambda x: x * x, iv.sqrt)}[p.alpha]
+        lift, root = _POWERS[p.alpha]
         coupling = iv.mpf(p.alpha) * iv.mpf(p.delta)
         d = a.domain
         f = np.empty(d.shape, dtype=object)
         f.flat = [iv.mpf(float(x)) for x in a.values.flat]
         for s in range(S + 1):
-            total = np.full(d.interior_shape, iv.mpf(0), dtype=object)
-            for k in range(d.dims):
-                for shift in (slice(2, None), slice(0, -2)):
-                    view = list(d.core)
-                    view[k] = shift
-                    total = total + f[tuple(view)]
-            g = list((total / (2 * d.dims)).flat)
+            if states is not None:
+                states.append(f)
+            g = list(_exact_mean(f, d).flat)
             denom = [1 - coupling * lift(x) for x in g]
             if any(x.b <= 0 for x in denom):
                 return "blew_up", s
@@ -63,6 +74,31 @@ def _enclosure(a, p, S):
             f[d.core] = np.array([x / root(y) for x, y in zip(g, denom)],
                                  dtype=object).reshape(d.interior_shape)
         return "survived", S
+    finally:
+        iv.prec = prec
+
+
+def _exact_majorant(a, alpha, steps):
+    """(1 - P_s, fbar^s) for s < steps, enclosed: fbar^s = h^s/(1 - P_s)^(1/alpha) from the exact
+    linear flow h^s of the doubles of `a`, its interior maxima m_s and P_s = m_0^alpha + ... +
+    m_s^alpha on nonnegative data; fbar^s is None where 1 - P_s is not enclosed above 0."""
+    iv = mpmath.iv
+    prec, iv.prec = iv.prec, _BITS
+    try:
+        lift, root = _POWERS[alpha]
+        d = a.domain
+        h = np.empty(d.shape, dtype=object)
+        h.flat = [iv.mpf(float(x)) for x in a.values.flat]
+        P, majorant = iv.mpf(0), []
+        for s in range(steps):
+            if s:
+                h = h.copy()
+                h[d.core] = _exact_mean(h, d)
+            sites = list(h[d.core].flat)
+            P = P + lift(iv.mpf([max(x.a for x in sites), max(x.b for x in sites)]))
+            rest = 1 - P
+            majorant.append((rest, h / root(rest) if rest.a > 0 else None))
+        return majorant
     finally:
         iv.prec = prec
 
@@ -138,6 +174,41 @@ def test_the_bound_certificate_survives_in_the_exact_map():
             outcomes.append(_enclosure(Field(d, profile.values * amplitude), p, _S)[0])
             assert outcomes[-1] in ("survived", "undecided"), (extents, alpha)
     assert outcomes.count("undecided") <= len(outcomes) // 10  # a share of at most 10 %
+
+
+def test_the_majorant_dominates_in_the_exact_map():
+    # the paper's comparison fbar^s >= f^s, in exact arithmetic on the data's doubles: wherever
+    # verify_comparison holds, the enclosure of fbar^s lies above that of f^s at every interior
+    # site of every step it compared, and no such step blows up. The grid's random data is
+    # scaled to two amplitudes (P_s is A^alpha times its value at A = 1): where P_S reads 0.9,
+    # so that every step is compared, and where 1 lies halfway between P_19 and P_20, so that
+    # steps 0..19 are
+    decided, undecided = 0, 0
+    for i, extents in enumerate(_BOXES):
+        for alpha in _ALPHAS:
+            d, p = BoxDomain(extents), Params(alpha, 1 / alpha)  # verify's scaled dynamics
+            profile = random_field(np.random.default_rng(100 * i + int(4 * alpha)), d)
+            unit = compute_trace(profile, alpha, _S).partial_sums
+            for scale in (0.9 / unit[_S], 2 / (unit[19] + unit[20])):
+                a = Field(d, profile.values * scale ** (1 / alpha))
+                verdict = verify_comparison(a, alpha, _S)
+                assert verdict.holds, (extents, alpha, scale)
+                steps, states = len(verdict.margins), []  # the compared steps are 0..steps - 1
+                # f^0..f^(steps - 1), and the step after them, which verify does not compare
+                outcome = _enclosure(a, p, steps - 1, states)
+                assert outcome[0] != "blew_up" or outcome[1] == steps - 1, (extents, alpha, scale)
+                rests, fbars = zip(*_exact_majorant(a, alpha, steps))
+                assert not any(rest.b <= 0 for rest in rests), (extents, alpha, scale)  # P_s >= 1
+                if len(states) < steps or any(fbar is None for fbar in fbars):
+                    undecided += 1
+                    continue
+                cells = [(fbar[n], f[n]) for fbar, f in zip(fbars, states) for n in interior_sites(d)]
+                assert not any(fbar.b < f.a for fbar, f in cells), (extents, alpha, scale)
+                if all(fbar.a >= f.b for fbar, f in cells):
+                    decided += 1
+                else:
+                    undecided += 1
+    assert undecided <= (decided + undecided) // 10  # a share of at most 10 %
 
 
 @settings(max_examples=10, deadline=None)

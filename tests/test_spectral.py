@@ -1,8 +1,11 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latticeheat import (
     BoxDomain,
@@ -73,6 +76,23 @@ class TestEigenvalue:
         for mode in ((0, 1), (1, 3)):  # the table's sine modes check it too
             with pytest.raises(ValueError, match="not an interior multi-index"):
                 mode_table(BoxDomain((4, 3))).mode_field(mode)
+
+    @pytest.mark.parametrize("bad", [1.9, "2", True, np.True_, np.float64(1.0)])
+    def test_eigenvalue_modes_are_integers_never_truncated(self, bad):
+        # int() read (1.9, 2) as mode (1, 2)
+        d = BoxDomain((4, 5))
+        with pytest.raises(TypeError, match=re.escape(f"mode must be integers, got {bad!r}")):
+            eigenvalue(d, (bad, 2))
+        assert eigenvalue(d, (np.int64(1), np.uint8(2))) == eigenvalue(d, (1, 2))
+
+    @pytest.mark.parametrize("bad", [1.5, "2", True, np.True_, np.float64(1.0)])
+    def test_mode_field_modes_are_integers_never_truncated(self, bad):
+        # int() read (1.5, "2") as mode (1, 2)
+        table = mode_table(BoxDomain((4, 5)))
+        with pytest.raises(TypeError, match=re.escape(f"mode must be integers, got {bad!r}")):
+            table.mode_field((bad, 2))
+        want = table.mode_field((1, 2)).values
+        assert table.mode_field((np.int64(1), np.uint8(2))).values.tobytes() == want.tobytes()
 
     def test_strictly_inside_unit_interval(self, rng):
         for _ in range(20):
@@ -262,6 +282,58 @@ def _product_sine_matrix(N):
     """`_sine_matrix` as the expression it replaced: an integer outer product, then copies."""
     idx = np.arange(1, N)
     return np.sin(np.outer(idx, idx) * np.pi / N)
+
+
+def _tensordot_transform(arr, mats):
+    """`spectral._transform` as the expression it replaced: a tensordot, then a moveaxis, per
+    axis."""
+    out = arr
+    for k, S in enumerate(mats):
+        out = np.moveaxis(np.tensordot(S, out, axes=(1, k)), 0, k)
+    return out
+
+
+def _tensordot_analyze(a):
+    """`analyze`'s coefficients as the expressions they replaced: the transform of a copy of
+    the interior, times np.prod's norm."""
+    coeffs = _tensordot_transform(np.array(a.interior()), mode_table(a.domain).sine_matrices)
+    coeffs *= float(np.prod([2.0 / N for N in a.domain.extents]))
+    return coeffs
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    extents=st.lists(st.integers(2, 7), min_size=1, max_size=4),
+    scale=st.sampled_from([1e-300, 1.0, 1e300]),
+    specials=st.lists(st.sampled_from([np.inf, -np.inf, np.nan, 1.7e308]), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(extents=[40], scale=1.0, specials=[], seed=0)  # 1-D: a (39, 1) product
+@example(extents=[2], scale=1e-300, specials=[], seed=15)  # -0.0 from np.dot, +0.0 from S @ x
+@example(extents=[2, 5], scale=1.0, specials=[], seed=1)
+@example(extents=[3, 2, 4, 2], scale=1.0, specials=[np.nan], seed=2)
+@example(extents=[4, 3], scale=1e300, specials=[1.7e308, 1.7e308], seed=3)  # overflows to inf
+def test_transform_keeps_the_tensordot_bits(extents, scale, specials, seed):
+    # the same np.dot on the same bytes: every coefficient, synthesized state and non-finite
+    # value (the overflowing bound's path) is the tensordot expression's, bit for bit
+    rng = np.random.default_rng(seed)
+    d = BoxDomain(tuple(extents))
+    interior = rng.standard_normal(d.interior_shape) * scale
+    interior.flat[rng.integers(0, interior.size, len(specials))] = specials
+    a = Field.from_interior(d, interior)
+    mats = mode_table(d).sine_matrices
+    with np.errstate(all="ignore"):
+        assert _same_bits(spectral._transform(a.interior(), mats),
+                          _tensordot_transform(np.array(a.interior()), mats))
+        B = analyze(a)
+        assert _same_bits(B.coeffs, _tensordot_analyze(a))
+        for s in (0, 1, 2, 7):
+            want = _tensordot_transform(B.coeffs * mode_table(d).eigenvalues**s, mats)
+            assert _same_bits(synthesize(B, s).interior(), want), s
 
 
 def _meshgrid_eigenvalues(domain):
