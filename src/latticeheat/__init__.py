@@ -15,7 +15,6 @@ from .evolution import (
     Params,
     Survived,
     simulate,
-    step_nonlinear,
 )
 from .majorant import (
     BoundReport,
@@ -35,7 +34,6 @@ from .spectral import (
     ModeTable,
     SpectralCoeffs,
     analyze,
-    apply_M,
     eigenvalue,
     mode_table,
     step_linear_direct,

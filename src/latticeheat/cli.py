@@ -51,14 +51,6 @@ def splitmix64_uniform(seed: int, count: int) -> np.ndarray:
 # field file format: extents plus flat values over all sites, lexicographic
 
 
-def write_field_json(path: Path, f: Field) -> None:
-    doc = {
-        "extents": list(f.domain.extents),
-        "values": [format(v, ".17g") for v in f.values.ravel()],
-    }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def _read_json(path: Path, key: str) -> dict:
     """The JSON object in the file at `path`; any fault is a ConfigError naming `key`."""
     try:
@@ -79,7 +71,7 @@ def read_field_json(path: Path) -> Field:
     values = field["values"]
     if len(values) != domain.n_sites:
         raise ConfigError(f"init.path: values: {domain.n_sites} sites, got {len(values)}")
-    # numbers, or write_field_json's strings: float() also reads bools, spaces, _ and other digits
+    # numbers, or ".17g" decimal strings: float() also reads bools, spaces, _ and other digits
     bad = [v for v in values if type(v) is bool or type(v) is str and not _LITERAL.fullmatch(v)]
     if bad:
         raise ConfigError(f"init.path: values: not a number: {bad[0]!r}")

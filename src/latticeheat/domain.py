@@ -54,11 +54,11 @@ class BoxDomain:
 
     @property
     def n_sites(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def n_interior(self) -> int:
-        return int(np.prod(self.interior_shape))
+        return math.prod(self.interior_shape)
 
     @property
     def core(self) -> tuple[slice, ...]:
@@ -104,9 +104,6 @@ class Field:
     def interior(self) -> np.ndarray:
         """View of the interior block."""
         return self.values[self.domain.core]
-
-    def max(self) -> float:
-        return float(self.values.max())
 
     def boundary_is_zero(self) -> bool:
         probe = self.values.copy()
@@ -195,8 +192,7 @@ def _face_weights(shape: tuple[int, ...]) -> np.ndarray:
 class _Stencil:
     """The mean of the 2d axis neighbors at each interior site of `values`, into `out`, both
     C-contiguous and full-shape, planned once as `calls`: (ufunc, args) pairs on views built
-    once, which callers splice into their own flat runs (calling the plan runs them alone);
-    each run reads `values` as it then is.
+    once, which callers splice into their own flat runs; each run reads `values` as it then is.
     The first axis's neighbor sums go into `out`'s span (`_span`), each later axis's onto them
     through `pairs` (neither may overlap `values`): one pass for the first axis, two for each
     other; the faces normal to axes 2..d, where the span holds wrapped sums, are set to +0.0.
@@ -234,7 +230,3 @@ class _Stencil:
         if not fold:
             calls += [(face.fill, (0.0,)) for face in _faces(out)]
         self.calls = tuple(calls)
-
-    def __call__(self) -> None:
-        for ufunc, args in self.calls:
-            ufunc(*args)

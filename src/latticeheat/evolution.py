@@ -293,18 +293,6 @@ class _Stepper:
         return self.f[self._rest].tobytes() == self._spare[self._rest].tobytes()
 
 
-def step_nonlinear(f: Field, p: Params, eps_blow: float = 0.0) -> Field | BlewUpAt:
-    """One nonlinear step, or the BlewUpAt(step=0, ...) that `simulate` reports.
-
-    Blow-up is declared where 1 - alpha*delta*g^alpha <= eps_blow (eps_blow >= 0; the default
-    0 is the exact sign test, as the update is undefined at equality), and at the first inf
-    site of an update that overflows, which `loop` finds at step 1, where an exit stops it.
-    """
-    stepper = _Stepper(f.domain, p, eps_blow)
-    _, stop = stepper.loop(stepper.load(f), 1, lambda s, *_: False if s else None)
-    return stop if isinstance(stop, BlewUpAt) else Field(f.domain, stepper.f)
-
-
 def simulate(a: Field, p: Params, max_steps: int, eps_blow: float = 0.0) -> BlowupReport:
     """Iterate the nonlinear update up to max_steps, watching for blow-up.
 

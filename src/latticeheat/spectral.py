@@ -19,11 +19,6 @@ import numpy as np
 from .domain import BoxDomain, Field, MultiIndex, _index, _span_buffers, _Stencil
 
 
-def apply_M(h: Field) -> Field:
-    """One step of the linear flow: neighbor average at interior sites, zero boundary."""
-    return step_linear_direct(h, 1)
-
-
 def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
     """(h^s, its flat span, m_s) for s = 0..S: the linear flow as C-contiguous full-shape
     arrays, each with the span `_span_buffers` hands out and its maximum; checks the data.

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import settings
 
 from latticeheat import BlewUpAt, BlowupReport, BoxDomain, Field, Survived
 from latticeheat.domain import _span
-from latticeheat.evolution import StepRecord, _check_solution_field
+from latticeheat.evolution import StepRecord, _check_solution_field, _Stepper
 
 # HYPOTHESIS_PROFILE=ci: no example database, so no stale local entry can
 # decide a run, and every failure prints its @reproduce_failure blob
@@ -51,6 +52,12 @@ def is_span_of(view, full):
     span = full.ravel()[_span(full)]
     return (view.ctypes.data, view.shape, view.strides) == (span.ctypes.data, span.shape,
                                                             span.strides)
+
+
+def run_plan(plan):
+    """Run a `_Stencil` plan's calls alone, in order, as a flow splices them into its run."""
+    for ufunc, args in plan.calls:
+        ufunc(*args)
 
 
 def plan_scale_and_fills(plan):
@@ -102,7 +109,7 @@ def reference_simulate(a, p, max_steps, eps_blow=0.0):
     for s in range(max_steps + 1):
         _check_solution_field(f)
         g = reference_neighbor_mean(f.values)
-        trace.append(StepRecord(max_f=f.max(), max_g=float(g.max())))
+        trace.append(StepRecord(max_f=float(f.values.max()), max_g=float(g.max())))
         denom = 1.0 - p.alpha * p.delta * np.power(g, p.alpha)
         bad = denom <= eps_blow
         if np.any(bad):
@@ -112,6 +119,25 @@ def reference_simulate(a, p, max_steps, eps_blow=0.0):
             nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)
         f = nxt
     return BlowupReport(outcome=Survived(steps=max_steps), trace=trace), f.values
+
+
+def step_nonlinear(f, p, eps_blow=0.0):
+    """One nonlinear step through `_Stepper.loop`, or the BlewUpAt(step=0, ...) that `simulate`
+    reports. Blow-up is declared where 1 - alpha*delta*g^alpha <= eps_blow, and at the first
+    inf site of an update that overflows, which `loop` finds at step 1, where an exit stops it."""
+    stepper = _Stepper(f.domain, p, eps_blow)
+    _, stop = stepper.loop(stepper.load(f), 1, lambda s, *_: False if s else None)
+    return stop if isinstance(stop, BlewUpAt) else Field(f.domain, stepper.f)
+
+
+def write_field_json(path, f):
+    """The field file the CLI's init.path reads: extents, and every site's value as a ".17g"
+    string, lexicographic."""
+    doc = {
+        "extents": list(f.domain.extents),
+        "values": [format(v, ".17g") for v in f.values.ravel()],
+    }
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def interior_sites(domain):

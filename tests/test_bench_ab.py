@@ -41,6 +41,13 @@ def test_bench_ab_writes_every_declared_metric(tmp_path):
             assert got[side]["iqr"] == 0
         assert got["head_wins"] in (0, 1)
         assert type(got["gain_rule"]) is bool and type(got["within_bound"]) is bool
+        if m["name"] == "peak_rss_mb":  # run.py prints no raw value for it
+            assert got["raw"] is None and got["raw_sign_differs"] is None
+            continue
+        for side in ("base", "head"):
+            [value] = got["raw"][side]["values"]
+            assert value > 0 and got["raw"][side]["median"] == value
+        assert type(got["raw"]["gain_rule"]) is bool and type(got["raw_sign_differs"]) is bool
     assert_refuses_rerun(command, path)
 
 
@@ -84,3 +91,30 @@ def test_compare_applies_the_gain_rule_and_the_bound():
     assert bench_ab._compare(base, [x * 0.8 for x in base], -1, 0.25)["within_bound"] is True
     assert bench_ab._compare(base, [x * 0.7 for x in base], -1, 0.25)["within_bound"] is False
     assert not bench_ab._compare(base, [x * 0.7 for x in base], -1, 0.25)["gain_rule"]
+
+
+def test_summary_compares_raw_values_beside_scaled_ones():
+    # the scaled values gain 5 on a base IQR of 4.5 in all 10 pairs, while the raw ones do not
+    # move: gain_rule holds on the scaled values only. On ops_per_s the raw values get worse
+    # as the scaled ones get better, which raw_sign_differs flags; peak_rss_mb has no raw value
+    benchmark = {"end_to_end": [{"name": "simulate_ms_p50", "better": "lower", "bound": 0.25},
+                                {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+                                {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
+
+    def run(i, shift):
+        return {"metrics": {"simulate_ms_p50": {"value": 10.0 + i - shift, "unit": "ms"},
+                            "ops_per_s": {"value": 100.0 + i + shift, "unit": "ops/s"},
+                            "peak_rss_mb": {"value": 40.0, "unit": "MiB"}},
+                "raw": {"simulate_ms_p50": 12.0 + i, "ops_per_s": 90.0 + i - shift / 5}}
+
+    runs = [{"first": "base", "base": run(i, 0), "head": run(i, 5)} for i in range(10)]
+    metrics = bench_ab._summary(benchmark, "certify-small", runs)["metrics"]
+    simulate, ops = metrics["simulate_ms_p50"], metrics["ops_per_s"]
+    assert simulate["gain_rule"] and simulate["head_wins"] == 10
+    assert simulate["raw"]["base"]["values"] == simulate["raw"]["head"]["values"]
+    assert not simulate["raw"]["gain_rule"] and simulate["raw"]["change"] == 0.0
+    assert simulate["raw_sign_differs"] is False
+    assert ops["gain_rule"] and not ops["raw"]["gain_rule"] and ops["raw"]["change"] < 0
+    assert ops["raw_sign_differs"] is True
+    rss = metrics["peak_rss_mb"]
+    assert rss["raw"] is None and rss["raw_sign_differs"] is None

@@ -36,9 +36,11 @@ def test_bench_ops_times_every_op(tmp_path):
         assert [got[k] for k in ("extents", "alpha", "steps")] == [
             op.config[k] for k in ("extents", "alpha", "steps")]
         for side in ("base", "head"):
-            values = got[side]["values"]
-            assert len(values) == 2 and all(t > 0 for t in values)
+            values, raw = got[side]["values"], got["raw"][side]["values"]
+            assert len(values) == len(raw) == 2 and all(t > 0 for t in values + raw)
             assert got[side]["q1"] <= got[side]["median"] <= got[side]["q3"]
+        assert type(got["raw"]["gain_rule"]) is bool and got["raw"]["within_bound"] is None
+        assert got["raw_sign_differs"] in (None, True, False)
         assert got["change"] == pytest.approx(got["head"]["median"] / got["base"]["median"] - 1)
         assert got["head_wins"] in (0, 1, 2)
     assert_refuses_rerun(command, path)

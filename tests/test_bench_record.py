@@ -42,6 +42,9 @@ def test_bench_record_writes_every_declared_metric(tmp_path, trace, kind):
     for m in declared:
         assert metrics[m["name"]]["unit"] == m["unit"], m["name"]
         assert isinstance(metrics[m["name"]]["value"], (int, float))
+    # the raw values of the notes: every end-to-end metric's but peak_rss_mb's; none traced
+    assert set(record["raw"]) == (set(metrics) - {"peak_rss_mb"} if trace == 0 else set())
+    assert all(value > 0 for value in record["raw"].values())
     assert_refuses_rerun(command, path)  # a second run of the same day, workload and seed
 
 

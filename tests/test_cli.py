@@ -31,11 +31,10 @@ from latticeheat.cli import (
     parse_config,
     read_field_json,
     splitmix64_uniform,
-    write_field_json,
 )
 from latticeheat.majorant import ComparisonFailure
 
-from conftest import reference_simulate, with_boundary
+from conftest import reference_simulate, with_boundary, write_field_json
 
 
 def base_config(**overrides):
@@ -771,3 +770,16 @@ class TestFileInit:
         assert code == EXIT_BLOWUP
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["outcome"]["s0"] == 1
+
+
+def test_public_names_are_pinned():
+    # a name leaves or joins the package's public API only by an edit of this set; the paper's
+    # objects (the linear flow, the majorant, the two regime bounds, the certificate and the
+    # threshold search, and simulate) are among them
+    assert set(latticeheat.__all__) == {
+        "BlewUpAt", "BlowupReport", "BoundReport", "BoxDomain", "ComparisonVerdict", "Field",
+        "MajorantTrace", "ModeTable", "Params", "SpectralCoeffs", "Survived", "ThresholdResult",
+        "analyze", "bound_alpha_gt_1", "bound_alpha_le_1", "compute_trace", "eigenvalue",
+        "find_threshold", "majorant_field", "mode_table", "regime_bound", "simulate",
+        "step_linear_direct", "synthesize", "tail_start", "verify_comparison",
+    }

@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 
 from latticeheat import BoxDomain, Field, Params
 from latticeheat.cli import (EXIT_ERROR, EXIT_OK, ConfigError, _check_data, _keyed, main,
-                             parse_config, write_field_json)
+                             parse_config)
 from latticeheat.evolution import _check_solution_field
 from latticeheat.majorant import _bracket_top
+
+from conftest import write_field_json
 
 COMMANDS = ("simulate", "verify", "bound", "threshold", "sweep")
 ARTIFACTS = {
@@ -310,6 +312,10 @@ REJECTED = [
     ("unallocatable-sites", COMMANDS, "delta_center", {"extents": [10**17]}, None, (), "extents"),
     ("too-many-sites", COMMANDS, "constant_interior", {"extents": [2] * 42}, None, (), "extents"),
     ("too-many-axes", COMMANDS, "constant_interior", {"extents": [2] * 65}, None, (), "extents"),
+    # (2^32 + 1)^2 sites, which np.prod wrapped mod 2^64 to 8589934593
+    ("sites-past-int64", COMMANDS, "file", {"extents": [2**32, 2**32]},
+     {"extents": [2**32, 2**32], "values": [0, 0, 0]}, (),
+     "init.path: values: 18446744082299486209 sites, got 3"),
 ]
 
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeheat import BoxDomain, Field, apply_M
+from latticeheat import BoxDomain, Field, step_linear_direct
 from latticeheat.domain import _face_weights, _span, _Stencil
 
 from conftest import (interior_sites, neighbor_average, plan_scale_and_fills, random_domain,
-                      random_field, reference_neighbor_mean, with_boundary)
+                      random_field, reference_neighbor_mean, run_plan, with_boundary)
 
 
 class TestBoxDomain:
@@ -29,6 +29,12 @@ class TestBoxDomain:
             BoxDomain((bad, 3))
         extents = BoxDomain((np.int64(4), np.uint8(3))).extents
         assert extents == (4, 3) and all(type(n) is int for n in extents)
+
+    def test_site_counts_are_exact_past_int64(self):
+        # np.prod wrapped mod 2^64: 8589934593 sites and -8589934591 interior ones
+        d = BoxDomain((2**32, 2**32))
+        assert d.n_sites == (2**32 + 1) ** 2 == 18446744082299486209
+        assert d.n_interior == (2**32 - 1) ** 2 == 18446744065119617025
 
     def test_interior_sites_1d_minimal(self):
         assert list(interior_sites(BoxDomain((2,)))) == [(1,)]
@@ -118,7 +124,7 @@ class TestNeighborAverage:
             d = random_domain(rng)
             f = Field(d, rng.uniform(-1, 1, size=d.shape))
             g, spare = np.zeros(d.shape), np.zeros(d.shape)
-            _Stencil(f.values + 0.0, g, spare.ravel()[_span(spare)])()
+            run_plan(_Stencil(f.values + 0.0, g, spare.ravel()[_span(spare)]))
             g = g[d.core]
             for n in interior_sites(d):
                 assert g[tuple(i - 1 for i in n)] == pytest.approx(neighbor_average(f, n), abs=1e-15)
@@ -154,16 +160,18 @@ def _assert_plus_zero_boundary(full):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_kernel_matches_frozen_reference(extents, special, scale, seed):
-    # apply_M, the flow's first step, takes the signed data as it is, with a -0.0 boundary
+    # step_linear_direct(h, 1), the flow's first step, takes the signed data as it is, with a
+    # -0.0 boundary
     rng = np.random.default_rng(seed)
     d = BoxDomain(tuple(extents))
     data = with_boundary(d, _special_values(rng, d.shape, special, scale)[d.core], -0.0)
     with np.errstate(all="ignore"):
         want = reference_neighbor_mean(data.values)
-        mean = apply_M(data).values
+        mean = step_linear_direct(data, 1).values
     _assert_same_means(mean[d.core], want)
     _assert_plus_zero_boundary(mean)
-    minus_zero = apply_M(with_boundary(d, np.full(d.interior_shape, -0.0), -0.0)).values
+    minus_zero = step_linear_direct(
+        with_boundary(d, np.full(d.interior_shape, -0.0), -0.0), 1).values
     assert not np.any(minus_zero.view(np.uint64))  # -0.0 on every site: +0.0 on every site
 
 
@@ -186,7 +194,7 @@ def test_plan_reuse_matches_frozen_reference(extents, special, scales, seed):
     for scale in scales:
         values[...] = _special_values(rng, shape, special, scale) + 0.0
         with np.errstate(all="ignore"):
-            plan()
+            run_plan(plan)
             want = reference_neighbor_mean(values)
         _assert_same_means(full[core], want)
         _assert_plus_zero_boundary(full)
@@ -222,8 +230,8 @@ def test_folded_plan_writes_the_fill_plans_bytes(dims, data, seed):
     assert len(plan_scale_and_fills(fills)[2]) == dims - 1
     for _ in range(3):
         values[...] = _fold_data(rng, domain)
-        fills()
-        folded()
+        run_plan(fills)
+        run_plan(folded)
         assert outs[0].tobytes() == outs[1].tobytes()
         inside = outs[1].ravel()[_span(values)]
         weights = _face_weights(shape)

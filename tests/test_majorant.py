@@ -16,7 +16,6 @@ from latticeheat import (
     Field,
     Params,
     Survived,
-    apply_M,
     bound_alpha_gt_1,
     bound_alpha_le_1,
     compute_trace,
@@ -26,7 +25,6 @@ from latticeheat import (
     regime_bound,
     simulate,
     step_linear_direct,
-    step_nonlinear,
     tail_start,
     verify_comparison,
 )
@@ -38,7 +36,8 @@ from latticeheat import spectral
 from latticeheat.spectral import _linear_flow
 
 from conftest import (is_span_of, mirrored, random_domain, random_field, reference_flow,
-                      reference_neighbor_mean, reference_simulate, with_boundary)
+                      reference_neighbor_mean, reference_simulate, step_nonlinear,
+                      with_boundary)
 
 SQ2 = np.sqrt(2) / 2
 
@@ -308,7 +307,7 @@ def test_minus_zero_data_matches_zero_start_reference(extents, alpha, amplitude,
     interior = rng.uniform(0.0, amplitude, d.interior_shape)
     interior[rng.random(d.interior_shape) < share] = -0.0
     a = with_boundary(d, interior, -0.0 if minus_boundary else 0.0)
-    mean = apply_M(a).values[d.core]
+    mean = step_linear_direct(a, 1).values[d.core]
     assert _bits(mean) == _bits(reference_neighbor_mean(a.values))
     m = []
     flows = zip(_linear_flow(a, S), reference_flow(d, a.values + 0.0, S), strict=True)
@@ -653,8 +652,9 @@ def test_probe_outcome_matches_simulate(extents, alpha, delta, eps_blow, kind, S
             top = profile.values.max()
             lams += [_certificate_edge(d, p, eps_blow, side) / top for side in (-1e-6, 1e-6)]
     lams += [1e-310 / profile.values.max(), 2.0**-1074, 0.0, -0.0]
-    with_blowup_exit = _Probe(profile, profile.max(), p, S, eps_blow, blowup_exit=True)
-    survival_only = _Probe(profile, profile.max(), p, S, eps_blow, blowup_exit=False)
+    peak = float(profile.values.max())
+    with_blowup_exit = _Probe(profile, peak, p, S, eps_blow, blowup_exit=True)
+    survival_only = _Probe(profile, peak, p, S, eps_blow, blowup_exit=False)
     assert not np.signbit(survival_only._unit).any()  # the stepper never meets -0.0
     for lam in lams:
         a = Field(d, profile.values * lam)
@@ -792,7 +792,7 @@ def test_one_check_and_symmetry_test_per_search(monkeypatch, tmp_path, extents, 
     cfg = cli.parse_config({"extents": list(extents), "alpha": 1.0, "delta": 1.0, "steps": 60,
                             "init": {"kind": "constant_interior"},
                             "sweep": {"alphas": [0.5, 1.0, 2.0], "amplitudes": [0.1, 0.5, 2.0]}})
-    assert cli.cmd_sweep(cfg, profile, profile.max(), tmp_path) == cli.EXIT_OK
+    assert cli.cmd_sweep(cfg, profile, float(profile.values.max()), tmp_path) == cli.EXIT_OK
     assert (tmp_path / "sweep.csv").read_text().count("\n") == 10
     assert (len(checks), len(tests)) == (1, 4)
 
@@ -906,7 +906,7 @@ def test_horizon_certificate_edge(monkeypatch, extents, kind, S, eps_blow):
     d = BoxDomain(extents)
     profile = _profile(kind, d, np.random.default_rng(0))
     p = Params(1.5, 1.0)
-    probe = _Probe(profile, profile.max(), p, S, eps_blow, blowup_exit=True)
+    probe = _Probe(profile, float(profile.values.max()), p, S, eps_blow, blowup_exit=True)
     inside = _horizon_edge(profile, p, S, eps_blow, -1e-6)
     assert probe(inside) is None and len(steps) == 0
     outside = _horizon_edge(profile, p, S, eps_blow, 1e-6)
@@ -1499,4 +1499,4 @@ def test_linear_flow_starts_at_its_own_copy(rng, extents):
         with pytest.raises(ValueError, match="nonzero boundary"):
             compute_trace(Field(d, edged), 1.0, S)
     with pytest.raises(ValueError, match="nonzero boundary"):
-        apply_M(Field(d, edged))
+        step_linear_direct(Field(d, edged), 1)

@@ -163,7 +163,8 @@ def test_stepper_f_span_is_the_span_of_f(extents):
     tiny = random_field(np.random.default_rng(0), d, amplitude=1e-12)
     stepper.load(tiny)
     f = stepper.f
-    assert stepper.step(tiny.max()) is False and stepper._copies.count(None) == 1  # a copy plan
+    # a copy plan
+    assert stepper.step(float(tiny.values.max())) is False and stepper._copies.count(None) == 1
     assert stepper.f is not f and spans_follow()
     s, stop = stepper.loop(stepper.load(Field.zeros(d)), 10)
     assert (s, stop) == (0, None) and spans_follow()  # the zero state rests after step 0

@@ -12,7 +12,6 @@ from latticeheat import (
     Field,
     SpectralCoeffs,
     analyze,
-    apply_M,
     compute_trace,
     eigenvalue,
     mode_table,
@@ -30,18 +29,18 @@ from conftest import interior_sites, random_domain, random_field
 class TestApplyM:
     def test_zero_field(self):
         d = BoxDomain((4,))
-        assert np.all(apply_M(Field.zeros(d)).values == 0)
+        assert np.all(step_linear_direct(Field.zeros(d), 1).values == 0)
 
     def test_hand_stencil(self):
         d = BoxDomain((4,))
-        out = apply_M(Field(d, [0, 1, 0, 0, 0]))
+        out = step_linear_direct(Field(d, [0, 1, 0, 0, 0]), 1)
         np.testing.assert_allclose(out.values, [0, 0, 0.5, 0, 0])
 
     def test_sine_mode_is_eigenvector(self):
         d = BoxDomain((4,))
         h = Field(d, np.sin(np.pi * np.arange(5) / 4))
         h.values[[0, 4]] = 0.0
-        out = apply_M(h)
+        out = step_linear_direct(h, 1)
         np.testing.assert_allclose(
             out.values, np.cos(np.pi / 4) * h.values, atol=1e-15
         )
@@ -49,13 +48,13 @@ class TestApplyM:
     def test_rejects_nonzero_boundary(self):
         d = BoxDomain((4,))
         with pytest.raises(ValueError):
-            apply_M(Field(d, [1, 0, 0, 0, 0]))
+            step_linear_direct(Field(d, [1, 0, 0, 0, 0]), 1)
 
     def test_max_norm_nonexpansive(self, rng):
         for _ in range(20):
             d = random_domain(rng)
             h = random_field(rng, d)
-            assert np.abs(apply_M(h).values).max() <= np.abs(h.values).max() + 1e-15
+            assert np.abs(step_linear_direct(h, 1).values).max() <= np.abs(h.values).max() + 1e-15
 
 
 class TestEigenvalue:
@@ -106,7 +105,7 @@ class TestEigenvalue:
             table = mode_table(d)
             for mode in interior_sites(d):
                 h = table.mode_field(mode)
-                out = apply_M(h)
+                out = step_linear_direct(h, 1)
                 np.testing.assert_allclose(
                     out.values,
                     eigenvalue(d, mode) * h.values,
@@ -187,7 +186,7 @@ class TestAnalyzeSynthesize:
             B = SpectralCoeffs(d, rng.uniform(-1, 1, size=d.interior_shape))
             np.testing.assert_allclose(
                 synthesize(B, 1).values,
-                apply_M(synthesize(B, 0)).values,
+                step_linear_direct(synthesize(B, 0), 1).values,
                 rtol=0,
                 atol=1e-12,
             )

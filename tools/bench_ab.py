@@ -17,7 +17,12 @@ relative change of the medians, the pairs the head won, whether the medians
 differ by more than the base's IQR, whether the head meets the gain rule (better
 in at least 9/10 of the pairs, and its median better by more than the base's
 IQR) and whether its median is within the metric's BENCHMARK.json `bound` of the
-base's. The clones are removed afterwards. It edits nothing under perfbench/.
+base's. run.py scales each time by a calibration loop that runs in its own
+process; the same comparison of the raw values, which run.py prints beside the
+scaled ones, is the metric's `raw` block (null for peak_rss_mb, which has no raw
+value), and `raw_sign_differs` flags a metric whose raw and scaled medians moved
+in opposite directions. A gain is claimed only where `gain_rule` holds on both.
+The clones are removed afterwards. It edits nothing under perfbench/.
 
 --control makes the batch an A/A control: both clones are of REF, and the head's
 gets CONTROL_COMMENT appended to CONTROL_FILE, which moves source bytes and no
@@ -96,16 +101,29 @@ def _compare(base: list[float], head: list[float], sign: int, bound: float | Non
             "within_bound": None if bound is None else worse <= bound * abs(b["median"])}
 
 
+def _with_raw(scaled: dict, raw: dict | None) -> dict:
+    """A `_compare` of scaled values, with that of the raw ones as `raw` (None without them)
+    and `raw_sign_differs`: whether the two changes of the medians have opposite signs."""
+    differs = None
+    if raw is not None and None not in (scaled["change"], raw["change"]):
+        differs = scaled["change"] * raw["change"] < 0
+    return {**scaled, "raw": raw, "raw_sign_differs": differs}
+
+
 def _summary(benchmark: dict, workload: str, runs: list[dict]) -> dict:
-    """Per end-to-end metric: its unit, which way is better, and the two sides `_compare`d
-    against its bound."""
+    """Per end-to-end metric: its unit, which way is better, and the two sides' scaled and raw
+    values `_compare`d against its bound."""
     metrics = {}
     for m in benchmark["end_to_end"]:
-        name, better = m["name"], m["better"]
+        name, better, sign = m["name"], m["better"], 1 if m["better"] == "lower" else -1
         base = [run["base"]["metrics"][name]["value"] for run in runs]
         head = [run["head"]["metrics"][name]["value"] for run in runs]
+        raw = None
+        if name in runs[0]["base"]["raw"]:
+            raw = _compare([run["base"]["raw"][name] for run in runs],
+                           [run["head"]["raw"][name] for run in runs], sign, m["bound"])
         metrics[name] = {"unit": runs[0]["base"]["metrics"][name]["unit"], "better": better,
-                         **_compare(base, head, 1 if better == "lower" else -1, m["bound"])}
+                         **_with_raw(_compare(base, head, sign, m["bound"]), raw)}
     return {"metrics": metrics}
 
 

@@ -11,16 +11,17 @@ one that BENCHMARK.json lists) runs `--pairs` pairs of child processes, the
 base first in even pairs and the head first in odd ones. Each child imports its
 clone's `perfbench/run.py` and runs that workload's op plan through perfbench's
 `Runner`, untraced, for as many passes as `run.py --seconds S` makes, with a
-calibration loop before every op, and reports each op's median scaled time over
-its passes. It writes OUT/OPS_<yyyy-mm-dd>_<workload>_s<seed>.json (the batch's
+calibration loop before every op, and reports each op's median scaled and raw
+times over its passes. It writes OUT/OPS_<yyyy-mm-dd>_<workload>_s<seed>.json (the batch's
 start date in UTC; OUT defaults to bench/<first 12 digits of HEAD's SHA>) and
 stops before any run if one of those files exists: an earlier batch is
 evidence, never overwritten. Per op that file holds its command, extents, alpha
 and steps, both sides' scaled times in ms with their medians and quartiles, the
 relative change of the medians, the pairs the head won, whether the medians
 differ by more than the base's IQR and whether the head meets the gain rule
-(`bench_ab._compare`; an op has no bound, so its `within_bound` is null). It
-edits nothing under perfbench/.
+(`bench_ab._compare`; an op has no bound, so its `within_bound` is null), and
+the same for its raw times as `raw`, with `raw_sign_differs`
+(`bench_ab._with_raw`). It edits nothing under perfbench/.
 --control times REF against REF with `bench_ab.py`'s control comment, into OUT/aa/.
 """
 
@@ -93,6 +94,7 @@ def _child(args) -> dict:
         "ops": [{"command": op.command, **{key: op.config[key] for key in _OP_KEYS}}
                 for op in runner.ops],
         "scaled_ms": [t * 1e3 for t in run._per_op(runner.scaled_times)],
+        "raw_ms": [t * 1e3 for t in run._per_op(runner.raw_times)],
         "passes": passes, "calibration_ms": statistics.median(calib.samples),
         "artifacts_sha256": runner.workload_sha256, "attempted": runner.attempted,
         "failed": runner.failed, "failures": runner.failures,
@@ -107,14 +109,18 @@ def _time(clone: Path, workload: str, args) -> dict:
 
 
 def _ops(benchmark: dict, workload: str, runs: list[dict]) -> dict:
-    """Per op: what it runs and both sides' times, `bench_ab._compare`d; both ran one plan."""
-    from bench_ab import SIDES, _compare
+    """Per op: what it runs and both sides' scaled and raw times, `bench_ab._compare`d; both
+    ran one plan."""
+    from bench_ab import SIDES, _compare, _with_raw
 
     if any(run[side]["ops"] != runs[0]["base"]["ops"] for run in runs for side in SIDES):
         raise SystemExit(f"error: {workload}: the two sides ran different op plans")
+
+    def compared(key, i):
+        return _compare(*([run[side][key][i] for run in runs] for side in SIDES), 1)
+
     return {"passes": runs[0]["base"]["passes"], "unit": "ms", "ops": [
-        {"op": i, **op, **_compare([run["base"]["scaled_ms"][i] for run in runs],
-                                   [run["head"]["scaled_ms"][i] for run in runs], 1)}
+        {"op": i, **op, **_with_raw(compared("scaled_ms", i), compared("raw_ms", i))}
         for i, op in enumerate(runs[0]["base"]["ops"])]}
 
 

@@ -5,13 +5,16 @@
 
 For each workload (default: every one that BENCHMARK.json lists) it runs the
 checkout's `perfbench/run.py` as a child process, from the checkout's root,
-and keeps the final JSON line and the `calibration_ms` and `artifacts_sha256`
-lines. It writes OUT/BENCH_<yyyy-mm-dd>_<workload>_s<seed>.json (the start
-date in UTC) with the checkout's git SHA and whether its tree is dirty (a
-tracked file differs from the commit; untracked files, such as the A/B batches
-under bench/, do not count), the Python and numpy versions, the CPU count and
-every metric, and stops before any run if one of those files exists: an
-earlier record is never overwritten.
+and keeps the final JSON line, the `calibration_ms` and `artifacts_sha256`
+lines, and as `raw` each metric's value before the calibration's scaling,
+which run.py prints in the metric line's note ("raw <value> <unit>", to 4
+significant digits; untraced runs only, and none for peak_rss_mb). It writes
+OUT/BENCH_<yyyy-mm-dd>_<workload>_s<seed>.json (the start date in UTC) with
+the checkout's git SHA and whether its tree is dirty (a tracked file differs
+from the commit; untracked files, such as the A/B batches under bench/, do not
+count), the Python and numpy versions, the CPU count and every metric, and
+stops before any run if one of those files exists: an earlier record is never
+overwritten.
 The checkout defaults to the one that holds this script, and OUT to
 bench/<first 12 digits of its SHA> there, so a base and a head run of one day
 do not overwrite each other. It edits nothing under perfbench/.
@@ -24,6 +27,7 @@ import datetime
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +37,7 @@ import numpy as np
 from bench_ops import _checked
 
 ROOT = Path(__file__).resolve().parent.parent
+_RAW = re.compile(r"(\S+) .*; raw (\S+) \S+\)")  # a metric line; its note ends "raw <value> <unit>"
 
 
 def _parse_args(argv):
@@ -59,14 +64,16 @@ def _dirty(checkout: Path) -> bool | None:
 
 
 def _run(checkout: Path, workload: str, args) -> dict:
-    """One perfbench run: its result line, plus the calibration and artifact digest lines."""
+    """One perfbench run: its result line, plus the calibration and artifact digest lines and
+    the raw values in the metric lines' notes."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
                str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
     command += ["--smoke"] if args.smoke else []
     lines = _checked(command, checkout)
     fields = {line.split()[0]: line.split()[1] for line in lines[:-1] if len(line.split()) > 1}
+    raw = {m[1]: float(m[2]) for m in map(_RAW.fullmatch, lines[:-1]) if m}
     return {"command": command[1:], "calibration_ms": float(fields["calibration_ms"]),
-            "artifacts_sha256": fields["artifacts_sha256"], **json.loads(lines[-1])}
+            "artifacts_sha256": fields["artifacts_sha256"], "raw": raw, **json.loads(lines[-1])}
 
 
 def _batch(out: Path, kind: str, workloads: list[str], seed: int) -> tuple[str, dict]:
