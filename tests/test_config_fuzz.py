@@ -312,7 +312,7 @@ REJECTED = [
     ("unallocatable-sites", COMMANDS, "delta_center", {"extents": [10**17]}, None, (), "extents"),
     ("too-many-sites", COMMANDS, "constant_interior", {"extents": [2] * 42}, None, (), "extents"),
     ("too-many-axes", COMMANDS, "constant_interior", {"extents": [2] * 65}, None, (), "extents"),
-    # (2^32 + 1)^2 sites, which np.prod wrapped mod 2^64 to 8589934593
+    # (2^32 + 1)^2 sites, past int64, where a product in int64 wraps to 8589934593
     ("sites-past-int64", COMMANDS, "file", {"extents": [2**32, 2**32]},
      {"extents": [2**32, 2**32], "values": [0, 0, 0]}, (),
      "init.path: values: 18446744082299486209 sites, got 3"),

@@ -31,7 +31,7 @@ class TestBoxDomain:
         assert extents == (4, 3) and all(type(n) is int for n in extents)
 
     def test_site_counts_are_exact_past_int64(self):
-        # np.prod wrapped mod 2^64: 8589934593 sites and -8589934591 interior ones
+        # past int64: a product in int64 wraps to 8589934593 sites and -8589934591 interior ones
         d = BoxDomain((2**32, 2**32))
         assert d.n_sites == (2**32 + 1) ** 2 == 18446744082299486209
         assert d.n_interior == (2**32 - 1) ** 2 == 18446744065119617025
