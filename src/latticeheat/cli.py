@@ -204,7 +204,7 @@ def build_profile(cfg: SimpleNamespace) -> Field:
     domain = BoxDomain(cfg.extents)
     kind = cfg.init["kind"]
     if kind == "delta_center":
-        f = Field.zeros(domain)
+        f = Field(domain, np.zeros(domain.shape))
         center = tuple(n // 2 for n in domain.extents)
         f.values[center] = 1.0
         return f
@@ -450,8 +450,8 @@ def main(argv: list[str] | None = None) -> int:
         # only once every input has passed; a path with a NUL byte is a ValueError
         _keyed("--out: ", lambda: args.out.mkdir(parents=True, exist_ok=True))
         return _COMMANDS[args.command](cfg, profile, peak, args.out)
-    except (ConfigError, OSError) as e:  # OSError: writing the artifacts
-        print(f"error: {e}", file=sys.stderr)
+    except (ConfigError, OSError, MemoryError) as e:  # OSError: writing the artifacts
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

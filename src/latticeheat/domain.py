@@ -86,10 +86,6 @@ class Field:
         self.values = values
 
     @classmethod
-    def zeros(cls, domain: BoxDomain) -> "Field":
-        return cls(domain, np.zeros(domain.shape))
-
-    @classmethod
     def from_interior(cls, domain: BoxDomain, interior) -> "Field":
         """Build a zero-boundary field from interior values."""
         interior = np.asarray(interior, dtype=float)
@@ -189,10 +185,11 @@ def _face_weights(shape: tuple[int, ...]) -> np.ndarray:
     return span
 
 
-class _Stencil:
+def _stencil(values: np.ndarray, out: np.ndarray, pairs: np.ndarray, nonnegative: bool = False,
+             mirror: tuple[int, ...] = ()) -> tuple:
     """The mean of the 2d axis neighbors at each interior site of `values`, into `out`, both
-    C-contiguous and full-shape, planned once as `calls`: (ufunc, args) pairs on views built
-    once, which callers splice into their own flat runs; each run reads `values` as it then is.
+    C-contiguous and full-shape, planned once as (ufunc, args) pairs on views built once,
+    which callers splice into their own flat runs; each run reads `values` as it then is.
     The first axis's neighbor sums go into `out`'s span (`_span`), each later axis's onto them
     through `pairs` (neither may overlap `values`): one pass for the first axis, two for each
     other; the faces normal to axes 2..d, where the span holds wrapped sums, are set to +0.0.
@@ -206,27 +203,21 @@ class _Stencil:
     interior site adds the doubles of the whole box's site in its order. Such a plan fills its
     faces, as a ghost face's wrapped sum holds more than one source value, which could overflow.
     """
-
-    __slots__ = ("calls",)
-
-    def __init__(self, values: np.ndarray, out: np.ndarray, pairs: np.ndarray,
-                 nonnegative: bool = False, mirror: tuple[int, ...] = ()) -> None:
-        span, flat, size = _span(values), values.ravel(), values.itemsize
-        lo, hi, acc = span.start, span.stop, out.ravel()[span]
-        # 1/2d is exact for d = 1, 2, 4, so x * (1/2d) rounds the real x/2d as x / 2d does
-        two_d = 2 * values.ndim
-        fold = nonnegative and not mirror and two_d & (two_d - 1) != 0
-        scale_by, scale = ((np.multiply, np.array(1.0 / two_d)) if two_d & (two_d - 1) == 0 else
-                           (np.divide, _face_weights(values.shape) if fold else
-                            np.array(float(two_d))))
-        # outputs by position and scalars as 0-d arrays, as either costs numpy less per call
-        calls = [(np.copyto, planes) for planes in _ghost_planes(values, mirror)] if mirror else []
-        for axis, stride in enumerate(values.strides):
-            k = stride // size
-            plus, minus = flat[lo + k:hi + k], flat[lo - k:hi - k]
-            calls += ([(np.add, (plus, minus, acc))] if axis == 0 else
-                      [(np.add, (plus, minus, pairs)), (np.add, (acc, pairs, acc))])
-        calls.append((scale_by, (acc, scale, acc)))
-        if not fold:
-            calls += [(face.fill, (0.0,)) for face in _faces(out)]
-        self.calls = tuple(calls)
+    span, flat, size = _span(values), values.ravel(), values.itemsize
+    lo, hi, acc = span.start, span.stop, out.ravel()[span]
+    # 1/2d is exact for d = 1, 2, 4, so x * (1/2d) rounds the real x/2d as x / 2d does
+    two_d = 2 * values.ndim
+    fold = nonnegative and not mirror and two_d & (two_d - 1) != 0
+    scale_by, scale = ((np.multiply, np.array(1.0 / two_d)) if two_d & (two_d - 1) == 0 else
+                       (np.divide, _face_weights(values.shape) if fold else np.array(float(two_d))))
+    # outputs by position and scalars as 0-d arrays, as either costs numpy less per call
+    calls = [(np.copyto, planes) for planes in _ghost_planes(values, mirror)] if mirror else []
+    for axis, stride in enumerate(values.strides):
+        k = stride // size
+        plus, minus = flat[lo + k:hi + k], flat[lo - k:hi - k]
+        calls += ([(np.add, (plus, minus, acc))] if axis == 0 else
+                  [(np.add, (plus, minus, pairs)), (np.add, (acc, pairs, acc))])
+    calls.append((scale_by, (acc, scale, acc)))
+    if not fold:
+        calls += [(face.fill, (0.0,)) for face in _faces(out)]
+    return tuple(calls)

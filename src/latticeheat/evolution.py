@@ -16,7 +16,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, _orthant, _span_buffers, _Stencil
+from .domain import BoxDomain, Field, MultiIndex, _orthant, _span_buffers, _stencil
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class _Stepper:
     A `mirror` stepper runs data that equals its mirror image along every axis (the caller
     tests it, `domain._mirror_symmetric`) on the `_orthant` of the domain: the update keeps
     that symmetry bit for bit, as a site and its mirror image add the same doubles in mirrored
-    order and IEEE addition commutes. Its plans (`_Stencil`'s `mirror`) refresh the ghost
+    order and IEEE addition commutes. Its plans (`_stencil`'s `mirror`) refresh the ghost
     planes from their mirror planes, so each interior site reads the doubles of the whole box's
     site, in its order, and steps, stops, blow-up and overflow sites, g values and records are
     the whole box's: the extrema of a symmetric state are its orthant's, and its
@@ -175,7 +175,7 @@ class _Stepper:
         calls, roots = tuple(calls), () if root is None else ((root, (out, *exponents[1], out)),)
         # per parity of the state, the full step's two flat runs: f's plan into g, then denom;
         # then denom's root, and g over it into the spare
-        self._phases = [(_Stencil(v, g, *self._plan).calls + calls,
+        self._phases = [(_stencil(v, g, *self._plan) + calls,
                          roots + ((np.divide, (self._g_span, out, spare)),))
                         for v, spare in ((self.f, self._spare_span), (self._spare, self.f_span))]
         # at exact powers: denom and its root at one g, as the calls form them; 1.0 * x is x, so
@@ -244,7 +244,7 @@ class _Stepper:
         worst -inf, f' = g over a positive root) or -0.0 (the kernels add 0.0 to the data).
         `max_f` is at least f's maximum; at or below `_copy_below` the update is g
         itself, which the mean writes straight into the new state, leaving g stale.
-        f must be finite and >= +0.0, as the plans fold the faces (`_Stencil`'s `nonnegative`):
+        f must be finite and >= +0.0, as the plans fold the faces (`_stencil`'s `nonnegative`):
         `load`, or a probe's caller, checks the data; `loop` stops at a non-finite `max_f` first.
         """
         if max_f <= self._copy_below:
@@ -252,7 +252,7 @@ class _Stepper:
             # alpha*delta*g^alpha < 2^-54; 1 minus it rounds to 1.0, 1.0^(1/alpha) is 1.0, g/1.0 is
             # g, and 1.0 > eps_blow, so no site blows up. The plan into the spare writes g's bits.
             if self._copies[0] is None:
-                self._copies[0] = _Stencil(self.f, self._spare, *self._plan).calls
+                self._copies[0] = _stencil(self.f, self._spare, *self._plan)
             for ufunc, args in self._copies[0]:
                 ufunc(*args)
             self.max_g = self.max_f = self._spare_span.item(self._spare_span.argmax())
@@ -308,6 +308,8 @@ def simulate(a: Field, p: Params, max_steps: int, eps_blow: float = 0.0) -> Blow
     s, stop = stepper.loop(stepper.load(a), max_steps)
     if stop is not None:
         return BlowupReport(stop, stepper.trace)
-    # at rest after step s the state and g repeat, so the record does; at the horizon s = max_steps
-    stepper.trace += [StepRecord(max_f=stepper.max_f, max_g=stepper.max_g)] * (max_steps - s)
+    try:  # at rest after step s, the state, g and record repeat; at the horizon s = max_steps
+        stepper.trace += [StepRecord(max_f=stepper.max_f, max_g=stepper.max_g)] * (max_steps - s)
+    except MemoryError:  # a list repeat's MemoryError has no message
+        raise MemoryError(f"steps: no memory for a trace of {max_steps + 1} records") from None
     return BlowupReport(outcome=Survived(steps=max_steps), trace=stepper.trace)

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .domain import BoxDomain, Field, MultiIndex, _index, _span_buffers, _Stencil
+from .domain import BoxDomain, Field, MultiIndex, _index, _span_buffers, _stencil
 
 
 def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
@@ -26,7 +26,7 @@ def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, np.ndarray, flo
     h^s is row s mod k of k kernel buffers, k = max(2, min(16, (S + 1) // 32, 2^15 // sites)):
     a ring of 16 rows pays for its plans only over long horizons on small arrays. h^0 is
     `a.values + 0.0` (-0.0 made +0.0), copied whole; the boundary is checked at every S. The
-    steps run each row's `_Stencil` plan into the next row, built at its first use; only
+    steps run each row's `_stencil` plan into the next row, built at its first use; only
     signed data's means can bring -0.0 back, and only as zeros' signs. The flow fills a block
     of k rows as one flat run of the steps' calls, built once per block shape (the first, a
     full later one and a short last one), takes their maxima in one reduce over the block's
@@ -40,17 +40,17 @@ def _linear_flow(a: Field, S: int) -> Iterator[tuple[np.ndarray, np.ndarray, flo
     k = max(2, min(16, (S + 1) // 32, 2**15 // a.values.size))
     (*rows, _), spans = _span_buffers(a.domain.shape, k + 1)
     *row_spans, pairs = spans  # the spare's span takes the plans' neighbor sums
-    # plans fold their faces (_Stencil's `nonnegative`) on finite data >= +0.0 up to max / 4d,
+    # plans fold their faces (_stencil's `nonnegative`) on finite data >= +0.0 up to max / 4d,
     # whose sums stay finite: a mean exceeds the data's maximum by a few ulps a step at most
     folds = 0 <= a.values.min() and a.values.max() <= np.finfo(float).max / (4 * a.domain.dims)
     # a block's steps write rows 0, 1, ...: the first block's first is the copy of the data,
     # each later block's is the plan of row k - 1 into row 0, built when the second block starts
     steps = [((np.add, (a.values, 0.0, rows[0])),)]
-    steps += [_Stencil(rows[i], rows[i + 1], pairs, folds).calls for i in range(min(S, k - 1))]
+    steps += [_stencil(rows[i], rows[i + 1], pairs, folds) for i in range(min(S, k - 1))]
     for start in range(0, S + 1, k):  # the block h^start..h^(start + n - 1)
         n = min(k, S + 1 - start)
         if start == k:
-            steps[0] = _Stencil(rows[-1], rows[0], pairs, folds).calls
+            steps[0] = _stencil(rows[-1], rows[0], pairs, folds)
         if start <= k or n < k:
             block = sum(steps[:n], ())
         for ufunc, args in block:

@@ -55,16 +55,16 @@ def is_span_of(view, full):
 
 
 def run_plan(plan):
-    """Run a `_Stencil` plan's calls alone, in order, as a flow splices them into its run."""
-    for ufunc, args in plan.calls:
+    """Run a `_stencil` plan's calls alone, in order, as a flow splices them into its run."""
+    for ufunc, args in plan:
         ufunc(*args)
 
 
 def plan_scale_and_fills(plan):
-    """A `_Stencil` plan's scale, read off its `calls`: the ufunc and the scalar (or span) that
+    """A `_stencil` plan's scale, read off its calls: the ufunc and the scalar (or span) that
     scale the sums, and the face views that its fill calls set to +0.0."""
-    [(scale_by, (_, scale, _))] = [c for c in plan.calls if c[0] in (np.multiply, np.divide)]
-    return scale_by, scale, [fn.__self__ for fn, _ in plan.calls if fn.__name__ == "fill"]
+    [(scale_by, (_, scale, _))] = [c for c in plan if c[0] in (np.multiply, np.divide)]
+    return scale_by, scale, [fn.__self__ for fn, _ in plan if fn.__name__ == "fill"]
 
 
 def reference_neighbor_mean(values):
@@ -114,7 +114,7 @@ def reference_simulate(a, p, max_steps, eps_blow=0.0):
         bad = denom <= eps_blow
         if np.any(bad):
             return BlowupReport(outcome=reference_offender(s, bad, g), trace=trace), f.values
-        nxt = Field.zeros(f.domain)
+        nxt = Field(f.domain, np.zeros(f.domain.shape))
         with np.errstate(divide="ignore", over="ignore"):  # an inf fails the next check
             nxt.interior()[...] = g / np.power(denom, 1.0 / p.alpha)
         f = nxt

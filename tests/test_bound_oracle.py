@@ -1,0 +1,90 @@
+"""The alpha <= 1 regime bound against its series summed over exact eigenvalues at 40 digits.
+
+`bound_alpha_le_1(1.0, table, alpha)` is the series sum over modes m of 1/(1 - |lambda_m|^alpha),
+on the table's rounded eigenvalues lambda_m = (1/d) sum_k cos(m_k pi/N_k). Here the same series
+is summed in mpmath over the exact eigenvalues, on every box with d = 1..3 and extents 2..6
+(155 boxes) at four alphas. A mode whose cosines cancel has lambda_m exactly 0, which the table
+stores as a rounded residue of about 6e-17; raised to a small alpha, the residue inflates its term
+(ROADMAP item 7). The float series may lie above the exact one there, and never below it.
+"""
+
+import functools
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from latticeheat import BoxDomain, bound_alpha_le_1, mode_table
+
+mpmath = pytest.importorskip("mpmath")
+
+_ALPHAS = (0.01, 0.1, 0.5, 1.0)
+_BOXES = [extents for d in (1, 2, 3) for extents in itertools.product(range(2, 7), repeat=d)]
+_EPS = np.finfo(float).eps
+# |c - |lambda|| for a table entry c, a priori: each cosine's argument m*pi/N is two roundings
+# of the real one (np.pi among them), under 3 eps relative of at most pi, so under 10 eps; np.cos
+# is within 4 ulps of 1; the sum over d axes and its division by d add 2 eps at most
+_DELTA = 16 * _EPS
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_eigenvalue(fractions: tuple) -> mpmath.mpf:
+    """|lambda_m| at 40 digits for the sorted (m_k, N_k), 0 where the cosines cancel: a real
+    cancellation leaves a residue under 1e-38, and no other eigenvalue here lies below 0.019."""
+    with mpmath.workdps(40):
+        lam = abs(mpmath.fsum(mpmath.cos(m * mpmath.pi / n) for m, n in fractions))
+        return lam / len(fractions) if lam > mpmath.mpf(10) ** -30 else mpmath.mpf(0)
+
+
+@functools.lru_cache(maxsize=None)
+def _cases() -> list:
+    """(extents, alpha, float series, its error over the exact one, tolerance, whether some
+    lambda_m is 0).
+
+    The tolerance bounds the float series' distance from the exact one to first order in eps,
+    doubled for the higher orders, leaving out how far a zero eigenvalue's term lies above 1.
+    With x = |lambda|^alpha and t = 1/(1 - x), c^alpha is within alpha*DELTA/|lambda| + 2 eps of
+    x relatively (np.power within 2 ulps), which moves t by x/(1 - x) times that, relatively;
+    1 - x and its reciprocal add 2 eps. A zero eigenvalue's term is 1 exactly, and its float
+    term 1/(1 - c^alpha) is at least 1, so it adds nothing below. Summing n float terms in any
+    order adds (n - 1) eps times their sum (Higham 2002, section 4.2).
+    """
+    cases = []
+    for extents in _BOXES:
+        table = mode_table(BoxDomain(extents))
+        modes = itertools.product(*(range(1, n) for n in extents))
+        lams = [_exact_eigenvalue(tuple(sorted(zip(m, extents)))) for m in modes]
+        lam = np.array(lams, dtype=float)
+        nonzero = lam > 0
+        for alpha in _ALPHAS:
+            got = bound_alpha_le_1(1.0, table, alpha).bound_value
+            with mpmath.workdps(40):
+                exact = mpmath.fsum(1 / (1 - v ** mpmath.mpf(alpha)) for v in lams)
+                error = float(mpmath.mpf(got) - exact)  # got is a double, so exact in mpf
+            x = lam[nonzero] ** alpha
+            t = 1.0 / (1.0 - x)
+            per_term = t * (x / (1.0 - x) * (alpha * _DELTA / lam[nonzero] + 2 * _EPS) + 2 * _EPS)
+            tol = 2 * (per_term.sum() + (lam.size - 1) * _EPS * got)
+            cases.append((extents, alpha, got, error, tol, not nonzero.all()))
+    return cases
+
+
+def test_the_oracle_covers_every_box_and_both_kinds():
+    cases = _cases()
+    assert len(cases) == 155 * len(_ALPHAS) == 620
+    zero_boxes = {extents for extents, *_, zero in cases if zero}
+    assert (2, 2) in zero_boxes and (4, 6) in zero_boxes and (3, 5) not in zero_boxes
+    assert 0 < len(zero_boxes) < len(_BOXES)
+
+
+def test_the_float_series_never_lies_below_the_exact_one():
+    # rounding moves each nonzero eigenvalue's term either way; a zero eigenvalue's only up
+    for extents, alpha, got, error, tol, _ in _cases():
+        assert math.isfinite(got) and error >= -tol, (extents, alpha, got, error, tol)
+
+
+def test_the_float_series_equals_the_exact_one_without_zero_eigenvalues():
+    for extents, alpha, got, error, tol, zero in _cases():
+        if not zero:
+            assert abs(error) <= tol, (extents, alpha, got, error, tol)

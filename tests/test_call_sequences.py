@@ -8,13 +8,12 @@ block, outside the tuple, and are not recorded.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from latticeheat import BoxDomain, Field, Params, evolution, spectral
-from latticeheat.domain import _mirror_symmetric, _Stencil
+from latticeheat.domain import _mirror_symmetric, _stencil
 from latticeheat.spectral import _linear_flow
 
 from conftest import random_field
@@ -34,7 +33,7 @@ def _recorded(calls, log):
 
 
 def _recording_stencil(log):
-    return lambda *args: SimpleNamespace(calls=_recorded(_Stencil(*args).calls, log))
+    return lambda *args: _recorded(_stencil(*args), log)
 
 
 class _Reads(np.ndarray):
@@ -71,7 +70,7 @@ def _step_calls(monkeypatch, extents, alpha, delta, level, mirror=False):
                "denom": stepper._denom_span}
     log = []
     stepper._phases = [tuple(_recorded(run, log) for run in phase) for phase in stepper._phases]
-    monkeypatch.setattr(evolution, "_Stencil", _recording_stencil(log))  # the copy plans
+    monkeypatch.setattr(evolution, "_stencil", _recording_stencil(log))  # the copy plans
     for name in ("f_span", "_spare_span", "_g_span", "_denom_span"):
         reads = getattr(stepper, name).view(_Reads)
         reads.log = log
@@ -142,7 +141,7 @@ def test_a_linear_flow_block_runs_its_calls_and_no_more(monkeypatch, extents):
     # S = 3 makes k = 2 rows, so the second block is the plans of h1 into h0 and of h0 into h1;
     # the data is finite and >= +0.0, so the 3-D plans divide by the face weights
     log = []
-    monkeypatch.setattr(spectral, "_Stencil", _recording_stencil(log))
+    monkeypatch.setattr(spectral, "_stencil", _recording_stencil(log))
     flow = _linear_flow(random_field(np.random.default_rng(0), BoxDomain(extents), 0.5), 3)
     (h0, *_), (h1, *_) = next(flow), next(flow)
     log.clear()

@@ -313,7 +313,8 @@ class TestSimulateCommand:
         doc = base_config(steps=steps, amplitude=0.0)
         cfg = write_config(tmp_path, doc)
         assert main_quiet(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        report = simulate(Field.zeros(BoxDomain(tuple(doc["extents"]))), Params(1.0, 1.0), steps)
+        d = BoxDomain(tuple(doc["extents"]))
+        report = simulate(Field(d, np.zeros(d.shape)), Params(1.0, 1.0), steps)
         assert len(report.trace) == steps + 1 and report.trace[1] is report.trace[-1]
         assert (tmp_path / "trajectory.csv").read_bytes() == _rowwise_trajectory(report)
 
@@ -463,6 +464,36 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         rows = list(csv.DictReader((tmp_path / "trajectory.csv").open()))
         assert len(rows) == 4
+
+
+    def test_trace_past_memory_names_steps(self, tmp_path, capsys):
+        # the run rests at step 1065; its 2^62 + 1 records would need 2^65 bytes of pointers, more
+        # than a size_t holds, so the list repeat refuses them before it allocates anything
+        doc = base_config(extents=[3, 3], steps=2**62, amplitude=0.001)
+        cfg = write_config(tmp_path, doc)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", str(cfg), "--out", out]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: steps: no memory for a trace of {2**62 + 1} records\n"
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+@pytest.mark.parametrize("why, line", [((), "error: out of memory\n"),
+                                       (("no room",), "error: no room\n")])
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, command, why, line):
+    # any command's MemoryError, with a message or with none, exits 1 with one line and no
+    # traceback
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(*why)
+
+    if command == "simulate":  # the library function the command calls
+        monkeypatch.setattr(cli, "simulate", out_of_memory)
+    else:
+        monkeypatch.setitem(cli._COMMANDS, command, out_of_memory)
+    sweep = {"alphas": [1.0], "amplitudes": [0.1]}
+    cfg = write_config(tmp_path, base_config(amplitude=0.1, sweep=sweep))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert capsys.readouterr().err == line
 
 
 class TestVerifyCommand:

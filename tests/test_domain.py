@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeheat import BoxDomain, Field, step_linear_direct
-from latticeheat.domain import _face_weights, _span, _Stencil
+from latticeheat.domain import _face_weights, _span, _stencil
 
 from conftest import (interior_sites, neighbor_average, plan_scale_and_fills, random_domain,
                       random_field, reference_neighbor_mean, run_plan, with_boundary)
@@ -88,7 +88,7 @@ class TestField:
 class TestNeighborAverage:
     def test_rejects_boundary_site(self):
         d = BoxDomain((4,))
-        f = Field.zeros(d)
+        f = Field(d, np.zeros(d.shape))
         with pytest.raises(ValueError):
             neighbor_average(f, (0,))
         with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ class TestNeighborAverage:
 
     def test_2d_isolated_interior(self):
         d = BoxDomain((2, 2))
-        f = Field.zeros(d)
+        f = Field(d, np.zeros(d.shape))
         f.values[1, 1] = 3.0
         assert neighbor_average(f, (1, 1)) == 0.0
 
@@ -124,7 +124,7 @@ class TestNeighborAverage:
             d = random_domain(rng)
             f = Field(d, rng.uniform(-1, 1, size=d.shape))
             g, spare = np.zeros(d.shape), np.zeros(d.shape)
-            run_plan(_Stencil(f.values + 0.0, g, spare.ravel()[_span(spare)]))
+            run_plan(_stencil(f.values + 0.0, g, spare.ravel()[_span(spare)]))
             g = g[d.core]
             for n in interior_sites(d):
                 assert g[tuple(i - 1 for i in n)] == pytest.approx(neighbor_average(f, n), abs=1e-15)
@@ -190,7 +190,7 @@ def test_plan_reuse_matches_frozen_reference(extents, special, scales, seed):
     values, full, spare = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     core = (slice(1, -1),) * len(shape)
     full[core] = np.nan
-    plan = _Stencil(values, full, spare.ravel()[_span(spare)])
+    plan = _stencil(values, full, spare.ravel()[_span(spare)])
     for scale in scales:
         values[...] = _special_values(rng, shape, special, scale) + 0.0
         with np.errstate(all="ignore"):
@@ -224,7 +224,7 @@ def test_folded_plan_writes_the_fill_plans_bytes(dims, data, seed):
     values, spare, outs = np.zeros(shape), np.zeros(shape), [np.zeros(shape), np.zeros(shape)]
     for out in outs:  # a plan writes every site of the span; outside it a fill writes +0.0
         out.ravel()[_span(out)] = np.nan
-    fills, folded = (_Stencil(values, out, spare.ravel()[_span(spare)], nonnegative)
+    fills, folded = (_stencil(values, out, spare.ravel()[_span(spare)], nonnegative)
                      for out, nonnegative in zip(outs, (False, True)))
     assert plan_scale_and_fills(folded)[2] == []
     assert len(plan_scale_and_fills(fills)[2]) == dims - 1
@@ -246,7 +246,7 @@ def test_plans_that_multiply_keep_their_faces(extents, nonnegative):
     # 2d = 2, 4, 8: the scale is a multiply by the exact 1/2d, and the faces stay fills
     shape = tuple(n + 1 for n in extents)
     values, out, spare = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    plan = _Stencil(values, out, spare.ravel()[_span(spare)], nonnegative)
+    plan = _stencil(values, out, spare.ravel()[_span(spare)], nonnegative)
     scale_by, scale, faces = plan_scale_and_fills(plan)
     assert scale_by is np.multiply and scale.shape == () and scale == 1 / (2 * len(extents))
     assert len(faces) == len(extents) - 1
@@ -257,7 +257,7 @@ def test_plans_that_multiply_keep_their_faces(extents, nonnegative):
 def test_plans_that_divide_fold_only_when_told(dims):
     shape = (4, 3, 5, 3, 4)[:dims]
     values, out, spare = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    fills, folded = (_Stencil(values, out, spare.ravel()[_span(spare)], nonnegative)
+    fills, folded = (_stencil(values, out, spare.ravel()[_span(spare)], nonnegative)
                      for nonnegative in (False, True))
     (fill_by, fill_scale, fill_faces), (fold_by, fold_scale, fold_faces) = (
         plan_scale_and_fills(plan) for plan in (fills, folded))

@@ -98,7 +98,7 @@ class TestStepNonlinear:
 
     def test_zero_is_fixed_point(self, rng):
         d = random_domain(rng)
-        out = step_nonlinear(Field.zeros(d), Params(0.7, 2.3))
+        out = step_nonlinear(Field(d, np.zeros(d.shape)), Params(0.7, 2.3))
         assert isinstance(out, Field)
         assert np.all(out.values == 0)
 
@@ -170,7 +170,7 @@ class TestSimulate:
 
     def test_zero_data_survives(self):
         d = BoxDomain((3, 3))
-        report = simulate(Field.zeros(d), Params(2, 3), 100)
+        report = simulate(Field(d, np.zeros(d.shape)), Params(2, 3), 100)
         assert report.outcome == Survived(steps=100)
         assert len(report.trace) == 101
 
@@ -221,12 +221,13 @@ class TestSimulate:
 
     def test_zero_data_blows_up_when_eps_blow_reaches_one(self):
         # the fixed-point exit comes after the blow-up test of the step
-        report = simulate(Field.zeros(BoxDomain((3, 3))), Params(1, 1), 100, eps_blow=1.0)
+        report = simulate(Field(BoxDomain((3, 3)), np.zeros((4, 4))), Params(1, 1), 100,
+                          eps_blow=1.0)
         assert report.outcome == BlewUpAt(step=0, site=(1, 1), g_value=0.0)
         assert len(report.trace) == 1
 
     def test_fixed_point_fills_trace(self):
-        report = simulate(Field.zeros(BoxDomain((4,))), Params(1, 1), 5)
+        report = simulate(Field(BoxDomain((4,)), np.zeros(5)), Params(1, 1), 5)
         assert report.outcome == Survived(steps=5)
         assert report.trace == [StepRecord(max_f=0.0, max_g=0.0)] * 6
 
@@ -889,7 +890,7 @@ def test_reused_stepper_matches_fresh_one(extents, alpha, tiny_delta, eps_blow, 
     # each run's step, stop, records and final state, bit for bit, as a fresh one does
     d = BoxDomain(tuple(extents))
     p = Params(alpha, 1e-150 if tiny_delta else 1.0 / alpha)
-    exits = _Probe(Field.zeros(d), 0.0, p, S, eps_blow, blowup_exit)._exits  # of a whole-box probe
+    exits = _Probe(Field(d, np.zeros(d.shape)), 0.0, p, S, eps_blow, blowup_exit)._exits  # of a whole-box probe
     reused = evolution._Stepper(d, p, eps_blow, record)
     for kind, amplitude, with_exits, seed in runs:
         a = _run_data(d, p, eps_blow, kind, amplitude, seed)
@@ -1032,7 +1033,7 @@ def test_each_stop_matches_reference():
     # the probe's exits on (8,): the sine mode at 0.05 is certified to survive at step 0, and
     # at 0.1 Kaplan's bound fires before the reference's blow-up at step 40
     d = BoxDomain((8,))
-    exits = _Probe(Field.zeros(d), 0.0, p, 2000, 0.0, blowup_exit=True)._exits
+    exits = _Probe(Field(d, np.zeros(d.shape)), 0.0, p, 2000, 0.0, blowup_exit=True)._exits
     stepper = evolution._Stepper(d, p, 0.0)
     assert stepper.loop(stepper.load(_sine(d, 0.05)), 2000, exits) == (0, False)
     assert _stop_of(reference_simulate(_sine(d, 0.05), p, 2000)[0]) == (None, None)
@@ -1043,7 +1044,7 @@ def test_each_stop_matches_reference():
 
 def test_negative_horizon_is_rejected():
     # the one check, in `loop`, serves simulate and the probes
-    a, p = Field.zeros(BoxDomain((4,))), Params(1.0, 1.0)
+    a, p = Field(BoxDomain((4,)), np.zeros(5)), Params(1.0, 1.0)
     with pytest.raises(ValueError, match="max_steps"):
         simulate(a, p, -1)
     with pytest.raises(ValueError, match="max_steps"):

@@ -52,7 +52,7 @@ def sine_profile_1d_n4(scale=1.0):
 class TestComputeTrace:
     def test_zero_data(self):
         d = BoxDomain((3, 3))
-        t = compute_trace(Field.zeros(d), 1.0, 20)
+        t = compute_trace(Field(d, np.zeros(d.shape)), 1.0, 20)
         assert np.all(t.m == 0)
         assert np.all(t.partial_sums == 0)
         assert t.defined_up_to == len(t.m) - 1  # every step
@@ -90,12 +90,12 @@ class TestMajorantField:
         d = BoxDomain((4,))
         a = sine_profile_1d_n4(0.1)
         t = compute_trace(a, 1.0, 10)
-        fbar = majorant_field(t, Field.zeros(d), 3, 1.0)
+        fbar = majorant_field(t, Field(d, np.zeros(d.shape)), 3, 1.0)
         assert np.all(fbar.values == 0)
 
     def test_identity_when_sums_zero(self):
         d = BoxDomain((4,))
-        z = Field.zeros(d)
+        z = Field(d, np.zeros(d.shape))
         t = compute_trace(z, 1.0, 5)
         np.testing.assert_array_equal(majorant_field(t, z, 2, 1.0).values, z.values)
 
@@ -124,7 +124,7 @@ class TestMajorantField:
 class TestVerifyComparison:
     def test_zero_data_trivial(self):
         d = BoxDomain((3,))
-        v = verify_comparison(Field.zeros(d), 1.0, 20)
+        v = verify_comparison(Field(d, np.zeros(d.shape)), 1.0, 20)
         assert v.holds
         assert np.all(v.margins == 0)
 
@@ -505,7 +505,7 @@ class TestFindThreshold:
     def test_rejects_zero_profile(self):
         d = BoxDomain((4,))
         with pytest.raises(ValueError):
-            find_threshold(Field.zeros(d), Params(1, 1), 10, 1e-3)
+            find_threshold(Field(d, np.zeros(d.shape)), Params(1, 1), 10, 1e-3)
 
 
 def _profile(kind, d, rng):

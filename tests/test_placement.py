@@ -13,7 +13,7 @@ import pytest
 
 from latticeheat import BoxDomain, Field, Params, verify_comparison
 from latticeheat import domain as domain_module
-from latticeheat import majorant, spectral
+from latticeheat import evolution, majorant, spectral
 from latticeheat.domain import _face_weights, _span, _span_buffers
 from latticeheat.evolution import _Stepper
 from latticeheat.spectral import _linear_flow
@@ -91,11 +91,12 @@ def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
     # are; on 3-D boxes, where the scale divides, it then divides by the shape's face weights
     # and holds no face views.
     plans, flow_buffers, verify_buffers = [], [], []
-    real_init, real_buffers = domain_module._Stencil.__init__, domain_module._span_buffers
+    real_buffers = domain_module._span_buffers
 
-    def recording_init(self, values, out, pairs, nonnegative=False, mirror=()):
-        real_init(self, values, out, pairs, nonnegative, mirror)
-        plans.append((values, out, pairs, nonnegative, self))
+    def recording_stencil(values, out, pairs, nonnegative=False, mirror=()):
+        plan = domain_module._stencil(values, out, pairs, nonnegative, mirror)
+        plans.append((values, out, pairs, nonnegative, plan))
+        return plan
 
     def recording(into):
         def buffers(shape, count):
@@ -103,7 +104,8 @@ def test_linear_flow_and_verify_spans_on_cache_lines(monkeypatch, extents):
             return into[-1]
         return buffers
 
-    monkeypatch.setattr(domain_module._Stencil, "__init__", recording_init)
+    monkeypatch.setattr(evolution, "_stencil", recording_stencil)  # verify's stepper
+    monkeypatch.setattr(spectral, "_stencil", recording_stencil)
     monkeypatch.setattr(spectral, "_span_buffers", recording(flow_buffers))
     monkeypatch.setattr(majorant, "_span_buffers", recording(verify_buffers))
     d = BoxDomain(extents)
@@ -166,5 +168,5 @@ def test_stepper_f_span_is_the_span_of_f(extents):
     # a copy plan
     assert stepper.step(float(tiny.values.max())) is False and stepper._copies.count(None) == 1
     assert stepper.f is not f and spans_follow()
-    s, stop = stepper.loop(stepper.load(Field.zeros(d)), 10)
+    s, stop = stepper.loop(stepper.load(Field(d, np.zeros(d.shape))), 10)
     assert (s, stop) == (0, None) and spans_follow()  # the zero state rests after step 0

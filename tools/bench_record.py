@@ -1,23 +1,23 @@
 """Record perfbench runs as BENCH_*.json files, one per workload.
 
     python3 tools/bench_record.py --seed N [--workload NAME ...] [--seconds S]
-                                  [--trace 0|1] [--smoke] [--checkout DIR] [--out DIR]
+                                  [--trace 0|1] [--smoke] [--out DIR]
 
 For each workload (default: every one that BENCHMARK.json lists) it runs the
-checkout's `perfbench/run.py` as a child process, from the checkout's root,
-and keeps the final JSON line, the `calibration_ms` and `artifacts_sha256`
-lines, and as `raw` each metric's value before the calibration's scaling,
-which run.py prints in the metric line's note ("raw <value> <unit>", to 4
-significant digits; untraced runs only, and none for peak_rss_mb). It writes
-OUT/BENCH_<yyyy-mm-dd>_<workload>_s<seed>.json (the start date in UTC) with
-the checkout's git SHA and whether its tree is dirty (a tracked file differs
-from the commit; untracked files, such as the A/B batches under bench/, do not
-count), the Python and numpy versions, the CPU count and every metric, and
-stops before any run if one of those files exists: an earlier record is never
-overwritten.
-The checkout defaults to the one that holds this script, and OUT to
-bench/<first 12 digits of its SHA> there, so a base and a head run of one day
-do not overwrite each other. It edits nothing under perfbench/.
+`perfbench/run.py` of the checkout that holds this script as a child process,
+from the checkout's root, and keeps the final JSON line, the `calibration_ms`
+and `artifacts_sha256` lines, and as `raw` each metric's value before the
+calibration's scaling, which run.py prints in the metric line's note
+("raw <value> <unit>", to 4 significant digits; untraced runs only, and none
+for peak_rss_mb). It writes OUT/BENCH_<yyyy-mm-dd>_<workload>_s<seed>.json
+(the start date in UTC) with the checkout's git SHA and whether its tree is
+dirty (a tracked file differs from the commit; untracked files, such as the
+A/B batches under bench/, do not count), the Python and numpy versions, the
+CPU count and every metric, and stops before any run if one of those files
+exists: an earlier record is never overwritten.
+OUT defaults to bench/<first 12 digits of the SHA> in the checkout, so a base
+and a head run of one day do not overwrite each other; a clone records itself
+by running its own copy of this script. It edits nothing under perfbench/.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ def _parse_args(argv):
     parser.add_argument("--seconds", type=float, default=24.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--checkout", type=Path, default=ROOT)
     parser.add_argument("--out", type=Path)
     return parser.parse_args(argv)
 
@@ -96,11 +95,10 @@ def _write(path: Path, record: dict) -> None:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    checkout = args.checkout.resolve()
     workloads = args.workload or [w["name"] for w in
-                                  json.loads((checkout / "BENCHMARK.json").read_text())["workloads"]]
-    sha = (_git(checkout, "rev-parse", "HEAD") or "").strip() or None
-    dirty = _dirty(checkout)
+                                  json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    sha = (_git(ROOT, "rev-parse", "HEAD") or "").strip() or None
+    dirty = _dirty(ROOT)
     out = args.out or ROOT / "bench" / (sha or "unknown")[:12]
     date, paths = _batch(out, "BENCH", workloads, args.seed)
     for workload in workloads:
@@ -109,7 +107,7 @@ def main(argv=None) -> int:
             "trace": args.trace, "smoke": args.smoke, "date": date,
             "git_sha": sha, "dirty": dirty,
             "python": platform.python_version(), "numpy": np.__version__,
-            "cpu_count": os.cpu_count(), **_run(checkout, workload, args),
+            "cpu_count": os.cpu_count(), **_run(ROOT, workload, args),
         })
     return 0
 
