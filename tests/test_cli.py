@@ -465,7 +465,6 @@ class TestSimulateCommand:
         rows = list(csv.DictReader((tmp_path / "trajectory.csv").open()))
         assert len(rows) == 4
 
-
     def test_trace_past_memory_names_steps(self, tmp_path, capsys):
         # the run rests at step 1065; its 2^62 + 1 records would need 2^65 bytes of pointers, more
         # than a size_t holds, so the list repeat refuses them before it allocates anything

@@ -890,7 +890,8 @@ def test_reused_stepper_matches_fresh_one(extents, alpha, tiny_delta, eps_blow, 
     # each run's step, stop, records and final state, bit for bit, as a fresh one does
     d = BoxDomain(tuple(extents))
     p = Params(alpha, 1e-150 if tiny_delta else 1.0 / alpha)
-    exits = _Probe(Field(d, np.zeros(d.shape)), 0.0, p, S, eps_blow, blowup_exit)._exits  # of a whole-box probe
+    zero = Field(d, np.zeros(d.shape))
+    exits = _Probe(zero, 0.0, p, S, eps_blow, blowup_exit)._exits  # of a whole-box probe
     reused = evolution._Stepper(d, p, eps_blow, record)
     for kind, amplitude, with_exits, seed in runs:
         a = _run_data(d, p, eps_blow, kind, amplitude, seed)
