@@ -1,8 +1,6 @@
 import itertools
 import json
 import os
-import subprocess
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +14,6 @@ from latticeheat.evolution import StepRecord, _check_solution_field, _Stepper
 # decide a run, and every failure prints its @reproduce_failure blob
 settings.register_profile("ci", database=None, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def random_domain(rng, max_d=3, max_extent=6):
@@ -159,25 +155,6 @@ def neighbor_average(f, n):
         minus[k] -= 1
         total += f.values[tuple(plus)] + f.values[tuple(minus)]
     return total / (2 * f.domain.dims)
-
-
-def head_sha(tool):
-    """HEAD's commit, which the tool `tool` clones; outside a git checkout the test is skipped."""
-    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
-                          text=True)
-    if head.returncode != 0:
-        pytest.skip(f"{tool} clones commits, and this tree is not a git checkout")
-    return head.stdout.strip()
-
-
-def assert_refuses_rerun(command, path):
-    """A second batch of `command` stops before it runs: it names the batch file `path`, prints
-    nothing, and leaves `path`, alone in its directory, byte for byte."""
-    written = path.read_bytes()
-    again = subprocess.run(command, capture_output=True, text=True, timeout=300)
-    assert again.returncode != 0 and "refusing to overwrite" in again.stderr
-    assert str(path) in again.stderr and again.stdout == ""
-    assert list(path.parent.iterdir()) == [path] and path.read_bytes() == written
 
 
 @pytest.fixture
