@@ -22,7 +22,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import bench  # noqa: E402
 import workloads  # noqa: E402
 
-# the keys each record kind holds, as the three scripts that bench.py replaced wrote them
+# the keys each record kind holds: a key joins or leaves a record only by an edit here
 BENCH_KEYS = {"workload", "seed", "seconds", "trace", "smoke", "date", "git_sha", "dirty",
               "python", "numpy", "cpu_count", "command", "calibration_ms", "artifacts_sha256",
               "raw", "metrics", "correct", "attempted", "failed"}
@@ -190,6 +190,7 @@ def test_bench_rejects_an_unknown_base(tmp_path, command):
                "--smoke", "--out", str(tmp_path)]
     proc = subprocess.run(command, capture_output=True, text=True, timeout=60)
     assert proc.returncode != 0 and "no-such-ref" in proc.stderr
+    assert proc.stderr.splitlines() == ["error: argument --base: 'no-such-ref' names no commit"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -294,8 +294,10 @@ def _batches(args, benchmark: dict, workloads: list[str]) -> int:
     first side, into one file (under OUT/aa/ for a control): the header, the two commits, the
     `_summary` or `_ops` of the runs, then each run's `_RUN_KEYS`."""
     time, summary = (_run, _summary) if args.command == "ab" else (_time, _ops)
-    base, head = (_checked(["git", "-C", str(ROOT), "rev-parse", "--verify", ref + "^{commit}"])[0]
+    base, head = ((_git(ROOT, "rev-parse", "--verify", "--quiet", ref + "^{commit}") or "").strip()
                   for ref in (args.base, "HEAD"))
+    if not base:
+        raise SystemExit(f"error: argument --base: {args.base!r} names no commit")
     shas = (base, base) if args.control else (base, head)
     out = (args.out or ROOT / "bench" / head[:12]) / ("aa" if args.control else "")
     date, paths = _batch(out, args.command.upper(), workloads, args.seed)
