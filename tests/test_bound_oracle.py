@@ -1,4 +1,4 @@
-"""The alpha <= 1 regime bound against its series summed over exact eigenvalues at 40 digits.
+"""The alpha <= 1 regime bound and the tail start against sums over exact eigenvalues at 40 digits.
 
 `bound_alpha_le_1(1.0, table, alpha)` is the series sum over modes m of 1/(1 - |lambda_m|^alpha),
 on the table's rounded eigenvalues lambda_m = (1/d) sum_k cos(m_k pi/N_k). Here the same series
@@ -6,6 +6,9 @@ is summed in mpmath over the exact eigenvalues, on every box with d = 1..3 and e
 (155 boxes) at four alphas. A mode whose cosines cancel has lambda_m exactly 0, which the table
 stores as a rounded residue of about 6e-17; raised to a small alpha, the residue inflates its term
 (ROADMAP item 7). The float series may lie above the exact one there, and never below it.
+
+`ModeTable.tail_start`, the least s with sum over modes of |c|^s below 1, is held to the least s
+with the exact sum below 1, wherever the exact sums decide the float's comparisons with 1.
 """
 
 import functools
@@ -38,6 +41,13 @@ def _exact_eigenvalue(fractions: tuple) -> mpmath.mpf:
 
 
 @functools.lru_cache(maxsize=None)
+def _exact_eigenvalues(extents: tuple) -> list:
+    """|lambda_m| at 40 digits for every mode of the box, in the table's order."""
+    modes = itertools.product(*(range(1, n) for n in extents))
+    return [_exact_eigenvalue(tuple(sorted(zip(m, extents)))) for m in modes]
+
+
+@functools.lru_cache(maxsize=None)
 def _cases() -> list:
     """(extents, alpha, float series, its error over the exact one, tolerance, whether some
     lambda_m is 0).
@@ -53,8 +63,7 @@ def _cases() -> list:
     cases = []
     for extents in _BOXES:
         table = mode_table(BoxDomain(extents))
-        modes = itertools.product(*(range(1, n) for n in extents))
-        lams = [_exact_eigenvalue(tuple(sorted(zip(m, extents)))) for m in modes]
+        lams = _exact_eigenvalues(extents)
         lam = np.array(lams, dtype=float)
         nonzero = lam > 0
         for alpha in _ALPHAS:
@@ -88,3 +97,65 @@ def test_the_float_series_equals_the_exact_one_without_zero_eigenvalues():
     for extents, alpha, got, error, tol, zero in _cases():
         if not zero:
             assert abs(error) <= tol, (extents, alpha, got, error, tol)
+
+
+def _tail_tolerance(lam: np.ndarray, s: int) -> float:
+    """A bound on |float(np.sum(c**s)) - sum |lambda|^s| for the table's |c| near lam = |lambda|.
+
+    At s = 0 every c**0 is 1 and the float sum is the mode count, exactly. For s >= 1, with
+    |c - lam| <= DELTA, the mean value theorem puts c^s within s*(lam + DELTA)^(s-1)*DELTA of
+    lam^s; np.power adds 2 eps relative, and the sum (n - 1) eps times the sum of the terms
+    (Higham 2002, section 4.2). The bound is doubled for the products of these errors.
+    """
+    if s == 0:
+        return 0.0
+    upper = lam + _DELTA
+    terms = s * upper ** (s - 1) * _DELTA + 2 * _EPS * upper**s
+    return 2 * (terms.sum() + (lam.size - 1) * _EPS * (upper**s).sum())
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_cases() -> list:
+    """(extents, the table's tail_start, s0*, whether the exact sum at s0* - 1 is exactly 1,
+    whether the decisions that fix the search's answer are decided).
+
+    s0* is the least s with sum over modes of |lambda_m|^s below 1, summed at 40 digits. The
+    exact sum is exactly 1 only by an identity of the cosines, which leaves a residue under
+    1e-38; every other sum at s0* - 1 or s0* lies at least 0.012 from 1. A decision at s is
+    decided where the exact sum lies farther from 1 than `_tail_tolerance`, so that the float
+    sum is on the same side of 1.
+    """
+    cases = []
+    for extents in _BOXES:
+        lams = _exact_eigenvalues(extents)
+        lam = np.array(lams, dtype=float)
+        with mpmath.workdps(40):
+            sums, powers = [mpmath.mpf(len(lams))], [mpmath.mpf(1)] * len(lams)
+            while sums[-1] >= 1:
+                powers = [p * v for p, v in zip(powers, lams)]
+                sums.append(mpmath.fsum(powers))
+            s0 = len(sums) - 1
+            tie = abs(sums[s0 - 1] - 1) < mpmath.mpf(10) ** -30
+            decided = {s: abs(sums[s] - 1) > _tail_tolerance(lam, s) for s in range(s0 + 1)}
+        # at a tie the float may round either way at s0* - 1, so s0* - 2 must be decided instead
+        near = (s0 - 2, s0) if tie else (s0 - 1, s0)
+        cases.append((extents, mode_table(BoxDomain(extents)).tail_start, s0, tie,
+                      all(decided[s] for s in near if s >= 0)))
+    return cases
+
+
+def test_tail_start_is_the_exact_first_s_below_1():
+    # the table's search decides float(np.sum(c**s)) < 1; the exact sums decide every box but
+    # the ties, where the exact sum at s0* - 1 is exactly 1: 0^0 on a one-mode box, 2*(1/2)^1
+    # on (3,) and (3, 3), and 2*(1/sqrt 2)^2 on (4,)
+    cases = _tail_cases()
+    assert len(cases) == 155 and all(decided for *_, decided in cases)
+    ties = {extents for extents, _, _, tie, _ in cases if tie}
+    assert ties == {(2,), (2, 2), (2, 2, 2), (3,), (3, 3), (4,)}
+    for extents, got, s0, tie, _ in cases:
+        # On a tie the float may find the sum below 1 at s0* - 1. bound_alpha_gt_1's tail stays
+        # sound there: it bounds m_k^alpha by B_max^alpha * sum |c|^k for k >= tail_start, which
+        # holds wherever sum |c|^k <= 1, as x^alpha <= x for 0 <= x <= 1 and alpha > 1
+        assert got == s0 or (tie and got == s0 - 1), (extents, got, s0)
+    # rounding breaks one tie: on (3,) the rounded cosines sum to 1 - 1.1e-16
+    assert [extents for extents, got, s0, *_ in cases if got != s0] == [(3,)]

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -148,16 +149,19 @@ class TestArgv:
         assert (tmp_path / "file").read_text() == "kept"
 
     def test_main_builds_no_parser(self, tmp_path, capsys, monkeypatch):
-        # one process runs every command through cli._PARSER, which was built at import
+        # one process runs every command through cli._PARSER, which was built at import, on
+        # README's example config with a sweep of three alphas and two amplitudes
         built = []
         init = argparse.ArgumentParser.__init__
         monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                             lambda self, *a, **k: built.append(self) or init(self, *a, **k))
-        cfg = write_config(tmp_path, base_config(sweep={"alphas": [1.0], "amplitudes": [0.5]}))
+        sweep = {"alphas": [0.5, 1.0, 2.0], "amplitudes": [0.1, 0.9]}
+        cfg = write_config(tmp_path, base_config(steps=100, sweep=sweep))
         codes = [main_quiet(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / command)])
                  for command in _COMMANDS]
         assert codes == [EXIT_BLOWUP, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
         assert len(built) == 0
+        assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 1 + 3 * 2
 
     def test_shared_parser_has_only_immutable_defaults(self):
         # main parses every argv with cli._PARSER, so a mutable default (a list, say) that one
@@ -172,7 +176,7 @@ class TestArgv:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: latticeheat")
 
-    def test_process_exit_codes(self):
+    def test_process_exit_codes(self, tmp_path):
         # the `raise SystemExit(main())` path that a console script also takes
         src = str(Path(latticeheat.__file__).parents[1])
         run = [sys.executable, "-m", "latticeheat.cli"]
@@ -180,7 +184,19 @@ class TestArgv:
         fault = subprocess.run([*run, "simulate"], capture_output=True, text=True, env=env)
         assert (fault.returncode, fault.stderr.count("\n")) == (EXIT_ERROR, 1)
         assert fault.stderr.startswith("error: ")
-        assert subprocess.run([*run, "--help"], capture_output=True, env=env).returncode == 0
+        cfg = write_config(tmp_path, base_config(steps=100))  # README's example: it blows up
+        argv = [*run, "simulate", "--config", str(cfg), "--out", str(tmp_path)]
+        assert subprocess.run(argv, capture_output=True, env=env).returncode == EXIT_BLOWUP
+        assert subprocess.run([*run, "--help"], capture_output=True, env=env).returncode == EXIT_OK
+
+    def test_console_script_is_main(self):
+        # the `latticeheat` script that pip installs is the entry point test_process_exit_codes
+        # runs; read with a regex, as Python 3.10 has no tomllib
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        assert table, "pyproject.toml has no [project.scripts] table"
+        scripts = re.findall(r'^\s*([\w.-]+)\s*=\s*"([^"]*)"', table[1], re.M)
+        assert scripts == [("latticeheat", "latticeheat.cli:main")]
 
 
 class TestConfigParsing:
@@ -550,20 +566,17 @@ class TestVerifyCommand:
                                      "solution_value": 0.5}
 
     def test_random_suite_config(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            base_config(
-                extents=[5, 5],
-                steps=50,
-                amplitude=1.0,
-                init={"kind": "random", "seed": 1, "max_amplitude": 0.05},
-            ),
-        )
-        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
-        assert code == EXIT_OK
-        report = json.loads((tmp_path / "verify.json").read_text())
-        assert report["holds"]
-        assert all(m >= -1e-12 for m in report["margins"])
+        # verify's margin is a minimum over a span whose face sites are refilled with +inf, so on
+        # 3x3x3, where most of the span is faces, a face read would give a margin of 0.0
+        for extents in ([5, 5], [3, 3, 3]):
+            doc = base_config(extents=extents, steps=50, amplitude=1.0,
+                              init={"kind": "random", "seed": 1, "max_amplitude": 0.05})
+            out = tmp_path / "x".join(map(str, extents))
+            code = main(["verify", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+            assert code == EXIT_OK
+            report = json.loads((out / "verify.json").read_text())
+            assert report["holds"]
+            assert len(report["margins"]) == 51 and min(report["margins"]) > 0, extents
 
     def test_overflowing_partial_sums_are_quiet(self, tmp_path, capsys):
         # |m_k|^10 overflows for data of 1e100: the majorant is undefined from step 0

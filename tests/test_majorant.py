@@ -1234,7 +1234,7 @@ def test_closed_form_probe_matches_table(monkeypatch):
     signed=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_linear_flow_matches_apply_M_loop(extents, alpha, S, signed, seed):
+def test_linear_flow_matches_reference_loop(extents, alpha, S, signed, seed):
     d = BoxDomain(tuple(extents))
     rng = np.random.default_rng(seed)
     a = Field.from_interior(d, rng.uniform(-1.0 if signed else 0.0, 1.0, size=d.interior_shape))

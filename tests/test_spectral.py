@@ -26,7 +26,7 @@ from latticeheat.spectral import _linear_flow, _sine_matrix
 from conftest import interior_sites, random_domain, random_field
 
 
-class TestApplyM:
+class TestOneLinearStep:
     def test_zero_field(self):
         d = BoxDomain((4,))
         assert np.all(step_linear_direct(Field(d, np.zeros(d.shape)), 1).values == 0)
@@ -180,7 +180,7 @@ class TestAnalyzeSynthesize:
         expected[[0, 4]] = 0.0
         np.testing.assert_allclose(h3.values, expected, atol=1e-14)
 
-    def test_synthesize_one_step_matches_apply_M(self, rng):
+    def test_synthesize_one_step_matches_one_linear_step(self, rng):
         for _ in range(10):
             d = random_domain(rng, max_extent=8)
             B = SpectralCoeffs(d, rng.uniform(-1, 1, size=d.interior_shape))
