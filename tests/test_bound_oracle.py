@@ -136,11 +136,10 @@ def _tail_cases() -> list:
                 sums.append(mpmath.fsum(powers))
             s0 = len(sums) - 1
             tie = abs(sums[s0 - 1] - 1) < mpmath.mpf(10) ** -30
-            decided = {s: abs(sums[s] - 1) > _tail_tolerance(lam, s) for s in range(s0 + 1)}
-        # at a tie the float may round either way at s0* - 1, so s0* - 2 must be decided instead
-        near = (s0 - 2, s0) if tie else (s0 - 1, s0)
-        cases.append((extents, mode_table(BoxDomain(extents)).tail_start, s0, tie,
-                      all(decided[s] for s in near if s >= 0)))
+            # at a tie the float may round either way at s0* - 1, so s0* - 2 must be decided
+            near = (s0 - 2, s0) if tie else (s0 - 1, s0)
+            decided = all(abs(sums[s] - 1) > _tail_tolerance(lam, s) for s in near if s >= 0)
+        cases.append((extents, mode_table(BoxDomain(extents)).tail_start, s0, tie, decided))
     return cases
 
 

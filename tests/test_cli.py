@@ -161,6 +161,8 @@ class TestArgv:
                  for command in _COMMANDS]
         assert codes == [EXIT_BLOWUP, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
         assert len(built) == 0
+        reports = ("report.json", "verify.json", "bound.json", "threshold.json", "sweep.csv")
+        assert all((tmp_path / c / r).stat().st_size for c, r in zip(_COMMANDS, reports))
         assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 1 + 3 * 2
 
     def test_shared_parser_has_only_immutable_defaults(self):
