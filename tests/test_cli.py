@@ -36,6 +36,17 @@ from latticeheat.cli import (
 from latticeheat.majorant import ComparisonFailure
 
 from conftest import reference_simulate, with_boundary, write_field_json
+from test_pins import CONFIGS
+
+ROOT = Path(__file__).parents[1]
+
+
+def readme_block(label):
+    """The text of the fenced block that follows the line `label` in README.md."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(rf"^{re.escape(label)}\n\n```\w*\n(.*?)^```$", text, re.M | re.S)
+    assert block, f"README.md has no fenced block after {label!r}"
+    return block[1]
 
 
 def base_config(**overrides):
@@ -156,7 +167,7 @@ class TestArgv:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                             lambda self, *a, **k: built.append(self) or init(self, *a, **k))
         sweep = {"alphas": [0.5, 1.0, 2.0], "amplitudes": [0.1, 0.9]}
-        cfg = write_config(tmp_path, base_config(steps=100, sweep=sweep))
+        cfg = write_config(tmp_path, {**json.loads(readme_block("Example config:")), "sweep": sweep})
         codes = [main_quiet(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / command)])
                  for command in _COMMANDS]
         assert codes == [EXIT_BLOWUP, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
@@ -186,15 +197,30 @@ class TestArgv:
         fault = subprocess.run([*run, "simulate"], capture_output=True, text=True, env=env)
         assert (fault.returncode, fault.stderr.count("\n")) == (EXIT_ERROR, 1)
         assert fault.stderr.startswith("error: ")
-        cfg = write_config(tmp_path, base_config(steps=100))  # README's example: it blows up
+        cfg = tmp_path / "config.json"
+        cfg.write_text(readme_block("Example config:"))  # README's block itself: it blows up
         argv = [*run, "simulate", "--config", str(cfg), "--out", str(tmp_path)]
         assert subprocess.run(argv, capture_output=True, env=env).returncode == EXIT_BLOWUP
         assert subprocess.run([*run, "--help"], capture_output=True, env=env).returncode == EXIT_OK
 
+    def test_readme_usage_is_the_parsers(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal's width
+        assert readme_block("## CLI") == build_parser().format_usage()
+
+    def test_readme_example_config_has_one_source(self):
+        # README's example config is the pinned config.json, the config the workflow's installed
+        # script runs, and base_config at 100 steps; the tests above run README's block itself
+        readme = json.loads(readme_block("Example config:"))
+        workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+        echoed = re.search(r"echo '(\{.*\})' > \"\$RUNNER_TEMP/config\.json\"", workflow)
+        assert echoed, "the workflow echoes no config.json"
+        assert readme == json.loads(CONFIGS["config.json"]) == json.loads(echoed[1])
+        assert readme == base_config(steps=100)
+
     def test_console_script_is_main(self):
         # the `latticeheat` script that pip installs is the entry point test_process_exit_codes
         # runs; read with a regex, as Python 3.10 has no tomllib
-        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        text = (ROOT / "pyproject.toml").read_text()
         table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
         assert table, "pyproject.toml has no [project.scripts] table"
         scripts = re.findall(r'^\s*([\w.-]+)\s*=\s*"([^"]*)"', table[1], re.M)
