@@ -101,7 +101,8 @@ def _read(doc: dict, table: tuple, prefix: str = "", cfg: dict | None = None) ->
     A value must be of the type (None: any; an int is read as a float where one is due),
     finite if a float, and pass each check (test, message): test(value, cfg) is true, where
     cfg holds the values read so far unless the caller passes its own. A test that reads a
-    sub-table or builds Params raises its own ConfigError and is true otherwise.
+    sub-table or builds Params raises its own ConfigError and is true otherwise. Once every row
+    has passed, a key of `doc` that no row names is a fault too, the first in sorted order.
     """
     vals = {}
     cfg = vals if cfg is None else cfg
@@ -123,13 +124,15 @@ def _read(doc: dict, table: tuple, prefix: str = "", cfg: dict | None = None) ->
             if not test(val, cfg):
                 raise ConfigError(f"{prefix}{key}: {why.format(val)}")
         vals[key] = val
+    unknown = sorted(set(doc) - {row[0] for row in table})
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown key")
     return vals
 
 
 def _init(init: dict, cfg: dict) -> bool:
-    """True once init.kind and the keys that kind reads have passed their rows."""
-    kind = _read(init, _KIND, "init.")["kind"]
-    _read(init, _INIT[kind], "init.", cfg)
+    """True once init.kind and the keys that kind reads have passed their rows, as one table."""
+    _read(init, _KIND + _INIT.get(str(init.get("kind")), ()), "init.", cfg)
     return True
 
 

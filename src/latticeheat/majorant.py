@@ -345,13 +345,10 @@ class _Probe:
         return None
 
     def __call__(self, amplitude: float) -> int | None:
-        """The outcome for amplitude * profile. Its interior is amplitude * (profile + 0.0), bit
-        for bit simulate's profile * amplitude + 0.0 at amplitude >= +0.0, and its maximum is
-        amplitude * max(profile), as rounding is monotone; so only these scalars are checked."""
+        """The outcome for amplitude * profile, at an amplitude >= 0 whose product with peak its
+        caller checked finite (`_bracket_top`, `cli._check_data`). The interior is bit for bit
+        simulate's profile * amplitude + 0.0, and its max amplitude * peak (monotone rounding)."""
         peak = amplitude * self._peak
-        if not (0 <= amplitude < math.inf and peak < math.inf):
-            raise ValueError("amplitude must be finite and >= 0, and amplitude * max(profile) "
-                             f"finite; got {amplitude!r}")
         stepper = self._stepper  # + 0.0: an amplitude of -0.0 would write -0.0 into the state
         np.multiply(self._unit, amplitude + 0.0, out=stepper.f[stepper.core])
         s, stop = stepper.loop(peak, self._S, self._exits)

@@ -290,6 +290,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             parse_config(base_config(**{key: value}))
 
+    @pytest.mark.parametrize(
+        "command, keys, named",
+        [
+            # two at one level: the first in sorted order is named
+            ("simulate", {"eps_blwo": 0.5, "threshhold_tol": 0.1}, "eps_blwo"),
+            ("simulate", {"init": {"kind": "constant_interior", "seed": 1}}, "init.seed"),
+            ("sweep", {"sweep": {"alphas": [1.0], "amplitudes": [0.5], "amplitude": [0.1]}},
+             "sweep.amplitude"),
+            ("simulate", {"init": {"kind": "file", "path": "field.json"}}, "init.path: extent"),
+        ],
+        ids=["top-level", "init", "sweep", "field-file"],
+    )
+    def test_unknown_key_exits_1(self, tmp_path, capsys, monkeypatch, command, keys, named):
+        # README's example config with a key that its level's table does not list; the field
+        # file, read from the working directory, carries "extent" beside "extents"
+        monkeypatch.chdir(tmp_path)
+        field = {"extents": [4], "values": [0, 0.5, 0.5, 0.5, 0], "extent": [4]}
+        (tmp_path / "field.json").write_text(json.dumps(field))
+        cfg = write_config(tmp_path, {**json.loads(readme_block("Example config:")), **keys})
+        code = main([command, "--config", str(cfg), "--out", "out"])
+        assert (code, capsys.readouterr().err) == (EXIT_ERROR, f"error: {named}: unknown key\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestFieldFile:
     def test_round_trip_exact(self, tmp_path, rng):

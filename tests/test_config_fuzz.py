@@ -429,7 +429,8 @@ def test_scalar_checks_match_the_array_path(command, kind, extents, peak, fault,
         site = (0,) + site[1:]
     values[site] = {None: values[site], "nan": np.nan, "inf": np.inf, "negative": -peak / 2,
                     "boundary": peak / 3}[fault]
-    init = {"kind": kind, "mode": [1] * d.dims, "path": "field.json"}
+    init = {"kind": kind, **{"sine_mode": {"mode": [1] * d.dims},
+                             "file": {"path": "field.json"}}.get(kind, {})}
     cfg = parse_config({"extents": list(extents), "alpha": alpha, "delta": delta, "steps": 5,
                         "init": init, "amplitude": amplitude, "sweep": sweep})
     profile = Field(d, values)

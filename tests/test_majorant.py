@@ -740,23 +740,6 @@ def test_search_checks_its_profile_first(monkeypatch, site, value, message):
     assert str(raised.value) == message and not steps
 
 
-@pytest.mark.parametrize("extents", [(6, 4), (32, 32)])
-def test_probe_rejects_a_bad_amplitude_before_any_step(monkeypatch, extents):
-    # NaN, a negative, inf, and an amplitude whose product with the profile's maximum overflows
-    # are refused before the stepper's state is touched, on the whole box and on the orthant
-    steps = _counting_steps(monkeypatch)
-    d = BoxDomain(extents)
-    profile = Field.from_interior(d, np.full(d.interior_shape, 4.0))
-    probe = _Probe(profile, 4.0, Params(1.0, 1.0), 20, 0.0, blowup_exit=False)
-    assert probe(0.1) in (2, 3) and len(steps) > 0  # simulate's blow-up step
-    state, taken = probe._stepper.f.copy(), len(steps)
-    for amplitude in (math.nan, -1.0, -5e-324, math.inf, -math.inf, 1e308):
-        with pytest.raises(ValueError, match="amplitude must be finite and >= 0"):
-            probe(amplitude)
-    assert len(steps) == taken and probe._stepper.f.tobytes() == state.tobytes()
-    assert probe(np.finfo(float).max / 4.0) == 0  # the largest amplitude that is allowed
-
-
 def _count_calls(monkeypatch, name):
     """A list that gains an entry at every call of the latticeheat function `name`, through
     every module that holds it."""
