@@ -1,4 +1,4 @@
-"""The alpha <= 1 regime bound and the tail start against sums over exact eigenvalues at 40 digits.
+"""The alpha <= 1 regime bound, the tail start and compute_trace against exact sums at 40 digits.
 
 `bound_alpha_le_1(1.0, table, alpha)` is the series sum over modes m of 1/(1 - |lambda_m|^alpha),
 on the table's rounded eigenvalues lambda_m = (1/d) sum_k cos(m_k pi/N_k). Here the same series
@@ -9,6 +9,9 @@ stores as a rounded residue of about 6e-17; raised to a small alpha, the residue
 
 `ModeTable.tail_start`, the least s with sum over modes of |c|^s below 1, is held to the least s
 with the exact sum below 1, wherever the exact sums decide the float's comparisons with 1.
+
+`compute_trace`'s partial sums, on a sample of the boxes, are held to those of the linear flow
+run exactly from the same doubles, within an a-priori rounding bound.
 """
 
 import functools
@@ -18,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from latticeheat import BoxDomain, bound_alpha_le_1, mode_table
+from latticeheat import BoxDomain, Field, bound_alpha_le_1, compute_trace, mode_table
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -158,3 +161,68 @@ def test_tail_start_is_the_exact_first_s_below_1():
         assert got == s0 or (tie and got == s0 - 1), (extents, got, s0)
     # rounding breaks one tie: on (3,) the rounded cosines sum to 1 - 1.1e-16
     assert [extents for extents, got, s0, *_ in cases if got != s0] == [(3,)]
+
+
+_TRACE_S = 40
+_U = _EPS / 2  # the unit roundoff
+# every 1-D box, every third 2-D box and every ninth 3-D box, from the largest down: 28 boxes
+_TRACE_BOXES = [extents for d, every in ((1, 1), (2, 3), (3, 9))
+                for extents in [b for b in _BOXES if len(b) == d][::-every]]
+
+
+def _gamma(n: int) -> mpmath.mpf:
+    """gamma_n = n u / (1 - n u), the bound on n roundings (Higham 2002, section 3.4)."""
+    return n * mpmath.mpf(_U) / (1 - n * mpmath.mpf(_U))
+
+
+def _exact_maxima(values: np.ndarray, S: int) -> list:
+    """m_0..m_S, the interior maxima of the linear flow from the doubles `values`, at 40 digits:
+    each step is the exact mean of the 2d axis neighbours at every interior site."""
+    h = np.vectorize(mpmath.mpf, otypes=[object])(values)
+    core = tuple(slice(1, n - 1) for n in h.shape)
+
+    def shifted(axis, by):
+        return tuple(slice(1 + by, n - 1 + by) if k == axis else s
+                     for k, (n, s) in enumerate(zip(h.shape, core)))
+
+    maxima = [max(h[core].ravel())]
+    for _ in range(S):
+        mean = sum(h[shifted(k, by)] for k in range(h.ndim) for by in (-1, 1)) / (2 * h.ndim)
+        h = np.full(h.shape, mpmath.mpf(0), dtype=object)
+        h[core] = mean
+        maxima.append(max(h[core].ravel()))
+    return maxima
+
+
+def test_compute_trace_partial_sums_lie_within_their_rounding_bound():
+    # compute_trace(a, alpha, S).partial_sums against P_s = sum_{k<=s} m_k^alpha of the exact
+    # flow from the same doubles, on data in [0.01, 1]. A priori: a step sums 2d nonnegative
+    # terms, 2d - 1 roundings, and scales them, one more (none for d = 1, 2), so every float
+    # state lies within (1 +- gamma_2d)^s of the exact one, site by site, and so does its
+    # maximum. No value underflows: a nonzero one is at least 0.01 (2d)^-s > 1e-34. The power
+    # (x, x*x or sqrt) adds u, so the float term lies within e_s = max((1 + gamma_2d)^(alpha s)
+    # (1 + u) - 1, 1 - (1 - gamma_2d)^(alpha s) (1 - u)) of t_s = m_s^alpha, relatively, and
+    # np.cumsum's sequential sum of s + 1 terms adds gamma_s times their sum (Higham 2002,
+    # section 4.2): |float P_s - P_s| <= sum_k e_k t_k + gamma_s sum_k (1 + e_k) t_k.
+    # Every P_s here lies farther from 1 than that, so defined_up_to, the last s with P_s < 1,
+    # is the exact one (0 on most boxes; S where the flow dies out at once, as on (2,)).
+    for i, extents in enumerate(_TRACE_BOXES):
+        d = BoxDomain(extents)
+        a = Field.from_interior(d, np.random.default_rng(i).uniform(0.01, 1.0, d.interior_shape))
+        with mpmath.workdps(40):
+            maxima = _exact_maxima(a.values, _TRACE_S)
+            g, u = _gamma(2 * d.dims), mpmath.mpf(_U)
+            for alpha in (0.5, 1.0, 2.0):
+                trace = compute_trace(a, alpha, _TRACE_S)
+                assert trace.partial_sums.size == _TRACE_S + 1
+                exact = spread = total = mpmath.mpf(0)
+                for s, m in enumerate(maxima):
+                    t, x = m ** mpmath.mpf(alpha), alpha * s
+                    e = max((1 + g) ** x * (1 + u) - 1, 1 - (1 - g) ** x * (1 - u))
+                    exact, spread, total = exact + t, spread + e * t, total + (1 + e) * t
+                    bound = spread + _gamma(s) * total
+                    got = mpmath.mpf(float(trace.partial_sums[s]))
+                    assert abs(got - exact) <= bound, (extents, alpha, s, got, exact, bound)
+                    assert abs(exact - 1) > bound, (extents, alpha, s)
+                    assert (s <= trace.defined_up_to) == (exact < 1), (extents, alpha, s)
+    assert len(_TRACE_BOXES) == 28

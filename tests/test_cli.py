@@ -167,7 +167,8 @@ class TestArgv:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                             lambda self, *a, **k: built.append(self) or init(self, *a, **k))
         sweep = {"alphas": [0.5, 1.0, 2.0], "amplitudes": [0.1, 0.9]}
-        cfg = write_config(tmp_path, {**json.loads(readme_block("Example config:")), "sweep": sweep})
+        readme = json.loads(readme_block("Example config:"))
+        cfg = write_config(tmp_path, {**readme, "sweep": sweep})
         codes = [main_quiet(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / command)])
                  for command in _COMMANDS]
         assert codes == [EXIT_BLOWUP, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
