@@ -195,10 +195,8 @@ def load_config(args: argparse.Namespace) -> SimpleNamespace:
     doc = _read_json(args.config, "config")
     if args.steps is not None:
         doc["steps"] = args.steps
-    if args.seed is not None:
-        if not (isinstance(doc.get("init"), dict) and doc["init"].get("kind") == "random"):
-            raise ConfigError("--seed: only valid with init.kind == 'random'")
-        doc["init"]["seed"] = args.seed
+    if args.seed is not None and isinstance(doc.get("init"), dict):
+        doc["init"]["seed"] = args.seed  # a kind without a seed refuses it as an unknown key
     return parse_config(doc)
 
 

@@ -199,7 +199,7 @@ class _Stepper:
     def loop(self, max_f: float, steps: int,
              exits=None) -> tuple[int, BlewUpAt | bool | None]:
         """Step from the loaded state, of maximum `max_f`, over s = 0..steps; the step s where
-        the run stopped, and why.
+        the run stopped, and why. Each step appends to `trace`: a recording stepper runs once.
 
         Each s tests `max_f` for an update that overflowed, asks `exits(s, f,
         max_f)` for an outcome, steps, records, tests for blow-up, carries
@@ -210,8 +210,6 @@ class _Stepper:
         """
         if steps < 0:
             raise ValueError("max_steps must be >= 0")
-        if self.trace is not None:
-            self.trace = []  # a new list per run: the last run's belongs to its caller
         trace = self.trace
         with np.errstate(divide="ignore", over="ignore"):
             for s in range(steps + 1):

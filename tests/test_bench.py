@@ -219,7 +219,7 @@ def test_bench_refuses_a_bad_option_before_any_clone_or_directory(tmp_path, comm
 
 def test_bench_ab_control_runs_the_base_against_itself_plus_a_comment(tmp_path):
     # the head's clone differs from the base's by the 600-byte comment alone; the --control
-    # batch that runs them goes through `_batches`, which the ops control test runs
+    # batch that runs them goes through `_batches`, which the ops test runs
     sha = head_sha()
     clones = bench._clones(argparse.Namespace(control=True), (sha, sha), str(tmp_path))
     base, changed = ((clones[side] / bench.CONTROL_FILE).read_bytes() for side in bench.SIDES)
@@ -309,18 +309,21 @@ def test_ops_compares_each_ops_scaled_and_raw_times():
         bench._ops({}, "certify-small", runs)
 
 
-def test_bench_ops_times_every_op(tmp_path):
+def test_bench_ops_control_times_the_base_against_itself(tmp_path):
+    # one --control batch of two pairs: its file goes under aa/, and it carries every op of the
+    # plan, compared scaled and raw; a batch outside aa/ and a head clone without the comment
+    # are `_batches` and `_clones` paths that test_bench_ab_writes_every_declared_metric runs
     sha = head_sha()
-    command = [sys.executable, str(TOOL), "ops", "--base", "HEAD", "--workload",
+    command = [sys.executable, str(TOOL), "ops", "--base", "HEAD", "--control", "--workload",
                "certify-small", "--seed", "777", "--pairs", "2", "--seconds", "1", "--smoke",
                "--out", str(tmp_path)]
     proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    [path] = tmp_path.iterdir()
+    [path] = (tmp_path / "aa").iterdir()
+    assert list(tmp_path.iterdir()) == [tmp_path / "aa"] and proc.stdout.split() == [str(path)]
     assert re.fullmatch(r"OPS_\d{4}-\d\d-\d\d_certify-small_s777\.json", path.name)
-    assert proc.stdout.split() == [str(path)]
     record = json.loads(path.read_text())
-    assert set(record) == OPS_KEYS
+    assert set(record) == OPS_KEYS and record["control"] is True
     assert_runs(record, OPS_RUN_KEYS)
     assert record["base"] == {"ref": "HEAD", "git_sha": sha} and record["head"] == {"git_sha": sha}
     assert (record["workload"], record["seed"], record["pairs"]) == ("certify-small", 777, 2)
@@ -341,23 +344,4 @@ def test_bench_ops_times_every_op(tmp_path):
         assert got["raw_sign_differs"] in (None, True, False)
         assert got["change"] == pytest.approx(got["head"]["median"] / got["base"]["median"] - 1)
         assert got["head_wins"] in (0, 1, 2)
-    assert_refuses_rerun(command, path)
-
-
-def test_bench_ops_control_times_the_base_against_itself(tmp_path):
-    sha = head_sha()
-    command = [sys.executable, str(TOOL), "ops", "--base", "HEAD", "--control", "--workload",
-               "certify-small", "--seed", "777", "--pairs", "1", "--seconds", "1", "--smoke",
-               "--out", str(tmp_path)]
-    proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    [path] = (tmp_path / "aa").iterdir()
-    assert list(tmp_path.iterdir()) == [tmp_path / "aa"] and proc.stdout.split() == [str(path)]
-    assert re.fullmatch(r"OPS_\d{4}-\d\d-\d\d_certify-small_s777\.json", path.name)
-    record = json.loads(path.read_text())
-    assert set(record) == OPS_KEYS and record["control"] is True
-    assert record["base"] == {"ref": "HEAD", "git_sha": sha} and record["head"] == {"git_sha": sha}
-    assert record["artifacts_equal"] is True and record["failed"] == {"base": 0, "head": 0}
-    plan = [op for group in workloads.make_plan("certify-small", 777, True) for op in group]
-    assert len(record["ops"]) == len(plan)
     assert_refuses_rerun(command, path)

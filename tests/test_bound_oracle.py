@@ -11,7 +11,9 @@ stores as a rounded residue of about 6e-17; raised to a small alpha, the residue
 with the exact sum below 1, wherever the exact sums decide the float's comparisons with 1.
 
 `compute_trace`'s partial sums, on a sample of the boxes, are held to those of the linear flow
-run exactly from the same doubles, within an a-priori rounding bound.
+run exactly from the same doubles, within an a-priori rounding bound. So are `analyze`'s largest
+coefficient B_max, against the transform with exact sines, and `bound_alpha_gt_1`'s head and
+tail, against the same sums over the exact maxima, eigenvalues and B_max.
 """
 
 import functools
@@ -21,7 +23,8 @@ import math
 import numpy as np
 import pytest
 
-from latticeheat import BoxDomain, Field, bound_alpha_le_1, compute_trace, mode_table
+from latticeheat import (BoxDomain, Field, analyze, bound_alpha_gt_1, bound_alpha_le_1,
+                         compute_trace, mode_table)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -226,3 +229,117 @@ def test_compute_trace_partial_sums_lie_within_their_rounding_bound():
                     assert abs(exact - 1) > bound, (extents, alpha, s)
                     assert (s <= trace.defined_up_to) == (exact < 1), (extents, alpha, s)
     assert len(_TRACE_BOXES) == 28
+
+
+# every other box of sorted extents, d = 1..3: 28 boxes
+_SORTED_BOXES = [extents for extents in _BOXES if list(extents) == sorted(extents)][::2]
+
+
+def _sorted_box_data(i: int, extents: tuple) -> Field:
+    """The i-th box's data: uniform in [0.01, 1] on its interior, seeded by i."""
+    d = BoxDomain(extents)
+    return Field.from_interior(d, np.random.default_rng(i).uniform(0.01, 1.0, d.interior_shape))
+
+
+def _b_max_bound(a: Field) -> tuple:
+    """(B_max of the exact transform of a's interior at 40 digits, its a-priori rounding bound).
+
+    The exact B_m is norm sum_n a_n prod_k sin(m_k n_k pi/N_k), norm = prod_k 2/N_k. A priori,
+    per `_sine_matrix`: the integer product m n is exact, and the argument fl(fl(m n pi^)/N) is
+    three roundings of m n pi/N < pi N (np.pi's own among them), so within 3 pi N u of it; sin is
+    1-Lipschitz and np.sin adds at most 1 ulp, 2u. So every sine lies within eps = (3 pi N + 2)u
+    of the exact one, N the largest extent, and a product of d of them, each at most 1, within
+    (1 + eps)^d - 1. Axis k's dot products over N_k - 1 terms, in any order, add gamma_(N_k - 1)
+    per term (Higham 2002, section 3.1), and the d of them gamma_n, n = sum_k (N_k - 1). The norm
+    is d divisions and d - 1 products, and scaling by it one product more: gamma_2d. So every
+    coefficient, and B_max with them, lies within
+    norm sum|a| ((1 + eps)^d (1 + gamma_n) (1 + gamma_2d) - 1) of the exact one.
+    """
+    extents, u = a.domain.extents, mpmath.mpf(_U)
+    with mpmath.workdps(40):
+        out = np.vectorize(mpmath.mpf, otypes=[object])(a.interior())
+        for k, n in enumerate(extents):
+            sines = np.array([[mpmath.sin(i * j * mpmath.pi / n) for j in range(1, n)]
+                              for i in range(1, n)], dtype=object)
+            out = np.moveaxis(np.tensordot(sines, out, axes=(1, k)), 0, k)
+        norm = mpmath.fprod(mpmath.mpf(2) / n for n in extents)
+        exact = norm * max(abs(x) for x in out.ravel())
+        eps = (3 * mpmath.pi * max(extents) + 2) * u
+        n, d = sum(n - 1 for n in extents), len(extents)
+        total = mpmath.fsum(mpmath.mpf(float(x)) for x in np.abs(a.interior()).ravel())
+        return exact, norm * total * ((1 + eps) ** d * (1 + _gamma(n)) * (1 + _gamma(2 * d)) - 1)
+
+
+def test_b_max_lies_within_its_rounding_bound():
+    # analyze(a).max_abs, the B_max of every certificate, on data in [0.01, 1]; the largest error
+    # is a few percent of the bound
+    assert len(_SORTED_BOXES) == 28
+    for i, extents in enumerate(_SORTED_BOXES):
+        a = _sorted_box_data(i, extents)
+        exact, bound = _b_max_bound(a)
+        with mpmath.workdps(40):
+            got = mpmath.mpf(analyze(a).max_abs)
+            assert abs(got - exact) <= bound, (extents, got, exact, bound)
+
+
+def test_bound_alpha_gt_1_lies_within_its_rounding_bound():
+    # bound_alpha_gt_1(B_max, table, alpha, m) is head + tail: head = sum_{k<s0} m_k^alpha over
+    # compute_trace's maxima, and tail = B_max^alpha sum_m |c_m|^s0/(1 - |c_m|) over the table's
+    # eigenvalues, s0 = tail_start. Each is held to the same sum over the exact flow's maxima
+    # (from the same doubles), the exact |lambda_m| and the exact B_max, at the same s0; a zero
+    # B_max isolates the head and a zero prefix the tail. A priori, with g = gamma_2d:
+    # - head: m_k lies within (1 +- g)^k of the exact maximum, as in the partial sums' test;
+    #   np.power adds gamma_2 (1 ulp, or two products), so a term lies within e_k =
+    #   max((1 + g)^(alpha k)(1 + gamma_2) - 1, 1 - (1 - g)^(alpha k)(1 - gamma_2)) of t_k
+    #   relatively, and np.sum adds gamma_s0 times the terms' sum (Higham 2002, section 4.2).
+    # - the series: |c - lambda| <= _DELTA, which moves f(x) = x^s0/(1 - x) by at most
+    #   f'(lambda + _DELTA) _DELTA, f' increasing on [0, 1); the power, the subtraction and the
+    #   division add gamma_4 relatively, and np.sum gamma_n times the terms' sum, n modes.
+    # - B_max^alpha: B_max lies within beta of the exact one (`_b_max_bound`), which moves the
+    #   power by at most alpha (B + beta)^(alpha - 1) beta; np.power adds gamma_2. The product with
+    #   the series and the sum of head and tail add u each.
+    for i, extents in enumerate(_SORTED_BOXES):
+        a = _sorted_box_data(i, extents)
+        table = mode_table(a.domain)
+        s0, d = table.tail_start, a.domain.dims
+        b_exact, beta = _b_max_bound(a)
+        b_max = analyze(a).max_abs
+        lams = _exact_eigenvalues(extents)
+        with mpmath.workdps(40):
+            maxima = _exact_maxima(a.values, s0 - 1)
+            g, u, delta = _gamma(2 * d), mpmath.mpf(_U), mpmath.mpf(_DELTA)
+            series = series_bound = upper_sum = mpmath.mpf(0)
+            for lam in lams:
+                assert lam + delta < 1
+                f = lam**s0 / (1 - lam)
+                slope = (s0 * (lam + delta) ** (s0 - 1) / (1 - lam - delta)
+                         + (lam + delta) ** s0 / (1 - lam - delta) ** 2) * delta
+                series, upper_sum = series + f, upper_sum + f + slope
+                series_bound += slope + _gamma(4) * (f + slope)
+            series_bound += _gamma(len(lams)) * (1 + _gamma(4)) * upper_sum
+            for alpha in (1.5, 2.0, 3.0):
+                trace = compute_trace(a, alpha, s0)
+                head = bound_alpha_gt_1(0.0, table, alpha, trace.m).bound_value
+                tail = bound_alpha_gt_1(b_max, table, alpha, np.zeros(s0)).bound_value
+                got = bound_alpha_gt_1(b_max, table, alpha, trace.m).bound_value
+                assert got == head + tail, (extents, alpha)
+                x = mpmath.mpf(alpha)
+                terms = [m**x for m in maxima]
+                errors = [max((1 + g) ** (x * k) * (1 + _gamma(2)) - 1,
+                              1 - (1 - g) ** (x * k) * (1 - _gamma(2))) for k in range(s0)]
+                head_exact = mpmath.fsum(terms)
+                head_bound = mpmath.fsum(e * t for e, t in zip(errors, terms)) + _gamma(s0) * (
+                    mpmath.fsum((1 + e) * t for e, t in zip(errors, terms)))
+                power = b_exact**x
+                power_bound = (x * (b_exact + beta) ** (x - 1) * beta
+                               + _gamma(2) * (b_exact + beta) ** x)
+                tail_exact = power * series
+                tail_bound = (power_bound * (series + series_bound) + power * series_bound
+                              + u * (power + power_bound) * (series + series_bound))
+                exact = head_exact + tail_exact
+                bound = head_bound + tail_bound + u * (exact + head_bound + tail_bound)
+                for name, value, want, tol in (("head", head, head_exact, head_bound),
+                                               ("tail", tail, tail_exact, tail_bound),
+                                               ("bound", got, exact, bound)):
+                    error = abs(mpmath.mpf(value) - want)
+                    assert error <= tol, (extents, alpha, name, value, want, tol)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import pkgutil
 import json
 import math
 import os
@@ -878,3 +879,30 @@ def test_public_names_are_pinned():
         "find_threshold", "majorant_field", "mode_table", "regime_bound", "simulate",
         "step_linear_direct", "synthesize", "tail_start", "verify_comparison",
     }
+
+
+def test_readme_design_map_names_the_code():
+    # README's design map gives one line per decision, each naming as `module.name` the code
+    # whose docstring explains it; every such name resolves on the package, so a rename or a
+    # deletion fails here, and the map stays within the 40 lines ROADMAP allows. A `np.` name
+    # is numpy's and `name.csv` or `name.json` an artifact; any other dotted name in backticks
+    # must be the package's
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"^## Design map\n\n(.*?)(?=^## |\Z)", text, re.M | re.S)
+    assert section, "README.md has no design map"
+    lines = section[1].rstrip("\n").splitlines()
+    intro, bullets = lines[:lines.index("") + 1], lines[lines.index("") + 1:]
+    assert len(lines) <= 40 and bullets and all(line.startswith("- ") for line in bullets)
+    assert all("`" not in line for line in intro)
+    modules = {m.name for m in pkgutil.iter_modules(latticeheat.__path__)}
+    for line in bullets:
+        names = [name for name in re.findall(r"`(\w+(?:\.\w+)+)`", line)
+                 if not re.fullmatch(r"np\..*|\w+\.(csv|json)", name)]
+        assert names, f"names no module.name: {line}"
+        for name in names:
+            module, *path = name.split(".")
+            assert module in modules, name
+            obj = getattr(latticeheat, module)
+            for attr in path:
+                assert hasattr(obj, attr), name
+                obj = getattr(obj, attr)

@@ -298,7 +298,7 @@ REJECTED = [
     ("negative-steps-flag", ("simulate",), "constant_interior", {}, None, ("--steps", "-1"),
      "steps: must be >= 0"),
     ("seed-flag-without-random", ("simulate",), "constant_interior", {}, None, ("--seed", "3"),
-     "--seed"),
+     "init.seed: unknown key"),
     ("missing-field-file", COMMANDS, "file", {}, None, (), "init.path"),
     ("field-of-other-extents", COMMANDS, "file", {}, _file(0, 0.5, 0.5, 0), (),
      "init.path: field extents do not match config extents"),

@@ -887,7 +887,8 @@ def test_reused_stepper_matches_fresh_one(extents, alpha, tiny_delta, eps_blow, 
                                           blowup_exit, S, runs):
     # one stepper over a sequence of runs, whatever each leaves behind (a stale g after a
     # blow-up, inf after an overflow, a spare at rest, swapped buffers and copy plans), gives
-    # each run's step, stop, records and final state, bit for bit, as a fresh one does
+    # each run's step, stop, records and final state, bit for bit, as a fresh one does; a
+    # recording stepper appends to its trace, so each run here starts it on a new list
     d = BoxDomain(tuple(extents))
     p = Params(alpha, 1e-150 if tiny_delta else 1.0 / alpha)
     zero = Field(d, np.zeros(d.shape))
@@ -896,6 +897,7 @@ def test_reused_stepper_matches_fresh_one(extents, alpha, tiny_delta, eps_blow, 
     for kind, amplitude, with_exits, seed in runs:
         a = _run_data(d, p, eps_blow, kind, amplitude, seed)
         run_exits = exits if with_exits else None
+        reused.trace = [] if record else None
         got = _run(reused, a, S, run_exits)
         want = _run(evolution._Stepper(d, p, eps_blow, record), a, S, run_exits)
         assert type(got[1]) is type(want[1]) and got == want
