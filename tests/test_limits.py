@@ -19,10 +19,10 @@ from latticeheat import BoxDomain, Field, Params, find_threshold, mode_table
 from latticeheat.domain import _mirror_symmetric
 
 
-def _thresholds(sides, profile, params, steps, tol):
-    """find_threshold's amplitude on each side N, from profile(N), params(N) and steps(N); none
-    may be the bracket ceiling."""
-    found = [find_threshold(profile(N), params(N), steps(N), tol) for N in sides]
+def _thresholds(runs, tol):
+    """find_threshold's amplitude for each (profile, params, S); none may be the bracket
+    ceiling."""
+    found = [find_threshold(profile, p, S, tol) for profile, p, S in runs]
     assert not any(r.hit_ceiling for r in found)
     return [r.amplitude for r in found]
 
@@ -42,8 +42,8 @@ def test_fujita_exponent_below_the_critical_alpha():
     # lies within 0.15 of it. The 2-D N = 32 box (1,089 sites, symmetric) probes on its orthant
     assert _mirror_symmetric(_delta(2, 32).values) and not _mirror_symmetric(_delta(2, 16).values)
     for d, alpha, sides in ((1, 1.0, (8, 16, 32, 64)), (2, 0.5, (4, 8, 16, 32))):
-        amplitudes = _thresholds(sides, lambda N: _delta(d, N), lambda N: Params(alpha, 0.3),
-                                 lambda N: 8 * N * N, 1e-6)
+        amplitudes = _thresholds([(_delta(d, N), Params(alpha, 0.3), 8 * N * N) for N in sides],
+                                 1e-6)
         slopes = [math.log2(hi / lo) for lo, hi in zip(amplitudes, amplitudes[1:])]
         gaps = [abs(slope - (d - 2 / alpha)) for slope in slopes]
         assert gaps == sorted(gaps, reverse=True) and gaps[-1] < 0.15, (d, alpha, slopes)
@@ -54,9 +54,9 @@ def test_continuum_limit_of_the_principal_sine_mode():
     # (continuum time 3) and tol 1e-7, on N = 8..64. Successive differences shrink by a factor
     # near 4 per doubling (4.22, then 4.06); the last factor lies within 0.1 of 4, and every
     # A(N) lies in [pi^2, (4/pi) pi^2]
-    sides = (8, 16, 32, 64)
-    amplitudes = _thresholds(sides, lambda N: mode_table(BoxDomain((N,))).mode_field((1,)),
-                             lambda N: Params(1.0, 1 / (2 * N * N)), lambda N: 6 * N * N, 1e-7)
+    amplitudes = _thresholds([(mode_table(BoxDomain((N,))).mode_field((1,)),
+                               Params(1.0, 1 / (2 * N * N)), 6 * N * N) for N in (8, 16, 32, 64)],
+                             1e-7)
     diffs = [lo - hi for lo, hi in zip(amplitudes, amplitudes[1:])]
     assert abs(diffs[-2] / diffs[-1] - 4) < 0.1, amplitudes
     assert all(math.pi**2 <= A <= 4 * math.pi for A in amplitudes), amplitudes
