@@ -309,25 +309,28 @@ def test_ops_compares_each_ops_scaled_and_raw_times():
         bench._ops({}, "certify-small", runs)
 
 
-def test_bench_ops_control_times_the_base_against_itself(tmp_path):
-    # one --control batch of two pairs: its file goes under aa/, and it carries every op of the
-    # plan, compared scaled and raw; a batch outside aa/ and a head clone without the comment
-    # are `_batches` and `_clones` paths that test_bench_ab_writes_every_declared_metric runs
+@pytest.fixture(scope="module")
+def ops_control_batch(tmp_path_factory):
+    """One --control `ops` batch of two pairs on the certify-small smoke plan, which both ops
+    tests read: its command, output directory, stdout, batch file and record."""
     sha = head_sha()
+    out = tmp_path_factory.mktemp("ops")
     command = [sys.executable, str(TOOL), "ops", "--base", "HEAD", "--control", "--workload",
                "certify-small", "--seed", "777", "--pairs", "2", "--seconds", "1", "--smoke",
-               "--out", str(tmp_path)]
+               "--out", str(out)]
     proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    [path] = (tmp_path / "aa").iterdir()
-    assert list(tmp_path.iterdir()) == [tmp_path / "aa"] and proc.stdout.split() == [str(path)]
-    assert re.fullmatch(r"OPS_\d{4}-\d\d-\d\d_certify-small_s777\.json", path.name)
-    record = json.loads(path.read_text())
-    assert set(record) == OPS_KEYS and record["control"] is True
+    [path] = (out / "aa").iterdir()
+    return {"sha": sha, "command": command, "out": out, "stdout": proc.stdout, "path": path,
+            "record": json.loads(path.read_text())}
+
+
+def test_bench_ops_times_every_op(ops_control_batch):
+    # the batch carries every op of the plan, each compared scaled and raw over both pairs
+    record = ops_control_batch["record"]
+    assert set(record) == OPS_KEYS
     assert_runs(record, OPS_RUN_KEYS)
-    assert record["base"] == {"ref": "HEAD", "git_sha": sha} and record["head"] == {"git_sha": sha}
     assert (record["workload"], record["seed"], record["pairs"]) == ("certify-small", 777, 2)
-    assert record["artifacts_equal"] is True and record["failed"] == {"base": 0, "head": 0}
     assert [run["first"] for run in record["runs"]] == ["base", "head"]  # alternating
     plan = [op for group in workloads.make_plan("certify-small", 777, True) for op in group]
     assert len(record["ops"]) == len(plan)
@@ -344,4 +347,19 @@ def test_bench_ops_control_times_the_base_against_itself(tmp_path):
         assert got["raw_sign_differs"] in (None, True, False)
         assert got["change"] == pytest.approx(got["head"]["median"] / got["base"]["median"] - 1)
         assert got["head_wins"] in (0, 1, 2)
-    assert_refuses_rerun(command, path)
+
+
+def test_bench_ops_control_times_the_base_against_itself(ops_control_batch):
+    # a --control batch's file goes under aa/, its two sides share HEAD's commit and artifacts,
+    # and a second batch refuses to overwrite it; a batch outside aa/ and a head clone without
+    # the comment are `_batches` and `_clones` paths that
+    # test_bench_ab_writes_every_declared_metric runs
+    sha, out, path = (ops_control_batch[key] for key in ("sha", "out", "path"))
+    assert list(out.iterdir()) == [out / "aa"] and ops_control_batch["stdout"].split() == [
+        str(path)]
+    assert re.fullmatch(r"OPS_\d{4}-\d\d-\d\d_certify-small_s777\.json", path.name)
+    record = ops_control_batch["record"]
+    assert record["control"] is True
+    assert record["base"] == {"ref": "HEAD", "git_sha": sha} and record["head"] == {"git_sha": sha}
+    assert record["artifacts_equal"] is True and record["failed"] == {"base": 0, "head": 0}
+    assert_refuses_rerun(ops_control_batch["command"], path)
